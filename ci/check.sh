@@ -37,8 +37,9 @@ cargo test -q --offline -p gs-tests --test watchdog stalled_subscription_recover
 
 echo "== stats overhead gate (<=5% on threaded benches) =="
 # Interleaved stats-on/stats-off runs of the manager workload; exits
-# non-zero if self-monitoring costs more than 5%.
-GS_BENCH_QUICK=1 cargo run -q --release --offline -p gs-bench --bin stats_overhead
+# non-zero if self-monitoring costs more than 5%. (Every perf gate is a
+# row of the table in crates/bench/src/bin/gate.rs.)
+GS_BENCH_QUICK=1 cargo run -q --release --offline -p gs-bench --bin gate -- stats
 
 echo "== partition-parallel gate (par4 not slower than par1) =="
 # Interleaved parallelism-1/parallelism-4 runs of the multi-key manager
@@ -46,29 +47,14 @@ echo "== partition-parallel gate (par4 not slower than par1) =="
 # On hosts with fewer than 4 logical CPUs the numbers are printed but
 # the comparison is skipped (the >=1.5x speedup figure is a manual
 # measurement on a >=4-core machine).
-GS_BENCH_QUICK=1 cargo run -q --release --offline -p gs-bench --bin parallel_gate
-
-echo "== columnar gate (columnar >= 2x row transport) =="
-# Interleaved row/columnar runs of the aggregation-heavy manager
-# workload; exits non-zero if columnar transport is less than 2x the
-# row-transport throughput. On hosts with fewer than 4 logical CPUs the
-# numbers are printed but the comparison is skipped (the pipeline
-# stages serialize, so the ratio measures nothing).
-GS_BENCH_QUICK=1 cargo run -q --release --offline -p gs-bench --bin columnar_gate
+GS_BENCH_QUICK=1 cargo run -q --release --offline -p gs-bench --bin gate -- parallel
 
 echo "== shared prefilter property tests =="
 # Explicit gate on the PR-7 suite (also covered by the full test run
-# above): shared-prefilter-on output and counters are bit-identical to
-# per-query evaluation across sync/threaded/parallel/quarantine runs.
+# above): every LFTA's output and counters under the shared pass equal
+# the naive per-LFTA oracle (gs_tests::oracle_lftas) across
+# sync/threaded/parallel/quarantine runs.
 cargo test -q --offline -p gs-tests --test prop_prefilter
-
-echo "== shared prefilter gate (100 queries: shared >= 5x unshared) =="
-# Interleaved shared-on/shared-off runs of the 100-query registration
-# workload; exits non-zero below 5x. Runs at the full trace length (the
-# whole gate is ~2s): the ratio measures steady-state dispatch, and the
-# quick trace leaves engine build a visible fraction of a run. Skipped
-# (numbers still printed) on hosts with fewer than 4 logical CPUs.
-cargo run -q --release --offline -p gs-bench --bin prefilter_gate
 
 echo "== daemon protocol/lifecycle tests =="
 # Explicit gate on the PR-8 suites (also covered by the full test run
@@ -92,7 +78,7 @@ echo "== snapshot overhead gate (<=5% on threaded benches) =="
 # Interleaved carry-mode (restore + capture) vs plain runs of the
 # manager workload; exits non-zero if checkpointing costs more than 5%
 # on the steady-state path.
-GS_BENCH_QUICK=1 cargo run -q --release --offline -p gs-bench --bin snapshot_overhead
+GS_BENCH_QUICK=1 cargo run -q --release --offline -p gs-bench --bin gate -- snapshot
 
 echo "== daemon gate: scripted gsqd/gsq session on loopback =="
 # Boot the real daemon binary on an ephemeral loopback port, run a full
@@ -229,7 +215,7 @@ echo "== durable overhead gate (<=10% over in-memory carry) =="
 # Times the per-epoch durable commit (segment publish + marker-log
 # fsync) against the carry-state epoch it rides on; exits non-zero if
 # durability costs more than 10% of the epoch.
-GS_BENCH_QUICK=1 cargo run -q --release --offline -p gs-bench --bin durable_overhead
+GS_BENCH_QUICK=1 cargo run -q --release --offline -p gs-bench --bin gate -- durable
 
 echo "== crash_restart_gate: kill -9 mid-window, resume from --state-dir =="
 # Boot the real daemon with a state dir over one continuous 1.2 s trace
@@ -330,18 +316,23 @@ echo "== bench smoke run (quick mode) =="
 GS_BENCH_QUICK=1 cargo bench -p gs-bench --offline
 test -f target/bench.json || { echo "FAIL: bench.json not written" >&2; exit 1; }
 # The parallelism sweep must land in the report (par1 baseline and the
-# par4 sharded point), and so must both transport series: the columnar
-# points and their row-transport references.
+# par4 sharded point), and so must the transport and prefilter series.
 for key in "manager/threaded_par1" "manager/threaded_par4" \
-           "manager/threaded_throughput" "manager/threaded_throughput_row" \
-           "manager/threaded_agg" "manager/threaded_agg_row" \
+           "manager/threaded_throughput" "manager/threaded_agg" \
            "prefilter/registration_scaling_q1" \
            "prefilter/registration_scaling_q10" \
-           "prefilter/registration_scaling_q100" \
-           "prefilter/registration_scaling_q100_unshared"; do
+           "prefilter/registration_scaling_q100"; do
     grep -q "$key" target/bench.json ||
         { echo "FAIL: $key missing from bench.json" >&2; exit 1; }
 done
+
+echo "== offline build of benchmark/ (its own workspace) =="
+# benchmark/ compiles against the public API of the crates above but
+# sits outside this workspace, so nothing earlier notices API drift
+# against it. Build it here — same command and target dir as
+# benchmark/run.sh — so drift fails CI, not the benchmark run.
+cargo build --release --offline --quiet \
+    --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
 
 echo "== manifest gate: no registry dependencies =="
 # Every dependency declaration in every manifest must be a path dependency

@@ -259,8 +259,9 @@ fn bench_merge_join(c: &mut Criterion) {
             |mut m| {
                 let mut out = Vec::new();
                 for i in 0..1024u64 {
-                    m.push(0, StreamItem::Tuple(Tuple::new(vec![Value::UInt(i)])), &mut out);
-                    m.push(1, StreamItem::Tuple(Tuple::new(vec![Value::UInt(i)])), &mut out);
+                    let t = || vec![StreamItem::Tuple(Tuple::new(vec![Value::UInt(i)]))];
+                    m.push_batch(0, t(), &mut out);
+                    m.push_batch(1, t(), &mut out);
                     out.clear();
                 }
                 m
@@ -293,8 +294,8 @@ fn bench_merge_join(c: &mut Criterion) {
                     let t = |v| {
                         StreamItem::Tuple(Tuple::new(vec![Value::UInt(i / 8), Value::UInt(v)]))
                     };
-                    j.push(0, t(i % 16), &mut out);
-                    j.push(1, t(i % 16), &mut out);
+                    j.push_batch(0, vec![t(i % 16)], &mut out);
+                    j.push_batch(1, vec![t(i % 16)], &mut out);
                     out.clear();
                 }
                 j
@@ -350,7 +351,7 @@ fn bench_manager(c: &mut Criterion) {
         b.iter(|| run_threaded(&gs, pkts.iter().cloned(), &["raw", "persec"]).unwrap())
     });
     // Baseline without self-monitoring, for eyeballing the stats cost
-    // (the enforced <=5% gate lives in src/bin/stats_overhead.rs).
+    // (the enforced <=5% gate is `gate stats`, src/bin/gate.rs).
     let mut gs_ns = mk(256);
     gs_ns.stats_enabled = false;
     g.bench_function("threaded_nostats", |b| {
@@ -370,7 +371,7 @@ fn bench_manager(c: &mut Criterion) {
     // multi-key aggregate (1024 source addresses, so the hash router
     // actually spreads groups) rewritten into K shard instances plus a
     // reunifying merge. par1 is the mandated no-op baseline; the
-    // par4-not-slower gate lives in src/bin/parallel_gate.rs.
+    // par4-not-slower gate is `gate parallel` (src/bin/gate.rs).
     let multi: Vec<CapPacket> = (0..N)
         .map(|i| {
             let f = FrameBuilder::tcp(0x0a000000 + (i % 1024) as u32, 0xc0a80001, 1024, 80)
@@ -398,20 +399,10 @@ fn bench_manager(c: &mut Criterion) {
             b.iter(|| run_threaded(&gsp, multi.iter().cloned(), &["persrc"]).unwrap())
         });
     }
-    // Row-transport reference point for the headline workload: the same
-    // pipeline with `Gigascope::columnar` off, so bench.json always
-    // carries both the row and the columnar series side by side.
-    let mut gs_row = mk(256);
-    gs_row.columnar = false;
-    g.bench_function("threaded_throughput_row", |b| {
-        b.iter(|| run_threaded(&gs_row, pkts.iter().cloned(), &["raw", "persec"]).unwrap())
-    });
-    // Aggregation-heavy workload for the columnar gate: a four-function
-    // multi-key aggregate over bursty sources (each source emits runs of
-    // 32 packets, as flows do), so the columnar run-detection loop in
-    // the hash-agg has real runs to fold. `threaded_agg` is the columnar
-    // series, `threaded_agg_row` the pre-columnar row transport; the
-    // enforced >=2x ratio lives in src/bin/columnar_gate.rs.
+    // Aggregation-heavy workload: a four-function multi-key aggregate
+    // over bursty sources (each source emits runs of 32 packets, as flows
+    // do), so the columnar run-detection loop in the hash-agg has real
+    // runs to fold.
     let bursty: Vec<CapPacket> = (0..N)
         .map(|i| {
             let f = FrameBuilder::tcp(0x0a00_0000 + ((i / 32) % 256) as u32, 0xc0a8_0001, 1024, 80)
@@ -420,26 +411,18 @@ fn bench_manager(c: &mut Criterion) {
             CapPacket::full(i as u64 * 500_000, 0, LinkType::Ethernet, f)
         })
         .collect();
-    let mk_agg = |columnar: bool| {
-        let mut gs = Gigascope::new();
-        gs.add_interface("eth0", 0, LinkType::Ethernet);
-        gs.batch_size = 256;
-        gs.columnar = columnar;
-        gs.add_program(
-            "DEFINE { query_name raw; } Select time, srcIP, len From eth0.tcp; \
-             DEFINE { query_name persrc; } \
-             Select time, srcIP, count(*), sum(len), min(len), max(len) From raw \
-             Group By time, srcIP",
-        )
-        .unwrap();
-        gs
-    };
-    for (name, columnar) in [("threaded_agg", true), ("threaded_agg_row", false)] {
-        let gsa = mk_agg(columnar);
-        g.bench_function(name, |b| {
-            b.iter(|| run_threaded(&gsa, bursty.iter().cloned(), &["persrc"]).unwrap())
-        });
-    }
+    let mut gsa = Gigascope::new();
+    gsa.add_interface("eth0", 0, LinkType::Ethernet);
+    gsa.add_program(
+        "DEFINE { query_name raw; } Select time, srcIP, len From eth0.tcp; \
+         DEFINE { query_name persrc; } \
+         Select time, srcIP, count(*), sum(len), min(len), max(len) From raw \
+         Group By time, srcIP",
+    )
+    .unwrap();
+    g.bench_function("threaded_agg", |b| {
+        b.iter(|| run_threaded(&gsa, bursty.iter().cloned(), &["persrc"]).unwrap())
+    });
     g.finish();
 }
 
@@ -447,9 +430,7 @@ fn bench_manager(c: &mut Criterion) {
 /// §14): N per-port selection queries drawn from a 20-port pool, so the
 /// shared pass dedupes them to at most 20 distinct atoms/BPF programs
 /// and dispatch cost tracks distinct *signatures*, not registrations.
-/// The q1/q10/q100 series is the scaling curve; `q100_unshared` is the
-/// same 100 registrations with per-LFTA evaluation, the denominator of
-/// the enforced >=5x ratio in `src/bin/prefilter_gate.rs`.
+/// The q1/q10/q100 series is the scaling curve.
 fn bench_prefilter(c: &mut Criterion) {
     use gigascope::Gigascope;
     use gs_netgen::mix::{MixConfig, PacketMix};
@@ -469,27 +450,18 @@ fn bench_prefilter(c: &mut Criterion) {
             })
             .collect()
     };
-    let mk = |n: usize, shared: bool| {
-        let mut gs = Gigascope::new();
-        gs.add_interface("eth0", 0, LinkType::Ethernet);
-        gs.shared_prefilter = shared;
-        gs.add_program(&program(n)).unwrap();
-        gs
-    };
     let pkts: Vec<CapPacket> =
         PacketMix::new(MixConfig { seed: 7, duration_ms: 160, ..MixConfig::default() }).collect();
     let mut g = c.benchmark_group("prefilter");
     g.throughput(Throughput::Elements(pkts.len() as u64));
     for n in [1usize, 10, 100] {
-        let gs = mk(n, true);
+        let mut gs = Gigascope::new();
+        gs.add_interface("eth0", 0, LinkType::Ethernet);
+        gs.add_program(&program(n)).unwrap();
         g.bench_function(&format!("registration_scaling_q{n}"), |b| {
             b.iter(|| gs.run_capture(pkts.iter().cloned(), &[]).unwrap())
         });
     }
-    let gs = mk(100, false);
-    g.bench_function("registration_scaling_q100_unshared", |b| {
-        b.iter(|| gs.run_capture(pkts.iter().cloned(), &[]).unwrap())
-    });
     g.finish();
 }
 

@@ -7,6 +7,7 @@
 //! inside the calibrated capture-path simulator, and small table/crossing
 //! helpers.
 
+pub mod gate;
 pub mod harness;
 
 use gs_gsql::catalog::{Catalog, InterfaceDef};

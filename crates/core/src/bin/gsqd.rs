@@ -28,7 +28,9 @@
 //!   --restart-budget <n>     automatic restarts per query (default 3)
 //!   --backoff <n>            base restart backoff in epochs (default 1)
 //!   --parallelism <n>        HFTA parallelism degree (default 1)
-//!   --heartbeat <off|N|ondemand>  LFTA heartbeat policy (default 1 s)
+//!   --heartbeat <off|N>      LFTA heartbeat policy: off, or every N seconds
+//!                            (default 1); on-demand heartbeats need the
+//!                            one-shot `gsq` runner's synchronous engine
 //!   --port-file <path>       write the bound address to a file, atomically
 //!                            (CI uses this with --listen …:0)
 //!   --state-dir <dir>        durable checkpoint directory (requires
@@ -57,7 +59,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("            [--seed n] [--lead-in n] [--carry-state] [--epoch-gap ms]");
     eprintln!("            [--fault-panic node@batch] [--fault-epochs lo..hi]");
     eprintln!("            [--restart-budget n] [--backoff n] [--parallelism n]");
-    eprintln!("            [--heartbeat off|N|ondemand] [--port-file path]");
+    eprintln!("            [--heartbeat off|N] [--port-file path]");
     eprintln!("            [--state-dir dir] [--retain n]");
     exit(2);
 }
@@ -173,9 +175,10 @@ fn main() {
                 let v = val();
                 config.heartbeat = match v.as_str() {
                     "off" => HeartbeatMode::Off,
-                    "ondemand" => HeartbeatMode::OnDemand,
                     n => HeartbeatMode::Periodic {
-                        interval: n.parse().unwrap_or_else(|_| usage("bad heartbeat")),
+                        interval: n.parse().unwrap_or_else(|_| {
+                            usage("bad heartbeat: the daemon supports `off` or a period in seconds")
+                        }),
                     },
                 };
             }

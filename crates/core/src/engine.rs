@@ -7,24 +7,26 @@
 //! construction, which the test suite and the experiment harnesses rely
 //! on. The threaded deployment configuration lives in [`crate::manager`].
 //!
-//! This engine always executes row-at-a-time and ignores
-//! [`Gigascope::columnar`]: there is no transport hop to amortize, and
-//! its deterministic row output is the equivalence reference the
-//! columnar property tests compare the threaded manager against.
+//! What the two engines share — instantiating the graph and the
+//! capture-point loop body — lives in [`crate::graph`]; this module owns
+//! only what is particular to inline execution: propagating an LFTA's
+//! output straight through its consumers, quarantining a panicked
+//! operator's chain, and the on-demand heartbeat trigger (which must
+//! observe a starved merge between two packets, so only an inline
+//! scheduler can offer it). Operators see rows here: there is no
+//! transport hop whose cost a columnar batch would amortize.
 
+use crate::graph::{self, CaptureFront, Graph, GraphNode};
 use crate::health::{FaultReason, HealthBoard, RunHealth};
 use crate::{Error, Gigascope};
-use bytes::Bytes;
+use gs_packet::CapPacket;
 use gs_runtime::faults::NodeInjector;
-use gs_runtime::ops::build::{build_hfta, build_lfta, BuildCtx, HftaNode};
-use gs_runtime::ops::lfta::{Lfta, LftaStats};
-use gs_runtime::ops::prefilter::{LftaSlot, PrefilterCache, SharedPrefilter};
+use gs_runtime::ops::build::HftaNode;
+use gs_runtime::ops::lfta::LftaStats;
 use gs_runtime::ops::router::KeyRouter;
-use gs_runtime::punct::{HeartbeatMode, Punct};
+use gs_runtime::punct::HeartbeatMode;
 use gs_runtime::stats::{StatRow, StatsRegistry};
 use gs_runtime::tuple::{StreamItem, Tuple};
-use gs_runtime::value::Value;
-use gs_packet::CapPacket;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -77,18 +79,6 @@ impl RunOutput {
     }
 }
 
-struct LftaHost {
-    lfta: Lfta,
-    iface_id: u16,
-    out_sid: usize,
-}
-
-impl LftaSlot for LftaHost {
-    fn lfta_mut(&mut self) -> &mut Lfta {
-        &mut self.lfta
-    }
-}
-
 struct NodeHost {
     name: String,
     node: HftaNode,
@@ -104,9 +94,10 @@ struct EngineRouter {
     targets: Vec<usize>,
 }
 
-/// The wired-up execution graph.
-pub struct Engine {
-    lftas: Vec<LftaHost>,
+/// The HFTA side of the graph: nodes wired by stream id, executed inline
+/// as their inputs produce items.
+#[derive(Default)]
+struct Flow {
     nodes: Vec<NodeHost>,
     /// stream id -> (node index, port) consumers.
     consumers: Vec<Vec<(usize, usize)>>,
@@ -116,17 +107,7 @@ pub struct Engine {
     /// stream id -> collection bucket.
     collect: Vec<Option<String>>,
     stream_ids: HashMap<String, usize>,
-    heartbeat: HeartbeatMode,
     outputs: HashMap<String, Vec<Tuple>>,
-    stats: EngineStats,
-    clock_sec: u64,
-    last_heartbeat_sec: Option<u64>,
-    /// Every LFTA and operator registers its counters here; snapshots
-    /// feed the `GS_STATS` stream and the final [`EngineStats::counters`].
-    registry: Arc<StatsRegistry>,
-    /// Stream id of the built-in `GS_STATS` monitoring stream.
-    gs_stats_sid: usize,
-    stats_enabled: bool,
     /// Quarantine bookkeeping: every containment decision lands here.
     board: HealthBoard,
     /// Per-node quarantine flags — a failed node (and its transitive
@@ -135,171 +116,194 @@ pub struct Engine {
     failed: Vec<bool>,
     /// Armed fault injectors by node index ([`Gigascope::faults`]).
     injectors: HashMap<usize, NodeInjector>,
-    /// Cross-query shared prefilter pass ([`Gigascope::shared_prefilter`]);
-    /// `None` runs each LFTA fully privately.
-    shared: Option<SharedPrefilter>,
-    /// Reused per-LFTA output buffers for shared dispatch.
-    shared_outs: Vec<Vec<StreamItem>>,
-    /// Rendered shared-prefilter plan (atom table + bitmasks), for explain.
-    prefilter_plan: Option<String>,
+}
+
+/// The wired-up execution graph.
+pub struct Engine {
+    /// The capture point: LFTAs, shared prefilter, heartbeat clock.
+    front: CaptureFront,
+    /// Output stream id of each LFTA slot.
+    lfta_sids: Vec<usize>,
+    flow: Flow,
+    heartbeat: HeartbeatMode,
+    /// Every LFTA and operator registers its counters here; snapshots
+    /// feed the `GS_STATS` stream and the final [`EngineStats::counters`].
+    registry: Arc<StatsRegistry>,
+    /// Stream id of the built-in `GS_STATS` monitoring stream.
+    gs_stats_sid: usize,
+    stats_enabled: bool,
 }
 
 impl Engine {
-    /// Instantiate every deployed query of `gs`.
-    pub fn build(gs: &Gigascope) -> Result<Engine, Error> {
-        Self::build_inner(gs, false)
-    }
-
-    /// Like [`Engine::build`], but also renders the shared-prefilter
-    /// plan text for explain output. Ordinary runs skip the rendering:
-    /// it walks every atom and bitmask, which is wasted work on the
-    /// build-per-capture path.
-    pub fn build_explained(gs: &Gigascope) -> Result<Engine, Error> {
-        Self::build_inner(gs, true)
-    }
-
-    fn build_inner(gs: &Gigascope, render_plan: bool) -> Result<Engine, Error> {
-        let mut engine = Engine {
-            lftas: Vec::new(),
-            nodes: Vec::new(),
-            consumers: Vec::new(),
-            routers: HashMap::new(),
-            collect: Vec::new(),
-            stream_ids: HashMap::new(),
-            heartbeat: gs.heartbeat,
-            outputs: HashMap::new(),
-            stats: EngineStats::default(),
-            clock_sec: 0,
-            last_heartbeat_sec: None,
-            registry: Arc::new(StatsRegistry::new()),
-            gs_stats_sid: 0,
-            stats_enabled: gs.stats_enabled,
-            board: HealthBoard::new(),
-            failed: Vec::new(),
-            injectors: HashMap::new(),
-            shared: None,
-            shared_outs: Vec::new(),
-            prefilter_plan: None,
-        };
-        for dq in gs.queries() {
-            let params = gs.params_for(&dq.name);
-            params
-                .validate(&dq.params)
-                .map_err(|e| Error::Runtime(gs_runtime::RuntimeError::msg(format!(
-                    "query `{}`: {e}",
-                    dq.name
-                ))))?;
-            let ctx = BuildCtx {
-                catalog: gs.catalog(),
-                params: &params,
-                registry: gs.registry(),
-                resolver: gs.resolver(),
-                lfta_table_size: gs.lfta_table_size,
-            };
-            for spec in &dq.lftas {
-                let lfta = build_lfta(spec, &ctx)?;
-                let iface_id = lfta_iface_id(gs, spec)?;
-                let out_sid = engine.sid(&spec.name);
-                engine.lftas.push(LftaHost { lfta, iface_id, out_sid });
-            }
-            if let Some(hplan) = &dq.hfta {
-                if let Some(part) = gs.parallel_rewrite(dq) {
-                    // K partition instances fed by a hash router on the
-                    // input stream (not via the consumer map, which
-                    // would duplicate every tuple into every shard)...
-                    let mut progs = Vec::with_capacity(part.hash_exprs.len());
-                    for e in &part.hash_exprs {
-                        progs.push(ctx.prog(e).map_err(Error::Runtime)?);
-                    }
-                    let in_sid = engine.sid(&part.input);
-                    let mut targets = Vec::with_capacity(part.partitions.len());
-                    for (pname, pplan) in &part.partitions {
-                        let node = build_hfta(pplan, &ctx)?;
-                        targets.push(engine.nodes.len());
-                        let out_sid = engine.sid(pname);
-                        engine.nodes.push(NodeHost { name: pname.clone(), node, out_sid });
-                    }
-                    let k = targets.len();
-                    engine
-                        .routers
-                        .entry(in_sid)
-                        .or_default()
-                        .push(EngineRouter { router: KeyRouter::new(progs, k), targets });
-                    // ... reunified by an ordinary merge node wired
-                    // through the consumer map. Inserted after the
-                    // partitions so `run`'s in-order finish flushes the
-                    // shards into the merge before the merge finishes.
-                    let node = build_hfta(&part.merge, &ctx)?;
-                    let node_idx = engine.nodes.len();
+    /// Instantiate every deployed query of `gs`, collecting the named
+    /// `subscriptions` into the run output.
+    pub fn build(gs: &Gigascope, subscriptions: &[&str]) -> Result<Engine, Error> {
+        let Graph { lftas, nodes, routers, .. } = graph::build(gs, &[], None, subscriptions)?;
+        let registry = Arc::new(StatsRegistry::new());
+        let mut flow = Flow::default();
+        let lfta_sids = lftas.iter().map(|(l, _)| flow.sid(&l.name)).collect();
+        let mut targets: Vec<Vec<usize>> = vec![Vec::new(); routers.len()];
+        for GraphNode { name, node, routed } in nodes {
+            let idx = flow.nodes.len();
+            match routed {
+                Some(group) => targets[group].push(idx),
+                None => {
                     for (port, input) in node.inputs.iter().enumerate() {
-                        let sid = engine.sid(input);
-                        engine.consumers[sid].push((node_idx, port));
+                        let sid = flow.sid(input);
+                        flow.consumers[sid].push((idx, port));
                     }
-                    let out_sid = engine.sid(&dq.name);
-                    engine.nodes.push(NodeHost { name: dq.name.clone(), node, out_sid });
-                } else {
-                    let node = build_hfta(hplan, &ctx)?;
-                    let node_idx = engine.nodes.len();
-                    for (port, input) in node.inputs.iter().enumerate() {
-                        let sid = engine.sid(input);
-                        engine.consumers[sid].push((node_idx, port));
-                    }
-                    let out_sid = engine.sid(&dq.name);
-                    engine.nodes.push(NodeHost { name: dq.name.clone(), node, out_sid });
                 }
             }
+            node.register_stats(&registry, &name);
+            let out_sid = flow.sid(&name);
+            flow.nodes.push(NodeHost { name, node, out_sid });
         }
-        // Register every counter source and claim the monitoring
-        // stream's id, so queries over GS_STATS (and direct
-        // subscriptions to it) wire up like any other stream.
-        for h in &engine.lftas {
-            engine.registry.register(format!("lfta:{}", h.lfta.name), h.lfta.stats_handle());
+        for (group, targets) in routers.into_iter().zip(targets) {
+            let sid = flow.sid(&group.input);
+            flow.routers
+                .entry(sid)
+                .or_default()
+                .push(EngineRouter { router: group.router, targets });
         }
-        if gs.shared_prefilter && !engine.lftas.is_empty() {
-            // Dedup structurally equal compiled BPF programs, then build
-            // the shared cross-query pass over the final LFTA vector.
-            let mut cache = PrefilterCache::new();
-            for h in &mut engine.lftas {
-                h.lfta.intern_prefilter(&mut |p| cache.intern(p));
-            }
-            let mut sp = SharedPrefilter::new();
-            for h in &engine.lftas {
-                sp.add_lfta(&h.lfta, h.iface_id);
-            }
-            sp.register_stats(&engine.registry);
-            if render_plan {
-                engine.prefilter_plan = Some(sp.describe(&|e, proto| {
-                    match gs.catalog().protocol_schema(proto.name) {
-                        Some(s) => gs_gsql::explain::expr_str(e, &s),
-                        None => format!("{e:?}"),
-                    }
-                }));
-            }
-            engine.shared_outs = (0..engine.lftas.len()).map(|_| Vec::new()).collect();
-            engine.shared = Some(sp);
-        }
-        for n in &engine.nodes {
-            n.node.register_stats(&engine.registry, &n.name);
-        }
-        engine.failed = vec![false; engine.nodes.len()];
+        flow.failed = vec![false; flow.nodes.len()];
         if let Some(plan) = &gs.faults {
             // Arm the configured faults per node; the `faults` stats
             // node only exists when a plan does, so a default run's
             // GS_STATS row set is unchanged.
-            engine.registry.register("faults".to_string(), engine.board.stats.clone());
-            for (idx, n) in engine.nodes.iter().enumerate() {
-                if let Some(inj) = plan.armed(&n.name, &engine.board.stats) {
-                    engine.injectors.insert(idx, inj);
+            registry.register("faults".to_string(), flow.board.stats.clone());
+            for (idx, n) in flow.nodes.iter().enumerate() {
+                if let Some(inj) = plan.armed(&n.name, &flow.board.stats) {
+                    flow.injectors.insert(idx, inj);
                 }
             }
         }
-        engine.gs_stats_sid = engine.sid("GS_STATS");
-        Ok(engine)
+        for n in subscriptions {
+            let sid = flow.sid(n);
+            flow.collect[sid] = Some(n.to_string());
+            flow.outputs.entry(n.to_string()).or_default();
+        }
+        // Claim the monitoring stream's id, so queries over GS_STATS
+        // (and direct subscriptions to it) wire up like any other stream.
+        let gs_stats_sid = flow.sid("GS_STATS");
+        Ok(Engine {
+            front: CaptureFront::new(lftas, gs.heartbeat, registry.clone()),
+            lfta_sids,
+            flow,
+            heartbeat: gs.heartbeat,
+            registry,
+            gs_stats_sid,
+            stats_enabled: gs.stats_enabled,
+        })
     }
 
-    /// The rendered shared-prefilter plan, when the pass is active.
-    pub(crate) fn describe_prefilter(&self) -> Option<String> {
-        self.prefilter_plan.clone()
+    /// One heartbeat round, then a monitoring snapshot.
+    fn heartbeat_all(&mut self) {
+        self.front.heartbeat(|i, items| {
+            if !items.is_empty() {
+                self.flow.propagate(self.lfta_sids[i], std::mem::take(items));
+            }
+        });
+        self.emit_gs_stats();
+    }
+
+    /// Propagate one `GS_STATS` round — skipped unless something
+    /// consumes the monitoring stream (a query over GS_STATS or a
+    /// direct subscription).
+    fn emit_gs_stats(&mut self) {
+        let sid = self.gs_stats_sid;
+        let wanted = self.stats_enabled
+            && (self.flow.collect[sid].is_some() || !self.flow.consumers[sid].is_empty());
+        if wanted {
+            self.flow.publish_stats();
+            let items = self.front.stats_items();
+            self.flow.propagate(sid, items);
+        }
+    }
+
+    /// Run to completion over a time-ordered capture stream.
+    pub fn run<I>(mut self, packets: I) -> RunOutput
+    where
+        I: Iterator<Item = CapPacket>,
+    {
+        for pkt in packets {
+            self.front.dispatch(&pkt, |i, items| {
+                self.flow.propagate(self.lfta_sids[i], std::mem::take(items));
+            });
+            let due = match self.heartbeat {
+                // An operator "detects that it might be blocked" (§3):
+                // any starved merge triggers one round per clock advance.
+                HeartbeatMode::OnDemand => self.front.clock_advanced() && self.flow.starved(),
+                HeartbeatMode::Off | HeartbeatMode::Periodic { .. } => self.front.periodic_due(),
+            };
+            if due {
+                self.heartbeat_all();
+            }
+        }
+
+        // Capture over: flush LFTAs, end their streams, then finish the
+        // HFTA nodes in topological (submission) order.
+        self.front.finish(false, |i, items| {
+            let sid = self.lfta_sids[i];
+            if !items.is_empty() {
+                self.flow.propagate(sid, std::mem::take(items));
+            }
+            self.flow.end_stream(sid);
+        });
+        // One final monitoring snapshot at capture close, then end the
+        // GS_STATS stream so its consumers can finish. Ending it is
+        // unconditional: consumers wait on end-of-stream either way.
+        self.emit_gs_stats();
+        self.flow.end_stream(self.gs_stats_sid);
+        self.flow.finish_nodes();
+
+        let mut stats = EngineStats {
+            packets: self.front.packets,
+            heartbeats: self.front.heartbeats,
+            ..EngineStats::default()
+        };
+        for (lfta, _) in self.front.lftas() {
+            stats.lfta.insert(lfta.name.clone(), lfta.stats);
+            if let Some(dm) = lfta.dm_stats() {
+                stats.lfta_tables.insert(lfta.name.clone(), dm);
+            }
+        }
+        for n in &self.flow.nodes {
+            if let Some((_, peak, _)) = n.node.merge_state() {
+                stats.peak_buffered.insert(n.name.clone(), peak);
+            }
+            if let Some((_, peak)) = n.node.join_state() {
+                stats.peak_buffered.insert(n.name.clone(), peak);
+            }
+        }
+        self.flow.publish_stats();
+        stats.counters = self.registry.snapshot();
+        stats.health = self.flow.board.report();
+        RunOutput { streams: self.flow.outputs, stats }
+    }
+}
+
+impl Flow {
+    fn sid(&mut self, name: &str) -> usize {
+        if let Some(&s) = self.stream_ids.get(name) {
+            return s;
+        }
+        let s = self.consumers.len();
+        self.stream_ids.insert(name.to_string(), s);
+        self.consumers.push(Vec::new());
+        self.collect.push(None);
+        s
+    }
+
+    /// Whether any merge is holding tuples back for want of progress on
+    /// another input — the on-demand heartbeat trigger.
+    fn starved(&self) -> bool {
+        self.nodes.iter().any(|n| n.node.merge_state().is_some_and(|(_, _, s)| s))
+    }
+
+    fn publish_stats(&self) {
+        for n in &self.nodes {
+            n.node.publish_stats();
+        }
     }
 
     /// Quarantine `root` after a contained fault: mark it and every
@@ -367,29 +371,6 @@ impl Engine {
         }
     }
 
-    fn sid(&mut self, name: &str) -> usize {
-        if let Some(&s) = self.stream_ids.get(name) {
-            return s;
-        }
-        let s = self.consumers.len();
-        self.stream_ids.insert(name.to_string(), s);
-        self.consumers.push(Vec::new());
-        self.collect.push(None);
-        s
-    }
-
-    /// Collect the named streams into the run output.
-    pub fn subscribe(&mut self, names: &[&str]) -> Result<(), Error> {
-        for n in names {
-            let Some(&sid) = self.stream_ids.get(*n) else {
-                return Err(Error::Config(format!("no stream named `{n}` to subscribe to")));
-            };
-            self.collect[sid] = Some(n.to_string());
-            self.outputs.entry(n.to_string()).or_default();
-        }
-        Ok(())
-    }
-
     fn propagate(&mut self, sid: usize, items: Vec<StreamItem>) {
         let mut work = vec![(sid, items)];
         while let Some((sid, mut items)) = work.pop() {
@@ -451,156 +432,9 @@ impl Engine {
         }
     }
 
-    fn heartbeat_all(&mut self) {
-        self.stats.heartbeats += 1;
-        let now = self.clock_sec;
-        for i in 0..self.lftas.len() {
-            let mut out = Vec::new();
-            self.lftas[i].lfta.heartbeat(now, &mut out);
-            if !out.is_empty() {
-                let sid = self.lftas[i].out_sid;
-                self.propagate(sid, out);
-            }
-        }
-        self.last_heartbeat_sec = Some(now);
-        self.emit_gs_stats();
-    }
-
-    /// Whether anything consumes the monitoring stream (a query over
-    /// GS_STATS or a direct subscription); snapshots are skipped
-    /// otherwise.
-    fn gs_stats_wanted(&self) -> bool {
-        self.stats_enabled
-            && (self.collect[self.gs_stats_sid].is_some()
-                || !self.consumers[self.gs_stats_sid].is_empty())
-    }
-
-    /// Publish every counter and propagate one registry snapshot as
-    /// `GS_STATS` tuples (`time, node, counter, value`) plus a
-    /// punctuation on `time` — the paper's "Gigascope monitors itself"
-    /// loop, riding the ordinary stream machinery.
-    fn emit_gs_stats(&mut self) {
-        if !self.gs_stats_wanted() {
-            return;
-        }
-        // The shared pass batches per-LFTA counter deltas; fold them in
-        // before publishing so the snapshot sees exact counts.
-        if let Some(sp) = self.shared.as_mut() {
-            sp.flush_stats(&mut self.lftas);
-        }
-        self.publish_all();
-        let clock = self.clock_sec;
-        let mut items: Vec<StreamItem> = self
-            .registry
-            .snapshot()
-            .into_iter()
-            .map(|r| {
-                StreamItem::Tuple(Tuple::new(vec![
-                    Value::UInt(clock),
-                    Value::Str(Bytes::from(r.node.into_bytes())),
-                    Value::Str(Bytes::from_static(r.counter.as_bytes())),
-                    Value::UInt(r.value),
-                ]))
-            })
-            .collect();
-        items.push(StreamItem::Punct(Punct::new(0, Value::UInt(clock))));
-        self.propagate(self.gs_stats_sid, items);
-    }
-
-    fn publish_all(&self) {
-        for h in &self.lftas {
-            h.lfta.publish_stats();
-        }
-        if let Some(sp) = &self.shared {
-            sp.publish_stats();
-        }
-        for n in &self.nodes {
-            n.node.publish_stats();
-        }
-    }
-
-    fn maybe_heartbeat(&mut self) {
-        match self.heartbeat {
-            HeartbeatMode::Off => {}
-            HeartbeatMode::Periodic { interval } => {
-                let due = self
-                    .last_heartbeat_sec
-                    .is_none_or(|l| self.clock_sec >= l + interval.max(1));
-                if due {
-                    self.heartbeat_all();
-                }
-            }
-            HeartbeatMode::OnDemand => {
-                // An operator "detects that it might be blocked" (§3):
-                // any starved merge triggers one round per clock advance.
-                let starved = self
-                    .nodes
-                    .iter()
-                    .any(|n| n.node.merge_state().is_some_and(|(_, _, s)| s));
-                let fresh = self.last_heartbeat_sec.is_none_or(|l| self.clock_sec > l);
-                if starved && fresh {
-                    self.heartbeat_all();
-                }
-            }
-        }
-    }
-
-    /// Run to completion over a time-ordered capture stream.
-    pub fn run<I>(&mut self, packets: I) -> RunOutput
-    where
-        I: Iterator<Item = CapPacket>,
-    {
-        for pkt in packets {
-            self.stats.packets += 1;
-            self.clock_sec = u64::from(pkt.time_sec());
-            if let Some(mut sp) = self.shared.take() {
-                // Shared cross-query pass: one parse, each distinct
-                // program/protocol/atom evaluated once, LFTAs dispatched
-                // off the memoized verdicts.
-                let mut outs = std::mem::take(&mut self.shared_outs);
-                sp.dispatch(&pkt, &mut self.lftas, &mut outs);
-                // Only the slots whose tail ran can hold output — skip
-                // the rest instead of scanning all N out-vectors.
-                for &i in sp.hit_slots() {
-                    if !outs[i].is_empty() {
-                        let sid = self.lftas[i].out_sid;
-                        self.propagate(sid, std::mem::take(&mut outs[i]));
-                    }
-                }
-                self.shared_outs = outs;
-                self.shared = Some(sp);
-            } else {
-                for i in 0..self.lftas.len() {
-                    if self.lftas[i].iface_id != pkt.iface {
-                        continue;
-                    }
-                    let mut out = Vec::new();
-                    self.lftas[i].lfta.push_packet(&pkt, &mut out);
-                    if !out.is_empty() {
-                        let sid = self.lftas[i].out_sid;
-                        self.propagate(sid, out);
-                    }
-                }
-            }
-            self.maybe_heartbeat();
-        }
-
-        // Capture over: flush LFTAs, end their streams, then finish the
-        // HFTA nodes in topological (submission) order.
-        for i in 0..self.lftas.len() {
-            let mut out = Vec::new();
-            self.lftas[i].lfta.finish(&mut out);
-            let sid = self.lftas[i].out_sid;
-            if !out.is_empty() {
-                self.propagate(sid, out);
-            }
-            self.end_stream(sid);
-        }
-        // One final monitoring snapshot at capture close, then end the
-        // GS_STATS stream so its consumers can finish. Ending it is
-        // unconditional: consumers wait on end-of-stream either way.
-        self.emit_gs_stats();
-        self.end_stream(self.gs_stats_sid);
+    /// Finish every live node in topological (submission) order, ending
+    /// its output stream behind it.
+    fn finish_nodes(&mut self) {
         for i in 0..self.nodes.len() {
             if self.failed[i] {
                 // Quarantined: its downstream is quarantined too, so
@@ -620,32 +454,6 @@ impl Engine {
                 self.propagate(sid, out);
             }
             self.end_stream(sid);
-        }
-
-        // Gather statistics (folding any batched shared-pass deltas first).
-        if let Some(sp) = self.shared.as_mut() {
-            sp.flush_stats(&mut self.lftas);
-        }
-        for h in &self.lftas {
-            self.stats.lfta.insert(h.lfta.name.clone(), h.lfta.stats);
-            if let Some(dm) = h.lfta.dm_stats() {
-                self.stats.lfta_tables.insert(h.lfta.name.clone(), dm);
-            }
-        }
-        for n in &self.nodes {
-            if let Some((_, peak, _)) = n.node.merge_state() {
-                self.stats.peak_buffered.insert(n.name.clone(), peak);
-            }
-            if let Some((_, peak)) = n.node.join_state() {
-                self.stats.peak_buffered.insert(n.name.clone(), peak);
-            }
-        }
-        self.publish_all();
-        self.stats.counters = self.registry.snapshot();
-        self.stats.health = self.board.report();
-        RunOutput {
-            streams: std::mem::take(&mut self.outputs),
-            stats: std::mem::take(&mut self.stats),
         }
     }
 
@@ -669,21 +477,6 @@ impl Engine {
             }
         }
     }
-}
-
-pub(crate) fn lfta_iface_id(gs: &Gigascope, spec: &gs_gsql::split::LftaSpec) -> Result<u16, Error> {
-    let mut iface_name = None;
-    spec.plan.visit(&mut |p| {
-        if let gs_gsql::plan::Plan::ProtocolScan { interface, .. } = p {
-            iface_name = Some(interface.clone());
-        }
-    });
-    let name = iface_name
-        .ok_or_else(|| Error::Config(format!("LFTA `{}` has no protocol scan", spec.name)))?;
-    gs.catalog()
-        .interface(&name)
-        .map(|d| d.id)
-        .ok_or_else(|| Error::Config(format!("unknown interface `{name}`")))
 }
 
 #[cfg(test)]

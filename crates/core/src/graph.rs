@@ -1,0 +1,373 @@
+//! The part of the packet→HFTA path both schedulers share.
+//!
+//! The paper has one dataflow — LFTAs linked into the run time system at
+//! the capture point, HFTAs fed through the stream manager (§3) — and
+//! this module is its single definition: [`build`] instantiates the
+//! deployed queries into LFTAs, HFTA nodes and partition routers, and
+//! [`CaptureFront`] is the capture-point loop body (shared prefilter
+//! dispatch, the periodic heartbeat clock, `GS_STATS` rows, and the
+//! finish-or-snapshot cut). What a scheduler does with an LFTA's output
+//! is the one thing that differs, so every front call takes a
+//! `sink(lfta index, items)` closure: [`crate::engine`] propagates
+//! inline, [`crate::manager`] feeds edge batchers. The sink is a generic
+//! parameter — each engine gets its own monomorphic copy of the loop.
+
+use crate::{Error, Gigascope};
+use bytes::Bytes;
+use gs_gsql::catalog::Catalog;
+use gs_gsql::split::LftaSpec;
+use gs_packet::CapPacket;
+use gs_runtime::ops::build::{build_hfta, build_lfta, BuildCtx, HftaNode};
+use gs_runtime::ops::lfta::Lfta;
+use gs_runtime::ops::prefilter::{PrefilterCache, SharedPrefilter};
+use gs_runtime::ops::router::KeyRouter;
+use gs_runtime::punct::{HeartbeatMode, Punct};
+use gs_runtime::snapshot::{SnapError, SnapReader, SnapWriter};
+use gs_runtime::stats::StatsRegistry;
+use gs_runtime::tuple::{StreamItem, Tuple};
+use gs_runtime::value::Value;
+use gs_runtime::RuntimeError;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+/// One instantiated HFTA.
+pub(crate) struct GraphNode {
+    /// Output stream: the query name, or `<query>#<k>` for a shard.
+    pub name: String,
+    pub node: HftaNode,
+    /// Index into [`Graph::routers`] when this node is a partition
+    /// instance. Its single input port is fed by that group's hash
+    /// router, not by the input stream's ordinary fan-out (which would
+    /// duplicate every tuple into every shard).
+    pub routed: Option<usize>,
+}
+
+/// The hash router of one partition-parallel rewrite. Its targets are
+/// the nodes whose `routed` names this group, in partition order.
+pub(crate) struct RouterGroup {
+    /// The stream being split.
+    pub input: String,
+    pub router: KeyRouter,
+}
+
+/// Every deployed query instantiated, not yet wired to a scheduler.
+pub(crate) struct Graph {
+    /// `(lfta, interface id)` in deployment order — the slot vector
+    /// [`CaptureFront`] dispatches over.
+    pub lftas: Vec<(Lfta, u16)>,
+    /// Topological (submission) order; a rewrite's shards precede the
+    /// merge that reunifies them.
+    pub nodes: Vec<GraphNode>,
+    pub routers: Vec<RouterGroup>,
+    /// `(node, message)` for every offered snapshot that was rejected.
+    pub restore_notes: Vec<(String, String)>,
+}
+
+/// Instantiate every deployed query of `gs` except those named in
+/// `exclude`, restoring operator state from `restore` (keys
+/// `lfta:<stream>` / `hfta:<stream>`) where an entry matches.
+///
+/// `subscriptions` are validated here, once for both engines: a name
+/// that is not a catalog stream is an error. Streams of excluded queries
+/// stay in the catalog, so subscribing to one is valid and yields an
+/// empty stream.
+pub(crate) fn build(
+    gs: &Gigascope,
+    exclude: &[String],
+    restore: Option<&HashMap<String, Vec<u8>>>,
+    subscriptions: &[&str],
+) -> Result<Graph, Error> {
+    for name in subscriptions {
+        if gs.catalog().stream(name).is_none() {
+            return Err(Error::Config(format!("no stream named `{name}` to subscribe to")));
+        }
+    }
+    let mut g = Graph {
+        lftas: Vec::new(),
+        nodes: Vec::new(),
+        routers: Vec::new(),
+        restore_notes: Vec::new(),
+    };
+    for dq in gs.queries() {
+        if exclude.contains(&dq.name) {
+            continue;
+        }
+        let params = gs.params_for(&dq.name);
+        params.validate(&dq.params).map_err(|e| {
+            Error::Runtime(RuntimeError::msg(format!("query `{}`: {e}", dq.name)))
+        })?;
+        let ctx = BuildCtx {
+            catalog: gs.catalog(),
+            params: &params,
+            registry: gs.registry(),
+            resolver: gs.resolver(),
+            lfta_table_size: gs.lfta_table_size,
+        };
+        for spec in &dq.lftas {
+            let iface = lfta_iface_id(gs.catalog(), spec)?;
+            let bytes = restore.and_then(|m| m.get(&format!("lfta:{}", spec.name)));
+            let lfta = restored(|| build_lfta(spec, &ctx), Lfta::restore_state, bytes, |e| {
+                g.restore_notes.push((
+                    spec.name.clone(),
+                    format!("lfta snapshot rejected ({e}); resuming from empty state"),
+                ));
+            })?;
+            g.lftas.push((lfta, iface));
+        }
+        let Some(hplan) = &dq.hfta else { continue };
+        let mut hfta = |name: &str, plan, routed| -> Result<(), Error> {
+            let bytes = restore.and_then(|m| m.get(&format!("hfta:{name}")));
+            let node = restored(|| build_hfta(plan, &ctx), HftaNode::restore_state, bytes, |e| {
+                g.restore_notes.push((
+                    name.to_string(),
+                    format!("snapshot rejected ({e}); resuming from empty windows"),
+                ));
+            })?;
+            g.nodes.push(GraphNode { name: name.to_string(), node, routed });
+            Ok(())
+        };
+        match gs.parallel_rewrite(dq) {
+            // K shards behind a hash-of-group-key router, reunified by
+            // an ordinary merge node over the shard streams.
+            Some(part) => {
+                let progs = part
+                    .hash_exprs
+                    .iter()
+                    .map(|e| ctx.prog(e))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let group = g.routers.len();
+                g.routers.push(RouterGroup {
+                    input: part.input.clone(),
+                    router: KeyRouter::new(progs, part.partitions.len()),
+                });
+                for (pname, pplan) in &part.partitions {
+                    hfta(pname, pplan, Some(group))?;
+                }
+                hfta(&dq.name, &part.merge, None)?;
+            }
+            None => hfta(&dq.name, hplan, None)?,
+        }
+    }
+    Ok(g)
+}
+
+/// Build an operator and, when a sealed snapshot is on offer, restore it.
+/// This happens at build time, before any thread spawns, so a rejected
+/// snapshot (torn, corrupt, wrong shape) falls back to a pristine
+/// rebuild instead of trusting a half-applied decode; `rejected` records
+/// why.
+fn restored<T>(
+    make: impl Fn() -> Result<T, RuntimeError>,
+    restore: impl FnOnce(&mut T, &mut SnapReader<'_>) -> Result<(), SnapError>,
+    bytes: Option<&Vec<u8>>,
+    rejected: impl FnOnce(SnapError),
+) -> Result<T, Error> {
+    let mut built = make()?;
+    if let Some(bytes) = bytes {
+        // Integrity (magic, version, checksum) is verified before
+        // `restore` sees a byte; trailing garbage after a structurally
+        // valid payload is rejected like any other protocol error.
+        let applied = SnapReader::open(bytes).and_then(|mut r| {
+            restore(&mut built, &mut r)?;
+            r.finish()
+        });
+        if let Err(e) = applied {
+            built = make()?;
+            rejected(e);
+        }
+    }
+    Ok(built)
+}
+
+fn lfta_iface_id(catalog: &Catalog, spec: &LftaSpec) -> Result<u16, Error> {
+    let mut iface_name = None;
+    spec.plan.visit(&mut |p| {
+        if let gs_gsql::plan::Plan::ProtocolScan { interface, .. } = p {
+            iface_name = Some(interface.clone());
+        }
+    });
+    let name = iface_name
+        .ok_or_else(|| Error::Config(format!("LFTA `{}` has no protocol scan", spec.name)))?;
+    catalog
+        .interface(&name)
+        .map(|d| d.id)
+        .ok_or_else(|| Error::Config(format!("unknown interface `{name}`")))
+}
+
+/// The capture-point half of a run: every LFTA behind one shared
+/// prefilter pass, plus the clock that drives heartbeats and `GS_STATS`.
+///
+/// Every method that can produce LFTA output hands it to a
+/// `sink(i, items)` closure, which must drain `items` (slot `i`'s
+/// reused output buffer).
+pub(crate) struct CaptureFront {
+    lftas: Vec<(Lfta, u16)>,
+    shared: SharedPrefilter,
+    outs: Vec<Vec<StreamItem>>,
+    registry: Arc<StatsRegistry>,
+    /// Heartbeat period in seconds; `None` unless the mode is periodic.
+    interval: Option<u64>,
+    /// Capture time of the latest packet, in seconds.
+    clock: u64,
+    last_heartbeat: Option<u64>,
+    /// Packets dispatched.
+    pub packets: u64,
+    /// Heartbeat rounds issued.
+    pub heartbeats: u64,
+}
+
+impl CaptureFront {
+    /// Take ownership of a graph's LFTAs: dedup structurally equal BPF
+    /// programs, build the shared pass over the final slot vector
+    /// (dispatch is by index), and register the `lfta:*` and
+    /// `prefilter:*` counter nodes.
+    pub fn new(
+        mut lftas: Vec<(Lfta, u16)>,
+        heartbeat: HeartbeatMode,
+        registry: Arc<StatsRegistry>,
+    ) -> CaptureFront {
+        let mut cache = PrefilterCache::new();
+        let mut shared = SharedPrefilter::new();
+        for (lfta, iface) in &mut lftas {
+            lfta.intern_prefilter(&mut |p| cache.intern(p));
+            shared.add_lfta(lfta, *iface);
+            registry.register(format!("lfta:{}", lfta.name), lfta.stats_handle());
+        }
+        // An LFTA-free run (queries over GS_STATS only) keeps its stats
+        // row set free of an idle `prefilter:shared` node.
+        if !lftas.is_empty() {
+            shared.register_stats(&registry);
+        }
+        CaptureFront {
+            outs: lftas.iter().map(|_| Vec::new()).collect(),
+            lftas,
+            shared,
+            registry,
+            interval: match heartbeat {
+                HeartbeatMode::Periodic { interval } => Some(interval.max(1)),
+                HeartbeatMode::Off | HeartbeatMode::OnDemand => None,
+            },
+            clock: 0,
+            last_heartbeat: None,
+            packets: 0,
+            heartbeats: 0,
+        }
+    }
+
+    /// The LFTA slots, in dispatch order.
+    pub fn lftas(&self) -> &[(Lfta, u16)] {
+        &self.lftas
+    }
+
+    /// One packet through the shared pass: one parse, each distinct BPF
+    /// program, protocol match and predicate atom evaluated once, LFTAs
+    /// dispatched off the memoized verdicts. Only the slots whose tail
+    /// ran can hold output, so only those are offered to `sink`.
+    pub fn dispatch(&mut self, pkt: &CapPacket, mut sink: impl FnMut(usize, &mut Vec<StreamItem>)) {
+        self.packets += 1;
+        self.clock = u64::from(pkt.time_sec());
+        self.shared.dispatch(pkt, &mut self.lftas, &mut self.outs);
+        for &i in self.shared.hit_slots() {
+            if !self.outs[i].is_empty() {
+                sink(i, &mut self.outs[i]);
+            }
+        }
+    }
+
+    /// Whether the periodic heartbeat is due at the current clock.
+    pub fn periodic_due(&self) -> bool {
+        self.interval
+            .is_some_and(|iv| self.last_heartbeat.is_none_or(|l| self.clock >= l + iv))
+    }
+
+    /// Whether the clock moved since the last heartbeat round (the
+    /// once-per-clock-advance bound of an on-demand trigger).
+    pub fn clock_advanced(&self) -> bool {
+        self.last_heartbeat.is_none_or(|l| self.clock > l)
+    }
+
+    /// One heartbeat round at the current clock. `sink` is called for
+    /// every LFTA, output or not: a heartbeat is a liveness signal, and
+    /// the scheduler may bound downstream latency by it.
+    pub fn heartbeat(&mut self, mut sink: impl FnMut(usize, &mut Vec<StreamItem>)) {
+        self.heartbeats += 1;
+        self.last_heartbeat = Some(self.clock);
+        for (i, (lfta, _)) in self.lftas.iter_mut().enumerate() {
+            lfta.heartbeat(self.clock, &mut self.outs[i]);
+            sink(i, &mut self.outs[i]);
+        }
+    }
+
+    /// One `GS_STATS` round: a registry snapshot as
+    /// `(time, node, counter, value)` tuples followed by a punctuation
+    /// on `time`, so downstream watermarks advance with every round —
+    /// the paper's "Gigascope monitors itself" loop, riding the ordinary
+    /// stream machinery. Counter sources outside the front (HFTA nodes
+    /// run inline) must be published by the caller first.
+    pub fn stats_items(&mut self) -> Vec<StreamItem> {
+        self.publish();
+        let clock = self.clock;
+        let mut items: Vec<StreamItem> = self
+            .registry
+            .snapshot()
+            .into_iter()
+            .map(|r| {
+                StreamItem::Tuple(Tuple::new(vec![
+                    Value::UInt(clock),
+                    Value::Str(Bytes::from(r.node.into_bytes())),
+                    Value::Str(Bytes::from_static(r.counter.as_bytes())),
+                    Value::UInt(r.value),
+                ]))
+            })
+            .collect();
+        items.push(StreamItem::Punct(Punct::new(0, Value::UInt(clock))));
+        items
+    }
+
+    /// End of input. Flushing (`capture == false`) finishes each LFTA
+    /// into `sink`; capturing holds the open epochs instead and returns
+    /// them sealed under `lfta:<stream>`. Either way `sink` is called
+    /// once per LFTA, in order, as its stream ends, and the final
+    /// counters are published.
+    pub fn finish(
+        &mut self,
+        capture: bool,
+        mut sink: impl FnMut(usize, &mut Vec<StreamItem>),
+    ) -> HashMap<String, Vec<u8>> {
+        let mut snapshots = HashMap::new();
+        for (i, (lfta, _)) in self.lftas.iter_mut().enumerate() {
+            if capture {
+                let mut w = SnapWriter::new();
+                lfta.snapshot_state(&mut w);
+                snapshots.insert(format!("lfta:{}", lfta.name), w.seal());
+            } else {
+                lfta.finish(&mut self.outs[i]);
+            }
+            sink(i, &mut self.outs[i]);
+        }
+        self.publish();
+        snapshots
+    }
+
+    /// Fold the shared pass's batched per-LFTA counter deltas in, then
+    /// publish, so a registry snapshot sees exact counts.
+    fn publish(&mut self) {
+        self.shared.flush_stats(&mut self.lftas);
+        for (lfta, _) in &self.lftas {
+            lfta.publish_stats();
+        }
+        self.shared.publish_stats();
+    }
+
+    /// Render the shared-prefilter plan (atom table + per-LFTA
+    /// bitmasks); `None` when there is no LFTA to plan for.
+    pub fn describe_prefilter(&mut self, catalog: &Catalog) -> Option<String> {
+        if self.lftas.is_empty() {
+            return None;
+        }
+        Some(self.shared.describe(&|e, proto| match catalog.protocol_schema(proto.name) {
+            Some(s) => gs_gsql::explain::expr_str(e, &s),
+            None => format!("{e:?}"),
+        }))
+    }
+}

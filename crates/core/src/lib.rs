@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+mod graph;
 pub mod health;
 pub mod manager;
 pub mod server;
@@ -143,10 +144,11 @@ pub struct Gigascope {
     pub heartbeat: HeartbeatMode,
     /// Direct-mapped LFTA pre-aggregation table size, in slots.
     pub lfta_table_size: usize,
-    /// Transport batch size for the threaded manager: items per message on
-    /// the LFTA→HFTA and HFTA→HFTA ready-queues. Batches flush early on
-    /// punctuation (so ordering tokens are never delayed) and at stream
-    /// close. `1` reproduces item-at-a-time transport exactly.
+    /// Transport batch size for the threaded manager: rows per columnar
+    /// batch on the LFTA→HFTA and HFTA→HFTA ready-queues. Batches flush
+    /// early on punctuation (so ordering tokens are never delayed) and at
+    /// stream close. At `1` every tuple crosses as a one-row batch — one
+    /// queue message per item, in item order.
     pub batch_size: usize,
     /// Overload policy for the threaded manager's ready-queues. `None`
     /// (the default) blocks producers when a queue fills — lossless
@@ -178,29 +180,6 @@ pub struct Gigascope {
     /// injects the plan's faults into the targeted nodes in both
     /// engines and surfaces containment in the `faults` stats node.
     pub faults: Option<FaultPlan>,
-    /// Columnar (SoA) transport on the threaded manager's edges. When on
-    /// (the default) and `batch_size > 1`, producers ship batches as one
-    /// typed vector per schema column and single-input HFTA chains
-    /// execute on them natively (vectorized kernels, selection vectors);
-    /// rows materialize only at boundaries that need them (merge, join,
-    /// subscriptions). `false` restores the pre-columnar row transport
-    /// everywhere, and `batch_size == 1` implies the row path regardless
-    /// — both produce byte-identical output to the columnar path. The
-    /// synchronous engine is always row-based.
-    pub columnar: bool,
-    /// Cross-query shared prefilter. When on (the default), both engines
-    /// parse each packet once, evaluate every *distinct* BPF program,
-    /// protocol match, and predicate atom across all registered LFTAs
-    /// once, and dispatch each LFTA off the memoized verdicts via a
-    /// precomputed required-atom bitmask — per-packet cost grows with the
-    /// number of distinct predicates, not the number of queries. `false`
-    /// restores fully private per-LFTA evaluation. Both produce identical
-    /// outputs and per-LFTA counters; the shared pass is rebuilt from the
-    /// registered query set at the start of every run, so
-    /// [`add_program`](Gigascope::add_program) /
-    /// [`remove_program`](Gigascope::remove_program) take effect on the
-    /// next run.
-    pub shared_prefilter: bool,
 }
 
 impl Default for Gigascope {
@@ -227,8 +206,6 @@ impl Gigascope {
             parallelism: 1,
             watchdog: None,
             faults: None,
-            columnar: true,
-            shared_prefilter: true,
         }
     }
 
@@ -409,13 +386,12 @@ impl Gigascope {
 
     /// Render the shared cross-query prefilter plan: the deduplicated
     /// atom table and each LFTA's required-atom bitmask assignment.
-    /// `None` when no LFTAs are deployed or the shared prefilter is off.
+    /// `None` when no LFTAs are deployed.
     pub fn explain_prefilter(&self) -> Result<Option<String>, Error> {
-        if !self.shared_prefilter {
-            return Ok(None);
-        }
-        let exec = engine::Engine::build_explained(self)?;
-        Ok(exec.describe_prefilter())
+        let lftas = graph::build(self, &[], None, &[])?.lftas;
+        let registry = std::sync::Arc::new(gs_runtime::stats::StatsRegistry::new());
+        let mut front = graph::CaptureFront::new(lftas, self.heartbeat, registry);
+        Ok(front.describe_prefilter(&self.catalog))
     }
 
     /// Run all deployed queries over a time-ordered capture stream,
@@ -425,9 +401,7 @@ impl Gigascope {
     where
         I: Iterator<Item = CapPacket>,
     {
-        let mut exec = engine::Engine::build(self)?;
-        exec.subscribe(subscriptions)?;
-        Ok(exec.run(packets))
+        Ok(engine::Engine::build(self, subscriptions)?.run(packets))
     }
 
     pub(crate) fn params_for(&self, query: &str) -> ParamBindings {

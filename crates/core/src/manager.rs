@@ -23,12 +23,18 @@
 //! removes items but never reorders survivors — which is all the
 //! merge/join watermark logic requires.
 //!
-//! Transport is batched: producers accumulate up to
-//! [`Gigascope::batch_size`] items per [`Batcher`] and ship them as one
-//! queue message, amortizing the mutex/condvar cost of the bounded
-//! channel over the whole run. Punctuation, heartbeats, and stream close
-//! flush partial batches immediately, so ordering progress is never
-//! delayed behind a filling batch (see DESIGN.md on batched transport).
+//! Transport is batched, in columns: producers accumulate up to
+//! [`Gigascope::batch_size`] rows per [`Batcher`] and ship them as one
+//! [`ColumnBatch`] per queue message — the only thing that ever crosses
+//! a queue — amortizing the mutex/condvar cost of the bounded channel
+//! over the whole run. Punctuation, heartbeats, and stream close flush
+//! partial batches immediately, so ordering progress is never delayed
+//! behind a filling batch (see DESIGN.md on batched transport).
+//!
+//! Building the graph and the capture-point loop body are shared with
+//! the synchronous engine ([`crate::graph`]); this module owns what is
+//! particular to the deployment configuration: batchers, queues,
+//! threads, and the watchdog.
 //!
 //! Self-monitoring (paper §4): every LFTA, operator, edge batcher, and
 //! queue registers its counters with a [`StatsRegistry`]; on each
@@ -40,17 +46,15 @@
 use crate::health::{FaultReason, HealthBoard, NodeFault, RunHealth};
 use crate::transport::{self, Admission, Channel};
 use crate::watchdog::{Watchdog, WatchdogStats};
+use crate::graph::{self, CaptureFront, Graph, GraphNode};
 use crate::{Error, Gigascope};
-use bytes::Bytes;
 use gs_packet::CapPacket;
 use gs_runtime::batch::{ColBuilder, ColumnBatch};
-use gs_runtime::ops::build::{build_hfta, build_lfta, BuildCtx};
-use gs_runtime::ops::prefilter::{PrefilterCache, SharedPrefilter};
+use gs_runtime::ops::router::KeyRouter;
 use gs_runtime::punct::{HeartbeatMode, Punct};
-use gs_runtime::snapshot::{SnapError, SnapReader, SnapWriter};
+use gs_runtime::snapshot::SnapWriter;
 use gs_runtime::stats::{Counter, StatRow, StatSource, StatsRegistry};
 use gs_runtime::tuple::{StreamItem, Tuple};
-use gs_runtime::value::Value;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -62,16 +66,13 @@ pub const CHANNEL_CAPACITY: usize = 8_192;
 
 /// A tagged message on a node's shared ready-queue.
 enum Msg {
-    /// A run of items for one input port (never empty). Batching amortizes
-    /// the per-message queue cost — mutex, condvar wakeup, cache traffic —
-    /// over [`Gigascope::batch_size`] items instead of paying it per tuple.
-    Batch(usize, Vec<StreamItem>),
     /// A columnar (SoA) batch for one input port with its at-most-one
     /// trailing punctuation rider — the batcher flushes on every
     /// punctuation, so a shipped batch never holds more than one, always
-    /// last. Semantically identical to the [`Msg::Batch`] of its
-    /// materialized rows; only shipped when [`Gigascope::columnar`] is on
-    /// and `batch_size > 1`.
+    /// last. Batching amortizes the per-message queue cost — mutex,
+    /// condvar wakeup, cache traffic — over [`Gigascope::batch_size`]
+    /// rows instead of paying it per tuple; at batch size 1 a tuple is a
+    /// one-row batch and a punctuation an empty batch with a rider.
     Cols(usize, ColumnBatch, Option<Punct>),
     /// The producer feeding this port is done; no more items will come.
     Close(usize),
@@ -94,14 +95,8 @@ struct PortSender {
 }
 
 impl PortSender {
-    fn send_batch(&self, items: Vec<StreamItem>) {
-        debug_assert!(!items.is_empty());
-        let weight = items.len() as u64;
-        self.tx.send(self.depth, weight, Msg::Batch(self.port, items));
-    }
-
     fn send_cols(&self, cb: ColumnBatch, punct: Option<Punct>) {
-        // Weight matches the row path: tuple count plus the rider.
+        // Shedding weighs a message by its item count: rows plus rider.
         let weight = cb.n_rows() as u64 + u64::from(punct.is_some());
         self.tx.send(self.depth, weight, Msg::Cols(self.port, cb, punct));
     }
@@ -162,104 +157,68 @@ enum FlushCause {
     Close,
 }
 
-/// Per-producer output buffer: accumulates items and ships them to every
-/// consumer of the stream as one [`Msg::Batch`].
+/// Per-producer output buffer: transposes row items into a columnar
+/// builder and hands back one [`ColumnBatch`] per flush.
 ///
 /// Flush policy (each bounds a different kind of latency):
 /// - **size** — the batch reaches its capacity;
 /// - **punctuation** — an ordering-update token arrived; flushing
-///   immediately means downstream watermark progress (merge release, agg
-///   window close) is never delayed behind a partially-filled batch;
+///   immediately (the token rides the batch as its trailing rider) means
+///   downstream watermark progress (merge release, agg window close) is
+///   never delayed behind a partially-filled batch;
+/// - **heartbeat** — a liveness signal bounds downstream latency by the
+///   heartbeat interval;
 /// - **close** — the stream ends; whatever is buffered goes out before the
 ///   `Close` marker.
 ///
 /// Fan-out clones at batch granularity: the last consumer takes the
-/// buffered `Vec`, each extra consumer costs one `Vec` clone — not one
-/// clone per item per consumer.
+/// batch, each extra consumer costs one batch clone — not one clone per
+/// item per consumer.
 struct Batcher {
-    buf: Vec<StreamItem>,
-    /// Columnar accumulation: `Some` when this edge ships SoA batches
-    /// ([`Gigascope::columnar`] with `batch_size > 1`). Row items are
-    /// transposed in as they arrive; already-columnar output passes
-    /// through zero-copy. `buf` stays empty in this mode.
-    col: Option<ColBuilder>,
+    col: ColBuilder,
     cap: usize,
     stats: Arc<EdgeStats>,
 }
 
 impl Batcher {
-    fn new(cap: usize, columnar: bool) -> Batcher {
-        let cap = cap.max(1);
-        Batcher {
-            buf: Vec::with_capacity(if columnar { 0 } else { cap }),
-            col: columnar.then(ColBuilder::new),
-            cap,
-            stats: Arc::new(EdgeStats::default()),
+    fn new(cap: usize) -> Batcher {
+        Batcher { col: ColBuilder::new(), cap: cap.max(1), stats: Arc::new(EdgeStats::default()) }
+    }
+
+    /// Absorb one produced item; returns the batch to ship when the size
+    /// or punctuation rule fires. With `cap == 1` every item ships by
+    /// itself, in order.
+    fn absorb(&mut self, item: StreamItem) -> Option<(ColumnBatch, Option<Punct>, FlushCause)> {
+        match item {
+            StreamItem::Tuple(t) => {
+                self.col.push_tuple(&t);
+                (self.col.len() >= self.cap).then(|| (self.col.finish(), None, FlushCause::Size))
+            }
+            StreamItem::Punct(p) => Some((self.col.finish(), Some(p), FlushCause::Punct)),
         }
     }
 
-    /// Absorb produced items, flushing on the size and punctuation rules.
-    /// With `cap == 1` every item flushes by itself, reproducing
-    /// item-at-a-time transport exactly.
-    fn extend(&mut self, items: impl Iterator<Item = StreamItem>, senders: &[PortSender]) {
-        if self.col.is_some() {
-            for item in items {
-                match item {
-                    StreamItem::Tuple(t) => {
-                        let b = self.col.as_mut().expect("columnar mode");
-                        b.push_tuple(&t);
-                        if b.len() >= self.cap {
-                            self.flush_cols_as(senders, FlushCause::Size, None);
-                        }
-                    }
-                    // The punctuation ships as the batch's trailing rider,
-                    // preserving the flush-on-punct latency rule.
-                    StreamItem::Punct(p) => {
-                        self.flush_cols_as(senders, FlushCause::Punct, Some(p));
-                    }
-                }
-            }
-            return;
-        }
-        for item in items {
-            let is_punct = matches!(item, StreamItem::Punct(_));
-            self.buf.push(item);
-            if is_punct {
-                self.flush_as(senders, FlushCause::Punct);
-            } else if self.buf.len() >= self.cap {
-                self.flush_as(senders, FlushCause::Size);
-            }
-        }
-    }
-
-    /// Columnar mode: append one live row of another batch (the routed
-    /// scatter path), flushing on size.
+    /// Append one live row of another batch (the routed scatter path),
+    /// flushing on size.
     fn push_row_from(&mut self, src: &ColumnBatch, row: usize, senders: &[PortSender]) {
-        let b = self.col.as_mut().expect("columnar mode");
-        b.push_row(src, row);
-        if b.len() >= self.cap {
-            self.flush_cols_as(senders, FlushCause::Size, None);
+        self.col.push_row(src, row);
+        if self.col.len() >= self.cap {
+            self.flush(senders, FlushCause::Size, None);
         }
     }
 
-    /// Columnar mode: flush whatever the builder holds as one
-    /// [`Msg::Cols`] with `punct` as its trailing rider. An empty batch
-    /// still ships when it carries a rider — ordering tokens are never
-    /// dropped.
-    fn flush_cols_as(
-        &mut self,
-        senders: &[PortSender],
-        cause: FlushCause,
-        punct: Option<Punct>,
-    ) {
-        let cb = self.col.as_mut().expect("columnar mode").finish();
-        self.ship_cols(cb, punct, senders, cause);
+    /// Ship whatever the builder holds with `punct` as its trailing
+    /// rider.
+    fn flush(&mut self, senders: &[PortSender], cause: FlushCause, punct: Option<Punct>) {
+        let cb = self.col.finish();
+        self.ship(cb, punct, senders, cause);
     }
 
-    /// Ship an already-columnar batch downstream (zero-copy on the last
-    /// consumer). Callers must flush any builder content first so
-    /// per-producer FIFO order holds.
-    fn ship_cols(
+    /// Ship a batch downstream (zero-copy on the last consumer). An
+    /// empty batch still ships when it carries a rider — ordering tokens
+    /// are never dropped. Callers must flush any builder content first
+    /// so per-producer FIFO order holds.
+    fn ship(
         &mut self,
         cb: ColumnBatch,
         punct: Option<Punct>,
@@ -270,13 +229,15 @@ impl Batcher {
             return;
         }
         let n = cb.n_rows() as u64 + u64::from(punct.is_some());
+        self.stats.items.add(n);
         if senders.is_empty() {
-            self.stats.items.add(n);
+            // Nobody subscribed to or consumes this stream: the batch is
+            // dropped here, but the edge accounts it (`items` +
+            // `flush_noconsumer`) so the loss shows up in GS_STATS.
             self.stats.flush_noconsumer.inc();
             return;
         }
         self.stats.batches.inc();
-        self.stats.items.add(n);
         match cause {
             FlushCause::Size => self.stats.flush_size.inc(),
             FlushCause::Punct => self.stats.flush_punct.inc(),
@@ -292,106 +253,33 @@ impl Batcher {
         }
     }
 
-    fn flush_as(&mut self, senders: &[PortSender], cause: FlushCause) {
-        if self.buf.is_empty() {
-            return;
-        }
-        if senders.is_empty() {
-            // Nobody subscribed to or consumes this stream: the items
-            // are dropped here, but the edge accounts them (`items` +
-            // `flush_noconsumer`) so the loss shows up in GS_STATS.
-            self.stats.items.add(self.buf.len() as u64);
-            self.stats.flush_noconsumer.inc();
-            self.buf.clear();
-            return;
-        }
-        self.stats.batches.inc();
-        self.stats.items.add(self.buf.len() as u64);
-        match cause {
-            FlushCause::Size => self.stats.flush_size.inc(),
-            FlushCause::Punct => self.stats.flush_punct.inc(),
-            FlushCause::Heartbeat => self.stats.flush_heartbeat.inc(),
-            FlushCause::Close => self.stats.flush_close.inc(),
-        }
-        let batch = std::mem::replace(&mut self.buf, Vec::with_capacity(self.cap));
-        for (i, tx) in senders.iter().enumerate() {
-            if i + 1 == senders.len() {
-                tx.send_batch(batch);
-                break;
-            }
-            tx.send_batch(batch.clone());
-        }
-    }
-
-    /// Ship a partial batch on a heartbeat: a liveness signal, so
-    /// downstream latency is bounded by the heartbeat interval.
-    fn flush_heartbeat(&mut self, senders: &[PortSender]) {
-        if self.col.is_some() {
-            self.flush_cols_as(senders, FlushCause::Heartbeat, None);
-        } else {
-            self.flush_as(senders, FlushCause::Heartbeat);
-        }
-    }
-
-    /// Flush the tail and close every consumer port.
-    fn close(&mut self, senders: &[PortSender]) {
-        if self.col.is_some() {
-            self.flush_cols_as(senders, FlushCause::Close, None);
-        } else {
-            self.flush_as(senders, FlushCause::Close);
-        }
-        for tx in senders {
-            tx.close();
-        }
-    }
-
     /// Discard buffered content without shipping (quarantine path).
     fn clear(&mut self) {
-        self.buf.clear();
-        if let Some(b) = &mut self.col {
-            let _ = b.finish();
-        }
+        let _ = self.col.finish();
     }
 }
 
 /// Partitioning router edge: splits one produced stream across the K
-/// partition instances of a rewritten HFTA. Tuples are hashed on the
+/// partition instances of a rewritten HFTA. Rows are hashed on the
 /// group key and buffered in a per-partition [`Batcher`] (registered as
 /// `edge:<partition>:in`), so routed transport batches exactly like any
 /// other edge; punctuation — and [`close`](RouterEdge::close) — is
 /// broadcast to every partition, since each shard's watermark must keep
 /// advancing for the reunifying merge to release output.
 struct RouterEdge {
-    router: gs_runtime::ops::router::KeyRouter,
+    router: KeyRouter,
     /// One `(input batcher, queue endpoint)` per partition, in order.
     parts: Vec<(Batcher, PortSender)>,
-    /// Reused per-row partition buffer for the columnar scatter.
+    /// Reused per-row partition buffer for the scatter.
     scratch: Vec<u32>,
 }
 
 impl RouterEdge {
-    fn push(&mut self, item: StreamItem) {
-        match &item {
-            StreamItem::Tuple(t) => {
-                let k = self.router.route(t);
-                let (b, s) = &mut self.parts[k];
-                b.extend(std::iter::once(item), std::slice::from_ref(s));
-            }
-            StreamItem::Punct(_) => {
-                for (b, s) in &mut self.parts {
-                    b.extend(std::iter::once(item.clone()), std::slice::from_ref(s));
-                }
-            }
-        }
-    }
-
-    /// Columnar scatter: partitions for every live row are computed in
+    /// Scatter one batch: partitions for every live row are computed in
     /// one vectorized pass straight off the columns, then each row is
     /// copied (typed) into its partition's builder. The punctuation
-    /// rider broadcasts to every partition, flushing each — the same
-    /// watermark-progress rule as the row path.
-    fn push_cols(&mut self, cb: &ColumnBatch, punct: Option<Punct>) {
-        self.scratch.clear();
+    /// rider broadcasts to every partition, flushing each.
+    fn scatter(&mut self, cb: &ColumnBatch, punct: Option<Punct>) {
         let mut parts = std::mem::take(&mut self.scratch);
         self.router.route_batch(cb, &mut parts);
         for (row, &k) in parts.iter().enumerate() {
@@ -401,20 +289,21 @@ impl RouterEdge {
         self.scratch = parts;
         if let Some(p) = punct {
             for (b, s) in &mut self.parts {
-                b.flush_cols_as(std::slice::from_ref(s), FlushCause::Punct, Some(p.clone()));
+                b.flush(std::slice::from_ref(s), FlushCause::Punct, Some(p.clone()));
             }
         }
     }
 
     fn flush_heartbeat(&mut self) {
         for (b, s) in &mut self.parts {
-            b.flush_heartbeat(std::slice::from_ref(s));
+            b.flush(std::slice::from_ref(s), FlushCause::Heartbeat, None);
         }
     }
 
     fn close(&mut self) {
         for (b, s) in &mut self.parts {
-            b.close(std::slice::from_ref(s));
+            b.flush(std::slice::from_ref(s), FlushCause::Close, None);
+            s.close();
         }
     }
 
@@ -426,11 +315,10 @@ impl RouterEdge {
     }
 }
 
-/// Everything one producer's output feeds: the plain fan-out batcher for
-/// ordinary consumers plus any partitioning routers installed on the
-/// stream. Items only enter the plain batcher when it has somewhere to
-/// ship them — a router-only stream must not account its entire output
-/// as `flush_noconsumer` drops.
+/// Everything one producer's output feeds: the plain fan-out to ordinary
+/// consumers plus any partitioning routers installed on the stream. One
+/// batcher accumulates for both; each flushed batch is scattered through
+/// the routers and shipped to the plain consumers.
 struct OutputEdge {
     batcher: Batcher,
     senders: Vec<PortSender>,
@@ -439,51 +327,57 @@ struct OutputEdge {
 
 impl OutputEdge {
     fn extend(&mut self, items: impl Iterator<Item = StreamItem>) {
-        let OutputEdge { batcher, senders, routers } = self;
-        if routers.is_empty() {
-            batcher.extend(items, senders);
-            return;
-        }
         for item in items {
-            let n = routers.len();
-            for r in &mut routers[..n - 1] {
-                r.push(item.clone());
-            }
-            if senders.is_empty() {
-                routers[n - 1].push(item);
-            } else {
-                routers[n - 1].push(item.clone());
-                batcher.extend(std::iter::once(item), senders);
+            if let Some((cb, punct, cause)) = self.batcher.absorb(item) {
+                self.deliver(cb, punct, cause);
             }
         }
     }
 
     /// Absorb a batch that is still columnar at the top of a node's
-    /// chain: routers scatter it by vectorized key hash; ordinary
-    /// consumers receive it zero-copy after any transposed row content
-    /// flushes (FIFO order). Mirrors [`extend`](OutputEdge::extend)'s
-    /// rule that a router-only stream never touches the plain batcher.
+    /// chain: it goes out as is (zero-copy to the last plain consumer)
+    /// after any transposed row content flushes, keeping FIFO order.
     fn extend_cols(&mut self, cb: ColumnBatch, punct: Option<Punct>) {
-        let OutputEdge { batcher, senders, routers } = self;
-        for r in routers.iter_mut() {
-            r.push_cols(&cb, punct.clone());
-        }
-        if senders.is_empty() && !routers.is_empty() {
-            return;
-        }
-        batcher.flush_cols_as(senders, FlushCause::Size, None);
-        batcher.ship_cols(cb, punct, senders, FlushCause::Size);
+        self.flush(FlushCause::Size);
+        self.deliver(cb, punct, FlushCause::Size);
     }
 
+    fn flush(&mut self, cause: FlushCause) {
+        let cb = self.batcher.col.finish();
+        self.deliver(cb, None, cause);
+    }
+
+    fn deliver(&mut self, cb: ColumnBatch, punct: Option<Punct>, cause: FlushCause) {
+        if cb.is_empty() && punct.is_none() {
+            return;
+        }
+        for r in &mut self.routers {
+            r.scatter(&cb, punct.clone());
+        }
+        // A router-only stream has no plain edge to account: its whole
+        // output must not read as `flush_noconsumer` drops.
+        if self.senders.is_empty() && !self.routers.is_empty() {
+            return;
+        }
+        self.batcher.ship(cb, punct, &self.senders, cause);
+    }
+
+    /// Ship a partial batch on a heartbeat: a liveness signal, so
+    /// downstream latency is bounded by the heartbeat interval.
     fn flush_heartbeat(&mut self) {
-        self.batcher.flush_heartbeat(&self.senders);
+        self.flush(FlushCause::Heartbeat);
         for r in &mut self.routers {
             r.flush_heartbeat();
         }
     }
 
+    /// Flush the tail and close every consumer port and routed
+    /// partition.
     fn close(&mut self) {
-        self.batcher.close(&self.senders);
+        self.flush(FlushCause::Close);
+        for tx in &self.senders {
+            tx.close();
+        }
         for r in &mut self.routers {
             r.close();
         }
@@ -600,19 +494,6 @@ impl std::fmt::Debug for ThreadedOptions {
     }
 }
 
-/// Open a sealed snapshot and run `f` over its payload, requiring full
-/// consumption: integrity (magic, version, checksum) is verified before
-/// `f` sees a byte, and trailing garbage after a structurally valid
-/// payload is rejected like any other protocol error.
-fn open_snapshot(
-    bytes: &[u8],
-    f: impl FnOnce(&mut SnapReader<'_>) -> Result<(), SnapError>,
-) -> Result<(), SnapError> {
-    let mut r = SnapReader::open(bytes)?;
-    f(&mut r)?;
-    r.finish()
-}
-
 /// Run all deployed queries over `packets` with one thread per HFTA.
 ///
 /// Packets must be time-ordered; subscriptions are collected in the
@@ -638,123 +519,10 @@ pub fn run_threaded_opts<I>(
 where
     I: Iterator<Item = CapPacket>,
 {
+    check_heartbeat(gs.heartbeat)?;
     // ---- Wire the graph -------------------------------------------------
-    struct NodeSpec {
-        node: gs_runtime::ops::build::HftaNode,
-        out_name: String,
-        /// Index into `router_groups` when this node is a partition
-        /// instance fed by a hash router rather than the shared
-        /// producer fan-out.
-        routed: Option<usize>,
-    }
-    /// One rewritten HFTA's routing plan, collected while building nodes
-    /// and turned into a [`RouterEdge`] once the partition queues exist.
-    struct RouterGroup {
-        input: String,
-        progs: Vec<gs_runtime::expr::Program>,
-        /// `(partition stream name, its queue endpoint)`, in order.
-        members: Vec<(String, PortSender)>,
-    }
-    /// Build one HFTA node and, when a prior run's sealed snapshot is on
-    /// offer, restore it — at build time, before any thread spawns, so a
-    /// rejected snapshot (torn, corrupt, wrong shape) can fall back to a
-    /// pristine rebuild from the plan instead of trusting a half-applied
-    /// decode. The rejection lands in `notes` for the health report.
-    fn build_restored(
-        plan: &gs_gsql::plan::Plan,
-        ctx: &BuildCtx<'_>,
-        name: &str,
-        restore: Option<&HashMap<String, Vec<u8>>>,
-        notes: &mut Vec<(String, String)>,
-    ) -> Result<gs_runtime::ops::build::HftaNode, Error> {
-        let mut node = build_hfta(plan, ctx)?;
-        if let Some(bytes) = restore.and_then(|m| m.get(&format!("hfta:{name}"))) {
-            if let Err(e) = open_snapshot(bytes, |r| node.restore_state(r)) {
-                node = build_hfta(plan, ctx)?;
-                notes.push((
-                    name.to_string(),
-                    format!("snapshot rejected ({e}); resuming from empty windows"),
-                ));
-            }
-        }
-        Ok(node)
-    }
-    let restore_map = opts.restore.as_deref();
-    let mut restore_notes: Vec<(String, String)> = Vec::new();
-    let mut lftas = Vec::new();
-    let mut nodes: Vec<NodeSpec> = Vec::new();
-    let mut router_groups: Vec<RouterGroup> = Vec::new();
-    for dq in gs.queries() {
-        if opts.exclude.iter().any(|e| e == &dq.name) {
-            continue;
-        }
-        let params = gs.params_for(&dq.name);
-        params.validate(&dq.params).map_err(Error::Runtime)?;
-        let ctx = BuildCtx {
-            catalog: gs.catalog(),
-            params: &params,
-            registry: gs.registry(),
-            resolver: gs.resolver(),
-            lfta_table_size: gs.lfta_table_size,
-        };
-        for spec in &dq.lftas {
-            let mut lfta = build_lfta(spec, &ctx)?;
-            if let Some(bytes) = restore_map.and_then(|m| m.get(&format!("lfta:{}", lfta.name))) {
-                if let Err(e) = open_snapshot(bytes, |r| lfta.restore_state(r)) {
-                    let name = lfta.name.clone();
-                    lfta = build_lfta(spec, &ctx)?;
-                    restore_notes.push((
-                        name,
-                        format!("lfta snapshot rejected ({e}); resuming from empty state"),
-                    ));
-                }
-            }
-            let iface_id = crate::engine::lfta_iface_id(gs, spec)?;
-            lftas.push((lfta, iface_id));
-        }
-        if let Some(hplan) = &dq.hfta {
-            if let Some(part) = gs.parallel_rewrite(dq) {
-                // K partition instances fed by a hash-of-group-key
-                // router, reunified by an ordinary merge node that
-                // consumes the partition streams through the regular
-                // producer fan-out.
-                let mut progs = Vec::with_capacity(part.hash_exprs.len());
-                for e in &part.hash_exprs {
-                    progs.push(ctx.prog(e).map_err(Error::Runtime)?);
-                }
-                let gidx = router_groups.len();
-                router_groups.push(RouterGroup {
-                    input: part.input.clone(),
-                    progs,
-                    members: Vec::new(),
-                });
-                for (pname, pplan) in &part.partitions {
-                    nodes.push(NodeSpec {
-                        node: build_restored(pplan, &ctx, pname, restore_map, &mut restore_notes)?,
-                        out_name: pname.clone(),
-                        routed: Some(gidx),
-                    });
-                }
-                nodes.push(NodeSpec {
-                    node: build_restored(
-                        &part.merge,
-                        &ctx,
-                        &dq.name,
-                        restore_map,
-                        &mut restore_notes,
-                    )?,
-                    out_name: dq.name.clone(),
-                    routed: None,
-                });
-            } else {
-                nodes.push(NodeSpec {
-                    node: build_restored(hplan, &ctx, &dq.name, restore_map, &mut restore_notes)?,
-                    out_name: dq.name.clone(),
-                    routed: None,
-                });
-            }
-        }
-    }
+    let Graph { lftas, nodes, routers, restore_notes } =
+        graph::build(gs, &opts.exclude, opts.restore.as_deref(), subscriptions)?;
 
     // Processing depth per stream, for least-processed-first shedding:
     // LFTA outputs are level 0 (barely processed), each node's output is
@@ -772,7 +540,7 @@ where
             .map(|i| levels.get(i).copied().unwrap_or(0))
             .max()
             .unwrap_or(0);
-        levels.insert(spec.out_name.clone(), lvl);
+        levels.insert(spec.name.clone(), lvl);
     }
     let depth_of = |stream: &str| levels.get(stream).copied().unwrap_or(0);
 
@@ -789,7 +557,7 @@ where
     // when the corresponding feature is configured, so a default run's
     // GS_STATS row set (and the stats-overhead gate) is unchanged.
     let board = Arc::new(HealthBoard::new());
-    for (name, msg) in restore_notes.drain(..) {
+    for (name, msg) in restore_notes {
         board.note(&name, msg);
     }
     if gs.faults.is_some() || gs.watchdog.is_some() {
@@ -805,18 +573,17 @@ where
     let mut producers: HashMap<String, Vec<PortSender>> = HashMap::new();
     // One shared ready-queue per node; every input port sends into it.
     let mut node_inputs: Vec<(transport::Receiver<Msg>, usize)> = Vec::new();
+    // Per router group: `(partition stream, its queue endpoint)`, in
+    // partition order.
+    let mut members: Vec<Vec<(String, PortSender)>> = routers.iter().map(|_| Vec::new()).collect();
     for spec in &nodes {
         let (tx, rx, chan) = transport::channel(capacity, admission);
-        registry.register(format!("queue:{}", spec.out_name), chan.clone());
-        watch_targets.push((spec.out_name.clone(), chan));
+        registry.register(format!("queue:{}", spec.name), chan.clone());
+        watch_targets.push((spec.name.clone(), chan));
         if let Some(g) = spec.routed {
-            // A partition instance: its single input port is fed by the
-            // group's router, not the shared producer fan-out (which
-            // would duplicate every tuple into every shard).
             let input = &spec.node.inputs[0];
-            router_groups[g]
-                .members
-                .push((spec.out_name.clone(), PortSender { tx, port: 0, depth: depth_of(input) }));
+            let endpoint = PortSender { tx, port: 0, depth: depth_of(input) };
+            members[g].push((spec.name.clone(), endpoint));
         } else {
             for (port, input) in spec.node.inputs.iter().enumerate() {
                 producers
@@ -861,12 +628,6 @@ where
             while let Some(msg) = rx.recv() {
                 let start = bucket.len();
                 match msg {
-                    Msg::Batch(_, items) => {
-                        bucket.extend(items.into_iter().filter_map(|i| match i {
-                            StreamItem::Tuple(t) => Some(t),
-                            StreamItem::Punct(_) => None,
-                        }));
-                    }
                     Msg::Cols(_, cb, _) => {
                         bucket.extend((0..cb.n_rows()).map(|r| cb.row_tuple(r)));
                     }
@@ -890,33 +651,31 @@ where
     }
 
     // The self-monitoring stream's consumers (queries over GS_STATS and
-    // direct subscriptions); the capture thread is its producer.
-    let gs_stats_senders: Vec<PortSender> = producers.remove("GS_STATS").unwrap_or_default();
+    // direct subscriptions); the capture thread is its producer. The edge
+    // has no size bound, so a monitoring round ships as one batch when its
+    // trailing punctuation arrives, and registers no `edge:` stats node.
+    let mut gs_stats_edge = OutputEdge {
+        batcher: Batcher::new(usize::MAX),
+        senders: producers.remove("GS_STATS").unwrap_or_default(),
+        routers: Vec::new(),
+    };
 
     let batch_size = gs.batch_size;
-    // Columnar transport only pays off when batches amortize the
-    // transpose; at `batch_size == 1` the row path is both cheaper and
-    // the compatibility reference, so the gate turns the whole graph's
-    // batchers columnar together (Cols messages then exist everywhere
-    // or nowhere — no mixed-mode edges).
-    let columnar = gs.columnar && batch_size > 1;
     // Partitioning router edges, keyed by the stream they split. Each
     // partition's input-side batcher registers as `edge:<partition>:in`
     // so routed transport is accounted per shard.
     let mut router_edges: HashMap<String, Vec<RouterEdge>> = HashMap::new();
-    for g in router_groups {
-        let k = g.members.len();
-        let parts: Vec<(Batcher, PortSender)> = g
-            .members
+    for (group, members) in routers.into_iter().zip(members) {
+        let parts: Vec<(Batcher, PortSender)> = members
             .into_iter()
             .map(|(pname, s)| {
-                let b = Batcher::new(batch_size, columnar);
+                let b = Batcher::new(batch_size);
                 registry.register(format!("edge:{pname}:in"), b.stats.clone());
                 (b, s)
             })
             .collect();
-        router_edges.entry(g.input).or_default().push(RouterEdge {
-            router: gs_runtime::ops::router::KeyRouter::new(g.progs, k),
+        router_edges.entry(group.input).or_default().push(RouterEdge {
+            router: group.router,
             parts,
             scratch: Vec::new(),
         });
@@ -932,10 +691,9 @@ where
     let snap_sink: Arc<Mutex<HashMap<String, Vec<u8>>>> = Arc::new(Mutex::new(HashMap::new()));
     let mut handles: Vec<(String, thread::JoinHandle<()>)> = Vec::new();
     for (spec, (rx, n_ports)) in nodes.into_iter().zip(node_inputs) {
-        let out_senders: Vec<PortSender> =
-            producers.get(&spec.out_name).cloned().unwrap_or_default();
-        let NodeSpec { mut node, out_name, .. } = spec;
-        let batcher = Batcher::new(batch_size, columnar);
+        let GraphNode { mut node, name: out_name, .. } = spec;
+        let out_senders: Vec<PortSender> = producers.get(&out_name).cloned().unwrap_or_default();
+        let batcher = Batcher::new(batch_size);
         registry.register(format!("edge:{out_name}"), batcher.stats.clone());
         node.register_stats(&registry, &out_name);
         let mut edge = OutputEdge {
@@ -959,27 +717,13 @@ where
                     let mut out = Vec::new();
                     while open_count > 0 {
                         match rx.recv() {
-                            Some(Msg::Batch(p, mut items)) => {
-                                if let Some(inj) = injector.as_mut() {
-                                    // Inside the boundary: an injected panic
-                                    // exercises the real containment path.
-                                    inj.on_batch(&mut items);
-                                }
-                                out.clear();
-                                node.push_batch(p, items, &mut out);
-                                edge.extend(out.drain(..));
-                                if stats_enabled {
-                                    // Per-message publish keeps registry
-                                    // snapshots at most one batch stale.
-                                    node.publish_stats();
-                                }
-                            }
                             Some(Msg::Cols(p, cb, punct)) => {
                                 out.clear();
                                 if let Some(inj) = injector.as_mut() {
-                                    // Fault injection hooks the row stream;
-                                    // materialize so injected panics and drops
-                                    // compose with columnar transport.
+                                    // Fault injection hooks the row stream:
+                                    // rows materialize here, inside the
+                                    // boundary, so an injected panic exercises
+                                    // the real containment path.
                                     let mut items = cb.into_items(punct);
                                     inj.on_batch(&mut items);
                                     node.push_batch(p, items, &mut out);
@@ -992,6 +736,8 @@ where
                                     edge.extend(out.drain(..));
                                 }
                                 if stats_enabled {
+                                    // Per-message publish keeps registry
+                                    // snapshots at most one batch stale.
                                     node.publish_stats();
                                 }
                             }
@@ -1084,12 +830,13 @@ where
 
     // ---- Capture loop (this thread) --------------------------------------
     // One output edge per LFTA: per-packet emissions accumulate in the
-    // edge batcher and ship as one queue message per `batch_size` items
-    // (plus any partitioning routers installed on the LFTA's stream).
+    // edge batcher and ship as one queue message per `batch_size` rows
+    // (scattered through any partitioning routers installed on the
+    // LFTA's stream).
     let mut lfta_edges: Vec<OutputEdge> = lftas
         .iter()
         .map(|(l, _)| {
-            let b = Batcher::new(batch_size, columnar);
+            let b = Batcher::new(batch_size);
             registry.register(format!("edge:{}", l.name), b.stats.clone());
             OutputEdge {
                 batcher: b,
@@ -1103,27 +850,7 @@ where
     // senders for their output streams.
     drop(producers);
 
-    for (lfta, _) in &lftas {
-        registry.register(format!("lfta:{}", lfta.name), lfta.stats_handle());
-    }
-
-    // The cross-query shared prefilter: dedup compiled BPF programs, then
-    // build one pass over the final LFTA vector (dispatch is by index).
-    let mut shared = if gs.shared_prefilter && !lftas.is_empty() {
-        let mut cache = PrefilterCache::new();
-        for (lfta, _) in &mut lftas {
-            lfta.intern_prefilter(&mut |p| cache.intern(p));
-        }
-        let mut sp = SharedPrefilter::new();
-        for (lfta, iface) in &lftas {
-            sp.add_lfta(lfta, *iface);
-        }
-        sp.register_stats(&registry);
-        Some(sp)
-    } else {
-        None
-    };
-    let mut shared_outs: Vec<Vec<StreamItem>> = (0..lftas.len()).map(|_| Vec::new()).collect();
+    let mut front = CaptureFront::new(lftas, gs.heartbeat, registry.clone());
 
     // The liveness supervisor, once every queue exists. It watches node
     // and subscription queues for pending work with a frozen dequeue
@@ -1134,102 +861,35 @@ where
         .watchdog
         .map(|cfg| Watchdog::spawn(cfg, watch_targets, board.clone(), watchdog_stats.clone()));
 
-    let heartbeat = gs.heartbeat;
-    let mut last_hb: Option<u64> = None;
-    let mut n_packets = 0u64;
-    let mut out = Vec::new();
+    // Monitoring rounds are skipped unless something consumes them.
+    let stats_wanted = stats_enabled && !gs_stats_edge.senders.is_empty();
     for pkt in packets {
-        n_packets += 1;
-        let clock = u64::from(pkt.time_sec());
-        match shared.as_mut() {
-            Some(sp) => {
-                sp.dispatch(&pkt, &mut lftas, &mut shared_outs);
-                // Only the slots whose tail ran can hold output — skip
-                // the rest instead of scanning all N out-vectors.
-                for &i in sp.hit_slots() {
-                    let o = &mut shared_outs[i];
-                    if !o.is_empty() {
-                        lfta_edges[i].extend(o.drain(..));
-                    }
-                }
-            }
-            None => {
-                for (i, (lfta, iface)) in lftas.iter_mut().enumerate() {
-                    if *iface != pkt.iface {
-                        continue;
-                    }
-                    out.clear();
-                    lfta.push_packet(&pkt, &mut out);
-                    lfta_edges[i].extend(out.drain(..));
-                }
-            }
-        }
-        if let HeartbeatMode::Periodic { interval } = heartbeat {
-            if last_hb.is_none_or(|l| clock >= l + interval.max(1)) {
-                last_hb = Some(clock);
-                for (i, (lfta, _)) in lftas.iter_mut().enumerate() {
-                    out.clear();
-                    lfta.heartbeat(clock, &mut out);
-                    lfta_edges[i].extend(out.drain(..));
-                    // A heartbeat is a liveness signal even when it emits
-                    // nothing: ship whatever the batch holds so downstream
-                    // latency is bounded by the heartbeat interval.
-                    lfta_edges[i].flush_heartbeat();
-                }
-                if stats_enabled && !gs_stats_senders.is_empty() {
-                    // Fold the shared pass's batched per-LFTA deltas in
-                    // before publishing so the snapshot sees exact counts.
-                    if let Some(sp) = shared.as_mut() {
-                        sp.flush_stats(&mut lftas);
-                    }
-                    for (lfta, _) in &lftas {
-                        lfta.publish_stats();
-                    }
-                    if let Some(sp) = &shared {
-                        sp.publish_stats();
-                    }
-                    emit_stats(&registry, clock, &gs_stats_senders);
-                }
+        front.dispatch(&pkt, |i, items| lfta_edges[i].extend(items.drain(..)));
+        if front.periodic_due() {
+            front.heartbeat(|i, items| {
+                lfta_edges[i].extend(items.drain(..));
+                lfta_edges[i].flush_heartbeat();
+            });
+            if stats_wanted {
+                gs_stats_edge.extend(front.stats_items().into_iter());
             }
         }
     }
-    for (i, (lfta, _)) in lftas.iter_mut().enumerate() {
-        if capture {
-            // Same cut as the node threads: the direct-mapped table's
-            // open epochs ride out in the snapshot, not downstream.
-            let mut w = SnapWriter::new();
-            lfta.snapshot_state(&mut w);
-            snap_sink
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(format!("lfta:{}", lfta.name), w.seal());
-        } else {
-            out.clear();
-            lfta.finish(&mut out);
-            lfta_edges[i].extend(out.drain(..));
-        }
+    // Same cut as the node threads: in capture mode the direct-mapped
+    // tables' open epochs ride out in the snapshot, not downstream.
+    let lfta_snapshots = front.finish(capture, |i, items| {
+        lfta_edges[i].extend(items.drain(..));
         // Flush the tail batch and close this LFTA's output stream.
         lfta_edges[i].close();
-    }
-    if let Some(sp) = shared.as_mut() {
-        sp.flush_stats(&mut lftas);
-    }
-    for (lfta, _) in &lftas {
-        lfta.publish_stats();
-    }
-    if let Some(sp) = &shared {
-        sp.publish_stats();
-    }
+    });
+    snap_sink.lock().unwrap_or_else(PoisonError::into_inner).extend(lfta_snapshots);
     // Final monitoring snapshot at capture end, then close GS_STATS —
     // always, even with stats off: consumers wait on the Close marker.
-    if stats_enabled && !gs_stats_senders.is_empty() {
-        let clock = last_hb.unwrap_or(0);
-        emit_stats(&registry, clock, &gs_stats_senders);
+    if stats_wanted {
+        gs_stats_edge.extend(front.stats_items().into_iter());
     }
-    for tx in &gs_stats_senders {
-        tx.close();
-    }
-    drop(gs_stats_senders);
+    gs_stats_edge.close();
+    drop(gs_stats_edge);
     drop(lfta_edges);
 
     // ---- Drain ------------------------------------------------------------
@@ -1271,7 +931,13 @@ where
     // Every node thread joined above, so the sink holds the complete cut
     // (faulted nodes contributed nothing — by design).
     let snapshots = std::mem::take(&mut *snap_sink.lock().unwrap_or_else(PoisonError::into_inner));
-    Ok(ThreadedOutput { streams, packets: n_packets, counters, health: board.report(), snapshots })
+    Ok(ThreadedOutput {
+        streams,
+        packets: front.packets,
+        counters,
+        health: board.report(),
+        snapshots,
+    })
 }
 
 /// Post-quarantine input drain: a faulted node must keep consuming (and
@@ -1287,7 +953,7 @@ fn drain_quarantined(rx: &transport::Receiver<Msg>, open: &mut [bool], open_coun
                     *open_count -= 1;
                 }
             }
-            Some(Msg::Batch(..)) | Some(Msg::Cols(..)) => {}
+            Some(Msg::Cols(..)) => {}
             None => *open_count = 0,
         }
     }
@@ -1305,29 +971,17 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Snapshot the registry and ship it as one batch of `GS_STATS` tuples
-/// (`time, node, counter, value`) followed by a punctuation on `time`,
-/// so downstream watermarks advance with every monitoring round.
-fn emit_stats(registry: &StatsRegistry, clock: u64, senders: &[PortSender]) {
-    let mut items: Vec<StreamItem> = registry
-        .snapshot()
-        .into_iter()
-        .map(|r| {
-            StreamItem::Tuple(Tuple::new(vec![
-                Value::UInt(clock),
-                Value::Str(Bytes::from(r.node.into_bytes())),
-                Value::Str(Bytes::from_static(r.counter.as_bytes())),
-                Value::UInt(r.value),
-            ]))
-        })
-        .collect();
-    items.push(StreamItem::Punct(Punct::new(0, Value::UInt(clock))));
-    for (i, tx) in senders.iter().enumerate() {
-        if i + 1 == senders.len() {
-            tx.send_batch(items);
-            break;
-        }
-        tx.send_batch(items.clone());
+/// The heartbeat policies the threaded manager implements. On-demand
+/// heartbeats need a scheduler that observes a starved merge between
+/// two packets, which only the synchronous engine is.
+pub(crate) fn check_heartbeat(mode: HeartbeatMode) -> Result<(), Error> {
+    match mode {
+        HeartbeatMode::Off | HeartbeatMode::Periodic { .. } => Ok(()),
+        HeartbeatMode::OnDemand => Err(Error::Config(
+            "the threaded manager supports heartbeat modes `off` and periodic (`N` seconds); \
+             `ondemand` is only available on the synchronous engine (run_capture)"
+                .to_string(),
+        )),
     }
 }
 
@@ -1350,9 +1004,22 @@ mod tests {
         StreamItem::Punct(gs_runtime::punct::Punct::new(0, gs_runtime::value::Value::UInt(v)))
     }
 
-    fn test_endpoint(port: usize) -> (Vec<PortSender>, transport::Receiver<Msg>) {
+    /// A plain (router-free) output edge into one fresh queue on `port`.
+    fn test_edge(cap: usize, port: usize) -> (OutputEdge, transport::Receiver<Msg>) {
         let (tx, rx, _) = transport::channel::<Msg>(CHANNEL_CAPACITY, Admission::Block);
-        (vec![PortSender { tx, port, depth: 0 }], rx)
+        let senders = vec![PortSender { tx, port, depth: 0 }];
+        (OutputEdge { batcher: Batcher::new(cap), senders, routers: Vec::new() }, rx)
+    }
+
+    /// `(port, rows, has rider)` of the next queued message, if it is a
+    /// batch.
+    fn next_batch(rx: &transport::Receiver<Msg>) -> Option<(usize, Vec<Tuple>, bool)> {
+        match rx.try_recv()? {
+            Msg::Cols(p, cb, rider) => {
+                Some((p, (0..cb.n_rows()).map(|r| cb.row_tuple(r)).collect(), rider.is_some()))
+            }
+            _ => None,
+        }
     }
 
     /// Regression: punctuation must never wait for a batch to fill. A
@@ -1360,59 +1027,53 @@ mod tests {
     /// appended — the flush bound for watermark progress is zero items.
     #[test]
     fn batcher_flushes_partial_batch_on_punct() {
-        let (senders, rx) = test_endpoint(3);
-        let mut b = Batcher::new(256, false);
-        b.extend((0..3).map(tuple_item), &senders);
+        let (mut e, rx) = test_edge(256, 3);
+        e.extend((0..3).map(tuple_item));
         assert!(rx.try_recv().is_none(), "3 tuples must sit in the 256-batch");
-        b.extend(std::iter::once(punct_item(9)), &senders);
-        match rx.try_recv() {
-            Some(Msg::Batch(3, items)) => {
-                assert_eq!(items.len(), 4, "the punct ships WITH the buffered tuples");
-                assert!(matches!(items[3], StreamItem::Punct(_)));
-            }
-            other => panic!("expected an immediate batch, got {:?}", other.is_some()),
-        }
+        e.extend(std::iter::once(punct_item(9)));
+        let (port, rows, rider) = next_batch(&rx).expect("an immediate batch");
+        assert_eq!((port, rows.len()), (3, 3));
+        assert!(rider, "the punct ships WITH the buffered tuples, as their rider");
         assert!(rx.try_recv().is_none());
-        assert_eq!(b.stats.flush_punct.get(), 1, "the flush is tagged with its cause");
-        assert_eq!(b.stats.flush_size.get(), 0);
-        assert_eq!(b.stats.items.get(), 4);
+        let stats = &e.batcher.stats;
+        assert_eq!(stats.flush_punct.get(), 1, "the flush is tagged with its cause");
+        assert_eq!(stats.flush_size.get(), 0);
+        assert_eq!(stats.items.get(), 4);
     }
 
     #[test]
     fn batcher_flushes_on_size_and_close() {
-        let (senders, rx) = test_endpoint(0);
-        let mut b = Batcher::new(4, false);
-        b.extend((0..9).map(tuple_item), &senders);
+        let (mut e, rx) = test_edge(4, 0);
+        e.extend((0..9).map(tuple_item));
         let mut sizes = Vec::new();
-        while let Some(Msg::Batch(_, items)) = rx.try_recv() {
-            sizes.push(items.len());
+        while let Some((_, rows, _)) = next_batch(&rx) {
+            sizes.push(rows.len());
         }
         assert_eq!(sizes, vec![4, 4], "full batches ship, the 9th tuple waits");
-        b.close(&senders);
-        assert!(matches!(rx.try_recv(), Some(Msg::Batch(_, ref items)) if items.len() == 1));
+        e.close();
+        assert!(matches!(next_batch(&rx), Some((_, ref rows, false)) if rows.len() == 1));
         assert!(matches!(rx.try_recv(), Some(Msg::Close(0))));
-        assert_eq!(b.stats.flush_size.get(), 2);
-        assert_eq!(b.stats.flush_close.get(), 1);
-        assert_eq!(b.stats.batches.get(), 3);
-        assert_eq!(b.stats.items.get(), 9, "no tuple lost or double-counted across flushes");
+        let stats = &e.batcher.stats;
+        assert_eq!(stats.flush_size.get(), 2);
+        assert_eq!(stats.flush_close.get(), 1);
+        assert_eq!(stats.batches.get(), 3);
+        assert_eq!(stats.items.get(), 9, "no tuple lost or double-counted across flushes");
     }
 
-    /// `batch_size == 1` must reproduce item-at-a-time transport: one
-    /// message per item, in order.
+    /// `batch_size == 1` is item-at-a-time transport: one message per
+    /// item, in order — a tuple as a one-row batch, a punctuation as an
+    /// empty batch carrying the rider.
     #[test]
     fn batcher_size_one_is_item_at_a_time() {
-        let (senders, rx) = test_endpoint(0);
-        let mut b = Batcher::new(1, false);
-        b.extend([tuple_item(1), tuple_item(2)].into_iter(), &senders);
-        for expect in [1u64, 2] {
-            match rx.try_recv() {
-                Some(Msg::Batch(_, items)) => {
-                    assert_eq!(items.len(), 1);
-                    assert_eq!(items[0].as_tuple().unwrap().get(0).as_uint(), Some(expect));
-                }
-                _ => panic!("expected one message per item"),
-            }
-        }
+        let (mut e, rx) = test_edge(1, 0);
+        e.extend([tuple_item(1), punct_item(1), tuple_item(2)].into_iter());
+        let (_, rows, rider) = next_batch(&rx).expect("first tuple");
+        assert_eq!((rows[0].get(0).as_uint(), rows.len(), rider), (Some(1), 1, false));
+        let (_, rows, rider) = next_batch(&rx).expect("the punctuation");
+        assert!(rows.is_empty() && rider, "a punct alone is an empty batch plus rider");
+        let (_, rows, rider) = next_batch(&rx).expect("second tuple");
+        assert_eq!((rows[0].get(0).as_uint(), rows.len(), rider), (Some(2), 1, false));
+        assert!(rx.try_recv().is_none());
     }
 
     /// Regression: a flush with no consumer endpoints used to clear the
@@ -1421,33 +1082,31 @@ mod tests {
     /// `flush_noconsumer` cause (and never as shipped `batches`).
     #[test]
     fn batcher_accounts_flushes_with_no_consumer() {
-        let senders: Vec<PortSender> = Vec::new();
-        let mut b = Batcher::new(4, false);
-        b.extend((0..9).map(tuple_item), &senders);
-        b.close(&senders);
-        assert_eq!(b.stats.items.get(), 9, "every dropped item is accounted");
-        assert_eq!(b.stats.flush_noconsumer.get(), 3, "two size flushes plus the close tail");
-        assert_eq!(b.stats.batches.get(), 0, "nothing was actually shipped");
-        assert_eq!(b.stats.flush_size.get(), 0);
-        assert_eq!(b.stats.flush_close.get(), 0);
+        let (mut e, _) = test_edge(4, 0);
+        e.senders.clear();
+        e.extend((0..9).map(tuple_item));
+        e.close();
+        let stats = &e.batcher.stats;
+        assert_eq!(stats.items.get(), 9, "every dropped item is accounted");
+        assert_eq!(stats.flush_noconsumer.get(), 3, "two size flushes plus the close tail");
+        assert_eq!(stats.batches.get(), 0, "nothing was actually shipped");
+        assert_eq!(stats.flush_size.get(), 0);
+        assert_eq!(stats.flush_close.get(), 0);
     }
 
     /// Fan-out clones per batch, not per item: both consumers see the
     /// identical batch.
     #[test]
     fn batcher_fan_out_delivers_full_batch_to_every_consumer() {
-        let (mut senders, rx_a) = test_endpoint(0);
-        let (more, rx_b) = test_endpoint(1);
-        senders.extend(more);
-        let mut b = Batcher::new(3, false);
-        b.extend((0..3).map(tuple_item), &senders);
+        let (mut e, rx_a) = test_edge(3, 0);
+        let (other, rx_b) = test_edge(3, 1);
+        e.senders.extend(other.senders);
+        e.extend((0..3).map(tuple_item));
         for rx in [&rx_a, &rx_b] {
-            match rx.try_recv() {
-                Some(Msg::Batch(_, items)) => assert_eq!(items.len(), 3),
-                _ => panic!("both consumers must receive the batch"),
-            }
+            let (_, rows, _) = next_batch(rx).expect("both consumers must receive the batch");
+            assert_eq!(rows.len(), 3);
         }
-        assert_eq!(b.stats.batches.get(), 1, "fan-out is one edge batch, not one per consumer");
+        assert_eq!(e.batcher.stats.batches.get(), 1, "one edge batch, not one per consumer");
     }
 
     #[test]

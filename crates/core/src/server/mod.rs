@@ -165,7 +165,9 @@ pub struct DaemonConfig {
     pub source: PacketSource,
     /// Interfaces to register (`eth0=0:ether` when empty).
     pub ifaces: Vec<(String, u16, LinkType)>,
-    /// LFTA heartbeat policy for every epoch's run.
+    /// LFTA heartbeat policy for every epoch's run: off or periodic.
+    /// [`start`] rejects `OnDemand`, which the threaded manager the
+    /// daemon runs on cannot provide.
     pub heartbeat: HeartbeatMode,
     /// Engine batch size.
     pub batch_size: usize,
@@ -401,6 +403,7 @@ impl Drop for DaemonHandle {
 /// Start a daemon from `config`: bind, register the initial program
 /// (if any), spawn the engine loop and the acceptor.
 pub fn start(config: DaemonConfig) -> Result<DaemonHandle, Error> {
+    crate::manager::check_heartbeat(config.heartbeat)?;
     let mut gs = Gigascope::new();
     gs.heartbeat = config.heartbeat;
     gs.batch_size = config.batch_size;

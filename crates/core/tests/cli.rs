@@ -171,6 +171,20 @@ fn bad_inputs_fail_cleanly() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// The daemon runs on the threaded manager, which has no on-demand
+/// heartbeat: the flag is a parse error naming what is supported, not
+/// an option that silently behaves as `off`.
+#[test]
+fn gsqd_rejects_the_on_demand_heartbeat_flag() {
+    let out = Command::new(env!("CARGO_BIN_EXE_gsqd"))
+        .args(["--heartbeat", "ondemand"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("`off` or a period in seconds"), "{err}");
+}
+
 #[test]
 fn trace_replay_round_trips() {
     use gs_netgen::{MixConfig, PacketMix};

@@ -1,8 +1,9 @@
 //! Columnar (structure-of-arrays) batches for the HFTA hot path.
 //!
-//! The batched transport (DESIGN §9) amortizes channel crossings but still
-//! moves row [`Tuple`]s: every operator touches every field of every tuple
-//! through a `Box<[Value]>` indirection. A [`ColumnBatch`] stores the same
+//! The batched transport (DESIGN §9) amortizes channel crossings, but a
+//! batch of row [`Tuple`]s would still make every operator touch every
+//! field of every tuple through a `Box<[Value]>` indirection. A
+//! [`ColumnBatch`] — the one thing that crosses a manager queue — stores the
 //! batch as one typed vector per schema column plus an optional *selection
 //! vector*, so hot operators (filter, project, aggregate, router) run
 //! tight per-column loops over primitive slices with no per-tuple `Value`
@@ -15,8 +16,8 @@
 //! back to rows at every consumer that needs them — merge and join roots,
 //! subscriptions, and any operator without a columnar override. A batch of
 //! rows and the same batch converted through columns are observably
-//! identical; `batch_size == 1` and the synchronous engine never use
-//! columns at all.
+//! identical; at `batch_size == 1` a batch holds one row, and the
+//! synchronous engine (no transport hop) feeds operators rows directly.
 //!
 //! Punctuation: the transport's batcher flushes immediately on
 //! punctuation, so a shipped batch carries at most one token, always last.

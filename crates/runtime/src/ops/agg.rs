@@ -576,16 +576,6 @@ impl AggregateOp {
 }
 
 impl Operator for AggregateOp {
-    fn push(&mut self, _port: usize, item: StreamItem, out: &mut Vec<StreamItem>) {
-        match item {
-            StreamItem::Tuple(t) => {
-                self.tuples_in += 1;
-                self.inner.update(&t, out);
-            }
-            StreamItem::Punct(p) => self.push_punct(&p, out),
-        }
-    }
-
     /// Batched aggregation holds the current group's accumulators out of
     /// the hash table between consecutive tuples: network streams have
     /// strong temporal locality (the property the paper's direct-mapped
@@ -1056,9 +1046,9 @@ mod tests {
     fn punct_closes_without_tuples() {
         let mut op = AggregateOp::new(GroupAggregator::new(core()), Some((0, 1)), Some(0));
         let mut out = Vec::new();
-        op.push(0, StreamItem::Tuple(tup(&[5, 1])), &mut out);
+        op.push_batch(0, vec![StreamItem::Tuple(tup(&[5, 1]))], &mut out);
         assert!(out.is_empty());
-        op.push(0, StreamItem::Punct(Punct::new(0, Value::UInt(6))), &mut out);
+        op.push_batch(0, vec![StreamItem::Punct(Punct::new(0, Value::UInt(6)))], &mut out);
         let rows = as_rows(&out);
         assert_eq!(rows, vec![vec![5, 1, 1]]);
         // And the punct is forwarded on the output flush column.
@@ -1068,11 +1058,14 @@ mod tests {
     }
 
     #[test]
-    fn push_batch_matches_item_pushes() {
-        // Runs of equal keys, key changes, flush advances, and interleaved
-        // punctuation: the batched path must produce the same tuples.
+    fn push_cols_matches_push_batch() {
+        use crate::batch::ColumnBatch;
+        // Runs of equal keys, key changes, flush advances, and a trailing
+        // punctuation: one row batch, the same rows split in two (the
+        // hot-entry spill at the seam), and a columnar batch with the
+        // punctuation as its rider must all aggregate identically.
         let mk = || AggregateOp::new(GroupAggregator::new(core()), Some((0, 1)), Some(0));
-        let items: Vec<StreamItem> = [
+        let tuples: Vec<Tuple> = [
             (1u64, 5u64),
             (1, 3),
             (1, 2), // run of key 1
@@ -1082,65 +1075,28 @@ mod tests {
             (3, 7),
         ]
         .iter()
-        .map(|&(a, b)| StreamItem::Tuple(tup(&[a, b])))
-        .chain([StreamItem::Punct(Punct::new(0, Value::UInt(4)))])
-        .collect();
-
-        let mut item_op = mk();
-        let mut item_out = Vec::new();
-        for it in items.clone() {
-            item_op.push(0, it, &mut item_out);
-        }
-        item_op.finish(&mut item_out);
-
-        let mut batch_op = mk();
-        let mut batch_out = Vec::new();
-        // Split into two batches to exercise hot-entry spill at the seam.
-        let mut items = items;
-        let tail = items.split_off(4);
-        batch_op.push_batch(0, items, &mut batch_out);
-        batch_op.push_batch(0, tail, &mut batch_out);
-        batch_op.finish(&mut batch_out);
-
-        let norm = |rows: Vec<Vec<u64>>| {
-            let mut r = rows;
-            r.sort();
-            r
-        };
-        assert_eq!(norm(as_rows(&item_out)), norm(as_rows(&batch_out)));
-        assert_eq!(item_op.aggregator().emitted, batch_op.aggregator().emitted);
-    }
-
-    #[test]
-    fn push_cols_matches_push_batch() {
-        use crate::batch::ColumnBatch;
-        // Same shape as `push_batch_matches_item_pushes`, but the batch
-        // arrives columnar with the punctuation as a rider.
-        let mk = || AggregateOp::new(GroupAggregator::new(core()), Some((0, 1)), Some(0));
-        let tuples: Vec<Tuple> = [
-            (1u64, 5u64),
-            (1, 3),
-            (1, 2),
-            (2, 10),
-            (2, 1),
-            (1, 100),
-            (3, 7),
-        ]
-        .iter()
         .map(|&(a, b)| tup(&[a, b]))
         .collect();
         let punct = Punct::new(0, Value::UInt(4));
-
-        let mut row_op = mk();
-        let mut row_out = Vec::new();
         let items: Vec<StreamItem> = tuples
             .iter()
             .cloned()
             .map(StreamItem::Tuple)
             .chain([StreamItem::Punct(punct.clone())])
             .collect();
-        row_op.push_batch(0, items, &mut row_out);
+
+        let mut row_op = mk();
+        let mut row_out = Vec::new();
+        row_op.push_batch(0, items.clone(), &mut row_out);
         row_op.finish(&mut row_out);
+
+        let mut split_op = mk();
+        let mut split_out = Vec::new();
+        let mut head = items;
+        let tail = head.split_off(4);
+        split_op.push_batch(0, head, &mut split_out);
+        split_op.push_batch(0, tail, &mut split_out);
+        split_op.finish(&mut split_out);
 
         let mut col_op = mk();
         let cb = ColumnBatch::from_tuples(&tuples);
@@ -1149,12 +1105,11 @@ mod tests {
         };
         col_op.finish(&mut col_out);
 
-        assert_eq!(as_rows(&row_out), as_rows(&col_out));
-        assert_eq!(row_op.aggregator().emitted, col_op.aggregator().emitted);
-        assert_eq!(
-            row_op.aggregator().open_groups(),
-            col_op.aggregator().open_groups()
-        );
+        for (what, op, out) in [("split", &split_op, &split_out), ("columnar", &col_op, &col_out)] {
+            assert_eq!(as_rows(&row_out), as_rows(out), "{what}");
+            assert_eq!(row_op.aggregator().emitted, op.aggregator().emitted, "{what}");
+            assert_eq!(row_op.aggregator().open_groups(), op.aggregator().open_groups(), "{what}");
+        }
     }
 
     #[test]
@@ -1376,7 +1331,7 @@ mod tests {
         // 1-agg operator: the shape check fires a Protocol error.
         let mut donor = AggregateOp::new(GroupAggregator::new(core()), None, None);
         let mut out = Vec::new();
-        donor.push(0, StreamItem::Tuple(tup(&[1, 5])), &mut out);
+        donor.push_batch(0, vec![StreamItem::Tuple(tup(&[1, 5]))], &mut out);
         let mut w = SnapWriter::new();
         Operator::snapshot(&donor, &mut w);
         let sealed = w.seal();

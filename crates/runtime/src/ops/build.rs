@@ -14,7 +14,7 @@ use crate::ops::join::{EmitMode, JoinConfig, JoinOp};
 use crate::ops::lfta::{Lfta, LftaKind, SharedSplit};
 use crate::ops::merge::MergeOp;
 use crate::ops::select::{FilterOp, SelectProject};
-use crate::ops::{cascade, cascade_batch, cascade_finish, Operator};
+use crate::ops::{cascade_batch, cascade_finish, Operator};
 use crate::params::ParamBindings;
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 use crate::stats::StatsRegistry;
@@ -267,26 +267,6 @@ pub struct HftaNode {
 }
 
 impl HftaNode {
-    /// Feed one item into input `port`.
-    pub fn push(&mut self, port: usize, item: StreamItem, out: &mut Vec<StreamItem>) {
-        match &mut self.root {
-            Some(root) => {
-                let mut mid = Vec::new();
-                match root {
-                    Root::Merge(m) => m.push(port, item, &mut mid),
-                    Root::Join(j) => j.push(port, item, &mut mid),
-                }
-                for it in mid {
-                    cascade(&mut self.chain, it, out);
-                }
-            }
-            None => {
-                debug_assert_eq!(port, 0);
-                cascade(&mut self.chain, item, out);
-            }
-        }
-    }
-
     /// Feed a whole batch into input `port`: the root consumes it via
     /// [`Operator::push_batch`] and its output flows through the chain one
     /// batch at a time, so per-stage setup amortizes across the batch.
@@ -686,11 +666,11 @@ mod tests {
             StreamItem::Tuple(crate::tuple::Tuple::new(vals))
         };
         let mut out = Vec::new();
-        node.push(0, tup(1, 7, 3, 100), &mut out);
-        node.push(1, tup(1, 7, 3, 50), &mut out); // matches: same keys, 100 > 50
-        node.push(1, tup(1, 7, 4, 50), &mut out); // different id: no match
-        node.push(1, tup(1, 8, 3, 50), &mut out); // different srcIP: no match
-        node.push(1, tup(1, 7, 3, 200), &mut out); // residual fails: 100 > 200 is false
+        node.push_batch(0, vec![tup(1, 7, 3, 100)], &mut out);
+        node.push_batch(1, vec![tup(1, 7, 3, 50)], &mut out); // matches: same keys, 100 > 50
+        node.push_batch(1, vec![tup(1, 7, 4, 50)], &mut out); // different id: no match
+        node.push_batch(1, vec![tup(1, 8, 3, 50)], &mut out); // different srcIP: no match
+        node.push_batch(1, vec![tup(1, 7, 3, 200)], &mut out); // residual fails: 100 > 200 is false
         let tuples: usize = out.iter().filter(|i| i.as_tuple().is_some()).count();
         assert_eq!(tuples, 1, "hash keys + residual must both apply");
     }

@@ -421,9 +421,9 @@ impl JoinOp {
 
     /// Punctuation on the window column advances the side's watermark,
     /// enabling GC of the opposite buffer even when the side is silent.
-    fn absorb_punct(&mut self, port: usize, p: &crate::punct::Punct) -> bool {
+    fn absorb_punct(&mut self, port: usize, p: &crate::punct::Punct) {
         self.puncts += 1;
-        let Some(low) = p.low.as_uint() else { return false };
+        let Some(low) = p.low.as_uint() else { return };
         if port == 0 && p.col == self.cfg.left_col {
             // Future left values >= low: express as watermark with the
             // slack pre-compensated.
@@ -433,14 +433,6 @@ impl JoinOp {
             let wm = low.saturating_add(self.cfg.right_slack);
             self.right.watermark = Some(self.right.watermark.map_or(wm, |w| w.max(wm)));
         }
-        true
-    }
-
-    fn push_side(&mut self, is_left: bool, t: Tuple, out: &mut Vec<StreamItem>) {
-        self.absorb_tuple(is_left, t, out);
-        self.gc();
-        self.release_sorted(out);
-        self.peak_buffered = self.peak_buffered.max(self.buffered());
     }
 
     /// Mark one side exhausted (its buffer side can then be dropped as the
@@ -461,18 +453,6 @@ impl Operator for JoinOp {
         2
     }
 
-    fn push(&mut self, port: usize, item: StreamItem, out: &mut Vec<StreamItem>) {
-        match item {
-            StreamItem::Tuple(t) => self.push_side(port == 0, t, out),
-            StreamItem::Punct(p) => {
-                if self.absorb_punct(port, &p) {
-                    self.gc();
-                    self.release_sorted(out);
-                }
-            }
-        }
-    }
-
     fn push_batch(&mut self, port: usize, items: Vec<StreamItem>, out: &mut Vec<StreamItem>) {
         // Probe-and-insert every item first, then GC / sorted-release once
         // for the whole batch. Deferring GC is safe: dead buffer entries
@@ -482,9 +462,7 @@ impl Operator for JoinOp {
         for item in items {
             match item {
                 StreamItem::Tuple(t) => self.absorb_tuple(port == 0, t, out),
-                StreamItem::Punct(p) => {
-                    self.absorb_punct(port, &p);
-                }
+                StreamItem::Punct(p) => self.absorb_punct(port, &p),
             }
         }
         self.gc();
@@ -630,10 +608,10 @@ mod tests {
     fn equality_window_matches_same_ts() {
         let mut j = join(0, 0, false);
         let mut out = Vec::new();
-        j.push(0, tup(1, 10), &mut out);
-        j.push(1, tup(1, 20), &mut out);
-        j.push(1, tup(2, 21), &mut out);
-        j.push(0, tup(2, 11), &mut out);
+        j.push_batch(0, vec![tup(1, 10)], &mut out);
+        j.push_batch(1, vec![tup(1, 20)], &mut out);
+        j.push_batch(1, vec![tup(2, 21)], &mut out);
+        j.push_batch(0, vec![tup(2, 11)], &mut out);
         assert_eq!(rows(&out), vec![(1, 10, 20), (2, 11, 21)]);
         assert_eq!(j.produced, 2);
     }
@@ -642,10 +620,10 @@ mod tests {
     fn band_window_matches_within_band() {
         let mut j = join(-1, 1, false);
         let mut out = Vec::new();
-        j.push(0, tup(5, 1), &mut out);
-        j.push(1, tup(4, 2), &mut out); // 5-4 = 1 <= 1 ✓
-        j.push(1, tup(6, 3), &mut out); // 5-6 = -1 ✓
-        j.push(1, tup(7, 4), &mut out); // 5-7 = -2 ✗
+        j.push_batch(0, vec![tup(5, 1)], &mut out);
+        j.push_batch(1, vec![tup(4, 2)], &mut out); // 5-4 = 1 <= 1 ✓
+        j.push_batch(1, vec![tup(6, 3)], &mut out); // 5-6 = -1 ✓
+        j.push_batch(1, vec![tup(7, 4)], &mut out); // 5-7 = -2 ✗
         let r = rows(&out);
         assert_eq!(r, vec![(5, 1, 2), (5, 1, 3)]);
     }
@@ -655,9 +633,9 @@ mod tests {
         let mut j = join(0, 0, false);
         let mut out = Vec::new();
         // Same-ts tuples arriving in both orders must pair exactly once.
-        j.push(0, tup(3, 1), &mut out);
-        j.push(1, tup(3, 2), &mut out);
-        j.push(0, tup(3, 5), &mut out); // pairs with the buffered right
+        j.push_batch(0, vec![tup(3, 1)], &mut out);
+        j.push_batch(1, vec![tup(3, 2)], &mut out);
+        j.push_batch(0, vec![tup(3, 5)], &mut out); // pairs with the buffered right
         assert_eq!(rows(&out).len(), 2);
     }
 
@@ -665,9 +643,9 @@ mod tests {
     fn residual_predicate_filters() {
         let mut j = join(0, 0, true);
         let mut out = Vec::new();
-        j.push(0, tup(1, 7), &mut out);
-        j.push(1, tup(1, 7), &mut out);
-        j.push(1, tup(1, 8), &mut out);
+        j.push_batch(0, vec![tup(1, 7)], &mut out);
+        j.push_batch(1, vec![tup(1, 7)], &mut out);
+        j.push_batch(1, vec![tup(1, 8)], &mut out);
         assert_eq!(rows(&out), vec![(1, 7, 7)], "only v-equal pairs survive");
     }
 
@@ -689,8 +667,8 @@ mod tests {
         let mut out_h = Vec::new();
         let mut out_r = Vec::new();
         for &(port, ts, v) in &data {
-            hash_join.push(port, tup(ts, v), &mut out_h);
-            residual_join.push(port, tup(ts, v), &mut out_r);
+            hash_join.push_batch(port, vec![tup(ts, v)], &mut out_h);
+            residual_join.push_batch(port, vec![tup(ts, v)], &mut out_r);
         }
         let mut rh = rows(&out_h);
         let mut rr = rows(&out_r);
@@ -705,8 +683,8 @@ mod tests {
         let mut j = join(0, 0, false);
         let mut out = Vec::new();
         for ts in 0..1000u64 {
-            j.push(0, tup(ts, 0), &mut out);
-            j.push(1, tup(ts, 0), &mut out);
+            j.push_batch(0, vec![tup(ts, 0)], &mut out);
+            j.push_batch(1, vec![tup(ts, 0)], &mut out);
         }
         // With an equality window and synchronized sides, buffers stay tiny.
         assert!(j.peak_buffered <= 4, "peak {}", j.peak_buffered);
@@ -718,11 +696,12 @@ mod tests {
         let mut j = join(0, 0, false);
         let mut out = Vec::new();
         for ts in 0..100u64 {
-            j.push(1, tup(ts, 0), &mut out);
+            j.push_batch(1, vec![tup(ts, 0)], &mut out);
         }
         assert_eq!(j.buffered(), 100, "right side waits for left matches");
         // The left side is silent but punctuates: everything below 1000.
-        j.push(0, StreamItem::Punct(crate::punct::Punct::new(0, Value::UInt(1_000))), &mut out);
+        let punct = StreamItem::Punct(crate::punct::Punct::new(0, Value::UInt(1_000)));
+        j.push_batch(0, vec![punct], &mut out);
         assert_eq!(j.buffered(), 0);
     }
 
@@ -744,11 +723,11 @@ mod tests {
             vec![prog(&col(0)), prog(&col(1)), prog(&col(3))],
         );
         let mut out = Vec::new();
-        j.push(1, tup(10, 1), &mut out);
-        j.push(0, tup(14, 2), &mut out); // no match, but left watermark = 14
+        j.push_batch(1, vec![tup(10, 1)], &mut out);
+        j.push_batch(0, vec![tup(14, 2)], &mut out); // no match, but left watermark = 14
         // left is banded(5): future left can still be 9 or 10 — right@10
         // must survive GC.
-        j.push(0, tup(10, 3), &mut out);
+        j.push_batch(0, vec![tup(10, 3)], &mut out);
         assert_eq!(rows(&out), vec![(10, 3, 1)]);
     }
 
@@ -756,8 +735,8 @@ mod tests {
     fn finish_input_clears_opposite_buffer() {
         let mut j = join(0, 0, false);
         let mut out = Vec::new();
-        j.push(1, tup(1, 0), &mut out);
-        j.push(1, tup(2, 0), &mut out);
+        j.push_batch(1, vec![tup(1, 0)], &mut out);
+        j.push_batch(1, vec![tup(2, 0)], &mut out);
         j.finish_input(0);
         assert_eq!(j.buffered(), 0, "no left tuples can ever match");
     }
@@ -785,8 +764,8 @@ mod tests {
         let feed = |j: &mut JoinOp| {
             let mut out = Vec::new();
             for ts in [5u64, 3, 6, 4, 8, 7, 10, 9, 14, 12, 16, 15] {
-                j.push(0, tup(ts, 1), &mut out);
-                j.push(1, tup(ts, 2), &mut out);
+                j.push_batch(0, vec![tup(ts, 1)], &mut out);
+                j.push_batch(1, vec![tup(ts, 2)], &mut out);
             }
             j.finish(&mut out);
             rows(&out).iter().map(|r| r.0).collect::<Vec<u64>>()
@@ -836,8 +815,8 @@ mod tests {
         );
         let mut out = Vec::new();
         for ts in 0..50u64 {
-            j.push(0, tup(ts, 0), &mut out);
-            j.push(1, tup(ts, 0), &mut out);
+            j.push_batch(0, vec![tup(ts, 0)], &mut out);
+            j.push_batch(1, vec![tup(ts, 0)], &mut out);
         }
         j.finish(&mut out);
         let vals: Vec<u64> = rows(&out).iter().map(|r| r.0).collect();
@@ -846,7 +825,7 @@ mod tests {
     }
 
     #[test]
-    fn push_batch_matches_item_pushes() {
+    fn batch_boundaries_do_not_change_output() {
         for emit in [EmitMode::Banded, EmitMode::Sorted] {
             let mk = || {
                 JoinOp::new(
@@ -878,10 +857,10 @@ mod tests {
             let mut item_j = mk();
             let mut item_out = Vec::new();
             for it in left.iter().cloned() {
-                item_j.push(0, it, &mut item_out);
+                item_j.push_batch(0, vec![it], &mut item_out);
             }
             for it in right.iter().cloned() {
-                item_j.push(1, it, &mut item_out);
+                item_j.push_batch(1, vec![it], &mut item_out);
             }
             item_j.finish(&mut item_out);
 
@@ -949,14 +928,14 @@ mod tests {
             let mut cont = mk();
             let mut cont_out = Vec::new();
             for &(p, ts, v) in &feed {
-                cont.push(p, tup(ts, v), &mut cont_out);
+                cont.push_batch(p, vec![tup(ts, v)], &mut cont_out);
             }
             cont.finish(&mut cont_out);
 
             let mut first = mk();
             let mut split_out = Vec::new();
             for &(p, ts, v) in head {
-                first.push(p, tup(ts, v), &mut split_out);
+                first.push_batch(p, vec![tup(ts, v)], &mut split_out);
             }
             assert!(first.buffered() > 0, "cut point holds window state");
             let mut w = SnapWriter::new();
@@ -969,7 +948,7 @@ mod tests {
             r.finish().expect("payload fully consumed");
             assert_eq!(second.buffered(), first.buffered());
             for &(p, ts, v) in tail {
-                second.push(p, tup(ts, v), &mut split_out);
+                second.push_batch(p, vec![tup(ts, v)], &mut split_out);
             }
             second.finish(&mut split_out);
 
@@ -989,14 +968,14 @@ mod tests {
             vec![prog(&col(0)), prog(&col(1)), prog(&col(3))],
         );
         let mut out = Vec::new();
-        j.push(1, tup(1, 7), &mut out);
-        j.push(1, tup(1, 8), &mut out);
-        j.push(1, tup(2, 7), &mut out);
+        j.push_batch(1, vec![tup(1, 7)], &mut out);
+        j.push_batch(1, vec![tup(1, 8)], &mut out);
+        j.push_batch(1, vec![tup(2, 7)], &mut out);
         // Left advances to 2: right entries at ts 1 die.
-        j.push(0, tup(2, 9), &mut out);
+        j.push_batch(0, vec![tup(2, 9)], &mut out);
         assert!(rows(&out).is_empty());
         assert_eq!(j.right.len, 1, "only the ts-2 right entry survives");
-        j.push(0, tup(2, 7), &mut out);
+        j.push_batch(0, vec![tup(2, 7)], &mut out);
         assert_eq!(rows(&out), vec![(2, 7, 7)]);
     }
 }

@@ -206,17 +206,6 @@ impl Operator for MergeOp {
         self.inputs.len()
     }
 
-    fn push(&mut self, port: usize, item: StreamItem, out: &mut Vec<StreamItem>) {
-        if self.absorb(port, item) {
-            self.drain_ready(out);
-        } else {
-            // Off-column punctuation (or an unmergeable tuple) can't move
-            // the bound, but the starvation flag must stay honest — the
-            // on-demand heartbeat trigger reads it between pushes.
-            self.update_starved();
-        }
-    }
-
     /// Batched merge absorbs the whole batch into the input heap —
     /// advancing the watermark and future bound as it goes — and re-peeks
     /// the heaps once at the end, instead of running the k-way
@@ -230,6 +219,9 @@ impl Operator for MergeOp {
         if dirty {
             self.drain_ready(out);
         } else {
+            // Off-column punctuation (or an unmergeable tuple) can't move
+            // the bound, but the starvation flag must stay honest — the
+            // on-demand heartbeat trigger reads it between pushes.
             self.update_starved();
         }
     }
@@ -341,10 +333,10 @@ mod tests {
         let mut m = MergeOp::new(2, 0, vec![0, 0]);
         let mut out = Vec::new();
         for v in [1u64, 4, 9] {
-            m.push(0, tup(v), &mut out);
+            m.push_batch(0, vec![tup(v)], &mut out);
         }
         for v in [2u64, 3, 10] {
-            m.push(1, tup(v), &mut out);
+            m.push_batch(1, vec![tup(v)], &mut out);
         }
         m.finish(&mut out);
         assert_eq!(vals(&out), vec![1, 2, 3, 4, 9, 10]);
@@ -354,11 +346,11 @@ mod tests {
     fn holds_back_until_both_sides_progress() {
         let mut m = MergeOp::new(2, 0, vec![0, 0]);
         let mut out = Vec::new();
-        m.push(0, tup(5), &mut out);
-        m.push(0, tup(6), &mut out);
+        m.push_batch(0, vec![tup(5)], &mut out);
+        m.push_batch(0, vec![tup(6)], &mut out);
         assert!(vals(&out).is_empty(), "input 1 has no bound yet");
         assert!(m.starved, "the operator reports potential blockage");
-        m.push(1, tup(7), &mut out);
+        m.push_batch(1, vec![tup(7)], &mut out);
         // Input 1's future bound is 7: both 5 and 6 are safe.
         assert_eq!(vals(&out), vec![5, 6]);
         assert_eq!(m.buffered(), 1);
@@ -369,10 +361,10 @@ mod tests {
         let mut m = MergeOp::new(2, 0, vec![0, 0]);
         let mut out = Vec::new();
         for v in 1..=100u64 {
-            m.push(0, tup(v), &mut out);
+            m.push_batch(0, vec![tup(v)], &mut out);
         }
         assert_eq!(m.buffered(), 100, "silent second input blocks everything");
-        m.push(1, StreamItem::Punct(Punct::new(0, Value::UInt(1_000))), &mut out);
+        m.push_batch(1, vec![StreamItem::Punct(Punct::new(0, Value::UInt(1_000)))], &mut out);
         assert_eq!(vals(&out).len(), 100);
         assert_eq!(m.buffered(), 0);
         assert!(!m.starved);
@@ -384,16 +376,16 @@ mod tests {
         // future values >= 40.
         let mut m = MergeOp::new(2, 0, vec![10, 0]);
         let mut out = Vec::new();
-        m.push(0, tup(50), &mut out);
-        m.push(1, tup(45), &mut out);
+        m.push_batch(0, vec![tup(50)], &mut out);
+        m.push_batch(1, vec![tup(45)], &mut out);
         // Bound = min(50-10, 45) = 40: nothing emits yet.
         assert!(vals(&out).is_empty());
         // A late in-band tuple on input 0 still merges correctly.
-        m.push(0, tup(42), &mut out);
-        m.push(1, tup(60), &mut out);
+        m.push_batch(0, vec![tup(42)], &mut out);
+        m.push_batch(1, vec![tup(60)], &mut out);
         // Bounds: input0 = 40, input1 = 60 -> nothing <= 40... still held.
         assert!(vals(&out).is_empty());
-        m.push(0, tup(70), &mut out);
+        m.push_batch(0, vec![tup(70)], &mut out);
         // Input0 bound = 60; emit everything <= 60 in order.
         assert_eq!(vals(&out), vec![42, 45, 50, 60]);
         m.finish(&mut out);
@@ -405,9 +397,9 @@ mod tests {
         let mut m = MergeOp::new(2, 0, vec![0, 0]);
         let mut out = Vec::new();
         for v in 1..=50u64 {
-            m.push(0, tup(v), &mut out);
+            m.push_batch(0, vec![tup(v)], &mut out);
         }
-        m.push(1, tup(100), &mut out);
+        m.push_batch(1, vec![tup(100)], &mut out);
         m.finish(&mut out);
         assert_eq!(m.peak_buffered, 51);
         assert_eq!(vals(&out).len(), 51);
@@ -417,8 +409,8 @@ mod tests {
     fn forwards_progress_punctuation() {
         let mut m = MergeOp::new(2, 0, vec![0, 0]);
         let mut out = Vec::new();
-        m.push(0, tup(5), &mut out);
-        m.push(1, tup(8), &mut out);
+        m.push_batch(0, vec![tup(5)], &mut out);
+        m.push_batch(1, vec![tup(8)], &mut out);
         assert!(
             out.iter().any(|i| matches!(i, StreamItem::Punct(p) if p.low == Value::UInt(5))),
             "downstream learns the merge's own bound"
@@ -426,13 +418,13 @@ mod tests {
     }
 
     #[test]
-    fn push_batch_matches_item_pushes() {
+    fn batch_boundaries_do_not_change_output() {
         let feed: Vec<(usize, u64)> =
             vec![(0, 1), (0, 4), (1, 2), (1, 3), (0, 9), (1, 10), (0, 12), (1, 11)];
         let mut item_m = MergeOp::new(2, 0, vec![0, 0]);
         let mut item_out = Vec::new();
         for &(p, v) in &feed {
-            item_m.push(p, tup(v), &mut item_out);
+            item_m.push_batch(p, vec![tup(v)], &mut item_out);
         }
         item_m.finish(&mut item_out);
 
@@ -458,12 +450,12 @@ mod tests {
     fn three_way_merge() {
         let mut m = MergeOp::new(3, 0, vec![0, 0, 0]);
         let mut out = Vec::new();
-        m.push(0, tup(1), &mut out);
-        m.push(1, tup(2), &mut out);
-        m.push(2, tup(3), &mut out);
-        m.push(0, tup(4), &mut out);
-        m.push(1, tup(5), &mut out);
-        m.push(2, tup(6), &mut out);
+        m.push_batch(0, vec![tup(1)], &mut out);
+        m.push_batch(1, vec![tup(2)], &mut out);
+        m.push_batch(2, vec![tup(3)], &mut out);
+        m.push_batch(0, vec![tup(4)], &mut out);
+        m.push_batch(1, vec![tup(5)], &mut out);
+        m.push_batch(2, vec![tup(6)], &mut out);
         m.finish(&mut out);
         assert_eq!(vals(&out), vec![1, 2, 3, 4, 5, 6]);
     }
@@ -477,17 +469,17 @@ mod tests {
         let mut m = MergeOp::new(2, 0, vec![0, 0]);
         let mut out = Vec::new();
         // Input 1 is alive (it punctuated) but far behind: bound = 0.
-        m.push(1, StreamItem::Punct(Punct::new(0, Value::UInt(0))), &mut out);
+        m.push_batch(1, vec![StreamItem::Punct(Punct::new(0, Value::UInt(0)))], &mut out);
         for v in 1..=100u64 {
-            m.push(0, tup(v), &mut out);
+            m.push_batch(0, vec![tup(v)], &mut out);
         }
         assert_eq!(m.buffered(), 100, "every input has a bound, tuples still held");
         assert!(m.starved, "held-back tuples with a lagging bound are starvation");
         // An off-column punct changes nothing and must not clear the flag.
-        m.push(1, StreamItem::Punct(Punct::new(5, Value::UInt(1_000))), &mut out);
+        m.push_batch(1, vec![StreamItem::Punct(Punct::new(5, Value::UInt(1_000)))], &mut out);
         assert!(m.starved, "off-column punctuation must not clear starvation");
         // The real punct catches input 1 up and drains everything.
-        m.push(1, StreamItem::Punct(Punct::new(0, Value::UInt(1_000))), &mut out);
+        m.push_batch(1, vec![StreamItem::Punct(Punct::new(0, Value::UInt(1_000)))], &mut out);
         assert_eq!(vals(&out).len(), 100);
         assert_eq!(m.buffered(), 0);
         assert!(!m.starved);
@@ -497,7 +489,7 @@ mod tests {
     fn finish_input_releases_its_hold() {
         let mut m = MergeOp::new(2, 0, vec![0, 0]);
         let mut out = Vec::new();
-        m.push(0, tup(9), &mut out);
+        m.push_batch(0, vec![tup(9)], &mut out);
         assert!(vals(&out).is_empty());
         m.finish_input(1, &mut out);
         assert_eq!(vals(&out), vec![9]);
@@ -517,14 +509,14 @@ mod tests {
         let mut cont = MergeOp::new(2, 0, vec![0, 0]);
         let mut cont_out = Vec::new();
         for &(p, v) in &feed {
-            cont.push(p, tup(v), &mut cont_out);
+            cont.push_batch(p, vec![tup(v)], &mut cont_out);
         }
         cont.finish(&mut cont_out);
 
         let mut first = MergeOp::new(2, 0, vec![0, 0]);
         let mut split_out = Vec::new();
         for &(p, v) in head {
-            first.push(p, tup(v), &mut split_out);
+            first.push_batch(p, vec![tup(v)], &mut split_out);
         }
         assert!(first.buffered() > 0, "cut point holds buffered tuples");
         let mut w = SnapWriter::new();
@@ -538,7 +530,7 @@ mod tests {
         assert_eq!(second.buffered(), first.buffered());
         assert_eq!(second.starved, first.starved);
         for &(p, v) in tail {
-            second.push(p, tup(v), &mut split_out);
+            second.push_batch(p, vec![tup(v)], &mut split_out);
         }
         second.finish(&mut split_out);
 

@@ -56,23 +56,16 @@ pub trait Operator: Send {
         1
     }
 
-    /// Feed one item into `port`; outputs are appended to `out`.
-    fn push(&mut self, port: usize, item: StreamItem, out: &mut Vec<StreamItem>);
-
-    /// Feed a whole batch into `port`; outputs are appended to `out`.
+    /// Feed a batch of items into `port`; outputs are appended to `out`.
+    /// The one row entry point: a single item is a batch of one.
     ///
-    /// Semantically identical to pushing each item in order — a batch of
-    /// one IS a plain push — but hot operators override it to hoist
-    /// per-call setup (group-table lookups for runs of equal keys, merge
-    /// heap drains, join GC) out of the inner loop. Overrides may emit
-    /// fewer intermediate punctuation tokens than the item-at-a-time
-    /// path (punctuation is an optimization, never required for
-    /// correctness) but must produce the same data tuples.
-    fn push_batch(&mut self, port: usize, items: Vec<StreamItem>, out: &mut Vec<StreamItem>) {
-        for item in items {
-            self.push(port, item, out);
-        }
-    }
+    /// Batch boundaries carry no meaning — splitting or joining batches
+    /// never changes the data tuples produced, which lets hot operators
+    /// hoist per-call setup (group-table lookups for runs of equal keys,
+    /// merge heap drains, join GC) out of the inner loop. Coarser
+    /// batches may emit fewer intermediate punctuation tokens
+    /// (punctuation is an optimization, never required for correctness).
+    fn push_batch(&mut self, port: usize, items: Vec<StreamItem>, out: &mut Vec<StreamItem>);
 
     /// Whether the operator has a native columnar path — i.e. its
     /// [`push_cols`](Operator::push_cols) does better than the row
@@ -138,26 +131,6 @@ pub trait Operator: Send {
     }
 }
 
-/// Run a chain of single-input operators over one item: the output of each
-/// stage feeds the next. `scratch` vectors are caller-provided to avoid
-/// per-item allocation.
-pub fn cascade(
-    ops: &mut [Box<dyn Operator>],
-    item: StreamItem,
-    out: &mut Vec<StreamItem>,
-) {
-    debug_assert!(ops.iter().all(|o| o.n_inputs() == 1));
-    let mut cur = vec![item];
-    let mut next = Vec::new();
-    for op in ops.iter_mut() {
-        for it in cur.drain(..) {
-            op.push(0, it, &mut next);
-        }
-        std::mem::swap(&mut cur, &mut next);
-    }
-    out.extend(cur);
-}
-
 /// Run a chain of single-input operators over a whole batch: each stage
 /// consumes the previous stage's output vector via [`Operator::push_batch`],
 /// so per-stage setup amortizes over the batch instead of repeating per
@@ -177,28 +150,14 @@ pub fn cascade_batch(
     out.extend(cur);
 }
 
-/// Finish a chain: flush each stage, feeding its tail output onward.
+/// Finish a chain: flush each stage in order, feeding its tail output
+/// through the stages after it (which have not finished yet).
 pub fn cascade_finish(ops: &mut [Box<dyn Operator>], out: &mut Vec<StreamItem>) {
-    let mut pending: Vec<StreamItem> = Vec::new();
     for i in 0..ops.len() {
         let mut flushed = Vec::new();
         ops[i].finish(&mut flushed);
-        pending.extend(flushed);
-        // Feed everything pending through the REMAINING stages.
-        let mut cur = std::mem::take(&mut pending);
-        let mut next = Vec::new();
-        for op in ops[i + 1..].iter_mut() {
-            for it in cur.drain(..) {
-                op.push(0, it, &mut next);
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        if i + 1 < ops.len() {
-            // `cur` now holds items that already passed through all later
-            // stages; hold them until those stages have also finished.
-            out.extend(cur);
-        } else {
-            out.extend(cur);
+        if !flushed.is_empty() {
+            cascade_batch(&mut ops[i + 1..], flushed, out);
         }
     }
 }
@@ -212,10 +171,12 @@ mod tests {
     /// Doubles every uint in a 1-field tuple; flushes a sentinel.
     struct Doubler;
     impl Operator for Doubler {
-        fn push(&mut self, _p: usize, item: StreamItem, out: &mut Vec<StreamItem>) {
-            if let StreamItem::Tuple(t) = item {
-                let v = t.get(0).as_uint().unwrap();
-                out.push(StreamItem::Tuple(Tuple::new(vec![Value::UInt(v * 2)])));
+        fn push_batch(&mut self, _p: usize, items: Vec<StreamItem>, out: &mut Vec<StreamItem>) {
+            for item in items {
+                if let StreamItem::Tuple(t) = item {
+                    let v = t.get(0).as_uint().unwrap();
+                    out.push(StreamItem::Tuple(Tuple::new(vec![Value::UInt(v * 2)])));
+                }
             }
         }
         fn finish(&mut self, out: &mut Vec<StreamItem>) {
@@ -223,45 +184,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cascade_applies_in_order() {
-        let mut ops: Vec<Box<dyn Operator>> = vec![Box::new(Doubler), Box::new(Doubler)];
-        let mut out = Vec::new();
-        cascade(&mut ops, StreamItem::Tuple(Tuple::new(vec![Value::UInt(3)])), &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].as_tuple().unwrap().get(0), &Value::UInt(12));
+    fn uints(out: &[StreamItem]) -> Vec<u64> {
+        out.iter().filter_map(|i| i.as_tuple().map(|t| t.get(0).as_uint().unwrap())).collect()
     }
 
     #[test]
-    fn cascade_batch_matches_item_cascade() {
+    fn cascade_batch_applies_stages_in_order() {
         let items: Vec<StreamItem> =
             (0..5u64).map(|v| StreamItem::Tuple(Tuple::new(vec![Value::UInt(v)]))).collect();
-        let mut item_ops: Vec<Box<dyn Operator>> = vec![Box::new(Doubler), Box::new(Doubler)];
-        let mut item_out = Vec::new();
-        for it in items.clone() {
-            cascade(&mut item_ops, it, &mut item_out);
-        }
-        let mut batch_ops: Vec<Box<dyn Operator>> = vec![Box::new(Doubler), Box::new(Doubler)];
-        let mut batch_out = Vec::new();
-        cascade_batch(&mut batch_ops, items, &mut batch_out);
-        assert_eq!(item_out, batch_out);
-    }
-
-    #[test]
-    fn default_push_batch_is_push_per_item() {
-        let mut op = Doubler;
+        let mut ops: Vec<Box<dyn Operator>> = vec![Box::new(Doubler), Box::new(Doubler)];
         let mut out = Vec::new();
-        op.push_batch(
-            0,
-            vec![
-                StreamItem::Tuple(Tuple::new(vec![Value::UInt(1)])),
-                StreamItem::Tuple(Tuple::new(vec![Value::UInt(2)])),
-            ],
-            &mut out,
-        );
-        let vals: Vec<u64> =
-            out.iter().filter_map(|i| i.as_tuple().map(|t| t.get(0).as_uint().unwrap())).collect();
-        assert_eq!(vals, vec![2, 4]);
+        cascade_batch(&mut ops, items, &mut out);
+        assert_eq!(uints(&out), vec![0, 4, 8, 12, 16]);
     }
 
     #[test]
@@ -271,8 +205,6 @@ mod tests {
         cascade_finish(&mut ops, &mut out);
         // First stage's sentinel passes through the second (999*2), then
         // the second stage's own sentinel.
-        let vals: Vec<u64> =
-            out.iter().filter_map(|i| i.as_tuple().map(|t| t.get(0).as_uint().unwrap())).collect();
-        assert_eq!(vals, vec![1998, 999]);
+        assert_eq!(uints(&out), vec![1998, 999]);
     }
 }

@@ -19,8 +19,10 @@
 //!
 //! Per-LFTA counters are replayed exactly: the pass charges `prefiltered`,
 //! `not_protocol` and `filtered` from the memoized verdicts in the same
-//! order the private path would have, so shared-on and shared-off runs are
-//! output- and counter-identical (pinned by `gs-tests/prop_prefilter`).
+//! order [`Lfta::push_packet`] — the private path — would have, so a run
+//! through the pass is output- and counter-identical to every LFTA
+//! running alone (pinned against a naive per-LFTA oracle by
+//! `gs-tests/prop_prefilter`).
 
 use crate::expr::{EvalScratch, FieldSource, PacketFields, Program};
 use crate::ops::lfta::Lfta;

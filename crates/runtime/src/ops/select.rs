@@ -108,13 +108,6 @@ impl SelectProject {
 }
 
 impl Operator for SelectProject {
-    fn push(&mut self, _port: usize, item: StreamItem, out: &mut Vec<StreamItem>) {
-        match item {
-            StreamItem::Tuple(t) => self.push_tuple(&t, out),
-            StreamItem::Punct(p) => self.push_punct(&p, out),
-        }
-    }
-
     fn push_batch(&mut self, _port: usize, items: Vec<StreamItem>, out: &mut Vec<StreamItem>) {
         // One reservation for the common all-tuples-pass case; the match
         // dispatch stays, but counter updates and projected-tuple pushes
@@ -257,22 +250,6 @@ impl FilterOp {
 }
 
 impl Operator for FilterOp {
-    fn push(&mut self, _port: usize, item: StreamItem, out: &mut Vec<StreamItem>) {
-        match item {
-            StreamItem::Tuple(t) => {
-                self.seen += 1;
-                if self.pred.eval_bool(&t, &mut self.scratch) {
-                    self.kept += 1;
-                    out.push(StreamItem::Tuple(t));
-                }
-            }
-            p @ StreamItem::Punct(_) => {
-                self.puncts += 1;
-                out.push(p);
-            }
-        }
-    }
-
     fn push_batch(&mut self, _port: usize, items: Vec<StreamItem>, out: &mut Vec<StreamItem>) {
         self.batches += 1;
         out.reserve(items.len());
@@ -356,8 +333,8 @@ mod tests {
         });
         let mut op = SelectProject::new(Some(filter), vec![prog(&col(1))], vec![]);
         let mut out = Vec::new();
-        op.push(0, StreamItem::Tuple(Tuple::new(vec![Value::UInt(11), Value::UInt(7)])), &mut out);
-        op.push(0, StreamItem::Tuple(Tuple::new(vec![Value::UInt(9), Value::UInt(8)])), &mut out);
+        let row = |a, b| StreamItem::Tuple(Tuple::new(vec![Value::UInt(a), Value::UInt(b)]));
+        op.push_batch(0, vec![row(11, 7), row(9, 8)], &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].as_tuple().unwrap().get(0), &Value::UInt(7));
         assert_eq!((op.seen, op.kept), (2, 1));
@@ -367,11 +344,11 @@ mod tests {
     fn punct_translated_through_identity_and_bucket() {
         let mut op = SelectProject::new(None, vec![prog(&col(0))], vec![(0, 0, 60)]);
         let mut out = Vec::new();
-        op.push(0, StreamItem::Punct(Punct::new(0, Value::UInt(120))), &mut out);
+        op.push_batch(0, vec![StreamItem::Punct(Punct::new(0, Value::UInt(120)))], &mut out);
         assert_eq!(out, vec![StreamItem::Punct(Punct::new(0, Value::UInt(2)))]);
         // Punct on an untranslated column is dropped.
         out.clear();
-        op.push(0, StreamItem::Punct(Punct::new(5, Value::UInt(9))), &mut out);
+        op.push_batch(0, vec![StreamItem::Punct(Punct::new(5, Value::UInt(9)))], &mut out);
         assert!(out.is_empty());
     }
 }

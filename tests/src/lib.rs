@@ -2,7 +2,11 @@
 //! *oracle* implementations the engine's output is compared against, and a
 //! reference backtracking regex matcher for property tests.
 
+use gigascope::{Gigascope, StreamItem, Tuple};
 use gs_packet::{CapPacket, PacketView};
+use gs_runtime::ops::build::{build_lfta, BuildCtx};
+use gs_runtime::ops::lfta::LftaStats;
+use gs_runtime::udf::{FileStore, UdfRegistry};
 use std::collections::BTreeMap;
 
 pub mod daemon;
@@ -43,6 +47,51 @@ pub fn oracle_src_counts(pkts: &[CapPacket]) -> BTreeMap<(u64, u32), u64> {
         if let Some(ih) = v.ipv4() {
             *out.entry((u64::from(p.time_sec()), ih.src)).or_insert(0) += 1;
         }
+    }
+    out
+}
+
+/// Oracle for the capture point: every deployed LFTA of `gs` run on its
+/// own over the whole trace — a private `build_lfta`, one
+/// `Lfta::push_packet` per packet of its interface, `finish` at the end.
+/// Deliberately naive: no prefilter interning, no shared pass, no
+/// heartbeats, nothing of `gigascope::graph`. Returns, per LFTA stream,
+/// its output tuples in emission order and its final counters.
+pub fn oracle_lftas(
+    gs: &Gigascope,
+    pkts: &[CapPacket],
+) -> BTreeMap<String, (Vec<Tuple>, LftaStats)> {
+    let (params, registry, resolver) =
+        (gigascope::ParamBindings::new(), UdfRegistry::with_builtins(), FileStore::new());
+    let ctx = BuildCtx {
+        catalog: gs.catalog(),
+        params: &params,
+        registry: &registry,
+        resolver: &resolver,
+        lfta_table_size: gs.lfta_table_size,
+    };
+    let mut out = BTreeMap::new();
+    for spec in gs.queries().iter().flat_map(|dq| &dq.lftas) {
+        let mut iface = None;
+        spec.plan.visit(&mut |p| {
+            if let gs_gsql::plan::Plan::ProtocolScan { interface, .. } = p {
+                iface = gs.catalog().interface(interface).map(|d| d.id);
+            }
+        });
+        let mut lfta = build_lfta(spec, &ctx).expect("deployed LFTA instantiates");
+        let mut items = Vec::new();
+        for p in pkts.iter().filter(|p| Some(p.iface) == iface) {
+            lfta.push_packet(p, &mut items);
+        }
+        lfta.finish(&mut items);
+        let tuples = items
+            .into_iter()
+            .filter_map(|i| match i {
+                StreamItem::Tuple(t) => Some(t),
+                StreamItem::Punct(_) => None,
+            })
+            .collect();
+        out.insert(spec.name.clone(), (tuples, lfta.stats));
     }
     out
 }

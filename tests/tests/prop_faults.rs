@@ -200,34 +200,37 @@ fn injected_panic_fails_one_query_and_run_still_completes() {
     });
 }
 
-/// Fault injection composes with columnar transport exactly as with row
-/// transport: the injector sees the materialized row stream, so at the
-/// same batch size a faulted columnar run and a faulted row run agree on
-/// which queries failed and on the sibling's output multiset.
+/// Fault injection composes with columnar transport: the injector sees
+/// the rows materialized at the node, exactly what the synchronous
+/// engine's injector sees, so at batch {1, 3, 256} a faulted threaded
+/// run and a faulted synchronous run agree on which queries failed and
+/// on the sibling's output multiset.
 #[test]
 fn faults_compose_with_columnar_transport() {
     check("fault_columnar", 4, |g| {
         let pkts = trace(g);
-        let run = |columnar: bool| {
-            let mut gs = system(256, 1, false);
-            gs.columnar = columnar;
+        let faulted = |batch: usize| {
+            let mut gs = system(batch, 1, false);
             gs.faults = Some(plan(1));
-            run_threaded(&gs, pkts.iter().cloned(), &SUBS).unwrap()
+            gs
         };
-        let row = run(false);
-        let col = run(true);
-        assert_eq!(col.packets, pkts.len() as u64, "columnar capture wedged under fault");
-        assert_eq!(
-            row.health.failures(),
-            col.health.failures(),
-            "fault containment differs between transports"
-        );
-        assert!(col.counter("faults", "fault_injected").unwrap() >= 1);
-        assert_eq!(
-            norm(row.stream("sib")),
-            norm(col.stream("sib")),
-            "sibling output differs between transports under fault"
-        );
+        let sync = faulted(256).run_capture(pkts.iter().cloned(), &SUBS).unwrap();
+        assert!(sync.stats.health.failed("agg"));
+        for batch in [1usize, 3, 256] {
+            let out = run_threaded(&faulted(batch), pkts.iter().cloned(), &SUBS).unwrap();
+            assert_eq!(out.packets, pkts.len() as u64, "batch {batch}: capture wedged under fault");
+            assert_eq!(
+                sync.stats.health.failures(),
+                out.health.failures(),
+                "batch {batch}: fault containment differs between engines"
+            );
+            assert!(out.counter("faults", "fault_injected").unwrap() >= 1);
+            assert_eq!(
+                norm(sync.stream("sib")),
+                norm(out.stream("sib")),
+                "batch {batch}: sibling output differs between engines under fault"
+            );
+        }
     });
 }
 

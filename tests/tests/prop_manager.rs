@@ -127,14 +127,15 @@ fn threaded_batched_transport_matches_synchronous_engine() {
     });
 }
 
-/// Columnar (SoA) transport is a pure representation change: for every
-/// template and batch size, a threaded run with [`Gigascope::columnar`]
-/// on produces the same multiset as the pre-columnar row transport
-/// (`columnar = false`) and as the synchronous engine. Batch size 1
-/// additionally pins byte-identical output — the columnar gate is off
-/// there, so the run must reproduce item-at-a-time transport exactly.
+/// Columnar batches are the only transport, so the degenerate batch size
+/// must still be item-at-a-time: at batch size 1 every tuple crosses a
+/// queue as its own one-row batch, in item order, and a threaded run of
+/// a template without a group-by (whose emission order is not subject
+/// to hash-table drain order) reproduces the synchronous engine's exact
+/// tuple *sequence*. Every template and batch size matches the
+/// synchronous multiset.
 #[test]
-fn columnar_transport_matches_row_transport_and_sync() {
+fn columnar_transport_matches_sync_and_batch_one_keeps_item_order() {
     check("manager_columnar_equivalence", 16, |g| {
         let t = g.choice(&TEMPLATES);
         let pkts = trace(g);
@@ -143,27 +144,19 @@ fn columnar_transport_matches_row_transport_and_sync() {
             system(256, t.program).run_capture(pkts.iter().cloned(), t.subscriptions).unwrap();
 
         for batch in BATCH_SIZES {
-            let mut row_gs = system(batch, t.program);
-            row_gs.columnar = false;
-            let row_out = run_threaded(&row_gs, pkts.iter().cloned(), t.subscriptions).unwrap();
-            let col_gs = system(batch, t.program); // columnar defaults on
-            let col_out = run_threaded(&col_gs, pkts.iter().cloned(), t.subscriptions).unwrap();
+            let gs = system(batch, t.program);
+            let out = run_threaded(&gs, pkts.iter().cloned(), t.subscriptions).unwrap();
             for name in t.subscriptions {
                 assert_eq!(
-                    norm(row_out.stream(name)),
-                    norm(col_out.stream(name)),
-                    "columnar != row transport on `{name}` at batch {batch}"
-                );
-                assert_eq!(
                     norm(sync_out.stream(name)),
-                    norm(col_out.stream(name)),
-                    "columnar != sync on `{name}` at batch {batch}"
+                    norm(out.stream(name)),
+                    "threaded != sync on `{name}` at batch {batch}"
                 );
-                if batch == 1 {
+                if batch == 1 && !t.program.contains("Group By") {
                     assert_eq!(
-                        row_out.stream(name),
-                        col_out.stream(name),
-                        "batch size 1 must be byte-identical on `{name}`"
+                        sync_out.stream(name),
+                        out.stream(name),
+                        "batch size 1 must keep item order on `{name}`"
                     );
                 }
             }

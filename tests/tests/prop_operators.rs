@@ -53,9 +53,9 @@ fn merge_output_is_sorted_union() {
             let mut progressed = false;
             for (port, s) in streams.iter().enumerate() {
                 if idx[port] < s.len() {
-                    m.push(
+                    m.push_batch(
                         port,
-                        StreamItem::Tuple(Tuple::new(vec![Value::UInt(s[idx[port]])])),
+                        vec![StreamItem::Tuple(Tuple::new(vec![Value::UInt(s[idx[port]])]))],
                         &mut out,
                     );
                     idx[port] += 1;
@@ -207,10 +207,10 @@ fn banded_merge_never_out_of_band() {
         let mut m = MergeOp::new(2, 0, vec![5, 0]);
         let mut out = Vec::new();
         for &v in &banded {
-            m.push(0, StreamItem::Tuple(Tuple::new(vec![Value::UInt(v)])), &mut out);
+            m.push_batch(0, vec![StreamItem::Tuple(Tuple::new(vec![Value::UInt(v)]))], &mut out);
         }
         for &v in &base {
-            m.push(1, StreamItem::Tuple(Tuple::new(vec![Value::UInt(v)])), &mut out);
+            m.push_batch(1, vec![StreamItem::Tuple(Tuple::new(vec![Value::UInt(v)]))], &mut out);
         }
         m.finish(&mut out);
         let got: Vec<u64> =
@@ -257,8 +257,9 @@ fn sorted_join_always_monotone_banded_join_same_multiset() {
         let run = |mut j: JoinOp| {
             let mut out = Vec::new();
             for &v in &seq {
-                j.push(0, StreamItem::Tuple(Tuple::new(vec![Value::UInt(v)])), &mut out);
-                j.push(1, StreamItem::Tuple(Tuple::new(vec![Value::UInt(v)])), &mut out);
+                let t = || vec![StreamItem::Tuple(Tuple::new(vec![Value::UInt(v)]))];
+                j.push_batch(0, t(), &mut out);
+                j.push_batch(1, t(), &mut out);
             }
             j.finish(&mut out);
             tuples_of(out)

@@ -201,10 +201,10 @@ fn partition_parallel_runs_match_unpartitioned_reference() {
 }
 
 /// Columnar transport composed with partition parallelism: the router
-/// hashes group keys straight from the columns, so at parallelism
-/// {1, 4} x batch {1, 3, 256} a columnar threaded run must equal the
-/// row-transport run and the unpartitioned reference, and the
-/// reunifying merge must stay ordered.
+/// hashes group keys straight from the columns of each flushed batch,
+/// so at parallelism {1, 4} x batch {1, 3, 256} a threaded run must
+/// equal both the synchronous engine at the same parallelism and the
+/// unpartitioned reference, and the reunifying merge must stay ordered.
 #[test]
 fn columnar_composes_with_partition_parallelism() {
     check("parallel_columnar", 8, |g| {
@@ -215,30 +215,28 @@ fn columnar_composes_with_partition_parallelism() {
         let reference = gs.run_capture(pkts.iter().cloned(), t.subscriptions).unwrap();
 
         for par in [1usize, 4] {
+            let sync_out = system(t.program, 256, par, None)
+                .run_capture(pkts.iter().cloned(), t.subscriptions)
+                .unwrap();
             for batch in [1usize, 3, 256] {
-                let mut row_gs = system(t.program, batch, par, None);
-                row_gs.columnar = false;
-                let row_out =
-                    run_threaded(&row_gs, pkts.iter().cloned(), t.subscriptions).unwrap();
-                let col_gs = system(t.program, batch, par, None); // columnar defaults on
-                let col_out =
-                    run_threaded(&col_gs, pkts.iter().cloned(), t.subscriptions).unwrap();
+                let gs = system(t.program, batch, par, None);
+                let out = run_threaded(&gs, pkts.iter().cloned(), t.subscriptions).unwrap();
                 for name in t.subscriptions {
                     assert_eq!(
-                        norm(row_out.stream(name)),
-                        norm(col_out.stream(name)),
-                        "columnar != row on `{name}` at parallelism {par}, batch {batch}"
+                        norm(sync_out.stream(name)),
+                        norm(out.stream(name)),
+                        "threaded != sync on `{name}` at parallelism {par}, batch {batch}"
                     );
                     assert_eq!(
                         norm(reference.stream(name)),
-                        norm(col_out.stream(name)),
-                        "columnar != reference on `{name}` at parallelism {par}, batch {batch}"
+                        norm(out.stream(name)),
+                        "threaded != reference on `{name}` at parallelism {par}, batch {batch}"
                     );
                 }
                 for name in t.ordered {
                     assert_ordered(
-                        col_out.stream(name),
-                        &format!("columnar `{name}` at parallelism {par}, batch {batch}"),
+                        out.stream(name),
+                        &format!("threaded `{name}` at parallelism {par}, batch {batch}"),
                     );
                 }
             }
@@ -267,9 +265,7 @@ fn shedding_composes_with_partition_parallelism() {
         let policy = *g.choice(&[DropPolicy::LeastProcessedFirst, DropPolicy::TailDrop]);
         let capacity = *g.choice(&[1usize, 2, 4, 16]);
         let batch = *g.choice(&[1usize, 3]);
-        let mut gs = system(t.program, batch, par, Some(ShedConfig { policy, capacity }));
-        // Shedding must compose with either transport representation.
-        gs.columnar = *g.choice(&[false, true]);
+        let gs = system(t.program, batch, par, Some(ShedConfig { policy, capacity }));
         let thr_out = run_threaded(&gs, pkts.iter().cloned(), t.subscriptions).unwrap();
         assert_eq!(thr_out.packets, pkts.len() as u64);
 

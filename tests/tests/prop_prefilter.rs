@@ -1,17 +1,20 @@
-//! Property: the cross-query shared prefilter is a pure execution
-//! strategy — for every random multi-query mix, engine, parallelism and
-//! batch size, a shared-on run produces exactly the same outputs,
-//! per-query LFTA counters, and health verdicts as a shared-off run.
+//! Property: the shared cross-query prefilter pass is invisible — for
+//! every random multi-query mix, engine, parallelism and batch size,
+//! every LFTA emits exactly the tuples, and ends with exactly the
+//! counters, of that LFTA run privately over the trace.
 //!
-//! The shared pass replays each LFTA's private decision sequence
-//! (admission → BPF prefilter → protocol → predicate) off memoized
-//! per-distinct verdicts, so equality must hold to the counter, not just
-//! the output multiset.
+//! The reference is [`gs_tests::oracle_lftas`]: one `build_lfta` and one
+//! `push_packet` per packet per LFTA, sharing no code with the pass
+//! under test. The shared pass replays each LFTA's private decision
+//! sequence (admission → BPF prefilter → protocol → predicate) off
+//! memoized per-distinct verdicts, so equality must hold to the counter,
+//! not just the output multiset.
 
 use gigascope::manager::run_threaded;
 use gigascope::{FaultPlan, Gigascope, QueryHealth, Tuple};
 use gs_packet::builder::FrameBuilder;
 use gs_packet::capture::{CapPacket, LinkType};
+use gs_tests::oracle_lftas;
 use gs_tests::prop::{check, Gen};
 
 /// Random query pool. Overlapping ports across templates force atom
@@ -73,20 +76,26 @@ fn trace(g: &mut Gen) -> Vec<CapPacket> {
         .collect()
 }
 
-fn system(program: &str, shared: bool, parallelism: usize, batch: usize) -> Gigascope {
+fn system(program: &str, parallelism: usize, batch: usize) -> Gigascope {
     let mut gs = Gigascope::new();
     gs.add_interface("eth0", 0, LinkType::Ethernet);
-    gs.shared_prefilter = shared;
     gs.parallelism = parallelism;
     gs.batch_size = batch;
     gs.add_program(program).unwrap();
     gs
 }
 
-/// Lossless multiset normalization: every full row, sorted. Group-by
-/// queries drain `HashMap` groups on flush, so emission order *within* a
-/// time bucket is per-instance (true of two shared-off runs too) — the
-/// multiset is the deterministic contract, and the per-LFTA counter
+/// Every LFTA stream of the deployed program — what the oracle covers.
+/// Split queries publish theirs under a mangled name, subscribable like
+/// any other stream.
+fn lfta_streams(gs: &Gigascope) -> Vec<String> {
+    gs.queries().iter().flat_map(|dq| dq.lftas.iter().map(|l| l.name.clone())).collect()
+}
+
+/// Lossless multiset normalization: every full row, sorted. Aggregating
+/// LFTAs drain their table on flush, and heartbeats (which the oracle
+/// does not issue) move a flush earlier without changing its content —
+/// the multiset is the deterministic contract, and the per-LFTA counter
 /// equality below pins the execution itself.
 fn norm(tuples: &[Tuple]) -> Vec<String> {
     let mut rows: Vec<String> = tuples.iter().map(|t| format!("{t:?}")).collect();
@@ -94,66 +103,71 @@ fn norm(tuples: &[Tuple]) -> Vec<String> {
     rows
 }
 
-/// Synchronous engine: shared-on must be *byte-identical* to shared-off —
-/// same tuples in the same order, same per-LFTA counters, clean health.
+/// Synchronous engine: every LFTA stream and every per-LFTA counter
+/// block equals the private oracle's; health stays clean.
 #[test]
-fn shared_prefilter_is_identity_on_sync_engine() {
+fn shared_pass_matches_private_lftas_on_sync_engine() {
     check("prefilter_sync_equivalence", 32, |g| {
-        let (program, names) = gen_program(g);
+        let (program, _) = gen_program(g);
         let pkts = trace(g);
-        let subs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let gs = system(&program, 1, 256);
+        let streams = lfta_streams(&gs);
+        let subs: Vec<&str> = streams.iter().map(String::as_str).collect();
 
-        let on = system(&program, true, 1, 256).run_capture(pkts.iter().cloned(), &subs).unwrap();
-        let off = system(&program, false, 1, 256).run_capture(pkts.iter().cloned(), &subs).unwrap();
+        let oracle = oracle_lftas(&gs, &pkts);
+        let out = gs.run_capture(pkts.iter().cloned(), &subs).unwrap();
 
-        for name in &names {
-            assert_eq!(
-                norm(on.stream(name)),
-                norm(off.stream(name)),
-                "stream `{name}` diverged\n{program}"
-            );
+        assert_eq!(out.stats.lfta.len(), oracle.len());
+        for (name, (tuples, stats)) in &oracle {
+            assert_eq!(norm(out.stream(name)), norm(tuples), "stream `{name}` diverged\n{program}");
+            assert_eq!(out.stats.lfta[name], *stats, "`{name}` counters diverged\n{program}");
         }
-        assert_eq!(on.stats.lfta, off.stats.lfta, "per-LFTA counters diverged\n{program}");
-        assert!(on.stats.health.all_ok() && off.stats.health.all_ok());
+        assert!(out.stats.health.all_ok());
     });
 }
 
-/// Threaded manager: shared-on matches shared-off (and the synchronous
-/// engine) across parallelism {1, 4} × batch {1, 256}.
+/// Threaded manager: the same equalities across parallelism {1, 4} ×
+/// batch {1, 256}, and the user-visible query streams equal the
+/// synchronous engine's.
 #[test]
-fn shared_prefilter_is_identity_on_threaded_manager() {
+fn shared_pass_matches_private_lftas_on_threaded_manager() {
     check("prefilter_threaded_equivalence", 10, |g| {
         let (program, names) = gen_program(g);
         let pkts = trace(g);
-        let subs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let reference = system(&program, 1, 256);
+        let mut streams = lfta_streams(&reference);
+        streams.extend(names.iter().filter(|n| !streams.contains(n)).cloned().collect::<Vec<_>>());
+        let subs: Vec<&str> = streams.iter().map(String::as_str).collect();
 
-        let sync_out =
-            system(&program, true, 1, 256).run_capture(pkts.iter().cloned(), &subs).unwrap();
+        let oracle = oracle_lftas(&reference, &pkts);
+        let sync_out = reference.run_capture(pkts.iter().cloned(), &subs).unwrap();
 
         for parallelism in [1usize, 4] {
             for batch in [1usize, 256] {
-                let on = run_threaded(
-                    &system(&program, true, parallelism, batch),
-                    pkts.iter().cloned(),
-                    &subs,
-                )
-                .unwrap();
-                let off = run_threaded(
-                    &system(&program, false, parallelism, batch),
-                    pkts.iter().cloned(),
-                    &subs,
-                )
-                .unwrap();
+                let ctx = format!("par={parallelism} batch={batch}\n{program}");
+                let out =
+                    run_threaded(&system(&program, parallelism, batch), pkts.iter().cloned(), &subs)
+                        .unwrap();
+                for (name, (tuples, stats)) in &oracle {
+                    assert_eq!(norm(out.stream(name)), norm(tuples), "stream `{name}` at {ctx}");
+                    let node = format!("lfta:{name}");
+                    for (counter, want) in [
+                        ("packets_in", stats.packets_in),
+                        ("prefiltered", stats.prefiltered),
+                        ("sampled_out", stats.sampled_out),
+                        ("not_protocol", stats.not_protocol),
+                        ("filtered", stats.filtered),
+                        ("tuples_out", stats.tuples_out),
+                    ] {
+                        let got = out.counter(&node, counter);
+                        assert_eq!(got, Some(want), "{node}/{counter} at {ctx}");
+                    }
+                }
                 for name in &names {
                     assert_eq!(
-                        norm(on.stream(name)),
-                        norm(off.stream(name)),
-                        "stream `{name}` diverged at par={parallelism} batch={batch}\n{program}"
-                    );
-                    assert_eq!(
                         norm(sync_out.stream(name)),
-                        norm(on.stream(name)),
-                        "shared threaded != sync on `{name}` at par={parallelism} batch={batch}"
+                        norm(out.stream(name)),
+                        "threaded != sync on `{name}` at {ctx}"
                     );
                 }
             }
@@ -162,8 +176,9 @@ fn shared_prefilter_is_identity_on_threaded_manager() {
 }
 
 /// Quarantining one query must leave the shared pass intact for its
-/// siblings: the faulty query's HFTA is contained identically with the
-/// prefilter on and off, and sibling outputs and LFTA counters match.
+/// siblings: the faulty query's HFTA is contained, and every LFTA —
+/// the faulted query's own feed included — still emits exactly its
+/// private output, in order, with its private counters.
 #[test]
 fn quarantine_leaves_shared_pass_intact_for_siblings() {
     let program = "DEFINE { query_name raw; } Select time, len From eth0.tcp; \
@@ -173,22 +188,18 @@ fn quarantine_leaves_shared_pass_intact_for_siblings() {
                    Select time, destPort From eth0.tcp Where destPort = 80";
     check("prefilter_quarantine", 12, |g| {
         let pkts = trace(g);
-        let run = |shared: bool| {
-            let mut gs = system(program, shared, 1, 256);
-            gs.faults = Some(FaultPlan::new().panic_at("agg", 1));
-            gs.run_capture(pkts.iter().cloned(), &["agg", "sib", "raw"]).unwrap()
-        };
-        let on = run(true);
-        let off = run(false);
-        // The faulted query is quarantined the same way either mode.
-        assert!(on.stats.health.failed("agg"));
-        assert_eq!(on.stats.health.failed("agg"), off.stats.health.failed("agg"));
-        // Siblings are untouched: same outputs, same LFTA counters.
+        let mut gs = system(program, 1, 256);
+        gs.faults = Some(FaultPlan::new().panic_at("agg", 1));
+        let out = gs.run_capture(pkts.iter().cloned(), &["agg", "sib", "raw"]).unwrap();
+        let oracle = oracle_lftas(&gs, &pkts);
+        assert!(out.stats.health.failed("agg"));
+        // Siblings are untouched: projection LFTAs emit in packet
+        // order, so the comparison is exact, not a multiset.
         for name in ["sib", "raw"] {
-            assert_eq!(on.stream(name), off.stream(name), "sibling `{name}` diverged");
+            assert_eq!(out.stream(name), oracle[name].0, "sibling `{name}` diverged");
+            assert_eq!(out.stats.lfta[name], oracle[name].1, "sibling `{name}` counters");
         }
-        assert_eq!(on.stats.lfta, off.stats.lfta);
-        assert!(matches!(on.stats.health.of("sib"), QueryHealth::Ok));
+        assert!(matches!(out.stats.health.of("sib"), QueryHealth::Ok));
     });
 }
 
