@@ -7,29 +7,27 @@
 //! construction, which the test suite and the experiment harnesses rely
 //! on. The threaded deployment configuration lives in [`crate::manager`].
 //!
-//! What the two engines share — instantiating the graph and the
-//! capture-point loop body — lives in [`crate::graph`]; this module owns
-//! only what is particular to inline execution: propagating an LFTA's
-//! output straight through its consumers, quarantining a panicked
-//! operator's chain, and the on-demand heartbeat trigger (which must
-//! observe a starved merge between two packets, so only an inline
-//! scheduler can offer it). Operators see rows here: there is no
-//! transport hop whose cost a columnar batch would amortize.
+//! The graph, its queues and edges, and the per-node step are shared
+//! with the threaded manager ([`crate::graph`], [`crate::dataflow`]); a
+//! `run_capture` is the deterministic schedule of exactly the graph
+//! `run_threaded` runs. This module owns only the inline scheduler:
+//! after every packet or heartbeat round that shipped a batch it pumps
+//! each node and collector, in topological order, until its queue runs
+//! dry — no thread, no watchdog, no shedding — plus the on-demand
+//! heartbeat trigger, which must observe a starved merge between two
+//! packets, so only an inline scheduler can offer it.
 
-use crate::graph::{self, CaptureFront, Graph, GraphNode};
-use crate::health::{FaultReason, HealthBoard, RunHealth};
+use crate::dataflow::{self, Collector, Dataflow, Msg, NodeRunner};
+use crate::graph;
+use crate::health::RunHealth;
+use crate::transport::{Admission, Receiver};
 use crate::{Error, Gigascope};
 use gs_packet::CapPacket;
-use gs_runtime::faults::NodeInjector;
-use gs_runtime::ops::build::HftaNode;
 use gs_runtime::ops::lfta::LftaStats;
-use gs_runtime::ops::router::KeyRouter;
 use gs_runtime::punct::HeartbeatMode;
-use gs_runtime::stats::{StatRow, StatsRegistry};
-use gs_runtime::tuple::{StreamItem, Tuple};
+use gs_runtime::stats::StatRow;
+use gs_runtime::tuple::Tuple;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 /// Per-run statistics.
 #[derive(Debug, Clone, Default)]
@@ -44,8 +42,9 @@ pub struct EngineStats {
     pub lfta_tables: HashMap<String, gs_runtime::ops::agg::DmStats>,
     /// Peak buffered tuples per merge/join node, keyed by query name.
     pub peak_buffered: HashMap<String, usize>,
-    /// Final stats-registry snapshot: `lfta:*` and `hfta:*` counter rows
-    /// (the same rows the built-in `GS_STATS` stream emits), taken after
+    /// Final stats-registry snapshot: `lfta:*`, `hfta:*`, `edge:*` and
+    /// `queue:*` counter rows (the same rows the threaded manager
+    /// reports and the built-in `GS_STATS` stream emits), taken after
     /// every operator finished.
     pub counters: Vec<StatRow>,
     /// Which queries ran clean and which were quarantined (a panicked
@@ -79,410 +78,121 @@ impl RunOutput {
     }
 }
 
-struct NodeHost {
-    name: String,
-    node: HftaNode,
-    out_sid: usize,
-}
-
-/// Hash router feeding the K partition instances of one rewritten HFTA,
-/// installed on the partitioned input stream. Tuples go to exactly one
-/// partition; punctuation is broadcast to all of them.
-struct EngineRouter {
-    router: KeyRouter,
-    /// Node indices of the partition instances, in partition order.
-    targets: Vec<usize>,
-}
-
-/// The HFTA side of the graph: nodes wired by stream id, executed inline
-/// as their inputs produce items.
-#[derive(Default)]
-struct Flow {
-    nodes: Vec<NodeHost>,
-    /// stream id -> (node index, port) consumers.
-    consumers: Vec<Vec<(usize, usize)>>,
-    /// stream id -> hash routers over that stream's partition instances
-    /// (one per partitioned query reading the stream).
-    routers: HashMap<usize, Vec<EngineRouter>>,
-    /// stream id -> collection bucket.
-    collect: Vec<Option<String>>,
-    stream_ids: HashMap<String, usize>,
-    outputs: HashMap<String, Vec<Tuple>>,
-    /// Quarantine bookkeeping: every containment decision lands here.
-    board: HealthBoard,
-    /// Per-node quarantine flags — a failed node (and its transitive
-    /// downstream) is never pushed to or finished again; its query keeps
-    /// the clean prefix collected before the fault.
-    failed: Vec<bool>,
-    /// Armed fault injectors by node index ([`Gigascope::faults`]).
-    injectors: HashMap<usize, NodeInjector>,
+/// One scheduler turn: every runner in topological (submission) order,
+/// then the collectors, each until its queue runs dry. With `flush`,
+/// each runner's partial output batch ships before its consumers are
+/// pumped, so the turn leaves nothing waiting in any batcher.
+fn pump_all(
+    runners: &mut [(NodeRunner, Receiver<Msg>)],
+    collectors: &mut [(Collector, Receiver<Msg>)],
+    flush: bool,
+) {
+    for (runner, rx) in runners {
+        runner.pump(|| rx.try_recv());
+        if flush {
+            runner.flush_output();
+        }
+    }
+    for (collector, rx) in collectors {
+        collector.drain(|| rx.try_recv());
+    }
 }
 
 /// The wired-up execution graph.
 pub struct Engine {
-    /// The capture point: LFTAs, shared prefilter, heartbeat clock.
-    front: CaptureFront,
-    /// Output stream id of each LFTA slot.
-    lfta_sids: Vec<usize>,
-    flow: Flow,
+    flow: Dataflow,
     heartbeat: HeartbeatMode,
-    /// Every LFTA and operator registers its counters here; snapshots
-    /// feed the `GS_STATS` stream and the final [`EngineStats::counters`].
-    registry: Arc<StatsRegistry>,
-    /// Stream id of the built-in `GS_STATS` monitoring stream.
-    gs_stats_sid: usize,
-    stats_enabled: bool,
 }
 
 impl Engine {
     /// Instantiate every deployed query of `gs`, collecting the named
-    /// `subscriptions` into the run output.
+    /// `subscriptions` into the run output. Inline queues are unbounded
+    /// and blocking: nothing sheds, and nothing can fill, because every
+    /// queue is drained before the next packet is read.
     pub fn build(gs: &Gigascope, subscriptions: &[&str]) -> Result<Engine, Error> {
-        let Graph { lftas, nodes, routers, .. } = graph::build(gs, &[], None, subscriptions)?;
-        let registry = Arc::new(StatsRegistry::new());
-        let mut flow = Flow::default();
-        let lfta_sids = lftas.iter().map(|(l, _)| flow.sid(&l.name)).collect();
-        let mut targets: Vec<Vec<usize>> = vec![Vec::new(); routers.len()];
-        for GraphNode { name, node, routed } in nodes {
-            let idx = flow.nodes.len();
-            match routed {
-                Some(group) => targets[group].push(idx),
-                None => {
-                    for (port, input) in node.inputs.iter().enumerate() {
-                        let sid = flow.sid(input);
-                        flow.consumers[sid].push((idx, port));
-                    }
-                }
-            }
-            node.register_stats(&registry, &name);
-            let out_sid = flow.sid(&name);
-            flow.nodes.push(NodeHost { name, node, out_sid });
-        }
-        for (group, targets) in routers.into_iter().zip(targets) {
-            let sid = flow.sid(&group.input);
-            flow.routers
-                .entry(sid)
-                .or_default()
-                .push(EngineRouter { router: group.router, targets });
-        }
-        flow.failed = vec![false; flow.nodes.len()];
-        if let Some(plan) = &gs.faults {
-            // Arm the configured faults per node; the `faults` stats
-            // node only exists when a plan does, so a default run's
-            // GS_STATS row set is unchanged.
-            registry.register("faults".to_string(), flow.board.stats.clone());
-            for (idx, n) in flow.nodes.iter().enumerate() {
-                if let Some(inj) = plan.armed(&n.name, &flow.board.stats) {
-                    flow.injectors.insert(idx, inj);
-                }
-            }
-        }
-        for n in subscriptions {
-            let sid = flow.sid(n);
-            flow.collect[sid] = Some(n.to_string());
-            flow.outputs.entry(n.to_string()).or_default();
-        }
-        // Claim the monitoring stream's id, so queries over GS_STATS
-        // (and direct subscriptions to it) wire up like any other stream.
-        let gs_stats_sid = flow.sid("GS_STATS");
-        Ok(Engine {
-            front: CaptureFront::new(lftas, gs.heartbeat, registry.clone()),
-            lfta_sids,
-            flow,
-            heartbeat: gs.heartbeat,
-            registry,
-            gs_stats_sid,
-            stats_enabled: gs.stats_enabled,
-        })
-    }
-
-    /// One heartbeat round, then a monitoring snapshot.
-    fn heartbeat_all(&mut self) {
-        self.front.heartbeat(|i, items| {
-            if !items.is_empty() {
-                self.flow.propagate(self.lfta_sids[i], std::mem::take(items));
-            }
-        });
-        self.emit_gs_stats();
-    }
-
-    /// Propagate one `GS_STATS` round — skipped unless something
-    /// consumes the monitoring stream (a query over GS_STATS or a
-    /// direct subscription).
-    fn emit_gs_stats(&mut self) {
-        let sid = self.gs_stats_sid;
-        let wanted = self.stats_enabled
-            && (self.flow.collect[sid].is_some() || !self.flow.consumers[sid].is_empty());
-        if wanted {
-            self.flow.publish_stats();
-            let items = self.front.stats_items();
-            self.flow.propagate(sid, items);
-        }
+        let graph = graph::build(gs, &[], None, subscriptions)?;
+        let flow =
+            dataflow::wire(gs, graph, subscriptions, usize::MAX, Admission::Block, false, &[]);
+        Ok(Engine { flow, heartbeat: gs.heartbeat })
     }
 
     /// Run to completion over a time-ordered capture stream.
-    pub fn run<I>(mut self, packets: I) -> RunOutput
+    pub fn run<I>(self, packets: I) -> RunOutput
     where
         I: Iterator<Item = CapPacket>,
     {
+        let Dataflow { mut front, mut runners, mut collectors, registry, board, .. } = self.flow;
+        let on_demand = self.heartbeat == HeartbeatMode::OnDemand;
         for pkt in packets {
-            self.front.dispatch(&pkt, |i, items| {
-                self.flow.propagate(self.lfta_sids[i], std::mem::take(items));
-            });
+            let mut shipped = front.dispatch(&pkt);
+            if on_demand {
+                // The starved-merge trigger below must observe what this
+                // packet did to the merges, so nothing of it may wait in
+                // a batcher between two packets: not in the LFTA's here,
+                // not in a node's on the way to the merge (`pump_all`).
+                shipped |= front.flush_hits();
+            }
+            // Most packets ship nothing (rejected, or absorbed into a
+            // filling batch): those must not walk the node list.
+            if shipped {
+                pump_all(&mut runners, &mut collectors, on_demand);
+            }
             let due = match self.heartbeat {
                 // An operator "detects that it might be blocked" (§3):
                 // any starved merge triggers one round per clock advance.
-                HeartbeatMode::OnDemand => self.front.clock_advanced() && self.flow.starved(),
-                HeartbeatMode::Off | HeartbeatMode::Periodic { .. } => self.front.periodic_due(),
+                HeartbeatMode::OnDemand => {
+                    front.clock_advanced()
+                        && runners.iter().any(|(r, _)| {
+                            r.node().merge_state().is_some_and(|(_, _, starved)| starved)
+                        })
+                }
+                HeartbeatMode::Off | HeartbeatMode::Periodic { .. } => front.periodic_due(),
             };
             if due {
-                self.heartbeat_all();
+                front.heartbeat();
+                pump_all(&mut runners, &mut collectors, on_demand);
             }
         }
 
-        // Capture over: flush LFTAs, end their streams, then finish the
-        // HFTA nodes in topological (submission) order.
-        self.front.finish(false, |i, items| {
-            let sid = self.lfta_sids[i];
-            if !items.is_empty() {
-                self.flow.propagate(sid, std::mem::take(items));
-            }
-            self.flow.end_stream(sid);
-        });
-        // One final monitoring snapshot at capture close, then end the
-        // GS_STATS stream so its consumers can finish. Ending it is
-        // unconditional: consumers wait on end-of-stream either way.
-        self.emit_gs_stats();
-        self.flow.end_stream(self.gs_stats_sid);
-        self.flow.finish_nodes();
+        // Capture over: flush the LFTAs and end their streams; one pass
+        // in topological order finishes every node not reading GS_STATS.
+        // The last monitoring round comes after it, so its `hfta:*` rows
+        // cover the flush tail, and a second pass finishes the rest.
+        front.finish(false);
+        pump_all(&mut runners, &mut collectors, false);
+        front.finish_stats();
+        pump_all(&mut runners, &mut collectors, false);
+        debug_assert!(runners.iter().all(|(r, _)| r.done()), "every stream has a producer");
 
         let mut stats = EngineStats {
-            packets: self.front.packets,
-            heartbeats: self.front.heartbeats,
+            packets: front.packets,
+            heartbeats: front.heartbeats,
             ..EngineStats::default()
         };
-        for (lfta, _) in self.front.lftas() {
+        for (lfta, _) in front.lftas() {
             stats.lfta.insert(lfta.name.clone(), lfta.stats);
             if let Some(dm) = lfta.dm_stats() {
                 stats.lfta_tables.insert(lfta.name.clone(), dm);
             }
         }
-        for n in &self.flow.nodes {
-            if let Some((_, peak, _)) = n.node.merge_state() {
-                stats.peak_buffered.insert(n.name.clone(), peak);
-            }
-            if let Some((_, peak)) = n.node.join_state() {
-                stats.peak_buffered.insert(n.name.clone(), peak);
-            }
-        }
-        self.flow.publish_stats();
-        stats.counters = self.registry.snapshot();
-        stats.health = self.flow.board.report();
-        RunOutput { streams: self.flow.outputs, stats }
-    }
-}
-
-impl Flow {
-    fn sid(&mut self, name: &str) -> usize {
-        if let Some(&s) = self.stream_ids.get(name) {
-            return s;
-        }
-        let s = self.consumers.len();
-        self.stream_ids.insert(name.to_string(), s);
-        self.consumers.push(Vec::new());
-        self.collect.push(None);
-        s
-    }
-
-    /// Whether any merge is holding tuples back for want of progress on
-    /// another input — the on-demand heartbeat trigger.
-    fn starved(&self) -> bool {
-        self.nodes.iter().any(|n| n.node.merge_state().is_some_and(|(_, _, s)| s))
-    }
-
-    fn publish_stats(&self) {
-        for n in &self.nodes {
-            n.node.publish_stats();
-        }
-    }
-
-    /// Quarantine `root` after a contained fault: mark it and every
-    /// transitive downstream node failed, and record each owning query
-    /// on the health board (the root with its own reason, collateral as
-    /// `Upstream(origin)`).
-    fn quarantine(&mut self, root: usize, reason: FaultReason) {
-        let origin = self.nodes[root].name.clone();
-        self.board.record(&origin, reason);
-        self.failed[root] = true;
-        let mut stack = vec![self.nodes[root].out_sid];
-        while let Some(sid) = stack.pop() {
-            let mut downstream: Vec<usize> =
-                self.consumers[sid].iter().map(|&(n, _)| n).collect();
-            for r in self.routers.get(&sid).into_iter().flatten() {
-                downstream.extend(r.targets.iter().copied());
-            }
-            for n in downstream {
-                if !self.failed[n] {
-                    self.failed[n] = true;
-                    let name = self.nodes[n].name.clone();
-                    self.board.record(&name, FaultReason::Upstream(origin.clone()));
-                    stack.push(self.nodes[n].out_sid);
-                }
+        for (runner, _) in &runners {
+            let node = runner.node();
+            let peak = node.merge_state().map(|m| m.1).or(node.join_state().map(|j| j.1));
+            if let Some(peak) = peak {
+                stats.peak_buffered.insert(runner.name().to_string(), peak);
             }
         }
-    }
-
-    /// Feed one batch to one node inside the containment boundary.
-    /// Quarantined nodes discard their input; a panic (injected or
-    /// organic) quarantines the node's chain instead of unwinding out
-    /// of the run.
-    fn push_node(
-        &mut self,
-        node_idx: usize,
-        port: usize,
-        mut batch: Vec<StreamItem>,
-        work: &mut Vec<(usize, Vec<StreamItem>)>,
-    ) {
-        if self.failed[node_idx] {
-            return;
-        }
-        let mut out = Vec::new();
-        let inj = self.injectors.get_mut(&node_idx);
-        let node = &mut self.nodes[node_idx].node;
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(inj) = inj {
-                inj.on_batch(&mut batch);
-            }
-            node.push_batch(port, batch, &mut out);
-        }));
-        match run {
-            Ok(()) => {
-                if !out.is_empty() {
-                    work.push((self.nodes[node_idx].out_sid, out));
-                }
-            }
-            Err(payload) => {
-                self.board.stats.faults_contained.inc();
-                self.quarantine(
-                    node_idx,
-                    FaultReason::Panic(crate::manager::panic_message(payload.as_ref())),
-                );
-            }
-        }
-    }
-
-    fn propagate(&mut self, sid: usize, items: Vec<StreamItem>) {
-        let mut work = vec![(sid, items)];
-        while let Some((sid, mut items)) = work.pop() {
-            if let Some(name) = &self.collect[sid] {
-                let bucket = self.outputs.entry(name.clone()).or_default();
-                bucket.extend(items.iter().filter_map(|i| i.as_tuple().cloned()));
-            }
-            let has_router = self.routers.contains_key(&sid);
-            let consumers = self.consumers[sid].clone();
-            for (i, (node_idx, port)) in consumers.iter().copied().enumerate() {
-                // Last consumer takes the item vector, earlier ones clone
-                // it — the same batch-level fan-out rule as the threaded
-                // manager. A router counts as one more consumer.
-                let batch = if i + 1 == consumers.len() && !has_router {
-                    std::mem::take(&mut items)
-                } else {
-                    items.clone()
-                };
-                self.push_node(node_idx, port, batch, &mut work);
-            }
-            if has_router {
-                // Split the batch per partition: tuples go to their
-                // hashed shard, punctuation is broadcast to every shard
-                // (each shard's watermark must keep advancing or the
-                // reunifying merge would hold output forever). Several
-                // partitioned queries may read the same stream — each
-                // gets its own router over its own shards.
-                let n_routers = self.routers.get(&sid).map_or(0, Vec::len);
-                for ri in 0..n_routers {
-                    let router = &mut self.routers.get_mut(&sid).expect("checked above")[ri];
-                    let mut parts: Vec<Vec<StreamItem>> = vec![Vec::new(); router.targets.len()];
-                    let batch = if ri + 1 == n_routers {
-                        std::mem::take(&mut items)
-                    } else {
-                        items.clone()
-                    };
-                    for item in batch {
-                        match &item {
-                            StreamItem::Tuple(t) => {
-                                let b = router.router.route(t);
-                                parts[b].push(item);
-                            }
-                            StreamItem::Punct(_) => {
-                                for p in &mut parts {
-                                    p.push(item.clone());
-                                }
-                            }
-                        }
-                    }
-                    let targets = router.targets.clone();
-                    for (batch, node_idx) in parts.into_iter().zip(targets) {
-                        if batch.is_empty() {
-                            continue;
-                        }
-                        self.push_node(node_idx, 0, batch, &mut work);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Finish every live node in topological (submission) order, ending
-    /// its output stream behind it.
-    fn finish_nodes(&mut self) {
-        for i in 0..self.nodes.len() {
-            if self.failed[i] {
-                // Quarantined: its downstream is quarantined too, so
-                // there is nobody to flush into or close.
-                continue;
-            }
-            let mut out = Vec::new();
-            let node = &mut self.nodes[i].node;
-            let run = catch_unwind(AssertUnwindSafe(|| node.finish(&mut out)));
-            if run.is_err() {
-                self.board.stats.faults_contained.inc();
-                self.quarantine(i, FaultReason::Panic("panic while finishing".to_string()));
-                continue;
-            }
-            let sid = self.nodes[i].out_sid;
-            if !out.is_empty() {
-                self.propagate(sid, out);
-            }
-            self.end_stream(sid);
-        }
-    }
-
-    fn end_stream(&mut self, sid: usize) {
-        let consumers = self.consumers[sid].clone();
-        for (node_idx, port) in consumers {
-            if self.failed[node_idx] {
-                continue;
-            }
-            let mut out = Vec::new();
-            let node = &mut self.nodes[node_idx].node;
-            let run = catch_unwind(AssertUnwindSafe(|| node.finish_input(port, &mut out)));
-            if run.is_err() {
-                self.board.stats.faults_contained.inc();
-                self.quarantine(node_idx, FaultReason::Panic("panic at end of input".to_string()));
-                continue;
-            }
-            if !out.is_empty() {
-                let out_sid = self.nodes[node_idx].out_sid;
-                self.propagate(out_sid, out);
-            }
-        }
+        stats.counters = registry.snapshot();
+        stats.health = board.report();
+        let streams = collectors.into_iter().map(|(c, _)| (c.name, c.bucket)).collect();
+        RunOutput { streams, stats }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ParamBindings, Value};
+    use crate::{FaultReason, ParamBindings, Value};
     use gs_packet::builder::FrameBuilder;
     use gs_packet::capture::LinkType;
 
@@ -613,6 +323,44 @@ mod tests {
         let times: Vec<u64> =
             out.stream("tcpdest").iter().map(|t| t.get(0).as_uint().unwrap()).collect();
         assert_eq!(times, vec![1, 2, 3, 4, 5], "merge preserves time order");
+    }
+
+    /// The on-demand trigger reads merge state between two packets, so
+    /// under it no batcher on the way to a merge may hold a packet's
+    /// output back — neither the LFTA's nor an intermediate node's. At
+    /// the default batch size the schedule must look to the merge
+    /// exactly like per-tuple transport.
+    #[test]
+    fn on_demand_trigger_sees_through_an_intermediate_node_at_any_batch_size() {
+        let run = |batch_size: usize| {
+            let mut gs = system();
+            gs.heartbeat = HeartbeatMode::OnDemand;
+            gs.batch_size = batch_size;
+            gs.add_interface("eth2", 2, LinkType::Ethernet);
+            gs.add_program(
+                "DEFINE { query_name t0; } Select time, destPort From eth0.tcp; \
+                 DEFINE { query_name t1; } Select time, destPort From eth1.tcp; \
+                 DEFINE { query_name t2; } Select time, destPort From eth2.tcp; \
+                 DEFINE { query_name busy; } Merge t0.time : t1.time From t0, t1; \
+                 DEFINE { query_name merged; } Merge busy.time : t2.time From busy, t2",
+            )
+            .unwrap();
+            // Two busy links through the inner merge (a row-producing
+            // node, so its output does sit in a batcher), and a partner
+            // that speaks once.
+            let mut pkts = vec![pkt(0, 2, 80, b"s")];
+            pkts.extend((0..600u64).map(|i| pkt(i / 60, (i % 2) as u16, 80, b"b")));
+            gs.run_capture(pkts.into_iter(), &["merged"]).unwrap()
+        };
+        let (per_tuple, batched) = (run(1), run(256));
+        assert!(per_tuple.stats.heartbeats > 0, "the starved merge must trigger rounds");
+        assert_eq!(batched.stats.heartbeats, per_tuple.stats.heartbeats);
+        assert_eq!(
+            batched.stats.peak_buffered["merged"], per_tuple.stats.peak_buffered["merged"],
+            "the merge buffers what it would under per-tuple transport"
+        );
+        assert!(batched.stats.peak_buffered["merged"] < 256, "and far less than one batch");
+        assert_eq!(batched.stream("merged"), per_tuple.stream("merged"));
     }
 
     /// Containment in the synchronous engine: an injected panic fails

@@ -1,17 +1,16 @@
-//! The part of the packet→HFTA path both schedulers share.
+//! The capture-point half of the one dataflow both schedulers run.
 //!
 //! The paper has one dataflow — LFTAs linked into the run time system at
 //! the capture point, HFTAs fed through the stream manager (§3) — and
-//! this module is its single definition: [`build`] instantiates the
-//! deployed queries into LFTAs, HFTA nodes and partition routers, and
-//! [`CaptureFront`] is the capture-point loop body (shared prefilter
-//! dispatch, the periodic heartbeat clock, `GS_STATS` rows, and the
-//! finish-or-snapshot cut). What a scheduler does with an LFTA's output
-//! is the one thing that differs, so every front call takes a
-//! `sink(lfta index, items)` closure: [`crate::engine`] propagates
-//! inline, [`crate::manager`] feeds edge batchers. The sink is a generic
-//! parameter — each engine gets its own monomorphic copy of the loop.
+//! this module is the first half of its single definition: [`build`]
+//! instantiates the deployed queries into LFTAs, HFTA nodes and
+//! partition routers, and [`CaptureFront`] is the capture-point loop
+//! body (shared prefilter dispatch, the periodic heartbeat clock,
+//! `GS_STATS` rows, and the finish-or-snapshot cut), feeding each LFTA's
+//! output edge. The second half — queues, edges and the per-node step —
+//! is [`crate::dataflow`].
 
+use crate::dataflow::OutputEdge;
 use crate::{Error, Gigascope};
 use bytes::Bytes;
 use gs_gsql::catalog::Catalog;
@@ -195,15 +194,19 @@ fn lfta_iface_id(catalog: &Catalog, spec: &LftaSpec) -> Result<u16, Error> {
 }
 
 /// The capture-point half of a run: every LFTA behind one shared
-/// prefilter pass, plus the clock that drives heartbeats and `GS_STATS`.
-///
-/// Every method that can produce LFTA output hands it to a
-/// `sink(i, items)` closure, which must drain `items` (slot `i`'s
-/// reused output buffer).
+/// prefilter pass, each feeding its output edge, plus the clock that
+/// drives heartbeats and `GS_STATS`.
 pub(crate) struct CaptureFront {
     lftas: Vec<(Lfta, u16)>,
     shared: SharedPrefilter,
+    /// Slot `i`'s reused output buffer, drained into `edges[i]`.
     outs: Vec<Vec<StreamItem>>,
+    edges: Vec<OutputEdge>,
+    /// The self-monitoring stream's edge (this front is its producer),
+    /// and whether a round is worth emitting: stats are enabled and
+    /// something consumes them.
+    stats_edge: OutputEdge,
+    stats_wanted: bool,
     registry: Arc<StatsRegistry>,
     /// Heartbeat period in seconds; `None` unless the mode is periodic.
     interval: Option<u64>,
@@ -217,20 +220,19 @@ pub(crate) struct CaptureFront {
 }
 
 impl CaptureFront {
-    /// Take ownership of a graph's LFTAs: dedup structurally equal BPF
-    /// programs, build the shared pass over the final slot vector
-    /// (dispatch is by index), and register the `lfta:*` and
-    /// `prefilter:*` counter nodes.
+    /// Take ownership of a graph's LFTAs and of the edge behind each
+    /// (`edges[i]` for slot `i`): build the shared pass and register the
+    /// `lfta:*` and `prefilter:*` counter nodes.
     pub fn new(
         mut lftas: Vec<(Lfta, u16)>,
+        edges: Vec<OutputEdge>,
+        stats_edge: OutputEdge,
+        stats_wanted: bool,
         heartbeat: HeartbeatMode,
         registry: Arc<StatsRegistry>,
     ) -> CaptureFront {
-        let mut cache = PrefilterCache::new();
-        let mut shared = SharedPrefilter::new();
-        for (lfta, iface) in &mut lftas {
-            lfta.intern_prefilter(&mut |p| cache.intern(p));
-            shared.add_lfta(lfta, *iface);
+        let shared = shared_pass(&mut lftas);
+        for (lfta, _) in &lftas {
             registry.register(format!("lfta:{}", lfta.name), lfta.stats_handle());
         }
         // An LFTA-free run (queries over GS_STATS only) keeps its stats
@@ -242,6 +244,9 @@ impl CaptureFront {
             outs: lftas.iter().map(|_| Vec::new()).collect(),
             lftas,
             shared,
+            edges,
+            stats_edge,
+            stats_wanted,
             registry,
             interval: match heartbeat {
                 HeartbeatMode::Periodic { interval } => Some(interval.max(1)),
@@ -262,16 +267,31 @@ impl CaptureFront {
     /// One packet through the shared pass: one parse, each distinct BPF
     /// program, protocol match and predicate atom evaluated once, LFTAs
     /// dispatched off the memoized verdicts. Only the slots whose tail
-    /// ran can hold output, so only those are offered to `sink`.
-    pub fn dispatch(&mut self, pkt: &CapPacket, mut sink: impl FnMut(usize, &mut Vec<StreamItem>)) {
+    /// ran can hold output, so only those feed their edges. Returns
+    /// whether a batch left an edge (most packets are rejected, or
+    /// absorbed into a filling batch).
+    pub fn dispatch(&mut self, pkt: &CapPacket) -> bool {
         self.packets += 1;
         self.clock = u64::from(pkt.time_sec());
         self.shared.dispatch(pkt, &mut self.lftas, &mut self.outs);
+        let mut shipped = false;
         for &i in self.shared.hit_slots() {
             if !self.outs[i].is_empty() {
-                sink(i, &mut self.outs[i]);
+                shipped |= self.edges[i].extend(self.outs[i].drain(..));
             }
         }
+        shipped
+    }
+
+    /// Flush the edges of the slots the last packet reached, so nothing
+    /// of it waits in an LFTA batcher; returns whether a batch left an
+    /// edge (a slot whose LFTA filtered the packet holds nothing).
+    pub fn flush_hits(&mut self) -> bool {
+        let mut shipped = false;
+        for &i in self.shared.hit_slots() {
+            shipped |= self.edges[i].flush_now();
+        }
+        shipped
     }
 
     /// Whether the periodic heartbeat is due at the current clock.
@@ -286,25 +306,31 @@ impl CaptureFront {
         self.last_heartbeat.is_none_or(|l| self.clock > l)
     }
 
-    /// One heartbeat round at the current clock. `sink` is called for
-    /// every LFTA, output or not: a heartbeat is a liveness signal, and
-    /// the scheduler may bound downstream latency by it.
-    pub fn heartbeat(&mut self, mut sink: impl FnMut(usize, &mut Vec<StreamItem>)) {
+    /// One heartbeat round at the current clock, then a monitoring
+    /// round. Every LFTA's edge flushes, output or not: a heartbeat is a
+    /// liveness signal that bounds downstream latency by its interval.
+    pub fn heartbeat(&mut self) {
         self.heartbeats += 1;
         self.last_heartbeat = Some(self.clock);
         for (i, (lfta, _)) in self.lftas.iter_mut().enumerate() {
             lfta.heartbeat(self.clock, &mut self.outs[i]);
-            sink(i, &mut self.outs[i]);
+            self.edges[i].extend(self.outs[i].drain(..));
+            self.edges[i].flush_heartbeat();
         }
+        self.stats_round();
     }
 
-    /// One `GS_STATS` round: a registry snapshot as
+    /// One `GS_STATS` round — skipped unless something consumes the
+    /// monitoring stream: a registry snapshot as
     /// `(time, node, counter, value)` tuples followed by a punctuation
     /// on `time`, so downstream watermarks advance with every round —
     /// the paper's "Gigascope monitors itself" loop, riding the ordinary
-    /// stream machinery. Counter sources outside the front (HFTA nodes
-    /// run inline) must be published by the caller first.
-    pub fn stats_items(&mut self) -> Vec<StreamItem> {
+    /// stream machinery. HFTA nodes publish per consumed batch, so their
+    /// rows are at most one batch stale.
+    fn stats_round(&mut self) {
+        if !self.stats_wanted {
+            return;
+        }
         self.publish();
         let clock = self.clock;
         let mut items: Vec<StreamItem> = self
@@ -321,19 +347,15 @@ impl CaptureFront {
             })
             .collect();
         items.push(StreamItem::Punct(Punct::new(0, Value::UInt(clock))));
-        items
+        self.stats_edge.extend(items.into_iter());
     }
 
     /// End of input. Flushing (`capture == false`) finishes each LFTA
-    /// into `sink`; capturing holds the open epochs instead and returns
-    /// them sealed under `lfta:<stream>`. Either way `sink` is called
-    /// once per LFTA, in order, as its stream ends, and the final
-    /// counters are published.
-    pub fn finish(
-        &mut self,
-        capture: bool,
-        mut sink: impl FnMut(usize, &mut Vec<StreamItem>),
-    ) -> HashMap<String, Vec<u8>> {
+    /// into its edge; capturing holds the open epochs instead and
+    /// returns them sealed under `lfta:<stream>`. Either way every LFTA
+    /// stream is closed, in order, and the final counters are published.
+    /// [`finish_stats`](Self::finish_stats) must follow.
+    pub fn finish(&mut self, capture: bool) -> HashMap<String, Vec<u8>> {
         let mut snapshots = HashMap::new();
         for (i, (lfta, _)) in self.lftas.iter_mut().enumerate() {
             if capture {
@@ -343,10 +365,21 @@ impl CaptureFront {
             } else {
                 lfta.finish(&mut self.outs[i]);
             }
-            sink(i, &mut self.outs[i]);
+            self.edges[i].extend(self.outs[i].drain(..));
+            self.edges[i].close();
         }
         self.publish();
         snapshots
+    }
+
+    /// One last monitoring round, then `GS_STATS` closes — always, even
+    /// with stats off: its consumers wait on the marker. Separate from
+    /// [`finish`](Self::finish) so the inline scheduler can pump the LFTA
+    /// flush tail through the nodes first, and the round's `hfta:*` rows
+    /// cover it.
+    pub fn finish_stats(&mut self) {
+        self.stats_round();
+        self.stats_edge.close();
     }
 
     /// Fold the shared pass's batched per-LFTA counter deltas in, then
@@ -358,16 +391,29 @@ impl CaptureFront {
         }
         self.shared.publish_stats();
     }
+}
 
-    /// Render the shared-prefilter plan (atom table + per-LFTA
-    /// bitmasks); `None` when there is no LFTA to plan for.
-    pub fn describe_prefilter(&mut self, catalog: &Catalog) -> Option<String> {
-        if self.lftas.is_empty() {
-            return None;
-        }
-        Some(self.shared.describe(&|e, proto| match catalog.protocol_schema(proto.name) {
-            Some(s) => gs_gsql::explain::expr_str(e, &s),
-            None => format!("{e:?}"),
-        }))
+/// The shared prefilter pass over `lftas`: structurally equal BPF
+/// programs deduplicated, slots registered in vector order (dispatch is
+/// by index).
+fn shared_pass(lftas: &mut [(Lfta, u16)]) -> SharedPrefilter {
+    let mut cache = PrefilterCache::new();
+    let mut shared = SharedPrefilter::new();
+    for (lfta, iface) in lftas {
+        lfta.intern_prefilter(&mut |p| cache.intern(p));
+        shared.add_lfta(lfta, *iface);
     }
+    shared
+}
+
+/// Render the shared-prefilter plan (atom table + per-LFTA bitmasks) of
+/// a graph's LFTAs; `None` when there is no LFTA to plan for.
+pub(crate) fn describe_prefilter(mut lftas: Vec<(Lfta, u16)>, catalog: &Catalog) -> Option<String> {
+    if lftas.is_empty() {
+        return None;
+    }
+    Some(shared_pass(&mut lftas).describe(&|e, proto| match catalog.protocol_schema(proto.name) {
+        Some(s) => gs_gsql::explain::expr_str(e, &s),
+        None => format!("{e:?}"),
+    }))
 }

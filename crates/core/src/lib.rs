@@ -31,6 +31,7 @@
 
 #![warn(missing_docs)]
 
+mod dataflow;
 pub mod engine;
 mod graph;
 pub mod health;
@@ -144,7 +145,7 @@ pub struct Gigascope {
     pub heartbeat: HeartbeatMode,
     /// Direct-mapped LFTA pre-aggregation table size, in slots.
     pub lfta_table_size: usize,
-    /// Transport batch size for the threaded manager: rows per columnar
+    /// Transport batch size, under either scheduler: rows per columnar
     /// batch on the LFTA→HFTA and HFTA→HFTA ready-queues. Batches flush
     /// early on punctuation (so ordering tokens are never delayed) and at
     /// stream close. At `1` every tuple crosses as a one-row batch — one
@@ -167,7 +168,7 @@ pub struct Gigascope {
     /// router plus an order-preserving merge reunifying the shard
     /// outputs on the temporal attribute; ineligible HFTAs deploy
     /// unchanged. Applies to both the threaded manager and the
-    /// synchronous engine, which therefore stay equivalent.
+    /// synchronous engine: they run the same graph.
     pub parallelism: usize,
     /// Liveness supervision for the threaded manager. `None` (the
     /// default) spawns no supervisor and leaves behavior exactly as
@@ -389,9 +390,7 @@ impl Gigascope {
     /// `None` when no LFTAs are deployed.
     pub fn explain_prefilter(&self) -> Result<Option<String>, Error> {
         let lftas = graph::build(self, &[], None, &[])?.lftas;
-        let registry = std::sync::Arc::new(gs_runtime::stats::StatsRegistry::new());
-        let mut front = graph::CaptureFront::new(lftas, self.heartbeat, registry);
-        Ok(front.describe_prefilter(&self.catalog))
+        Ok(graph::describe_prefilter(lftas, &self.catalog))
     }
 
     /// Run all deployed queries over a time-ordered capture stream,

@@ -146,8 +146,13 @@ impl Supervisor {
             } else {
                 e.restarts += 1;
                 e.stats.restarts.set(e.restarts);
+                // `backoff_base` is whatever `gsqd --backoff` was given:
+                // saturate, so a huge base parks the query forever
+                // instead of shifting bits out into a near-zero backoff.
                 let shift = (e.restarts - 1).min(16) as u32;
-                e.state = QState::Backoff { until: epoch + 1 + (self.backoff_base << shift) };
+                let backoff = self.backoff_base.saturating_mul(1 << shift);
+                let until = epoch.saturating_add(1).saturating_add(backoff);
+                e.state = QState::Backoff { until };
             }
         }
     }
@@ -214,6 +219,21 @@ mod tests {
         // Second failure doubles the backoff: excluded for 4..=7.
         assert_eq!(sup.excluded(7), vec!["q"]);
         assert!(sup.excluded(8).is_empty());
+        assert_eq!(sup.rows()[0].restarts, 2);
+    }
+
+    /// Regression: the backoff was computed with plain `<<` and `+`, so
+    /// a huge `--backoff` wrapped to a tiny one in release builds and
+    /// overflowed the add (killing the engine thread) in debug builds.
+    #[test]
+    fn huge_backoff_base_saturates_instead_of_wrapping() {
+        let mut sup = Supervisor::new(3, u64::MAX, Arc::new(StatsRegistry::new()));
+        sup.track("q");
+        for epoch in [0, 5] {
+            sup.observe(epoch, &health(&[("q", FaultReason::Panic("boom".into()))]));
+            assert_eq!(sup.excluded(epoch + 1), vec!["q"]);
+            assert_eq!(sup.excluded(u64::MAX - 1), vec!["q"], "parked forever");
+        }
         assert_eq!(sup.rows()[0].restarts, 2);
     }
 

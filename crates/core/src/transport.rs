@@ -316,6 +316,22 @@ mod tests {
         assert!(rx.recv().is_none(), "disconnect after drain");
     }
 
+    /// Regression: queue storage used to be reserved up front, so an
+    /// effectively unbounded channel (the inline scheduler's) aborted on
+    /// capacity overflow before accepting a message.
+    #[test]
+    fn unbounded_channel_is_lazy_and_fifo() {
+        let (tx, rx, chan) = channel(usize::MAX, Admission::Block);
+        for i in 0..1000 {
+            tx.send(0, 1, i);
+        }
+        tx.send_control(1000);
+        assert_eq!(chan.progress(), (0, 1001));
+        let got: Vec<i32> = std::iter::from_fn(|| rx.try_recv()).collect();
+        assert_eq!(got, (0..=1000).collect::<Vec<_>>());
+        assert_eq!(lock(&chan.inner).stats.stalls, 0, "never full, never stalls");
+    }
+
     #[test]
     fn block_mode_stalls_then_delivers_everything() {
         let (tx, rx, chan) = channel(2, Admission::Block);

@@ -16,7 +16,6 @@
 use crate::batch::{ColumnBatch, RowView};
 use crate::expr::vector::VecVal;
 use crate::expr::{EvalScratch, FieldSource, Program};
-use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -47,14 +46,17 @@ impl KeyRouter {
         self.k
     }
 
-    /// Pick the partition for `t`. A key expression that fails to
-    /// evaluate routes to partition 0 — the shard's own operators apply
-    /// the same semantics (discard, or group under the same key) to the
-    /// tuple, so any consistent choice is correct.
-    pub fn route(&mut self, t: &Tuple) -> usize {
+    /// Pick the partition for one tuple — the row-at-a-time reference
+    /// [`route_batch`](Self::route_batch) is checked against.
+    #[cfg(test)]
+    fn route(&mut self, t: &crate::tuple::Tuple) -> usize {
         self.route_src(t)
     }
 
+    /// Pick the partition for one row. A key expression that fails to
+    /// evaluate routes to partition 0 — the shard's own operators apply
+    /// the same semantics (discard, or group under the same key) to the
+    /// tuple, so any consistent choice is correct.
     fn route_src<S: FieldSource>(&mut self, src: &S) -> usize {
         self.key.clear();
         for p in &self.progs {
@@ -71,8 +73,8 @@ impl KeyRouter {
     /// Pick partitions for every live row of a columnar batch, appended
     /// to `parts` (cleared first). Key expressions are vector-evaluated
     /// once and each row hashed straight from the columns; the resulting
-    /// partition for every row is identical to [`route`](Self::route) on
-    /// the materialized tuple — `Vec<Value>` hashes as a length prefix
+    /// partition for every row is identical to hashing the key of the
+    /// materialized tuple — `Vec<Value>` hashes as a length prefix
     /// (`write_usize`) followed by the elements, replicated here.
     pub fn route_batch(&mut self, cb: &ColumnBatch, parts: &mut Vec<u32>) {
         parts.clear();
@@ -107,8 +109,8 @@ impl KeyRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
     use crate::params::ParamBindings;
+    use crate::tuple::Tuple;
     use crate::udf::{FileStore, UdfRegistry};
     use gs_gsql::plan::PExpr;
     use gs_gsql::types::DataType;

@@ -89,7 +89,9 @@ impl<T> Shedder<T> {
     pub fn new(capacity: usize, policy: DropPolicy) -> Shedder<T> {
         assert!(capacity > 0, "shedder capacity must be positive");
         Shedder {
-            buf: VecDeque::with_capacity(capacity),
+            // `capacity` is the admission bound, not a reservation: the
+            // buffer starts small and grows with what is actually queued.
+            buf: VecDeque::with_capacity(capacity.min(64)),
             capacity,
             policy,
             dropped_by_depth: vec![0; 8],

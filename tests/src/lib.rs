@@ -2,11 +2,16 @@
 //! *oracle* implementations the engine's output is compared against, and a
 //! reference backtracking regex matcher for property tests.
 
-use gigascope::{Gigascope, StreamItem, Tuple};
+use gigascope::{Gigascope, StreamItem, Tuple, Value};
+use gs_gsql::ast::AggFunc;
+use gs_gsql::plan::{AggSpec, PExpr, Plan};
+use gs_gsql::types::DataType;
 use gs_packet::{CapPacket, PacketView};
+use gs_runtime::expr::{EvalScratch, Program};
 use gs_runtime::ops::build::{build_lfta, BuildCtx};
 use gs_runtime::ops::lfta::LftaStats;
 use gs_runtime::udf::{FileStore, UdfRegistry};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 pub mod daemon;
@@ -94,6 +99,131 @@ pub fn oracle_lftas(
         out.insert(spec.name.clone(), (tuples, lfta.stats));
     }
     out
+}
+
+/// Oracle for everything above the capture point: every deployed HFTA
+/// [`Plan`] of `gs` interpreted over the [`oracle_lftas`] output, one
+/// whole relation at a time, in submission order (a query may read any
+/// earlier one). Filter and Project evaluate their compiled expression
+/// per row; Aggregate is a `BTreeMap` from group key to the group's
+/// rows, folded per aggregate; Merge is a stable sort of the union on
+/// the merge column. No batching, no partitioning, no punctuation, no
+/// windows, no queues — nothing of `gigascope::dataflow` or
+/// `gs_runtime::ops` beyond expression evaluation, so an engine bug
+/// cannot hide in both sides of a comparison. Returns every stream
+/// (LFTA streams included) as its tuples; HFTA streams come out in the
+/// interpreter's order, so compare them as multisets.
+///
+/// Covers the operators of the `prop_manager` and `prop_parallel`
+/// templates. Window joins are not interpreted (a `Join` plan panics):
+/// they stay covered by the `join.rs` unit tests, which check the
+/// operator against a nested-loop reference, and by the `merge_join`
+/// benchmark workload's `run_capture` oracle.
+pub fn oracle_hftas(gs: &Gigascope, pkts: &[CapPacket]) -> BTreeMap<String, Vec<Tuple>> {
+    let mut streams: BTreeMap<String, Vec<Tuple>> =
+        oracle_lftas(gs, pkts).into_iter().map(|(name, (rows, _))| (name, rows)).collect();
+    for dq in gs.queries() {
+        if let Some(plan) = &dq.hfta {
+            let rows = interpret(plan, &streams);
+            streams.insert(dq.name.clone(), rows);
+        }
+    }
+    streams
+}
+
+/// A group key ordered by `Value::total_cmp`, so it can key a `BTreeMap`.
+#[derive(PartialEq, Eq)]
+struct GroupKey(Vec<Value>);
+
+impl Ord for GroupKey {
+    fn cmp(&self, other: &GroupKey) -> Ordering {
+        let by_col = self.0.iter().zip(&other.0).map(|(a, b)| a.total_cmp(b));
+        by_col.fold(Ordering::Equal, Ordering::then).then(self.0.len().cmp(&other.0.len()))
+    }
+}
+
+impl PartialOrd for GroupKey {
+    fn partial_cmp(&self, other: &GroupKey) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// `expr` over `row`; `None` discards the row (a partial function that
+/// had no result, a division by zero).
+fn eval(expr: &PExpr, row: &Tuple) -> Option<Value> {
+    let program = Program::compile(
+        expr,
+        &gigascope::ParamBindings::new(),
+        &UdfRegistry::with_builtins(),
+        &FileStore::new(),
+    )
+    .expect("deployed expression compiles");
+    program.eval(row, &mut EvalScratch::default())
+}
+
+fn eval_all(exprs: &[(String, PExpr)], row: &Tuple) -> Option<Vec<Value>> {
+    exprs.iter().map(|(_, e)| eval(e, row)).collect()
+}
+
+/// One aggregate over the rows of one group. A row whose argument has
+/// no value does not contribute to that aggregate.
+fn fold(agg: &AggSpec, rows: &[&Tuple]) -> Value {
+    let args: Vec<Value> = match &agg.arg {
+        None => return Value::UInt(rows.len() as u64),
+        Some(arg) => rows.iter().filter_map(|r| eval(arg, r)).collect(),
+    };
+    const ZERO: Value = Value::UInt(0);
+    let float_sum = || Value::Float(args.iter().filter_map(Value::as_float).sum());
+    match agg.func {
+        AggFunc::Count => Value::UInt(args.len() as u64),
+        AggFunc::Sum if agg.ty == DataType::Float => float_sum(),
+        AggFunc::Sum => {
+            Value::UInt(args.iter().filter_map(Value::as_uint).fold(0, u64::wrapping_add))
+        }
+        // An unsplit `avg` accumulates as a float sum; the plan divides.
+        AggFunc::Avg => float_sum(),
+        // A group none of whose rows had a value still emits; as zero.
+        AggFunc::Min => args.iter().min_by(|a, b| a.total_cmp(b)).cloned().unwrap_or(ZERO),
+        AggFunc::Max => args.iter().max_by(|a, b| a.total_cmp(b)).cloned().unwrap_or(ZERO),
+    }
+}
+
+fn interpret(plan: &Plan, streams: &BTreeMap<String, Vec<Tuple>>) -> Vec<Tuple> {
+    match plan {
+        Plan::StreamScan { stream, .. } => streams.get(stream).cloned().unwrap_or_default(),
+        Plan::Filter { pred, input } => interpret(input, streams)
+            .into_iter()
+            .filter(|row| eval(pred, row) == Some(Value::Bool(true)))
+            .collect(),
+        Plan::Project { cols, input, .. } => interpret(input, streams)
+            .iter()
+            .filter_map(|row| eval_all(cols, row).map(Tuple::new))
+            .collect(),
+        Plan::Aggregate { group, aggs, input, .. } => {
+            let rows = interpret(input, streams);
+            let mut groups: BTreeMap<GroupKey, Vec<&Tuple>> = BTreeMap::new();
+            for row in &rows {
+                if let Some(key) = eval_all(group, row) {
+                    groups.entry(GroupKey(key)).or_default().push(row);
+                }
+            }
+            groups
+                .into_iter()
+                .map(|(GroupKey(mut vals), rows)| {
+                    vals.extend(aggs.iter().map(|a| fold(a, &rows)));
+                    Tuple::new(vals)
+                })
+                .collect()
+        }
+        Plan::Merge { inputs, on_col, .. } => {
+            let mut rows: Vec<Tuple> = inputs.iter().flat_map(|i| interpret(i, streams)).collect();
+            rows.sort_by_key(|t| t.get(*on_col).as_uint());
+            rows
+        }
+        Plan::Join { .. } | Plan::ProtocolScan { .. } => {
+            panic!("oracle_hftas does not interpret {plan:?}")
+        }
+    }
 }
 
 /// Reference regex matcher: a transparent exponential backtracker over the

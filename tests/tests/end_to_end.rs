@@ -461,51 +461,50 @@ const EXACT_COUNTS: [(&str, &str, u64); 10] = [
     ("hfta:agg/1:select", "tuples_out", 6),
 ];
 
+/// The exact counts under both schedulers at batch sizes straddling the
+/// trace's punctuation boundaries: batching must never lose or
+/// double-count a tuple, and who pumps the nodes must not show.
 #[test]
-fn operator_counters_are_exact_in_the_sync_engine() {
-    let mut gs = system();
-    gs.add_program(STATS_PROGRAM).unwrap();
-    let out = gs.run_capture(stats_trace().into_iter(), &["agg"]).unwrap();
-    assert_eq!(out.stream("agg").len(), 6);
-    for (node, counter, want) in EXACT_COUNTS {
-        assert_eq!(out.stats.counter(node, counter), Some(want), "{node}.{counter}");
-    }
-    // The 200 non-port-80 packets per LFTA are rejected up front — by the
-    // pushed-down BPF prefilter or the residual predicate, whichever got
-    // the Where clause.
-    for lfta in ["lfta:s0", "lfta:s1"] {
-        let rejected = out.stats.counter(lfta, "prefiltered").unwrap()
-            + out.stats.counter(lfta, "filtered").unwrap();
-        assert_eq!(rejected, 200, "{lfta} rejections");
-    }
-}
-
-/// The same exact counts through the threaded manager at batch sizes
-/// straddling the trace's punctuation boundaries: batching must never
-/// lose or double-count a tuple.
-#[test]
-fn operator_counters_are_batch_invariant_in_the_threaded_manager() {
+fn operator_counters_are_exact_under_both_schedulers_at_every_batch_size() {
     let pkts = stats_trace();
     for batch in [1usize, 3, 256] {
         let mut gs = system();
         gs.batch_size = batch;
         gs.add_program(STATS_PROGRAM).unwrap();
-        let out = run_threaded(&gs, pkts.iter().cloned(), &["agg"]).unwrap();
-        assert_eq!(out.stream("agg").len(), 6, "batch {batch}");
-        for (node, counter, want) in EXACT_COUNTS {
-            assert_eq!(out.counter(node, counter), Some(want), "batch {batch} {node}.{counter}");
-        }
-        // Edge accounting closes: every flushed batch has exactly one
-        // recorded cause, and each LFTA's 100 tuples all crossed its edge
-        // (items also counts punctuations, so >=).
-        for edge in ["edge:s0", "edge:s1"] {
-            let batches = out.counter(edge, "batches").unwrap();
-            let by_cause: u64 = ["flush_size", "flush_punct", "flush_heartbeat", "flush_close"]
-                .iter()
-                .map(|c| out.counter(edge, c).unwrap())
-                .sum();
-            assert_eq!(batches, by_cause, "batch {batch} {edge} flush causes");
-            assert!(out.counter(edge, "items").unwrap() >= 100, "batch {batch} {edge} items");
+        let sync = gs.run_capture(pkts.iter().cloned(), &["agg"]).unwrap();
+        let threaded = run_threaded(&gs, pkts.iter().cloned(), &["agg"]).unwrap();
+        let runs = [
+            ("run_capture", sync.stream("agg"), &sync.stats.counters),
+            ("run_threaded", threaded.stream("agg"), &threaded.counters),
+        ];
+        for (engine, rows, counters) in runs {
+            let at = format!("{engine} batch {batch}");
+            let counter = |node: &str, counter: &str| {
+                counters.iter().find(|r| r.node == node && r.counter == counter).map(|r| r.value)
+            };
+            assert_eq!(rows.len(), 6, "{at}");
+            for (node, c, want) in EXACT_COUNTS {
+                assert_eq!(counter(node, c), Some(want), "{at} {node}.{c}");
+            }
+            // The 200 non-port-80 packets per LFTA are rejected up front —
+            // by the pushed-down BPF prefilter or the residual predicate,
+            // whichever got the Where clause.
+            for lfta in ["lfta:s0", "lfta:s1"] {
+                let rejected =
+                    counter(lfta, "prefiltered").unwrap() + counter(lfta, "filtered").unwrap();
+                assert_eq!(rejected, 200, "{at} {lfta} rejections");
+            }
+            // Edge accounting closes: every flushed batch has exactly one
+            // recorded cause, and each LFTA's 100 tuples all crossed its
+            // edge (items also counts punctuations, so >=).
+            for edge in ["edge:s0", "edge:s1"] {
+                let by_cause: u64 = ["flush_size", "flush_punct", "flush_heartbeat", "flush_close"]
+                    .iter()
+                    .map(|c| counter(edge, c).unwrap())
+                    .sum();
+                assert_eq!(counter(edge, "batches"), Some(by_cause), "{at} {edge} flush causes");
+                assert!(counter(edge, "items").unwrap() >= 100, "{at} {edge} items");
+            }
         }
     }
 }
@@ -524,10 +523,16 @@ fn gs_stats_is_queryable_in_the_sync_engine() {
     gs.add_program(
         "DEFINE { query_name q; } Select time, count(*) From eth0.tcp Group By time; \
          DEFINE { query_name watch; } \
-         Select time, node, counter, value From GS_STATS Where counter = 'packets_in'",
+         Select time, node, counter, value From GS_STATS \
+         Where counter = 'packets_in' Or counter = 'tuples_in'",
     )
     .unwrap();
     let out = gs.run_capture(stats_trace().into_iter(), &["q", "watch"]).unwrap();
+    // The final round comes after the end-of-capture LFTA flush went
+    // through the nodes, so its `hfta:*` rows are the final totals too.
+    let agg = "hfta:q/0:aggregate";
+    let last_in = out.stream("watch").iter().rev().find(|t| node_is(t.get(1), agg)).unwrap();
+    assert_eq!(last_in.get(3).as_uint(), out.stats.counter(agg, "tuples_in"));
     let vals: Vec<u64> = out
         .stream("watch")
         .iter()

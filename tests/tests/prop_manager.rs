@@ -1,7 +1,8 @@
-//! Property: the threaded manager with batched transport computes the
-//! same result as the deterministic synchronous engine, for every batch
-//! size — including 1, which must reproduce item-at-a-time transport
-//! exactly.
+//! Property: both schedulers of the batched dataflow — the threaded
+//! manager and the inline `run_capture` — compute what the HFTA oracle
+//! ([`gs_tests::oracle_hftas`], which shares no scheduler or operator
+//! code with them) computes, for every batch size — including 1, which
+//! must reproduce item-at-a-time transport exactly.
 //!
 //! Randomized query mixes (selection, split aggregation, two-interface
 //! merge, and all three at once) over randomized packet traces; outputs
@@ -16,6 +17,7 @@ use gigascope::manager::run_threaded;
 use gigascope::{Gigascope, Tuple};
 use gs_packet::builder::FrameBuilder;
 use gs_packet::capture::{CapPacket, LinkType};
+use gs_tests::oracle_hftas;
 use gs_tests::prop::{check, Gen};
 
 /// Batch sizes under test: degenerate (item-at-a-time), tiny (forces
@@ -104,23 +106,27 @@ fn norm(tuples: &[Tuple]) -> Vec<Vec<u64>> {
 }
 
 #[test]
-fn threaded_batched_transport_matches_synchronous_engine() {
+fn both_engines_match_the_hfta_oracle_at_every_batch_size() {
     check("manager_batch_equivalence", 24, |g| {
         let t = g.choice(&TEMPLATES);
         let pkts = trace(g);
-
-        let gs = system(256, t.program);
-        let sync_out = gs.run_capture(pkts.iter().cloned(), t.subscriptions).unwrap();
+        let want = oracle_hftas(&system(256, t.program), &pkts);
 
         for batch in BATCH_SIZES {
             let gs = system(batch, t.program);
+            let sync_out = gs.run_capture(pkts.iter().cloned(), t.subscriptions).unwrap();
             let thr_out = run_threaded(&gs, pkts.iter().cloned(), t.subscriptions).unwrap();
             assert_eq!(thr_out.packets, pkts.len() as u64);
             for name in t.subscriptions {
                 assert_eq!(
+                    norm(&want[*name]),
                     norm(sync_out.stream(name)),
+                    "run_capture diverged from the oracle on `{name}` at batch size {batch}"
+                );
+                assert_eq!(
+                    norm(&want[*name]),
                     norm(thr_out.stream(name)),
-                    "stream `{name}` diverged at batch size {batch}"
+                    "run_threaded diverged from the oracle on `{name}` at batch size {batch}"
                 );
             }
         }
@@ -131,26 +137,26 @@ fn threaded_batched_transport_matches_synchronous_engine() {
 /// must still be item-at-a-time: at batch size 1 every tuple crosses a
 /// queue as its own one-row batch, in item order, and a threaded run of
 /// a template without a group-by (whose emission order is not subject
-/// to hash-table drain order) reproduces the synchronous engine's exact
-/// tuple *sequence*. Every template and batch size matches the
-/// synchronous multiset.
+/// to hash-table drain order) reproduces the inline schedule's exact
+/// tuple *sequence*. Every template and batch size matches the oracle's
+/// multiset.
 #[test]
-fn columnar_transport_matches_sync_and_batch_one_keeps_item_order() {
+fn columnar_transport_matches_oracle_and_batch_one_keeps_item_order() {
     check("manager_columnar_equivalence", 16, |g| {
         let t = g.choice(&TEMPLATES);
         let pkts = trace(g);
-
+        let want = oracle_hftas(&system(256, t.program), &pkts);
         let sync_out =
-            system(256, t.program).run_capture(pkts.iter().cloned(), t.subscriptions).unwrap();
+            system(1, t.program).run_capture(pkts.iter().cloned(), t.subscriptions).unwrap();
 
         for batch in BATCH_SIZES {
             let gs = system(batch, t.program);
             let out = run_threaded(&gs, pkts.iter().cloned(), t.subscriptions).unwrap();
             for name in t.subscriptions {
                 assert_eq!(
-                    norm(sync_out.stream(name)),
+                    norm(&want[*name]),
                     norm(out.stream(name)),
-                    "threaded != sync on `{name}` at batch {batch}"
+                    "threaded != oracle on `{name}` at batch {batch}"
                 );
                 if batch == 1 && !t.program.contains("Group By") {
                     assert_eq!(

@@ -3,13 +3,15 @@
 //! reunifying order-preserving merge must be invisible in the output.
 //!
 //! For randomized query mixes and packet traces, the threaded manager
-//! and the synchronous engine at parallelism {1, 2, 8} all produce the
-//! same multiset of rows as the unpartitioned reference, at batch sizes
-//! {1, 256}, and the merge ordering contract (first column
-//! nondecreasing) survives the fan-out/fan-in. With shedding enabled the
-//! run still completes, stays ordered, and emits only group keys the
-//! reference run saw — under drops an aggregate's *counts* change, so
-//! multiset comparison is deliberately limited to the key columns.
+//! and the inline scheduler at parallelism {1, 2, 8} all produce the
+//! same multiset of rows as the HFTA oracle ([`gs_tests::oracle_hftas`],
+//! which interprets the unpartitioned plans and shares no scheduler or
+//! operator code with either), at batch sizes {1, 256}, and the merge
+//! ordering contract (first column nondecreasing) survives the
+//! fan-out/fan-in. With shedding enabled the run still completes, stays
+//! ordered, and emits only group keys the oracle saw — under drops an
+//! aggregate's *counts* change, so multiset comparison is deliberately
+//! limited to the key columns.
 //!
 //! Runs on the in-repo deterministic harness ([`gs_tests::prop`]). Case
 //! counts are modest: every case spawns the node/collector threads of
@@ -20,6 +22,7 @@ use gigascope::manager::run_threaded;
 use gigascope::{DropPolicy, Gigascope, ShedConfig, Tuple};
 use gs_packet::builder::FrameBuilder;
 use gs_packet::capture::{CapPacket, LinkType};
+use gs_tests::oracle_hftas;
 use gs_tests::prop::{check, Gen};
 use std::collections::HashSet;
 
@@ -139,61 +142,55 @@ fn assert_ordered(tuples: &[Tuple], what: &str) {
 }
 
 /// The partition-parallel rewrite is output-invisible: for every
-/// template, the synchronous engine AND the threaded manager at
-/// parallelism {1, 2, 8} x batch {1, 256} reproduce the unpartitioned
-/// reference multiset exactly, and ordered streams stay ordered. For the
-/// eligible templates the shards must actually exist (their stats nodes
-/// register as `hfta:<q>#<k>`); for the control they must not.
+/// template, the inline scheduler AND the threaded manager at
+/// parallelism {1, 2, 8} x batch {1, 256} reproduce the HFTA oracle's
+/// multiset (which interprets the unpartitioned plans) exactly, and
+/// ordered streams stay ordered. For the eligible templates the shards
+/// must actually exist (their stats nodes register as `hfta:<q>#<k>`);
+/// for the control they must not.
 #[test]
-fn partition_parallel_runs_match_unpartitioned_reference() {
+fn partition_parallel_runs_match_the_hfta_oracle() {
     check("parallel_equivalence", 10, |g| {
         let t = g.choice(&TEMPLATES);
         let pkts = trace(g);
-
-        let gs = system(t.program, 256, 1, None);
-        let reference = gs.run_capture(pkts.iter().cloned(), t.subscriptions).unwrap();
+        let want = oracle_hftas(&system(t.program, 256, 1, None), &pkts);
 
         for par in PARALLELISM {
-            let gs = system(t.program, 256, par, None);
-            let sync_out = gs.run_capture(pkts.iter().cloned(), t.subscriptions).unwrap();
-            for name in t.subscriptions {
-                assert_eq!(
-                    norm(reference.stream(name)),
-                    norm(sync_out.stream(name)),
-                    "sync stream `{name}` diverged at parallelism {par}"
-                );
-            }
-            let sharded = sync_out.stats.counters.iter().any(|r| r.node.contains("#1/"));
-            match t.parallel_stream {
-                Some(q) if par >= 2 => assert!(
-                    sync_out
-                        .stats
-                        .counters
-                        .iter()
-                        .any(|r| r.node.starts_with(&format!("hfta:{q}#{}", par - 1))),
-                    "no shard stats for `{q}` at parallelism {par}"
-                ),
-                _ => assert!(!sharded, "unexpected shard instances at parallelism {par}"),
-            }
-
             for batch in BATCH_SIZES {
                 let gs = system(t.program, batch, par, None);
+                let sync_out = gs.run_capture(pkts.iter().cloned(), t.subscriptions).unwrap();
                 let thr_out =
                     run_threaded(&gs, pkts.iter().cloned(), t.subscriptions).unwrap();
                 assert_eq!(thr_out.packets, pkts.len() as u64);
+                let at = format!("parallelism {par}, batch {batch}");
                 for name in t.subscriptions {
                     assert_eq!(
-                        norm(reference.stream(name)),
+                        norm(&want[*name]),
+                        norm(sync_out.stream(name)),
+                        "sync stream `{name}` diverged at {at}"
+                    );
+                    assert_eq!(
+                        norm(&want[*name]),
                         norm(thr_out.stream(name)),
-                        "threaded stream `{name}` diverged at parallelism {par}, \
-                         batch {batch}"
+                        "threaded stream `{name}` diverged at {at}"
                     );
                 }
                 for name in t.ordered {
-                    assert_ordered(
-                        thr_out.stream(name),
-                        &format!("threaded `{name}` at parallelism {par}, batch {batch}"),
-                    );
+                    assert_ordered(sync_out.stream(name), &format!("sync `{name}` at {at}"));
+                    assert_ordered(thr_out.stream(name), &format!("threaded `{name}` at {at}"));
+                }
+                let shard = |k: usize| {
+                    let prefix = format!("hfta:{}#{k}/", t.parallel_stream.unwrap_or("?"));
+                    sync_out.stats.counters.iter().any(|r| r.node.starts_with(&prefix))
+                };
+                match t.parallel_stream {
+                    Some(q) if par >= 2 => {
+                        assert!(shard(par - 1), "no shard stats for `{q}` at {at}")
+                    }
+                    _ => assert!(
+                        !sync_out.stats.counters.iter().any(|r| r.node.contains("#1/")),
+                        "unexpected shard instances at {at}"
+                    ),
                 }
             }
         }
@@ -202,42 +199,35 @@ fn partition_parallel_runs_match_unpartitioned_reference() {
 
 /// Columnar transport composed with partition parallelism: the router
 /// hashes group keys straight from the columns of each flushed batch,
-/// so at parallelism {1, 4} x batch {1, 3, 256} a threaded run must
-/// equal both the synchronous engine at the same parallelism and the
-/// unpartitioned reference, and the reunifying merge must stay ordered.
+/// so at parallelism {1, 4} x batch {1, 3, 256} both schedulers must
+/// equal the HFTA oracle, and the reunifying merge must stay ordered.
 #[test]
 fn columnar_composes_with_partition_parallelism() {
     check("parallel_columnar", 8, |g| {
         let t = g.choice(&TEMPLATES);
         let pkts = trace(g);
-
-        let gs = system(t.program, 256, 1, None);
-        let reference = gs.run_capture(pkts.iter().cloned(), t.subscriptions).unwrap();
+        let want = oracle_hftas(&system(t.program, 256, 1, None), &pkts);
 
         for par in [1usize, 4] {
-            let sync_out = system(t.program, 256, par, None)
-                .run_capture(pkts.iter().cloned(), t.subscriptions)
-                .unwrap();
             for batch in [1usize, 3, 256] {
                 let gs = system(t.program, batch, par, None);
+                let sync_out = gs.run_capture(pkts.iter().cloned(), t.subscriptions).unwrap();
                 let out = run_threaded(&gs, pkts.iter().cloned(), t.subscriptions).unwrap();
+                let at = format!("parallelism {par}, batch {batch}");
                 for name in t.subscriptions {
                     assert_eq!(
+                        norm(&want[*name]),
                         norm(sync_out.stream(name)),
-                        norm(out.stream(name)),
-                        "threaded != sync on `{name}` at parallelism {par}, batch {batch}"
+                        "sync != oracle on `{name}` at {at}"
                     );
                     assert_eq!(
-                        norm(reference.stream(name)),
+                        norm(&want[*name]),
                         norm(out.stream(name)),
-                        "threaded != reference on `{name}` at parallelism {par}, batch {batch}"
+                        "threaded != oracle on `{name}` at {at}"
                     );
                 }
                 for name in t.ordered {
-                    assert_ordered(
-                        out.stream(name),
-                        &format!("threaded `{name}` at parallelism {par}, batch {batch}"),
-                    );
+                    assert_ordered(out.stream(name), &format!("threaded `{name}` at {at}"));
                 }
             }
         }
@@ -258,9 +248,7 @@ fn shedding_composes_with_partition_parallelism() {
         let t = g.choice(&TEMPLATES[..3]);
         let pkts = trace(g);
 
-        let gs = system(t.program, 256, 1, None);
-        let reference = gs.run_capture(pkts.iter().cloned(), t.subscriptions).unwrap();
-
+        let reference = oracle_hftas(&system(t.program, 256, 1, None), &pkts);
         let par = *g.choice(&[2usize, 8]);
         let policy = *g.choice(&[DropPolicy::LeastProcessedFirst, DropPolicy::TailDrop]);
         let capacity = *g.choice(&[1usize, 2, 4, 16]);
@@ -272,7 +260,7 @@ fn shedding_composes_with_partition_parallelism() {
         for name in t.subscriptions {
             // Group keys lead the row: `time` alone or (time, destPort).
             let key_cols = if t.program.contains("destPort, count") { 2 } else { 1 };
-            let seen: HashSet<Vec<u64>> = norm(reference.stream(name))
+            let seen: HashSet<Vec<u64>> = norm(&reference[*name])
                 .into_iter()
                 .map(|row| row[..key_cols].to_vec())
                 .collect();
