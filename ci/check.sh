@@ -25,7 +25,8 @@ cargo test -q --offline
 
 # Every perf gate is a row of the table in crates/bench/src/bin/gate.rs:
 # interleaved A/B runs of the manager workload, non-zero exit past the
-# threshold. `parallel` prints its numbers but skips the comparison on
+# threshold (one attempt each — a gate that needs a retry is broken).
+# `parallel` prints its numbers but skips the comparison on
 # hosts with fewer than 4 logical CPUs (the >=1.5x speedup figure is a
 # manual measurement on a >=4-core machine).
 echo "== perf gates: stats <=5%, par4 vs par1 <=10%, snapshot <=5%, durable <=10% =="
@@ -210,6 +211,16 @@ echo "== offline build of benchmark/ (its own workspace) =="
 # benchmark/run.sh — so drift fails CI, not the benchmark run.
 cargo build --release --offline --quiet \
     --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
+
+echo "== benchmark oracle (quick mode): every workload's session == run_capture =="
+# Every benchmark session is checked against the synchronous engine over
+# the same trace, and the driver exits non-zero on a wrong session, a
+# failed operation or a daemon run error. That verdict is all CI takes
+# from it: quick-mode numbers (0.6 s per workload) are not comparable
+# with anything and are thrown away.
+benchmark/run.sh --quick > /dev/null ||
+    fail "benchmark/run.sh --quick: a workload failed its oracle (or could not run)"
+echo "OK: benchmark sessions match the oracle"
 
 echo "== manifest gate: no registry dependencies =="
 # Every dependency declaration in every manifest must be a path dependency

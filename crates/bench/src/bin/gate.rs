@@ -1,28 +1,30 @@
 //! CI perf gates: `gate <name>` runs one, `gate --all` runs every one.
 //!
 //! Each gate compares a measured side against a baseline on the
-//! `manager/threaded_*` workloads of `benches/micro.rs`, through
-//! [`gs_bench::gate::floors`] (interleaved, fastest-of-N), and fails
+//! `manager/threaded_*` workloads of `benches/micro.rs`, interleaved —
+//! `stats` and `snapshot` as the median of per-round ratios
+//! ([`gs_bench::gate::paired_overhead`]), `durable` and `parallel` as a
+//! ratio of fastest-of-N floors ([`gs_bench::gate::floors`]) — and fails
 //! when the overhead passes its threshold:
 //!
 //! | gate       | measured vs baseline                            | bound |
 //! |------------|-------------------------------------------------|-------|
 //! | `stats`    | `stats_enabled` on vs off                       | 5%    |
-//! | `snapshot` | carry epoch (restore + capture) vs plain run    | 5%    |
+//! | `snapshot` | stepped epoch (live resume + capture) vs plain  | 5%    |
 //! | `durable`  | per-epoch durable commit vs the epoch it rides  | 10%   |
 //! | `parallel` | `parallelism` 4 vs 1 (needs >= 4 logical CPUs)  | 10%   |
 //!
 //! A gate whose comparison needs more logical CPUs than the host has
 //! still prints its numbers, then reports SKIP instead of a verdict.
-//! `GS_BENCH_QUICK=1` shrinks traces and round counts for CI; the
-//! thresholds still apply — min-of-N interleaved runs hold a 5% line
-//! even on a shared machine. Quick mode keeps round counts high on the
-//! short traces: the minimum needs more samples there for both sides to
-//! reach their floor, or scheduler noise masquerades as overhead.
+//! `GS_BENCH_QUICK=1` shrinks traces for CI; the thresholds still
+//! apply. Quick mode keeps round counts high on the short traces: a
+//! median over many adjacent pairs holds a 5% line on a shared 2-vCPU
+//! machine where longer runs (each more likely to be preempted) or a
+//! ratio of minima (which latches on to one lucky run) do not.
 
-use gigascope::manager::{run_threaded, run_threaded_opts, ThreadedOptions};
+use gigascope::manager::{run_threaded, run_threaded_opts, Stepper, ThreadedOptions};
 use gigascope::Gigascope;
-use gs_bench::gate::{floors, timed};
+use gs_bench::gate::{floors, paired_overhead, timed};
 use gs_packet::builder::FrameBuilder;
 use gs_packet::capture::{CapPacket, LinkType};
 use gs_runtime::durable::{DurableStats, DurableStore, RealDisk};
@@ -66,12 +68,17 @@ const PERSEC_SUBS: [&str; 2] = ["raw", "persec"];
 /// `n` port-80 packets from `sources` distinct addresses at 2000
 /// packets per second of stream time, as in `benches/micro.rs`.
 fn trace(n: usize, sources: usize) -> Vec<CapPacket> {
+    paced_trace(n, sources, 500_000)
+}
+
+/// [`trace`] with one packet every `step_ns` of stream time.
+fn paced_trace(n: usize, sources: usize, step_ns: u64) -> Vec<CapPacket> {
     (0..n)
         .map(|i| {
             let f = FrameBuilder::tcp(0x0a00_0001 + (i % sources) as u32, 0xc0a8_0001, 1024, 80)
                 .payload(b"x")
                 .build_ethernet();
-            CapPacket::full(i as u64 * 500_000, 0, LinkType::Ethernet, f)
+            CapPacket::full(i as u64 * step_ns, 0, LinkType::Ethernet, f)
         })
         .collect()
 }
@@ -84,9 +91,11 @@ fn system(batch: usize, program: &str) -> Gigascope {
     gs
 }
 
-/// One carry-mode epoch — restore the prior cut, process, capture a new
-/// one: the daemon's steady state with `--carry-state`. Returns the
-/// elapsed seconds and the new cut.
+/// One carry-mode epoch from bytes — restore the prior cut, process,
+/// capture a new one — which is what a durable commit has to publish.
+/// (With `PERSEC`'s one open group the restore is noise, so this also
+/// stands in for the daemon's stepped steady state.) Returns the elapsed
+/// seconds and the new cut.
 fn carry_epoch(
     gs: &Gigascope,
     pkts: &[CapPacket],
@@ -120,7 +129,7 @@ fn warm_cut(gs: &Gigascope, head: &[CapPacket]) -> Arc<HashMap<String, Vec<u8>>>
 
 /// Self-monitoring must stay (nearly) free.
 fn stats(quick: bool) -> Vec<Measurement> {
-    let (n, rounds) = if quick { (4_000, 15) } else { (20_000, 9) };
+    let (n, rounds) = if quick { (4_000, 61) } else { (20_000, 31) };
     let pkts = trace(n, 7);
     let run =
         |gs: &Gigascope| timed(|| run_threaded(gs, pkts.iter().cloned(), &PERSEC_SUBS).unwrap());
@@ -130,40 +139,87 @@ fn stats(quick: bool) -> Vec<Measurement> {
             let on = system(batch, PERSEC);
             let mut off = system(batch, PERSEC);
             off.stats_enabled = false;
-            let (on, off) = floors(rounds, || run(&on), || run(&off));
+            let (on, off, overhead) = paired_overhead(rounds, || run(&on), || run(&off));
             Measurement {
                 scenario,
                 measured: ("stats-on", on),
                 baseline: ("stats-off", off),
-                overhead: on / off - 1.0,
+                overhead,
             }
         })
         .collect()
 }
 
-/// Checkpoint/restore must stay cheap on the steady-state path. Both
-/// sides process the second half of the trace (so the sizes double the
-/// stats gate's to keep the measured work comparable); the carry side
-/// first restores the cut captured over the first half.
+/// Per-source counts: one open group per source address per second, so
+/// a cut over [`GROUP_SOURCES`] sources is worth guarding (`PERSEC` holds
+/// one group — a cut of a few dozen bytes, whatever it costs).
+const PERSRC: &str = "DEFINE { query_name raw; } Select time, srcIP, len From eth0.tcp; \
+     DEFINE { query_name persrc; } \
+     Select time, srcIP, count(*), sum(len) From raw Group By time, srcIP";
+const PERSRC_SUBS: [&str; 1] = ["persrc"];
+const GROUP_SOURCES: usize = 12_000;
+
+/// The epoch boundary must stay cheap on the steady-state path, with a
+/// cut that has something in it: 25 k packets per second of stream time
+/// from 12 k sources, so the boundary before the timed part and the one
+/// after it each hold more than 10 k open groups. Three ways through the
+/// timed part: *stepped* — the daemon's steady state: the live operators
+/// of the part before resume, and the cut is captured at the end (the
+/// gate); *plain* — a run from empty state that flushes (the baseline);
+/// and *from bytes* — the recovery path: a fresh run decodes the cut
+/// first (printed for information; it is not on the steady-state path,
+/// and pays a restore proportional to the cut).
 fn snapshot(quick: bool) -> Vec<Measurement> {
-    let (n, rounds) = if quick { (8_000, 15) } else { (40_000, 9) };
-    let pkts = trace(n, 7);
-    let (head, timed_half) = pkts.split_at(n / 2);
+    let (n, rounds) = if quick { (36_000, 21) } else { (60_000, 11) };
+    let pkts = paced_trace(n, GROUP_SOURCES, 40_000);
+    let (head, timed_part) = pkts.split_at(GROUP_SOURCES);
+    let capture = || ThreadedOptions { capture: true, ..ThreadedOptions::default() };
     SCENARIOS
         .iter()
         .map(|&(scenario, batch)| {
-            let gs = system(batch, PERSEC);
-            let snaps = warm_cut(&gs, head);
-            let (carry, plain) = floors(
+            let gs = system(batch, PERSRC);
+            let (stepped, plain, overhead) = paired_overhead(
                 rounds,
-                || carry_epoch(&gs, timed_half, &snaps).0,
-                || timed(|| run_threaded(&gs, timed_half.iter().cloned(), &PERSEC_SUBS).unwrap()),
+                || {
+                    // Untimed: bring a stepper to the boundary.
+                    let mut stepper = Stepper::default();
+                    stepper.step(&gs, head.iter().cloned(), &PERSRC_SUBS, capture()).unwrap();
+                    timed(|| {
+                        let out = stepper
+                            .step(&gs, timed_part.iter().cloned(), &PERSRC_SUBS, capture())
+                            .unwrap();
+                        assert_eq!(out.nodes_restored, 0, "a stepped epoch reads no bytes");
+                        out
+                    })
+                },
+                || timed(|| run_threaded(&gs, timed_part.iter().cloned(), &PERSRC_SUBS).unwrap()),
+            );
+            let cut = Arc::new(
+                run_threaded_opts(&gs, head.iter().cloned(), &PERSRC_SUBS, capture())
+                    .unwrap()
+                    .snapshots,
+            );
+            let from_bytes = (0..rounds.min(7))
+                .map(|_| {
+                    timed(|| {
+                        let opts = ThreadedOptions { restore: Some(cut.clone()), ..capture() };
+                        run_threaded_opts(&gs, timed_part.iter().cloned(), &PERSRC_SUBS, opts)
+                            .unwrap()
+                    })
+                })
+                .fold(f64::INFINITY, f64::min);
+            println!(
+                "snapshot: manager/{scenario}: {} KiB cut; from-bytes epoch {:.3} ms \
+                 ({:+.2}% over plain, for information)",
+                cut.values().map(Vec::len).sum::<usize>() / 1024,
+                from_bytes * 1e3,
+                (from_bytes / plain - 1.0) * 100.0
             );
             Measurement {
                 scenario,
-                measured: ("carry", carry),
+                measured: ("stepped", stepped),
                 baseline: ("plain", plain),
-                overhead: carry / plain - 1.0,
+                overhead,
             }
         })
         .collect()

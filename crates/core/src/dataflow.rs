@@ -427,11 +427,12 @@ impl NodeRunner {
         self.edge.flush_now();
     }
 
-    /// The sealed state captured at end of input (capture mode only;
-    /// a faulted node has none — its state is mid-panic garbage, and
-    /// restoring it would resurrect the fault).
-    pub fn into_snapshot(self) -> Option<Vec<u8>> {
-        self.snapshot
+    /// The sealed state captured at end of input together with the
+    /// operators it describes, still holding their open windows (capture
+    /// mode only; a faulted node has neither — its state is mid-panic
+    /// garbage, and keeping it in either form would resurrect the fault).
+    pub fn into_capture(self) -> Option<(Vec<u8>, HftaNode)> {
+        self.snapshot.map(|bytes| (bytes, self.node))
     }
 
     /// Consume messages until `recv` runs dry or the last port closes,
@@ -626,7 +627,7 @@ pub(crate) fn wire(
     capture: bool,
     taps: &[(String, SubscriptionTap)],
 ) -> Dataflow {
-    let Graph { lftas, nodes, routers, restore_notes } = graph;
+    let Graph { lftas, nodes, routers, restore_notes, .. } = graph;
 
     // Processing depth per stream, for least-processed-first shedding:
     // LFTA outputs are level 0 (barely processed), each node's output is

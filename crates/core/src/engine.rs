@@ -110,7 +110,7 @@ impl Engine {
     /// and blocking: nothing sheds, and nothing can fill, because every
     /// queue is drained before the next packet is read.
     pub fn build(gs: &Gigascope, subscriptions: &[&str]) -> Result<Engine, Error> {
-        let graph = graph::build(gs, &[], None, subscriptions)?;
+        let graph = graph::build(gs, &[], &mut graph::LiveOps::default(), None, subscriptions)?;
         let flow =
             dataflow::wire(gs, graph, subscriptions, usize::MAX, Admission::Block, false, &[]);
         Ok(Engine { flow, heartbeat: gs.heartbeat })

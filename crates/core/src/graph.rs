@@ -4,13 +4,16 @@
 //! the capture point, HFTAs fed through the stream manager (§3) — and
 //! this module is the first half of its single definition: [`build`]
 //! instantiates the deployed queries into LFTAs, HFTA nodes and
-//! partition routers, and [`CaptureFront`] is the capture-point loop
+//! partition routers — adopting the [`LiveOps`] a previous run left
+//! behind before compiling or restoring anything — and
+//! [`CaptureFront`] is the capture-point loop
 //! body (shared prefilter dispatch, the periodic heartbeat clock,
 //! `GS_STATS` rows, and the finish-or-snapshot cut), feeding each LFTA's
 //! output edge. The second half — queues, edges and the per-node step —
 //! is [`crate::dataflow`].
 
 use crate::dataflow::OutputEdge;
+use crate::health::query_of;
 use crate::{Error, Gigascope};
 use bytes::Bytes;
 use gs_gsql::catalog::Catalog;
@@ -49,6 +52,27 @@ pub(crate) struct RouterGroup {
     pub router: KeyRouter,
 }
 
+/// Operators that outlived the run that built them, by output stream
+/// name (`<query>__lfta<i>` for LFTAs; the query, or `<query>#<k>` for a
+/// shard, for HFTA nodes). A capture-mode run ends with every operator
+/// quiescent at a consistent cut and its windows still open, so the same
+/// objects can simply keep going: [`build`] adopts whatever is here
+/// before it compiles or restores anything.
+#[derive(Default)]
+pub(crate) struct LiveOps {
+    pub lftas: HashMap<String, Lfta>,
+    pub nodes: HashMap<String, HftaNode>,
+}
+
+impl LiveOps {
+    /// Keep the operators (LFTAs, node, shards) of the queries `keep`
+    /// accepts; drop the rest.
+    pub fn retain(&mut self, mut keep: impl FnMut(&str) -> bool) {
+        self.lftas.retain(|name, _| keep(query_of(name)));
+        self.nodes.retain(|name, _| keep(query_of(name)));
+    }
+}
+
 /// Every deployed query instantiated, not yet wired to a scheduler.
 pub(crate) struct Graph {
     /// `(lfta, interface id)` in deployment order — the slot vector
@@ -60,11 +84,17 @@ pub(crate) struct Graph {
     pub routers: Vec<RouterGroup>,
     /// `(node, message)` for every offered snapshot that was rejected.
     pub restore_notes: Vec<(String, String)>,
+    /// Operators whose state was read from `restore` bytes (rejected
+    /// snapshots included: the bytes were read, then refused).
+    pub restored: u64,
 }
 
 /// Instantiate every deployed query of `gs` except those named in
-/// `exclude`, restoring operator state from `restore` (keys
-/// `lfta:<stream>` / `hfta:<stream>`) where an entry matches.
+/// `exclude`. An operator `live` holds is adopted as it stands; only
+/// where there is none is one compiled, and its state read from
+/// `restore` (keys `lfta:<stream>` / `hfta:<stream>`) where an entry
+/// matches. What `live` still holds afterwards belongs to no query of
+/// this run.
 ///
 /// `subscriptions` are validated here, once for both engines: a name
 /// that is not a catalog stream is an error. Streams of excluded queries
@@ -73,6 +103,7 @@ pub(crate) struct Graph {
 pub(crate) fn build(
     gs: &Gigascope,
     exclude: &[String],
+    live: &mut LiveOps,
     restore: Option<&HashMap<String, Vec<u8>>>,
     subscriptions: &[&str],
 ) -> Result<Graph, Error> {
@@ -86,6 +117,7 @@ pub(crate) fn build(
         nodes: Vec::new(),
         routers: Vec::new(),
         restore_notes: Vec::new(),
+        restored: 0,
     };
     for dq in gs.queries() {
         if exclude.contains(&dq.name) {
@@ -104,24 +136,36 @@ pub(crate) fn build(
         };
         for spec in &dq.lftas {
             let iface = lfta_iface_id(gs.catalog(), spec)?;
-            let bytes = restore.and_then(|m| m.get(&format!("lfta:{}", spec.name)));
-            let lfta = restored(|| build_lfta(spec, &ctx), Lfta::restore_state, bytes, |e| {
-                g.restore_notes.push((
-                    spec.name.clone(),
-                    format!("lfta snapshot rejected ({e}); resuming from empty state"),
-                ));
-            })?;
+            let lfta = match live.lftas.remove(&spec.name) {
+                Some(lfta) => lfta,
+                None => {
+                    let bytes = restore.and_then(|m| m.get(&format!("lfta:{}", spec.name)));
+                    g.restored += u64::from(bytes.is_some());
+                    restored(|| build_lfta(spec, &ctx), Lfta::restore_state, bytes, |e| {
+                        g.restore_notes.push((
+                            spec.name.clone(),
+                            format!("lfta snapshot rejected ({e}); resuming from empty state"),
+                        ));
+                    })?
+                }
+            };
             g.lftas.push((lfta, iface));
         }
         let Some(hplan) = &dq.hfta else { continue };
         let mut hfta = |name: &str, plan, routed| -> Result<(), Error> {
-            let bytes = restore.and_then(|m| m.get(&format!("hfta:{name}")));
-            let node = restored(|| build_hfta(plan, &ctx), HftaNode::restore_state, bytes, |e| {
-                g.restore_notes.push((
-                    name.to_string(),
-                    format!("snapshot rejected ({e}); resuming from empty windows"),
-                ));
-            })?;
+            let node = match live.nodes.remove(name) {
+                Some(node) => node,
+                None => {
+                    let bytes = restore.and_then(|m| m.get(&format!("hfta:{name}")));
+                    g.restored += u64::from(bytes.is_some());
+                    restored(|| build_hfta(plan, &ctx), HftaNode::restore_state, bytes, |e| {
+                        g.restore_notes.push((
+                            name.to_string(),
+                            format!("snapshot rejected ({e}); resuming from empty windows"),
+                        ));
+                    })?
+                }
+            };
             g.nodes.push(GraphNode { name: name.to_string(), node, routed });
             Ok(())
         };
@@ -264,6 +308,11 @@ impl CaptureFront {
         &self.lftas
     }
 
+    /// The LFTAs themselves, once the run is over.
+    pub fn into_lftas(self) -> impl Iterator<Item = Lfta> {
+        self.lftas.into_iter().map(|(lfta, _)| lfta)
+    }
+
     /// One packet through the shared pass: one parse, each distinct BPF
     /// program, protocol match and predicate atom evaluated once, LFTAs
     /// dispatched off the memoized verdicts. Only the slots whose tail
@@ -357,6 +406,11 @@ impl CaptureFront {
     /// [`finish_stats`](Self::finish_stats) must follow.
     pub fn finish(&mut self, capture: bool) -> HashMap<String, Vec<u8>> {
         let mut snapshots = HashMap::new();
+        // The shared pass batches `packets_in`/`prefiltered`/... per LFTA;
+        // they belong to the cut, so they are folded in before it is
+        // taken (the restored counters would otherwise run behind the
+        // live ones by one epoch's packets).
+        self.shared.flush_stats(&mut self.lftas);
         for (i, (lfta, _)) in self.lftas.iter_mut().enumerate() {
             if capture {
                 let mut w = SnapWriter::new();

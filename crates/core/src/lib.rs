@@ -389,7 +389,7 @@ impl Gigascope {
     /// atom table and each LFTA's required-atom bitmask assignment.
     /// `None` when no LFTAs are deployed.
     pub fn explain_prefilter(&self) -> Result<Option<String>, Error> {
-        let lftas = graph::build(self, &[], None, &[])?.lftas;
+        let lftas = graph::build(self, &[], &mut graph::LiveOps::default(), None, &[])?.lftas;
         Ok(graph::describe_prefilter(lftas, &self.catalog))
     }
 

@@ -31,7 +31,7 @@
 //! ([`Gigascope::shedding`]) drops when a consumer stalls.
 
 use crate::dataflow::{self, Dataflow, NodeRunner};
-use crate::graph;
+use crate::graph::{self, LiveOps};
 use crate::health::{FaultReason, RunHealth};
 use crate::transport::Admission;
 use crate::watchdog::{Watchdog, WatchdogStats};
@@ -67,6 +67,10 @@ pub struct ThreadedOutput {
     /// `lfta:<stream>`. Faulted nodes record nothing — their state is
     /// mid-panic garbage, and restoring it would resurrect the fault.
     pub snapshots: HashMap<String, Vec<u8>>,
+    /// Operators whose state this run read from
+    /// [`ThreadedOptions::restore`] bytes — zero when every operator was
+    /// either built fresh or carried over live by a [`Stepper`].
+    pub nodes_restored: u64,
 }
 
 impl ThreadedOutput {
@@ -128,7 +132,9 @@ pub struct ThreadedOptions {
     /// ignored; nodes with no entry start empty; a torn/corrupt/
     /// mismatched entry is rejected whole — the node is rebuilt pristine
     /// (empty windows) and the rejection is reported on
-    /// [`RunHealth::notes`], never a crash, never partial state.
+    /// [`RunHealth::notes`], never a crash, never partial state. A node a
+    /// [`Stepper`] still holds live never reads its entry: bytes are for
+    /// operators that do not exist yet.
     pub restore: Option<Arc<HashMap<String, Vec<u8>>>>,
 }
 
@@ -159,7 +165,8 @@ where
     run_threaded_opts(gs, packets, subscriptions, ThreadedOptions::default())
 }
 
-/// [`run_threaded`] with explicit [`ThreadedOptions`].
+/// [`run_threaded`] with explicit [`ThreadedOptions`]: one step of a
+/// [`Stepper`] that holds nothing before and is dropped after.
 pub fn run_threaded_opts<I>(
     gs: &Gigascope,
     packets: I,
@@ -169,131 +176,201 @@ pub fn run_threaded_opts<I>(
 where
     I: Iterator<Item = CapPacket>,
 {
-    check_heartbeat(gs.heartbeat)?;
-    let graph = graph::build(gs, &opts.exclude, opts.restore.as_deref(), subscriptions)?;
-    let (capacity, admission) = match gs.shedding {
-        Some(cfg) => (cfg.capacity, Admission::Shed(cfg.policy)),
-        None => (CHANNEL_CAPACITY, Admission::Block),
-    };
-    let capture = opts.capture;
-    let Dataflow { mut front, runners, collectors, queues, registry, board } =
-        dataflow::wire(gs, graph, subscriptions, capacity, admission, capture, &opts.taps);
+    Stepper::default().step(gs, packets, subscriptions, opts)
+}
 
-    // ---- Spawn collector and node threads ----------------------------------
-    // Each subscription gets its own drainer thread: a subscribed stream
-    // can emit far more than CHANNEL_CAPACITY tuples while the capture
-    // loop is still feeding packets, and a full collector queue would
-    // back-pressure the node graph into a deadlock if nothing consumed
-    // it until after capture.
-    let stall_gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let mut drainers: Vec<(String, thread::JoinHandle<Vec<Tuple>>)> = Vec::new();
-    for (mut collector, rx) in collectors {
-        let name = collector.name.clone();
-        let gate = opts.stall.contains(&name).then(|| stall_gate.clone());
-        let drainer = thread::spawn(move || {
-            if let Some(g) = &gate {
-                // A deliberately stalled consumer: hold the queue shut
-                // until the graph finishes, then drain what survived.
-                let (released, cv) = &**g;
-                let mut open = released.lock().unwrap_or_else(PoisonError::into_inner);
-                while !*open {
-                    open = cv.wait(open).unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-            collector.drain(|| rx.recv());
-            collector.bucket
-        });
-        drainers.push((name, drainer));
-    }
-    // One thread per node, blocking on its queue. A `recv` that returns
-    // `None` with ports still open means every producer dropped without
-    // a Close or the watchdog force-closed the queue: hang up.
-    let mut handles: Vec<(String, thread::JoinHandle<NodeRunner>)> = Vec::new();
-    for (mut runner, rx) in runners {
-        let name = runner.name().to_string();
-        let handle = thread::spawn(move || {
-            runner.pump(|| rx.recv());
-            runner.hang_up();
-            runner
-        });
-        handles.push((name, handle));
+/// The owner of the operators that live across runs.
+///
+/// A run in capture mode ([`ThreadedOptions::capture`]) ends at a
+/// consistent cut with every window still open — the state DBSP keeps on
+/// a z⁻¹ edge between two ticks of a circuit. [`step`](Self::step) is
+/// one such tick: the operators of every query that finished it healthy
+/// stay here, and the next step wires the very same objects into its
+/// graph, so a steady-state boundary compiles no operator and decodes no
+/// snapshot. The sealed bytes are still written every step (they are the
+/// durable cut, and what a faulted query replays from); they are only
+/// *read* for an operator the stepper does not hold: a first step, a
+/// recovered daemon, a query reprovisioned after a fault.
+///
+/// Which of the two a node gets is decided by what is held, never by a
+/// setting. Nothing stale is ever held: operators of a query the step
+/// quarantined, and operators the step did not run at all (excluded or
+/// removed queries), are dropped — their last good bytes are the way
+/// back.
+#[derive(Default)]
+pub struct Stepper {
+    live: LiveOps,
+}
+
+impl Stepper {
+    /// Drop `query`'s live operators (its LFTAs, node and shards), so its
+    /// next step starts from bytes or from nothing — for when the caller
+    /// discards or replaces the cut they correspond to.
+    pub fn forget(&mut self, query: &str) {
+        self.live.retain(|owner| owner != query);
     }
 
-    // The liveness supervisor, once every queue exists. It watches node
-    // and subscription queues for pending work with a frozen dequeue
-    // counter and force-closes the wedged ones, so even a stalled
-    // consumer without shedding (the PR 3 deadlock) ends as a
-    // `Failed{Stalled}` query instead of a hung run. Its stats node only
-    // registers when configured, like `faults`.
-    let watchdog = gs.watchdog.map(|cfg| {
-        let stats = Arc::new(WatchdogStats::default());
-        registry.register("watchdog".to_string(), stats.clone());
-        Watchdog::spawn(cfg, queues, board.clone(), stats)
-    });
-
-    // ---- Capture loop (this thread) --------------------------------------
-    // Per-packet LFTA emissions accumulate in the LFTA's edge batcher and
-    // ship as one queue message per `batch_size` rows (scattered through
-    // any partitioning routers installed on the LFTA's stream).
-    for pkt in packets {
-        front.dispatch(&pkt);
-        if front.periodic_due() {
-            front.heartbeat();
-        }
-    }
-    // Same cut as the node threads: in capture mode the direct-mapped
-    // tables' open epochs ride out in the snapshot, not downstream.
-    let mut snapshots = front.finish(capture);
-    front.finish_stats();
-
-    // ---- Drain ------------------------------------------------------------
-    // Node threads first: with shedding enabled they finish even when a
-    // subscriber stalls (the queue sheds instead of back-pressuring), and
-    // collector drainers run concurrently regardless of join order. A
-    // faulted node's thread still joins cleanly — containment converted
-    // the panic into a quarantine before the thread returned — so a join
-    // error here means the recovery code itself died; record it rather
-    // than abort the whole run. Every node writes its capture entry
-    // after its last input closed and before it closes its own output,
-    // so the joined runners hold a consistent cut of the whole graph
-    // (faulted nodes contribute nothing — by design).
-    for (name, h) in handles {
-        match h.join() {
-            Ok(runner) => {
-                if let Some(bytes) = runner.into_snapshot() {
-                    snapshots.insert(format!("hfta:{name}"), bytes);
-                }
-            }
-            Err(_) => {
-                board.stats.faults_contained.inc();
-                board.record(&name, FaultReason::Panic("node thread aborted".to_string()));
-            }
-        }
-    }
-    // Release any deliberately stalled collectors to drain what survived.
+    /// Run all deployed queries over `packets`, one thread per HFTA, on
+    /// the operators held from the previous step where there are any. In
+    /// capture mode the healthy queries' operators are held again
+    /// afterwards; a flushing step (capture off) finishes them, and
+    /// holds nothing.
+    pub fn step<I>(
+        &mut self,
+        gs: &Gigascope,
+        packets: I,
+        subscriptions: &[&str],
+        opts: ThreadedOptions,
+    ) -> Result<ThreadedOutput, Error>
+    where
+        I: Iterator<Item = CapPacket>,
     {
-        let (released, cv) = &*stall_gate;
-        *released.lock().unwrap_or_else(PoisonError::into_inner) = true;
-        cv.notify_all();
-    }
-    let mut streams: HashMap<String, Vec<Tuple>> = HashMap::new();
-    for (name, drainer) in drainers {
-        let bucket = drainer.join().unwrap_or_else(|_| {
-            board.record(&name, FaultReason::Panic("collector thread panicked".to_string()));
-            Vec::new()
+        check_heartbeat(gs.heartbeat)?;
+        // Taken, not borrowed: whatever the build does not adopt — and
+        // everything, when it fails — is dropped with this statement.
+        let graph = graph::build(
+            gs,
+            &opts.exclude,
+            &mut std::mem::take(&mut self.live),
+            opts.restore.as_deref(),
+            subscriptions,
+        )?;
+        let nodes_restored = graph.restored;
+        let (capacity, admission) = match gs.shedding {
+            Some(cfg) => (cfg.capacity, Admission::Shed(cfg.policy)),
+            None => (CHANNEL_CAPACITY, Admission::Block),
+        };
+        let capture = opts.capture;
+        let Dataflow { mut front, runners, collectors, queues, registry, board } =
+            dataflow::wire(gs, graph, subscriptions, capacity, admission, capture, &opts.taps);
+
+        // ---- Spawn collector and node threads ----------------------------------
+        // Each subscription gets its own drainer thread: a subscribed stream
+        // can emit far more than CHANNEL_CAPACITY tuples while the capture
+        // loop is still feeding packets, and a full collector queue would
+        // back-pressure the node graph into a deadlock if nothing consumed
+        // it until after capture.
+        let stall_gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let mut drainers: Vec<(String, thread::JoinHandle<Vec<Tuple>>)> = Vec::new();
+        for (mut collector, rx) in collectors {
+            let name = collector.name.clone();
+            let gate = opts.stall.contains(&name).then(|| stall_gate.clone());
+            let drainer = thread::spawn(move || {
+                if let Some(g) = &gate {
+                    // A deliberately stalled consumer: hold the queue shut
+                    // until the graph finishes, then drain what survived.
+                    let (released, cv) = &**g;
+                    let mut open = released.lock().unwrap_or_else(PoisonError::into_inner);
+                    while !*open {
+                        open = cv.wait(open).unwrap_or_else(PoisonError::into_inner);
+                    }
+                }
+                collector.drain(|| rx.recv());
+                collector.bucket
+            });
+            drainers.push((name, drainer));
+        }
+        // One thread per node, blocking on its queue. A `recv` that returns
+        // `None` with ports still open means every producer dropped without
+        // a Close or the watchdog force-closed the queue: hang up.
+        let mut handles: Vec<(String, thread::JoinHandle<NodeRunner>)> = Vec::new();
+        for (mut runner, rx) in runners {
+            let name = runner.name().to_string();
+            let handle = thread::spawn(move || {
+                runner.pump(|| rx.recv());
+                runner.hang_up();
+                runner
+            });
+            handles.push((name, handle));
+        }
+
+        // The liveness supervisor, once every queue exists. It watches node
+        // and subscription queues for pending work with a frozen dequeue
+        // counter and force-closes the wedged ones, so even a stalled
+        // consumer without shedding (the PR 3 deadlock) ends as a
+        // `Failed{Stalled}` query instead of a hung run. Its stats node only
+        // registers when configured, like `faults`.
+        let watchdog = gs.watchdog.map(|cfg| {
+            let stats = Arc::new(WatchdogStats::default());
+            registry.register("watchdog".to_string(), stats.clone());
+            Watchdog::spawn(cfg, queues, board.clone(), stats)
         });
-        streams.insert(name, bucket);
+
+        // ---- Capture loop (this thread) --------------------------------------
+        // Per-packet LFTA emissions accumulate in the LFTA's edge batcher and
+        // ship as one queue message per `batch_size` rows (scattered through
+        // any partitioning routers installed on the LFTA's stream).
+        for pkt in packets {
+            front.dispatch(&pkt);
+            if front.periodic_due() {
+                front.heartbeat();
+            }
+        }
+        // Same cut as the node threads: in capture mode the direct-mapped
+        // tables' open epochs ride out in the snapshot, not downstream.
+        let mut snapshots = front.finish(capture);
+        front.finish_stats();
+
+        // ---- Drain ------------------------------------------------------------
+        // Node threads first: with shedding enabled they finish even when a
+        // subscriber stalls (the queue sheds instead of back-pressuring), and
+        // collector drainers run concurrently regardless of join order. A
+        // faulted node's thread still joins cleanly — containment converted
+        // the panic into a quarantine before the thread returned — so a join
+        // error here means the recovery code itself died; record it rather
+        // than abort the whole run. Every node writes its capture entry
+        // after its last input closed and before it closes its own output,
+        // so the joined runners hold a consistent cut of the whole graph
+        // (faulted nodes contribute nothing — by design).
+        for (name, h) in handles {
+            match h.join() {
+                Ok(runner) => {
+                    if let Some((bytes, node)) = runner.into_capture() {
+                        snapshots.insert(format!("hfta:{name}"), bytes);
+                        self.live.nodes.insert(name, node);
+                    }
+                }
+                Err(_) => {
+                    board.stats.faults_contained.inc();
+                    board.record(&name, FaultReason::Panic("node thread aborted".to_string()));
+                }
+            }
+        }
+        // Release any deliberately stalled collectors to drain what survived.
+        {
+            let (released, cv) = &*stall_gate;
+            *released.lock().unwrap_or_else(PoisonError::into_inner) = true;
+            cv.notify_all();
+        }
+        let mut streams: HashMap<String, Vec<Tuple>> = HashMap::new();
+        for (name, drainer) in drainers {
+            let bucket = drainer.join().unwrap_or_else(|_| {
+                board.record(&name, FaultReason::Panic("collector thread panicked".to_string()));
+                Vec::new()
+            });
+            streams.insert(name, bucket);
+        }
+        if let Some(dog) = watchdog {
+            dog.stop();
+        }
+        let health = board.report();
+        let packets = front.packets;
+        if capture {
+            // The cut is only a cut of the queries that reached it whole: a
+            // quarantined query's surviving operators (a healthy shard beside
+            // a panicked one) are as unusable live as their bytes are.
+            self.live.lftas.extend(front.into_lftas().map(|lfta| (lfta.name.clone(), lfta)));
+            self.live.retain(|owner| !health.failed(owner));
+        }
+        Ok(ThreadedOutput {
+            streams,
+            packets,
+            counters: registry.snapshot(),
+            health,
+            snapshots,
+            nodes_restored,
+        })
     }
-    if let Some(dog) = watchdog {
-        dog.stop();
-    }
-    Ok(ThreadedOutput {
-        streams,
-        packets: front.packets,
-        counters: registry.snapshot(),
-        health: board.report(),
-        snapshots,
-    })
 }
 
 /// The heartbeat policies the threaded manager implements. On-demand
@@ -515,6 +592,93 @@ mod tests {
         assert_eq!(faulty.counter("faults", "faults_contained"), Some(1));
         assert!(faulty.counter("faults", "queries_failed").unwrap() >= 1);
         assert_eq!(clean.counter("faults", "fault_injected"), None, "no plan, no stats node");
+    }
+
+    /// The stepper's holding rule, counted through `nodes_restored`: an
+    /// operator crosses a boundary live only if its query ran the step
+    /// to the cut; a query that sat a step out, or was forgotten, comes
+    /// back from the bytes on offer — never from a stale object.
+    #[test]
+    fn stepper_holds_only_what_the_last_step_ran_to_the_cut() {
+        let mut gs = Gigascope::new();
+        gs.add_interface("eth0", 0, LinkType::Ethernet);
+        gs.add_program(
+            "DEFINE { query_name raw; } Select time, len From eth0.tcp; \
+             DEFINE { query_name persec; } \
+             Select time, count(*), sum(len) From raw Group By time",
+        )
+        .unwrap();
+        let chunk = |k: u64| (0..40u64).map(move |_| pkt(k, 80, b"x"));
+        let mut stepper = Stepper::default();
+        let mut cut = Arc::new(HashMap::new());
+        let mut counts: Vec<(u64, u64)> = Vec::new();
+        // One step over 40 packets of second `k`, offering the merged
+        // cut so far; returns how many operators read it.
+        let mut step = |k: u64, exclude: &[&str], capture: bool| {
+            let opts = ThreadedOptions {
+                capture,
+                restore: Some(cut.clone()),
+                exclude: exclude.iter().map(|q| q.to_string()).collect(),
+                ..ThreadedOptions::default()
+            };
+            let out = stepper.step(&gs, chunk(k), &["persec"], opts).unwrap();
+            assert!(out.health.all_ok());
+            counts.extend(
+                out.stream("persec")
+                    .iter()
+                    .map(|t| (t.get(0).as_uint().unwrap(), t.get(1).as_uint().unwrap())),
+            );
+            let mut merged = (*cut).clone();
+            merged.extend(out.snapshots);
+            cut = Arc::new(merged);
+            out.nodes_restored
+        };
+        assert_eq!(step(0, &[], true), 0, "nothing to restore, nothing held");
+        assert_eq!(step(0, &[], true), 0, "both queries cross live");
+        // `persec` sits a step out: its operators were not adopted, so
+        // they are gone; `raw` ran and stays live.
+        assert_eq!(step(0, &["persec"], true), 0);
+        assert_eq!(step(0, &[], true), 1, "persec returns from its bytes, raw stays live");
+        assert_eq!(step(1, &[], false), 0, "a flushing step finishes the live operators");
+        assert_eq!(step(2, &[], true), 2, "and holds nothing: the next one reads bytes again");
+        // Second 0 saw three chunks of `persec` (the step it sat out is
+        // not in its cut); the flush emitted second 1; the last step
+        // resumed the pre-flush cut (the test's doing — a daemon takes
+        // the cut with it when it flushes) and so closes second 0 again.
+        assert_eq!(counts, vec![(0, 120), (1, 40), (0, 120)]);
+    }
+
+    /// `forget` drops a query's live operators, shards and LFTAs included,
+    /// and nothing else.
+    #[test]
+    fn forgetting_a_query_sends_it_back_to_its_bytes() {
+        let mut gs = Gigascope::new();
+        gs.add_interface("eth0", 0, LinkType::Ethernet);
+        gs.parallelism = 2;
+        gs.add_program(
+            "DEFINE { query_name raw; } Select time, destPort, len From eth0.tcp; \
+             DEFINE { query_name perport; } \
+             Select time, destPort, count(*) From raw Group By time, destPort; \
+             DEFINE { query_name tot; } Select time, count(*) From eth0.tcp Group By time",
+        )
+        .unwrap();
+        let capture = || ThreadedOptions { capture: true, ..ThreadedOptions::default() };
+        let mut stepper = Stepper::default();
+        let pkts = (0..50u64).map(|i| pkt(0, 80 + (i % 4) as u16, b"x"));
+        let first = stepper.step(&gs, pkts, &[], capture()).unwrap();
+        // raw's LFTA; perport's two shards and merge; tot's LFTA, two
+        // shards and merge.
+        assert_eq!(first.snapshots.len(), 8, "{:?}", first.snapshots.keys());
+        let cut = Arc::new(first.snapshots);
+        let again = |stepper: &mut Stepper| {
+            let opts = ThreadedOptions { restore: Some(cut.clone()), ..capture() };
+            stepper.step(&gs, std::iter::empty(), &[], opts).unwrap().nodes_restored
+        };
+        assert_eq!(again(&mut stepper), 0);
+        stepper.forget("perport");
+        assert_eq!(again(&mut stepper), 3, "both shards and the reunifying merge");
+        stepper.forget("tot");
+        assert_eq!(again(&mut stepper), 4, "the aggregating LFTA, its shards and their merge");
     }
 
     /// A stalled subscriber with shedding enabled must not wedge the

@@ -10,15 +10,19 @@
 //!
 //! # Epochs
 //!
-//! The threaded manager builds its node graph once per run, so instead
+//! The threaded manager wires its node graph once per run, so instead
 //! of mutating a live graph the daemon runs back-to-back **epochs**:
-//! each epoch is one complete [`run_threaded_opts`] over that epoch's
-//! packets ([`PacketSource::epoch_packets`]). Registrations,
-//! removals, subscription changes, and lifecycle decisions all apply
-//! at epoch boundaries, which makes the daemon's behavior exactly
-//! reproducible: the frames a subscriber receives for epoch `k` equal
-//! the one-shot engine's output over the same packets — the invariant
-//! the protocol test battery checks.
+//! each epoch is one [`Stepper::step`] over that epoch's packets
+//! ([`PacketSource::epoch_packets`]). Registrations, removals,
+//! subscription changes, and lifecycle decisions all apply at epoch
+//! boundaries, which makes the daemon's behavior exactly reproducible:
+//! the frames a subscriber receives for epoch `k` equal the one-shot
+//! engine's output over the same packets — the invariant the protocol
+//! test battery checks. In carry mode a boundary is a *step*, not a
+//! rebuild: the stepper hands every healthy query's operators, windows
+//! open, straight to the next epoch; the sealed cut each epoch still
+//! writes is read back only where no live operator exists (recovery,
+//! replay after a fault, a query's first epoch).
 //!
 //! Result frames fan out from the manager's subscription drains (a
 //! [`SubscriptionTap`] per subscribed stream) onto per-connection
@@ -38,7 +42,7 @@ pub mod supervisor;
 pub mod wire;
 
 use crate::health::{query_of, RunHealth};
-use crate::manager::{run_threaded_opts, SubscriptionTap, ThreadedOptions};
+use crate::manager::{run_threaded_opts, Stepper, SubscriptionTap, ThreadedOptions};
 use crate::{Error, Gigascope};
 use gs_netgen::{MixConfig, PacketMix};
 use gs_packet::capture::LinkType;
@@ -143,6 +147,11 @@ pub struct DaemonStats {
     /// Epochs whose engine build/run failed outright (not per-query
     /// quarantines — those are health rows).
     pub run_errors: Counter,
+    /// Operators that entered the live dataflow from checkpoint bytes
+    /// instead of being carried over or built empty: a recovered
+    /// daemon's first epoch, a query reprovisioned after a fault. Zero
+    /// for the whole of a fault-free session that started fresh.
+    pub nodes_restored: Counter,
 }
 
 impl StatSource for DaemonStats {
@@ -153,6 +162,7 @@ impl StatSource for DaemonStats {
             ("registers", self.registers.get()),
             ("unregisters", self.unregisters.get()),
             ("run_errors", self.run_errors.get()),
+            ("nodes_restored", self.nodes_restored.get()),
         ]
     }
 }
@@ -188,10 +198,11 @@ pub struct DaemonConfig {
     /// Idle pacing between epochs, in milliseconds (tests use 0).
     pub epoch_gap_ms: u64,
     /// Carry operator state across epochs: every epoch runs in capture
-    /// mode (open windows snapshot instead of flushing), the next epoch
-    /// restores the cut, a reprovisioned query resumes from its last
-    /// good checkpoint and replays the epochs it missed, and shutdown
-    /// runs a final flush epoch that emits the held tails. Off by
+    /// mode (open windows stay open and are snapshotted instead of
+    /// flushed), the next epoch steps the same live operators on, a
+    /// reprovisioned query resumes from its last good checkpoint and
+    /// replays the epochs it missed, and shutdown runs a final flush
+    /// epoch that emits the held tails. Off by
     /// default: the per-epoch equivalence invariant (epoch `k`'s frames
     /// equal the one-shot engine over epoch `k`'s packets) only holds
     /// without carry. Use with a time-continuous source
@@ -488,9 +499,10 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, Error> {
 
     let engine = {
         let shared = shared.clone();
-        let source = config.source.clone();
-        let faults = config.faults.clone();
-        let fault_epochs = config.fault_epochs.clone();
+        // Moved, not cloned: a `Chunked` source is the whole trace.
+        let source = config.source;
+        let faults = config.faults;
+        let fault_epochs = config.fault_epochs;
         let gap = config.epoch_gap_ms;
         let carry = config.carry_state;
         thread::Builder::new()
@@ -735,10 +747,18 @@ fn upstream_closure(gs: &Gigascope, parts: &[String]) -> Vec<String> {
 /// stream's frame sequence stays in epoch order. Packets are
 /// regenerable from the source by construction.
 ///
+/// A replay is a throw-away one-shot run ([`run_threaded_opts`]), never
+/// a step of the live dataflow: a laggard holds no live operators by
+/// construction (a query keeps them only by completing the epoch that
+/// advances its cursor), so its state comes from its checkpoint bytes,
+/// and the replay's operators are dropped when it returns — the live
+/// epoch that follows rebuilds the laggard from the replayed cut.
+///
 /// Upstream producers of a laggard run as *support* queries: included
 /// in the replay so the laggard's inputs are real, but untapped (their
 /// subscribers already saw this epoch), uncheckpointed (their cursor
-/// already advanced), and started from empty state. A stateless
+/// already advanced), and started from empty state — their live
+/// operators, already past epoch `e`, stay with the stepper untouched. A stateless
 /// upstream (the common LFTA projection/selection) reproduces its
 /// epoch output exactly; a stateful upstream makes the replay
 /// approximate — the price of losing its mid-epoch history.
@@ -859,10 +879,16 @@ fn engine_loop(
     // boundary with the restored cut and cursors instead of epoch 0
     // from empty state.
     let mut epoch: u64 = recovery.next_epoch;
-    // Carry mode: the last good sealed snapshot of every node (the
-    // daemon's checkpoint), and each query's replay cursor — the next
-    // epoch id whose packets it has not yet processed.
-    let mut carry: HashMap<String, Vec<u8>> = recovery.carry;
+    // Carry mode: the operators themselves, stepped from epoch to epoch;
+    // the last good sealed snapshot of every node (the daemon's
+    // checkpoint — what the durable store persists and what a query
+    // without live operators is rebuilt from); and each query's replay
+    // cursor — the next epoch id whose packets it has not yet processed.
+    // The checkpoint sits in an `Arc` so an epoch can borrow it as
+    // `ThreadedOptions::restore` without copying it; nothing else holds
+    // a reference between epochs, so `make_mut` never clones.
+    let mut stepper = Stepper::default();
+    let mut carry: Arc<HashMap<String, Vec<u8>>> = Arc::new(recovery.carry);
     let mut behind: HashMap<String, u64> = recovery.cursors;
     let mut durable_note: DurableNote = recovery
         .notes
@@ -899,13 +925,15 @@ fn engine_loop(
             for (reply, result) in replies {
                 let _ = reply.send(result);
             }
-            // Reap checkpoints that can never be restored again:
-            // unregistered queries (a re-REGISTER is a fresh life that
-            // must start from empty windows) and Dead ones (excluded
-            // until re-registered). Without this, lifecycle churn would
-            // leak dead queries' carried state forever.
+            // Reap state that can never be resumed again, live and
+            // sealed alike: unregistered queries (a re-REGISTER is a
+            // fresh life that must start from empty windows) and Dead
+            // ones (excluded until re-registered). Without this,
+            // lifecycle churn would leak dead queries' carried state
+            // forever.
             for q in removed.iter().chain(supervisor.dead().iter()) {
-                carry.retain(|k, _| snapshot_owner(k) != q);
+                stepper.forget(q);
+                Arc::make_mut(&mut carry).retain(|k, _| snapshot_owner(k) != q);
                 behind.remove(q);
             }
             let running: Vec<String> = gs
@@ -939,12 +967,12 @@ fn engine_loop(
                 behind.entry(dq.name.clone()).or_insert(epoch);
             }
             // Replay whatever the runnable queries missed, THEN set up
-            // the current epoch to restore the (now caught-up) cut.
+            // the current epoch to resume from the (now caught-up) cut.
             catch_up(
                 &mut gs,
                 &mut supervisor,
                 &source,
-                &mut carry,
+                Arc::make_mut(&mut carry),
                 &mut behind,
                 epoch,
                 &opts.exclude,
@@ -954,7 +982,7 @@ fn engine_loop(
             );
             opts.capture = true;
             if !carry.is_empty() {
-                opts.restore = Some(Arc::new(carry.clone()));
+                opts.restore = Some(carry.clone());
             }
         }
 
@@ -969,9 +997,10 @@ fn engine_loop(
             };
             let packets = source.epoch_packets(epoch);
             let sub_refs: Vec<&str> = sub_names.iter().map(String::as_str).collect();
-            match run_threaded_opts(&gs, packets.into_iter(), &sub_refs, opts) {
+            match stepper.step(&gs, packets.into_iter(), &sub_refs, opts) {
                 Ok(out) => {
                     supervisor.observe(epoch, &out.health);
+                    shared.stats.nodes_restored.add(out.nodes_restored);
                     if carry_state {
                         let mut completed: Vec<String> = Vec::new();
                         for q in &running {
@@ -980,7 +1009,7 @@ fn engine_loop(
                                 completed.push(q.clone());
                             }
                         }
-                        merge_snapshots(&mut carry, out.snapshots, &out.health);
+                        merge_snapshots(Arc::make_mut(&mut carry), out.snapshots, &out.health);
                         // Publish this boundary's cut and commit the
                         // epoch's markers durably before the close
                         // block sends the marker frames.
@@ -1051,12 +1080,14 @@ fn engine_loop(
     }
 
     // ---- Carry-mode shutdown flush -----------------------------------
-    // Capture mode held every open window in the checkpoint instead of
-    // flushing it; one final flush run (no packets, restore, capture
-    // OFF) emits those tails so the session's total output equals one
-    // continuous run over every epoch's packets. Only fully caught-up
-    // queries flush — a query still in backoff holds a stale cut whose
-    // tail would be wrong mid-stream.
+    // Capture mode held every open window instead of flushing it; one
+    // final flushing step (no packets, capture OFF) finishes the live
+    // operators — or, for a daemon stopped before its first epoch, the
+    // ones rebuilt from the recovered cut — and emits those tails, so
+    // the session's total output equals one continuous run over every
+    // epoch's packets. Only fully caught-up queries flush — a query
+    // still in backoff holds a stale cut whose tail would be wrong
+    // mid-stream.
     // An abandoned engine ([`DaemonHandle::halt`]) dies like a SIGKILL:
     // no flush epoch, no clean-shutdown record — the state directory is
     // left exactly as the last boundary published it, for recovery to
@@ -1086,12 +1117,13 @@ fn engine_loop(
                     .filter(|q| !flush.contains(q))
                     .collect(),
                 capture: false,
-                restore: Some(Arc::new(std::mem::take(&mut carry))),
+                restore: Some(std::mem::take(&mut carry)),
                 ..ThreadedOptions::default()
             };
             gs.faults = None;
             let sub_refs: Vec<&str> = sub_names.iter().map(String::as_str).collect();
-            if let Ok(out) = run_threaded_opts(&gs, std::iter::empty(), &sub_refs, opts) {
+            if let Ok(out) = stepper.step(&gs, std::iter::empty(), &sub_refs, opts) {
+                shared.stats.nodes_restored.add(out.nodes_restored);
                 // The flush emitted every held tail: record the clean
                 // shutdown (which retires all segments and markers)
                 // before the final marker frames go out.

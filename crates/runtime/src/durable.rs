@@ -21,6 +21,12 @@
 //!   record is individually checksummed, so a torn tail is detected and
 //!   truncated (advisory, never fatal).
 //!
+//! Both are envelopes of the current [`snapshot::VERSION`]. A directory
+//! written under another version is refused whole by the version byte —
+//! segments skipped and removed, the log truncated at its first record,
+//! each with a note — so recovery reports a fresh start rather than an
+//! error, and never reads a cut it cannot verify.
+//!
 //! # Recovery and the exactly-once argument
 //!
 //! The write order at every epoch boundary is: (1) segment published
@@ -790,23 +796,36 @@ impl DurableStore {
                 if at == bytes.len() {
                     break;
                 }
-                let parsed = (|| -> Option<(u8, Vec<u8>)> {
-                    let len =
-                        u32::from_be_bytes(bytes.get(at..at + 4)?.try_into().ok()?) as usize;
-                    let sealed = bytes.get(at + 4..at + 4 + len)?;
-                    let mut r = SnapReader::open(sealed).ok()?;
-                    let kind = r.get_u8().ok()?;
-                    Some((kind, sealed.to_vec()))
+                let parsed = (|| -> Result<Vec<u8>, snapshot::SnapError> {
+                    let torn = snapshot::SnapError::Truncated;
+                    let len = bytes.get(at..at + 4).ok_or(torn.clone())?;
+                    let len = u32::from_be_bytes(len.try_into().expect("a 4-byte slice")) as usize;
+                    let sealed = bytes.get(at + 4..at + 4 + len).ok_or(torn)?;
+                    snapshot::open(sealed)?;
+                    Ok(sealed.to_vec())
                 })();
-                let Some((kind, sealed)) = parsed else {
-                    // Torn tail: truncate at the last whole record.
-                    self.io.truncate(&self.log_path(), at as u64)?;
-                    self.stats.torn_truncated.inc();
-                    rec.notes.push(format!(
-                        "emission log: torn tail truncated at byte {at} (of {})",
-                        bytes.len()
-                    ));
-                    break;
+                let sealed = match parsed {
+                    Ok(sealed) => sealed,
+                    Err(e) => {
+                        // Torn tail — or a log written under another
+                        // snapshot format version, which reads as torn
+                        // from its first record: truncate at the last
+                        // whole record this build can verify.
+                        self.io.truncate(&self.log_path(), at as u64)?;
+                        self.stats.torn_truncated.inc();
+                        let what = match e {
+                            snapshot::SnapError::Version(v) => format!(
+                                "record of snapshot format v{v} (this build reads v{}); log",
+                                snapshot::VERSION
+                            ),
+                            _ => "torn tail".to_string(),
+                        };
+                        rec.notes.push(format!(
+                            "emission log: {what} truncated at byte {at} (of {})",
+                            bytes.len()
+                        ));
+                        break;
+                    }
                 };
                 let ok = (|| -> Option<()> {
                     let mut r = SnapReader::open(&sealed).ok()?;
@@ -847,7 +866,6 @@ impl DurableStore {
                     ));
                     break;
                 }
-                let _ = kind;
                 at += 4 + sealed.len();
             }
             self.log_len = std::cmp::min(at as u64, bytes.len() as u64);

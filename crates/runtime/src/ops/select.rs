@@ -11,6 +11,7 @@ use crate::expr::vector::VecVal;
 use crate::expr::{EvalScratch, Program};
 use crate::ops::Operator;
 use crate::punct::Punct;
+use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 use crate::stats::OpCounters;
 use crate::tuple::{StreamItem, Tuple};
 use crate::value::Value;
@@ -27,6 +28,19 @@ fn filter_keep(pred: &Program, cb: &ColumnBatch, scratch: &mut EvalScratch) -> V
             .map(|i| i as u32)
             .collect(),
     }
+}
+
+/// The whole mutable state of a stateless operator is its counter block.
+/// It rides in the snapshot so a node rebuilt from bytes publishes the
+/// same `hfta:*` rows as the live node that wrote them.
+fn put_counters(w: &mut SnapWriter, counters: [u64; 4]) {
+    for c in counters {
+        w.put_u64(c);
+    }
+}
+
+fn get_counters(r: &mut SnapReader<'_>) -> Result<[u64; 4], SnapError> {
+    Ok([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?])
 }
 
 /// Filter + project in one pass. Punctuation is translated through the
@@ -218,6 +232,15 @@ impl Operator for SelectProject {
         self.stats.batches_in.set(self.batches);
         self.stats.puncts_in.set(self.puncts);
     }
+
+    fn snapshot(&self, w: &mut SnapWriter) {
+        put_counters(w, [self.seen, self.kept, self.batches, self.puncts]);
+    }
+
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        [self.seen, self.kept, self.batches, self.puncts] = get_counters(r)?;
+        Ok(())
+    }
 }
 
 /// Pure filter: drops tuples failing the predicate, passes punctuation
@@ -302,6 +325,15 @@ impl Operator for FilterOp {
         self.stats.tuples_out.set(self.kept);
         self.stats.batches_in.set(self.batches);
         self.stats.puncts_in.set(self.puncts);
+    }
+
+    fn snapshot(&self, w: &mut SnapWriter) {
+        put_counters(w, [self.seen, self.kept, self.batches, self.puncts]);
+    }
+
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        [self.seen, self.kept, self.batches, self.puncts] = get_counters(r)?;
+        Ok(())
     }
 }
 

@@ -54,3 +54,41 @@ pub fn norm(rows: &[Tuple]) -> Vec<String> {
     v.sort();
     v
 }
+
+/// Re-seal a current snapshot envelope the way a format-v1 build wrote
+/// it: same magic and payload, version byte 1, byte-wise FNV-1a trailer.
+pub fn seal_as_v1(sealed: &[u8]) -> Vec<u8> {
+    let mut v1 = sealed[..sealed.len() - 8].to_vec();
+    v1[4] = 1;
+    let fnv = v1.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    v1.extend_from_slice(&fnv.to_be_bytes());
+    v1
+}
+
+/// Rewrite a durable state directory in place as a format-v1 build would
+/// have left it: every segment file and every emission-log record
+/// re-sealed with [`seal_as_v1`]. Payload layouts did not change between
+/// the versions, so this is byte-for-byte what the old build wrote.
+pub fn downgrade_state_dir_to_v1(dir: &std::path::Path) {
+    use gs_runtime::durable::{LOG_FILE, SEG_SUFFIX};
+    for entry in std::fs::read_dir(dir).expect("state dir") {
+        let path = entry.expect("entry").path();
+        let name = path.file_name().expect("name").to_string_lossy().into_owned();
+        let bytes = std::fs::read(&path).expect("read state file");
+        if name.ends_with(SEG_SUFFIX) {
+            std::fs::write(&path, seal_as_v1(&bytes)).expect("rewrite segment");
+        } else if name == LOG_FILE {
+            let mut out = Vec::with_capacity(bytes.len());
+            let mut at = 0;
+            while at < bytes.len() {
+                let len = u32::from_be_bytes(bytes[at..at + 4].try_into().expect("len")) as usize;
+                out.extend_from_slice(&bytes[at..at + 4]);
+                out.extend_from_slice(&seal_as_v1(&bytes[at + 4..at + 4 + len]));
+                at += 4 + len;
+            }
+            std::fs::write(&path, out).expect("rewrite log");
+        }
+    }
+}

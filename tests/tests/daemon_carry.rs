@@ -131,6 +131,10 @@ fn windows_spanning_epochs_aggregate_as_one_continuous_run() {
         );
     }
     daemon.shutdown();
+    // A count, not a timing: every boundary of a fault-free session —
+    // the shutdown flush included — stepped live operators; not one
+    // node was rebuilt from checkpoint bytes.
+    assert_eq!(daemon.registry().value("daemon", "nodes_restored"), Some(0));
 }
 
 #[test]
@@ -177,4 +181,7 @@ fn faulted_epoch_is_replayed_from_checkpoint_and_totals_match() {
         );
     }
     daemon.shutdown();
+    // Exactly the faulted node came back from bytes (its last good cut,
+    // advanced by the replay); `raw` and `sib` never left the live path.
+    assert_eq!(daemon.registry().value("daemon", "nodes_restored"), Some(1));
 }

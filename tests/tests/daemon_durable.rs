@@ -14,7 +14,7 @@ use gigascope::server::{self, DaemonConfig, PacketSource};
 use gigascope::{Gigascope, Tuple};
 use gs_packet::capture::{CapPacket, LinkType};
 use gs_runtime::faults::{DiskFaultPlan, DiskOp};
-use gs_tests::daemon::{norm, CLIENT_TIMEOUT};
+use gs_tests::daemon::{downgrade_state_dir_to_v1, norm, CLIENT_TIMEOUT};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,6 +120,11 @@ fn killed_daemon_resumes_mid_window_from_state_dir() {
     for stream in ["agg", "sib"] {
         collected.insert(stream.to_string(), collect_through(&mut client, stream, last_real));
     }
+    assert_eq!(
+        daemon.registry().value("daemon", "nodes_restored"),
+        Some(0),
+        "a fresh, fault-free incarnation steps its live operators: nothing is read from bytes"
+    );
     daemon.halt();
 
     // Incarnation 2: same state dir, fresh process state.
@@ -141,6 +146,12 @@ fn killed_daemon_resumes_mid_window_from_state_dir() {
     client2.shutdown().expect("shutdown");
     drain_tail(&mut client2, &mut collected);
     daemon2.shutdown();
+    assert_eq!(
+        daemon2.registry().value("daemon", "nodes_restored"),
+        Some(3),
+        "recovery rebuilds exactly the recovered cut — `lfta:raw`, `hfta:agg`, `hfta:sib` — \
+         from bytes, once; every later boundary steps them live"
+    );
 
     let reference = continuous_reference(&all, &["agg", "sib"]);
     for stream in ["agg", "sib"] {
@@ -155,6 +166,66 @@ fn killed_daemon_resumes_mid_window_from_state_dir() {
              (the held window tail must be flushed by the restarted daemon)"
         );
     }
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// A state directory left by a build that sealed with snapshot format
+/// v1 (byte-wise FNV-1a) is refused whole, by its version byte: the
+/// daemon starts — never an `Err` out of `start()` — from empty state at
+/// epoch 0 with a recovery note on HEALTH, reads not one node from the
+/// old cut, and its session is the continuous run of its own source.
+#[test]
+fn state_dir_written_by_a_v1_build_starts_fresh_with_a_recovery_note() {
+    let state = scratch_dir("v1dir");
+    let (source, _) = carry_source(0xD0D04);
+    let last_real = (LEAD_IN + REAL_EPOCHS - 1) as u64;
+
+    // Incarnation 1 leaves a populated directory (segments with open
+    // windows in them, durable markers), then dies without a flush.
+    let mut daemon = server::start(durable_config(source, &state)).expect("daemon 1");
+    let mut client = connect(daemon.addr());
+    client.subscribe("agg").expect("subscribe agg");
+    collect_through(&mut client, "agg", last_real);
+    daemon.halt();
+    downgrade_state_dir_to_v1(&state);
+
+    let (source2, all2) = carry_source(0xD0D05);
+    let mut daemon2 = server::start(durable_config(source2, &state))
+        .expect("a v1 state dir must not fail start()");
+    let mut client2 = connect(daemon2.addr());
+    client2.subscribe("agg").expect("subscribe agg");
+    let health = client2.health().expect("health");
+    let note = health
+        .iter()
+        .find(|r| r.query == "durable:store")
+        .expect("refusing the old directory must surface as a durable:store advisory");
+    assert!(
+        note.reason.contains("recovery") && note.reason.contains("v1"),
+        "the advisory names the format mismatch: {}",
+        note.reason
+    );
+    let mut collected = HashMap::new();
+    let (first, rows) = client2.read_epoch("agg").expect("first epoch");
+    assert!(
+        first < LEAD_IN as u64,
+        "a refused directory means a fresh start at epoch 0, not a resume at {first}"
+    );
+    collected.insert("agg".to_string(), rows);
+    collected.get_mut("agg").unwrap().extend(collect_through(&mut client2, "agg", last_real));
+    client2.shutdown().expect("shutdown");
+    drain_tail(&mut client2, &mut collected);
+    daemon2.shutdown();
+    assert_eq!(
+        daemon2.registry().value("daemon", "nodes_restored"),
+        Some(0),
+        "not one node may be read from a cut this build cannot verify"
+    );
+    let reference = continuous_reference(&all2, &["agg"]);
+    assert_eq!(
+        norm(&collected["agg"]),
+        norm(&reference["agg"]),
+        "the fresh session is exactly the continuous run of its own trace"
+    );
     let _ = std::fs::remove_dir_all(&state);
 }
 

@@ -16,12 +16,26 @@
 //! any output escapes, so discard-and-retry is exact — the same
 //! contract the daemon's catch-up replay relies on.
 //!
-//! Both properties run across parallelism {1, 4} × batch {1, 256}.
+//! **Stepping**: every session runs twice — *stepped*, one
+//! [`Stepper`] carrying the live operators across the chunk boundaries
+//! (the daemon's steady state: the cut is written, never read), and
+//! *from bytes*, a fresh one-shot run per chunk restoring the previous
+//! cut (the recovery path). Stepped ≡ from bytes ≡ continuous, and the
+//! continuous run ≡ [`gs_tests::oracle_hftas`]; the two sessions also
+//! publish identical `lfta:*`/`hfta:*` counter rows at every cut. In
+//! the fault property the stepped session keeps its healthy queries
+//! live through the faulted chunk and brings only the faulted query
+//! back from the bytes of the cut before it, replayed — the daemon's
+//! catch-up, in miniature.
+//!
+//! All properties run across parallelism {1, 4} × batch {1, 256}.
 
-use gigascope::manager::{run_threaded, run_threaded_opts, ThreadedOptions};
-use gigascope::{FaultPlan, Gigascope, Tuple};
+use gigascope::health::query_of;
+use gigascope::manager::{run_threaded, run_threaded_opts, Stepper, ThreadedOptions};
+use gigascope::{FaultPlan, Gigascope, StatRow, Tuple};
 use gs_packet::builder::FrameBuilder;
 use gs_packet::capture::{CapPacket, LinkType};
+use gs_tests::oracle_hftas;
 use gs_tests::prop::{check, Gen};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -36,7 +50,8 @@ struct Template {
 
 const TEMPLATES: [Template; 3] = [
     // Split aggregation over a shared stream: hash-agg HFTA state (and
-    // at parallelism 4, per-shard state reunified by a merge).
+    // at parallelism 4, per-shard state reunified by a merge), beside a
+    // filter + projection HFTA whose only state is its counters.
     Template {
         program: "DEFINE { query_name raw; } \
                   Select time, destPort, len From eth0.tcp; \
@@ -44,8 +59,10 @@ const TEMPLATES: [Template; 3] = [
                   Select time, destPort, count(*), sum(len) From raw \
                   Group By time, destPort; \
                   DEFINE { query_name sib; } \
-                  Select time, count(*), sum(len) From raw Group By time",
-        subscriptions: &["agg", "sib", "raw"],
+                  Select time, count(*), sum(len) From raw Group By time; \
+                  DEFINE { query_name web; } \
+                  Select time, len From raw Where destPort = 80",
+        subscriptions: &["agg", "sib", "raw", "web"],
     },
     // Interface-direct aggregate: the LFTA's direct-mapped sub-agg
     // table checkpoints below a super-aggregate HFTA.
@@ -138,6 +155,76 @@ fn assert_matches(
     }
 }
 
+/// How a chunked session gets from one chunk to the next.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Boundary {
+    /// One [`Stepper`] for the whole session: operators cross live.
+    Stepped,
+    /// A fresh one-shot run per chunk: operators cross as bytes.
+    FromBytes,
+}
+
+/// `(node, counter, value)` rows, sorted.
+type OpRows = Vec<(String, &'static str, u64)>;
+
+/// The operator counter rows of a run (`edge:*`/`queue:*` rows belong to
+/// the run's wiring, which is per-chunk in both kinds of session).
+fn op_rows(counters: &[StatRow]) -> OpRows {
+    let mut rows: OpRows = counters
+        .iter()
+        .filter(|r| r.node.starts_with("lfta:") || r.node.starts_with("hfta:"))
+        .map(|r| (r.node.clone(), r.counter, r.value))
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// One fault-free chunked session: capture at every boundary, flush at
+/// the end. The previous cut is offered to every chunk either way; a
+/// stepped session must never read it. Returns the concatenated streams
+/// and the operator counter rows at each cut.
+fn session(
+    system: &dyn Fn() -> Gigascope,
+    chunks: &[Vec<CapPacket>],
+    subs: &[&str],
+    boundary: Boundary,
+) -> (HashMap<String, Vec<Tuple>>, Vec<OpRows>) {
+    let mut acc: HashMap<String, Vec<Tuple>> = HashMap::new();
+    let mut rows = Vec::new();
+    let mut stepper = Stepper::default();
+    let mut carry: Option<Arc<HashMap<String, Vec<u8>>>> = None;
+    for (i, chunk) in chunks.iter().enumerate() {
+        let last = i + 1 == chunks.len();
+        if boundary == Boundary::FromBytes {
+            stepper = Stepper::default();
+        }
+        let offered = carry.as_ref().map_or(0, |c| c.len() as u64);
+        let opts =
+            ThreadedOptions { capture: !last, restore: carry.take(), ..ThreadedOptions::default() };
+        let out = stepper.step(&system(), chunk.iter().cloned(), subs, opts).expect("chunk run");
+        assert!(out.health.all_ok(), "{boundary:?} chunk {i} must run clean");
+        assert!(
+            out.health.notes().is_empty(),
+            "an intact checkpoint must restore without notes: {:?}",
+            out.health.notes()
+        );
+        assert_eq!(
+            out.nodes_restored,
+            if boundary == Boundary::Stepped { 0 } else { offered },
+            "{boundary:?} chunk {i}: bytes are read exactly where no live operator exists"
+        );
+        rows.push(op_rows(&out.counters));
+        if !last {
+            assert!(!out.snapshots.is_empty(), "capture must produce snapshots");
+            carry = Some(Arc::new(out.snapshots));
+        }
+        for (k, v) in out.streams {
+            acc.entry(k).or_default().extend(v);
+        }
+    }
+    (acc, rows)
+}
+
 #[test]
 fn chunked_capture_restore_equals_continuous_run() {
     check("checkpoint_continuity", 10, |g| {
@@ -145,51 +232,41 @@ fn chunked_capture_restore_equals_continuous_run() {
         let pkts = trace(g);
         let k = g.usize(2..5);
         let chunks = split(g, &pkts, k);
+        let oracle = oracle_hftas(&system(t.program, 256, 1), &pkts);
 
         for parallelism in PARALLELISM {
             for batch in BATCH_SIZES {
-                let reference =
-                    run_threaded(&system(t.program, batch, parallelism), pkts.iter().cloned(), t.subscriptions)
-                        .expect("continuous run")
-                        .streams;
-
-                let mut acc: HashMap<String, Vec<Tuple>> = HashMap::new();
-                let mut carry: Option<Arc<HashMap<String, Vec<u8>>>> = None;
-                for (i, chunk) in chunks.iter().enumerate() {
-                    let last = i + 1 == chunks.len();
-                    let opts = ThreadedOptions {
-                        capture: !last,
-                        restore: carry.take(),
-                        ..ThreadedOptions::default()
-                    };
-                    let out = run_threaded_opts(
-                        &system(t.program, batch, parallelism),
-                        chunk.iter().cloned(),
-                        t.subscriptions,
-                        opts,
-                    )
-                    .expect("chunk run");
-                    assert!(out.health.all_ok(), "chunk {i} must run clean");
-                    assert!(
-                        out.health.notes().is_empty(),
-                        "an intact checkpoint must restore without notes: {:?}",
-                        out.health.notes()
+                let what = format!("par {parallelism} batch {batch}");
+                let system = || system(t.program, batch, parallelism);
+                let reference = run_threaded(&system(), pkts.iter().cloned(), t.subscriptions)
+                    .expect("continuous run")
+                    .streams;
+                for name in t.subscriptions {
+                    assert_eq!(
+                        norm(&reference[*name]),
+                        norm(&oracle[*name]),
+                        "{what}: continuous run diverged from the oracle on `{name}`"
                     );
-                    if !last {
-                        assert!(!out.snapshots.is_empty(), "capture must produce snapshots");
-                        carry = Some(Arc::new(out.snapshots));
-                    }
-                    for (k, v) in out.streams {
-                        acc.entry(k).or_default().extend(v);
-                    }
                 }
-                assert_matches(
-                    &acc,
-                    &reference,
-                    t.subscriptions,
-                    parallelism,
-                    &format!("par {parallelism} batch {batch}"),
-                );
+
+                let (stepped, stepped_rows) =
+                    session(&system, &chunks, t.subscriptions, Boundary::Stepped);
+                let (restored, restored_rows) =
+                    session(&system, &chunks, t.subscriptions, Boundary::FromBytes);
+                for (got, how) in [(&stepped, "stepped"), (&restored, "from bytes")] {
+                    let what = format!("{how}, {what}");
+                    assert_matches(got, &reference, t.subscriptions, parallelism, &what);
+                }
+                if parallelism == 1 {
+                    // One producer per port: every counter is a function
+                    // of the input (shards race each other into the
+                    // reunifying merge's `peak_held`).
+                    assert_eq!(
+                        stepped_rows, restored_rows,
+                        "{what}: a live operator and one rebuilt from its own snapshot \
+                         must publish the same rows"
+                    );
+                }
             }
         }
     });
@@ -199,7 +276,9 @@ fn chunked_capture_restore_equals_continuous_run() {
 /// batch (both the unpartitioned node and shard 0 are targeted so the
 /// fault fires at every parallelism), the whole attempt is discarded,
 /// and the chunk is retried from the prior checkpoint with faults
-/// disarmed. Total output ≡ the uninterrupted fault-free run.
+/// disarmed. Total output ≡ the uninterrupted fault-free run — from
+/// bytes at every chunk, and stepped with only the faulted query
+/// falling back to the bytes of the cut before the fault.
 #[test]
 fn fault_retry_from_checkpoint_equals_uninterrupted_run() {
     const PROGRAM: &str = TEMPLATES[0].program;
@@ -272,6 +351,79 @@ fn fault_retry_from_checkpoint_equals_uninterrupted_run() {
                     &SUBS,
                     parallelism,
                     &format!("fault chunk {fault_chunk}, par {parallelism} batch {batch}"),
+                );
+
+                // The same fault under a stepped session, handled the
+                // way the daemon handles it: the healthy queries stay
+                // live straight through the faulted chunk; `agg` loses
+                // its live operators, replays the chunk alone (a
+                // throw-away run) from the bytes of the cut before it,
+                // and rejoins the live dataflow from the replayed cut.
+                let owned_by_agg =
+                    |key: &str| key.split_once(':').is_some_and(|(_, s)| query_of(s) == "agg");
+                let mut acc: HashMap<String, Vec<Tuple>> = HashMap::new();
+                let mut stepper = Stepper::default();
+                let mut cut: HashMap<String, Vec<u8>> = HashMap::new();
+                let mut rejoining = 0;
+                for (i, chunk) in chunks.iter().enumerate() {
+                    let last = i + 1 == chunks.len();
+                    let mut gs = system(PROGRAM, batch, parallelism);
+                    let faulted = i == fault_chunk && !chunk.is_empty();
+                    if faulted {
+                        gs.faults =
+                            Some(FaultPlan::new().panic_at("agg", 1).panic_at("agg#0", 1));
+                    }
+                    let opts = ThreadedOptions {
+                        capture: !last,
+                        restore: Some(Arc::new(cut.clone())),
+                        ..ThreadedOptions::default()
+                    };
+                    let out = stepper.step(&gs, chunk.iter().cloned(), &SUBS, opts).expect("step");
+                    assert_eq!(out.health.failed("agg"), faulted, "chunk {i}");
+                    assert_eq!(
+                        out.nodes_restored, rejoining,
+                        "chunk {i}: only a query that lost its live operators reads bytes"
+                    );
+                    rejoining = 0;
+                    // A quarantined query's cut is not merged (its healthy
+                    // shards may have written one): it keeps the cut before.
+                    cut.extend(
+                        out.snapshots.into_iter().filter(|(k, _)| !(faulted && owned_by_agg(k))),
+                    );
+                    let agg_rows = acc.entry("agg".to_string()).or_default();
+                    if !faulted {
+                        agg_rows.extend(out.streams["agg"].iter().cloned());
+                        continue;
+                    }
+                    let before: HashMap<String, Vec<u8>> = cut
+                        .iter()
+                        .filter(|(k, _)| owned_by_agg(k))
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect();
+                    let replay = run_threaded_opts(
+                        &system(PROGRAM, batch, parallelism),
+                        chunk.iter().cloned(),
+                        &SUBS,
+                        ThreadedOptions {
+                            capture: !last,
+                            restore: Some(Arc::new(before)),
+                            ..ThreadedOptions::default()
+                        },
+                    )
+                    .expect("replay");
+                    assert!(replay.health.all_ok(), "a replay is a retry: faults off, runs clean");
+                    agg_rows.extend(replay.streams["agg"].iter().cloned());
+                    let replayed: Vec<_> =
+                        replay.snapshots.into_iter().filter(|(k, _)| owned_by_agg(k)).collect();
+                    rejoining = replayed.len() as u64;
+                    cut.extend(replayed);
+                }
+                assert_matches(
+                    &acc,
+                    &reference,
+                    &SUBS,
+                    parallelism,
+                    &format!("stepped, fault chunk {fault_chunk}, par {parallelism} batch {batch}"),
                 );
             }
         }
