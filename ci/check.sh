@@ -195,12 +195,14 @@ echo "== bench smoke run (quick mode) =="
 GS_BENCH_QUICK=1 cargo bench -p gs-bench --offline
 test -f target/bench.json || fail "bench.json not written"
 # The parallelism sweep must land in the report (par1 baseline and the
-# par4 sharded point), and so must the transport and prefilter series.
+# par4 sharded point), and so must the transport, prefilter and
+# merge/join-root series.
 for key in "manager/threaded_par1" "manager/threaded_par4" \
            "manager/threaded_throughput" "manager/threaded_agg" \
            "prefilter/registration_scaling_q1" \
            "prefilter/registration_scaling_q10" \
-           "prefilter/registration_scaling_q100"; do
+           "prefilter/registration_scaling_q100" \
+           "multiway/merge_push" "multiway/hash_join_push"; do
     grep -q "$key" target/bench.json || fail "$key missing from bench.json"
 done
 

@@ -9,13 +9,13 @@ use gs_nic::bpf::tcp_dst_port_filter;
 use gs_packet::builder::FrameBuilder;
 use gs_packet::capture::{CapPacket, LinkType};
 use gs_packet::PacketView;
+use gs_runtime::batch::ColumnBatch;
 use gs_runtime::expr::{EvalScratch, PacketFields, Program};
 use gs_runtime::ops::agg::{AggCore, DirectMappedAggregator, GroupAggregator};
 use gs_runtime::ops::defrag::Defragmenter;
 use gs_runtime::ops::join::{JoinConfig, JoinOp};
 use gs_runtime::ops::merge::MergeOp;
-use gs_runtime::ops::Operator;
-use gs_runtime::tuple::{StreamItem, Tuple};
+use gs_runtime::tuple::Tuple;
 use gs_runtime::udf::lpm::LpmTrie;
 use gs_runtime::udf::regex::Regex;
 use gs_runtime::udf::{FileStore, UdfRegistry};
@@ -253,26 +253,36 @@ fn bench_frontend(c: &mut Criterion) {
 fn bench_merge_join(c: &mut Criterion) {
     let mut g = c.benchmark_group("multiway");
     g.throughput(Throughput::Elements(2048));
+    // Both benches feed what the transport ships: 256-row column batches,
+    // four per input, alternating inputs.
+    let batches = |row: &dyn Fn(u64) -> Vec<Value>| -> Vec<(usize, ColumnBatch)> {
+        (0..4u64)
+            .flat_map(|k| {
+                let rows: Vec<Tuple> =
+                    (k * 256..(k + 1) * 256).map(|i| Tuple::new(row(i))).collect();
+                let cb = ColumnBatch::from_tuples(&rows);
+                [(0, cb.clone()), (1, cb)]
+            })
+            .collect()
+    };
+    let merge_feed = batches(&|i| vec![Value::UInt(i)]);
     g.bench_function("merge_push", |b| {
         b.iter_batched(
-            || MergeOp::new(2, 0, vec![0, 0]),
-            |mut m| {
-                let mut out = Vec::new();
-                for i in 0..1024u64 {
-                    let t = || vec![StreamItem::Tuple(Tuple::new(vec![Value::UInt(i)]))];
-                    m.push_batch(0, t(), &mut out);
-                    m.push_batch(1, t(), &mut out);
-                    out.clear();
+            || (MergeOp::new(2, 0, vec![0, 0]), merge_feed.clone()),
+            |(mut m, feed)| {
+                for (port, cb) in feed {
+                    black_box(m.push_cols(port, cb, None));
                 }
                 m
             },
             BatchSize::SmallInput,
         )
     });
+    let join_feed = batches(&|i| vec![Value::UInt(i / 8), Value::UInt(i % 16)]);
     g.bench_function("hash_join_push", |b| {
         b.iter_batched(
             || {
-                JoinOp::new(
+                let j = JoinOp::new(
                     JoinConfig {
                         left_col: 0,
                         right_col: 0,
@@ -286,17 +296,12 @@ fn bench_merge_join(c: &mut Criterion) {
                     },
                     None,
                     vec![compile(&col(0))],
-                )
+                );
+                (j, join_feed.clone())
             },
-            |mut j| {
-                let mut out = Vec::new();
-                for i in 0..1024u64 {
-                    let t = |v| {
-                        StreamItem::Tuple(Tuple::new(vec![Value::UInt(i / 8), Value::UInt(v)]))
-                    };
-                    j.push_batch(0, vec![t(i % 16)], &mut out);
-                    j.push_batch(1, vec![t(i % 16)], &mut out);
-                    out.clear();
+            |(mut j, feed)| {
+                for (port, cb) in feed {
+                    black_box(j.push_cols(port, cb, None));
                 }
                 j
             },

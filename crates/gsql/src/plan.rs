@@ -213,16 +213,24 @@ pub struct AggSpec {
 }
 
 /// Split a join's residual conjuncts the way the executor does: cross-side
-/// equality conjuncts `Eq(Col(left), Col(right))` become hash-key pairs
-/// `(left col, right col)`, everything else stays residual. Shared by the
-/// operator builder and EXPLAIN so the two can never drift.
+/// equality conjuncts `Eq(Col(left), Col(right))` over two columns of the
+/// same type become hash-key pairs `(left col, right col)`, everything
+/// else stays residual — a `uint = float` conjunct included, so the
+/// predicate's own `=` decides it. Shared by the operator builder and
+/// EXPLAIN so the two can never drift.
 pub fn split_join_conjuncts(residual: &PExpr, n_left: usize) -> (Vec<(usize, usize)>, Vec<PExpr>) {
     let mut eq_keys = Vec::new();
     let mut rest = Vec::new();
     for c in residual.conjuncts_owned() {
         if let PExpr::Binary { op: crate::ast::BinOp::Eq, left: a, right: b, .. } = &c {
-            if let (PExpr::Col { index: i, .. }, PExpr::Col { index: j, .. }) = (&**a, &**b) {
+            if let (PExpr::Col { index: i, ty: ti }, PExpr::Col { index: j, ty: tj }) =
+                (&**a, &**b)
+            {
                 let (i, j) = (*i, *j);
+                if ti != tj {
+                    rest.push(c);
+                    continue;
+                }
                 if i < n_left && j >= n_left {
                     eq_keys.push((i, j - n_left));
                     continue;
@@ -435,6 +443,28 @@ mod tests {
 
     fn col(i: usize) -> PExpr {
         PExpr::Col { index: i, ty: DataType::UInt }
+    }
+
+    /// Only a same-typed cross-side equality becomes a hash key; a
+    /// `uint = float` one stays residual, where `=` is the evaluator's.
+    #[test]
+    fn join_keys_require_one_type() {
+        let eq = |l: PExpr, r: PExpr| PExpr::Binary {
+            op: BinOp::Eq,
+            left: Box::new(l),
+            right: Box::new(r),
+            ty: DataType::Bool,
+        };
+        let float = |i| PExpr::Col { index: i, ty: DataType::Float };
+        let both = PExpr::Binary {
+            op: BinOp::And,
+            left: Box::new(eq(col(0), col(3))),
+            right: Box::new(eq(col(1), float(2))),
+            ty: DataType::Bool,
+        };
+        let (keys, rest) = split_join_conjuncts(&both, 2);
+        assert_eq!(keys, vec![(0, 1)]);
+        assert_eq!(rest, vec![eq(col(1), float(2))]);
     }
 
     #[test]

@@ -11,13 +11,13 @@
 //! without moving data.
 //!
 //! Row↔column boundary rules (DESIGN §13): columns are produced at the
-//! capture-loop edge, flow through single-input chain operators that
-//! declare [`col_capable`](crate::ops::Operator::col_capable), and convert
-//! back to rows at every consumer that needs them — merge and join roots,
-//! subscriptions, and any operator without a columnar override. A batch of
+//! capture-loop edge and stay columns through every HFTA operator — the
+//! merge and join roots and the single-input chain alike — until an
+//! operator's output is row-shaped (aggregate emissions). Rows remain only
+//! where something needs them: subscriptions, the fault injector (which
+//! corrupts rows, then hands them back as a batch), and tests. A batch of
 //! rows and the same batch converted through columns are observably
-//! identical; at `batch_size == 1` a batch holds one row, and the
-//! synchronous engine (no transport hop) feeds operators rows directly.
+//! identical; at `batch_size == 1` a batch holds one row.
 //!
 //! Punctuation: the transport's batcher flushes immediately on
 //! punctuation, so a shipped batch carries at most one token, always last.
@@ -79,6 +79,19 @@ impl Column {
         }
     }
 
+    /// The value at physical row `i` as an unsigned integer, with
+    /// [`Value::as_uint`] semantics (an `Ip` widens; anything else has
+    /// none).
+    #[inline]
+    pub fn uint(&self, i: usize) -> Option<u64> {
+        match self {
+            Column::UInt(v) => Some(v[i]),
+            Column::Ip(v) => Some(u64::from(v[i])),
+            Column::Val(v) => v[i].as_uint(),
+            _ => None,
+        }
+    }
+
     /// An empty column of the same type as `v`.
     fn for_value(v: &Value) -> Column {
         match v {
@@ -125,14 +138,36 @@ impl Column {
 
     /// Gather physical rows `sel` into a new column of the same type.
     pub fn gather_rows(&self, sel: &[u32]) -> Column {
-        match self {
-            Column::Bool(v) => Column::Bool(sel.iter().map(|&i| v[i as usize]).collect()),
-            Column::UInt(v) => Column::UInt(sel.iter().map(|&i| v[i as usize]).collect()),
-            Column::Float(v) => Column::Float(sel.iter().map(|&i| v[i as usize]).collect()),
-            Column::Ip(v) => Column::Ip(sel.iter().map(|&i| v[i as usize]).collect()),
-            Column::Str(v) => Column::Str(sel.iter().map(|&i| v[i as usize].clone()).collect()),
-            Column::Val(v) => Column::Val(sel.iter().map(|&i| v[i as usize].clone()).collect()),
+        Column::gather_parts(&[(self, sel)])
+    }
+
+    /// Concatenate physical rows of several columns, in order: part
+    /// `(col, rows)` contributes `col`'s rows `rows`. Typed when every
+    /// part has the first part's type, boxed `Val` otherwise.
+    pub fn gather_parts(parts: &[(&Column, &[u32])]) -> Column {
+        let n = parts.iter().map(|(_, rows)| rows.len()).sum();
+        let Some(&(first, _)) = parts.first() else { return Column::Val(Vec::new()) };
+        let mut out = match first {
+            Column::Bool(_) => Column::Bool(Vec::with_capacity(n)),
+            Column::UInt(_) => Column::UInt(Vec::with_capacity(n)),
+            Column::Float(_) => Column::Float(Vec::with_capacity(n)),
+            Column::Ip(_) => Column::Ip(Vec::with_capacity(n)),
+            Column::Str(_) => Column::Str(Vec::with_capacity(n)),
+            Column::Val(_) => Column::Val(Vec::with_capacity(n)),
+        };
+        for &(src, rows) in parts {
+            let rows = rows.iter().map(|&i| i as usize);
+            match (&mut out, src) {
+                (Column::Bool(d), Column::Bool(s)) => d.extend(rows.map(|i| s[i])),
+                (Column::UInt(d), Column::UInt(s)) => d.extend(rows.map(|i| s[i])),
+                (Column::Float(d), Column::Float(s)) => d.extend(rows.map(|i| s[i])),
+                (Column::Ip(d), Column::Ip(s)) => d.extend(rows.map(|i| s[i])),
+                (Column::Str(d), Column::Str(s)) => d.extend(rows.map(|i| s[i].clone())),
+                (Column::Val(d), Column::Val(s)) => d.extend(rows.map(|i| s[i].clone())),
+                (d, s) => rows.for_each(|i| d.push(s.get(i))),
+            }
         }
+        out
     }
 }
 
@@ -234,6 +269,28 @@ impl ColumnBatch {
         Tuple::new((0..self.cols.len()).map(|c| self.cols[c].get(p)).collect())
     }
 
+    /// Cut row items into batches, each closed by the punctuation that
+    /// follows its rows (a trailing run of rows closes without one) —
+    /// the inverse of [`into_items`](ColumnBatch::into_items).
+    ///
+    /// # Panics
+    /// Panics if a tuple's arity differs from the rows before it in its
+    /// batch: a ragged batch must fail where it is built.
+    pub fn from_items(items: Vec<StreamItem>) -> Vec<(ColumnBatch, Option<Punct>)> {
+        let mut out = Vec::new();
+        let mut b = ColBuilder::new();
+        for item in items {
+            match item {
+                StreamItem::Tuple(t) => b.push_tuple(&t),
+                StreamItem::Punct(p) => out.push((b.finish(), Some(p))),
+            }
+        }
+        if !b.is_empty() {
+            out.push((b.finish(), None));
+        }
+        out
+    }
+
     /// Convert back to row items, appending the punctuation rider last.
     pub fn into_items(self, punct: Option<Punct>) -> Vec<StreamItem> {
         let n = self.n_rows();
@@ -306,8 +363,9 @@ impl ColBuilder {
     /// Append one row of values.
     ///
     /// # Panics
-    /// Panics (debug) if the arity differs from the first row — streams
-    /// have a fixed schema.
+    /// Panics if the arity differs from the first row — streams have a
+    /// fixed schema, and a ragged batch shipped on would fail in whatever
+    /// consumes it instead of here.
     pub fn push_values<I: IntoIterator<Item = Value>>(&mut self, vals: I) {
         let mut it = vals.into_iter();
         if self.cols.is_empty() && self.rows == 0 {
@@ -319,7 +377,7 @@ impl ColBuilder {
             self.cols[i].push(v);
             n += 1;
         }
-        debug_assert_eq!(n, self.cols.len(), "row arity changed mid-stream");
+        assert_eq!(n, self.cols.len(), "row arity changed mid-stream");
         self.rows += 1;
     }
 

@@ -19,8 +19,8 @@
 //! in a validity mask so one poisoned row discards only itself, exactly
 //! like the row path.
 
-use super::{eval_bin, Instr, Program};
-use crate::batch::{Column, ColumnBatch};
+use super::{eval_bin, EvalScratch, Instr, Program};
+use crate::batch::{Column, ColumnBatch, RowView};
 use crate::value::Value;
 use bytes::Bytes;
 use gs_gsql::ast::BinOp;
@@ -131,6 +131,23 @@ impl VecVal {
         }
     }
 
+    /// Per-row results of the row evaluator (`None`: the row aborted) as
+    /// a vector value. The column type latches from the first result; an
+    /// aborted row holds a copy of it, masked invalid.
+    fn from_rows(vals: Vec<Option<Value>>) -> VecVal {
+        let n = vals.len();
+        let Some(fill) = vals.iter().flatten().next().cloned() else {
+            return VecVal::Col(Column::Bool(vec![false; n]), Some(vec![false; n]));
+        };
+        let valid: Vec<bool> = vals.iter().map(Option::is_some).collect();
+        let mut col = Column::broadcast(&fill, 0);
+        for v in vals {
+            col.push(v.unwrap_or_else(|| fill.clone()));
+        }
+        let all_valid = valid.iter().all(|&b| b);
+        VecVal::Col(col, (!all_valid).then_some(valid))
+    }
+
     /// Materialize as an owned column over `keep` (indices into the live
     /// rows; `None` keeps all `n` rows). Rows must be valid — callers
     /// resolve validity before materializing.
@@ -175,6 +192,25 @@ impl Program {
             }
         }
         regs[self.out].take()
+    }
+
+    /// [`eval_vec`](Program::eval_vec), or — for a program without a
+    /// kernel — the row evaluator over each live row through
+    /// [`RowView`]: the same values and the same validity either way.
+    pub fn eval_vec_or_rows(&self, batch: &ColumnBatch, scratch: &mut EvalScratch) -> VecVal {
+        self.eval_vec(batch).unwrap_or_else(|| {
+            VecVal::from_rows(
+                (0..batch.n_rows()).map(|i| self.eval(&RowView::new(batch, i), scratch)).collect(),
+            )
+        })
+    }
+
+    /// The input columns the program reads.
+    pub fn fields(&self) -> impl Iterator<Item = usize> + '_ {
+        self.instrs.iter().filter_map(|ins| match ins {
+            Instr::Field { src, .. } => Some(*src),
+            _ => None,
+        })
     }
 }
 

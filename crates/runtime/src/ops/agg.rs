@@ -624,10 +624,6 @@ impl Operator for AggregateOp {
         spill_hot(&mut self.inner.groups, &mut hot);
     }
 
-    fn col_capable(&self) -> bool {
-        true
-    }
-
     /// Columnar aggregation: group keys and aggregate arguments are
     /// vector-evaluated once for the whole batch, then runs of equal
     /// keys (network streams have strong temporal locality) each pay one

@@ -256,6 +256,27 @@ pub enum Root {
     Join(Box<JoinOp>),
 }
 
+impl Root {
+    fn push(
+        &mut self,
+        port: usize,
+        cols: ColumnBatch,
+        punct: Option<Punct>,
+    ) -> (ColumnBatch, Option<Punct>) {
+        match self {
+            Root::Merge(m) => m.push_cols(port, cols, punct),
+            Root::Join(j) => (j.push_cols(port, cols, punct), None),
+        }
+    }
+
+    fn kind(&self) -> &'static str {
+        match self {
+            Root::Merge(_) => "merge",
+            Root::Join(_) => "join",
+        }
+    }
+}
+
 /// An instantiated HFTA: input stream names plus the operator pipeline.
 pub struct HftaNode {
     /// Upstream stream names, in port order.
@@ -264,39 +285,39 @@ pub struct HftaNode {
     root: Option<Root>,
     /// Single-input chain above the root (or the whole pipeline).
     chain: Vec<Box<dyn Operator>>,
+    /// Column count of each input's schema. A root checks it, so a
+    /// truncated batch fails in this node rather than in a consumer.
+    arity: Vec<usize>,
 }
 
 impl HftaNode {
-    /// Feed a whole batch into input `port`: the root consumes it via
-    /// [`Operator::push_batch`] and its output flows through the chain one
-    /// batch at a time, so per-stage setup amortizes across the batch.
+    /// Feed row items into input `port` — the fault injector's and the
+    /// tests' entry point. A node with a root cuts them into batches at
+    /// each punctuation and takes its columnar path; a chain alone runs
+    /// row-at-a-time.
     pub fn push_batch(&mut self, port: usize, items: Vec<StreamItem>, out: &mut Vec<StreamItem>) {
-        match &mut self.root {
-            Some(root) => {
-                let mut mid = Vec::new();
-                match root {
-                    Root::Merge(m) => m.push_batch(port, items, &mut mid),
-                    Root::Join(j) => j.push_batch(port, items, &mut mid),
-                }
-                if !mid.is_empty() {
-                    cascade_batch(&mut self.chain, mid, out);
-                }
-            }
-            None => {
-                debug_assert_eq!(port, 0);
-                cascade_batch(&mut self.chain, items, out);
+        if self.root.is_none() {
+            debug_assert_eq!(port, 0);
+            cascade_batch(&mut self.chain, items, out);
+            return;
+        }
+        for (cb, punct) in ColumnBatch::from_items(items) {
+            if let Some((cb, punct)) = self.push_cols(port, cb, punct, out) {
+                out.extend(cb.into_items(punct));
             }
         }
     }
 
     /// Feed a columnar batch (with its at-most-one trailing punctuation
-    /// rider) into a single-input node. Each chain operator runs its
-    /// columnar path; as soon as one returns row-shaped output the
-    /// remaining stages run row-at-a-time. Returns `Some((cols, punct))`
-    /// when the batch survives the whole chain columnar — the caller
-    /// ships it downstream without materializing rows. Multi-input roots
-    /// are row boundaries: the batch is materialized into
-    /// [`push_batch`](HftaNode::push_batch) (port 0) and `None` returned.
+    /// rider) into input `port`. The root, then each chain operator, runs
+    /// its columnar path; as soon as one returns row-shaped output the
+    /// remaining stages run row-at-a-time into `out`. Returns
+    /// `Some((cols, punct))` when the batch survives the whole node
+    /// columnar — the caller ships it downstream without materializing
+    /// rows.
+    ///
+    /// # Panics
+    /// Panics if a batch for a root has the wrong number of columns.
     pub fn push_cols(
         &mut self,
         port: usize,
@@ -304,13 +325,30 @@ impl HftaNode {
         punct: Option<Punct>,
         out: &mut Vec<StreamItem>,
     ) -> Option<(ColumnBatch, Option<Punct>)> {
-        if self.root.is_some() {
-            self.push_batch(port, cols.into_items(punct), out);
+        let Some(root) = &mut self.root else {
+            debug_assert_eq!(port, 0);
+            return self.run_chain(cols, punct, out);
+        };
+        assert!(
+            cols.is_empty() || cols.n_cols() == self.arity[port],
+            "input {port} batch has {} columns, its schema {}",
+            cols.n_cols(),
+            self.arity[port]
+        );
+        let (cb, punct) = root.push(port, cols, punct);
+        if cb.is_empty() && punct.is_none() {
             return None;
         }
-        debug_assert_eq!(port, 0);
-        let mut cur = cols;
-        let mut rider = punct;
+        self.run_chain(cb, punct, out)
+    }
+
+    /// The chain over one batch: columnar while each stage stays so.
+    fn run_chain(
+        &mut self,
+        mut cur: ColumnBatch,
+        mut rider: Option<Punct>,
+        out: &mut Vec<StreamItem>,
+    ) -> Option<(ColumnBatch, Option<Punct>)> {
         for i in 0..self.chain.len() {
             match self.chain[i].push_cols(cur, rider) {
                 ColStep::Cols(cb, p) => {
@@ -332,35 +370,40 @@ impl HftaNode {
         Some((cur, rider))
     }
 
+    /// Root output released outside a push (an input or the stream
+    /// ended) goes through the chain into `out`.
+    fn chain_rows(&mut self, cb: ColumnBatch, punct: Option<Punct>, out: &mut Vec<StreamItem>) {
+        if cb.is_empty() && punct.is_none() {
+            return;
+        }
+        if let Some((cb, punct)) = self.run_chain(cb, punct, out) {
+            out.extend(cb.into_items(punct));
+        }
+    }
+
     /// One input stream ended: multi-input roots release the holds that
     /// input maintained; single-input nodes ignore this (use [`finish`]).
     ///
     /// [`finish`]: HftaNode::finish
     pub fn finish_input(&mut self, port: usize, out: &mut Vec<StreamItem>) {
-        if let Some(root) = &mut self.root {
-            let mut mid = Vec::new();
-            match root {
-                Root::Merge(m) => m.finish_input(port, &mut mid),
-                Root::Join(j) => j.finish_input(port),
+        match &mut self.root {
+            Some(Root::Merge(m)) => {
+                let (cb, punct) = m.finish_input(port);
+                self.chain_rows(cb, punct, out);
             }
-            if !mid.is_empty() {
-                cascade_batch(&mut self.chain, mid, out);
-            }
+            Some(Root::Join(j)) => j.finish_input(port),
+            None => {}
         }
     }
 
     /// All inputs ended: flush everything.
     pub fn finish(&mut self, out: &mut Vec<StreamItem>) {
-        if let Some(root) = &mut self.root {
-            let mut mid = Vec::new();
-            match root {
-                Root::Merge(m) => m.finish(&mut mid),
-                Root::Join(j) => j.finish(&mut mid),
-            }
-            if !mid.is_empty() {
-                cascade_batch(&mut self.chain, mid, out);
-            }
-        }
+        let released = match &mut self.root {
+            Some(Root::Merge(m)) => m.finish(),
+            Some(Root::Join(j)) => j.finish(),
+            None => ColumnBatch::default(),
+        };
+        self.chain_rows(released, None, out);
         cascade_finish(&mut self.chain, out);
     }
 
@@ -386,13 +429,11 @@ impl HftaNode {
     pub fn register_stats(&self, registry: &StatsRegistry, query: &str) {
         let mut i = 0usize;
         if let Some(root) = &self.root {
-            let (kind, handle) = match root {
-                Root::Merge(m) => (Operator::kind(m), m.stats_handle()),
-                Root::Join(j) => (Operator::kind(&**j), j.stats_handle()),
+            let handle = match root {
+                Root::Merge(m) => m.stats_handle(),
+                Root::Join(j) => j.stats_handle(),
             };
-            if let Some(h) = handle {
-                registry.register(format!("hfta:{query}/{i}:{kind}"), h);
-            }
+            registry.register(format!("hfta:{query}/{i}:{}", root.kind()), handle);
             i += 1;
         }
         for op in &self.chain {
@@ -427,11 +468,11 @@ impl HftaNode {
             match root {
                 Root::Merge(m) => {
                     w.put_u8(0);
-                    Operator::snapshot(m, w);
+                    m.snapshot(w);
                 }
                 Root::Join(j) => {
                     w.put_u8(1);
-                    Operator::snapshot(&**j, w);
+                    j.snapshot(w);
                 }
             }
         }
@@ -456,8 +497,8 @@ impl HftaNode {
         if let Some(root) = &mut self.root {
             let tag = r.get_u8()?;
             match (root, tag) {
-                (Root::Merge(m), 0) => Operator::restore(m, r)?,
-                (Root::Join(j), 1) => Operator::restore(&mut **j, r)?,
+                (Root::Merge(m), 0) => m.restore(r)?,
+                (Root::Join(j), 1) => j.restore(r)?,
                 (_, t) => {
                     return Err(crate::snapshot::proto(format!(
                         "hfta root tag {t} does not match build"
@@ -498,10 +539,11 @@ pub fn build_hfta(plan: &Plan, ctx: &BuildCtx<'_>) -> Result<HftaNode, RuntimeEr
     }
 
     match node {
-        Plan::StreamScan { stream, .. } => Ok(HftaNode {
+        Plan::StreamScan { stream, schema } => Ok(HftaNode {
             inputs: vec![stream.clone()],
             root: None,
             chain,
+            arity: vec![schema.len()],
         }),
         Plan::Join { left, right, window, residual, cols, .. } => {
             let (Plan::StreamScan { stream: ls, schema: lsch }, Plan::StreamScan { stream: rs, schema: rsch }) =
@@ -546,11 +588,13 @@ pub fn build_hfta(plan: &Plan, ctx: &BuildCtx<'_>) -> Result<HftaNode, RuntimeEr
                 inputs: vec![ls.clone(), rs.clone()],
                 root: Some(Root::Join(Box::new(JoinOp::new(cfg, res, projs)))),
                 chain,
+                arity: vec![n_left, rsch.len()],
             })
         }
         Plan::Merge { inputs, on_col, .. } => {
             let mut names = Vec::with_capacity(inputs.len());
             let mut slacks = Vec::with_capacity(inputs.len());
+            let mut arity = Vec::with_capacity(inputs.len());
             for i in inputs {
                 let Plan::StreamScan { stream, schema } = i else {
                     return Err(RuntimeError::msg(
@@ -559,11 +603,13 @@ pub fn build_hfta(plan: &Plan, ctx: &BuildCtx<'_>) -> Result<HftaNode, RuntimeEr
                 };
                 names.push(stream.clone());
                 slacks.push(order_slack(schema, *on_col));
+                arity.push(schema.len());
             }
             Ok(HftaNode {
                 inputs: names,
                 root: Some(Root::Merge(MergeOp::new(inputs.len(), *on_col, slacks))),
                 chain,
+                arity,
             })
         }
         other => Err(RuntimeError::msg(format!(

@@ -20,62 +20,27 @@ use crate::batch::{ColStep, ColumnBatch};
 use crate::punct::Punct;
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 use crate::stats::OpCounters;
-use crate::tuple::{StreamItem, Tuple};
+use crate::tuple::StreamItem;
 use std::sync::Arc;
 
-/// Heap entry ordering tuples by an ordered-attribute value with an
-/// insertion sequence as tiebreak; shared by the merge operator's input
-/// buffers and the join's sorted-release queue.
-pub(crate) struct OrderedTupleEntry {
-    pub(crate) v: u64,
-    pub(crate) seq: u64,
-    pub(crate) tuple: Tuple,
-}
-
-impl PartialEq for OrderedTupleEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.v, self.seq) == (other.v, other.seq)
-    }
-}
-impl Eq for OrderedTupleEntry {}
-impl PartialOrd for OrderedTupleEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrderedTupleEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.v, self.seq).cmp(&(other.v, other.seq))
-    }
-}
-
-/// A push-based stream operator.
+/// A push-based single-input stream operator — a stage of an HFTA's
+/// chain. The two multi-input roots, [`merge::MergeOp`] and
+/// [`join::JoinOp`], take a port with every batch and are driven by
+/// [`build::HftaNode`] directly.
 pub trait Operator: Send {
-    /// Number of input ports (1 except for join/merge).
-    fn n_inputs(&self) -> usize {
-        1
-    }
-
-    /// Feed a batch of items into `port`; outputs are appended to `out`.
-    /// The one row entry point: a single item is a batch of one.
+    /// Feed a batch of items (`port` is always 0); outputs are appended
+    /// to `out`. The one row entry point: a single item is a batch of one.
     ///
     /// Batch boundaries carry no meaning — splitting or joining batches
     /// never changes the data tuples produced, which lets hot operators
-    /// hoist per-call setup (group-table lookups for runs of equal keys,
-    /// merge heap drains, join GC) out of the inner loop. Coarser
-    /// batches may emit fewer intermediate punctuation tokens
-    /// (punctuation is an optimization, never required for correctness).
+    /// hoist per-call setup (group-table lookups for runs of equal keys)
+    /// out of the inner loop. Coarser batches may emit fewer intermediate
+    /// punctuation tokens (punctuation is an optimization, never required
+    /// for correctness).
     fn push_batch(&mut self, port: usize, items: Vec<StreamItem>, out: &mut Vec<StreamItem>);
 
-    /// Whether the operator has a native columnar path — i.e. its
-    /// [`push_cols`](Operator::push_cols) does better than the row
-    /// fallback. Only meaningful for single-input operators.
-    fn col_capable(&self) -> bool {
-        false
-    }
-
-    /// Feed a columnar batch (always port 0 — multi-input operators are
-    /// row boundaries) with its at-most-one trailing punctuation rider.
+    /// Feed a columnar batch with its at-most-one trailing punctuation
+    /// rider.
     ///
     /// Semantically identical to materializing the rows and calling
     /// [`push_batch`](Operator::push_batch) — which is exactly what the
@@ -140,7 +105,6 @@ pub fn cascade_batch(
     items: Vec<StreamItem>,
     out: &mut Vec<StreamItem>,
 ) {
-    debug_assert!(ops.iter().all(|o| o.n_inputs() == 1));
     let mut cur = items;
     let mut next = Vec::new();
     for op in ops.iter_mut() {

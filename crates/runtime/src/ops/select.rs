@@ -3,10 +3,11 @@
 //! Both operators here have native columnar paths: filtering rewrites
 //! the batch's selection vector in place (no data movement), and
 //! projection evaluates each output column with the vector kernels,
-//! falling back to row-at-a-time evaluation when a program has no
-//! kernel.
+//! falling back to row-at-a-time evaluation for a program without a
+//! kernel. The window join's residual and projections run through the
+//! same two functions.
 
-use crate::batch::{ColStep, ColumnBatch, RowView};
+use crate::batch::{ColStep, ColumnBatch};
 use crate::expr::vector::VecVal;
 use crate::expr::{EvalScratch, Program};
 use crate::ops::Operator;
@@ -17,17 +18,31 @@ use crate::tuple::{StreamItem, Tuple};
 use crate::value::Value;
 use std::sync::Arc;
 
-/// Live-row indices passing `pred`: one vectorized pass when a kernel
-/// exists, otherwise a row-at-a-time pass — same selection either way.
-fn filter_keep(pred: &Program, cb: &ColumnBatch, scratch: &mut EvalScratch) -> Vec<u32> {
-    let n = cb.n_rows();
-    match pred.eval_vec(cb) {
-        Some(v) => (0..n).filter(|&i| v.truthy(i)).map(|i| i as u32).collect(),
-        None => (0..n)
-            .filter(|&i| pred.eval_bool(&RowView::new(cb, i), scratch))
-            .map(|i| i as u32)
-            .collect(),
+/// `cb` narrowed to the live rows passing `pred`.
+pub(crate) fn filter(pred: &Program, cb: ColumnBatch, scratch: &mut EvalScratch) -> ColumnBatch {
+    let v = pred.eval_vec_or_rows(&cb, scratch);
+    let keep: Vec<u32> = (0..cb.n_rows()).filter(|&i| v.truthy(i)).map(|i| i as u32).collect();
+    if keep.len() == cb.n_rows() {
+        cb
+    } else {
+        cb.narrow(keep)
     }
+}
+
+/// One output column per projection over the live rows of `cb`; a row
+/// where any projection fails is dropped — the row path's
+/// short-circuiting collect.
+pub(crate) fn project(
+    projections: &[Program],
+    cb: &ColumnBatch,
+    scratch: &mut EvalScratch,
+) -> ColumnBatch {
+    let m = cb.n_rows();
+    let vecs: Vec<VecVal> = projections.iter().map(|p| p.eval_vec_or_rows(cb, scratch)).collect();
+    let keep: Option<Vec<u32>> = vecs.iter().any(VecVal::any_invalid).then(|| {
+        (0..m).filter(|&i| vecs.iter().all(|v| v.valid(i))).map(|i| i as u32).collect()
+    });
+    ColumnBatch::from_columns(vecs.into_iter().map(|v| v.into_column(keep.as_deref(), m)).collect())
 }
 
 /// The whole mutable state of a stateless operator is its counter block.
@@ -136,84 +151,29 @@ impl Operator for SelectProject {
         }
     }
 
-    fn col_capable(&self) -> bool {
-        true
-    }
-
     fn push_cols(&mut self, cols: ColumnBatch, punct: Option<Punct>) -> ColStep {
         self.batches += 1;
-        let n = cols.n_rows();
-        self.seen += n as u64;
-        // Filter pass: rewrite the selection vector.
+        self.seen += cols.n_rows() as u64;
         let cb = match &self.filter {
             None => cols,
-            Some(f) => {
-                let keep = filter_keep(f, &cols, &mut self.scratch);
-                if keep.len() == n {
-                    cols
-                } else {
-                    cols.narrow(keep)
-                }
-            }
+            Some(f) => filter(f, cols, &mut self.scratch),
         };
-        let m = cb.n_rows();
-        // Vectorized projections; any kernel miss falls the whole batch
-        // back to row evaluation (output columns must stay aligned).
-        let mut vecs = Vec::with_capacity(self.projections.len());
-        let all_vec = self.projections.iter().all(|p| match p.eval_vec(&cb) {
-            Some(v) => {
-                vecs.push(v);
-                true
-            }
-            None => false,
-        });
-        if all_vec {
-            // A row where any projection failed is discarded — the row
-            // path's short-circuiting collect.
-            let keep: Option<Vec<u32>> = if vecs.iter().any(VecVal::any_invalid) {
-                Some(
-                    (0..m)
-                        .filter(|&i| vecs.iter().all(|v| v.valid(i)))
-                        .map(|i| i as u32)
-                        .collect(),
-                )
-            } else {
-                None
-            };
-            self.kept += keep.as_ref().map_or(m, Vec::len) as u64;
-            let out_cols =
-                vecs.into_iter().map(|v| v.into_column(keep.as_deref(), m)).collect();
-            let out_cb = ColumnBatch::from_columns(out_cols);
-            let mut ps = Vec::new();
-            if let Some(p) = &punct {
-                self.puncts += 1;
-                self.translate_punct(p, &mut ps);
-            }
-            return if ps.len() <= 1 {
-                ColStep::Cols(out_cb, ps.pop())
-            } else {
-                // One input token translating to several output tokens
-                // cannot ride a columnar batch — materialize.
-                let mut items = out_cb.into_items(None);
-                items.extend(ps.into_iter().map(StreamItem::Punct));
-                ColStep::Rows(items)
-            };
+        let out_cb = project(&self.projections, &cb, &mut self.scratch);
+        self.kept += out_cb.n_rows() as u64;
+        let mut ps = Vec::new();
+        if let Some(p) = &punct {
+            self.puncts += 1;
+            self.translate_punct(p, &mut ps);
         }
-        let mut out = Vec::with_capacity(m + 1);
-        for i in 0..m {
-            let rv = RowView::new(&cb, i);
-            let scratch = &mut self.scratch;
-            let projected: Option<Tuple> =
-                self.projections.iter().map(|p| p.eval(&rv, scratch)).collect();
-            if let Some(t) = projected {
-                self.kept += 1;
-                out.push(StreamItem::Tuple(t));
-            }
+        if ps.len() <= 1 {
+            ColStep::Cols(out_cb, ps.pop())
+        } else {
+            // One input token translating to several output tokens
+            // cannot ride a columnar batch — materialize.
+            let mut items = out_cb.into_items(None);
+            items.extend(ps.into_iter().map(StreamItem::Punct));
+            ColStep::Rows(items)
         }
-        if let Some(p) = punct {
-            self.push_punct(&p, &mut out);
-        }
-        ColStep::Rows(out)
     }
 
     fn finish(&mut self, _out: &mut Vec<StreamItem>) {}
@@ -293,20 +253,14 @@ impl Operator for FilterOp {
         }
     }
 
-    fn col_capable(&self) -> bool {
-        true
-    }
-
     fn push_cols(&mut self, cols: ColumnBatch, punct: Option<Punct>) -> ColStep {
         self.batches += 1;
-        let n = cols.n_rows();
-        self.seen += n as u64;
+        self.seen += cols.n_rows() as u64;
         if punct.is_some() {
             self.puncts += 1;
         }
-        let keep = filter_keep(&self.pred, &cols, &mut self.scratch);
-        self.kept += keep.len() as u64;
-        let cb = if keep.len() == n { cols } else { cols.narrow(keep) };
+        let cb = filter(&self.pred, cols, &mut self.scratch);
+        self.kept += cb.n_rows() as u64;
         ColStep::Cols(cb, punct)
     }
 

@@ -25,6 +25,7 @@
 //! that wrote it by more than one recovery, and a refused cut degrades to
 //! a fresh start with a note.
 
+use crate::batch::ColumnBatch;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use bytes::Bytes;
@@ -287,6 +288,26 @@ impl SnapWriter {
     /// One tuple (its field list).
     pub fn put_tuple(&mut self, t: &Tuple) {
         self.put_values(t.values());
+    }
+
+    /// Physical row `row` of a column batch, written as the tuple it
+    /// holds.
+    pub fn put_row(&mut self, batch: &ColumnBatch, row: usize) {
+        self.put_u32(batch.n_cols() as u32);
+        for c in 0..batch.n_cols() {
+            self.put_value(&batch.col(c).get(row));
+        }
+    }
+}
+
+/// Restored rows as one column batch; rows of differing arity are a
+/// protocol error, not a ragged batch.
+pub fn rows_batch(rows: &[Tuple]) -> Result<ColumnBatch, SnapError> {
+    match rows.first() {
+        Some(t) if rows.iter().any(|r| r.arity() != t.arity()) => {
+            Err(proto("restored rows disagree on arity"))
+        }
+        _ => Ok(ColumnBatch::from_tuples(rows)),
     }
 }
 

@@ -107,18 +107,15 @@ pub fn oracle_lftas(
 /// earlier one). Filter and Project evaluate their compiled expression
 /// per row; Aggregate is a `BTreeMap` from group key to the group's
 /// rows, folded per aggregate; Merge is a stable sort of the union on
-/// the merge column. No batching, no partitioning, no punctuation, no
-/// windows, no queues — nothing of `gigascope::dataflow` or
-/// `gs_runtime::ops` beyond expression evaluation, so an engine bug
-/// cannot hide in both sides of a comparison. Returns every stream
-/// (LFTA streams included) as its tuples; HFTA streams come out in the
-/// interpreter's order, so compare them as multisets.
-///
-/// Covers the operators of the `prop_manager` and `prop_parallel`
-/// templates. Window joins are not interpreted (a `Join` plan panics):
-/// they stay covered by the `join.rs` unit tests, which check the
-/// operator against a nested-loop reference, and by the `merge_join`
-/// benchmark workload's `run_capture` oracle.
+/// the merge column; Join is a nested loop over every (left, right)
+/// pair, keeping those inside the window whose *whole* residual —
+/// equality conjuncts included — evaluates true. No batching, no
+/// partitioning, no punctuation, no hashing, no windows, no queues —
+/// nothing of `gigascope::dataflow` or `gs_runtime::ops` beyond
+/// expression evaluation, so an engine bug cannot hide in both sides of
+/// a comparison. Returns every stream (LFTA streams included) as its
+/// tuples; HFTA streams come out in the interpreter's order, so compare
+/// them as multisets.
 pub fn oracle_hftas(gs: &Gigascope, pkts: &[CapPacket]) -> BTreeMap<String, Vec<Tuple>> {
     let mut streams: BTreeMap<String, Vec<Tuple>> =
         oracle_lftas(gs, pkts).into_iter().map(|(name, (rows, _))| (name, rows)).collect();
@@ -220,9 +217,31 @@ fn interpret(plan: &Plan, streams: &BTreeMap<String, Vec<Tuple>>) -> Vec<Tuple> 
             rows.sort_by_key(|t| t.get(*on_col).as_uint());
             rows
         }
-        Plan::Join { .. } | Plan::ProtocolScan { .. } => {
-            panic!("oracle_hftas does not interpret {plan:?}")
+        Plan::Join { left, right, window, residual, cols, .. } => {
+            let (lefts, rights) = (interpret(left, streams), interpret(right, streams));
+            let in_window = |l: &Tuple, r: &Tuple| {
+                let (Some(lv), Some(rv)) =
+                    (l.get(window.left_col).as_uint(), r.get(window.right_col).as_uint())
+                else {
+                    return false;
+                };
+                let d = i128::from(lv) - i128::from(rv);
+                i128::from(window.lo) <= d && d <= i128::from(window.hi)
+            };
+            let mut rows = Vec::new();
+            for l in &lefts {
+                for r in rights.iter().filter(|r| in_window(l, r)) {
+                    let pair = l.concat(r);
+                    let accepted = |p: &PExpr| eval(p, &pair) == Some(Value::Bool(true));
+                    if !residual.as_ref().is_none_or(accepted) {
+                        continue;
+                    }
+                    rows.extend(eval_all(cols, &pair).map(Tuple::new));
+                }
+            }
+            rows
         }
+        Plan::ProtocolScan { .. } => panic!("oracle_hftas does not interpret {plan:?}"),
     }
 }
 

@@ -48,7 +48,7 @@ struct Template {
     subscriptions: &'static [&'static str],
 }
 
-const TEMPLATES: [Template; 3] = [
+const TEMPLATES: [Template; 4] = [
     // Split aggregation over a shared stream: hash-agg HFTA state (and
     // at parallelism 4, per-shard state reunified by a merge), beside a
     // filter + projection HFTA whose only state is its counters.
@@ -78,6 +78,20 @@ const TEMPLATES: [Template; 3] = [
                   DEFINE { query_name b; } Select time From eth1.tcp; \
                   DEFINE { query_name m; } Merge a.time : b.time From a, b",
         subscriptions: &["m", "a", "b"],
+    },
+    // Window join under a group-by: rows buffered on both sides, the
+    // per-side watermarks and the GC horizon they imply must survive the
+    // boundary, or pairs straddling the cut are lost or doubled.
+    Template {
+        program: "DEFINE { query_name a; } Select time, destPort, len From eth0.tcp; \
+                  DEFINE { query_name b; } Select time, destPort, len From eth1.tcp; \
+                  DEFINE { query_name pairs; } \
+                  Select A.time, A.destPort, A.len, B.len as blen From a A, b B \
+                  Where A.time >= B.time - 1 and A.time <= B.time + 1 \
+                  and A.destPort = B.destPort; \
+                  DEFINE { query_name perjoin; } \
+                  Select time, count(*), sum(blen) From pairs Group By time",
+        subscriptions: &["pairs", "perjoin"],
     },
 ];
 

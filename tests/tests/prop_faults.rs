@@ -255,6 +255,89 @@ fn poison_and_corruption_are_contained() {
     });
 }
 
+/// A merge and a window join over the same two interfaces, beside a
+/// group-by sibling. Each of `m` and `j` feeds only its subscription, so
+/// a fault that escaped its node would quarantine nothing.
+const ROOTS: &str = "DEFINE { query_name a; } Select time, destPort, len From eth0.tcp; \
+     DEFINE { query_name b; } Select time, destPort, len From eth1.tcp; \
+     DEFINE { query_name m; } Merge a.time : b.time From a, b; \
+     DEFINE { query_name j; } \
+     Select A.time, A.destPort, B.len From a A, b B \
+     Where A.time = B.time and A.destPort = B.destPort; \
+     DEFINE { query_name sib; } Select time, count(*), sum(len) From a Group By time";
+
+const ROOT_SUBS: [&str; 3] = ["m", "j", "sib"];
+
+/// Both interfaces in turn, interface 0 first — so a root's first
+/// consumed batch holds rows, and a truncation aimed at it truncates
+/// something.
+fn two_link_trace(g: &mut Gen) -> Vec<CapPacket> {
+    let n = g.usize(40..200);
+    let mut ts_ns = 0u64;
+    (0..n)
+        .map(|i| {
+            ts_ns += g.u64(0..1_500_000_000);
+            let dport = *g.choice(&[80u16, 443, 25]);
+            let f = FrameBuilder::tcp(0x0a000000 + i as u32, 0xc0a80001, 1024, dport)
+                .payload(&vec![0u8; g.usize(0..32)])
+                .build_ethernet();
+            CapPacket::full(ts_ns, (i % 2) as u16, LinkType::Ethernet, f)
+        })
+        .collect()
+}
+
+/// A panic in, or a column-truncated batch fed to, a merge or a join
+/// root fails inside that root: exactly its query is quarantined, for
+/// its own panic, on both schedulers — a truncated row never ships on
+/// to fail a consumer — and every other query's output is the
+/// fault-free one.
+#[test]
+fn faults_at_a_merge_or_join_root_quarantine_that_query_alone() {
+    check("fault_roots", 4, |g| {
+        let pkts = two_link_trace(g);
+        let system = |batch: usize, plan: Option<FaultPlan>| {
+            let mut gs = Gigascope::new();
+            gs.add_interface("eth0", 0, LinkType::Ethernet);
+            gs.add_interface("eth1", 1, LinkType::Ethernet);
+            gs.batch_size = batch;
+            gs.faults = plan;
+            gs.add_program(ROOTS).unwrap();
+            gs
+        };
+        let clean = system(256, None).run_capture(pkts.iter().cloned(), &ROOT_SUBS).unwrap();
+        for target in ["m", "j"] {
+            for kind in [
+                gigascope::FaultKind::PanicOnBatch { at_batch: g.u64(1..4) },
+                gigascope::FaultKind::CorruptTuple { at_batch: 1, keep_cols: 1 },
+            ] {
+                for batch in BATCH_SIZES {
+                    let ctx = format!("{kind:?} at `{target}`, batch {batch}");
+                    let gs = || system(batch, Some(FaultPlan::new().with(target, kind.clone())));
+                    let sync = gs().run_capture(pkts.iter().cloned(), &ROOT_SUBS).unwrap();
+                    let thr = run_threaded(&gs(), pkts.iter().cloned(), &ROOT_SUBS).unwrap();
+                    assert_eq!(thr.packets, pkts.len() as u64, "{ctx}: capture wedged");
+                    let healths = [(&sync.stats.health, "sync"), (&thr.health, "threaded")];
+                    for (health, engine) in healths {
+                        let failures = health.failures();
+                        let alone = matches!(failures.as_slice(),
+                            [(q, FaultReason::Panic(_))] if *q == target);
+                        assert!(
+                            alone,
+                            "{ctx}, {engine}: expected `{target}` alone to fail in itself, got \
+                             {failures:?}"
+                        );
+                    }
+                    for name in ROOT_SUBS.iter().filter(|&&q| q != target) {
+                        let want = norm(clean.stream(name));
+                        assert_eq!(norm(sync.stream(name)), want, "{ctx}: sync `{name}`");
+                        assert_eq!(norm(thr.stream(name)), want, "{ctx}: threaded `{name}`");
+                    }
+                }
+            }
+        }
+    });
+}
+
 /// A seeded plan is reproducible: the same seed yields the same targets
 /// and the same run health, twice.
 #[test]

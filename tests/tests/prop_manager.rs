@@ -29,7 +29,7 @@ struct Template {
     subscriptions: &'static [&'static str],
 }
 
-const TEMPLATES: [Template; 4] = [
+const TEMPLATES: [Template; 5] = [
     // Pure selection: LFTA-only query, the capture loop is the producer.
     Template {
         program: "DEFINE { query_name sel; } \
@@ -64,7 +64,38 @@ const TEMPLATES: [Template; 4] = [
                   DEFINE { query_name m; } Merge a.time : b.time From a, b",
         subscriptions: &["sel", "raw", "agg", "m"],
     },
+    // Window join of the two interfaces — a band window plus a hash key —
+    // aggregated above: both join sides hold state, the window slides by
+    // watermark and punctuation, and the join's output crosses an edge.
+    Template {
+        program: "DEFINE { query_name a; } Select time, destPort, len From eth0.tcp; \
+                  DEFINE { query_name b; } Select time, destPort, len From eth1.tcp; \
+                  DEFINE { query_name pairs; } \
+                  Select A.time, A.destPort, A.len, B.len as blen From a A, b B \
+                  Where A.time >= B.time - 1 and A.time <= B.time + 1 \
+                  and A.destPort = B.destPort; \
+                  DEFINE { query_name perjoin; } \
+                  Select time, count(*), sum(blen) From pairs Group By time",
+        subscriptions: &["pairs", "perjoin"],
+    },
 ];
+
+/// Join keys the hash index must compare exactly as the predicate
+/// does (`=` is `Value::total_cmp`): a `uint = float` conjunct, NaN keys
+/// (equal to themselves) and −0.0 against +0.0 (not equal).
+const FLOAT_KEYS: &str = "DEFINE { query_name a; } \
+     Select time, destPort, len, (len - len) / 0.0 as nan, \
+     (len - len) * (0.0 - 1.0) as negz From eth0.tcp; \
+     DEFINE { query_name b; } \
+     Select time, destPort * 1.0 as fport, len, (len - len) / 0.0 as nan, \
+     (len - len) * 1.0 as posz From eth1.tcp; \
+     DEFINE { query_name cross; } \
+     Select A.time, A.len, B.len From a A, b B \
+     Where A.time = B.time and A.destPort = B.fport; \
+     DEFINE { query_name nans; } \
+     Select A.time, B.len From a A, b B Where A.time = B.time and A.nan = B.nan; \
+     DEFINE { query_name zeros; } \
+     Select A.time, B.len From a A, b B Where A.time = B.time and A.negz = B.posz";
 
 fn system(batch: usize, program: &str) -> Gigascope {
     let mut gs = Gigascope::new();
@@ -125,6 +156,36 @@ fn both_engines_match_the_hfta_oracle_at_every_batch_size() {
                 );
                 assert_eq!(
                     norm(&want[*name]),
+                    norm(thr_out.stream(name)),
+                    "run_threaded diverged from the oracle on `{name}` at batch size {batch}"
+                );
+            }
+        }
+    });
+}
+
+/// A join whose equality conjuncts compare floats (or a uint with a
+/// float) pairs exactly the rows its own predicate accepts, on both
+/// schedulers and at every batch size.
+#[test]
+fn float_and_cross_typed_join_keys_match_the_oracle() {
+    check("manager_float_join_keys", 8, |g| {
+        let pkts = trace(g);
+        let subs = ["cross", "nans", "zeros"];
+        let want = oracle_hftas(&system(256, FLOAT_KEYS), &pkts);
+        assert!(want["zeros"].is_empty(), "−0.0 never equals +0.0 under `=`");
+        for batch in BATCH_SIZES {
+            let gs = system(batch, FLOAT_KEYS);
+            let sync_out = gs.run_capture(pkts.iter().cloned(), &subs).unwrap();
+            let thr_out = run_threaded(&gs, pkts.iter().cloned(), &subs).unwrap();
+            for name in subs {
+                assert_eq!(
+                    norm(&want[name]),
+                    norm(sync_out.stream(name)),
+                    "run_capture diverged from the oracle on `{name}` at batch size {batch}"
+                );
+                assert_eq!(
+                    norm(&want[name]),
                     norm(thr_out.stream(name)),
                     "run_threaded diverged from the oracle on `{name}` at batch size {batch}"
                 );

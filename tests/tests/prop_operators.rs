@@ -6,13 +6,13 @@
 //! property assertions are unchanged from the original proptest suite.
 
 use gs_gsql::ast::AggFunc;
+use gs_runtime::batch::ColumnBatch;
 use gs_gsql::plan::PExpr;
 use gs_gsql::types::DataType;
 use gs_netgen::prefixes::{generate_prefixes, reference_lpm, render_table};
 use gs_runtime::expr::Program;
 use gs_runtime::ops::agg::{AggCore, DirectMappedAggregator, GroupAggregator};
 use gs_runtime::ops::merge::MergeOp;
-use gs_runtime::ops::Operator;
 use gs_runtime::qos::{DropPolicy, Shedder};
 use gs_runtime::tuple::{tuples_of, StreamItem, Tuple};
 use gs_runtime::udf::lpm::LpmTrie;
@@ -29,6 +29,18 @@ fn col_prog(i: usize) -> Program {
         &FileStore::new(),
     )
     .unwrap()
+}
+
+/// A one-column batch of `vals`.
+fn uints(vals: &[u64]) -> ColumnBatch {
+    let rows: Vec<Tuple> = vals.iter().map(|&v| Tuple::new(vec![Value::UInt(v)])).collect();
+    ColumnBatch::from_tuples(&rows)
+}
+
+/// Push `vals` into merge input `port`, appending what it releases.
+fn merge_push(m: &mut MergeOp, port: usize, vals: &[u64], out: &mut Vec<StreamItem>) {
+    let (cb, p) = m.push_cols(port, uints(vals), None);
+    out.extend(cb.into_items(p));
 }
 
 /// Sorted input stream for the merge.
@@ -53,11 +65,7 @@ fn merge_output_is_sorted_union() {
             let mut progressed = false;
             for (port, s) in streams.iter().enumerate() {
                 if idx[port] < s.len() {
-                    m.push_batch(
-                        port,
-                        vec![StreamItem::Tuple(Tuple::new(vec![Value::UInt(s[idx[port]])]))],
-                        &mut out,
-                    );
+                    merge_push(&mut m, port, &[s[idx[port]]], &mut out);
                     idx[port] += 1;
                     progressed = true;
                 }
@@ -66,7 +74,7 @@ fn merge_output_is_sorted_union() {
                 break;
             }
         }
-        m.finish(&mut out);
+        out.extend(m.finish().into_items(None));
         let got: Vec<u64> =
             tuples_of(out).iter().map(|t| t.get(0).as_uint().unwrap()).collect();
         let mut expected = [a.clone(), b.clone(), c.clone()].concat();
@@ -207,12 +215,12 @@ fn banded_merge_never_out_of_band() {
         let mut m = MergeOp::new(2, 0, vec![5, 0]);
         let mut out = Vec::new();
         for &v in &banded {
-            m.push_batch(0, vec![StreamItem::Tuple(Tuple::new(vec![Value::UInt(v)]))], &mut out);
+            merge_push(&mut m, 0, &[v], &mut out);
         }
         for &v in &base {
-            m.push_batch(1, vec![StreamItem::Tuple(Tuple::new(vec![Value::UInt(v)]))], &mut out);
+            merge_push(&mut m, 1, &[v], &mut out);
         }
-        m.finish(&mut out);
+        out.extend(m.finish().into_items(None));
         let got: Vec<u64> =
             tuples_of(out).iter().map(|t| t.get(0).as_uint().unwrap()).collect();
         // Output is the sorted multiset union.
@@ -257,11 +265,10 @@ fn sorted_join_always_monotone_banded_join_same_multiset() {
         let run = |mut j: JoinOp| {
             let mut out = Vec::new();
             for &v in &seq {
-                let t = || vec![StreamItem::Tuple(Tuple::new(vec![Value::UInt(v)]))];
-                j.push_batch(0, t(), &mut out);
-                j.push_batch(1, t(), &mut out);
+                out.extend(j.push_cols(0, uints(&[v]), None).into_items(None));
+                out.extend(j.push_cols(1, uints(&[v]), None).into_items(None));
             }
-            j.finish(&mut out);
+            out.extend(j.finish().into_items(None));
             tuples_of(out)
                 .iter()
                 .map(|t| t.get(0).as_uint().unwrap())

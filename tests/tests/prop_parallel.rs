@@ -44,7 +44,7 @@ struct Template {
     parallel_stream: Option<&'static str>,
 }
 
-const TEMPLATES: [Template; 4] = [
+const TEMPLATES: [Template; 5] = [
     // Multi-key group-by over a named stream: the canonical eligible
     // shape — flush on `time`, hash on the full (time, destPort) key.
     Template {
@@ -88,6 +88,21 @@ const TEMPLATES: [Template; 4] = [
         subscriptions: &["m"],
         ordered: &["m"],
         parallel_stream: None,
+    },
+    // A window join feeding an eligible group-by: the join stays one
+    // node, its output stream is what the router splits.
+    Template {
+        program: "DEFINE { query_name a; } Select time, destPort, len From eth0.tcp; \
+                  DEFINE { query_name b; } Select time, destPort, len From eth1.tcp; \
+                  DEFINE { query_name pairs; } \
+                  Select A.time, A.destPort, A.len, B.len as blen From a A, b B \
+                  Where A.time = B.time and A.destPort = B.destPort; \
+                  DEFINE { query_name perjoin; } \
+                  Select time, destPort, count(*), sum(blen) From pairs \
+                  Group By time, destPort",
+        subscriptions: &["perjoin"],
+        ordered: &["perjoin"],
+        parallel_stream: Some("perjoin"),
     },
 ];
 
