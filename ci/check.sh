@@ -152,7 +152,8 @@ echo "OK: checkpointed session matches the uninterrupted run"
 echo "== crash_restart_gate: kill -9 mid-window, resume from --state-dir =="
 # A first client reads through the last real-traffic epoch — a marker
 # frame is only sent after the epoch's durable commit, so the client
-# returning proves everything it printed is covered by an on-disk cut —
+# returning proves everything it printed is on disk — in a cut, or as
+# markers past one that a restart replays silently —
 # then the daemon is SIGKILLed with the trace's second 1-second window
 # still open, held only in the state dir. A second daemon on the same
 # state dir must log a recovery, resume the epoch numbering (the chunked
@@ -184,6 +185,62 @@ cat target/gsqd_crash1.out target/gsqd_crash2.out |
 diff -u target/gsqd_crash_want.csv target/gsqd_crash_got.csv ||
     fail "kill -9 + restart output diverges from the one-shot run"
 echo "OK: kill -9 survivor matches the uninterrupted run"
+
+echo "== crash_restart_gate, lagging cut: kill -9 between cuts, resume by silent replay =="
+# The same gate with the daemon's cut cadence in play: a boundary seals
+# and publishes a cut only once the traffic since the last one outweighs
+# the state it holds, so the kill must land while the durable cut lags
+# the committed markers and the restart must rebuild the windows by
+# replaying the confirmed epochs silently. ci_carry.gsql's aggregate
+# holds two groups (ports 80 and 8080) — no chunking makes that outlast
+# an epoch — so this run keeps it and adds one query over the same
+# stream grouped by source (~1,400 groups a second), over the same trace
+# sliced into 5 ms chunks of ~80 packets. The client reads ten epochs
+# past the end of the trace, where the held second-1 window outweighs
+# many idle boundaries; counters from the live daemon prove the premise
+# (fewer cuts than epochs before the kill) and the outcome (replayed
+# epochs after the restart) rather than assume them.
+cat > target/ci_lag.gsql <<'EOF'
+DEFINE { query_name raw; }
+Select time, srcIP, destPort, len From eth0.tcp;
+DEFINE { query_name agg; }
+Select time, destPort, count(*), sum(len) From raw Group By time, destPort;
+DEFINE { query_name src; }
+Select time, srcIP, count(*) From raw Group By time, srcIP
+EOF
+rm -rf target/ci_state_lag
+boot_lagging_gsqd() {
+    boot_gsqd "$1" --chunked 70x5x240 --lead-in 10 --seed 13 --carry-state \
+        --state-dir target/ci_state_lag --epoch-gap 20 --program target/ci_lag.gsql
+}
+# stat_of <file> <node> <counter>: a counter from a `gsq --stats` transcript.
+stat_of() { awk -F, -v n="$2" -v c="$3" '$1 == "stat" && $2 == n && $3 == c { print $4 }' "$1"; }
+boot_lagging_gsqd lag1
+gsq_session target/gsqd_lag1.out --subscribe agg,src --epochs 260 --stats \
+    2> target/gsqd_lag1.stats
+kill -9 "$GSQD_PID"
+wait "$GSQD_PID" 2>/dev/null || true
+cuts=$(stat_of target/gsqd_lag1.stats daemon cuts)
+epochs=$(stat_of target/gsqd_lag1.stats daemon epochs)
+[ -n "$cuts" ] && [ -n "$epochs" ] && [ "$cuts" -lt "$epochs" ] ||
+    fail "lagging gate: expected fewer cuts than epochs before the kill (cuts=$cuts epochs=$epochs)"
+boot_lagging_gsqd lag2
+grep -q 'recovered' target/gsqd_lag2.err ||
+    { kill -9 "$GSQD_PID" 2>/dev/null; fail "restarted gsqd did not report a recovery"; }
+gsq_session target/gsqd_lag2.out --subscribe agg,src --epochs 1 --stats \
+    --shutdown --drain 2> target/gsqd_lag2.stats
+expect_clean_exit lag2
+replayed=$(stat_of target/gsqd_lag2.stats daemon replayed_epochs)
+[ -n "$replayed" ] && [ "$replayed" -gt 0 ] ||
+    fail "lagging gate: the restart replayed no epochs (replayed_epochs=$replayed)"
+target/release/gsq --program target/ci_lag.gsql --synthetic 70x1200 --seed 13 \
+    --subscribe agg,src | grep -E '^(agg|src),' | sort > target/gsqd_lag_want.csv
+cat target/gsqd_lag1.out target/gsqd_lag2.out | grep -E '^(agg|src),' | sort \
+    > target/gsqd_lag_got.csv
+diff -u target/gsqd_lag_want.csv target/gsqd_lag_got.csv ||
+    fail "kill -9 between cuts + restart output diverges from the one-shot run"
+echo "OK: lagging-cut survivor matches the uninterrupted run ($cuts cuts in $epochs epochs," \
+    "$replayed epochs replayed silently)"
 
 echo "== offline bench compile =="
 cargo bench -p gs-bench --no-run --offline

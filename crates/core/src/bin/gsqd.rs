@@ -19,8 +19,8 @@
 //!   --carry-state            carry operator state across epochs: windows
 //!                            spanning epoch boundaries aggregate as one
 //!                            continuous run, restarted queries resume from
-//!                            their last checkpoint and replay missed epochs,
-//!                            and shutdown flushes the held tails
+//!                            their last cut and replay missed epochs, and
+//!                            shutdown flushes the held tails
 //!   --fault-panic <node>@<batch>  arm a deterministic panic injection at the
 //!                            named node's n-th batch (CI/demo)
 //!   --fault-epochs <lo>..<hi>  epoch ids during which the fault is armed
@@ -34,12 +34,13 @@
 //!   --port-file <path>       write the bound address to a file, atomically
 //!                            (CI uses this with --listen …:0)
 //!   --state-dir <dir>        durable checkpoint directory (requires
-//!                            --carry-state): every epoch boundary's cut is
-//!                            persisted crash-consistently, and a restarted
-//!                            daemon pointed at the same directory resumes
-//!                            mid-window instead of starting empty
+//!                            --carry-state): every cut is persisted
+//!                            crash-consistently and every epoch's markers
+//!                            are logged, and a restarted daemon pointed at
+//!                            the same directory resumes mid-window instead
+//!                            of starting empty
 //!   --retain <n>             checkpoints kept by the state dir's GC
-//!                            (default 3)
+//!                            (default 3, at least 2)
 //! ```
 //!
 //! The daemon serves the `gsqd` wire protocol until a client sends
@@ -60,7 +61,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("            [--fault-panic node@batch] [--fault-epochs lo..hi]");
     eprintln!("            [--restart-budget n] [--backoff n] [--parallelism n]");
     eprintln!("            [--heartbeat off|N] [--port-file path]");
-    eprintln!("            [--state-dir dir] [--retain n]");
+    eprintln!("            [--state-dir dir] [--retain n (default 3, at least 2)]");
     exit(2);
 }
 

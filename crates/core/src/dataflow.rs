@@ -51,6 +51,17 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+/// What a run does with its operators at end of input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum End {
+    /// End of the stream: flush every open window downstream.
+    Flush,
+    /// End of a chunk: keep the windows open in the live operators.
+    Hold,
+    /// End of a chunk at a cut: keep them open and seal them into bytes.
+    Seal,
+}
+
 /// A tagged message on a node's shared ready-queue.
 pub(crate) enum Msg {
     /// A columnar (SoA) batch for one input port with its at-most-one
@@ -398,9 +409,9 @@ pub(crate) struct NodeRunner {
     out: Vec<StreamItem>,
     board: Arc<HealthBoard>,
     stats_enabled: bool,
-    /// End of input is the end of a chunk, not of the stream: hold the
-    /// open windows in `snapshot` instead of flushing them.
-    capture: bool,
+    end: End,
+    /// The sealed state, when `end` is [`End::Seal`] and the node
+    /// reached it healthy.
     snapshot: Option<Vec<u8>>,
 }
 
@@ -427,12 +438,12 @@ impl NodeRunner {
         self.edge.flush_now();
     }
 
-    /// The sealed state captured at end of input together with the
-    /// operators it describes, still holding their open windows (capture
-    /// mode only; a faulted node has neither — its state is mid-panic
-    /// garbage, and keeping it in either form would resurrect the fault).
-    pub fn into_capture(self) -> Option<(Vec<u8>, HftaNode)> {
-        self.snapshot.map(|bytes| (bytes, self.node))
+    /// The operators, still holding their open windows, with the state
+    /// sealed at end of input when the run sealed it (held runs only; a
+    /// faulted node has neither — its state is mid-panic garbage, and
+    /// keeping it in either form would resurrect the fault).
+    pub fn into_capture(self) -> Option<(Option<Vec<u8>>, HftaNode)> {
+        (!self.failed && self.end != End::Flush).then_some((self.snapshot, self.node))
     }
 
     /// Consume messages until `recv` runs dry or the last port closes,
@@ -496,7 +507,7 @@ impl NodeRunner {
                     }
                 }
                 Msg::Close(p) => {
-                    if self.shut(p) && !self.capture {
+                    if self.shut(p) && self.end == End::Flush {
                         self.out.clear();
                         self.node.finish_input(p, &mut self.out);
                         self.edge.extend(self.out.drain(..));
@@ -516,14 +527,18 @@ impl NodeRunner {
             }
         }
         if !self.failed {
-            if self.capture {
-                let mut w = SnapWriter::new();
-                self.node.snapshot_state(&mut w);
-                self.snapshot = Some(w.seal());
-            } else {
-                self.out.clear();
-                self.node.finish(&mut self.out);
-                self.edge.extend(self.out.drain(..));
+            match self.end {
+                End::Seal => {
+                    let mut w = SnapWriter::new();
+                    self.node.snapshot_state(&mut w);
+                    self.snapshot = Some(w.seal());
+                }
+                End::Hold => {}
+                End::Flush => {
+                    self.out.clear();
+                    self.node.finish(&mut self.out);
+                    self.edge.extend(self.out.drain(..));
+                }
             }
             // Flush the tail batch, close every consumer port and routed
             // partition, and publish so the post-run snapshot is exact.
@@ -616,15 +631,15 @@ pub(crate) struct Dataflow {
 /// `admission` per node and per subscription, an output edge behind
 /// every producer, router members, `edge:*`/`queue:*`/`hfta:*` stats
 /// registration, fault-injector arming, and the graph's restore notes.
-/// `capture` makes nodes snapshot instead of flush at end of input;
-/// `taps` are the live subscription observers.
+/// `end` says what nodes do at end of input; `taps` are the live
+/// subscription observers.
 pub(crate) fn wire(
     gs: &Gigascope,
     graph: Graph,
     subscriptions: &[&str],
     capacity: usize,
     admission: Admission,
-    capture: bool,
+    end: End,
     taps: &[(String, SubscriptionTap)],
 ) -> Dataflow {
     let Graph { lftas, nodes, routers, restore_notes, .. } = graph;
@@ -760,7 +775,7 @@ pub(crate) fn wire(
                 out: Vec::new(),
                 board: board.clone(),
                 stats_enabled: gs.stats_enabled,
-                capture,
+                end,
                 snapshot: None,
             };
             (runner, rx)

@@ -17,7 +17,7 @@
 //! heartbeat trigger, which must observe a starved merge between two
 //! packets, so only an inline scheduler can offer it.
 
-use crate::dataflow::{self, Collector, Dataflow, Msg, NodeRunner};
+use crate::dataflow::{self, Collector, Dataflow, End, Msg, NodeRunner};
 use crate::graph;
 use crate::health::RunHealth;
 use crate::transport::{Admission, Receiver};
@@ -112,7 +112,7 @@ impl Engine {
     pub fn build(gs: &Gigascope, subscriptions: &[&str]) -> Result<Engine, Error> {
         let graph = graph::build(gs, &[], &mut graph::LiveOps::default(), None, subscriptions)?;
         let flow =
-            dataflow::wire(gs, graph, subscriptions, usize::MAX, Admission::Block, false, &[]);
+            dataflow::wire(gs, graph, subscriptions, usize::MAX, Admission::Block, End::Flush, &[]);
         Ok(Engine { flow, heartbeat: gs.heartbeat })
     }
 
@@ -158,7 +158,7 @@ impl Engine {
         // in topological order finishes every node not reading GS_STATS.
         // The last monitoring round comes after it, so its `hfta:*` rows
         // cover the flush tail, and a second pass finishes the rest.
-        front.finish(false);
+        front.finish(End::Flush);
         pump_all(&mut runners, &mut collectors, false);
         front.finish_stats();
         pump_all(&mut runners, &mut collectors, false);

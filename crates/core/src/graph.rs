@@ -12,7 +12,7 @@
 //! output edge. The second half — queues, edges and the per-node step —
 //! is [`crate::dataflow`].
 
-use crate::dataflow::OutputEdge;
+use crate::dataflow::{End, OutputEdge};
 use crate::health::query_of;
 use crate::{Error, Gigascope};
 use bytes::Bytes;
@@ -70,6 +70,21 @@ impl LiveOps {
     pub fn retain(&mut self, mut keep: impl FnMut(&str) -> bool) {
         self.lftas.retain(|name, _| keep(query_of(name)));
         self.nodes.retain(|name, _| keep(query_of(name)));
+    }
+
+    /// Whether the operators of `query` are held. They are held or
+    /// dropped together, and one of them is named after the query: its
+    /// HFTA node (a sharded query's reunifying merge), or the single LFTA
+    /// of an LFTA-only query.
+    pub fn holds(&self, query: &str) -> bool {
+        self.nodes.contains_key(query) || self.lftas.contains_key(query)
+    }
+
+    /// State items the held operators carry (see [`HftaNode::held`]).
+    pub fn held(&self) -> u64 {
+        let lftas: usize = self.lftas.values().map(Lfta::held).sum();
+        let nodes: usize = self.nodes.values().map(HftaNode::held).sum();
+        (lftas + nodes) as u64
     }
 }
 
@@ -399,12 +414,12 @@ impl CaptureFront {
         self.stats_edge.extend(items.into_iter());
     }
 
-    /// End of input. Flushing (`capture == false`) finishes each LFTA
-    /// into its edge; capturing holds the open epochs instead and
-    /// returns them sealed under `lfta:<stream>`. Either way every LFTA
-    /// stream is closed, in order, and the final counters are published.
+    /// End of input. Flushing finishes each LFTA into its edge; holding
+    /// keeps the open epochs in the LFTAs, and sealing also returns them
+    /// sealed under `lfta:<stream>`. Either way every LFTA stream is
+    /// closed, in order, and the final counters are published.
     /// [`finish_stats`](Self::finish_stats) must follow.
-    pub fn finish(&mut self, capture: bool) -> HashMap<String, Vec<u8>> {
+    pub fn finish(&mut self, end: End) -> HashMap<String, Vec<u8>> {
         let mut snapshots = HashMap::new();
         // The shared pass batches `packets_in`/`prefiltered`/... per LFTA;
         // they belong to the cut, so they are folded in before it is
@@ -412,12 +427,14 @@ impl CaptureFront {
         // live ones by one epoch's packets).
         self.shared.flush_stats(&mut self.lftas);
         for (i, (lfta, _)) in self.lftas.iter_mut().enumerate() {
-            if capture {
-                let mut w = SnapWriter::new();
-                lfta.snapshot_state(&mut w);
-                snapshots.insert(format!("lfta:{}", lfta.name), w.seal());
-            } else {
-                lfta.finish(&mut self.outs[i]);
+            match end {
+                End::Seal => {
+                    let mut w = SnapWriter::new();
+                    lfta.snapshot_state(&mut w);
+                    snapshots.insert(format!("lfta:{}", lfta.name), w.seal());
+                }
+                End::Hold => {}
+                End::Flush => lfta.finish(&mut self.outs[i]),
             }
             self.edges[i].extend(self.outs[i].drain(..));
             self.edges[i].close();

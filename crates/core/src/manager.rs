@@ -30,7 +30,7 @@
 //! observe the system's own behavior — including what overload shedding
 //! ([`Gigascope::shedding`]) drops when a consumer stalls.
 
-use crate::dataflow::{self, Dataflow, NodeRunner};
+use crate::dataflow::{self, Dataflow, End, NodeRunner};
 use crate::graph::{self, LiveOps};
 use crate::health::{FaultReason, RunHealth};
 use crate::transport::Admission;
@@ -187,10 +187,11 @@ where
 /// one such tick: the operators of every query that finished it healthy
 /// stay here, and the next step wires the very same objects into its
 /// graph, so a steady-state boundary compiles no operator and decodes no
-/// snapshot. The sealed bytes are still written every step (they are the
-/// durable cut, and what a faulted query replays from); they are only
-/// *read* for an operator the stepper does not hold: a first step, a
-/// recovered daemon, a query reprovisioned after a fault.
+/// snapshot. A capture step also seals the cut into bytes (the durable
+/// cut, and what a faulted query replays from); [`hold`](Self::hold) is
+/// the same tick without the seal, for a boundary that is not a cut.
+/// Bytes are only *read* for an operator the stepper does not hold: a
+/// first step, a recovered daemon, a query reprovisioned after a fault.
 ///
 /// Which of the two a node gets is decided by what is held, never by a
 /// setting. Nothing stale is ever held: operators of a query the step
@@ -210,10 +211,22 @@ impl Stepper {
         self.live.retain(|owner| owner != query);
     }
 
+    /// Whether the stepper holds live operators of `query`.
+    pub fn holds(&self, query: &str) -> bool {
+        self.live.holds(query)
+    }
+
+    /// State items the held operators carry: group-table entries,
+    /// buffered merge/join rows, occupied LFTA slots — what a cut of
+    /// them writes, and what a replay from an older cut rebuilds.
+    pub fn held(&self) -> u64 {
+        self.live.held()
+    }
+
     /// Run all deployed queries over `packets`, one thread per HFTA, on
     /// the operators held from the previous step where there are any. In
-    /// capture mode the healthy queries' operators are held again
-    /// afterwards; a flushing step (capture off) finishes them, and
+    /// capture mode the healthy queries' operators are sealed and held
+    /// again afterwards; a flushing step (capture off) finishes them, and
     /// holds nothing.
     pub fn step<I>(
         &mut self,
@@ -221,6 +234,38 @@ impl Stepper {
         packets: I,
         subscriptions: &[&str],
         opts: ThreadedOptions,
+    ) -> Result<ThreadedOutput, Error>
+    where
+        I: Iterator<Item = CapPacket>,
+    {
+        let end = if opts.capture { End::Seal } else { End::Flush };
+        self.run(gs, packets, subscriptions, opts, end)
+    }
+
+    /// A capture step whose boundary is not a cut: the healthy queries'
+    /// operators are held exactly as [`step`](Self::step) holds them,
+    /// but nothing is serialized — [`ThreadedOutput::snapshots`] comes
+    /// back empty, whatever `opts.capture` says.
+    pub fn hold<I>(
+        &mut self,
+        gs: &Gigascope,
+        packets: I,
+        subscriptions: &[&str],
+        opts: ThreadedOptions,
+    ) -> Result<ThreadedOutput, Error>
+    where
+        I: Iterator<Item = CapPacket>,
+    {
+        self.run(gs, packets, subscriptions, opts, End::Hold)
+    }
+
+    fn run<I>(
+        &mut self,
+        gs: &Gigascope,
+        packets: I,
+        subscriptions: &[&str],
+        opts: ThreadedOptions,
+        end: End,
     ) -> Result<ThreadedOutput, Error>
     where
         I: Iterator<Item = CapPacket>,
@@ -240,9 +285,8 @@ impl Stepper {
             Some(cfg) => (cfg.capacity, Admission::Shed(cfg.policy)),
             None => (CHANNEL_CAPACITY, Admission::Block),
         };
-        let capture = opts.capture;
         let Dataflow { mut front, runners, collectors, queues, registry, board } =
-            dataflow::wire(gs, graph, subscriptions, capacity, admission, capture, &opts.taps);
+            dataflow::wire(gs, graph, subscriptions, capacity, admission, end, &opts.taps);
 
         // ---- Spawn collector and node threads ----------------------------------
         // Each subscription gets its own drainer thread: a subscribed stream
@@ -307,8 +351,8 @@ impl Stepper {
             }
         }
         // Same cut as the node threads: in capture mode the direct-mapped
-        // tables' open epochs ride out in the snapshot, not downstream.
-        let mut snapshots = front.finish(capture);
+        // tables' open epochs stay held (and sealed), not sent downstream.
+        let mut snapshots = front.finish(end);
         front.finish_stats();
 
         // ---- Drain ------------------------------------------------------------
@@ -326,7 +370,9 @@ impl Stepper {
             match h.join() {
                 Ok(runner) => {
                     if let Some((bytes, node)) = runner.into_capture() {
-                        snapshots.insert(format!("hfta:{name}"), bytes);
+                        if let Some(bytes) = bytes {
+                            snapshots.insert(format!("hfta:{name}"), bytes);
+                        }
                         self.live.nodes.insert(name, node);
                     }
                 }
@@ -355,7 +401,7 @@ impl Stepper {
         }
         let health = board.report();
         let packets = front.packets;
-        if capture {
+        if end != End::Flush {
             // The cut is only a cut of the queries that reached it whole: a
             // quarantined query's surviving operators (a healthy shard beside
             // a panicked one) are as unusable live as their bytes are.
@@ -676,6 +722,8 @@ mod tests {
         };
         assert_eq!(again(&mut stepper), 0);
         stepper.forget("perport");
+        assert!(!stepper.holds("perport"));
+        assert!(stepper.holds("raw") && stepper.holds("tot"), "LFTA-only and sharded queries");
         assert_eq!(again(&mut stepper), 3, "both shards and the reunifying merge");
         stepper.forget("tot");
         assert_eq!(again(&mut stepper), 4, "the aggregating LFTA, its shards and their merge");

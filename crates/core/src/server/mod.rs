@@ -20,9 +20,11 @@
 //! engine's output over the same packets — the invariant the protocol
 //! test battery checks. In carry mode a boundary is a *step*, not a
 //! rebuild: the stepper hands every healthy query's operators, windows
-//! open, straight to the next epoch; the sealed cut each epoch still
-//! writes is read back only where no live operator exists (recovery,
-//! replay after a fault, a query's first epoch).
+//! open, straight to the next epoch. Only a boundary the [`Cadence`]
+//! rule picks is a *cut* that seals the operators into bytes (and, with
+//! a state directory, publishes them); those bytes are read back only
+//! where no live operator exists (recovery, replay after a fault, a
+//! query's first epoch), after a silent replay of whatever the cut lags.
 //!
 //! Result frames fan out from the manager's subscription drains (a
 //! [`SubscriptionTap`] per subscribed stream) onto per-connection
@@ -47,7 +49,9 @@ use crate::{Error, Gigascope};
 use gs_netgen::{MixConfig, PacketMix};
 use gs_packet::capture::LinkType;
 use gs_packet::CapPacket;
-use gs_runtime::durable::{DiskIo, DurableStats, DurableStore, FaultyDisk, RealDisk, Recovery};
+use gs_runtime::durable::{
+    Cadence, Cursor, DiskIo, DurableStats, DurableStore, FaultyDisk, RealDisk, Recovery,
+};
 use gs_runtime::faults::{DiskFaultPlan, FaultPlan};
 use gs_runtime::punct::HeartbeatMode;
 use gs_runtime::stats::{Counter, StatRow, StatSource, StatsRegistry};
@@ -152,6 +156,14 @@ pub struct DaemonStats {
     /// daemon's first epoch, a query reprovisioned after a fault. Zero
     /// for the whole of a fault-free session that started fresh.
     pub nodes_restored: Counter,
+    /// Carry-mode boundaries that sealed a cut (with a state directory,
+    /// each one a published segment); `epochs - cuts` boundaries
+    /// committed only their markers.
+    pub cuts: Counter,
+    /// Epochs re-run without emitting, to rebuild a query's state from
+    /// a cut that lagged its output — after a recovery or a fault. The
+    /// replay debt the cut cadence traded for its saved writes.
+    pub replayed_epochs: Counter,
 }
 
 impl StatSource for DaemonStats {
@@ -163,6 +175,8 @@ impl StatSource for DaemonStats {
             ("unregisters", self.unregisters.get()),
             ("run_errors", self.run_errors.get()),
             ("nodes_restored", self.nodes_restored.get()),
+            ("cuts", self.cuts.get()),
+            ("replayed_epochs", self.replayed_epochs.get()),
         ]
     }
 }
@@ -198,11 +212,13 @@ pub struct DaemonConfig {
     /// Idle pacing between epochs, in milliseconds (tests use 0).
     pub epoch_gap_ms: u64,
     /// Carry operator state across epochs: every epoch runs in capture
-    /// mode (open windows stay open and are snapshotted instead of
-    /// flushed), the next epoch steps the same live operators on, a
-    /// reprovisioned query resumes from its last good checkpoint and
-    /// replays the epochs it missed, and shutdown runs a final flush
-    /// epoch that emits the held tails. Off by
+    /// mode (open windows stay open instead of being flushed) and the
+    /// next epoch steps the same live operators on; a boundary the
+    /// [`Cadence`] rule picks also seals them into a checkpoint. A
+    /// reprovisioned query resumes from its last checkpoint, silently
+    /// replays what that checkpoint lags, then replays the epochs it
+    /// missed; shutdown runs a final flush epoch that emits the held
+    /// tails. Off by
     /// default: the per-epoch equivalence invariant (epoch `k`'s frames
     /// equal the one-shot engine over epoch `k`'s packets) only holds
     /// without carry. Use with a time-continuous source
@@ -213,13 +229,17 @@ pub struct DaemonConfig {
     /// sheds that connection's newest data frames.
     pub conn_queue_frames: usize,
     /// Durable checkpoint directory. When set (requires
-    /// [`carry_state`](Self::carry_state)), every epoch boundary's cut
-    /// is persisted crash-consistently and a restarted daemon pointed
-    /// at the same directory resumes mid-window instead of replaying
-    /// from empty state.
+    /// [`carry_state`](Self::carry_state)), every cut is persisted
+    /// crash-consistently and every epoch's markers are committed to
+    /// an fsynced log, and a restarted daemon pointed at the same
+    /// directory rebuilds its windows from the newest cut plus a silent
+    /// replay of the epochs the markers confirm past it — resuming
+    /// mid-window, exactly once, instead of from empty state.
     pub state_dir: Option<PathBuf>,
     /// Checkpoints the durable store's GC retains (older segments are
-    /// pruned at checkpoint boundaries). Clamped to at least 1.
+    /// pruned at checkpoint boundaries). Clamped to at least 2: a crash
+    /// between a cut's publish and its markers falls back to the one
+    /// before.
     pub retain_checkpoints: usize,
     /// Disk-fault campaign applied to the durable store's IO (tests and
     /// demos; `None` in production).
@@ -676,40 +696,53 @@ fn with_durable_note(mut rows: Vec<wire::HealthRow>, note: &DurableNote) -> Vec<
     rows
 }
 
-/// Persist one epoch boundary: publish the cut crash-consistently, then
-/// commit the emitted `(stream, epoch)` markers to the durable log —
-/// in that order, and both *before* the caller sends the marker frames,
-/// so a durable marker always has a covering segment (the exactly-once
-/// invariant). A write that still fails after the store's bounded
-/// retries is dead-lettered: noted for HEALTH, counted in
-/// `durable:write_failed`, and the daemon keeps running on its
-/// in-memory cut.
+/// A cut's segment contents: the carry map and every query's cursor.
+type CutToPublish<'a> = (&'a HashMap<String, Vec<u8>>, &'a HashMap<String, Cursor>);
+
+/// Persist one epoch boundary before the caller sends its marker
+/// frames: at a cut (`cut` = the carry map and every query's cursor),
+/// publish the segment crash-consistently first; then, at every
+/// boundary, commit the emitted `(stream, epoch)` markers to the
+/// durable log. A marker needs no segment at its own epoch — recovery
+/// rebuilds the state from an older cut by a silent replay — so a
+/// failed publish still commits the markers. A write that still fails
+/// after the store's bounded retries is dead-lettered: noted for
+/// HEALTH, counted in `durable:write_failed`, and the daemon keeps
+/// running on its in-memory cut.
 fn durable_commit(
     durable: &mut Option<DurableStore>,
-    next_epoch: u64,
-    carry: &HashMap<String, Vec<u8>>,
-    cursors: &HashMap<String, u64>,
-    emitted_epoch: u64,
+    cut: Option<CutToPublish<'_>>,
+    epoch: u64,
     streams: &[String],
     note: &mut DurableNote,
 ) {
     let Some(store) = durable.as_mut() else { return };
-    let fails = note.as_ref().map_or(0, |(_, n)| *n);
-    let result = store.checkpoint(next_epoch, carry, cursors, streams).and_then(|()| {
-        store.log_markers(emitted_epoch, streams).inspect_err(|_| {
-            // The segment landed but the marker record didn't; count it
-            // with the write failures so the counter reflects every
-            // dead-lettered durable write.
-            store.stats().write_failed.inc();
-        })
+    let published = cut.map_or(Ok(()), |(carry, cursors)| {
+        let cursors: HashMap<String, u64> =
+            cursors.iter().map(|(q, c)| (q.clone(), c.cut)).collect();
+        store.checkpoint(epoch + 1, carry, &cursors, streams)
     });
-    if let Err(e) = result {
+    let logged = store.log_markers(epoch, streams).inspect_err(|_| {
+        // Count it with the failed segment writes, so the counter
+        // reflects every dead-lettered durable write.
+        store.stats().write_failed.inc();
+    });
+    if let Err(e) = published.and(logged) {
+        let fails = note.as_ref().map_or(0, |(_, n)| *n);
         let msg = format!(
-            "checkpoint dead-lettered at epoch boundary {next_epoch}: {e}; running on in-memory cut"
+            "checkpoint dead-lettered at epoch boundary {}: {e}; running on in-memory cut",
+            epoch + 1
         );
         eprintln!("gsqd: durable: {msg}");
         *note = Some((msg, fails + 1));
     }
+}
+
+/// Whether a query standing at `c` can run epoch `epoch`: it owes no
+/// earlier epoch, and its state is `live` or its bytes are level with
+/// its output.
+fn level(c: &Cursor, epoch: u64, live: bool) -> bool {
+    c.next >= epoch && (live || c.cut == c.next)
 }
 
 /// The transitive upstream closure of `parts` among deployed queries:
@@ -738,37 +771,50 @@ fn upstream_closure(gs: &Gigascope, parts: &[String]) -> Vec<String> {
     need
 }
 
-/// Carry-mode catch-up replay: any runnable query whose replay cursor
-/// sits behind the current epoch re-processes the epochs it missed
-/// (backoff epochs, faulted epochs) from its last good checkpoint,
-/// oldest epoch first, with fault injection disarmed — a replay is a
-/// retry. Missed tuples and markers reach subscribers tagged with the
-/// epoch they belong to, before the current epoch runs, so each
-/// stream's frame sequence stays in epoch order. Packets are
-/// regenerable from the source by construction.
+/// Carry-mode catch-up: bring every runnable query that trails the
+/// current epoch level with it, with fault injection disarmed — a
+/// replay is a retry. Packets are regenerable from the source by
+/// construction. Two kinds of trailing, repaired in this order:
+///
+/// - **A cut that lags the output** (`cut < next`, for a query that
+///   holds no live operators — it faulted, or the daemon recovered,
+///   between two cuts): `[cut, next)` is replayed from the query's
+///   bytes as ONE run over the concatenated packets, untapped and
+///   unmarked — those epochs were emitted already. Output is a function
+///   of the input, never of how it is sliced into epochs, so the run
+///   rebuilds exactly the state the query lost
+///   (`daemon`/`replayed_epochs` counts these epochs).
+/// - **Owed output** (`next < epoch`: backoff epochs, faulted epochs):
+///   re-processed one epoch at a time, oldest first; the tuples and
+///   markers reach subscribers tagged with the epoch they belong to,
+///   before the current epoch runs, so each stream's frame sequence
+///   stays in epoch order, and each epoch's markers are committed
+///   durably before they are sent.
 ///
 /// A replay is a throw-away one-shot run ([`run_threaded_opts`]), never
 /// a step of the live dataflow: a laggard holds no live operators by
 /// construction (a query keeps them only by completing the epoch that
 /// advances its cursor), so its state comes from its checkpoint bytes,
 /// and the replay's operators are dropped when it returns — the live
-/// epoch that follows rebuilds the laggard from the replayed cut.
+/// epoch that follows rebuilds the laggard from the replayed bytes.
 ///
 /// Upstream producers of a laggard run as *support* queries: included
 /// in the replay so the laggard's inputs are real, but untapped (their
-/// subscribers already saw this epoch), uncheckpointed (their cursor
+/// subscribers already saw these epochs), uncheckpointed (their cursor
 /// already advanced), and started from empty state — their live
-/// operators, already past epoch `e`, stay with the stepper untouched. A stateless
-/// upstream (the common LFTA projection/selection) reproduces its
-/// epoch output exactly; a stateful upstream makes the replay
-/// approximate — the price of losing its mid-epoch history.
+/// operators, already past the replayed epochs, stay with the stepper
+/// untouched. A stateless upstream (the common LFTA
+/// projection/selection) reproduces its output exactly; a stateful
+/// upstream makes the replay approximate — the price of losing its
+/// mid-epoch history.
 #[allow(clippy::too_many_arguments)]
 fn catch_up(
     gs: &mut Gigascope,
     supervisor: &mut Supervisor,
     source: &PacketSource,
     carry: &mut HashMap<String, Vec<u8>>,
-    behind: &mut HashMap<String, u64>,
+    cursors: &mut HashMap<String, Cursor>,
+    stepper: &Stepper,
     epoch: u64,
     excluded: &[String],
     durable: &mut Option<DurableStore>,
@@ -784,26 +830,41 @@ fn catch_up(
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let runnable: Vec<String> = gs
+        let runnable: Vec<(String, Cursor)> = gs
             .queries()
             .iter()
-            .map(|d| d.name.clone())
-            .filter(|q| !excluded.contains(q) && !benched.contains(q))
+            .filter(|d| !excluded.contains(&d.name) && !benched.contains(&d.name))
+            .filter_map(|d| cursors.get(&d.name).map(|c| (d.name.clone(), *c)))
             .collect();
-        let Some(e) = runnable
+        // Rebuilds first: owed epochs replay on top of the rebuilt state.
+        let rebuild = runnable
             .iter()
-            .filter_map(|q| behind.get(q).copied())
-            .filter(|b| *b < epoch)
-            .min()
-        else {
-            break;
+            .filter(|(q, c)| c.cut < c.next && !stepper.holds(q))
+            .map(|(_, c)| (c.cut, c.next))
+            .min();
+        let owed = runnable.iter().map(|(_, c)| c.next).filter(|n| *n < epoch).min();
+        let (from, to, emit) = match (rebuild, owed) {
+            (Some((cut, next)), _) => (cut, next, false),
+            (None, Some(e)) => (e, e + 1, true),
+            (None, None) => break,
         };
-        let parts: Vec<String> =
-            runnable.iter().filter(|q| behind.get(*q) == Some(&e)).cloned().collect();
+        let parts: Vec<String> = runnable
+            .iter()
+            .filter(|(q, c)| {
+                if emit {
+                    c.next == from
+                } else {
+                    (c.cut, c.next) == (from, to) && !stepper.holds(q)
+                }
+            })
+            .map(|(q, _)| q.clone())
+            .collect();
         let included = upstream_closure(gs, &parts);
-        let (taps, sub_names, markers) = {
+        let (taps, sub_names, markers) = if emit {
             let ctl = lock(&shared.ctl);
-            build_fanout(&ctl, gs, &parts, &parts, e)
+            build_fanout(&ctl, gs, &parts, &parts, from)
+        } else {
+            (Vec::new(), Vec::new(), Vec::new())
         };
         // Restore only the laggards' own checkpoints: a support query
         // must not restore its *current* (post-epoch-`e`) state into a
@@ -827,16 +888,16 @@ fn catch_up(
         };
         gs.faults = None;
         let sub_refs: Vec<&str> = sub_names.iter().map(String::as_str).collect();
-        let packets = source.epoch_packets(e);
-        match run_threaded_opts(gs, packets.into_iter(), &sub_refs, opts) {
+        let packets = (from..to).flat_map(|e| source.epoch_packets(e));
+        match run_threaded_opts(gs, packets, &sub_refs, opts) {
             Ok(out) => {
                 supervisor.observe(epoch, &out.health);
                 let mut replayed: Vec<String> = Vec::new();
                 for q in &parts {
                     if out.health.failed(q) {
                         benched.push(q.clone());
-                    } else {
-                        behind.insert(q.clone(), e + 1);
+                    } else if let Some(c) = cursors.get_mut(q) {
+                        *c = Cursor { cut: to, next: c.next.max(to) };
                         replayed.push(q.clone());
                     }
                 }
@@ -846,13 +907,16 @@ fn catch_up(
                     .filter(|(k, _)| parts.iter().any(|q| q == snapshot_owner(k)))
                     .collect();
                 merge_snapshots(carry, own, &out.health);
-                // The replay advanced cursors and is about to emit
-                // epoch `e`'s missed frames: publish the cut and commit
-                // the markers before any frame leaves the process. The
-                // engine counter to resume at is still `epoch` — the
-                // current boundary's epoch has not run yet.
-                durable_commit(durable, epoch, carry, behind, e, &replayed, durable_note);
-                send_markers(&markers, e, |s| out.health.failed(s));
+                if emit {
+                    // Epoch `from`'s missed frames are about to go out:
+                    // commit their markers first. No segment: the
+                    // durable cut keeps lagging until the next cut, and
+                    // recovery replays past it.
+                    durable_commit(durable, None, from, &replayed, durable_note);
+                    send_markers(&markers, from, |s| out.health.failed(s));
+                } else {
+                    shared.stats.replayed_epochs.add(to - from);
+                }
             }
             Err(_) => {
                 shared.stats.run_errors.inc();
@@ -875,21 +939,25 @@ fn engine_loop(
     recovery: Recovery,
     shared: Arc<Shared>,
 ) {
-    // Durable recovery seeds the engine state: resume at the recovered
-    // boundary with the restored cut and cursors instead of epoch 0
-    // from empty state.
+    // Durable recovery seeds the engine state: resume past the last
+    // durable marker, with the restored cut and each query's cursor —
+    // catch-up replays what the cut lags — instead of epoch 0 from
+    // empty state.
     let mut epoch: u64 = recovery.next_epoch;
     // Carry mode: the operators themselves, stepped from epoch to epoch;
     // the last good sealed snapshot of every node (the daemon's
     // checkpoint — what the durable store persists and what a query
-    // without live operators is rebuilt from); and each query's replay
-    // cursor — the next epoch id whose packets it has not yet processed.
+    // without live operators is rebuilt from); each query's cursor — the
+    // epoch its checkpoint bytes stand at, and the next epoch whose
+    // output it has not emitted; and the cut rule's running debt.
     // The checkpoint sits in an `Arc` so an epoch can borrow it as
     // `ThreadedOptions::restore` without copying it; nothing else holds
     // a reference between epochs, so `make_mut` never clones.
     let mut stepper = Stepper::default();
+    let mut cursors: HashMap<String, Cursor> =
+        recovery.cursors.keys().map(|q| (q.clone(), recovery.resume(q))).collect();
     let mut carry: Arc<HashMap<String, Vec<u8>>> = Arc::new(recovery.carry);
-    let mut behind: HashMap<String, u64> = recovery.cursors;
+    let mut cadence = Cadence::default();
     let mut durable_note: DurableNote = recovery
         .notes
         .first()
@@ -907,7 +975,7 @@ fn engine_loop(
     }
     while !shared.shutdown.load(Ordering::SeqCst) {
         // ---- Epoch boundary: apply ops, wake backoffs, clone taps ----
-        let (mut opts, sub_names, markers, running) = {
+        let (mut opts, sub_names, mut markers, mut running) = {
             let mut ctl = lock(&shared.ctl);
             let mut removed: Vec<String> = Vec::new();
             let replies: Vec<_> = ctl
@@ -934,7 +1002,7 @@ fn engine_loop(
             for q in removed.iter().chain(supervisor.dead().iter()) {
                 stepper.forget(q);
                 Arc::make_mut(&mut carry).retain(|k, _| snapshot_owner(k) != q);
-                behind.remove(q);
+                cursors.remove(q);
             }
             let running: Vec<String> = gs
                 .queries()
@@ -964,7 +1032,7 @@ fn engine_loop(
         };
         if carry_state {
             for dq in gs.queries() {
-                behind.entry(dq.name.clone()).or_insert(epoch);
+                cursors.entry(dq.name.clone()).or_insert(Cursor { cut: epoch, next: epoch });
             }
             // Replay whatever the runnable queries missed, THEN set up
             // the current epoch to resume from the (now caught-up) cut.
@@ -973,13 +1041,25 @@ fn engine_loop(
                 &mut supervisor,
                 &source,
                 Arc::make_mut(&mut carry),
-                &mut behind,
+                &mut cursors,
+                &stepper,
                 epoch,
                 &opts.exclude,
                 &mut durable,
                 &mut durable_note,
                 &shared,
             );
+            // A query catch-up could not bring level (it faulted again
+            // mid-replay, or shutdown cut the replay short) sits this
+            // epoch out: run from its bytes, it would skip what it owes.
+            let stale: Vec<String> = running
+                .iter()
+                .filter(|q| cursors.get(*q).is_some_and(|c| !level(c, epoch, stepper.holds(q))))
+                .cloned()
+                .collect();
+            running.retain(|q| !stale.contains(q));
+            markers.retain(|(s, _)| !stale.contains(s));
+            opts.exclude.extend(stale);
             opts.capture = true;
             if !carry.is_empty() {
                 opts.restore = Some(carry.clone());
@@ -996,28 +1076,42 @@ fn engine_loop(
                 _ => None,
             };
             let packets = source.epoch_packets(epoch);
+            // A carried boundary seals a cut only when the cadence says
+            // the traffic since the last one has paid for it; every
+            // other boundary just steps the live operators on.
+            let cut = carry_state && cadence.boundary(packets.len() as u64);
             let sub_refs: Vec<&str> = sub_names.iter().map(String::as_str).collect();
-            match stepper.step(&gs, packets.into_iter(), &sub_refs, opts) {
+            let stepped = if carry_state && !cut {
+                stepper.hold(&gs, packets.into_iter(), &sub_refs, opts)
+            } else {
+                stepper.step(&gs, packets.into_iter(), &sub_refs, opts)
+            };
+            match stepped {
                 Ok(out) => {
                     supervisor.observe(epoch, &out.health);
                     shared.stats.nodes_restored.add(out.nodes_restored);
                     if carry_state {
                         let mut completed: Vec<String> = Vec::new();
                         for q in &running {
-                            if !out.health.failed(q) {
-                                behind.insert(q.clone(), epoch + 1);
+                            if let Some(c) = cursors.get_mut(q).filter(|_| !out.health.failed(q)) {
+                                c.next = epoch + 1;
+                                if cut {
+                                    c.cut = epoch + 1;
+                                }
                                 completed.push(q.clone());
                             }
                         }
-                        merge_snapshots(Arc::make_mut(&mut carry), out.snapshots, &out.health);
-                        // Publish this boundary's cut and commit the
-                        // epoch's markers durably before the close
-                        // block sends the marker frames.
+                        if cut {
+                            merge_snapshots(Arc::make_mut(&mut carry), out.snapshots, &out.health);
+                            cadence.sealed(stepper.held());
+                            shared.stats.cuts.inc();
+                        }
+                        // Publish the cut (if this is one) and commit the
+                        // epoch's markers durably before the close block
+                        // sends the marker frames.
                         durable_commit(
                             &mut durable,
-                            epoch + 1,
-                            &carry,
-                            &behind,
+                            cut.then_some((&*carry, &cursors)),
                             epoch,
                             &completed,
                             &mut durable_note,
@@ -1085,9 +1179,10 @@ fn engine_loop(
     // operators — or, for a daemon stopped before its first epoch, the
     // ones rebuilt from the recovered cut — and emits those tails, so
     // the session's total output equals one continuous run over every
-    // epoch's packets. Only fully caught-up queries flush — a query
-    // still in backoff holds a stale cut whose tail would be wrong
-    // mid-stream.
+    // epoch's packets. Only fully caught-up queries flush — live, or
+    // with bytes level with their output — since a query still in
+    // backoff, or whose cut lags, holds a stale cut whose tail would be
+    // wrong mid-stream.
     // An abandoned engine ([`DaemonHandle::halt`]) dies like a SIGKILL:
     // no flush epoch, no clean-shutdown record — the state directory is
     // left exactly as the last boundary published it, for recovery to
@@ -1101,7 +1196,10 @@ fn engine_loop(
             .queries()
             .iter()
             .map(|d| d.name.clone())
-            .filter(|q| !excluded.contains(q) && behind.get(q).is_none_or(|b| *b >= epoch))
+            .filter(|q| {
+                !excluded.contains(q)
+                    && cursors.get(q).is_none_or(|c| level(c, epoch, stepper.holds(q)))
+            })
             .collect();
         if !flush.is_empty() {
             let (taps, sub_names, markers) = {

@@ -27,23 +27,35 @@
 //! each with a note — so recovery reports a fresh start rather than an
 //! error, and never reads a cut it cannot verify.
 //!
-//! # Recovery and the exactly-once argument
+//! # Cadence, recovery and the exactly-once argument
 //!
-//! The write order at every epoch boundary is: (1) segment published
+//! Not every epoch boundary is a *cut*. The [`Cadence`] rule seals and
+//! publishes a segment only once the traffic since the last one
+//! outweighs the state it would write; every boundary in between
+//! commits just its markers record. So the two files answer different
+//! questions, and may disagree by up to one cut interval: a segment's
+//! cursors say where each query's *bytes* are, the marker log says what
+//! was *emitted*.
+//!
+//! The write order at a cut is: (1) segment published
 //! crash-consistently, (2) markers appended + fsynced, (3) marker
-//! frames sent to subscribers. A markers record therefore implies a
-//! durable segment whose cursors cover it. The converse does not hold —
-//! a crash between (1) and (2) leaves a segment whose boundary was
-//! never confirmed to anyone — so each segment also records the streams
-//! that completed its boundary (`pending`), and recovery refuses any
-//! segment missing a pending stream's marker, falling back to the
-//! previous cut (retention keeps at least two for exactly this reason).
-//! Recovery scans the log (truncating any torn tail), restores the
-//! newest decodable *marker-covered* segment, and resumes at its stored
-//! epoch; epochs at or after the restored cursors were never durably
-//! marked, so the replay machinery re-runs them — their frames were
-//! never confirmed to a marker-counting client, so nothing is emitted
-//! twice and nothing is skipped. The one unprovable
+//! frames sent to subscribers; any other boundary does (2) and (3). A
+//! crash between (1) and (2) leaves a segment whose boundary was never
+//! confirmed to anyone, so each segment also records the streams that
+//! completed its boundary (`pending`), and recovery refuses any segment
+//! whose pending cursors run past the durable markers, falling back to
+//! the previous cut (retention keeps at least two for exactly this
+//! reason). Recovery scans the log (truncating any torn tail) and
+//! restores the newest decodable, marker-consistent segment; each query
+//! then resumes as [`Recovery::resume`] says: its state is rebuilt by
+//! replaying `[cursor, next unmarked epoch)` from the restored bytes
+//! with its output discarded — those epochs were confirmed already —
+//! and emission resumes at the next unmarked epoch. Output is a
+//! function of the input, never of where the cuts fell, so the silent
+//! replay rebuilds exactly the state the dead process held; nothing is
+//! emitted twice and nothing is skipped. The next unmarked epoch only
+//! needs each stream's *newest* marker, which is why falling back to an
+//! older cut costs replay time, never correctness. The one unprovable
 //! interleaving — the log record reached the platter but the fsync
 //! acknowledgment didn't reach the process — loses only that epoch's
 //! *marker frame* on the already-dead connection; the injected crash
@@ -54,7 +66,12 @@
 //! Retention keeps the last `retain` segments; older ones are pruned at
 //! checkpoint boundaries, and the log is compacted (rewritten via the
 //! same temp + rename publish) once it outgrows a threshold, dropping
-//! markers below every retained segment's replay floor.
+//! markers below the newest segment's replay floor — every stream's
+//! newest marker sits at or above it, so every retained cut still
+//! resumes exactly. Between two cuts the log grows by one markers record
+//! per boundary, so it stays under [`LOG_COMPACT_BYTES`] plus one cut
+//! interval of records — and the cadence bounds an idle interval by the
+//! state held at its cut.
 //!
 //! All IO goes through the injectable [`DiskIo`] layer so the fault
 //! plans in [`faults`](crate::faults) can interrupt any step of the
@@ -558,14 +575,67 @@ impl StatSource for DurableStats {
 // Store
 // ---------------------------------------------------------------------
 
+/// The cut rule: when an epoch boundary seals and publishes a cut.
+///
+/// A boundary is a cut once `packets + epochs` since the last cut reach
+/// `max(1, state items held at that cut)` — group-table entries,
+/// buffered merge/join rows, occupied LFTA slots. The rule is fixed and
+/// knob-free, and it depends only on what the input did: the same trace
+/// cuts at the same boundaries in every run. It bounds what a cut
+/// lagging the emission can cost: replaying from the last cut touches
+/// fewer packets (plus idle epochs) than the cut holds items, so replay
+/// after a crash or a fault is O(state); every cut is paid for by at
+/// least one packet per item it writes; and an idle daemon still cuts
+/// once per `held` epochs, which bounds the marker log between cuts.
+#[derive(Debug, Default, Clone)]
+pub struct Cadence {
+    /// Packets consumed and boundaries passed since the last cut.
+    packets: u64,
+    epochs: u64,
+    /// State items the last cut held.
+    held: u64,
+}
+
+impl Cadence {
+    /// Count one boundary that consumed `packets`, and say whether it is
+    /// a cut. A boundary that should have cut but could not (its run
+    /// failed) leaves the debt standing, so the next one cuts.
+    pub fn boundary(&mut self, packets: u64) -> bool {
+        self.packets += packets;
+        self.epochs += 1;
+        self.packets + self.epochs >= self.held.max(1)
+    }
+
+    /// A cut holding `held` state items was sealed: the debt starts over.
+    pub fn sealed(&mut self, held: u64) {
+        *self = Cadence { held, ..Cadence::default() };
+    }
+}
+
+/// Where one query stands between cuts (see [`Recovery::resume`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cursor {
+    /// The epoch its bytes in the cut stand at: they hold its state
+    /// after every epoch below `cut`.
+    pub cut: u64,
+    /// Its next unmarked epoch: its output for every epoch below `next`
+    /// was emitted. `cut <= next`; rebuilding its state from the bytes
+    /// replays `[cut, next)` with the output discarded, and emission
+    /// resumes at `next`.
+    pub next: u64,
+}
+
 /// What recovery rebuilt from the state directory.
 #[derive(Debug, Default)]
 pub struct Recovery {
-    /// Epoch the engine should resume at.
+    /// Epoch the engine should resume at: past the restored cut and
+    /// every durable marker. A query can trail it (see
+    /// [`Recovery::resume`]); none is ahead of it.
     pub next_epoch: u64,
     /// The restored carry map (node key → sealed snapshot).
     pub carry: HashMap<String, Vec<u8>>,
-    /// Restored replay cursors (query → next unprocessed epoch).
+    /// Restored cut cursors (query → the epoch its bytes in `carry`
+    /// stand at).
     pub cursors: HashMap<String, u64>,
     /// Durably committed `(stream, epoch)` markers since the last clean
     /// shutdown (the exactly-once ledger).
@@ -580,20 +650,41 @@ pub struct Recovery {
     pub notes: Vec<String>,
 }
 
+impl Recovery {
+    /// Where `query` resumes: from its cut cursor, replaying silently up
+    /// to the epoch after its newest durable marker. A cut written at
+    /// every boundary (every cut a build without the cadence wrote) has
+    /// `cut == next`. A query the restored cut does not know resumes
+    /// fresh at [`next_epoch`](Self::next_epoch).
+    pub fn resume(&self, query: &str) -> Cursor {
+        let Some(&cut) = self.cursors.get(query) else {
+            return Cursor { cut: self.next_epoch, next: self.next_epoch };
+        };
+        let marked = self
+            .markers
+            .iter()
+            .filter(|(s, _)| s == query)
+            .map(|(_, e)| e + 1)
+            .max()
+            .unwrap_or(0);
+        Cursor { cut, next: cut.max(marked) }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct SegMeta {
     seq: u64,
-    /// Lowest replay cursor recorded in the segment (its replay floor);
-    /// markers below every retained floor can never be re-emitted and
-    /// are compactable.
+    /// The segment's replay floor: no stream it covers has its newest
+    /// marker below `floor - 1`, so markers under that are compactable
+    /// once this is the newest segment.
     floor: u64,
 }
 
 /// The durable checkpoint store. One instance owns a state directory;
-/// the engine calls [`checkpoint`](DurableStore::checkpoint) and
-/// [`log_markers`](DurableStore::log_markers) at every epoch boundary
-/// and [`log_shutdown`](DurableStore::log_shutdown) after a clean
-/// flush.
+/// the engine calls [`checkpoint`](DurableStore::checkpoint) at every
+/// cut, [`log_markers`](DurableStore::log_markers) at every epoch
+/// boundary (after the checkpoint, at a cut), and
+/// [`log_shutdown`](DurableStore::log_shutdown) after a clean flush.
 pub struct DurableStore {
     dir: PathBuf,
     io: Arc<dyn DiskIo>,
@@ -606,6 +697,9 @@ pub struct DurableStore {
     log_len: u64,
     /// In-memory copy of live marker records, for compaction.
     records: Vec<(u64, Vec<String>)>,
+    /// A checkpoint opened the current boundary; its markers record
+    /// closes it rather than opening another.
+    mid_boundary: bool,
 }
 
 fn seg_name(seq: u64) -> String {
@@ -753,6 +847,7 @@ impl DurableStore {
             segments: Vec::new(),
             log_len: 0,
             records: Vec::new(),
+            mid_boundary: false,
         };
         let recovery = store.recover()?;
         Ok((store, recovery))
@@ -966,36 +1061,24 @@ impl DurableStore {
 
         match restored {
             Some(seg) => {
-                rec.next_epoch = seg.next_epoch;
+                // Markers past the cut are the emission the cut lags:
+                // `resume` replays them silently, so none is a
+                // regression, and the engine resumes past all of them.
+                let marked = next_unmarked.values().copied().max().unwrap_or(0);
+                rec.next_epoch = seg.next_epoch.max(marked);
                 rec.cursors = seg.cursors;
                 rec.carry = seg.carry;
-                // Coverage check: every durable marker must be covered
-                // by the restored cursors, or a newer segment was lost
-                // and re-emission (duplicates) is possible.
-                let uncovered: Vec<&(String, u64)> = rec
-                    .markers
-                    .iter()
-                    .filter(|(s, e)| {
-                        rec.cursors.get(s).copied().unwrap_or(rec.next_epoch) <= *e
-                    })
-                    .collect();
-                if !uncovered.is_empty() {
-                    rec.notes.push(format!(
-                        "recovery regressed behind {} durable marker(s); duplicate emission possible",
-                        uncovered.len()
-                    ));
-                }
             }
             None => {
                 if let Some(next) = shutdown_next {
                     rec.next_epoch = next;
                     rec.clean_shutdown = true;
                 } else if !rec.markers.is_empty() {
-                    rec.notes.push(
-                        "durable markers exist but no segment decodes; \
-                         restarting from empty state (duplicate emission possible)"
-                            .to_string(),
-                    );
+                    rec.notes.push(format!(
+                        "recovery regressed behind {} durable marker(s): no segment decodes; \
+                         restarting from empty state (duplicate emission possible)",
+                        rec.markers.len()
+                    ));
                 }
             }
         }
@@ -1006,12 +1089,12 @@ impl DurableStore {
         Ok(rec)
     }
 
-    /// Publish one checkpoint crash-consistently: the full carry map
-    /// and every replay cursor, resumable at `next_epoch`. `pending`
-    /// names the streams that completed this boundary — the caller
-    /// commits their markers (via [`DurableStore::log_markers`]) right
-    /// after this returns, and recovery refuses to resume from a cut
-    /// whose pending markers never landed. Retries transient failures a
+    /// Publish one cut crash-consistently: the full carry map and every
+    /// query's cut cursor, resumable at `next_epoch`. `pending` names
+    /// the streams that completed this boundary — the caller commits
+    /// their markers (via [`DurableStore::log_markers`]) right after
+    /// this returns, and recovery refuses to resume from a cut whose
+    /// pending markers never landed. Retries transient failures a
     /// bounded number of times; a final failure is counted in
     /// `write_failed` and returned for the caller to dead-letter (the
     /// engine keeps running on its in-memory cut).
@@ -1023,6 +1106,7 @@ impl DurableStore {
         pending: &[String],
     ) -> Result<(), StoreError> {
         self.io.begin_boundary();
+        self.mid_boundary = true;
         let seq = self.next_seq;
         let sealed = encode_segment(seq, next_epoch, carry, cursors, pending);
         let tmp = self.dir.join(format!("{}.tmp", seg_name(seq)));
@@ -1047,7 +1131,13 @@ impl DurableStore {
             }
         }
         self.next_seq = seq + 1;
-        let floor = cursors.values().copied().min().unwrap_or(next_epoch);
+        // A pending stream's newest marker is still the one before this
+        // boundary's (appended next): its floor is one lower.
+        let floor = cursors
+            .iter()
+            .map(|(q, &c)| c.saturating_sub(u64::from(pending.contains(q))))
+            .min()
+            .unwrap_or(next_epoch);
         self.segments.push(SegMeta { seq, floor });
         self.stats.segments_written.inc();
         self.stats.bytes_fsynced.add(sealed.len() as u64);
@@ -1058,10 +1148,16 @@ impl DurableStore {
     /// Commit epoch `epoch`'s emission for `streams`: append one
     /// markers record and fsync the log. The caller sends the marker
     /// frames only after this returns — the commit point of the
-    /// exactly-once protocol.
+    /// exactly-once protocol. Right after a
+    /// [`checkpoint`](DurableStore::checkpoint) this completes the cut's
+    /// boundary; otherwise it is a boundary of its own.
     pub fn log_markers(&mut self, epoch: u64, streams: &[String]) -> Result<(), StoreError> {
+        let completes_cut = std::mem::take(&mut self.mid_boundary);
         if streams.is_empty() {
             return Ok(());
+        }
+        if !completes_cut {
+            self.io.begin_boundary();
         }
         let rec = frame_record(encode_markers(epoch, streams));
         self.io.append(DiskOp::LogAppend, &self.log_path(), &rec)?;
@@ -1095,17 +1191,13 @@ impl DurableStore {
             }
         }
         if self.log_len > LOG_COMPACT_BYTES {
-            // Keep every marker recovery might consult: a retained
-            // segment with cursor c needs marker c-1 to prove its cut
-            // was confirmed (the "ahead of the markers" check), so the
-            // compaction floor is one below the lowest retained cursor.
-            let floor = self
-                .segments
-                .iter()
-                .map(|m| m.floor)
-                .min()
-                .unwrap_or(0)
-                .saturating_sub(1);
+            // Recovery consults only each stream's newest marker (for the
+            // "ahead of the markers" check and the resume point), and
+            // every stream the newest segment covers has its newest
+            // marker at or above that segment's floor − 1 — so older
+            // cuts, if recovery has to fall back to them, resume from
+            // those same markers.
+            let floor = self.segments.last().map_or(0, |m| m.floor).saturating_sub(1);
             let before = self.records.len();
             self.records.retain(|(e, _)| *e >= floor);
             let mut bytes = Vec::new();
@@ -1318,6 +1410,55 @@ mod tests {
         assert_eq!(rec.next_epoch, e + 1);
         assert!(rec.markers.iter().all(|(_, me)| *me >= e.min(*me)));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Compaction runs inside a cut's checkpoint, before that boundary's
+    /// markers are appended. A crash between the two must still find the
+    /// markers the previous cut resumes from: the fallback restores it
+    /// and replays up to the last committed epoch, re-emitting nothing.
+    #[test]
+    fn compaction_keeps_what_a_cut_that_never_committed_falls_back_on() {
+        let dir = scratch_dir("compact_fallback");
+        let streams: Vec<String> = (0..64).map(|i| format!("stream-{i:04}")).collect();
+        let cursors =
+            |next: u64| -> HashMap<String, u64> { streams.iter().map(|s| (s.clone(), next)).collect() };
+        let carry = sample_carry(1);
+        let e = {
+            let (mut store, _) = open_real(&dir);
+            store.checkpoint(1, &carry, &cursors(1), &streams).unwrap();
+            store.log_markers(0, &streams).unwrap();
+            let mut e = 1;
+            while store.log_len() <= LOG_COMPACT_BYTES {
+                store.log_markers(e, &streams).unwrap();
+                e += 1;
+            }
+            store.checkpoint(e + 1, &carry, &cursors(e + 1), &streams).unwrap();
+            assert!(store.log_len() < LOG_COMPACT_BYTES, "the cut compacted the log");
+            e // the process dies before `log_markers(e)`
+        };
+        let (_s, rec) = open_real(&dir);
+        assert!(rec.notes.iter().any(|n| n.contains("ahead")), "{:?}", rec.notes);
+        for s in &streams {
+            assert_eq!(rec.resume(s), Cursor { cut: 1, next: e }, "stream {s}");
+        }
+        assert_eq!(rec.next_epoch, e);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The cut rule: a cut once the packets plus boundaries since the
+    /// last one reach what it held (at least one boundary).
+    #[test]
+    fn cadence_cuts_when_the_traffic_outweighs_the_held_state() {
+        let mut c = Cadence::default();
+        assert!(c.boundary(0), "nothing held: every boundary is a cut");
+        c.sealed(10);
+        assert!(!c.boundary(3), "3 packets + 1 boundary < 10 held");
+        assert!(!c.boundary(4), "8 < 10");
+        assert!(c.boundary(0), "8 + 3 boundaries >= 10");
+        c.sealed(0);
+        assert!(c.boundary(0));
+        c.sealed(1_000);
+        assert!(c.boundary(5_000), "one heavy boundary pays for a large cut");
     }
 
     #[test]

@@ -752,6 +752,10 @@ impl Operator for AggregateOp {
         self.puncts = r.get_u64()?;
         Ok(())
     }
+
+    fn held(&self) -> usize {
+        self.inner.open_groups()
+    }
 }
 
 // ---------------------------------------------------------------------

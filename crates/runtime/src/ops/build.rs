@@ -423,6 +423,17 @@ impl HftaNode {
         }
     }
 
+    /// State items the node holds right now: rows buffered by its root
+    /// plus every chain operator's [`held`](Operator::held).
+    pub fn held(&self) -> usize {
+        let root = match &self.root {
+            Some(Root::Merge(m)) => m.buffered(),
+            Some(Root::Join(j)) => j.buffered(),
+            None => 0,
+        };
+        root + self.chain.iter().map(|op| op.held()).sum::<usize>()
+    }
+
     /// Register every operator's counter block under
     /// `hfta:<query>/<i>:<kind>` — index 0 is the root when present,
     /// then the chain bottom-up.

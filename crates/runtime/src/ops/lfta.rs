@@ -419,6 +419,15 @@ impl Lfta {
         w.put_u64(self.stats.tuples_out);
     }
 
+    /// State items held right now: the occupied slots of an aggregating
+    /// LFTA's direct-mapped table (0 for a projection).
+    pub fn held(&self) -> usize {
+        match &self.kind {
+            LftaKind::Project(_) => 0,
+            LftaKind::Aggregate(dm) => dm.occupancy(),
+        }
+    }
+
     /// Restore state written by [`snapshot_state`](Self::snapshot_state)
     /// into a freshly built LFTA of the same shape.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {

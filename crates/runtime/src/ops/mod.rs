@@ -94,6 +94,13 @@ pub trait Operator: Send {
         let _ = r;
         Ok(())
     }
+
+    /// State items held right now — open groups, for an aggregate: what
+    /// a [`snapshot`](Operator::snapshot) would write, and what a replay
+    /// would have to rebuild. Stateless operators keep the default 0.
+    fn held(&self) -> usize {
+        0
+    }
 }
 
 /// Run a chain of single-input operators over a whole batch: each stage

@@ -84,8 +84,9 @@ pub fn proto(msg: impl Into<String>) -> SnapError {
 /// every fourth little-endian word of the input, folded with the length
 /// into one word at the end.
 ///
-/// A sealed cut is hundreds of kilobytes and is summed on every epoch
-/// boundary, so the sum reads a word at a time and keeps four multiply
+/// A sealed cut is hundreds of kilobytes and is summed at every cut (on
+/// a traffic-heavy daemon, every epoch boundary), so the sum reads a
+/// word at a time and keeps four multiply
 /// chains in flight instead of one byte-serial one. Every step — the xor
 /// of a word into its lane, the odd multiply, the rotate, and each fold —
 /// is a bijection of the running value, so two inputs of equal length

@@ -18,7 +18,7 @@ use gigascope::server::wire::LifeState;
 use gigascope::server::{self, DaemonConfig, PacketSource};
 use gigascope::{FaultPlan, Gigascope, Tuple};
 use gs_packet::capture::{CapPacket, LinkType};
-use gs_tests::daemon::{norm, CLIENT_TIMEOUT};
+use gs_tests::daemon::{lagging_source, norm, CLIENT_TIMEOUT, LAGGING_PROGRAM};
 use std::collections::HashMap;
 
 /// Shared derived stream, a multi-key aggregate (the fault target), and
@@ -67,10 +67,14 @@ fn connect(addr: std::net::SocketAddr) -> Client {
 }
 
 /// The continuous-run oracle over the full concatenated trace.
-fn continuous_reference(all: &[CapPacket], subs: &[&str]) -> HashMap<String, Vec<Tuple>> {
+fn continuous_reference(
+    all: &[CapPacket],
+    subs: &[&str],
+    program: &str,
+) -> HashMap<String, Vec<Tuple>> {
     let mut gs = Gigascope::new();
     gs.add_interface("eth0", 0, LinkType::Ethernet);
-    gs.add_program(PROGRAM).expect("reference program");
+    gs.add_program(program).expect("reference program");
     run_threaded(&gs, all.iter().cloned(), subs).expect("reference run").streams
 }
 
@@ -118,7 +122,7 @@ fn windows_spanning_epochs_aggregate_as_one_continuous_run() {
     client.shutdown().expect("shutdown");
     drain_tail(&mut client, &mut collected);
 
-    let reference = continuous_reference(&all, &["agg", "sib"]);
+    let reference = continuous_reference(&all, &["agg", "sib"], PROGRAM);
     for stream in ["agg", "sib"] {
         assert!(
             !collected[stream].is_empty(),
@@ -172,7 +176,7 @@ fn faulted_epoch_is_replayed_from_checkpoint_and_totals_match() {
     client.shutdown().expect("shutdown");
     drain_tail(&mut client, &mut collected);
 
-    let reference = continuous_reference(&all, &["agg", "sib"]);
+    let reference = continuous_reference(&all, &["agg", "sib"], PROGRAM);
     for stream in ["agg", "sib"] {
         assert_eq!(
             norm(&collected[stream]),
@@ -183,5 +187,61 @@ fn faulted_epoch_is_replayed_from_checkpoint_and_totals_match() {
     daemon.shutdown();
     // Exactly the faulted node came back from bytes (its last good cut,
     // advanced by the replay); `raw` and `sib` never left the live path.
+    assert_eq!(daemon.registry().value("daemon", "nodes_restored"), Some(1));
+}
+
+/// A fault two epochs after the last cut: the faulted query's bytes lag
+/// the epoch it faulted in, so reprovisioning first rebuilds its windows
+/// by silently replaying the epochs it had already emitted, then replays
+/// the faulted and backoff epochs with emission. Output equals the
+/// fault-free run, and the faulted stream's markers stay gapless, each
+/// arriving once.
+#[test]
+fn fault_between_cuts_replays_silently_then_resumes() {
+    let (source, all) = lagging_source(LEAD_IN);
+    let last_epoch = (LEAD_IN + 30) as u64;
+    // The first real boundary, epoch LEAD_IN, is the last cut: the ~300
+    // groups it holds outweigh the rest of the trace.
+    let fault = LEAD_IN as u64 + 3;
+    let mut config = carry_config(source);
+    config.initial_program = Some(LAGGING_PROGRAM.to_string());
+    config.faults = Some(FaultPlan::new().panic_at("agg", 1));
+    config.fault_epochs = fault..fault + 1;
+    config.restart_budget = 3;
+    config.backoff_base = 1;
+    let mut daemon = server::start(config).expect("daemon start");
+    let mut client = connect(daemon.addr());
+    client.subscribe("agg").expect("subscribe agg");
+    client.subscribe("sib").expect("subscribe sib");
+
+    // `collect_through` asserts each stream's markers arrive gapless and
+    // once; the faulted epoch's only ever arrives via catch-up.
+    let mut collected = HashMap::new();
+    for stream in ["agg", "sib"] {
+        collected.insert(stream.to_string(), collect_through(&mut client, stream, last_epoch));
+    }
+    let health = client.health().expect("health");
+    let agg = health.iter().find(|r| r.query == "agg").expect("agg row");
+    assert_eq!((agg.state, agg.restarts), (LifeState::Running, 1));
+    let registry = daemon.registry();
+    assert_eq!(registry.value("daemon", "cuts").map(|c| c > LEAD_IN as u64), Some(true));
+    assert_eq!(
+        registry.value("daemon", "replayed_epochs"),
+        Some(fault - LEAD_IN as u64 - 1),
+        "agg rebuilt its state by replaying, silently, the epochs between its cut and the fault"
+    );
+
+    client.shutdown().expect("shutdown");
+    drain_tail(&mut client, &mut collected);
+    daemon.shutdown();
+    let reference = continuous_reference(&all, &["agg", "sib"], LAGGING_PROGRAM);
+    for stream in ["agg", "sib"] {
+        assert!(!collected[stream].is_empty(), "no `{stream}` rows");
+        assert_eq!(
+            norm(&collected[stream]),
+            norm(&reference[stream]),
+            "stream `{stream}`: fault between cuts + replay diverges from the fault-free run"
+        );
+    }
     assert_eq!(daemon.registry().value("daemon", "nodes_restored"), Some(1));
 }

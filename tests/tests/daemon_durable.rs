@@ -14,7 +14,10 @@ use gigascope::server::{self, DaemonConfig, PacketSource};
 use gigascope::{Gigascope, Tuple};
 use gs_packet::capture::{CapPacket, LinkType};
 use gs_runtime::faults::{DiskFaultPlan, DiskOp};
-use gs_tests::daemon::{downgrade_state_dir_to_v1, norm, CLIENT_TIMEOUT};
+use gs_tests::daemon::{
+    downgrade_state_dir_to_v1, lagging_source, norm, write_cut_per_boundary_state_dir,
+    CLIENT_TIMEOUT, LAGGING_PROGRAM,
+};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,10 +76,14 @@ fn connect(addr: std::net::SocketAddr) -> Client {
     c
 }
 
-fn continuous_reference(all: &[CapPacket], subs: &[&str]) -> HashMap<String, Vec<Tuple>> {
+fn continuous_reference(
+    all: &[CapPacket],
+    subs: &[&str],
+    program: &str,
+) -> HashMap<String, Vec<Tuple>> {
     let mut gs = Gigascope::new();
     gs.add_interface("eth0", 0, LinkType::Ethernet);
-    gs.add_program(PROGRAM).expect("reference program");
+    gs.add_program(program).expect("reference program");
     run_threaded(&gs, all.iter().cloned(), subs).expect("reference run").streams
 }
 
@@ -153,7 +160,7 @@ fn killed_daemon_resumes_mid_window_from_state_dir() {
          from bytes, once; every later boundary steps them live"
     );
 
-    let reference = continuous_reference(&all, &["agg", "sib"]);
+    let reference = continuous_reference(&all, &["agg", "sib"], PROGRAM);
     for stream in ["agg", "sib"] {
         assert!(
             !collected[stream].is_empty(),
@@ -165,6 +172,169 @@ fn killed_daemon_resumes_mid_window_from_state_dir() {
             "stream `{stream}`: kill + resume diverges from the continuous run \
              (the held window tail must be flushed by the restarted daemon)"
         );
+    }
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// Read frames until every stream in `streams` has its marker for
+/// `last_epoch` — or, with `None`, until the daemon closes the
+/// connection — collecting each stream's rows and the epochs its
+/// markers carried, in arrival order.
+fn read_marked(
+    client: &mut Client,
+    streams: &[&str],
+    last_epoch: Option<u64>,
+    rows: &mut HashMap<String, Vec<Tuple>>,
+    marks: &mut HashMap<String, Vec<u64>>,
+) {
+    let done = |marks: &HashMap<String, Vec<u64>>| {
+        last_epoch.is_some_and(|last| {
+            streams.iter().all(|s| marks.get(*s).and_then(|m| m.last()).is_some_and(|e| *e >= last))
+        })
+    };
+    while !done(marks) {
+        let frame = match client.next_tuples() {
+            Ok(frame) => frame,
+            Err(e) if last_epoch.is_some() => panic!("epoch read: {e}"),
+            Err(_) => return,
+        };
+        if frame.rows.is_empty() {
+            marks.entry(frame.stream).or_default().push(frame.epoch);
+        } else {
+            rows.entry(frame.stream).or_default().extend(frame.rows);
+        }
+    }
+}
+
+/// Kill (halt, no flush) while the durable cut lags the committed
+/// markers by several epochs: the restart restores that cut, rebuilds
+/// the windows by silently replaying the epochs already confirmed past
+/// it, and resumes emission at the first unconfirmed epoch — the two
+/// incarnations' combined output is one continuous run, every marker
+/// arrives exactly once and in order, and recovery reports nothing
+/// amiss on HEALTH.
+#[test]
+fn killed_between_cuts_resumes_by_silent_replay() {
+    let state = scratch_dir("lagging");
+    let (source, all) = lagging_source(LEAD_IN);
+    let (source2, _) = lagging_source(LEAD_IN);
+    let config = |source| DaemonConfig {
+        epoch_gap_ms: 50,
+        initial_program: Some(LAGGING_PROGRAM.to_string()),
+        ..durable_config(source, &state)
+    };
+    let streams = ["agg", "sib"];
+    let (mut rows, mut marks) = (HashMap::new(), HashMap::new());
+
+    // Incarnation 1: every lead-in boundary and the first real one are
+    // cuts; the ~300 groups that one holds outweigh the rest of the
+    // trace, so the boundaries after it commit markers only.
+    let mut daemon = server::start(config(source)).expect("daemon 1");
+    let mut client = connect(daemon.addr());
+    for s in streams {
+        client.subscribe(s).expect("subscribe");
+    }
+    let confirmed = (LEAD_IN + 6) as u64;
+    read_marked(&mut client, &streams, Some(confirmed), &mut rows, &mut marks);
+    let registry = daemon.registry();
+    let cuts = registry.value("daemon", "cuts").expect("cuts counter");
+    assert_eq!(cuts, LEAD_IN as u64 + 1, "the last cut is the first real boundary");
+    assert!(
+        registry.value("daemon", "epochs") >= Some(cuts + 3),
+        "the kill lands 3+ epochs after the last cut"
+    );
+    daemon.halt();
+    read_marked(&mut client, &streams, None, &mut rows, &mut marks);
+    let last_marked = marks["agg"].last().copied().expect("markers before the kill");
+
+    // Incarnation 2: same state dir, fresh process state.
+    let mut daemon2 = server::start(config(source2)).expect("daemon 2");
+    let mut client2 = connect(daemon2.addr());
+    for s in streams {
+        client2.subscribe(s).expect("subscribe");
+    }
+    let last_real = (LEAD_IN + 30) as u64;
+    read_marked(&mut client2, &streams, Some(last_real), &mut rows, &mut marks);
+    let health = client2.health().expect("health");
+    assert!(
+        health.iter().all(|r| r.query != "durable:store"),
+        "a cut lagging its markers is the normal case, not a recovery note: {health:?}"
+    );
+    client2.shutdown().expect("shutdown");
+    read_marked(&mut client2, &streams, None, &mut rows, &mut marks);
+    daemon2.shutdown();
+
+    let registry2 = daemon2.registry();
+    assert_eq!(registry2.value("durable", "recoveries"), Some(1));
+    assert!(
+        registry2.value("daemon", "replayed_epochs") >= Some(last_marked - LEAD_IN as u64),
+        "the restart replays every confirmed epoch past the cut: {:?} (cut at {}, marked \
+         through {last_marked})",
+        registry2.value("daemon", "replayed_epochs"),
+        LEAD_IN + 1
+    );
+    assert_eq!(
+        registry2.value("daemon", "nodes_restored"),
+        Some(3),
+        "recovery rebuilds every node — `lfta:raw`, `hfta:agg`, `hfta:sib` — from the \
+         replayed bytes, once"
+    );
+    for s in streams {
+        let m = &marks[s];
+        assert!(
+            m.windows(2).all(|w| w[1] == w[0] + 1),
+            "stream `{s}`: markers gapless and each once across the kill: {m:?}"
+        );
+    }
+    let reference = continuous_reference(&all, &streams, LAGGING_PROGRAM);
+    for s in streams {
+        assert!(!rows[s].is_empty(), "no `{s}` rows across both incarnations");
+        assert_eq!(
+            norm(&rows[s]),
+            norm(&reference[s]),
+            "stream `{s}`: kill between cuts + resume diverges from the continuous run"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// A state directory with a cut at every boundary — what every build
+/// before the cut cadence wrote, and the special case of the protocol
+/// where each cursor is the last marker + 1 — recovers exactly: nothing
+/// to replay, every node restored once, output continuous.
+#[test]
+fn state_dir_with_a_cut_at_every_boundary_recovers_exactly() {
+    let state = scratch_dir("percut");
+    let (source, all) = lagging_source(LEAD_IN);
+    let written = (LEAD_IN + 8) as u64;
+    let streams = ["agg", "sib"];
+    let mut rows =
+        write_cut_per_boundary_state_dir(&state, LAGGING_PROGRAM, &source, written, &streams);
+
+    let config = DaemonConfig {
+        epoch_gap_ms: 50,
+        initial_program: Some(LAGGING_PROGRAM.to_string()),
+        ..durable_config(source, &state)
+    };
+    let mut daemon = server::start(config).expect("daemon");
+    let mut client = connect(daemon.addr());
+    for s in streams {
+        client.subscribe(s).expect("subscribe");
+    }
+    let mut marks = HashMap::new();
+    read_marked(&mut client, &streams, Some((LEAD_IN + 30) as u64), &mut rows, &mut marks);
+    assert!(client.health().expect("health").iter().all(|r| r.query != "durable:store"));
+    client.shutdown().expect("shutdown");
+    read_marked(&mut client, &streams, None, &mut rows, &mut marks);
+    daemon.shutdown();
+
+    assert_eq!(marks["agg"].first(), Some(&written), "resumes right after the last marker");
+    let registry = daemon.registry();
+    assert_eq!(registry.value("daemon", "replayed_epochs"), Some(0), "cursor == last marker + 1");
+    assert_eq!(registry.value("daemon", "nodes_restored"), Some(3));
+    let reference = continuous_reference(&all, &streams, LAGGING_PROGRAM);
+    for s in streams {
+        assert_eq!(norm(&rows[s]), norm(&reference[s]), "stream `{s}` diverges");
     }
     let _ = std::fs::remove_dir_all(&state);
 }
@@ -220,7 +390,7 @@ fn state_dir_written_by_a_v1_build_starts_fresh_with_a_recovery_note() {
         Some(0),
         "not one node may be read from a cut this build cannot verify"
     );
-    let reference = continuous_reference(&all2, &["agg"]);
+    let reference = continuous_reference(&all2, &["agg"], PROGRAM);
     assert_eq!(
         norm(&collected["agg"]),
         norm(&reference["agg"]),
@@ -267,7 +437,7 @@ fn failing_state_disk_dead_letters_into_health_not_an_outage() {
     daemon.shutdown();
 
     // The stream itself never degraded.
-    let reference = continuous_reference(&all, &["agg"]);
+    let reference = continuous_reference(&all, &["agg"], PROGRAM);
     assert_eq!(
         norm(&collected["agg"]),
         norm(&reference["agg"]),
@@ -296,7 +466,7 @@ fn clean_shutdown_then_restart_starts_fresh_with_monotone_epochs() {
     daemon.shutdown();
 
     // Session 1 alone is already complete (tails flushed).
-    let reference = continuous_reference(&all, &["agg"]);
+    let reference = continuous_reference(&all, &["agg"], PROGRAM);
     assert_eq!(norm(&collected["agg"]), norm(&reference["agg"]));
 
     // Session 2 must not re-flush or re-emit anything.
