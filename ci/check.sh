@@ -81,19 +81,26 @@ expect_clean_exit() {
 echo "== daemon gate: scripted gsqd/gsq session on loopback =="
 # A full scripted client session against the real daemon (register,
 # subscribe, two epochs of result frames, health poll, unregister,
-# shutdown) must end with a clean exit on both sides.
+# shutdown, drain) must end with a clean exit on both sides. perport's
+# 1-second windows outlast the session's 50 ms epochs, so its rows only
+# reach the client as the shutdown flush tail: finding them proves the
+# default synthetic source runs carried, windows open across epochs.
 cat > target/ci_daemon.gsql <<'EOF'
 DEFINE { query_name perport; }
-Select time, destPort, count(*) From eth0.tcp Group By time, destPort
+Select time, destPort, count(*) From eth0.tcp Group By time, destPort;
+DEFINE { query_name web; }
+Select time, len From eth0.tcp Where destPort = 80
 EOF
 boot_gsqd session --synthetic 40x50 --epoch-gap 0
 gsq_session target/gsqd_session.out --ping --program target/ci_daemon.gsql \
-    --subscribe perport --epochs 2 --health --unregister perport --shutdown
+    --subscribe perport --epochs 2 --health --unregister web --shutdown --drain
 expect_clean_exit session
 grep -q '^# perport epoch' target/gsqd_session.out ||
     fail "no result frames in the scripted session"
 grep -q '^health,perport,' target/gsqd_session.out ||
     fail "no health row in the scripted session"
+grep -q '^perport,' target/gsqd_session.out ||
+    fail "no perport rows in the scripted session's flush tail"
 echo "OK: daemon session clean"
 
 # The two gates below run one continuous 1.2 s synthetic trace sliced
@@ -129,11 +136,11 @@ one_shot_reference() {
         fail "reference run covers fewer than 2 time buckets"
 }
 
-echo "== checkpoint gate: carry-state session == uninterrupted one-shot run =="
-# Carry-state mode with a seeded panic injected into the aggregate's HFTA
-# mid-window: the query must auto-restart, restore its checkpoint, and
-# replay the missed epochs.
-boot_gsqd ckpt --chunked 70x200x6 --lead-in 10 --seed 7 --carry-state \
+echo "== checkpoint gate: carried session == uninterrupted one-shot run =="
+# A seeded panic injected into the aggregate's HFTA mid-window: the
+# query must auto-restart, restore its checkpoint, and replay the missed
+# epochs.
+boot_gsqd ckpt --chunked 70x200x6 --lead-in 10 --seed 7 \
     --fault-panic agg@1 --fault-epochs 12..13 --restart-budget 3 --backoff 1 \
     --epoch-gap 50 --program target/ci_carry.gsql
 gsq_session target/gsqd_ckpt_session.out --subscribe agg --epochs 16 --health \
@@ -142,11 +149,11 @@ expect_clean_exit ckpt
 # The injected fault must have charged exactly one restart and the
 # query must be back to Running when the session polls health.
 grep -q '^health,agg,Running,1,' target/gsqd_ckpt_session.out ||
-    fail "no restarted-and-running health row in the carry session"
+    fail "no restarted-and-running health row in the checkpointed session"
 one_shot_reference 7 ckpt
 grep '^agg,' target/gsqd_ckpt_session.out | sort > target/gsqd_ckpt_got.csv
 diff -u target/gsqd_ckpt_want.csv target/gsqd_ckpt_got.csv ||
-    fail "carry session output diverges from the one-shot run"
+    fail "checkpointed session output diverges from the one-shot run"
 echo "OK: checkpointed session matches the uninterrupted run"
 
 echo "== crash_restart_gate: kill -9 mid-window, resume from --state-dir =="
@@ -162,7 +169,7 @@ echo "== crash_restart_gate: kill -9 mid-window, resume from --state-dir =="
 # what makes the diff of both incarnations' output meaningful.
 rm -rf target/ci_state
 boot_durable_gsqd() {
-    boot_gsqd "$1" --chunked 70x200x6 --lead-in 10 --seed 11 --carry-state \
+    boot_gsqd "$1" --chunked 70x200x6 --lead-in 10 --seed 11 \
         --state-dir target/ci_state --epoch-gap 50 --program target/ci_carry.gsql
 }
 boot_durable_gsqd crash1
@@ -210,7 +217,7 @@ Select time, srcIP, count(*) From raw Group By time, srcIP
 EOF
 rm -rf target/ci_state_lag
 boot_lagging_gsqd() {
-    boot_gsqd "$1" --chunked 70x5x240 --lead-in 10 --seed 13 --carry-state \
+    boot_gsqd "$1" --chunked 70x5x240 --lead-in 10 --seed 13 \
         --state-dir target/ci_state_lag --epoch-gap 20 --program target/ci_lag.gsql
 }
 # stat_of <file> <node> <counter>: a counter from a `gsq --stats` transcript.

@@ -31,7 +31,7 @@
 //!   --shutdown               stop the daemon after the other actions
 //!   --drain                  after --shutdown, keep printing tuple frames
 //!                            until the daemon closes the socket (collects
-//!                            the carry-mode flush tail)
+//!                            the shutdown flush tail)
 //!
 //! In connect mode `--program` registers the program with the daemon,
 //! `--subscribe` subscribes to its output streams, and `--stats` polls
@@ -268,7 +268,7 @@ fn connect_mode(args: &Args, addr: &str) {
         println!("# daemon shutting down");
     }
     if args.drain {
-        // Carry-state shutdown runs a flush epoch that emits the held
+        // The daemon's shutdown runs a flush epoch that emits the held
         // window tails before closing subscriber sockets; print those
         // final frames until the daemon hangs up.
         while let Ok(frame) = client.next_tuples() {

@@ -7,20 +7,16 @@
 //!   --listen <addr>          bind address (default 127.0.0.1:5123; :0 picks a port)
 //!   --program <file>         GSQL program to register at startup
 //!   --iface <name=id[:link]> register an interface (default: eth0=0:ether)
-//!   --trace <file>           replay a .gsc capture trace every epoch
-//!   --synthetic <mbps>x<ms>  synthetic mix per epoch (default 100x100)
+//!   --trace <file>           loop a .gsc capture trace, one pass per epoch,
+//!                            each pass shifted past the one before
+//!   --synthetic <mbps>x<ms>  synthetic mix per epoch, epoch k starting at
+//!                            k*ms of virtual time (default 100x100)
 //!   --chunked <mbps>x<ms>x<n> ONE continuous synthetic trace sliced into n
-//!                            per-epoch chunks (time advances across epochs;
-//!                            the shape --carry-state needs)
+//!                            per-epoch chunks
 //!   --lead-in <n>            prepend n empty chunks to a --chunked source,
 //!                            giving a client time to SUBSCRIBE before the
 //!                            first real packet (CI equivalence checks)
 //!   --seed <n>               base synthetic seed; epoch k uses seed+k
-//!   --carry-state            carry operator state across epochs: windows
-//!                            spanning epoch boundaries aggregate as one
-//!                            continuous run, restarted queries resume from
-//!                            their last cut and replay missed epochs, and
-//!                            shutdown flushes the held tails
 //!   --fault-panic <node>@<batch>  arm a deterministic panic injection at the
 //!                            named node's n-th batch (CI/demo)
 //!   --fault-epochs <lo>..<hi>  epoch ids during which the fault is armed
@@ -33,12 +29,11 @@
 //!                            one-shot `gsq` runner's synchronous engine
 //!   --port-file <path>       write the bound address to a file, atomically
 //!                            (CI uses this with --listen …:0)
-//!   --state-dir <dir>        durable checkpoint directory (requires
-//!                            --carry-state): every cut is persisted
-//!                            crash-consistently and every epoch's markers
-//!                            are logged, and a restarted daemon pointed at
-//!                            the same directory resumes mid-window instead
-//!                            of starting empty
+//!   --state-dir <dir>        durable checkpoint directory: every cut is
+//!                            persisted crash-consistently and every
+//!                            epoch's markers are logged, and a restarted
+//!                            daemon pointed at the same directory resumes
+//!                            mid-window instead of starting empty
 //!   --retain <n>             checkpoints kept by the state dir's GC
 //!                            (default 3, at least 2)
 //! ```
@@ -47,7 +42,10 @@
 //! SHUTDOWN (see `gsq --connect`). Clients REGISTER/UNREGISTER GSQL
 //! programs, SUBSCRIBE to output streams, and poll HEALTH/STATS at
 //! runtime; quarantined queries are restarted automatically with
-//! bounded, backed-off retries.
+//! bounded, backed-off retries. Operator state carries across epochs:
+//! windows spanning epoch boundaries aggregate as one continuous run,
+//! restarted queries resume from their last cut and replay the epochs
+//! they missed, and SHUTDOWN flushes the held window tails.
 
 use gigascope::server::{self, DaemonConfig, PacketSource};
 use gs_packet::capture::LinkType;
@@ -57,7 +55,7 @@ use std::process::exit;
 fn usage(msg: &str) -> ! {
     eprintln!("gsqd: {msg}\n\nusage: gsqd [--listen addr] [--program file] [--iface name=id[:link]]");
     eprintln!("            [--trace file.gsc | --synthetic <mbps>x<ms> | --chunked <mbps>x<ms>x<n>]");
-    eprintln!("            [--seed n] [--lead-in n] [--carry-state] [--epoch-gap ms]");
+    eprintln!("            [--seed n] [--lead-in n] [--epoch-gap ms]");
     eprintln!("            [--fault-panic node@batch] [--fault-epochs lo..hi]");
     eprintln!("            [--restart-budget n] [--backoff n] [--parallelism n]");
     eprintln!("            [--heartbeat off|N] [--port-file path]");
@@ -141,7 +139,6 @@ fn main() {
             }
             "--seed" => seed = val().parse().unwrap_or_else(|_| usage("bad seed")),
             "--lead-in" => lead_in = val().parse().unwrap_or_else(|_| usage("bad --lead-in")),
-            "--carry-state" => config.carry_state = true,
             "--fault-panic" => {
                 let v = val();
                 let (node, batch) =
@@ -211,9 +208,8 @@ fn main() {
         },
     };
     if lead_in > 0 {
-        // Empty lead-in epochs are only meaningful for a time-continuous
-        // source; for the per-epoch sources the first real epoch already
-        // starts at clock zero.
+        // Empty lead-in epochs pad a chunk list; the generated sources
+        // have no list to pad.
         let PacketSource::Chunked(chunks) = &mut config.source else {
             usage("--lead-in requires --chunked");
         };

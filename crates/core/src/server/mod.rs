@@ -12,19 +12,19 @@
 //!
 //! The threaded manager wires its node graph once per run, so instead
 //! of mutating a live graph the daemon runs back-to-back **epochs**:
-//! each epoch is one [`Stepper::step`] over that epoch's packets
-//! ([`PacketSource::epoch_packets`]). Registrations, removals,
-//! subscription changes, and lifecycle decisions all apply at epoch
-//! boundaries, which makes the daemon's behavior exactly reproducible:
-//! the frames a subscriber receives for epoch `k` equal the one-shot
-//! engine's output over the same packets — the invariant the protocol
-//! test battery checks. In carry mode a boundary is a *step*, not a
-//! rebuild: the stepper hands every healthy query's operators, windows
-//! open, straight to the next epoch. Only a boundary the [`Cadence`]
-//! rule picks is a *cut* that seals the operators into bytes (and, with
-//! a state directory, publishes them); those bytes are read back only
-//! where no live operator exists (recovery, replay after a fault, a
-//! query's first epoch), after a silent replay of whatever the cut lags.
+//! each epoch is one [`Stepper`] step over that epoch's packets
+//! ([`PacketSource::epoch_packets`], time-continuous across epochs).
+//! Registrations, removals, subscription changes, and lifecycle
+//! decisions all apply at epoch boundaries. A boundary is a *step*, not
+//! a rebuild: the stepper hands every healthy query's operators,
+//! windows open, straight to the next epoch, so a query's output over
+//! its whole life equals one continuous run over the packets of the
+//! epochs it ran — the invariant the protocol test battery checks. Only
+//! a boundary the [`Cadence`] rule picks is a *cut* that seals the
+//! operators into bytes (and, with a state directory, publishes them);
+//! those bytes are read back only where no live operator exists
+//! (recovery, replay after a fault), after a silent replay of whatever
+//! the cut lags.
 //!
 //! Result frames fan out from the manager's subscription drains (a
 //! [`SubscriptionTap`] per subscribed stream) onto per-connection
@@ -65,12 +65,16 @@ use std::thread;
 use std::time::Duration;
 use supervisor::Supervisor;
 
-/// Where each epoch's packets come from.
+/// Where each epoch's packets come from. Every source is
+/// time-continuous: epoch `k + 1`'s packets never precede epoch `k`'s,
+/// so operator state carried across the boundary sees one ordered
+/// stream.
 #[derive(Debug, Clone)]
 pub enum PacketSource {
     /// Deterministic synthetic traffic: epoch `k` replays the standard
-    /// mix generator with seed `seed + k`, so any epoch's packets can
-    /// be regenerated independently (the equivalence tests do).
+    /// mix generator with seed `seed + k`, shifted forward by
+    /// `k * epoch_ms`, so any epoch's packets can be regenerated
+    /// independently (the equivalence tests do).
     Synthetic {
         /// Total offered load in Mbit/s (HTTP mix up to 60, the rest
         /// background).
@@ -80,15 +84,12 @@ pub enum PacketSource {
         /// Base seed; epoch `k` uses `seed.wrapping_add(k)`.
         seed: u64,
     },
-    /// Replay the same fixed trace every epoch.
+    /// Loop one fixed trace: epoch `k` replays it shifted forward by `k`
+    /// times its span (latest minus earliest timestamp), rounded up to a
+    /// whole second.
     Replay(Vec<CapPacket>),
     /// Pre-sliced chunks of one continuous trace: epoch `k` replays
-    /// chunk `k`; epochs past the last chunk are empty. Unlike
-    /// [`PacketSource::Replay`]/[`PacketSource::Synthetic`], virtual
-    /// time advances monotonically across epochs — the shape carried
-    /// operator state ([`DaemonConfig::carry_state`]) requires, since a
-    /// restored watermark must never sit ahead of the next epoch's
-    /// clock.
+    /// chunk `k`; epochs past the last chunk are empty.
     Chunked(Vec<Vec<CapPacket>>),
 }
 
@@ -104,8 +105,22 @@ impl PacketSource {
                 background_rate_mbps: (mbps - 60.0).max(0.0),
                 ..MixConfig::default()
             })
+            .map(|mut p| {
+                p.ts_ns += epoch * epoch_ms * 1_000_000;
+                p
+            })
             .collect(),
-            PacketSource::Replay(packets) => packets.clone(),
+            PacketSource::Replay(packets) => {
+                const SEC_NS: u64 = 1_000_000_000;
+                // Over the timestamps, not the trace order: a capture
+                // need not be sorted.
+                let (lo, hi) = packets
+                    .iter()
+                    .fold((u64::MAX, 0), |(lo, hi), p| (lo.min(p.ts_ns), hi.max(p.ts_ns)));
+                let span = hi.saturating_sub(lo);
+                let shift = epoch * span.div_ceil(SEC_NS).max(1) * SEC_NS;
+                packets.iter().map(|p| CapPacket { ts_ns: p.ts_ns + shift, ..p.clone() }).collect()
+            }
             PacketSource::Chunked(chunks) => {
                 chunks.get(epoch as usize).cloned().unwrap_or_default()
             }
@@ -116,7 +131,7 @@ impl PacketSource {
     /// milliseconds, sliced into per-epoch chunks on window boundaries
     /// (chunk `k` covers `[k*epoch_ms, (k+1)*epoch_ms)`). The
     /// concatenation of every epoch's packets is exactly the continuous
-    /// trace — the reference the carry-mode equivalence tests compare
+    /// trace — the reference the daemon equivalence tests compare
     /// against.
     pub fn chunked_synthetic(mbps: f64, epoch_ms: u64, epochs: u64, seed: u64) -> PacketSource {
         let all: Vec<CapPacket> = PacketMix::new(MixConfig {
@@ -156,7 +171,7 @@ pub struct DaemonStats {
     /// daemon's first epoch, a query reprovisioned after a fault. Zero
     /// for the whole of a fault-free session that started fresh.
     pub nodes_restored: Counter,
-    /// Carry-mode boundaries that sealed a cut (with a state directory,
+    /// Boundaries that sealed a cut (with a state directory,
     /// each one a published segment); `epochs - cuts` boundaries
     /// committed only their markers.
     pub cuts: Counter,
@@ -211,25 +226,14 @@ pub struct DaemonConfig {
     pub fault_epochs: Range<u64>,
     /// Idle pacing between epochs, in milliseconds (tests use 0).
     pub epoch_gap_ms: u64,
-    /// Carry operator state across epochs: every epoch runs in capture
-    /// mode (open windows stay open instead of being flushed) and the
-    /// next epoch steps the same live operators on; a boundary the
-    /// [`Cadence`] rule picks also seals them into a checkpoint. A
-    /// reprovisioned query resumes from its last checkpoint, silently
-    /// replays what that checkpoint lags, then replays the epochs it
-    /// missed; shutdown runs a final flush epoch that emits the held
-    /// tails. Off by
-    /// default: the per-epoch equivalence invariant (epoch `k`'s frames
-    /// equal the one-shot engine over epoch `k`'s packets) only holds
-    /// without carry. Use with a time-continuous source
-    /// ([`PacketSource::Chunked`]) — per-epoch clocks that restart at
-    /// zero would trip restored watermarks.
+    /// Compatibility only: must be `true` (the default); [`start`]
+    /// rejects `false`, since every daemon boundary carries operator
+    /// state. The field goes with benchmark revision 2.
     pub carry_state: bool,
     /// Per-connection outbound queue capacity, in frames; overflow
     /// sheds that connection's newest data frames.
     pub conn_queue_frames: usize,
-    /// Durable checkpoint directory. When set (requires
-    /// [`carry_state`](Self::carry_state)), every cut is persisted
+    /// Durable checkpoint directory. When set, every cut is persisted
     /// crash-consistently and every epoch's markers are committed to
     /// an fsynced log, and a restarted daemon pointed at the same
     /// directory rebuilds its windows from the newest cut plus a silent
@@ -261,7 +265,7 @@ impl Default for DaemonConfig {
             faults: None,
             fault_epochs: 0..0,
             epoch_gap_ms: 0,
-            carry_state: false,
+            carry_state: true,
             conn_queue_frames: 1024,
             state_dir: None,
             retain_checkpoints: 3,
@@ -346,7 +350,7 @@ pub(crate) struct Shared {
     pub epoch_cv: Condvar,
     pub shutdown: AtomicBool,
     /// Crash-simulation shutdown ([`DaemonHandle::halt`]): exit without
-    /// the carry-mode flush epoch or the durable clean-shutdown record,
+    /// the shutdown flush epoch or the durable clean-shutdown record,
     /// as a SIGKILL would.
     pub abandon: AtomicBool,
     /// Daemon-lifetime stats registry: `daemon`, `daemon:restart:<q>`,
@@ -415,7 +419,7 @@ impl DaemonHandle {
         }
     }
 
-    /// Stop the daemon *as a crash would*: no carry-mode flush epoch,
+    /// Stop the daemon *as a crash would*: no shutdown flush epoch,
     /// no durable clean-shutdown record — the in-process equivalent of
     /// `kill -9` for the recovery tests. The durable state directory is
     /// left exactly as the last boundary published it.
@@ -435,6 +439,12 @@ impl Drop for DaemonHandle {
 /// (if any), spawn the engine loop and the acceptor.
 pub fn start(config: DaemonConfig) -> Result<DaemonHandle, Error> {
     crate::manager::check_heartbeat(config.heartbeat)?;
+    if !config.carry_state {
+        return Err(Error::Config(
+            "carry_state = false is not supported: every gsqd boundary carries operator state"
+                .to_string(),
+        ));
+    }
     let mut gs = Gigascope::new();
     gs.heartbeat = config.heartbeat;
     gs.batch_size = config.batch_size;
@@ -464,11 +474,6 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, Error> {
     let mut durable: Option<DurableStore> = None;
     let mut recovery = Recovery::default();
     if let Some(dir) = &config.state_dir {
-        if !config.carry_state {
-            return Err(Error::Config(
-                "state_dir requires carry_state (a durable cut is a carried cut)".to_string(),
-            ));
-        }
         let io: Arc<dyn DiskIo> = match &config.disk_faults {
             Some(plan) => Arc::new(FaultyDisk::new(plan.clone())),
             None => Arc::new(RealDisk),
@@ -524,13 +529,11 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, Error> {
         let faults = config.faults;
         let fault_epochs = config.fault_epochs;
         let gap = config.epoch_gap_ms;
-        let carry = config.carry_state;
         thread::Builder::new()
             .name("gsqd-engine".to_string())
             .spawn(move || {
                 engine_loop(
-                    gs, supervisor, source, faults, fault_epochs, gap, carry, durable, recovery,
-                    shared,
+                    gs, supervisor, source, faults, fault_epochs, gap, durable, recovery, shared,
                 )
             })
             .map_err(|e| Error::Config(format!("spawn engine: {e}")))?
@@ -546,13 +549,11 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, Error> {
     Ok(DaemonHandle { addr, shared, engine: Some(engine), accept: Some(accept) })
 }
 
-/// Apply one queued operation at an epoch boundary. The reply is sent
-/// over the handler's channel; a dropped handler (disconnected client)
-/// makes the send a no-op, which is correct — the operation still
-/// applied.
-/// Apply one queued operation; returns the reply to deliver *after*
-/// the boundary's snapshot update (so a client that saw OK observes
-/// its effect in the very next HEALTH poll).
+/// Apply one queued operation at an epoch boundary; returns the reply
+/// to deliver *after* the boundary's snapshot update (so a client that
+/// saw OK observes its effect in the very next HEALTH poll). A dropped
+/// handler (disconnected client) makes that send a no-op, which is
+/// correct — the operation still applied.
 fn apply_op(
     op: PendingOp,
     gs: &mut Gigascope,
@@ -588,40 +589,37 @@ fn apply_op(
     }
 }
 
-/// Marker fan-out: `(stream, that stream's subscriber queues)`.
-type MarkerFanout = Vec<(String, Vec<crate::transport::Sender<Vec<u8>>>)>;
+/// Subscription fan-out: `(stream, that stream's subscriber queues)`,
+/// sorted by stream.
+type Fanout = Vec<(String, Vec<crate::transport::Sender<Vec<u8>>>)>;
 
-/// Build the subscription fan-out for one run over `ctl.subs`: live
-/// taps (data frames tagged `epoch`) for every subscribed deployed
-/// stream in `tap_set`, and end-of-run marker senders for every
-/// subscribed deployed stream in `marker_set`. Sorted for a
-/// deterministic build order regardless of HashMap iteration.
-fn build_fanout(
-    ctl: &Control,
-    gs: &Gigascope,
-    tap_set: &[String],
-    marker_set: &[String],
-    epoch: u64,
-) -> (Vec<(String, SubscriptionTap)>, Vec<String>, MarkerFanout) {
-    let mut sub_names: Vec<String> = Vec::new();
-    let mut taps: Vec<(String, SubscriptionTap)> = Vec::new();
-    let mut markers: MarkerFanout = Vec::new();
-    for (stream, eps) in ctl.subs.iter() {
-        if eps.is_empty() || !gs.queries().iter().any(|d| &d.name == stream) {
-            continue;
-        }
-        let senders: Vec<_> = eps.iter().map(|e| e.sender.clone()).collect();
-        if marker_set.iter().any(|s| s == stream) {
-            markers.push((stream.clone(), senders.clone()));
-        }
-        if !tap_set.iter().any(|s| s == stream) {
-            continue;
-        }
-        sub_names.push(stream.clone());
-        let name = stream.clone();
-        taps.push((
-            stream.clone(),
-            Arc::new(move |batch: &[crate::Tuple]| {
+/// The fan-out of every subscribed stream in `streams` (deployed query
+/// names), sorted for a deterministic build order regardless of
+/// HashMap iteration.
+fn build_fanout(ctl: &Control, streams: &[String]) -> Fanout {
+    let mut fanout: Fanout = ctl
+        .subs
+        .iter()
+        .filter(|(stream, eps)| !eps.is_empty() && streams.contains(stream))
+        .map(|(stream, eps)| (stream.clone(), eps.iter().map(|e| e.sender.clone()).collect()))
+        .collect();
+    fanout.sort_by(|a, b| a.0.cmp(&b.0));
+    fanout
+}
+
+/// The fan-out's streams, as a run's subscription list.
+fn streams_of(fanout: &Fanout) -> Vec<&str> {
+    fanout.iter().map(|(s, _)| s.as_str()).collect()
+}
+
+/// One live tap per fan-out entry: data frames tagged `epoch`, sent as
+/// the run produces them.
+fn fanout_taps(fanout: &Fanout, epoch: u64) -> Vec<(String, SubscriptionTap)> {
+    fanout
+        .iter()
+        .map(|(stream, senders)| {
+            let (name, senders) = (stream.clone(), senders.clone());
+            let tap: SubscriptionTap = Arc::new(move |batch: &[crate::Tuple]| {
                 if batch.is_empty() {
                     return;
                 }
@@ -630,20 +628,18 @@ fn build_fanout(
                 for s in &senders {
                     s.send(1, batch.len() as u64, frame.clone());
                 }
-            }) as SubscriptionTap,
-        ));
-    }
-    sub_names.sort();
-    markers.sort_by(|a, b| a.0.cmp(&b.0));
-    (taps, sub_names, markers)
+            });
+            (stream.clone(), tap)
+        })
+        .collect()
 }
 
 /// Send the end-of-epoch marker (a zero-row TUPLES frame tagged
 /// `epoch`) to every fan-out entry `skip` doesn't veto. Markers are
 /// control frames: losing one would make the client miscount epochs
 /// forever.
-fn send_markers(markers: &MarkerFanout, epoch: u64, skip: impl Fn(&str) -> bool) {
-    for (stream, senders) in markers {
+fn send_markers(fanout: &Fanout, epoch: u64, skip: impl Fn(&str) -> bool) {
+    for (stream, senders) in fanout {
         if skip(stream) {
             continue;
         }
@@ -771,7 +767,7 @@ fn upstream_closure(gs: &Gigascope, parts: &[String]) -> Vec<String> {
     need
 }
 
-/// Carry-mode catch-up: bring every runnable query that trails the
+/// Catch-up: bring every runnable query that trails the
 /// current epoch level with it, with fault injection disarmed — a
 /// replay is a retry. Packets are regenerable from the source by
 /// construction. Two kinds of trailing, repaired in this order:
@@ -860,12 +856,7 @@ fn catch_up(
             .map(|(q, _)| q.clone())
             .collect();
         let included = upstream_closure(gs, &parts);
-        let (taps, sub_names, markers) = if emit {
-            let ctl = lock(&shared.ctl);
-            build_fanout(&ctl, gs, &parts, &parts, from)
-        } else {
-            (Vec::new(), Vec::new(), Vec::new())
-        };
+        let fanout = if emit { build_fanout(&lock(&shared.ctl), &parts) } else { Vec::new() };
         // Restore only the laggards' own checkpoints: a support query
         // must not restore its *current* (post-epoch-`e`) state into a
         // replay of epoch `e`.
@@ -875,7 +866,7 @@ fn catch_up(
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
         let opts = ThreadedOptions {
-            taps,
+            taps: fanout_taps(&fanout, from),
             exclude: gs
                 .queries()
                 .iter()
@@ -887,9 +878,8 @@ fn catch_up(
             ..ThreadedOptions::default()
         };
         gs.faults = None;
-        let sub_refs: Vec<&str> = sub_names.iter().map(String::as_str).collect();
         let packets = (from..to).flat_map(|e| source.epoch_packets(e));
-        match run_threaded_opts(gs, packets, &sub_refs, opts) {
+        match run_threaded_opts(gs, packets, &streams_of(&fanout), opts) {
             Ok(out) => {
                 supervisor.observe(epoch, &out.health);
                 let mut replayed: Vec<String> = Vec::new();
@@ -913,7 +903,7 @@ fn catch_up(
                     // durable cut keeps lagging until the next cut, and
                     // recovery replays past it.
                     durable_commit(durable, None, from, &replayed, durable_note);
-                    send_markers(&markers, from, |s| out.health.failed(s));
+                    send_markers(&fanout, from, |s| out.health.failed(s));
                 } else {
                     shared.stats.replayed_epochs.add(to - from);
                 }
@@ -934,7 +924,6 @@ fn engine_loop(
     faults: Option<FaultPlan>,
     fault_epochs: Range<u64>,
     epoch_gap_ms: u64,
-    carry_state: bool,
     mut durable: Option<DurableStore>,
     recovery: Recovery,
     shared: Arc<Shared>,
@@ -944,7 +933,7 @@ fn engine_loop(
     // catch-up replays what the cut lags — instead of epoch 0 from
     // empty state.
     let mut epoch: u64 = recovery.next_epoch;
-    // Carry mode: the operators themselves, stepped from epoch to epoch;
+    // The operators themselves, stepped from epoch to epoch;
     // the last good sealed snapshot of every node (the daemon's
     // checkpoint — what the durable store persists and what a query
     // without live operators is rebuilt from); each query's cursor — the
@@ -974,8 +963,8 @@ fn engine_loop(
         }
     }
     while !shared.shutdown.load(Ordering::SeqCst) {
-        // ---- Epoch boundary: apply ops, wake backoffs, clone taps ----
-        let (mut opts, sub_names, mut markers, mut running) = {
+        // ---- Epoch boundary: apply ops, wake backoffs, clone fan-out -
+        let (mut exclude, mut fanout, mut running) = {
             let mut ctl = lock(&shared.ctl);
             let mut removed: Vec<String> = Vec::new();
             let replies: Vec<_> = ctl
@@ -1010,65 +999,45 @@ fn engine_loop(
                 .map(|d| d.name.clone())
                 .filter(|q| !excluded.contains(q))
                 .collect();
-            // Marker policy: without carry, every subscribed deployed
-            // stream gets a marker, excluded or not (a backoff epoch is
-            // an *empty* epoch, not a missing one). With carry, a
-            // stream's marker is sent only when its epoch actually ran
+            // A stream's marker is sent only when its epoch actually ran
             // — catch-up replay delivers the missed ones later, in
-            // epoch order, so subscribers still see exactly one marker
-            // per (stream, epoch).
-            let marker_set: Vec<String> = if carry_state {
-                running.clone()
-            } else {
-                gs.queries().iter().map(|d| d.name.clone()).collect()
-            };
-            let (taps, sub_names, markers) = build_fanout(&ctl, &gs, &running, &marker_set, epoch);
-            (
-                ThreadedOptions { taps, exclude: excluded, ..ThreadedOptions::default() },
-                sub_names,
-                markers,
-                running,
-            )
+            // epoch order, so subscribers see exactly one marker per
+            // (stream, epoch).
+            let fanout = build_fanout(&ctl, &running);
+            (excluded, fanout, running)
         };
-        if carry_state {
-            for dq in gs.queries() {
-                cursors.entry(dq.name.clone()).or_insert(Cursor { cut: epoch, next: epoch });
-            }
-            // Replay whatever the runnable queries missed, THEN set up
-            // the current epoch to resume from the (now caught-up) cut.
-            catch_up(
-                &mut gs,
-                &mut supervisor,
-                &source,
-                Arc::make_mut(&mut carry),
-                &mut cursors,
-                &stepper,
-                epoch,
-                &opts.exclude,
-                &mut durable,
-                &mut durable_note,
-                &shared,
-            );
-            // A query catch-up could not bring level (it faulted again
-            // mid-replay, or shutdown cut the replay short) sits this
-            // epoch out: run from its bytes, it would skip what it owes.
-            let stale: Vec<String> = running
-                .iter()
-                .filter(|q| cursors.get(*q).is_some_and(|c| !level(c, epoch, stepper.holds(q))))
-                .cloned()
-                .collect();
-            running.retain(|q| !stale.contains(q));
-            markers.retain(|(s, _)| !stale.contains(s));
-            opts.exclude.extend(stale);
-            opts.capture = true;
-            if !carry.is_empty() {
-                opts.restore = Some(carry.clone());
-            }
+        for dq in gs.queries() {
+            cursors.entry(dq.name.clone()).or_insert(Cursor { cut: epoch, next: epoch });
         }
+        // Replay whatever the runnable queries missed, THEN set up the
+        // current epoch to resume from the (now caught-up) cut.
+        catch_up(
+            &mut gs,
+            &mut supervisor,
+            &source,
+            Arc::make_mut(&mut carry),
+            &mut cursors,
+            &stepper,
+            epoch,
+            &exclude,
+            &mut durable,
+            &mut durable_note,
+            &shared,
+        );
+        // A query catch-up could not bring level (it faulted again
+        // mid-replay, or shutdown cut the replay short) sits this epoch
+        // out: run from its bytes, it would skip what it owes.
+        let stale: Vec<String> = running
+            .iter()
+            .filter(|q| cursors.get(*q).is_some_and(|c| !level(c, epoch, stepper.holds(q))))
+            .cloned()
+            .collect();
+        running.retain(|q| !stale.contains(q));
+        fanout.retain(|(s, _)| !stale.contains(s));
+        exclude.extend(stale);
 
         // ---- Run the epoch (engine holds no locks) -------------------
-        let active_queries =
-            gs.queries().iter().filter(|d| !opts.exclude.iter().any(|e| e == &d.name)).count();
+        let active_queries = gs.queries().iter().filter(|d| !exclude.contains(&d.name)).count();
         let mut epoch_health = RunHealth::default();
         let ran = if active_queries > 0 {
             gs.faults = match (&faults, fault_epochs.contains(&epoch)) {
@@ -1076,47 +1045,52 @@ fn engine_loop(
                 _ => None,
             };
             let packets = source.epoch_packets(epoch);
-            // A carried boundary seals a cut only when the cadence says
-            // the traffic since the last one has paid for it; every
-            // other boundary just steps the live operators on.
-            let cut = carry_state && cadence.boundary(packets.len() as u64);
-            let sub_refs: Vec<&str> = sub_names.iter().map(String::as_str).collect();
-            let stepped = if carry_state && !cut {
-                stepper.hold(&gs, packets.into_iter(), &sub_refs, opts)
+            // A boundary seals a cut only when the cadence says the
+            // traffic since the last one has paid for it; every other
+            // boundary just steps the live operators on.
+            let cut = cadence.boundary(packets.len() as u64);
+            let opts = ThreadedOptions {
+                taps: fanout_taps(&fanout, epoch),
+                exclude,
+                capture: true,
+                restore: (!carry.is_empty()).then(|| carry.clone()),
+                ..ThreadedOptions::default()
+            };
+            let (packets, subs) = (packets.into_iter(), streams_of(&fanout));
+            let stepped = if cut {
+                stepper.step(&gs, packets, &subs, opts)
             } else {
-                stepper.step(&gs, packets.into_iter(), &sub_refs, opts)
+                stepper.hold(&gs, packets, &subs, opts)
             };
             match stepped {
                 Ok(out) => {
                     supervisor.observe(epoch, &out.health);
                     shared.stats.nodes_restored.add(out.nodes_restored);
-                    if carry_state {
-                        let mut completed: Vec<String> = Vec::new();
-                        for q in &running {
-                            if let Some(c) = cursors.get_mut(q).filter(|_| !out.health.failed(q)) {
-                                c.next = epoch + 1;
-                                if cut {
-                                    c.cut = epoch + 1;
-                                }
-                                completed.push(q.clone());
+                    let mut completed: Vec<String> = Vec::new();
+                    for q in &running {
+                        if let Some(c) = cursors.get_mut(q).filter(|_| !out.health.failed(q)) {
+                            c.next = epoch + 1;
+                            if cut {
+                                c.cut = epoch + 1;
                             }
+                            completed.push(q.clone());
                         }
-                        if cut {
-                            merge_snapshots(Arc::make_mut(&mut carry), out.snapshots, &out.health);
-                            cadence.sealed(stepper.held());
-                            shared.stats.cuts.inc();
-                        }
-                        // Publish the cut (if this is one) and commit the
-                        // epoch's markers durably before the close block
-                        // sends the marker frames.
-                        durable_commit(
-                            &mut durable,
-                            cut.then_some((&*carry, &cursors)),
-                            epoch,
-                            &completed,
-                            &mut durable_note,
-                        );
                     }
+                    if cut {
+                        merge_snapshots(Arc::make_mut(&mut carry), out.snapshots, &out.health);
+                        cadence.sealed(stepper.held());
+                        shared.stats.cuts.inc();
+                    }
+                    // Publish the cut (if this is one) and commit the
+                    // epoch's markers durably before the close block sends
+                    // the marker frames.
+                    durable_commit(
+                        &mut durable,
+                        cut.then_some((&*carry, &cursors)),
+                        epoch,
+                        &completed,
+                        &mut durable_note,
+                    );
                     let mut ctl = lock(&shared.ctl);
                     ctl.snapshot.counters = out.counters;
                     drop(ctl);
@@ -1140,10 +1114,10 @@ fn engine_loop(
                 // empty catalog has none (the churn test's baseline).
                 ctl.snapshot.counters.clear();
             }
-            // With carry, a failed (or errored) epoch sends no marker
-            // for the affected stream — its replay will, keeping the
+            // A failed (or errored) epoch sends no marker for the
+            // affected stream — its replay will, keeping the
             // subscriber's epoch sequence gapless and in order.
-            send_markers(&markers, epoch, |s| carry_state && (!ran || epoch_health.failed(s)));
+            send_markers(&fanout, epoch, |s| !ran || epoch_health.failed(s));
             ctl.snapshot.health = with_durable_note(supervisor.rows(), &durable_note);
             ctl.snapshot.epochs_done = epoch + 1;
             shared.stats.epochs.set(epoch + 1);
@@ -1173,7 +1147,7 @@ fn engine_loop(
         }
     }
 
-    // ---- Carry-mode shutdown flush -----------------------------------
+    // ---- Shutdown flush ----------------------------------------------
     // Capture mode held every open window instead of flushing it; one
     // final flushing step (no packets, capture OFF) finishes the live
     // operators — or, for a daemon stopped before its first epoch, the
@@ -1187,10 +1161,15 @@ fn engine_loop(
     // no flush epoch, no clean-shutdown record — the state directory is
     // left exactly as the last boundary published it, for recovery to
     // resume from.
+    // Something is held if the checkpoint has bytes — even ones no
+    // deployed query owns yet, recovered for a query not re-registered —
+    // or a deployed query has live operators: the bytes alone can be
+    // empty while a query registered after the last cut holds open
+    // windows.
     let abandoned = shared.abandon.load(Ordering::SeqCst);
-    let had_carry = carry_state && !carry.is_empty();
+    let held = !carry.is_empty() || gs.queries().iter().any(|d| stepper.holds(&d.name));
     let mut flushed = false;
-    if had_carry && !abandoned {
+    if held && !abandoned {
         let excluded = supervisor.excluded(epoch);
         let flush: Vec<String> = gs
             .queries()
@@ -1202,12 +1181,9 @@ fn engine_loop(
             })
             .collect();
         if !flush.is_empty() {
-            let (taps, sub_names, markers) = {
-                let ctl = lock(&shared.ctl);
-                build_fanout(&ctl, &gs, &flush, &flush, epoch)
-            };
+            let fanout = build_fanout(&lock(&shared.ctl), &flush);
             let opts = ThreadedOptions {
-                taps,
+                taps: fanout_taps(&fanout, epoch),
                 exclude: gs
                     .queries()
                     .iter()
@@ -1219,8 +1195,7 @@ fn engine_loop(
                 ..ThreadedOptions::default()
             };
             gs.faults = None;
-            let sub_refs: Vec<&str> = sub_names.iter().map(String::as_str).collect();
-            if let Ok(out) = stepper.step(&gs, std::iter::empty(), &sub_refs, opts) {
+            if let Ok(out) = stepper.step(&gs, std::iter::empty(), &streams_of(&fanout), opts) {
                 shared.stats.nodes_restored.add(out.nodes_restored);
                 // The flush emitted every held tail: record the clean
                 // shutdown (which retires all segments and markers)
@@ -1231,7 +1206,7 @@ fn engine_loop(
                     }
                 }
                 flushed = true;
-                send_markers(&markers, epoch, |s| out.health.failed(s));
+                send_markers(&fanout, epoch, |s| out.health.failed(s));
                 let mut ctl = lock(&shared.ctl);
                 ctl.snapshot.epochs_done = epoch + 1;
                 shared.stats.epochs.set(epoch + 1);
@@ -1239,12 +1214,12 @@ fn engine_loop(
             }
         }
     }
-    // A clean exit that never held carried state still records the
-    // shutdown, so the next start knows nothing was lost (and keeps the
-    // epoch numbering monotone across sessions). If there *was* carried
-    // state and the flush didn't complete, no record is written —
-    // recovery must resume and flush it later.
-    if !abandoned && !flushed && !had_carry {
+    // A clean exit that held nothing still records the shutdown, so the
+    // next start knows nothing was lost (and keeps the epoch numbering
+    // monotone across sessions). If something *was* held and the flush
+    // didn't complete, no record is written — recovery must resume and
+    // flush it later.
+    if !abandoned && !flushed && !held {
         if let Some(store) = durable.as_mut() {
             if let Err(e) = store.log_shutdown(epoch) {
                 eprintln!("gsqd: durable: shutdown record failed: {e}");
@@ -1278,4 +1253,37 @@ fn engine_loop(
         conn.chan.force_close();
     }
     shared.epoch_cv.notify_all();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gs_packet::builder::FrameBuilder;
+
+    /// Every source hands out one ordered stream, however it is sliced:
+    /// epoch `k + 1` never starts before epoch `k` ends, and an epoch's
+    /// packets regenerate identically.
+    #[test]
+    fn every_source_is_time_continuous_and_regenerable() {
+        let frame = FrameBuilder::tcp(0x0a00_0001, 0xc0a8_0001, 1024, 80).build_ethernet();
+        // 1.2 s of trace from t = 5 s, its latest packet out of order (the
+        // first and last in trace order are only 0.9 s apart): each loop
+        // shifts by 2 s.
+        let at = |ts_ns: u64| CapPacket::full(ts_ns, 0, LinkType::Ethernet, frame.clone());
+        let trace: Vec<CapPacket> =
+            [0, 3, 12, 6, 9].iter().map(|i| at(5_000_000_000 + i * 100_000_000)).collect();
+        let replay = PacketSource::Replay(trace);
+        assert_eq!(replay.epoch_packets(2)[0].ts_ns, 9_000_000_000);
+        let synthetic = PacketSource::Synthetic { mbps: 20.0, epoch_ms: 20, seed: 3 };
+        let chunked = PacketSource::chunked_synthetic(20.0, 20, 4, 3);
+        for (name, source) in [("synthetic", synthetic), ("replay", replay), ("chunked", chunked)] {
+            for k in 0..3 {
+                let (this, next) = (source.epoch_packets(k), source.epoch_packets(k + 1));
+                let last = this.iter().map(|p| p.ts_ns).max().expect("packets");
+                let first = next.iter().map(|p| p.ts_ns).min().expect("packets");
+                assert!(first >= last, "{name}: epoch {} runs back in time", k + 1);
+                assert!(this == source.epoch_packets(k), "{name}: epoch {k} is not regenerable");
+            }
+        }
+    }
 }

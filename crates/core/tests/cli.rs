@@ -185,6 +185,16 @@ fn gsqd_rejects_the_on_demand_heartbeat_flag() {
     assert!(err.contains("`off` or a period in seconds"), "{err}");
 }
 
+/// Every daemon boundary carries operator state, so there is no mode
+/// flag left to set: `--carry-state` is an unknown flag.
+#[test]
+fn gsqd_has_no_carry_state_flag() {
+    let out = Command::new(env!("CARGO_BIN_EXE_gsqd")).arg("--carry-state").output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag `--carry-state`"), "{err}");
+}
+
 #[test]
 fn trace_replay_round_trips() {
     use gs_netgen::{MixConfig, PacketMix};

@@ -1,5 +1,5 @@
 //! The durable checkpoint store: crash-consistent persistence of the
-//! daemon's carry-state cuts, plus the recovery manager that rebuilds
+//! daemon's cuts of carried state, plus the recovery manager that rebuilds
 //! them after a process death.
 //!
 //! # On-disk layout

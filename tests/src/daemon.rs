@@ -1,14 +1,14 @@
 //! Shared helpers for the `gsqd` protocol test battery.
 //!
-//! The daemon's core invariant is *epoch equivalence*: the frames a
-//! subscriber receives for epoch `k` must equal a one-shot
-//! `run_threaded` over [`PacketSource::epoch_packets`]`(k)` with an
-//! identically-configured system. These helpers build that one-shot
-//! reference and normalize outputs for comparison (threaded runs
-//! interleave producers, so cross-group emission order is not pinned —
-//! rows compare as sorted multisets).
+//! Every daemon test checks one oracle, the *continuous run*: a query's
+//! total output over its life — each epoch's frames plus the shutdown
+//! flush tail — equals one `run_threaded` over the concatenated packets
+//! of the epochs it ran ([`continuous_reference`]), however the daemon
+//! sliced them. Threaded runs interleave producers, so rows compare as
+//! sorted multisets.
 
 use gigascope::manager::{run_threaded, run_threaded_opts, ThreadedOptions};
+use gigascope::server::client::Client;
 use gigascope::server::{DaemonConfig, PacketSource};
 use gigascope::{Gigascope, Tuple};
 use gs_packet::builder::FrameBuilder;
@@ -34,24 +34,127 @@ pub fn test_config(source: PacketSource) -> DaemonConfig {
 /// CI machine, short enough that a daemon bug can't hang the suite.
 pub const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// One-shot reference: run `program` over epoch `epoch` of `source`
-/// with the same engine knobs [`test_config`] uses (the
-/// `Gigascope::new` defaults), returning each subscription's rows.
-pub fn one_shot_epoch(
-    program: &str,
-    source: &PacketSource,
-    epoch: u64,
-    subscriptions: &[&str],
-) -> HashMap<String, Vec<Tuple>> {
+/// A test client on `addr` with [`CLIENT_TIMEOUT`] set.
+pub fn connect(addr: std::net::SocketAddr) -> Client {
+    let mut c = Client::connect(addr).expect("connect");
+    c.set_timeout(Some(CLIENT_TIMEOUT)).expect("timeout");
+    c
+}
+
+/// A time-continuous source: `lead_in` empty chunks (the subscribe
+/// margin), then 12 × 100 ms of synthetic traffic — 1.2 s of stream
+/// time, so the first 1-second window closes mid-session and the rest
+/// is flushed at shutdown. Returns the source and the concatenated
+/// trace.
+pub fn carry_source(lead_in: usize, seed: u64) -> (PacketSource, Vec<CapPacket>) {
+    let PacketSource::Chunked(real) = PacketSource::chunked_synthetic(20.0, 100, 12, seed) else {
+        unreachable!("chunked_synthetic returns Chunked");
+    };
+    let all: Vec<CapPacket> = real.iter().flatten().cloned().collect();
+    let mut chunks = vec![Vec::new(); lead_in];
+    chunks.extend(real);
+    (PacketSource::Chunked(chunks), all)
+}
+
+/// A system configured the way [`test_config`] configures the daemon
+/// (the `Gigascope::new` defaults, `eth0`), with `program` deployed.
+pub fn reference_system(program: &str) -> Gigascope {
     let mut gs = Gigascope::new();
     gs.add_interface("eth0", 0, LinkType::Ethernet);
     gs.add_program(program).expect("reference program must deploy");
-    let out = run_threaded(&gs, source.epoch_packets(epoch).into_iter(), subscriptions)
-        .expect("reference run must succeed");
-    out.streams
+    gs
 }
 
-/// A carry-mode program whose state is one group per source: with
+/// The continuous-run oracle: one flushing run of `program` over
+/// `packets`, each subscription's rows.
+pub fn continuous_reference(
+    packets: &[CapPacket],
+    subs: &[&str],
+    program: &str,
+) -> HashMap<String, Vec<Tuple>> {
+    let gs = reference_system(program);
+    run_threaded(&gs, packets.iter().cloned(), subs).expect("reference run").streams
+}
+
+/// What a subscriber connection has read: each stream's rows, and the
+/// epochs its markers carried, in arrival order.
+#[derive(Debug, Default)]
+pub struct Frames {
+    /// Frames tagged with an earlier epoch are skipped: on a connection
+    /// that subscribed before, they belong to an earlier life of the
+    /// stream, and every such epoch completed before this life's
+    /// REGISTER.
+    pub since: u64,
+    pub rows: HashMap<String, Vec<Tuple>>,
+    pub marks: HashMap<String, Vec<u64>>,
+}
+
+impl Frames {
+    /// Nothing read yet; frames of epochs before `since` will be skipped.
+    pub fn since(since: u64) -> Self {
+        Frames { since, ..Frames::default() }
+    }
+
+    /// Read frames until every stream in `streams` has its marker for
+    /// `last_epoch` — or, with `None`, until the daemon closes the
+    /// connection. Asserts each stream's markers arrive gapless and
+    /// each once: the daemon promises exactly one marker per (stream,
+    /// epoch), in order, faults and backoffs notwithstanding — and a
+    /// subscription endpoint duplicated on this connection would
+    /// repeat them.
+    pub fn read(&mut self, client: &mut Client, streams: &[&str], last_epoch: Option<u64>) {
+        let done = |marks: &HashMap<String, Vec<u64>>| {
+            let marked = |s: &str| marks.get(s).and_then(|m| m.last()).copied();
+            last_epoch.is_some_and(|last| streams.iter().all(|s| marked(s) >= Some(last)))
+        };
+        while !done(&self.marks) {
+            let frame = match client.next_tuples() {
+                Ok(frame) => frame,
+                Err(e) if last_epoch.is_some() => panic!("epoch read: {e}"),
+                Err(_) => return,
+            };
+            if frame.epoch < self.since {
+                continue;
+            }
+            if !frame.rows.is_empty() {
+                self.rows.entry(frame.stream).or_default().extend(frame.rows);
+                continue;
+            }
+            let m = self.marks.entry(frame.stream.clone()).or_default();
+            assert!(
+                m.last().is_none_or(|prev| frame.epoch == prev + 1),
+                "stream `{}`: marker {} after {m:?}; markers must be gapless and each once",
+                frame.stream,
+                frame.epoch
+            );
+            m.push(frame.epoch);
+        }
+    }
+
+    /// `stream`'s rows read so far.
+    pub fn rows(&self, stream: &str) -> &[Tuple] {
+        self.rows.get(stream).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// The whole-life check on the [`Frames`] read from a SUBSCRIBE made
+/// before `stream`'s REGISTER through the shutdown drain: rows equal to
+/// the continuous run over the epochs from its first marker up to its
+/// last, the packet-less flush's.
+pub fn assert_session_total(program: &str, source: &PacketSource, stream: &str, frames: &Frames) {
+    let m = frames.marks.get(stream).unwrap_or_else(|| panic!("no `{stream}` markers at all"));
+    let (first, flush) = (m[0], m[m.len() - 1]);
+    let packets: Vec<CapPacket> = (first..flush).flat_map(|e| source.epoch_packets(e)).collect();
+    let reference = continuous_reference(&packets, &[stream], program);
+    assert_eq!(
+        norm(frames.rows(stream)),
+        norm(&reference[stream]),
+        "stream `{stream}`: the session total over epochs {first}..{flush} diverges from the \
+         continuous run"
+    );
+}
+
+/// A program whose state is one group per source: with
 /// [`lagging_source`] the state held at a cut outweighs the traffic of
 /// dozens of epochs, so the cut lags the emitted markers.
 pub const LAGGING_PROGRAM: &str = "DEFINE { query_name raw; } \
@@ -100,9 +203,7 @@ pub fn write_cut_per_boundary_state_dir(
     epochs: u64,
     subscriptions: &[&str],
 ) -> HashMap<String, Vec<Tuple>> {
-    let mut gs = Gigascope::new();
-    gs.add_interface("eth0", 0, LinkType::Ethernet);
-    gs.add_program(program).expect("program must deploy");
+    let gs = reference_system(program);
     let queries: Vec<String> = gs.queries().iter().map(|d| d.name.clone()).collect();
     let (mut store, _) =
         DurableStore::open(dir, Arc::new(RealDisk), 3, Arc::new(DurableStats::default()))

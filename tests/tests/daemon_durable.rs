@@ -8,17 +8,13 @@
 //! stream, and a *cleanly* shut down daemon restarts fresh — flushed
 //! state is never restored twice.
 
-use gigascope::manager::run_threaded;
 use gigascope::server::client::Client;
 use gigascope::server::{self, DaemonConfig, PacketSource};
-use gigascope::{Gigascope, Tuple};
-use gs_packet::capture::{CapPacket, LinkType};
 use gs_runtime::faults::{DiskFaultPlan, DiskOp};
 use gs_tests::daemon::{
-    downgrade_state_dir_to_v1, lagging_source, norm, write_cut_per_boundary_state_dir,
-    CLIENT_TIMEOUT, LAGGING_PROGRAM,
+    assert_session_total, carry_source, connect, continuous_reference, downgrade_state_dir_to_v1,
+    lagging_source, norm, write_cut_per_boundary_state_dir, Frames, LAGGING_PROGRAM,
 };
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -45,62 +41,13 @@ fn scratch_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// A time-continuous source: `LEAD_IN` empty chunks (subscribe margin),
-/// then 12 × 100 ms of synthetic traffic.
-fn carry_source(seed: u64) -> (PacketSource, Vec<CapPacket>) {
-    let PacketSource::Chunked(real) =
-        PacketSource::chunked_synthetic(20.0, 100, REAL_EPOCHS as u64, seed)
-    else {
-        unreachable!("chunked_synthetic returns Chunked");
-    };
-    let all: Vec<CapPacket> = real.iter().flatten().cloned().collect();
-    let mut chunks = vec![Vec::new(); LEAD_IN];
-    chunks.extend(real);
-    (PacketSource::Chunked(chunks), all)
-}
-
 fn durable_config(source: PacketSource, state_dir: &PathBuf) -> DaemonConfig {
     DaemonConfig {
         source,
         epoch_gap_ms: 30,
-        carry_state: true,
         state_dir: Some(state_dir.clone()),
         initial_program: Some(PROGRAM.to_string()),
         ..DaemonConfig::default()
-    }
-}
-
-fn connect(addr: std::net::SocketAddr) -> Client {
-    let mut c = Client::connect(addr).expect("connect");
-    c.set_timeout(Some(CLIENT_TIMEOUT)).expect("timeout");
-    c
-}
-
-fn continuous_reference(
-    all: &[CapPacket],
-    subs: &[&str],
-    program: &str,
-) -> HashMap<String, Vec<Tuple>> {
-    let mut gs = Gigascope::new();
-    gs.add_interface("eth0", 0, LinkType::Ethernet);
-    gs.add_program(program).expect("reference program");
-    run_threaded(&gs, all.iter().cloned(), subs).expect("reference run").streams
-}
-
-fn collect_through(client: &mut Client, stream: &str, last_epoch: u64) -> Vec<Tuple> {
-    let mut rows = Vec::new();
-    loop {
-        let (epoch, mut r) = client.read_epoch(stream).expect("epoch read");
-        rows.append(&mut r);
-        if epoch >= last_epoch {
-            return rows;
-        }
-    }
-}
-
-fn drain_tail(client: &mut Client, collected: &mut HashMap<String, Vec<Tuple>>) {
-    while let Ok(frame) = client.next_tuples() {
-        collected.entry(frame.stream).or_default().extend(frame.rows);
     }
 }
 
@@ -112,21 +59,18 @@ fn drain_tail(client: &mut Client, collected: &mut HashMap<String, Vec<Tuple>>) 
 #[test]
 fn killed_daemon_resumes_mid_window_from_state_dir() {
     let state = scratch_dir("resume");
-    let (source, all) = carry_source(0xD0D01);
+    let (source, all) = carry_source(LEAD_IN, 0xD0D01);
     let last_real = (LEAD_IN + REAL_EPOCHS - 1) as u64;
 
     // Incarnation 1: confirm every real epoch, then die without a
-    // flush. `collect_through` returning proves the markers (and so the
-    // covering durable cut) committed before the kill.
-    let (source2, _) = carry_source(0xD0D01);
-    let mut daemon = server::start(durable_config(source, &state)).expect("daemon 1");
+    // flush. The read returning proves the markers (and so the covering
+    // durable cut) committed before the kill.
+    let mut daemon = server::start(durable_config(source.clone(), &state)).expect("daemon 1");
     let mut client = connect(daemon.addr());
     client.subscribe("agg").expect("subscribe agg");
     client.subscribe("sib").expect("subscribe sib");
-    let mut collected = HashMap::new();
-    for stream in ["agg", "sib"] {
-        collected.insert(stream.to_string(), collect_through(&mut client, stream, last_real));
-    }
+    let mut frames = Frames::default();
+    frames.read(&mut client, &["agg", "sib"], Some(last_real));
     assert_eq!(
         daemon.registry().value("daemon", "nodes_restored"),
         Some(0),
@@ -135,7 +79,7 @@ fn killed_daemon_resumes_mid_window_from_state_dir() {
     daemon.halt();
 
     // Incarnation 2: same state dir, fresh process state.
-    let mut daemon2 = server::start(durable_config(source2, &state)).expect("daemon 2");
+    let mut daemon2 = server::start(durable_config(source, &state)).expect("daemon 2");
     assert_eq!(
         daemon2.registry().value("durable", "recoveries"),
         Some(1),
@@ -151,7 +95,8 @@ fn killed_daemon_resumes_mid_window_from_state_dir() {
     );
     assert!(rows.is_empty(), "the trace was fully confirmed before the kill");
     client2.shutdown().expect("shutdown");
-    drain_tail(&mut client2, &mut collected);
+    let mut tail = Frames::default();
+    tail.read(&mut client2, &[], None);
     daemon2.shutdown();
     assert_eq!(
         daemon2.registry().value("daemon", "nodes_restored"),
@@ -162,12 +107,10 @@ fn killed_daemon_resumes_mid_window_from_state_dir() {
 
     let reference = continuous_reference(&all, &["agg", "sib"], PROGRAM);
     for stream in ["agg", "sib"] {
-        assert!(
-            !collected[stream].is_empty(),
-            "no `{stream}` rows across both incarnations"
-        );
+        let rows = [frames.rows(stream), tail.rows(stream)].concat();
+        assert!(!rows.is_empty(), "no `{stream}` rows across both incarnations");
         assert_eq!(
-            norm(&collected[stream]),
+            norm(&rows),
             norm(&reference[stream]),
             "stream `{stream}`: kill + resume diverges from the continuous run \
              (the held window tail must be flushed by the restarted daemon)"
@@ -176,34 +119,56 @@ fn killed_daemon_resumes_mid_window_from_state_dir() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
-/// Read frames until every stream in `streams` has its marker for
-/// `last_epoch` — or, with `None`, until the daemon closes the
-/// connection — collecting each stream's rows and the epochs its
-/// markers carried, in arrival order.
-fn read_marked(
-    client: &mut Client,
-    streams: &[&str],
-    last_epoch: Option<u64>,
-    rows: &mut HashMap<String, Vec<Tuple>>,
-    marks: &mut HashMap<String, Vec<u64>>,
-) {
-    let done = |marks: &HashMap<String, Vec<u64>>| {
-        last_epoch.is_some_and(|last| {
-            streams.iter().all(|s| marks.get(*s).and_then(|m| m.last()).is_some_and(|e| *e >= last))
-        })
-    };
-    while !done(marks) {
-        let frame = match client.next_tuples() {
-            Ok(frame) => frame,
-            Err(e) if last_epoch.is_some() => panic!("epoch read: {e}"),
-            Err(_) => return,
-        };
-        if frame.rows.is_empty() {
-            marks.entry(frame.stream).or_default().push(frame.epoch);
-        } else {
-            rows.entry(frame.stream).or_default().extend(frame.rows);
-        }
-    }
+/// A clean shutdown of a daemon whose recovered cut no deployed query
+/// owns yet — restarted without its program — flushes nothing and so
+/// must not record a clean shutdown: the recovered open windows stay on
+/// disk, and the next start with the program resumes them mid-window.
+#[test]
+fn shutdown_before_reregister_keeps_the_recovered_windows() {
+    let state = scratch_dir("unowned");
+    let (source, all) = carry_source(LEAD_IN, 0xD0D06);
+    let last_real = (LEAD_IN + REAL_EPOCHS - 1) as u64;
+
+    // Incarnation 1: confirm every real epoch, then die without a flush.
+    let mut daemon = server::start(durable_config(source.clone(), &state)).expect("daemon 1");
+    let mut client = connect(daemon.addr());
+    client.subscribe("agg").expect("subscribe agg");
+    let mut frames = Frames::default();
+    frames.read(&mut client, &["agg"], Some(last_real));
+    daemon.halt();
+    frames.read(&mut client, &[], None);
+
+    // Incarnation 2: recovers the cut, deploys nothing, shuts down clean.
+    let bare = DaemonConfig { initial_program: None, ..durable_config(source.clone(), &state) };
+    let mut daemon2 = server::start(bare).expect("daemon 2");
+    assert_eq!(daemon2.registry().value("durable", "recoveries"), Some(1));
+    daemon2.shutdown();
+
+    // Incarnation 3, with the program: the same cut again, stepped on
+    // and flushed at shutdown.
+    let mut daemon3 = server::start(durable_config(source, &state)).expect("daemon 3");
+    assert_eq!(
+        daemon3.registry().value("durable", "recoveries"),
+        Some(1),
+        "a shutdown that flushed nothing must leave the recovered cut in place"
+    );
+    let mut client3 = connect(daemon3.addr());
+    client3.subscribe("agg").expect("subscribe agg");
+    let done = client3.wait_epoch(0).expect("poll");
+    client3.wait_epoch(done + 2).expect("resumed epochs");
+    client3.shutdown().expect("shutdown");
+    let mut tail = Frames::default();
+    tail.read(&mut client3, &[], None);
+    daemon3.shutdown();
+
+    let reference = continuous_reference(&all, &["agg"], PROGRAM);
+    assert!(!tail.rows("agg").is_empty(), "the resumed daemon flushes the recovered tail");
+    assert_eq!(
+        norm(&[frames.rows("agg"), tail.rows("agg")].concat()),
+        norm(&reference["agg"]),
+        "kill + bare restart + resume diverges from the continuous run"
+    );
+    let _ = std::fs::remove_dir_all(&state);
 }
 
 /// Kill (halt, no flush) while the durable cut lags the committed
@@ -224,7 +189,7 @@ fn killed_between_cuts_resumes_by_silent_replay() {
         ..durable_config(source, &state)
     };
     let streams = ["agg", "sib"];
-    let (mut rows, mut marks) = (HashMap::new(), HashMap::new());
+    let mut frames = Frames::default();
 
     // Incarnation 1: every lead-in boundary and the first real one are
     // cuts; the ~300 groups that one holds outweigh the rest of the
@@ -235,7 +200,7 @@ fn killed_between_cuts_resumes_by_silent_replay() {
         client.subscribe(s).expect("subscribe");
     }
     let confirmed = (LEAD_IN + 6) as u64;
-    read_marked(&mut client, &streams, Some(confirmed), &mut rows, &mut marks);
+    frames.read(&mut client, &streams, Some(confirmed));
     let registry = daemon.registry();
     let cuts = registry.value("daemon", "cuts").expect("cuts counter");
     assert_eq!(cuts, LEAD_IN as u64 + 1, "the last cut is the first real boundary");
@@ -244,8 +209,8 @@ fn killed_between_cuts_resumes_by_silent_replay() {
         "the kill lands 3+ epochs after the last cut"
     );
     daemon.halt();
-    read_marked(&mut client, &streams, None, &mut rows, &mut marks);
-    let last_marked = marks["agg"].last().copied().expect("markers before the kill");
+    frames.read(&mut client, &streams, None);
+    let last_marked = frames.marks["agg"].last().copied().expect("markers before the kill");
 
     // Incarnation 2: same state dir, fresh process state.
     let mut daemon2 = server::start(config(source2)).expect("daemon 2");
@@ -254,14 +219,16 @@ fn killed_between_cuts_resumes_by_silent_replay() {
         client2.subscribe(s).expect("subscribe");
     }
     let last_real = (LEAD_IN + 30) as u64;
-    read_marked(&mut client2, &streams, Some(last_real), &mut rows, &mut marks);
+    // One `Frames` across both incarnations: its read asserts every
+    // marker arrives once and in order across the kill.
+    frames.read(&mut client2, &streams, Some(last_real));
     let health = client2.health().expect("health");
     assert!(
         health.iter().all(|r| r.query != "durable:store"),
         "a cut lagging its markers is the normal case, not a recovery note: {health:?}"
     );
     client2.shutdown().expect("shutdown");
-    read_marked(&mut client2, &streams, None, &mut rows, &mut marks);
+    frames.read(&mut client2, &streams, None);
     daemon2.shutdown();
 
     let registry2 = daemon2.registry();
@@ -279,18 +246,11 @@ fn killed_between_cuts_resumes_by_silent_replay() {
         "recovery rebuilds every node — `lfta:raw`, `hfta:agg`, `hfta:sib` — from the \
          replayed bytes, once"
     );
-    for s in streams {
-        let m = &marks[s];
-        assert!(
-            m.windows(2).all(|w| w[1] == w[0] + 1),
-            "stream `{s}`: markers gapless and each once across the kill: {m:?}"
-        );
-    }
     let reference = continuous_reference(&all, &streams, LAGGING_PROGRAM);
     for s in streams {
-        assert!(!rows[s].is_empty(), "no `{s}` rows across both incarnations");
+        assert!(!frames.rows(s).is_empty(), "no `{s}` rows across both incarnations");
         assert_eq!(
-            norm(&rows[s]),
+            norm(frames.rows(s)),
             norm(&reference[s]),
             "stream `{s}`: kill between cuts + resume diverges from the continuous run"
         );
@@ -308,8 +268,9 @@ fn state_dir_with_a_cut_at_every_boundary_recovers_exactly() {
     let (source, all) = lagging_source(LEAD_IN);
     let written = (LEAD_IN + 8) as u64;
     let streams = ["agg", "sib"];
-    let mut rows =
+    let rows =
         write_cut_per_boundary_state_dir(&state, LAGGING_PROGRAM, &source, written, &streams);
+    let mut frames = Frames { rows, ..Frames::default() };
 
     let config = DaemonConfig {
         epoch_gap_ms: 50,
@@ -321,20 +282,19 @@ fn state_dir_with_a_cut_at_every_boundary_recovers_exactly() {
     for s in streams {
         client.subscribe(s).expect("subscribe");
     }
-    let mut marks = HashMap::new();
-    read_marked(&mut client, &streams, Some((LEAD_IN + 30) as u64), &mut rows, &mut marks);
+    frames.read(&mut client, &streams, Some((LEAD_IN + 30) as u64));
     assert!(client.health().expect("health").iter().all(|r| r.query != "durable:store"));
     client.shutdown().expect("shutdown");
-    read_marked(&mut client, &streams, None, &mut rows, &mut marks);
+    frames.read(&mut client, &streams, None);
     daemon.shutdown();
 
-    assert_eq!(marks["agg"].first(), Some(&written), "resumes right after the last marker");
+    assert_eq!(frames.marks["agg"].first(), Some(&written), "resumes right after the last marker");
     let registry = daemon.registry();
     assert_eq!(registry.value("daemon", "replayed_epochs"), Some(0), "cursor == last marker + 1");
     assert_eq!(registry.value("daemon", "nodes_restored"), Some(3));
     let reference = continuous_reference(&all, &streams, LAGGING_PROGRAM);
     for s in streams {
-        assert_eq!(norm(&rows[s]), norm(&reference[s]), "stream `{s}` diverges");
+        assert_eq!(norm(frames.rows(s)), norm(&reference[s]), "stream `{s}` diverges");
     }
     let _ = std::fs::remove_dir_all(&state);
 }
@@ -347,7 +307,7 @@ fn state_dir_with_a_cut_at_every_boundary_recovers_exactly() {
 #[test]
 fn state_dir_written_by_a_v1_build_starts_fresh_with_a_recovery_note() {
     let state = scratch_dir("v1dir");
-    let (source, _) = carry_source(0xD0D04);
+    let (source, _) = carry_source(LEAD_IN, 0xD0D04);
     let last_real = (LEAD_IN + REAL_EPOCHS - 1) as u64;
 
     // Incarnation 1 leaves a populated directory (segments with open
@@ -355,12 +315,12 @@ fn state_dir_written_by_a_v1_build_starts_fresh_with_a_recovery_note() {
     let mut daemon = server::start(durable_config(source, &state)).expect("daemon 1");
     let mut client = connect(daemon.addr());
     client.subscribe("agg").expect("subscribe agg");
-    collect_through(&mut client, "agg", last_real);
+    Frames::default().read(&mut client, &["agg"], Some(last_real));
     daemon.halt();
     downgrade_state_dir_to_v1(&state);
 
-    let (source2, all2) = carry_source(0xD0D05);
-    let mut daemon2 = server::start(durable_config(source2, &state))
+    let (source2, _) = carry_source(LEAD_IN, 0xD0D05);
+    let mut daemon2 = server::start(durable_config(source2.clone(), &state))
         .expect("a v1 state dir must not fail start()");
     let mut client2 = connect(daemon2.addr());
     client2.subscribe("agg").expect("subscribe agg");
@@ -374,28 +334,23 @@ fn state_dir_written_by_a_v1_build_starts_fresh_with_a_recovery_note() {
         "the advisory names the format mismatch: {}",
         note.reason
     );
-    let mut collected = HashMap::new();
-    let (first, rows) = client2.read_epoch("agg").expect("first epoch");
+    let mut frames = Frames::default();
+    frames.read(&mut client2, &["agg"], Some(last_real));
+    let first = frames.marks["agg"][0];
     assert!(
         first < LEAD_IN as u64,
         "a refused directory means a fresh start at epoch 0, not a resume at {first}"
     );
-    collected.insert("agg".to_string(), rows);
-    collected.get_mut("agg").unwrap().extend(collect_through(&mut client2, "agg", last_real));
     client2.shutdown().expect("shutdown");
-    drain_tail(&mut client2, &mut collected);
+    frames.read(&mut client2, &[], None);
     daemon2.shutdown();
     assert_eq!(
         daemon2.registry().value("daemon", "nodes_restored"),
         Some(0),
         "not one node may be read from a cut this build cannot verify"
     );
-    let reference = continuous_reference(&all2, &["agg"], PROGRAM);
-    assert_eq!(
-        norm(&collected["agg"]),
-        norm(&reference["agg"]),
-        "the fresh session is exactly the continuous run of its own trace"
-    );
+    // The fresh session is exactly the continuous run of its own trace.
+    assert_session_total(PROGRAM, &source2, "agg", &frames);
     let _ = std::fs::remove_dir_all(&state);
 }
 
@@ -405,16 +360,16 @@ fn state_dir_written_by_a_v1_build_starts_fresh_with_a_recovery_note() {
 #[test]
 fn failing_state_disk_dead_letters_into_health_not_an_outage() {
     let state = scratch_dir("enospc");
-    let (source, all) = carry_source(0xD0D02);
+    let (source, _) = carry_source(LEAD_IN, 0xD0D02);
     let last_real = (LEAD_IN + REAL_EPOCHS - 1) as u64;
-    let mut config = durable_config(source, &state);
+    let mut config = durable_config(source.clone(), &state);
     config.disk_faults = Some(DiskFaultPlan::new().enospc(1, DiskOp::TempWrite, 9999));
     let mut daemon = server::start(config).expect("daemon start");
     let mut client = connect(daemon.addr());
     client.subscribe("agg").expect("subscribe agg");
 
-    let mut collected = HashMap::new();
-    collected.insert("agg".to_string(), collect_through(&mut client, "agg", last_real));
+    let mut frames = Frames::default();
+    frames.read(&mut client, &["agg"], Some(last_real));
 
     let health = client.health().expect("health");
     let row = health
@@ -433,16 +388,11 @@ fn failing_state_disk_dead_letters_into_health_not_an_outage() {
     );
 
     client.shutdown().expect("shutdown");
-    drain_tail(&mut client, &mut collected);
+    frames.read(&mut client, &[], None);
     daemon.shutdown();
 
     // The stream itself never degraded.
-    let reference = continuous_reference(&all, &["agg"], PROGRAM);
-    assert_eq!(
-        norm(&collected["agg"]),
-        norm(&reference["agg"]),
-        "dead-lettered durability must not change the emitted rows"
-    );
+    assert_session_total(PROGRAM, &source, "agg", &frames);
     let _ = std::fs::remove_dir_all(&state);
 }
 
@@ -452,25 +402,23 @@ fn failing_state_disk_dead_letters_into_health_not_an_outage() {
 #[test]
 fn clean_shutdown_then_restart_starts_fresh_with_monotone_epochs() {
     let state = scratch_dir("clean");
-    let (source, all) = carry_source(0xD0D03);
-    let (source2, _) = carry_source(0xD0D03);
+    let (source, _) = carry_source(LEAD_IN, 0xD0D03);
     let last_real = (LEAD_IN + REAL_EPOCHS - 1) as u64;
 
-    let mut daemon = server::start(durable_config(source, &state)).expect("daemon 1");
+    let mut daemon = server::start(durable_config(source.clone(), &state)).expect("daemon 1");
     let mut client = connect(daemon.addr());
     client.subscribe("agg").expect("subscribe agg");
-    let mut collected = HashMap::new();
-    collected.insert("agg".to_string(), collect_through(&mut client, "agg", last_real));
+    let mut frames = Frames::default();
+    frames.read(&mut client, &["agg"], Some(last_real));
     client.shutdown().expect("shutdown");
-    drain_tail(&mut client, &mut collected);
+    frames.read(&mut client, &[], None);
     daemon.shutdown();
 
     // Session 1 alone is already complete (tails flushed).
-    let reference = continuous_reference(&all, &["agg"], PROGRAM);
-    assert_eq!(norm(&collected["agg"]), norm(&reference["agg"]));
+    assert_session_total(PROGRAM, &source, "agg", &frames);
 
     // Session 2 must not re-flush or re-emit anything.
-    let mut daemon2 = server::start(durable_config(source2, &state)).expect("daemon 2");
+    let mut daemon2 = server::start(durable_config(source, &state)).expect("daemon 2");
     let mut client2 = connect(daemon2.addr());
     client2.subscribe("agg").expect("subscribe agg");
     let (epoch, rows) = client2.read_epoch("agg").expect("fresh epoch");
@@ -480,18 +428,16 @@ fn clean_shutdown_then_restart_starts_fresh_with_monotone_epochs() {
     );
     assert!(rows.is_empty(), "flushed state must not be restored or re-emitted");
     client2.shutdown().expect("shutdown");
-    let mut tail = HashMap::new();
-    drain_tail(&mut client2, &mut tail);
-    assert!(
-        tail.values().all(|rows: &Vec<Tuple>| rows.is_empty()),
-        "a fresh daemon has no held tails to flush: {tail:?}"
-    );
+    let mut tail = Frames::default();
+    tail.read(&mut client2, &[], None);
+    assert!(tail.rows.is_empty(), "a fresh daemon has no held tails to flush: {:?}", tail.rows);
     daemon2.shutdown();
     let _ = std::fs::remove_dir_all(&state);
 }
 
-/// `--state-dir` without `--carry-state` is a configuration error, not
-/// a silently non-durable daemon.
+/// `carry_state: false` — the per-epoch rebuild mode, gone — is a
+/// configuration error, state directory or not, never a daemon that
+/// silently flushes its windows at every boundary.
 #[test]
 fn state_dir_without_carry_state_is_rejected() {
     let state = scratch_dir("nocarry");

@@ -7,18 +7,24 @@
 //! - the daemon-lifetime `StatsRegistry` holds no `daemon:restart:<q>`
 //!   node for removed queries, and disconnect removes the
 //!   `daemon:conn:<id>` node;
-//! - subscriptions don't duplicate across re-registration (an old
-//!   endpoint surviving an unregister would double every frame, which
-//!   the one-shot equivalence check catches).
+//! - subscriptions don't duplicate across re-registration, and a
+//!   re-registered query starts from empty windows: each round's
+//!   subscriber output must equal the continuous run over the epochs it
+//!   read (a doubled endpoint repeats markers; leftover state changes
+//!   the rows).
 
-use gigascope::server::client::Client;
+use gigascope::manager::{run_threaded_opts, ThreadedOptions};
 use gigascope::server::{self, wire::LifeState};
 use gigascope::FaultPlan;
-use gs_tests::daemon::{norm, one_shot_epoch, small_source, test_config, CLIENT_TIMEOUT};
+use gs_tests::daemon::{connect, norm, reference_system, small_source, test_config, Frames};
 
 const PROGRAM: &str = "DEFINE { query_name churn_raw; } Select time, len From eth0.tcp; \
      DEFINE { query_name churn_agg; } \
      Select time, count(*), sum(len) From churn_raw Group By time";
+
+/// Epochs each churn round reads: 1.2 s of 20 ms epochs, so at least
+/// one 1-second window closes while the subscriber watches.
+const ROUND_EPOCHS: u64 = 60;
 
 /// A distinct program the odd rounds interleave, so churn covers both
 /// same-name and distinct-name reuse.
@@ -31,8 +37,7 @@ fn register_unregister_churn_returns_to_baseline() {
     let mut daemon = server::start(test_config(source.clone())).expect("daemon start");
     let registry = daemon.registry();
 
-    let mut client = Client::connect(daemon.addr()).expect("connect");
-    client.set_timeout(Some(CLIENT_TIMEOUT)).expect("timeout");
+    let mut client = connect(daemon.addr());
 
     // Baseline: the daemon-lifetime registry before anything is
     // registered, minus per-connection nodes (ids grow monotonically
@@ -52,6 +57,13 @@ fn register_unregister_churn_returns_to_baseline() {
     assert_eq!(clean, vec!["daemon".to_string()], "fresh daemon has only its own node");
 
     for round in 0..8 {
+        // SUBSCRIBE before REGISTER, on the same connection every round:
+        // it sees this life from its first epoch. Frames of an earlier
+        // round still in flight are tagged with epochs completed before
+        // this REGISTER and are skipped; an endpoint leaked from an
+        // earlier round would repeat this round's markers.
+        let mut frames = Frames::since(client.wait_epoch(0).expect("poll"));
+        client.subscribe("churn_agg").expect("subscribe");
         // Register (same two names every round; a leak in the catalog
         // or the supervisor would make this fail from round 1).
         let names = client.register(PROGRAM).expect("register must succeed after unregister");
@@ -65,18 +77,24 @@ fn register_unregister_churn_returns_to_baseline() {
         let health = client.health().expect("health");
         assert!(health.iter().all(|r| r.state == LifeState::Running));
 
-        // Packets flow to a subscriber and match the one-shot engine —
-        // a duplicated subscription endpoint or a stale catalog entry
-        // would break equality.
-        client.subscribe("churn_agg").expect("subscribe");
-        let (epoch, rows) = client.read_epoch("churn_agg").expect("one full epoch");
-        let reference = one_shot_epoch(PROGRAM, &source, epoch, &["churn_agg"]);
-        assert_eq!(
-            norm(&rows),
-            norm(&reference["churn_agg"]),
-            "round {round}: daemon epoch {epoch} diverges"
-        );
+        // Packets flow to the subscriber and match what one continuous
+        // run over the same epochs has emitted by their end (open
+        // windows held: UNREGISTER drops them unflushed).
+        frames.read(&mut client, &["churn_agg"], Some(frames.since));
+        let first = frames.marks["churn_agg"][0];
+        frames.read(&mut client, &["churn_agg"], Some(first + ROUND_EPOCHS - 1));
         client.unsubscribe("churn_agg").expect("unsubscribe");
+        let packets = (first..first + ROUND_EPOCHS).flat_map(|e| source.epoch_packets(e));
+        let opts = ThreadedOptions { capture: true, ..ThreadedOptions::default() };
+        let reference = run_threaded_opts(&reference_system(PROGRAM), packets, &["churn_agg"], opts)
+            .expect("reference run");
+        let rows = frames.rows("churn_agg");
+        assert!(!rows.is_empty(), "round {round}: no churn_agg window closed");
+        assert_eq!(
+            norm(rows),
+            norm(reference.stream("churn_agg")),
+            "round {round}: epochs {first}.. diverge from the continuous run"
+        );
 
         // Dependents first: removing the producer while a consumer
         // reads it must be refused, then succeed in dependency order.
@@ -142,8 +160,7 @@ fn dead_query_unregister_reaps_stats_and_reregister_starts_fresh() {
     config.backoff_base = 1;
     let mut daemon = server::start(config).expect("daemon start");
     let registry = daemon.registry();
-    let mut client = Client::connect(daemon.addr()).expect("connect");
-    client.set_timeout(Some(CLIENT_TIMEOUT)).expect("timeout");
+    let mut client = connect(daemon.addr());
 
     for round in 0..3 {
         client.register(PROGRAM).expect("register");

@@ -1,24 +1,17 @@
-//! Auto-restart regression tests for the daemon's lifecycle supervisor.
+//! Budget-exhaustion regression test for the daemon's lifecycle
+//! supervisor.
 //!
-//! Both tests inject a seeded [`FaultPlan`] panic into the `agg` HFTA
-//! through the daemon:
-//!
-//! - **Resume**: the fault fires once (epoch 0 only). The supervisor
-//!   charges one restart, backs `agg` off for a window, and
-//!   reprovisions it from the catalog — after which its output is
-//!   again identical to the one-shot engine, while the sibling `sib`
-//!   never misses an epoch.
-//! - **Budget exhaustion**: the fault fires on every epoch the query
-//!   runs. Restarts burn 1, 2, 3 (= budget), then the query goes
-//!   `Dead` with the restart count on the health board and in
-//!   `GS_STATS` under `daemon:restart:agg` — and the sibling still
-//!   matches the one-shot engine throughout.
+//! A seeded [`FaultPlan`] panic fires in the `agg` HFTA on every epoch
+//! it runs. Restarts burn 1, 2, 3 (= budget), then the query goes
+//! `Dead` with the restart count on the health board and in `GS_STATS`
+//! under `daemon:restart:agg` — and the sibling's whole life still
+//! equals the fault-free continuous run. (Fault-once → one restart,
+//! replay, identical output lives in `daemon_carry.rs`.)
 
-use gigascope::server::client::Client;
 use gigascope::server::wire::LifeState;
-use gigascope::server::{self, DaemonConfig, PacketSource};
+use gigascope::server;
 use gigascope::FaultPlan;
-use gs_tests::daemon::{norm, one_shot_epoch, small_source, test_config, CLIENT_TIMEOUT};
+use gs_tests::daemon::{assert_session_total, connect, small_source, test_config, Frames};
 use std::time::{Duration, Instant};
 
 /// Same topology as the fault-injection gate: a shared derived stream,
@@ -30,90 +23,22 @@ const PROGRAM: &str = "DEFINE { query_name raw; } \
      DEFINE { query_name sib; } \
      Select time, count(*), sum(len) From raw Group By time";
 
-fn faulted_config(source: &PacketSource, fault_epochs: std::ops::Range<u64>) -> DaemonConfig {
-    let mut config = test_config(source.clone());
-    config.initial_program = Some(PROGRAM.to_string());
-    config.faults = Some(FaultPlan::new().panic_at("agg", 1));
-    config.fault_epochs = fault_epochs;
-    config.restart_budget = 3;
-    config.backoff_base = 1;
-    config
-}
-
-fn connect(addr: std::net::SocketAddr) -> Client {
-    let mut c = Client::connect(addr).expect("connect");
-    c.set_timeout(Some(CLIENT_TIMEOUT)).expect("timeout");
-    c
-}
-
-#[test]
-fn panicked_query_is_reprovisioned_and_resumes() {
-    let source = small_source(0x5E5);
-    // Fault in epoch 0 only: agg panics once, restarts once (backoff
-    // window = epochs [1, 2)), and runs clean from epoch 2 on.
-    let mut daemon = server::start(faulted_config(&source, 0..1)).expect("daemon start");
-    let mut client = connect(daemon.addr());
-
-    // Let the fault epoch complete before subscribing, so every epoch
-    // we observe is post-fault (the quarantined prefix of epoch 0 is
-    // covered by prop_faults; here we care about the *resumed* query).
-    client.wait_epoch(1).expect("fault epoch complete");
-    client.subscribe("agg").expect("subscribe agg");
-    client.subscribe("sib").expect("subscribe sib");
-
-    let mut clean_agg_epochs = 0;
-    while clean_agg_epochs < 2 {
-        let (epoch, rows) = client.read_epoch("agg").expect("agg epoch");
-        if epoch < 2 {
-            // Backoff window: the query is excluded, its epoch is
-            // explicitly empty (bare marker).
-            assert!(rows.is_empty(), "agg must be excluded during backoff, epoch {epoch}");
-            continue;
-        }
-        let reference = one_shot_epoch(PROGRAM, &source, epoch, &["agg"]);
-        assert_eq!(
-            norm(&rows),
-            norm(&reference["agg"]),
-            "resumed agg diverges from one-shot engine at epoch {epoch}"
-        );
-        clean_agg_epochs += 1;
-    }
-    // The sibling never noticed: every observed epoch matches.
-    for _ in 0..2 {
-        let (epoch, rows) = client.read_epoch("sib").expect("sib epoch");
-        let reference = one_shot_epoch(PROGRAM, &source, epoch, &["sib"]);
-        assert_eq!(
-            norm(&rows),
-            norm(&reference["sib"]),
-            "sibling sib diverges at epoch {epoch}"
-        );
-    }
-
-    // Exactly one restart, charged to agg alone, visible on the health
-    // board and in GS_STATS.
-    let health = client.health().expect("health");
-    let agg = health.iter().find(|r| r.query == "agg").expect("agg row");
-    assert_eq!(agg.state, LifeState::Running, "agg resumed");
-    assert_eq!(agg.restarts, 1, "exactly one restart charged");
-    for name in ["raw", "sib"] {
-        let row = health.iter().find(|r| r.query == name).expect("row");
-        assert_eq!((row.state, row.restarts), (LifeState::Running, 0), "{name} untouched");
-    }
-    assert_eq!(daemon.registry().value("daemon:restart:agg", "restarts"), Some(1));
-    assert_eq!(daemon.registry().value("daemon:restart:agg", "dead"), Some(0));
-
-    daemon.shutdown();
-}
-
 #[test]
 fn restart_budget_exhaustion_ends_dead_with_count_in_stats() {
     let source = small_source(0xDEAD);
     // Fault armed on every epoch: each reprovision panics again. With
     // budget 3 the failures burn restarts 1, 2, 3 and the fourth root-
     // cause failure retires the query for good.
-    let mut daemon = server::start(faulted_config(&source, 0..u64::MAX)).expect("daemon start");
+    let mut config = test_config(source.clone());
+    config.faults = Some(FaultPlan::new().panic_at("agg", 1));
+    config.fault_epochs = 0..u64::MAX;
+    config.restart_budget = 3;
+    config.backoff_base = 1;
+    let mut daemon = server::start(config).expect("daemon start");
     let mut client = connect(daemon.addr());
+    // SUBSCRIBE before REGISTER: the sibling's whole life is observed.
     client.subscribe("sib").expect("subscribe sib");
+    client.register(PROGRAM).expect("register");
 
     // Wait for the supervisor to give up on agg.
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -139,20 +64,15 @@ fn restart_budget_exhaustion_ends_dead_with_count_in_stats() {
         "restart count must be exported over STATS: {stats:?}"
     );
 
-    // Sibling outputs unchanged through all of it: whatever epochs we
-    // observe, they match the fault-free one-shot engine.
-    for _ in 0..3 {
-        let (epoch, rows) = client.read_epoch("sib").expect("sib epoch");
-        let reference = one_shot_epoch(PROGRAM, &source, epoch, &["sib"]);
-        assert_eq!(
-            norm(&rows),
-            norm(&reference["sib"]),
-            "sibling sib diverges at epoch {epoch} while agg dies"
-        );
-    }
     // A dead query stays dead: no further restarts accrue.
     std::thread::sleep(Duration::from_millis(50));
     assert_eq!(registry.value("daemon:restart:agg", "restarts"), Some(3));
 
+    // Sibling output unchanged through all of it: its whole life,
+    // through the shutdown flush, is the fault-free continuous run.
+    client.shutdown().expect("shutdown");
+    let mut frames = Frames::default();
+    frames.read(&mut client, &[], None);
     daemon.shutdown();
+    assert_session_total(PROGRAM, &source, "sib", &frames);
 }

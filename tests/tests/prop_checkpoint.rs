@@ -1,5 +1,5 @@
 //! Properties of operator-state checkpoint/restore through the threaded
-//! manager — the engine half of the daemon's carry-state mode.
+//! manager — the engine half of the daemon's carried state.
 //!
 //! **Continuity**: splitting one time-ordered trace into consecutive
 //! chunks and running them as capture→restore→…→flush produces exactly

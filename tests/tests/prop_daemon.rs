@@ -5,9 +5,10 @@
 //! 1. **Session equivalence** — randomized *valid* session scripts
 //!    (register / unregister / subscribe / unsubscribe / health /
 //!    stats / ping / wait-epoch in arbitrary interleavings) must leave
-//!    the daemon coherent, and every complete epoch a subscriber
-//!    observes must equal a one-shot `run_threaded` over the same
-//!    epoch's packets ([`gs_tests::daemon::one_shot_epoch`]).
+//!    the daemon coherent, and each query's subscriber total, from its
+//!    first marker through the shutdown drain, must equal one continuous
+//!    run over the packets of the epochs it ran
+//!    ([`gs_tests::daemon::assert_session_total`]).
 //!
 //! 2. **Adversarial decoding** — truncated length prefixes, oversized
 //!    declared lengths, mid-frame disconnects, garbage bytes, and
@@ -19,21 +20,15 @@
 //! modest case counts: every equivalence case boots a daemon and runs
 //! real epochs.
 
-use gigascope::server::client::{Client, ClientError};
+use gigascope::server::client::ClientError;
 use gigascope::server::{self, wire};
-use gs_tests::daemon::{norm, one_shot_epoch, small_source, test_config, CLIENT_TIMEOUT};
+use gs_tests::daemon::{assert_session_total, connect, small_source, test_config, Frames};
 use gs_tests::prop::{check, Gen};
 
 const Q0: &str = "DEFINE { query_name q0; } \
      Select time, destPort, count(*) From eth0.tcp Group By time, destPort";
 const Q1: &str = "DEFINE { query_name q1; } Select time, len From eth0.tcp Where destPort = 80";
 const TEMPLATES: [(&str, &str); 2] = [("q0", Q0), ("q1", Q1)];
-
-fn connect(addr: std::net::SocketAddr) -> Client {
-    let mut c = Client::connect(addr).expect("connect");
-    c.set_timeout(Some(CLIENT_TIMEOUT)).expect("timeout");
-    c
-}
 
 #[test]
 fn randomized_sessions_match_one_shot_runs() {
@@ -100,23 +95,30 @@ fn randomized_sessions_match_one_shot_runs() {
         }
 
         // ---- Deterministic verification tail ------------------------
-        // Make sure q0 is live and subscribed, then check that two full
-        // epochs of frames match the one-shot engine bit for bit
-        // (modulo cross-group emission order).
-        if !registered[0] {
-            client.register(Q0).expect("final register of q0");
+        // Give each template one whole, observed life on the scripted
+        // connection: end the one the script left (if any), SUBSCRIBE
+        // before REGISTER, run a random number of epochs, then SHUTDOWN
+        // and drain. Every frame of a scripted life is tagged with an
+        // epoch completed before the fresh REGISTER and is skipped; a
+        // subscription the script leaked would repeat the fresh life's
+        // markers and double its rows.
+        for (i, (name, _)) in TEMPLATES.iter().enumerate() {
+            if registered[i] {
+                client.unregister(name).expect("end the scripted life");
+            }
         }
-        client.subscribe("q0").expect("final subscribe");
-        for _ in 0..2 {
-            let (epoch, rows) = client.read_epoch("q0").expect("epoch of q0 frames");
-            let reference = one_shot_epoch(Q0, &source, epoch, &["q0"]);
-            assert_eq!(
-                norm(&rows),
-                norm(&reference["q0"]),
-                "daemon epoch {epoch} of q0 diverges from the one-shot engine"
-            );
+        let mut frames = Frames::since(client.wait_epoch(0).expect("poll"));
+        for (name, program) in TEMPLATES {
+            client.subscribe(name).expect("subscribe before register");
+            client.register(program).expect("register a fresh life");
         }
-        drop(client);
+        let done = client.wait_epoch(0).expect("poll");
+        client.wait_epoch(done + g.u64(1..60)).expect("the fresh lives run");
+        client.shutdown().expect("shutdown");
+        frames.read(&mut client, &[], None);
+        for (name, program) in TEMPLATES {
+            assert_session_total(program, &source, name, &frames);
+        }
         daemon.shutdown();
     });
 }
