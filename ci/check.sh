@@ -249,6 +249,34 @@ diff -u target/gsqd_lag_want.csv target/gsqd_lag_got.csv ||
 echo "OK: lagging-cut survivor matches the uninterrupted run ($cuts cuts in $epochs epochs," \
     "$replayed epochs replayed silently)"
 
+echo "== checkpoint gate, stateful upstream: a fault behind a windowed aggregate =="
+# ci_carry.gsql plus a query over agg's closed windows. busy panics in
+# epoch 15, where agg closes its first 1-second window (real chunk 5 is
+# the first of second 1), and sits out epoch 16, a cut. The cut rule
+# holds agg and raw at busy's cut, so reprovisioning replays the whole
+# chain from one consistent cut and busy receives the window rows it
+# missed; replayed over an agg rebuilt from empty state, it would not.
+cat target/ci_carry.gsql - > target/ci_chain.gsql <<'EOF'
+;
+DEFINE { query_name busy; }
+Select time, destPort, count From agg
+EOF
+boot_gsqd chain --chunked 70x200x6 --lead-in 10 --seed 17 \
+    --fault-panic busy@1 --fault-epochs 15..16 --restart-budget 3 --backoff 1 \
+    --epoch-gap 50 --program target/ci_chain.gsql
+gsq_session target/gsqd_chain.out --subscribe agg,busy --epochs 16 --health \
+    --shutdown --drain
+expect_clean_exit chain
+grep -q '^health,busy,Running,1,' target/gsqd_chain.out ||
+    fail "no restarted-and-running busy health row in the stateful-upstream session"
+target/release/gsq --program target/ci_chain.gsql --synthetic 70x1200 --seed 17 \
+    --subscribe agg,busy | grep -E '^(agg|busy),' | sort > target/gsqd_chain_want.csv
+grep -q '^busy,0,' target/gsqd_chain_want.csv || fail "reference run closed no busy window"
+grep -E '^(agg|busy),' target/gsqd_chain.out | sort > target/gsqd_chain_got.csv
+diff -u target/gsqd_chain_want.csv target/gsqd_chain_got.csv ||
+    fail "stateful-upstream session output diverges from the one-shot run"
+echo "OK: a fault behind a stateful upstream replays the chain exactly"
+
 echo "== offline bench compile =="
 cargo bench -p gs-bench --no-run --offline
 

@@ -118,8 +118,7 @@ fn teardown(shared: &Arc<Shared>, id: u64) {
         // reach the writer thread. No explicit socket shutdown here —
         // once the queue closes the writer exits, the last clone drops,
         // and the kernel flushes what was written before the FIN. (The
-        // engine's daemon-shutdown teardown force-cuts sockets instead,
-        // because there a stuck writer must be unblocked.)
+        // engine's daemon-shutdown teardown cuts a stuck writer's socket.)
         let deadline = Instant::now() + Duration::from_millis(100);
         while conn.chan.progress().1 > 0 && Instant::now() < deadline {
             thread::sleep(Duration::from_millis(2));

@@ -23,8 +23,8 @@
 //! a boundary the [`Cadence`] rule picks is a *cut* that seals the
 //! operators into bytes (and, with a state directory, publishes them);
 //! those bytes are read back only where no live operator exists
-//! (recovery, replay after a fault), after a silent replay of whatever
-//! the cut lags.
+//! (recovery, a query reprovisioned after a fault), after catch-up
+//! replayed it with its upstream closure from their cut.
 //!
 //! Result frames fan out from the manager's subscription drains (a
 //! [`SubscriptionTap`] per subscribed stream) onto per-connection
@@ -44,7 +44,7 @@ pub mod supervisor;
 pub mod wire;
 
 use crate::health::{query_of, RunHealth};
-use crate::manager::{run_threaded_opts, Stepper, SubscriptionTap, ThreadedOptions};
+use crate::manager::{Stepper, SubscriptionTap, ThreadedOptions};
 use crate::{Error, Gigascope};
 use gs_netgen::{MixConfig, PacketMix};
 use gs_packet::capture::LinkType;
@@ -55,7 +55,7 @@ use gs_runtime::durable::{
 use gs_runtime::faults::{DiskFaultPlan, FaultPlan};
 use gs_runtime::punct::HeartbeatMode;
 use gs_runtime::stats::{Counter, StatRow, StatSource, StatsRegistry};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::path::PathBuf;
@@ -175,9 +175,9 @@ pub struct DaemonStats {
     /// each one a published segment); `epochs - cuts` boundaries
     /// committed only their markers.
     pub cuts: Counter,
-    /// Epochs re-run without emitting, to rebuild a query's state from
-    /// a cut that lagged its output — after a recovery or a fault. The
-    /// replay debt the cut cadence traded for its saved writes.
+    /// Epochs a catch-up replay re-ran emitting nothing, to rebuild state
+    /// from cuts that lagged the output — after a recovery or a fault.
+    /// The replay debt the cut cadence traded for its saved writes.
     pub replayed_epochs: Counter,
 }
 
@@ -656,23 +656,6 @@ fn snapshot_owner(key: &str) -> &str {
     query_of(key.split_once(':').map_or(key, |(_, s)| s))
 }
 
-/// Fold one capture run's sealed snapshots into the carried checkpoint,
-/// skipping every entry owned by a query the run quarantined: its cut
-/// is incomplete (the faulted node wrote nothing), and restoring the
-/// surviving fragments would be silently wrong. The failed query keeps
-/// its previous checkpoint and replays the epoch from there.
-fn merge_snapshots(
-    carry: &mut HashMap<String, Vec<u8>>,
-    snaps: HashMap<String, Vec<u8>>,
-    health: &RunHealth,
-) {
-    for (k, v) in snaps {
-        if !health.failed(snapshot_owner(&k)) {
-            carry.insert(k, v);
-        }
-    }
-}
-
 /// The dead-letter note the durable layer surfaces through HEALTH:
 /// `(last failure message, failures so far)`.
 type DurableNote = Option<(String, u64)>;
@@ -734,81 +717,73 @@ fn durable_commit(
     }
 }
 
-/// Whether a query standing at `c` can run epoch `epoch`: it owes no
-/// earlier epoch, and its state is `live` or its bytes are level with
-/// its output.
-fn level(c: &Cursor, epoch: u64, live: bool) -> bool {
-    c.next >= epoch && (live || c.cut == c.next)
+/// The names of the deployed queries `pick` accepts, in catalog order.
+fn names(gs: &Gigascope, pick: impl Fn(&String) -> bool) -> Vec<String> {
+    gs.queries().iter().map(|d| d.name.clone()).filter(|q| pick(q)).collect()
 }
 
-/// The transitive upstream closure of `parts` among deployed queries:
-/// every query whose output stream a member (transitively) reads
-/// through a `StreamScan`. A catch-up replay must run these as support
-/// queries — without its producers a laggard would replay over empty
-/// inputs and checkpoint silently wrong state.
-fn upstream_closure(gs: &Gigascope, parts: &[String]) -> Vec<String> {
-    let mut need: Vec<String> = parts.to_vec();
-    let mut i = 0;
-    while i < need.len() {
-        let q = need[i].clone();
-        i += 1;
-        let Some(dq) = gs.queries().iter().find(|d| d.name == q) else { continue };
-        let Some(h) = &dq.hfta else { continue };
-        for s in h.upstream_streams() {
-            let owner = query_of(&s).to_string();
-            if owner != q
-                && gs.queries().iter().any(|d| d.name == owner)
-                && !need.contains(&owner)
-            {
-                need.push(owner);
+/// The transitive upstream closure of `seeds` among deployed queries:
+/// the seeds and every query whose output stream one of them
+/// (transitively) reads through a `StreamScan`. Linear in the deployed
+/// queries and their edges.
+fn upstream_closure(gs: &Gigascope, seeds: impl IntoIterator<Item = String>) -> HashSet<String> {
+    let mut need: Vec<String> = seeds.into_iter().collect();
+    let mut closure: HashSet<String> = need.iter().cloned().collect();
+    if need.is_empty() {
+        return closure;
+    }
+    let deployed: HashMap<&str, _> = gs.queries().iter().map(|d| (d.name.as_str(), d)).collect();
+    while let Some(q) = need.pop() {
+        let Some(hfta) = deployed.get(q.as_str()).and_then(|d| d.hfta.as_ref()) else { continue };
+        for s in hfta.upstream_streams() {
+            let owner = query_of(&s);
+            if deployed.contains_key(owner) && closure.insert(owner.to_string()) {
+                need.push(owner.to_string());
             }
         }
     }
-    need
+    closure
 }
 
-/// Catch-up: bring every runnable query that trails the
-/// current epoch level with it, with fault injection disarmed — a
-/// replay is a retry. Packets are regenerable from the source by
-/// construction. Two kinds of trailing, repaired in this order:
+/// The cut rule's hold-back at a cut that seals `sealing`: an upstream's
+/// cut is never past a consumer's, so every query with a cursor that
+/// does not seal, and its whole upstream closure, keeps its old bytes
+/// and its old `cut`. A reaped query has no cursor and holds nothing.
+fn held_back(
+    gs: &Gigascope,
+    cursors: &HashMap<String, Cursor>,
+    sealing: &HashSet<&str>,
+) -> HashSet<String> {
+    upstream_closure(gs, cursors.keys().filter(|q| !sealing.contains(q.as_str())).cloned())
+}
+
+/// Catch-up: bring every laggard level with `epoch` before it runs. A
+/// laggard is a runnable query that holds no live operators (it
+/// faulted, sat out a backoff, or the daemon recovered) and whose cut is
+/// before `epoch`. Its inputs are other queries' outputs, so it replays
+/// with its whole upstream closure: the live epoch's own step, run on a
+/// throw-away [`Stepper`] from the closure's oldest cut, faults disarmed
+/// (a replay is a retry). Each member joins at its own cut, from its
+/// bytes or empty; [`held_back`] keeps every upstream's cut at or before
+/// its consumers', so each member sees exactly its live input — a
+/// laggard found behind its upstream's cut restarts empty instead. Only a
+/// laggard is tapped and marked, from its own `next`, each owed epoch a
+/// step of its own whose markers are committed before they are sent. A
+/// stretch in which no member joins and nothing is emitted is one `hold`
+/// (`daemon`/`replayed_epochs` counts those epochs). The last step seals
+/// the laggards level with `epoch`; the replay's operators are dropped,
+/// so the live epoch restores exactly the laggards from bytes — a
+/// held-back laggard's only from the returned restore map.
 ///
-/// - **A cut that lags the output** (`cut < next`, for a query that
-///   holds no live operators — it faulted, or the daemon recovered,
-///   between two cuts): `[cut, next)` is replayed from the query's
-///   bytes as ONE run over the concatenated packets, untapped and
-///   unmarked — those epochs were emitted already. Output is a function
-///   of the input, never of how it is sliced into epochs, so the run
-///   rebuilds exactly the state the query lost
-///   (`daemon`/`replayed_epochs` counts these epochs).
-/// - **Owed output** (`next < epoch`: backoff epochs, faulted epochs):
-///   re-processed one epoch at a time, oldest first; the tuples and
-///   markers reach subscribers tagged with the epoch they belong to,
-///   before the current epoch runs, so each stream's frame sequence
-///   stays in epoch order, and each epoch's markers are committed
-///   durably before they are sent.
-///
-/// A replay is a throw-away one-shot run ([`run_threaded_opts`]), never
-/// a step of the live dataflow: a laggard holds no live operators by
-/// construction (a query keeps them only by completing the epoch that
-/// advances its cursor), so its state comes from its checkpoint bytes,
-/// and the replay's operators are dropped when it returns — the live
-/// epoch that follows rebuilds the laggard from the replayed bytes.
-///
-/// Upstream producers of a laggard run as *support* queries: included
-/// in the replay so the laggard's inputs are real, but untapped (their
-/// subscribers already saw these epochs), uncheckpointed (their cursor
-/// already advanced), and started from empty state — their live
-/// operators, already past the replayed epochs, stay with the stepper
-/// untouched. A stateless upstream (the common LFTA
-/// projection/selection) reproduces its output exactly; a stateful
-/// upstream makes the replay approximate — the price of losing its
-/// mid-epoch history.
+/// Returns the laggards left behind — all of them, when a fault,
+/// shutdown or a failed build ends the replay before its seal — to sit
+/// the epoch out, and the bytes the live epoch restores from.
 #[allow(clippy::too_many_arguments)]
 fn catch_up(
     gs: &mut Gigascope,
     supervisor: &mut Supervisor,
     source: &PacketSource,
-    carry: &mut HashMap<String, Vec<u8>>,
+    carry: &mut Arc<HashMap<String, Vec<u8>>>,
     cursors: &mut HashMap<String, Cursor>,
     stepper: &Stepper,
     epoch: u64,
@@ -816,104 +791,110 @@ fn catch_up(
     durable: &mut Option<DurableStore>,
     durable_note: &mut DurableNote,
     shared: &Arc<Shared>,
-) {
-    // Queries that fault *during* replay sit the rest of this catch-up
-    // out (their cursor holds; the supervisor's backoff governs the
-    // next attempt), so every iteration either advances a cursor or
-    // shrinks the runnable set — the loop terminates.
-    let mut benched: Vec<String> = Vec::new();
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let runnable: Vec<(String, Cursor)> = gs
-            .queries()
-            .iter()
-            .filter(|d| !excluded.contains(&d.name) && !benched.contains(&d.name))
-            .filter_map(|d| cursors.get(&d.name).map(|c| (d.name.clone(), *c)))
-            .collect();
-        // Rebuilds first: owed epochs replay on top of the rebuilt state.
-        let rebuild = runnable
-            .iter()
-            .filter(|(q, c)| c.cut < c.next && !stepper.holds(q))
-            .map(|(_, c)| (c.cut, c.next))
-            .min();
-        let owed = runnable.iter().map(|(_, c)| c.next).filter(|n| *n < epoch).min();
-        let (from, to, emit) = match (rebuild, owed) {
-            (Some((cut, next)), _) => (cut, next, false),
-            (None, Some(e)) => (e, e + 1, true),
-            (None, None) => break,
-        };
-        let parts: Vec<String> = runnable
-            .iter()
-            .filter(|(q, c)| {
-                if emit {
-                    c.next == from
-                } else {
-                    (c.cut, c.next) == (from, to) && !stepper.holds(q)
-                }
-            })
-            .map(|(q, _)| q.clone())
-            .collect();
-        let included = upstream_closure(gs, &parts);
-        let fanout = if emit { build_fanout(&lock(&shared.ctl), &parts) } else { Vec::new() };
-        // Restore only the laggards' own checkpoints: a support query
-        // must not restore its *current* (post-epoch-`e`) state into a
-        // replay of epoch `e`.
-        let restore: HashMap<String, Vec<u8>> = carry
-            .iter()
-            .filter(|(k, _)| parts.iter().any(|q| q == snapshot_owner(k)))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
+) -> (Vec<String>, Arc<HashMap<String, Vec<u8>>>) {
+    let mut laggards = names(gs, |q| {
+        !excluded.contains(q) && !stepper.holds(q) && cursors.get(q).is_some_and(|c| c.cut < epoch)
+    });
+    // The cut invariant, checked: a laggard with an upstream whose cut is
+    // past its own cannot replay exactly — that upstream's state at its
+    // cut is gone. Only a recovered query re-registered after its
+    // upstream sealed without it (an undeployed query's cursor holds
+    // nothing back), or a state dir written without the rule, gets here.
+    // It restarts empty at `epoch`, owing nothing, with a HEALTH note;
+    // that can strand its own consumers, so repeat until none is left.
+    let cut = |q: &str, cursors: &HashMap<String, Cursor>| cursors.get(q).map(|c| c.cut);
+    while let Some(i) = laggards.iter().position(|q| {
+        upstream_closure(gs, [q.clone()]).iter().any(|u| cut(u, cursors) > cut(q, cursors))
+    }) {
+        let q = laggards.swap_remove(i);
+        let msg = format!("replay refused: `{q}` lags an upstream cut; restarts empty at {epoch}");
+        eprintln!("gsqd: {msg}");
+        *durable_note = Some((msg, durable_note.as_ref().map_or(0, |(_, n)| *n)));
+        Arc::make_mut(carry).retain(|k, _| snapshot_owner(k) != q);
+        cursors.insert(q, Cursor { cut: epoch, next: epoch });
+    }
+    let members: Vec<(String, u64)> = upstream_closure(gs, laggards.iter().cloned())
+        .into_iter()
+        .filter_map(|q| cursors.get(&q).map(|c| (q, c.cut)))
+        .collect();
+    let Some(mut e) = members.iter().map(|(_, cut)| *cut).min() else {
+        return (Vec::new(), carry.clone());
+    };
+    // From the first owed epoch on, every epoch is a step of its own.
+    let owed = laggards.iter().map(|q| cursors[q].next).min().unwrap_or(epoch);
+    let mut replay = Stepper::default();
+    let mut level_bytes: HashMap<String, Vec<u8>> = HashMap::new();
+    gs.faults = None;
+    while e < epoch && !shared.shutdown.load(Ordering::SeqCst) {
+        let joins = members.iter().map(|(_, cut)| *cut).filter(|cut| *cut > e);
+        let to = if e >= owed { e + 1 } else { joins.chain([owed, epoch]).min().unwrap_or(epoch) };
+        let emitting: Vec<String> =
+            laggards.iter().filter(|q| cursors[*q].next <= e).cloned().collect();
+        let fanout = build_fanout(&lock(&shared.ctl), &emitting);
         let opts = ThreadedOptions {
-            taps: fanout_taps(&fanout, from),
-            exclude: gs
-                .queries()
-                .iter()
-                .map(|d| d.name.clone())
-                .filter(|q| !included.contains(q))
-                .collect(),
+            taps: fanout_taps(&fanout, e),
+            exclude: names(gs, |q| !members.iter().any(|(m, cut)| m == q && *cut <= e)),
             capture: true,
-            restore: (!restore.is_empty()).then(|| Arc::new(restore)),
+            restore: Some(carry.clone()),
             ..ThreadedOptions::default()
         };
-        gs.faults = None;
-        let packets = (from..to).flat_map(|e| source.epoch_packets(e));
-        match run_threaded_opts(gs, packets, &streams_of(&fanout), opts) {
-            Ok(out) => {
-                supervisor.observe(epoch, &out.health);
-                let mut replayed: Vec<String> = Vec::new();
-                for q in &parts {
-                    if out.health.failed(q) {
-                        benched.push(q.clone());
-                    } else if let Some(c) = cursors.get_mut(q) {
-                        *c = Cursor { cut: to, next: c.next.max(to) };
-                        replayed.push(q.clone());
-                    }
-                }
-                let own: HashMap<String, Vec<u8>> = out
-                    .snapshots
-                    .into_iter()
-                    .filter(|(k, _)| parts.iter().any(|q| q == snapshot_owner(k)))
-                    .collect();
-                merge_snapshots(carry, own, &out.health);
-                if emit {
-                    // Epoch `from`'s missed frames are about to go out:
-                    // commit their markers first. No segment: the
-                    // durable cut keeps lagging until the next cut, and
-                    // recovery replays past it.
-                    durable_commit(durable, None, from, &replayed, durable_note);
-                    send_markers(&fanout, from, |s| out.health.failed(s));
-                } else {
-                    shared.stats.replayed_epochs.add(to - from);
-                }
-            }
+        let (packets, subs) = ((e..to).flat_map(|k| source.epoch_packets(k)), streams_of(&fanout));
+        let stepped = if to == epoch {
+            replay.step(gs, packets, &subs, opts)
+        } else {
+            replay.hold(gs, packets, &subs, opts)
+        };
+        let out = match stepped {
+            Ok(out) => out,
             Err(_) => {
                 shared.stats.run_errors.inc();
                 break;
             }
+        };
+        supervisor.observe(epoch, &out.health);
+        let marked: Vec<String> = emitting.into_iter().filter(|q| !out.health.failed(q)).collect();
+        if marked.is_empty() {
+            shared.stats.replayed_epochs.add(to - e);
+        } else {
+            for q in &marked {
+                if let Some(c) = cursors.get_mut(q) {
+                    c.next = to;
+                }
+            }
+            // No segment: the durable cut keeps lagging until the next
+            // cut, and recovery replays past it.
+            durable_commit(durable, None, e, &marked, durable_note);
+            send_markers(&fanout, e, |s| out.health.failed(s));
         }
+        // Faults are disarmed, so this one is real: whatever reads the
+        // faulted member's output from here on would replay wrong.
+        if members.iter().any(|(q, _)| out.health.failed(q)) {
+            break;
+        }
+        if to == epoch {
+            let sealing: HashSet<&str> = laggards.iter().map(String::as_str).collect();
+            let keep = held_back(gs, cursors, &sealing);
+            for (k, v) in
+                out.snapshots.into_iter().filter(|(k, _)| sealing.contains(snapshot_owner(k)))
+            {
+                let held = keep.contains(snapshot_owner(&k));
+                if held { &mut level_bytes } else { Arc::make_mut(carry) }.insert(k, v);
+            }
+            for q in sealing.iter().filter(|q| !keep.contains(**q)) {
+                if let Some(c) = cursors.get_mut(*q) {
+                    c.cut = epoch;
+                }
+            }
+        }
+        e = to;
     }
+    // Only a completed replay, whose last step sealed, ends at `epoch`.
+    let stale = if e < epoch { laggards } else { Vec::new() };
+    let mut restore = carry.clone();
+    if !level_bytes.is_empty() {
+        Arc::make_mut(&mut restore).extend(level_bytes);
+    }
+    (stale, restore)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -993,12 +974,7 @@ fn engine_loop(
                 Arc::make_mut(&mut carry).retain(|k, _| snapshot_owner(k) != q);
                 cursors.remove(q);
             }
-            let running: Vec<String> = gs
-                .queries()
-                .iter()
-                .map(|d| d.name.clone())
-                .filter(|q| !excluded.contains(q))
-                .collect();
+            let running = names(&gs, |q| !excluded.contains(q));
             // A stream's marker is sent only when its epoch actually ran
             // — catch-up replay delivers the missed ones later, in
             // epoch order, so subscribers see exactly one marker per
@@ -1006,16 +982,19 @@ fn engine_loop(
             let fanout = build_fanout(&ctl, &running);
             (excluded, fanout, running)
         };
-        for dq in gs.queries() {
-            cursors.entry(dq.name.clone()).or_insert(Cursor { cut: epoch, next: epoch });
+        // A reaped (Dead) query gets no cursor back: it holds no
+        // upstream's cut back, and never replays.
+        for q in &running {
+            cursors.entry(q.clone()).or_insert(Cursor { cut: epoch, next: epoch });
         }
-        // Replay whatever the runnable queries missed, THEN set up the
-        // current epoch to resume from the (now caught-up) cut.
-        catch_up(
+        // Replay whatever the runnable queries missed, THEN run the
+        // current epoch; a laggard catch-up could not bring level sits
+        // it out — run from its bytes, it would skip what it owes.
+        let (stale, restore) = catch_up(
             &mut gs,
             &mut supervisor,
             &source,
-            Arc::make_mut(&mut carry),
+            &mut carry,
             &mut cursors,
             &stepper,
             epoch,
@@ -1024,14 +1003,6 @@ fn engine_loop(
             &mut durable_note,
             &shared,
         );
-        // A query catch-up could not bring level (it faulted again
-        // mid-replay, or shutdown cut the replay short) sits this epoch
-        // out: run from its bytes, it would skip what it owes.
-        let stale: Vec<String> = running
-            .iter()
-            .filter(|q| cursors.get(*q).is_some_and(|c| !level(c, epoch, stepper.holds(q))))
-            .cloned()
-            .collect();
         running.retain(|q| !stale.contains(q));
         fanout.retain(|(s, _)| !stale.contains(s));
         exclude.extend(stale);
@@ -1053,7 +1024,7 @@ fn engine_loop(
                 taps: fanout_taps(&fanout, epoch),
                 exclude,
                 capture: true,
-                restore: (!carry.is_empty()).then(|| carry.clone()),
+                restore: (!restore.is_empty()).then_some(restore),
                 ..ThreadedOptions::default()
             };
             let (packets, subs) = (packets.into_iter(), streams_of(&fanout));
@@ -1066,18 +1037,24 @@ fn engine_loop(
                 Ok(out) => {
                     supervisor.observe(epoch, &out.health);
                     shared.stats.nodes_restored.add(out.nodes_restored);
-                    let mut completed: Vec<String> = Vec::new();
-                    for q in &running {
-                        if let Some(c) = cursors.get_mut(q).filter(|_| !out.health.failed(q)) {
+                    let completed: Vec<String> =
+                        running.iter().filter(|q| !out.health.failed(q)).cloned().collect();
+                    // A faulted query's cut is incomplete (its node wrote
+                    // nothing); it and its upstreams keep their old bytes.
+                    let keep =
+                        held_back(&gs, &cursors, &completed.iter().map(String::as_str).collect());
+                    for q in &completed {
+                        if let Some(c) = cursors.get_mut(q) {
                             c.next = epoch + 1;
-                            if cut {
+                            if cut && !keep.contains(q) {
                                 c.cut = epoch + 1;
                             }
-                            completed.push(q.clone());
                         }
                     }
                     if cut {
-                        merge_snapshots(Arc::make_mut(&mut carry), out.snapshots, &out.health);
+                        let sealed = out.snapshots.into_iter();
+                        Arc::make_mut(&mut carry)
+                            .extend(sealed.filter(|(k, _)| !keep.contains(snapshot_owner(k))));
                         cadence.sealed(stepper.held());
                         shared.stats.cuts.inc();
                     }
@@ -1171,25 +1148,15 @@ fn engine_loop(
     let mut flushed = false;
     if held && !abandoned {
         let excluded = supervisor.excluded(epoch);
-        let flush: Vec<String> = gs
-            .queries()
-            .iter()
-            .map(|d| d.name.clone())
-            .filter(|q| {
-                !excluded.contains(q)
-                    && cursors.get(q).is_none_or(|c| level(c, epoch, stepper.holds(q)))
-            })
-            .collect();
+        let flush = names(&gs, |q| {
+            !excluded.contains(q)
+                && (stepper.holds(q) || cursors.get(q).is_none_or(|c| c.cut == epoch))
+        });
         if !flush.is_empty() {
             let fanout = build_fanout(&lock(&shared.ctl), &flush);
             let opts = ThreadedOptions {
                 taps: fanout_taps(&fanout, epoch),
-                exclude: gs
-                    .queries()
-                    .iter()
-                    .map(|d| d.name.clone())
-                    .filter(|q| !flush.contains(q))
-                    .collect(),
+                exclude: names(&gs, |q| !flush.contains(q)),
                 capture: false,
                 restore: Some(std::mem::take(&mut carry)),
                 ..ThreadedOptions::default()
@@ -1238,21 +1205,31 @@ fn engine_loop(
         let _ = reply.send(Err("daemon shutting down".to_string()));
     }
     // Give writers a short grace to flush already-queued replies (a
-    // final "OK shutting down" should reach its client) before cutting
-    // the sockets.
-    let deadline = std::time::Instant::now() + Duration::from_millis(200);
-    while ctl.conns.values().any(|c| c.chan.progress().1 > 0)
-        && std::time::Instant::now() < deadline
-    {
-        drop(ctl);
-        thread::sleep(Duration::from_millis(2));
-        ctl = lock(&shared.ctl);
-    }
-    for conn in ctl.conns.values() {
-        let _ = conn.stream.shutdown(Shutdown::Both);
-        conn.chan.force_close();
-    }
+    // final "OK shutting down" should reach its client), then close the
+    // queues and cut the read side, ending the handlers: a writer exits
+    // once the frame in its hands — often the flush's marker — is
+    // written, so the FIN follows it. A writer still writing after a
+    // second grace is stuck on a client that stopped reading; cutting
+    // the write side too fails that write, so its handler can exit.
+    let clone = |c: &ConnState| Some((c.stream.try_clone().ok()?, c.chan.clone()));
+    let conns: Vec<_> = ctl.conns.values().filter_map(clone).collect();
     shared.epoch_cv.notify_all();
+    drop(ctl);
+    let grace = |done: fn(&crate::transport::Channel<Vec<u8>>) -> bool| {
+        let deadline = std::time::Instant::now() + Duration::from_millis(200);
+        while !conns.iter().all(|(_, c)| done(c)) && std::time::Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(2));
+        }
+    };
+    grace(|c| c.progress().1 == 0);
+    for (stream, chan) in &conns {
+        let _ = stream.shutdown(Shutdown::Read);
+        chan.force_close();
+    }
+    grace(|c| !c.receiver_alive());
+    for (stream, _) in conns.iter().filter(|(_, c)| c.receiver_alive()) {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
 }
 
 #[cfg(test)]

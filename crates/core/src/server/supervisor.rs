@@ -6,15 +6,15 @@
 //! The daemon runs forever, so the supervisor closes the loop: after
 //! every epoch it reads the run's [`RunHealth`], charges *root-cause*
 //! failures against the query's restart budget, parks the query in
-//! exponential backoff (excluded from the next epochs' builds), and —
-//! because every epoch rebuilds the graph from the catalog — the query
-//! is automatically reprovisioned the first epoch after its backoff
-//! expires. A query that keeps failing past its budget goes `Dead` and
-//! stays excluded until a client UNREGISTERs and re-REGISTERs it.
+//! exponential backoff (excluded from the next epochs' steps), and
+//! reprovisions it when the backoff expires: catch-up replays it with
+//! its upstream closure from its last cut, emitting the epochs it owes.
+//! A query failing past its budget goes `Dead` and stays excluded
+//! until a client UNREGISTERs and re-REGISTERs it.
 //!
 //! Collateral failures (`Upstream` faults whose origin is a *different*
-//! query) are not charged: the downstream query did nothing wrong and
-//! is rebuilt for free next epoch.
+//! query) are not charged: the downstream query did nothing wrong, so
+//! it sits out no backoff and catches up from its cut the next epoch.
 //!
 //! Restart counts surface in GS_STATS under a `daemon:restart:<query>`
 //! node so the paper's "Gigascope monitors itself" loop covers the

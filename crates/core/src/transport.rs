@@ -101,6 +101,11 @@ impl<T: Send> Channel<T> {
         (inner.stats.dequeued, inner.shedder.len())
     }
 
+    /// Whether the receiver still exists (its consumer drops it on exit).
+    pub fn receiver_alive(&self) -> bool {
+        lock(&self.inner).receiver_alive
+    }
+
     /// Declare the consumer dead: discard everything buffered (counted
     /// as `forced_drops`), make further sends no-ops, report
     /// end-of-stream to the receiver, and wake every blocked producer.

@@ -616,7 +616,9 @@ impl Cadence {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cursor {
     /// The epoch its bytes in the cut stand at: they hold its state
-    /// after every epoch below `cut`.
+    /// after every epoch below `cut`. An upstream's `cut` is never past
+    /// a consumer's, which replays from its own cut (one found behind
+    /// its upstream restarts empty instead).
     pub cut: u64,
     /// Its next unmarked epoch: its output for every epoch below `next`
     /// was emitted. `cut <= next`; rebuilding its state from the bytes

@@ -164,6 +164,18 @@ pub const LAGGING_PROGRAM: &str = "DEFINE { query_name raw; } \
      DEFINE { query_name sib; } \
      Select time, count(*), sum(len) From raw Group By time";
 
+/// A chain whose middle is stateful: `perport` holds 1-second windows,
+/// and `busy` keeps the counts they close with. Over [`carry_source`]
+/// the first window closes in real chunk 10, the first of second 1
+/// (epoch `lead_in + 10`): a replay of `busy` through that epoch needs
+/// `perport`'s open groups as they stood, not empty ones.
+pub const CHAIN_PROGRAM: &str = "DEFINE { query_name raw; } \
+     Select time, destPort, len From eth0.tcp; \
+     DEFINE { query_name perport; } \
+     Select time, destPort, count(*) as cnt From raw Group By time, destPort; \
+     DEFINE { query_name busy; } \
+     Select time, destPort, cnt From perport";
+
 /// A time-continuous source for [`LAGGING_PROGRAM`]: `lead_in` empty
 /// chunks (subscribe margin; with nothing held, each is a cut), then one
 /// chunk of 300 distinct sources in the first 300 ms — the first real

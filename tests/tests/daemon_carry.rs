@@ -14,7 +14,8 @@ use gigascope::server::wire::LifeState;
 use gigascope::server::{self, DaemonConfig, PacketSource};
 use gigascope::FaultPlan;
 use gs_tests::daemon::{
-    assert_session_total, carry_source, connect, lagging_source, Frames, LAGGING_PROGRAM,
+    assert_session_total, carry_source, connect, lagging_source, Frames, CHAIN_PROGRAM,
+    LAGGING_PROGRAM,
 };
 
 /// Shared derived stream, a multi-key aggregate (the fault target), and
@@ -201,4 +202,99 @@ fn shutdown_flushes_a_query_registered_after_the_last_cut() {
     );
     assert!(!frames.rows("persec").is_empty(), "the flush emitted persec's tail");
     assert_session_total(PERSEC, &source, "persec", &frames);
+}
+
+/// A fault downstream of a *stateful* upstream: `busy` panics in the
+/// epoch where `perport` closes its first 1-second window, and a cut
+/// falls inside its backoff. Reprovisioning replays `busy` together
+/// with `perport` and `raw` from one consistent cut — the cut rule held
+/// both back while `busy` did not complete — so `perport`'s open groups
+/// come back as they stood and `busy` receives exactly the window rows
+/// it missed. Rebuilt from empty state, `perport` would close nothing.
+#[test]
+fn fault_behind_a_stateful_upstream_replays_the_chain_from_one_cut() {
+    let (source, _) = carry_source(LEAD_IN, 0xCA223);
+    let last_epoch = (LEAD_IN + 12 - 1) as u64;
+    let fault = LEAD_IN as u64 + 10;
+    let mut config = carry_config(source.clone());
+    config.initial_program = Some(CHAIN_PROGRAM.to_string());
+    config.faults = Some(FaultPlan::new().panic_at("busy", 1));
+    config.fault_epochs = fault..fault + 1;
+    config.restart_budget = 3;
+    config.backoff_base = 1;
+    // A wide gap: the premise below reads the cut counter between two
+    // boundaries.
+    config.epoch_gap_ms = 60;
+    let mut daemon = server::start(config).expect("daemon start");
+    let mut client = connect(daemon.addr());
+    client.subscribe("perport").expect("subscribe perport");
+    client.subscribe("busy").expect("subscribe busy");
+
+    // Premise: the backoff epoch `fault + 1` is a cut, so without the
+    // hold-back `perport`'s cut would pass `busy`'s.
+    let registry = daemon.registry();
+    client.wait_epoch(fault + 1).expect("the faulted epoch completes");
+    let before = registry.value("daemon", "cuts");
+    client.wait_epoch(fault + 2).expect("the backoff epoch completes");
+    assert!(registry.value("daemon", "cuts") > before, "premise: a cut inside busy's backoff");
+
+    let mut frames = Frames::default();
+    frames.read(&mut client, &["perport", "busy"], Some(last_epoch));
+    let health = client.health().expect("health");
+    let busy = health.iter().find(|r| r.query == "busy").expect("busy row");
+    assert_eq!((busy.state, busy.restarts), (LifeState::Running, 1));
+    client.shutdown().expect("shutdown");
+    frames.read(&mut client, &[], None);
+    daemon.shutdown();
+
+    for stream in ["perport", "busy"] {
+        assert!(!frames.rows(stream).is_empty(), "no `{stream}` rows");
+        assert_session_total(CHAIN_PROGRAM, &source, stream, &frames);
+    }
+    // Only `busy` came back from bytes; its upstreams never left the
+    // live path — the replay ran copies of them.
+    assert_eq!(daemon.registry().value("daemon", "nodes_restored"), Some(1));
+}
+
+/// The mirror case: the stateful upstream faults. `perport` panics
+/// mid-window (no window closes before its backoff ends), taking `busy`
+/// down as collateral. The next epoch `busy` replays with `perport` — in
+/// backoff, but a member of its upstream closure — from their common
+/// cut; the epoch after, `perport` replays and comes out level, but its
+/// live consumer `busy` has the older cut, so the cut rule keeps
+/// `perport`'s old cut and the live epoch restores it from the level
+/// bytes the replay handed over. Both streams equal the continuous run.
+#[test]
+fn fault_in_a_stateful_upstream_replays_it_behind_its_live_consumer() {
+    let (source, _) = carry_source(LEAD_IN, 0xCA224);
+    let last_epoch = (LEAD_IN + 12 - 1) as u64;
+    let fault = LEAD_IN as u64 + 5;
+    let mut config = carry_config(source.clone());
+    config.initial_program = Some(CHAIN_PROGRAM.to_string());
+    config.faults = Some(FaultPlan::new().panic_at("perport", 1));
+    config.fault_epochs = fault..fault + 1;
+    config.restart_budget = 3;
+    config.backoff_base = 1;
+    let mut daemon = server::start(config).expect("daemon start");
+    let mut client = connect(daemon.addr());
+    client.subscribe("perport").expect("subscribe perport");
+    client.subscribe("busy").expect("subscribe busy");
+
+    let mut frames = Frames::default();
+    frames.read(&mut client, &["perport", "busy"], Some(last_epoch));
+    let health = client.health().expect("health");
+    let row = |q: &str| health.iter().find(|r| r.query == q).map(|r| (r.state, r.restarts));
+    assert_eq!(row("perport"), Some((LifeState::Running, 1)));
+    assert_eq!(row("busy"), Some((LifeState::Running, 0)), "collateral: nothing charged");
+    client.shutdown().expect("shutdown");
+    frames.read(&mut client, &[], None);
+    daemon.shutdown();
+
+    for stream in ["perport", "busy"] {
+        assert!(!frames.rows(stream).is_empty(), "no `{stream}` rows");
+        assert_session_total(CHAIN_PROGRAM, &source, stream, &frames);
+    }
+    // `busy` from its sealed bytes the epoch after the fault, `perport`
+    // from its level bytes the epoch after its backoff.
+    assert_eq!(daemon.registry().value("daemon", "nodes_restored"), Some(2));
 }

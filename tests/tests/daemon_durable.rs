@@ -9,12 +9,16 @@
 //! state is never restored twice.
 
 use gigascope::server::client::Client;
+use gigascope::server::wire::LifeState;
 use gigascope::server::{self, DaemonConfig, PacketSource};
+use gigascope::FaultPlan;
 use gs_runtime::faults::{DiskFaultPlan, DiskOp};
 use gs_tests::daemon::{
     assert_session_total, carry_source, connect, continuous_reference, downgrade_state_dir_to_v1,
-    lagging_source, norm, write_cut_per_boundary_state_dir, Frames, LAGGING_PROGRAM,
+    lagging_source, norm, write_cut_per_boundary_state_dir, Frames, CHAIN_PROGRAM, LAGGING_PROGRAM,
 };
+use gigascope::Tuple;
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -255,6 +259,158 @@ fn killed_between_cuts_resumes_by_silent_replay() {
             "stream `{s}`: kill between cuts + resume diverges from the continuous run"
         );
     }
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// Kill while a query sits in backoff behind a *stateful* upstream:
+/// `busy` panics in the epoch where `perport` closes its first window
+/// and is parked far longer than the session, and the kill lands after
+/// a cut inside that backoff. The cut rule held `perport` and `raw` at
+/// `busy`'s cut, so the restart — every query a laggard — replays the
+/// whole chain from one consistent cut: `busy` emits the epochs it owes
+/// from `perport`'s windows as they stood, and both incarnations' rows
+/// together are one continuous run.
+#[test]
+fn killed_during_a_backoff_replays_the_stateful_chain_from_one_cut() {
+    let state = scratch_dir("chain");
+    let (source, all) = carry_source(LEAD_IN, 0xD0D07);
+    let fault = LEAD_IN as u64 + 10;
+    let config = |source| DaemonConfig {
+        initial_program: Some(CHAIN_PROGRAM.to_string()),
+        faults: Some(FaultPlan::new().panic_at("busy", 1)),
+        fault_epochs: fault..fault + 1,
+        backoff_base: 1_000,
+        // A wide gap: the premise reads the cut counter between two
+        // boundaries.
+        epoch_gap_ms: 60,
+        ..durable_config(source, &state)
+    };
+    let streams = ["perport", "busy"];
+    let mut frames = Frames::default();
+
+    // Incarnation 1: wait out the backoff epoch — a cut, committed
+    // before its markers — then die without a flush.
+    let mut daemon = server::start(config(source.clone())).expect("daemon 1");
+    let mut client = connect(daemon.addr());
+    for s in streams {
+        client.subscribe(s).expect("subscribe");
+    }
+    let registry = daemon.registry();
+    client.wait_epoch(fault + 1).expect("the faulted epoch completes");
+    let before = registry.value("daemon", "cuts");
+    client.wait_epoch(fault + 2).expect("the backoff epoch completes");
+    assert!(registry.value("daemon", "cuts") > before, "premise: a cut inside busy's backoff");
+    let health = client.health().expect("health");
+    let busy = health.iter().find(|r| r.query == "busy").expect("busy row");
+    assert_eq!(busy.state, LifeState::Backoff, "premise: busy still in backoff");
+    daemon.halt();
+    frames.read(&mut client, &streams, None);
+    assert_eq!(frames.marks["busy"].last(), Some(&(fault - 1)), "busy emitted nothing since");
+
+    // Incarnation 2: same state dir, fresh process state.
+    let (source2, _) = carry_source(LEAD_IN, 0xD0D07);
+    let mut daemon2 = server::start(config(source2)).expect("daemon 2");
+    let mut client2 = connect(daemon2.addr());
+    for s in streams {
+        client2.subscribe(s).expect("subscribe");
+    }
+    // One `Frames` across both incarnations: its read asserts every
+    // marker arrives once and in order across the kill.
+    frames.read(&mut client2, &streams, Some((LEAD_IN + REAL_EPOCHS) as u64));
+    client2.shutdown().expect("shutdown");
+    frames.read(&mut client2, &streams, None);
+    daemon2.shutdown();
+
+    assert_eq!(daemon2.registry().value("durable", "recoveries"), Some(1));
+    assert_eq!(
+        daemon2.registry().value("daemon", "nodes_restored"),
+        Some(3),
+        "recovery rebuilds `lfta:raw`, `hfta:perport` and `hfta:busy` from the replayed bytes, once"
+    );
+    let reference = continuous_reference(&all, &streams, CHAIN_PROGRAM);
+    for s in streams {
+        assert!(!frames.rows(s).is_empty(), "no `{s}` rows across both incarnations");
+        assert_eq!(
+            norm(frames.rows(s)),
+            norm(&reference[s]),
+            "stream `{s}`: kill in a backoff + resume diverges from the continuous run"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// A recovered query re-registered after its upstream sealed without
+/// it cannot replay exactly: the upstream's state at its cut is gone.
+/// Restarted without a program, the daemon gets `raw` and `perport`
+/// back first; they replay and seal past `busy`'s recovered cut, which
+/// no deployed query holds back. When `busy` registers, it restarts
+/// empty at that epoch, owing nothing, and HEALTH says so — rather than
+/// replay its owed epochs on input it never saw.
+#[test]
+fn reregistered_behind_its_upstreams_cut_restarts_empty_with_a_note() {
+    let state = scratch_dir("behind");
+    let (source, _) = carry_source(LEAD_IN, 0xD0D08);
+    let config = |program: Option<&str>| DaemonConfig {
+        initial_program: program.map(str::to_string),
+        ..durable_config(source.clone(), &state)
+    };
+
+    // Incarnation 1: the chain runs into its first second, then dies.
+    let mut daemon = server::start(config(Some(CHAIN_PROGRAM))).expect("daemon 1");
+    connect(daemon.addr()).wait_epoch(LEAD_IN as u64 + 5).expect("mid-window");
+    daemon.halt();
+
+    // Incarnation 2, bare: the upstream half first, `busy` later.
+    let mut daemon2 = server::start(config(None)).expect("daemon 2");
+    assert_eq!(daemon2.registry().value("durable", "recoveries"), Some(1));
+    let mut client = connect(daemon2.addr());
+    for s in ["perport", "busy"] {
+        client.subscribe(s).expect("subscribe");
+    }
+    let at = CHAIN_PROGRAM.find("DEFINE { query_name busy; }").expect("busy's definition");
+    let (upstream, busy) = CHAIN_PROGRAM.split_at(at);
+    client.register(upstream).expect("register raw and perport");
+    // The first boundary completes the resumed epoch (the count starts
+    // at zero, not at the resumed epoch).
+    let resumed = client.wait_epoch(1).expect("the resumed epoch");
+    client.wait_epoch(resumed + 1).expect("perport replays and seals");
+    let before_busy = client.wait_epoch(0).expect("poll");
+    client.register(busy).expect("register busy");
+    client.wait_epoch(before_busy + 2).expect("busy runs");
+    let health = client.health().expect("health");
+    let note = health
+        .iter()
+        .find(|r| r.query == "durable:store")
+        .unwrap_or_else(|| panic!("a HEALTH note: {health:?}"));
+    assert!(
+        note.reason.contains("`busy`") && note.reason.contains("restarts empty"),
+        "the note names the refused replay: {note:?}"
+    );
+    client.shutdown().expect("shutdown");
+
+    // Each stream's rows and markers by epoch, through the drain.
+    let mut rows: HashMap<(String, u64), Vec<Tuple>> = HashMap::new();
+    let mut marks: HashMap<String, Vec<u64>> = HashMap::new();
+    while let Ok(frame) = client.next_tuples() {
+        if frame.rows.is_empty() {
+            marks.entry(frame.stream).or_default().push(frame.epoch);
+        } else {
+            rows.entry((frame.stream, frame.epoch)).or_default().extend(frame.rows);
+        }
+    }
+    daemon2.shutdown();
+
+    let busy_marks = &marks["busy"];
+    assert!(busy_marks[0] >= before_busy, "busy owes nothing before it registered: {busy_marks:?}");
+    assert!(busy_marks.windows(2).all(|w| w[1] == w[0] + 1), "gapless: {busy_marks:?}");
+    // `busy` passes `perport` through, so from its first epoch on the
+    // two streams carry the same rows.
+    let of = |s: &str| -> Vec<Tuple> {
+        let at = |e: &u64| rows.get(&(s.to_string(), *e)).cloned().unwrap_or_default();
+        busy_marks.iter().flat_map(at).collect()
+    };
+    assert!(!of("busy").is_empty(), "the flush closes perport's open windows through busy");
+    assert_eq!(norm(&of("busy")), norm(&of("perport")), "busy restarted empty on live input");
     let _ = std::fs::remove_dir_all(&state);
 }
 

@@ -14,9 +14,11 @@
 //!   the rows).
 
 use gigascope::manager::{run_threaded_opts, ThreadedOptions};
-use gigascope::server::{self, wire::LifeState};
+use gigascope::server::{self, wire::LifeState, DaemonConfig, PacketSource};
 use gigascope::FaultPlan;
 use gs_tests::daemon::{connect, norm, reference_system, small_source, test_config, Frames};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 const PROGRAM: &str = "DEFINE { query_name churn_raw; } Select time, len From eth0.tcp; \
      DEFINE { query_name churn_agg; } \
@@ -206,4 +208,56 @@ fn dead_query_unregister_reaps_stats_and_reregister_starts_fresh() {
     assert_eq!(registry.value("daemon:restart:churn_agg", "dead"), Some(0));
 
     daemon.shutdown();
+}
+
+/// A subscriber that stops reading loses its own frames, and must not
+/// wedge SHUTDOWN either: once the socket buffers fill, its writer
+/// thread blocks in a write the client will never drain, and teardown
+/// has to fail that write for the daemon to exit.
+#[test]
+fn subscriber_that_stopped_reading_does_not_wedge_shutdown() {
+    // Frames of a few MB (one per epoch, 1 kB rows): the receiver's
+    // slack, once its buffers are full, can never take the rest of one.
+    let source = PacketSource::Synthetic { mbps: 100.0, epoch_ms: 100, seed: 0x5704 };
+    let pad = "x".repeat(1000);
+    let config = DaemonConfig {
+        batch_size: 1 << 16,
+        initial_program: Some(format!(
+            "DEFINE {{ query_name flood; }} Select time, len, '{pad}' as pad From eth0.tcp"
+        )),
+        ..test_config(source)
+    };
+    let mut daemon = server::start(config).expect("daemon start");
+    let registry = daemon.registry();
+    let mut stalled = connect(daemon.addr());
+    stalled.subscribe("flood").expect("subscribe");
+    // Never read again. Its writer is stuck once the frames it takes
+    // off the queue stop while the queue sheds the ones still coming.
+    let conn = |counter: &str| {
+        let rows = registry.snapshot();
+        let row = rows.iter().find(|r| r.node.starts_with("daemon:conn:") && r.counter == counter);
+        row.map_or(0, |r| r.value)
+    };
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let mut last = (conn("dequeued"), conn("shed_batches"));
+    loop {
+        assert!(Instant::now() < deadline, "premise: the stalled subscriber's writer never blocks");
+        std::thread::sleep(Duration::from_millis(300));
+        let now = (conn("dequeued"), conn("shed_batches"));
+        if now.0 == last.0 && now.1 > last.1 {
+            break;
+        }
+        last = now;
+    }
+    connect(daemon.addr()).shutdown().expect("shutdown");
+    let (done, finished) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        daemon.shutdown();
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(20))
+        .expect("a subscriber that stopped reading wedged the daemon's shutdown");
+    waiter.join().expect("shutdown thread");
+    drop(stalled);
 }
