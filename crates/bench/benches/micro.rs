@@ -11,7 +11,8 @@ use gs_packet::capture::{CapPacket, LinkType};
 use gs_packet::PacketView;
 use gs_runtime::batch::ColumnBatch;
 use gs_runtime::expr::{EvalScratch, PacketFields, Program};
-use gs_runtime::ops::agg::{AggCore, DirectMappedAggregator, GroupAggregator};
+use gs_runtime::ops::agg::{AggCore, AggregateOp, DirectMappedAggregator, GroupAggregator};
+use gs_runtime::ops::Operator;
 use gs_runtime::ops::defrag::Defragmenter;
 use gs_runtime::ops::join::{JoinConfig, JoinOp};
 use gs_runtime::ops::merge::MergeOp;
@@ -174,16 +175,27 @@ fn bench_aggregation(c: &mut Criterion) {
             }
         })
     });
-    g.bench_function("exact_hash_update", |b| {
-        let mut agg = GroupAggregator::new(agg_core());
-        let mut out = Vec::new();
-        b.iter(|| {
-            for v in &views {
-                out.clear();
-                agg.update(black_box(&PacketFields::new(v, proto.fields)), &mut out);
-                black_box(&out);
-            }
-        })
+    g.bench_function("exact_push_cols", |b| {
+        // The production path: the aggregate's columnar entry over one
+        // batch of the same (time, srcIP, destPort) rows.
+        let progs = [packet_prog("time"), packet_prog("srcIP"), packet_prog("destPort")];
+        let mut scratch = EvalScratch::default();
+        let rows: Vec<Tuple> = views
+            .iter()
+            .map(|v| {
+                let f = PacketFields::new(v, proto.fields);
+                Tuple::new(progs.iter().map(|p| p.eval(&f, &mut scratch).unwrap()).collect())
+            })
+            .collect();
+        let batch = ColumnBatch::from_tuples(&rows);
+        let core = AggCore::new(
+            (0..3).map(|i| compile(&col(i))).collect(),
+            vec![(gs_gsql::ast::AggFunc::Count, None, gs_gsql::types::DataType::UInt)],
+            Some(0),
+            0,
+        );
+        let mut op = AggregateOp::new(GroupAggregator::new(core), None, None);
+        b.iter(|| black_box(op.push_cols(batch.clone(), None)))
     });
     g.finish();
 }

@@ -12,12 +12,11 @@
 //!
 //! Row↔column boundary rules (DESIGN §13): columns are produced at the
 //! capture-loop edge and stay columns through every HFTA operator — the
-//! merge and join roots and the single-input chain alike — until an
-//! operator's output is row-shaped (aggregate emissions). Rows remain only
-//! where something needs them: subscriptions, the fault injector (which
-//! corrupts rows, then hands them back as a batch), and tests. A batch of
-//! rows and the same batch converted through columns are observably
-//! identical; at `batch_size == 1` a batch holds one row.
+//! merge and join roots and the single-input chain, aggregates included.
+//! Rows remain only where something needs them: subscriptions, the fault
+//! injector (which corrupts rows, then hands them back as a batch), and
+//! tests. A batch of rows and the same batch converted through columns
+//! are observably identical; at `batch_size == 1` a batch holds one row.
 //!
 //! Punctuation: the transport's batcher flushes immediately on
 //! punctuation, so a shipped batch carries at most one token, always last.
@@ -116,6 +115,44 @@ impl Column {
                 self.degrade();
                 self.push(v);
             }
+        }
+    }
+
+    /// Overwrite physical row `i` with `v`, or append it when `i` is the
+    /// length, degrading to `Val` on a type mismatch.
+    pub fn set(&mut self, i: usize, v: Value) {
+        if i == self.len() {
+            return self.push(v);
+        }
+        match (&mut *self, v) {
+            (Column::Bool(c), Value::Bool(b)) => c[i] = b,
+            (Column::UInt(c), Value::UInt(u)) => c[i] = u,
+            (Column::Float(c), Value::Float(f)) => c[i] = f,
+            (Column::Ip(c), Value::Ip(ip)) => c[i] = ip,
+            (Column::Str(c), Value::Str(s)) => c[i] = s,
+            (Column::Val(c), v) => c[i] = v,
+            (_, v) => {
+                self.degrade();
+                self.set(i, v);
+            }
+        }
+    }
+
+    /// [`set`](Column::set) row `i` to physical row `j` of `src`, without
+    /// boxing when both are integer columns.
+    #[inline]
+    pub fn set_from(&mut self, i: usize, src: &Column, j: usize) {
+        fn put<T: Copy>(d: &mut Vec<T>, i: usize, v: T) {
+            if i == d.len() {
+                d.push(v);
+            } else {
+                d[i] = v;
+            }
+        }
+        match (&mut *self, src) {
+            (Column::UInt(d), Column::UInt(s)) => put(d, i, s[j]),
+            (Column::Ip(d), Column::Ip(s)) => put(d, i, s[j]),
+            (d, s) => d.set(i, s.get(j)),
         }
     }
 
@@ -419,8 +456,8 @@ impl ColBuilder {
 
 /// The result of pushing a columnar batch through one operator: either a
 /// columnar batch (with its punctuation rider) that can continue on the
-/// columnar path, or materialized row items (operators whose output is
-/// row-shaped, and the row-fallback default).
+/// columnar path, or materialized row items (the row-fallback default,
+/// and a select whose one token translates to several).
 #[derive(Debug)]
 pub enum ColStep {
     /// Columnar output: live rows plus at most one trailing token.

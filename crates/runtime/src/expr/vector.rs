@@ -82,24 +82,6 @@ impl VecVal {
         }
     }
 
-    /// Whether rows `a` and `b` hold equal values, with the row path's
-    /// `Value` equality semantics (floats via `f64 ==`, so NaN ≠ NaN).
-    /// Both rows must be valid.
-    #[inline]
-    pub fn rows_eq(&self, a: usize, b: usize) -> bool {
-        match self {
-            VecVal::Scalar(_) => true,
-            VecVal::Col(c, _) => match c {
-                Column::Bool(v) => v[a] == v[b],
-                Column::UInt(v) => v[a] == v[b],
-                Column::Float(v) => v[a] == v[b],
-                Column::Ip(v) => v[a] == v[b],
-                Column::Str(v) => v[a] == v[b],
-                Column::Val(v) => v[a] == v[b],
-            },
-        }
-    }
-
     /// Hash row `row` exactly as the boxed [`Value`] would hash (the
     /// router's partition assignment must be byte-identical to the row
     /// path). Returns false if the row is invalid (hash state untouched).
@@ -134,7 +116,7 @@ impl VecVal {
     /// Per-row results of the row evaluator (`None`: the row aborted) as
     /// a vector value. The column type latches from the first result; an
     /// aborted row holds a copy of it, masked invalid.
-    fn from_rows(vals: Vec<Option<Value>>) -> VecVal {
+    pub(crate) fn from_rows(vals: Vec<Option<Value>>) -> VecVal {
         let n = vals.len();
         let Some(fill) = vals.iter().flatten().next().cloned() else {
             return VecVal::Col(Column::Bool(vec![false; n]), Some(vec![false; n]));

@@ -2,7 +2,7 @@
 //!
 //! Two engines share one core:
 //!
-//! - [`GroupAggregator`]: the exact hash aggregation HFTAs run, with
+//! - [`GroupAggregator`]: the exact aggregation HFTAs run, with
 //!   ordered-attribute flushing — "When a tuple arrives for aggregation
 //!   whose ordered attribute is larger than that in any current group, we
 //!   can deduce that all of the current groups are closed ... All of the
@@ -13,23 +13,30 @@
 //!   locality, aggregation even with a small hash table is effective in
 //!   early data reduction" (paper §3).
 //!
-//! Both are generic over [`FieldSource`], so the same code aggregates
-//! materialized tuples (HFTA) and raw packets through the interpretation
-//! library (LFTA).
+//! The exact aggregator keeps its open groups in a slab of typed columns:
+//! a group is a slot, found through a seeded hash of the typed key
+//! columns; its key is a row of one column per group expression and its
+//! accumulators a row of one column per aggregate. A close scans the
+//! slab's flush-value column and emits the closed groups as one
+//! [`ColumnBatch`]. The direct-mapped table keeps boxed keys and [`Acc`]
+//! accumulators, generic over [`FieldSource`] so it aggregates raw
+//! packets through the interpretation library.
 
-use crate::batch::{ColStep, ColumnBatch};
+use crate::batch::{ColStep, Column, ColumnBatch};
 use crate::expr::vector::VecVal;
 use crate::expr::{EvalScratch, FieldSource, Program};
+use crate::ops::keyhash::{self, hash_rows, key_eq, HashIndex};
 use crate::ops::Operator;
 use crate::punct::Punct;
 use crate::snapshot::{proto, SnapError, SnapReader, SnapWriter};
 use crate::stats::OpCounters;
 use crate::tuple::{StreamItem, Tuple};
 use crate::value::Value;
+use bytes::Bytes;
 use gs_gsql::ast::AggFunc;
 use gs_gsql::types::DataType;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -165,8 +172,15 @@ impl Acc {
 }
 
 /// Serialize one `(group key, accumulators)` pair.
-fn snap_group(w: &mut SnapWriter, key: &[Value], accs: &[Acc]) {
-    w.put_values(key);
+fn snap_group(
+    w: &mut SnapWriter,
+    key: impl ExactSizeIterator<Item = Value>,
+    accs: impl ExactSizeIterator<Item = Acc>,
+) {
+    w.put_u32(key.len() as u32);
+    for v in key {
+        w.put_value(&v);
+    }
     w.put_u32(accs.len() as u32);
     for a in accs {
         a.snapshot(w);
@@ -232,27 +246,6 @@ impl AggCore {
         Some(key.into_boxed_slice())
     }
 
-    /// Allocation-free variant of [`eval_key`](Self::eval_key): evaluates
-    /// the group key into a reused buffer. Returns false when any group
-    /// expression fails (the record is skipped, matching `eval_key`'s
-    /// `None`). The batched hot path compares this buffer against the
-    /// current group and only materializes a boxed key on a key change.
-    fn eval_key_into<S: FieldSource>(
-        &self,
-        src: &S,
-        scratch: &mut EvalScratch,
-        buf: &mut Vec<Value>,
-    ) -> bool {
-        buf.clear();
-        for p in &self.group_progs {
-            match p.eval(src, scratch) {
-                Some(v) => buf.push(v),
-                None => return false,
-            }
-        }
-        true
-    }
-
     fn fresh_accs(&self) -> Vec<Acc> {
         self.aggs.iter().map(|(f, _, ty)| Acc::new(*f, *ty)).collect()
     }
@@ -301,104 +294,26 @@ fn hash_key(key: &[Value]) -> u64 {
     h.finish()
 }
 
-/// Spill the batched paths' cached hot `(key, accs)` entry back into the
-/// group table.
-///
-/// Invariant (the hot-entry seam): while a batch is being folded, the
-/// current group's accumulators live *outside* `groups`. Every
-/// table-wide operation — watermark flush (`close_below`), punctuation
-/// (`advance_bound`), and batch end (after which `publish_stats`, a
-/// GS_STATS snapshot, eviction, or `finish` may inspect the table) —
-/// MUST be preceded by a spill, or the hot group is invisible to the
-/// flush: it would survive its own close, be double-emitted later, or be
-/// missing from open-group accounting.
-#[inline]
-fn spill_hot(
-    groups: &mut HashMap<Box<[Value]>, Vec<Acc>>,
-    hot: &mut Option<(Box<[Value]>, Vec<Acc>)>,
-) {
-    if let Some((k, a)) = hot.take() {
-        groups.insert(k, a);
-    }
-}
-
-/// Fold rows `i..j` of a vector-evaluated argument into one accumulator.
-///
-/// Exactly equivalent to calling [`Acc::update`] per row in order —
-/// integer sums use closed forms (wrapping arithmetic distributes mod
-/// 2^64), float sums fold sequentially because float addition is not
-/// associative and the result must match the row path bit-for-bit.
-fn fold_run(acc: &mut Acc, argv: Option<&VecVal>, i: usize, j: usize) {
-    let Some(argv) = argv else {
-        // count(*): every row of the run counts.
-        if let Acc::Count(c) = acc {
-            *c += (j - i) as u64;
-        }
-        return;
-    };
-    match acc {
-        Acc::Count(c) => {
-            // count(expr): rows whose argument failed don't count.
-            *c += (i..j).filter(|&r| argv.valid(r)).count() as u64;
-        }
-        Acc::SumU(s) => match argv {
-            VecVal::Scalar(v) => {
-                if let Some(x) = v.as_uint() {
-                    *s = s.wrapping_add(x.wrapping_mul((j - i) as u64));
-                }
-            }
-            _ => {
-                for r in i..j {
-                    if let Some(x) = argv.get(r).and_then(|v| v.as_uint()) {
-                        *s = s.wrapping_add(x);
-                    }
-                }
-            }
-        },
-        Acc::SumF(s) => match argv {
-            VecVal::Scalar(v) => {
-                if let Some(x) = v.as_float() {
-                    for _ in i..j {
-                        *s += x;
-                    }
-                }
-            }
-            _ => {
-                for r in i..j {
-                    if let Some(x) = argv.get(r).and_then(|v| v.as_float()) {
-                        *s += x;
-                    }
-                }
-            }
-        },
-        Acc::Min(_) | Acc::Max(_) => {
-            for r in i..j {
-                let v = argv.get(r);
-                acc.update(v.as_ref());
-            }
-        }
-    }
-}
-
 /// Sort closed groups so the flush attribute is nondecreasing in the
 /// output (the imputed ordering property of the aggregate's output),
 /// breaking flush-value ties by the full group key. The tie-break makes
 /// the emission order a *total* deterministic function of the group set
-/// rather than of hash-table iteration order — so a run restored from a
-/// checkpoint emits byte-for-byte what the uninterrupted run emits, and
-/// two runs over the same trace always agree.
+/// rather than of table layout — so a run restored from a checkpoint
+/// emits byte-for-byte what the uninterrupted run emits, and two runs
+/// over the same trace always agree. [`Slab::order`] is the same order
+/// over the slab's typed columns.
 fn sort_closed(closed: &mut [(Box<[Value]>, Vec<Acc>)], flush_idx: Option<usize>) {
     let key_cmp = |a: &[Value], b: &[Value]| {
         a.iter()
             .zip(b.iter())
             .map(|(x, y)| x.total_cmp(y))
             .find(|o| o.is_ne())
-            .unwrap_or(std::cmp::Ordering::Equal)
+            .unwrap_or(Ordering::Equal)
     };
     closed.sort_by(|(a, _), (b, _)| {
         let primary = match flush_idx {
             Some(i) => a[i].total_cmp(&b[i]),
-            None => std::cmp::Ordering::Equal,
+            None => Ordering::Equal,
         };
         primary.then_with(|| key_cmp(a, b))
     });
@@ -408,12 +323,416 @@ fn sort_closed(closed: &mut [(Box<[Value]>, Vec<Acc>)], flush_idx: Option<usize>
 // Exact aggregation (HFTA).
 // ---------------------------------------------------------------------
 
-/// Exact hash aggregation with ordered flushing.
+/// End of a collision chain.
+const NIL: u32 = u32::MAX;
+
+/// Flush value of a slot no close below a bound reaches: a free slot, or
+/// a group whose flush attribute has no integer value.
+const NEVER: u64 = u64::MAX;
+
+/// Whether `o` (a candidate against the current extreme) replaces it.
+fn beyond(max: bool, o: Ordering) -> bool {
+    if max {
+        o.is_gt()
+    } else {
+        o.is_lt()
+    }
+}
+
+/// Row `a` against row `b` of one column, by [`Value::total_cmp`].
+fn col_cmp(c: &Column, a: usize, b: usize) -> Ordering {
+    match c {
+        Column::UInt(v) => v[a].cmp(&v[b]),
+        Column::Ip(v) => v[a].cmp(&v[b]),
+        Column::Float(v) => v[a].total_cmp(&v[b]),
+        c => c.get(a).total_cmp(&c.get(b)),
+    }
+}
+
+/// A word whose order never contradicts [`col_cmp`]'s on column `c`:
+/// a smaller word is a smaller value, equal words may be either.
+fn order_word(c: &Column, s: usize) -> u64 {
+    match c {
+        Column::UInt(v) => v[s],
+        Column::Ip(v) => u64::from(v[s]),
+        Column::Bool(v) => u64::from(v[s]),
+        // `f64::total_cmp`'s order, as an unsigned word.
+        Column::Float(v) => {
+            let b = v[s].to_bits();
+            if b >> 63 == 1 {
+                !b
+            } else {
+                b | 1 << 63
+            }
+        }
+        // The first eight bytes, zero-padded.
+        Column::Str(v) => {
+            let mut w = [0u8; 8];
+            let n = v[s].len().min(8);
+            w[..n].copy_from_slice(&v[s][..n]);
+            u64::from_be_bytes(w)
+        }
+        Column::Val(_) => 0,
+    }
+}
+
+/// One aggregate's accumulators, one slot per group. Folding a run of
+/// rows into a slot is exactly [`Acc::update`] per row in order.
+enum AccCol {
+    /// `count`.
+    Count(Vec<u64>),
+    /// Integer sum (wrapping).
+    SumU(Vec<u64>),
+    /// Float sum.
+    SumF(Vec<f64>),
+    /// `min`, or `max` when `max` is set: the extreme so far, valid where
+    /// `seen` is.
+    Ext { max: bool, vals: Column, seen: Vec<bool> },
+}
+
+impl AccCol {
+    fn new(func: AggFunc, ty: DataType) -> AccCol {
+        let ext = |max| {
+            let vals = match ty {
+                DataType::Bool => Column::Bool(Vec::new()),
+                DataType::UInt => Column::UInt(Vec::new()),
+                DataType::Float => Column::Float(Vec::new()),
+                DataType::Ip => Column::Ip(Vec::new()),
+                DataType::Str => Column::Str(Vec::new()),
+            };
+            AccCol::Ext { max, vals, seen: Vec::new() }
+        };
+        match Acc::new(func, ty) {
+            Acc::Count(_) => AccCol::Count(Vec::new()),
+            Acc::SumU(_) => AccCol::SumU(Vec::new()),
+            Acc::SumF(_) => AccCol::SumF(Vec::new()),
+            Acc::Min(_) => ext(false),
+            Acc::Max(_) => ext(true),
+        }
+    }
+
+    /// Empty slot `s`; one past the last slot appends it.
+    fn reset(&mut self, s: usize) {
+        fn zero<T: Default>(v: &mut Vec<T>, s: usize) {
+            if s == v.len() {
+                v.push(T::default());
+            } else {
+                v[s] = T::default();
+            }
+        }
+        match self {
+            AccCol::Count(v) | AccCol::SumU(v) => zero(v, s),
+            AccCol::SumF(v) => zero(v, s),
+            AccCol::Ext { vals, seen, .. } => {
+                if s == seen.len() {
+                    // A placeholder of the column's own type.
+                    let filler = match vals {
+                        Column::Bool(_) => Value::Bool(false),
+                        Column::Float(_) => Value::Float(0.0),
+                        Column::Ip(_) => Value::Ip(0),
+                        Column::Str(_) => Value::Str(Bytes::new()),
+                        Column::UInt(_) | Column::Val(_) => Value::UInt(0),
+                    };
+                    vals.set(s, filler);
+                }
+                zero(seen, s);
+            }
+        }
+    }
+
+    /// Fold rows `i..j` of a vector-evaluated argument (`None` for
+    /// `count(*)`) into slot `s`. Integer sums use closed forms (wrapping
+    /// arithmetic distributes mod 2^64); float sums fold sequentially,
+    /// because float addition is not associative and the result must be
+    /// the row-at-a-time one bit for bit.
+    fn fold(&mut self, s: usize, argv: Option<&VecVal>, i: usize, j: usize) {
+        let Some(argv) = argv else {
+            if let AccCol::Count(c) = self {
+                c[s] += (j - i) as u64;
+            }
+            return;
+        };
+        match (self, argv) {
+            // count(expr): rows whose argument failed don't count.
+            (AccCol::Count(c), _) => c[s] += (i..j).filter(|&r| argv.valid(r)).count() as u64,
+            (AccCol::SumU(v), VecVal::Scalar(x)) => {
+                if let Some(x) = x.as_uint() {
+                    v[s] = v[s].wrapping_add(x.wrapping_mul((j - i) as u64));
+                }
+            }
+            (AccCol::SumU(v), VecVal::Col(Column::UInt(a), _)) => {
+                for r in (i..j).filter(|&r| argv.valid(r)) {
+                    v[s] = v[s].wrapping_add(a[r]);
+                }
+            }
+            (AccCol::SumU(v), _) => {
+                for x in (i..j).filter_map(|r| argv.get(r)?.as_uint()) {
+                    v[s] = v[s].wrapping_add(x);
+                }
+            }
+            (AccCol::SumF(v), VecVal::Scalar(x)) => {
+                if let Some(x) = x.as_float() {
+                    for _ in i..j {
+                        v[s] += x;
+                    }
+                }
+            }
+            (AccCol::SumF(v), VecVal::Col(Column::Float(a), _)) => {
+                for r in (i..j).filter(|&r| argv.valid(r)) {
+                    v[s] += a[r];
+                }
+            }
+            (AccCol::SumF(v), _) => {
+                for x in (i..j).filter_map(|r| argv.get(r)?.as_float()) {
+                    v[s] += x;
+                }
+            }
+            // The same value on every row: one fold is all of them.
+            (AccCol::Ext { max, vals, seen }, VecVal::Scalar(x)) => {
+                fold_ext(*max, vals, seen, s, x.clone());
+            }
+            (
+                AccCol::Ext { max, vals: Column::UInt(v), seen },
+                VecVal::Col(Column::UInt(a), _),
+            ) => {
+                for r in (i..j).filter(|&r| argv.valid(r)) {
+                    if !seen[s] || beyond(*max, a[r].cmp(&v[s])) {
+                        v[s] = a[r];
+                        seen[s] = true;
+                    }
+                }
+            }
+            (AccCol::Ext { max, vals, seen }, _) => {
+                for x in (i..j).filter_map(|r| argv.get(r)) {
+                    fold_ext(*max, vals, seen, s, x);
+                }
+            }
+        }
+    }
+
+    /// Slot `s` as an [`Acc`]: what a snapshot writes.
+    fn acc(&self, s: usize) -> Acc {
+        match self {
+            AccCol::Count(v) => Acc::Count(v[s]),
+            AccCol::SumU(v) => Acc::SumU(v[s]),
+            AccCol::SumF(v) => Acc::SumF(v[s]),
+            AccCol::Ext { max, vals, seen } => {
+                let m = seen[s].then(|| vals.get(s));
+                if *max {
+                    Acc::Max(m)
+                } else {
+                    Acc::Min(m)
+                }
+            }
+        }
+    }
+
+    /// Set the freshly reset slot `s` from a restored accumulator, which
+    /// must be of this aggregate's kind.
+    fn restore(&mut self, s: usize, acc: Acc) -> Result<(), SnapError> {
+        match (self, acc) {
+            (AccCol::Count(v), Acc::Count(x)) | (AccCol::SumU(v), Acc::SumU(x)) => v[s] = x,
+            (AccCol::SumF(v), Acc::SumF(x)) => v[s] = x,
+            (AccCol::Ext { max: false, vals, seen }, Acc::Min(m))
+            | (AccCol::Ext { max: true, vals, seen }, Acc::Max(m)) => {
+                if let Some(x) = m {
+                    vals.set(s, x);
+                    seen[s] = true;
+                }
+            }
+            (_, acc) => return Err(proto(format!("accumulator {acc:?} is not its aggregate's"))),
+        }
+        Ok(())
+    }
+
+    /// [`Acc::value`] of each of `slots`, in order, as one column.
+    fn column(&self, slots: &[u32]) -> Column {
+        let pick = |v: &[u64]| slots.iter().map(|&s| v[s as usize]).collect();
+        match self {
+            AccCol::Count(v) | AccCol::SumU(v) => Column::UInt(pick(v)),
+            AccCol::SumF(v) => Column::Float(slots.iter().map(|&s| v[s as usize]).collect()),
+            AccCol::Ext { vals, seen, .. } if slots.iter().all(|&s| seen[s as usize]) => {
+                vals.gather_rows(slots)
+            }
+            ext => {
+                let vals = slots.iter().map(|&s| Some(ext.acc(s as usize).value())).collect();
+                VecVal::from_rows(vals).into_column(None, slots.len())
+            }
+        }
+    }
+}
+
+/// Fold one value into a min/max slot: it replaces the extreme when
+/// [`Value::total_cmp`] puts it strictly beyond.
+fn fold_ext(max: bool, vals: &mut Column, seen: &mut [bool], s: usize, x: Value) {
+    if !seen[s] || beyond(max, x.total_cmp(&vals.get(s))) {
+        vals.set(s, x);
+        seen[s] = true;
+    }
+}
+
+/// The open groups of an exact aggregation. A group is a slot: its key
+/// is row `s` of one typed column per group expression, its
+/// accumulators slot `s` of one [`AccCol`] per aggregate, and a closed
+/// group's slot goes to the next new group. The index maps a seeded hash
+/// of the typed key to the newest slot with that hash; slots whose keys
+/// share all 64 bits chain through `next`, and [`key_eq`] — equality by
+/// [`Value::total_cmp`] — tells them apart.
+struct Slab {
+    seed: u64,
+    keys: Vec<Column>,
+    accs: Vec<AccCol>,
+    hash: Vec<u64>,
+    next: Vec<u32>,
+    /// Flush value per slot: [`NEVER`] for a free slot or a group
+    /// without one.
+    flush: Vec<u64>,
+    live: Vec<bool>,
+    free: Vec<u32>,
+    index: HashIndex<u32>,
+    /// Groups open.
+    open: usize,
+    /// No open group has a smaller flush value.
+    min_flush: u64,
+}
+
+impl Slab {
+    fn new(core: &AggCore) -> Slab {
+        Slab {
+            seed: keyhash::seed(),
+            keys: Vec::new(),
+            accs: core.aggs.iter().map(|(f, _, ty)| AccCol::new(*f, *ty)).collect(),
+            hash: Vec::new(),
+            next: Vec::new(),
+            flush: Vec::new(),
+            live: Vec::new(),
+            free: Vec::new(),
+            index: HashIndex::default(),
+            open: 0,
+            min_flush: NEVER,
+        }
+    }
+
+    /// The open group whose key is row `r` of `keys`, hashing to `h`.
+    fn find(&self, h: u64, keys: &[Column], r: usize) -> Option<usize> {
+        let mut s = *self.index.get(&h)? as usize;
+        loop {
+            if self.keys.iter().zip(keys).all(|(mine, k)| key_eq(mine, s, k, r)) {
+                return Some(s);
+            }
+            s = match self.next[s] {
+                NIL => return None,
+                next => next as usize,
+            };
+        }
+    }
+
+    /// Open a group keyed by row `r` of `keys`, with empty accumulators,
+    /// in a freed slot or else a new one past the end.
+    fn insert(&mut self, h: u64, keys: &[Column], r: usize, flush: Option<u64>) -> usize {
+        let s = match self.free.pop() {
+            Some(s) => s as usize,
+            None => {
+                self.hash.push(0);
+                self.next.push(NIL);
+                self.flush.push(NEVER);
+                self.live.push(false);
+                self.hash.len() - 1
+            }
+        };
+        if self.keys.is_empty() {
+            // The key columns take the types of the first key's.
+            self.keys = keys.iter().map(|k| k.gather_rows(&[])).collect();
+        }
+        for (mine, k) in self.keys.iter_mut().zip(keys) {
+            mine.set_from(s, k, r);
+        }
+        self.hash[s] = h;
+        self.next[s] = self.index.insert(h, s as u32).unwrap_or(NIL);
+        self.flush[s] = flush.unwrap_or(NEVER);
+        self.live[s] = true;
+        self.open += 1;
+        self.min_flush = self.min_flush.min(self.flush[s]);
+        for a in &mut self.accs {
+            a.reset(s);
+        }
+        s
+    }
+
+    /// Close the group in slot `s`: no lookup finds it again. The slot is
+    /// freed once its row has been emitted.
+    fn unlink(&mut self, s: usize) {
+        let Entry::Occupied(mut head) = self.index.entry(self.hash[s]) else {
+            unreachable!("an open group is indexed");
+        };
+        let after = self.next[s];
+        if *head.get() as usize == s {
+            if after == NIL {
+                head.remove();
+            } else {
+                head.insert(after);
+            }
+        } else {
+            let mut p = *head.get() as usize;
+            while self.next[p] as usize != s {
+                p = self.next[p] as usize;
+            }
+            self.next[p] = after;
+        }
+        self.live[s] = false;
+        self.flush[s] = NEVER;
+        self.open -= 1;
+    }
+
+    /// Slot `a` against slot `b` in emission order: flush value first,
+    /// then the full key, by [`Value::total_cmp`] (the order
+    /// [`sort_closed`] gives boxed keys).
+    fn order(&self, flush_idx: Option<usize>, a: usize, b: usize) -> Ordering {
+        let by = |c: &Column| col_cmp(c, a, b);
+        flush_idx.map_or(Ordering::Equal, |f| by(&self.keys[f])).then_with(|| {
+            self.keys.iter().map(by).find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+        })
+    }
+
+    /// Put `slots` in emission order: by a two-word prefix of the order
+    /// — the flush column's word, then the first other key column's —
+    /// and by [`order`](Slab::order) only where the prefixes tie.
+    fn sort(&self, slots: &mut [u32], flush_idx: Option<usize>) {
+        let word = |c: Option<&Column>, s| c.map_or(0, |c| order_word(c, s));
+        let first = flush_idx.and_then(|f| self.keys.get(f));
+        let second = (0..self.keys.len()).find(|&k| Some(k) != flush_idx).map(|k| &self.keys[k]);
+        let mut tagged: Vec<(u64, u64, u32)> = slots
+            .iter()
+            .map(|&s| (word(first, s as usize), word(second, s as usize), s))
+            .collect();
+        tagged.sort_unstable_by(|a, b| {
+            (a.0, a.1)
+                .cmp(&(b.0, b.1))
+                .then_with(|| self.order(flush_idx, a.2 as usize, b.2 as usize))
+        });
+        for (slot, t) in slots.iter_mut().zip(tagged) {
+            *slot = t.2;
+        }
+    }
+
+    /// Every open group, in emission order.
+    fn open_sorted(&self, flush_idx: Option<usize>) -> Vec<u32> {
+        let mut slots: Vec<u32> =
+            (0..self.live.len() as u32).filter(|&s| self.live[s as usize]).collect();
+        self.sort(&mut slots, flush_idx);
+        slots
+    }
+}
+
+/// Exact aggregation with ordered flushing.
 pub struct GroupAggregator {
     core: AggCore,
-    groups: HashMap<Box<[Value]>, Vec<Acc>>,
+    slab: Slab,
     watermark: Option<u64>,
     scratch: EvalScratch,
+    /// Slots closed by the current call, in emission order; freed once
+    /// [`take_closed`](Self::take_closed) has emitted them.
+    closed: Vec<u32>,
     /// Groups emitted so far.
     pub emitted: u64,
     /// Peak number of simultaneously open groups.
@@ -424,10 +743,11 @@ impl GroupAggregator {
     /// Build an exact aggregator.
     pub fn new(core: AggCore) -> GroupAggregator {
         GroupAggregator {
+            slab: Slab::new(&core),
             core,
-            groups: HashMap::new(),
             watermark: None,
             scratch: EvalScratch::default(),
+            closed: Vec::new(),
             emitted: 0,
             peak_groups: 0,
         }
@@ -435,68 +755,163 @@ impl GroupAggregator {
 
     /// Fold one input record.
     pub fn update<S: FieldSource>(&mut self, src: &S, out: &mut Vec<StreamItem>) {
-        let Some(key) = self.core.eval_key(src, &mut self.scratch) else { return };
-        if let Some(v) = self.core.flush_value(&key) {
-            if self.watermark.is_none_or(|w| v > w) {
-                self.watermark = Some(v);
-                self.close_below(v.saturating_sub(self.core.slack), out);
-            }
-        }
-        let accs = self.groups.entry(key).or_insert_with(|| self.core.fresh_accs());
-        self.core.update_accs(accs, src, &mut self.scratch);
-        self.peak_groups = self.peak_groups.max(self.groups.len());
+        let scratch = &mut self.scratch;
+        let mut one = |p: &Program| VecVal::from_rows(vec![p.eval(src, scratch)]);
+        let keys = self.core.group_progs.iter().map(&mut one).collect();
+        let args: Vec<Option<VecVal>> =
+            self.core.aggs.iter().map(|(_, arg, _)| arg.as_ref().map(&mut one)).collect();
+        self.fold(keys, &args, 1);
+        out.extend(self.take_closed().into_items(None));
     }
 
-    /// Punctuation: future flush values are `>= bound`; close groups below.
-    pub fn advance_bound(&mut self, bound: u64, out: &mut Vec<StreamItem>) {
-        self.close_below(bound, out);
-    }
-
-    fn close_below(&mut self, bound: u64, out: &mut Vec<StreamItem>) {
-        if self.core.flush_idx.is_none() {
+    /// Fold every live row of `cols`. Group keys and aggregate arguments
+    /// are evaluated once for the whole batch — by vector kernel, or row
+    /// by row for a program without one.
+    fn fold_batch(&mut self, cols: &ColumnBatch) {
+        let n = cols.n_rows();
+        if n == 0 {
             return;
         }
-        let mut closed: Vec<(Box<[Value]>, Vec<Acc>)> = Vec::new();
-        self.groups.retain(|key, accs| {
-            let keep = self
-                .core
-                .flush_value(key)
-                .is_none_or(|gv| gv >= bound);
-            if !keep {
-                closed.push((key.clone(), std::mem::take(accs)));
+        let scratch = &mut self.scratch;
+        let keys = self.core.group_progs.iter().map(|p| p.eval_vec_or_rows(cols, scratch)).collect();
+        let args: Vec<Option<VecVal>> = self
+            .core
+            .aggs
+            .iter()
+            .map(|(_, arg, _)| arg.as_ref().map(|p| p.eval_vec_or_rows(cols, scratch)))
+            .collect();
+        self.fold(keys, &args, n);
+    }
+
+    /// Fold `n` rows of evaluated keys and arguments. A row whose key
+    /// failed to evaluate is skipped; runs of adjacent rows with equal
+    /// keys — network streams have strong temporal locality — pay one
+    /// group lookup and fold their argument slices in per-column loops.
+    fn fold(&mut self, keys: Vec<VecVal>, args: &[Option<VecVal>], n: usize) {
+        let mut valid: Option<Vec<bool>> = None;
+        let keys: Vec<Column> = keys
+            .into_iter()
+            .map(|k| match k {
+                VecVal::Scalar(v) => Column::broadcast(&v, n),
+                VecVal::Col(c, mask) => {
+                    if let Some(m) = mask {
+                        valid = Some(match valid.take() {
+                            None => m,
+                            Some(v) => v.iter().zip(&m).map(|(a, b)| *a && *b).collect(),
+                        });
+                    }
+                    c
+                }
+            })
+            .collect();
+        let ok = |r: usize| valid.as_ref().is_none_or(|v| v[r]);
+        let hash = hash_rows(self.slab.seed, &keys, n, |r| r);
+        let mut i = 0;
+        while i < n {
+            if !ok(i) {
+                i += 1;
+                continue;
             }
-            keep
-        });
-        sort_closed(&mut closed, self.core.flush_idx);
-        for (key, accs) in closed {
-            self.emitted += 1;
-            AggCore::emit(&key, &accs, out);
+            let mut j = i + 1;
+            while j < n
+                && ok(j)
+                && hash[j] == hash[i]
+                && keys.iter().all(|k| key_eq(k, i, k, j))
+            {
+                j += 1;
+            }
+            // Every row of the run shares the flush value, so one check
+            // covers the run.
+            let flush = self.core.flush_idx.and_then(|f| keys[f].uint(i));
+            if let Some(v) = flush {
+                if self.watermark.is_none_or(|w| v > w) {
+                    self.watermark = Some(v);
+                    self.close_below(v.saturating_sub(self.core.slack));
+                }
+            }
+            let s = match self.slab.find(hash[i], &keys, i) {
+                Some(s) => s,
+                None => self.slab.insert(hash[i], &keys, i, flush),
+            };
+            for (acc, argv) in self.slab.accs.iter_mut().zip(args) {
+                acc.fold(s, argv.as_ref(), i, j);
+            }
+            self.peak_groups = self.peak_groups.max(self.slab.open);
+            i = j;
         }
+    }
+
+    /// Close every group whose flush value is below `bound`: one scan of
+    /// the flush-value column, skipped when no open group is below.
+    fn close_below(&mut self, bound: u64) {
+        if self.core.flush_idx.is_none() || self.slab.min_flush >= bound {
+            return;
+        }
+        let mut closed = Vec::new();
+        let mut min = NEVER;
+        for (s, &f) in self.slab.flush.iter().enumerate() {
+            if f < bound {
+                closed.push(s as u32);
+            } else {
+                min = min.min(f);
+            }
+        }
+        self.slab.min_flush = min;
+        self.slab.sort(&mut closed, self.core.flush_idx);
+        self.close(closed);
+    }
+
+    /// Close `slots`, given in emission order, queueing them for
+    /// emission.
+    fn close(&mut self, slots: Vec<u32>) {
+        for &s in &slots {
+            self.slab.unlink(s as usize);
+        }
+        self.emitted += slots.len() as u64;
+        self.closed.extend(slots);
+    }
+
+    /// The groups closed since the last call as one batch — key columns,
+    /// then one column per aggregate — and their slots freed.
+    fn take_closed(&mut self) -> ColumnBatch {
+        if self.closed.is_empty() {
+            return ColumnBatch::default();
+        }
+        let slots = std::mem::take(&mut self.closed);
+        let keys = self.slab.keys.iter().map(|k| k.gather_rows(&slots));
+        let accs = self.slab.accs.iter().map(|a| a.column(&slots));
+        let batch = ColumnBatch::from_columns(keys.chain(accs).collect());
+        self.slab.free.extend(slots);
+        batch
     }
 
     /// Flush everything (end of stream).
     pub fn finish(&mut self, out: &mut Vec<StreamItem>) {
-        let mut closed: Vec<(Box<[Value]>, Vec<Acc>)> = self.groups.drain().collect();
-        sort_closed(&mut closed, self.core.flush_idx);
-        for (key, accs) in closed {
-            self.emitted += 1;
-            AggCore::emit(&key, &accs, out);
-        }
+        let open = self.slab.open_sorted(self.core.flush_idx);
+        self.slab.min_flush = NEVER;
+        self.close(open);
+        out.extend(self.take_closed().into_items(None));
     }
 
     /// Currently open groups.
     pub fn open_groups(&self) -> usize {
-        self.groups.len()
+        self.slab.open
     }
 
-    /// Serialize the open-group table, watermark, and emission counters.
-    /// Only called at a quiescent point, so there is no hot entry to
-    /// spill (see `spill_hot`: the hot entry exists only *within* one
-    /// `push_batch`/`push_cols` call).
+    /// Serialize the open groups in emission order — so the bytes are a
+    /// function of the open-group set — then the watermark and the
+    /// emission counters. Only called at a quiescent point, with no
+    /// closed group waiting to be emitted.
     pub fn snapshot_into(&self, w: &mut SnapWriter) {
-        w.put_u32(self.groups.len() as u32);
-        for (key, accs) in &self.groups {
-            snap_group(w, key, accs);
+        let open = self.slab.open_sorted(self.core.flush_idx);
+        w.put_u32(open.len() as u32);
+        for s in open {
+            let s = s as usize;
+            snap_group(
+                w,
+                self.slab.keys.iter().map(|c| c.get(s)),
+                self.slab.accs.iter().map(|a| a.acc(s)),
+            );
         }
         w.put_opt_u64(self.watermark);
         w.put_u64(self.emitted);
@@ -506,16 +921,21 @@ impl GroupAggregator {
     /// Restore state written by [`snapshot_into`](Self::snapshot_into).
     pub fn restore_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = r.get_count(4)?;
-        self.groups.clear();
-        self.groups.reserve(n);
+        self.slab = Slab::new(&self.core);
+        self.closed.clear();
         for _ in 0..n {
             let (key, accs) = read_group(r, &self.core)?;
-            self.groups.insert(key, accs);
+            let keys: Vec<Column> = key.iter().map(|v| Column::broadcast(v, 1)).collect();
+            let h = hash_rows(self.slab.seed, &keys, 1, |i| i)[0];
+            let s = self.slab.insert(h, &keys, 0, self.core.flush_value(&key));
+            for (col, acc) in self.slab.accs.iter_mut().zip(accs) {
+                col.restore(s, acc)?;
+            }
         }
         self.watermark = r.get_opt_u64()?;
         self.emitted = r.get_u64()?;
         self.peak_groups = r.get_u64()? as usize;
-        self.peak_groups = self.peak_groups.max(self.groups.len());
+        self.peak_groups = self.peak_groups.max(self.slab.open);
         Ok(())
     }
 }
@@ -556,165 +976,44 @@ impl AggregateOp {
     pub fn aggregator(&self) -> &GroupAggregator {
         &self.inner
     }
-}
 
-impl AggregateOp {
-    fn push_punct(&mut self, p: &Punct, out: &mut Vec<StreamItem>) {
+    /// Fold a batch, then its punctuation rider. Returns the groups both
+    /// closed, as one batch, and the rider translated to the output.
+    fn step(&mut self, cols: ColumnBatch, punct: Option<Punct>) -> (ColumnBatch, Option<Punct>) {
+        self.batches += 1;
+        self.tuples_in += cols.n_rows() as u64;
+        self.inner.fold_batch(&cols);
+        let rider = punct.and_then(|p| self.close_at(&p));
+        (self.inner.take_closed(), rider)
+    }
+
+    /// Punctuation: future flush values are `>= bound`, so the groups
+    /// below it close, and the bound is forwarded on the output flush
+    /// column.
+    fn close_at(&mut self, p: &Punct) -> Option<Punct> {
         self.puncts += 1;
-        if let Some((col, div)) = self.punct_in {
-            if p.col == col {
-                if let Some(v) = p.low.as_uint() {
-                    let bound = v / div.max(1);
-                    self.inner.advance_bound(bound, out);
-                    if let Some(oc) = self.punct_out {
-                        out.push(StreamItem::Punct(Punct::new(oc, Value::UInt(bound))));
-                    }
-                }
-            }
-        }
+        let (_, div) = self.punct_in.filter(|&(col, _)| col == p.col)?;
+        let bound = p.low.as_uint()? / div.max(1);
+        self.inner.close_below(bound);
+        Some(Punct::new(self.punct_out?, Value::UInt(bound)))
     }
 }
 
 impl Operator for AggregateOp {
-    /// Batched aggregation holds the current group's accumulators out of
-    /// the hash table between consecutive tuples: network streams have
-    /// strong temporal locality (the property the paper's direct-mapped
-    /// LFTA table exploits, §3), so runs of equal keys pay one table
-    /// lookup instead of one per tuple.
+    /// Rows are cut into batches at each punctuation and take the
+    /// columnar path.
     fn push_batch(&mut self, _port: usize, items: Vec<StreamItem>, out: &mut Vec<StreamItem>) {
-        // See `spill_hot`: the hot entry is spilled back into the table
-        // before anything that inspects the whole group set.
-        self.batches += 1;
-        let mut hot: Option<(Box<[Value]>, Vec<Acc>)> = None;
-        let mut keybuf: Vec<Value> = Vec::new();
-        for item in items {
-            match item {
-                StreamItem::Tuple(t) => {
-                    self.tuples_in += 1;
-                    let agg = &mut self.inner;
-                    if !agg.core.eval_key_into(&t, &mut agg.scratch, &mut keybuf) {
-                        continue;
-                    }
-                    if let Some(v) = agg.core.flush_value(&keybuf) {
-                        if agg.watermark.is_none_or(|w| v > w) {
-                            agg.watermark = Some(v);
-                            spill_hot(&mut agg.groups, &mut hot);
-                            agg.close_below(v.saturating_sub(agg.core.slack), out);
-                        }
-                    }
-                    if hot.as_ref().is_none_or(|(k, _)| k.as_ref() != keybuf.as_slice()) {
-                        spill_hot(&mut agg.groups, &mut hot);
-                        let key: Box<[Value]> = keybuf.clone().into_boxed_slice();
-                        let accs = agg
-                            .groups
-                            .remove(&key)
-                            .unwrap_or_else(|| agg.core.fresh_accs());
-                        hot = Some((key, accs));
-                    }
-                    let (_, accs) = hot.as_mut().expect("hot entry set above");
-                    agg.core.update_accs(accs, &t, &mut agg.scratch);
-                    agg.peak_groups = agg.peak_groups.max(agg.groups.len() + 1);
-                }
-                StreamItem::Punct(p) => {
-                    spill_hot(&mut self.inner.groups, &mut hot);
-                    self.push_punct(&p, out);
-                }
-            }
+        for (cb, punct) in ColumnBatch::from_items(items) {
+            let (cb, punct) = self.step(cb, punct);
+            out.extend(cb.into_items(punct));
         }
-        spill_hot(&mut self.inner.groups, &mut hot);
     }
 
-    /// Columnar aggregation: group keys and aggregate arguments are
-    /// vector-evaluated once for the whole batch, then runs of equal
-    /// keys (network streams have strong temporal locality) each pay one
-    /// hot-entry check and fold their argument slices with per-column
-    /// loops. The hot-entry spill invariant (`spill_hot`) is identical
-    /// to the row path's.
+    /// The closed groups leave as one columnar batch with the translated
+    /// punctuation as its rider.
     fn push_cols(&mut self, cols: ColumnBatch, punct: Option<Punct>) -> ColStep {
-        let keys: Option<Vec<VecVal>> = {
-            let core = &self.inner.core;
-            core.group_progs.iter().map(|p| p.eval_vec(&cols)).collect()
-        };
-        let args: Option<Vec<Option<VecVal>>> = {
-            let core = &self.inner.core;
-            core.aggs
-                .iter()
-                .map(|(_, arg, _)| match arg {
-                    None => Some(None),
-                    Some(p) => p.eval_vec(&cols).map(Some),
-                })
-                .collect()
-        };
-        let (Some(keys), Some(args)) = (keys, args) else {
-            // A program without a vector kernel: whole batch via rows.
-            let mut out = Vec::new();
-            self.push_batch(0, cols.into_items(punct), &mut out);
-            return ColStep::Rows(out);
-        };
-        self.batches += 1;
-        let n = cols.n_rows();
-        self.tuples_in += n as u64;
-        let mut out = Vec::new();
-        let mut hot: Option<(Box<[Value]>, Vec<Acc>)> = None;
-        {
-            let agg = &mut self.inner;
-            let mut i = 0;
-            while i < n {
-                // A row whose key failed to evaluate is skipped, exactly
-                // like the row path's `eval_key_into` miss.
-                if !keys.iter().all(|k| k.valid(i)) {
-                    i += 1;
-                    continue;
-                }
-                // Extend the run of adjacent rows with this key.
-                let mut j = i + 1;
-                while j < n
-                    && keys.iter().all(|k| k.valid(j))
-                    && keys.iter().all(|k| k.rows_eq(i, j))
-                {
-                    j += 1;
-                }
-                // Watermark advance: every row of the run shares the
-                // flush value, so one check covers the run.
-                let fv = agg
-                    .core
-                    .flush_idx
-                    .and_then(|fi| keys[fi].get(i))
-                    .and_then(|v| v.as_uint());
-                if let Some(v) = fv {
-                    if agg.watermark.is_none_or(|w| v > w) {
-                        agg.watermark = Some(v);
-                        spill_hot(&mut agg.groups, &mut hot);
-                        agg.close_below(v.saturating_sub(agg.core.slack), &mut out);
-                    }
-                }
-                let differs = hot.as_ref().is_none_or(|(k, _)| {
-                    k.iter().zip(&keys).any(|(kv, col)| col.get(i).as_ref() != Some(kv))
-                });
-                if differs {
-                    spill_hot(&mut agg.groups, &mut hot);
-                    let key: Box<[Value]> = keys
-                        .iter()
-                        .map(|k| k.get(i).expect("validity checked above"))
-                        .collect::<Vec<_>>()
-                        .into_boxed_slice();
-                    let accs =
-                        agg.groups.remove(&key).unwrap_or_else(|| agg.core.fresh_accs());
-                    hot = Some((key, accs));
-                }
-                let (_, accs) = hot.as_mut().expect("hot entry set above");
-                for (acc, argv) in accs.iter_mut().zip(&args) {
-                    fold_run(acc, argv.as_ref(), i, j);
-                }
-                agg.peak_groups = agg.peak_groups.max(agg.groups.len() + 1);
-                i = j;
-            }
-            spill_hot(&mut agg.groups, &mut hot);
-        }
-        if let Some(p) = punct {
-            self.push_punct(&p, &mut out);
-        }
-        ColStep::Rows(out)
+        let (cb, punct) = self.step(cols, punct);
+        ColStep::Cols(cb, punct)
     }
 
     fn finish(&mut self, out: &mut Vec<StreamItem>) {
@@ -897,7 +1196,7 @@ impl DirectMappedAggregator {
         for (i, s) in self.slots.iter().enumerate() {
             if let Some(slot) = s {
                 w.put_u32(i as u32);
-                snap_group(w, &slot.key, &slot.accs);
+                snap_group(w, slot.key.iter().cloned(), slot.accs.iter().cloned());
             }
         }
         w.put_opt_u64(self.watermark);
@@ -1057,13 +1356,21 @@ mod tests {
         ));
     }
 
+    /// The closed groups and the translated rider of a columnar push.
+    fn cols_out(step: ColStep) -> Vec<StreamItem> {
+        let ColStep::Cols(cb, punct) = step else {
+            panic!("aggregation output is columnar");
+        };
+        cb.into_items(punct)
+    }
+
     #[test]
     fn push_cols_matches_push_batch() {
         use crate::batch::ColumnBatch;
         // Runs of equal keys, key changes, flush advances, and a trailing
-        // punctuation: one row batch, the same rows split in two (the
-        // hot-entry spill at the seam), and a columnar batch with the
-        // punctuation as its rider must all aggregate identically.
+        // punctuation: one row batch, the same rows split in two, and a
+        // columnar batch with the punctuation as its rider must all
+        // aggregate identically.
         let mk = || AggregateOp::new(GroupAggregator::new(core()), Some((0, 1)), Some(0));
         let tuples: Vec<Tuple> = [
             (1u64, 5u64),
@@ -1100,9 +1407,7 @@ mod tests {
 
         let mut col_op = mk();
         let cb = ColumnBatch::from_tuples(&tuples);
-        let ColStep::Rows(mut col_out) = col_op.push_cols(cb, Some(punct)) else {
-            panic!("aggregation output is row-shaped");
-        };
+        let mut col_out = cols_out(col_op.push_cols(cb, Some(punct)));
         col_op.finish(&mut col_out);
 
         for (what, op, out) in [("split", &split_op, &split_out), ("columnar", &col_op, &col_out)] {
@@ -1113,17 +1418,13 @@ mod tests {
     }
 
     #[test]
-    fn punct_mid_batch_spills_hot_group() {
+    fn punct_mid_batch_closes_the_run_before_it() {
         use crate::batch::ColumnBatch;
-        // The hot-entry seam (satellite regression): a punctuation token
-        // lands mid-batch while a hot group's accumulators live outside
-        // the table. The flush must see the full pre-punct accumulation —
-        // if the hot entry is not spilled first, the group either
-        // survives its own close or is emitted with missing rows.
+        // A punctuation token lands right after a run of one key: the
+        // flush must see the whole run, and the key's next rows must
+        // open a fresh group rather than resurrect the closed one.
         let mk = || AggregateOp::new(GroupAggregator::new(core()), Some((0, 1)), Some(0));
 
-        // Key 5 is hot (a run), the punct closes bucket 5, then key 5
-        // resumes — which must open a FRESH group, not resurrect state.
         let head: Vec<StreamItem> = [(5u64, 1u64), (5, 2), (5, 4)]
             .iter()
             .map(|&(a, b)| StreamItem::Tuple(tup(&[a, b])))
@@ -1132,7 +1433,7 @@ mod tests {
         let tail: Vec<StreamItem> =
             [(5u64, 100u64), (5, 200)].iter().map(|&(a, b)| StreamItem::Tuple(tup(&[a, b]))).collect();
 
-        // Row path: one batch interleaving punct between the runs.
+        // Row items: one batch interleaving punct between the runs.
         let mut op = mk();
         let mut out = Vec::new();
         let items: Vec<StreamItem> = head
@@ -1143,30 +1444,104 @@ mod tests {
             .collect();
         op.push_batch(0, items, &mut out);
         // The punct must have closed group 5 with all three head rows.
-        assert_eq!(as_rows(&out), vec![vec![5, 3, 7]], "flush sees the hot run");
+        assert_eq!(as_rows(&out), vec![vec![5, 3, 7]], "flush sees the whole run");
         assert_eq!(op.aggregator().open_groups(), 1, "resumed key 5 is a fresh group");
         out.clear();
         op.finish(&mut out);
         assert_eq!(as_rows(&out), vec![vec![5, 2, 300]]);
 
-        // Columnar path: punct rides after the head batch, tail follows.
+        // Columnar: punct rides after the head batch, tail follows.
         let mut op = mk();
         let head_t: Vec<Tuple> = [(5u64, 1u64), (5, 2), (5, 4)].iter().map(|&(a, b)| tup(&[a, b])).collect();
         let tail_t: Vec<Tuple> =
             [(5u64, 100u64), (5, 200)].iter().map(|&(a, b)| tup(&[a, b])).collect();
-        let ColStep::Rows(mut out) =
-            op.push_cols(ColumnBatch::from_tuples(&head_t), Some(punct))
-        else {
-            panic!("row-shaped");
-        };
-        assert_eq!(as_rows(&out), vec![vec![5, 3, 7]], "columnar flush sees the hot run");
-        let ColStep::Rows(more) = op.push_cols(ColumnBatch::from_tuples(&tail_t), None) else {
-            panic!("row-shaped");
-        };
-        out.extend(more);
+        let mut out = cols_out(op.push_cols(ColumnBatch::from_tuples(&head_t), Some(punct)));
+        assert_eq!(as_rows(&out), vec![vec![5, 3, 7]], "columnar flush sees the whole run");
+        out.extend(cols_out(op.push_cols(ColumnBatch::from_tuples(&tail_t), None)));
         assert_eq!(op.aggregator().open_groups(), 1);
         op.finish(&mut out);
         assert_eq!(as_rows(&out)[1..], [vec![5, 2, 300]]);
+    }
+
+    /// A group key is equal to another exactly when `Value::total_cmp`
+    /// says so: every NaN of one bit pattern is one group, whether its
+    /// rows come as a run or interleaved, while −0.0 and +0.0 stay two.
+    #[test]
+    fn nan_keys_are_one_group_and_signed_zeros_two() {
+        let fprog = |i| {
+            Program::compile(
+                &PExpr::Col { index: i, ty: DataType::Float },
+                &ParamBindings::new(),
+                &UdfRegistry::with_builtins(),
+                &FileStore::new(),
+            )
+            .unwrap()
+        };
+        let core = AggCore::new(
+            vec![fprog(0)],
+            vec![(AggFunc::Count, None, DataType::UInt)],
+            None,
+            0,
+        );
+        let mut op = AggregateOp::new(GroupAggregator::new(core), None, None);
+        let row = |k: f64| StreamItem::Tuple(Tuple::new(vec![Value::Float(k)]));
+        let nan = f64::NAN;
+        let items = vec![
+            row(nan),
+            row(nan),
+            row(nan),
+            row(nan), // a run of four
+            row(-0.0),
+            row(nan),
+            row(0.0),
+            row(nan), // two more, interleaved
+        ];
+        let mut out = Vec::new();
+        op.push_batch(0, items, &mut out);
+        op.finish(&mut out);
+        let groups: Vec<(u64, u64)> = out
+            .iter()
+            .filter_map(|i| i.as_tuple())
+            .map(|t| (t.get(0).as_float().unwrap().to_bits(), t.get(1).as_uint().unwrap()))
+            .collect();
+        assert_eq!(
+            groups,
+            vec![((-0.0f64).to_bits(), 1), (0.0f64.to_bits(), 1), (nan.to_bits(), 6)],
+            "in total_cmp order: -0.0, +0.0, NaN"
+        );
+    }
+
+    /// `UInt(2^53)` and `UInt(2^53 + 1)` widen to the same `f64`, so
+    /// their key words — and with one key column, their hashes — are
+    /// equal: a real collision, which the key compare must resolve, and
+    /// closing one of the pair must leave the other findable.
+    #[test]
+    fn colliding_key_hashes_stay_two_groups() {
+        let (a, b) = (1u64 << 53, (1u64 << 53) + 1);
+        assert_eq!(a as f64, b as f64);
+        // Group and flush on the colliding column, with slack 1 so both
+        // stay open until the watermark passes b.
+        let core = AggCore::new(
+            vec![prog(0)],
+            vec![
+                (AggFunc::Count, None, DataType::UInt),
+                (AggFunc::Sum, Some(prog(1)), DataType::UInt),
+            ],
+            Some(0),
+            1,
+        );
+        let mut op = AggregateOp::new(GroupAggregator::new(core), None, None);
+        let mut out = Vec::new();
+        for (k, v) in [(b, 10), (a, 1), (b, 100), (a, 1000)] {
+            op.push_batch(0, vec![StreamItem::Tuple(tup(&[k, v]))], &mut out);
+        }
+        assert_eq!(op.aggregator().open_groups(), 2);
+        // The watermark reaches b + 1: only a closes.
+        op.push_batch(0, vec![StreamItem::Tuple(tup(&[b + 1, 0]))], &mut out);
+        assert_eq!(as_rows(&out), vec![vec![a, 2, 1001]]);
+        op.push_batch(0, vec![StreamItem::Tuple(tup(&[b, 5]))], &mut out);
+        op.finish(&mut out);
+        assert_eq!(as_rows(&out), vec![vec![a, 2, 1001], vec![b, 3, 115], vec![b + 1, 1, 0]]);
     }
 
     #[test]

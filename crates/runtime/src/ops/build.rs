@@ -351,6 +351,9 @@ impl HftaNode {
     ) -> Option<(ColumnBatch, Option<Punct>)> {
         for i in 0..self.chain.len() {
             match self.chain[i].push_cols(cur, rider) {
+                // Nothing left for the stages above (an aggregate that
+                // closed no group).
+                ColStep::Cols(cb, None) if cb.is_empty() => return None,
                 ColStep::Cols(cb, p) => {
                     cur = cb;
                     rider = p;

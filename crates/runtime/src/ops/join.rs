@@ -22,15 +22,14 @@
 
 use crate::batch::{Column, ColumnBatch};
 use crate::expr::{EvalScratch, Program};
+use crate::ops::keyhash::{self, hash_rows, key_eq, HashIndex};
 use crate::ops::merge::Runs;
 use crate::ops::select::{filter, project};
 use crate::punct::Punct;
 use crate::snapshot::{proto, rows_batch, SnapError, SnapReader, SnapWriter};
 use crate::stats::OpCounters;
-use crate::value::Value;
-use std::collections::hash_map::{Entry, RandomState};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Configuration of a window join.
@@ -108,22 +107,6 @@ struct Chain {
     tail: RowId,
 }
 
-/// The key hash is mixed already; the index uses it as is.
-#[derive(Default)]
-struct PassThrough(u64);
-
-impl Hasher for PassThrough {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        self.0 = bytes.iter().fold(self.0, |h, &b| mix(h, u64::from(b)));
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
 /// One side's buffer: a ring of fed batches plus the key-hash index over
 /// their rows. A chain is insertion-ordered and only ever loses its
 /// oldest rows, so links never dangle.
@@ -136,7 +119,7 @@ struct Side {
     chunks: VecDeque<Chunk>,
     /// Chunk number of `chunks[0]`.
     front: u64,
-    index: HashMap<u64, Chain, BuildHasherDefault<PassThrough>>,
+    index: HashIndex<Chain>,
     /// Window GC horizon: a row whose ordered value is below it can match
     /// no future row of the other side, so probes skip it at once.
     horizon: i128,
@@ -155,7 +138,7 @@ impl Side {
             seed,
             chunks: VecDeque::new(),
             front: 0,
-            index: HashMap::default(),
+            index: HashIndex::default(),
             horizon: i128::MIN,
             watermark: None,
             done: false,
@@ -166,15 +149,7 @@ impl Side {
 
     /// The key hash of every live row of `cb`.
     fn hashes(&self, cb: &ColumnBatch) -> Vec<u64> {
-        let mut h = vec![self.seed; cb.n_rows()];
-        for &k in &self.key_cols {
-            let col = cb.col(k);
-            for (i, hi) in h.iter_mut().enumerate() {
-                *hi = mix(*hi, key_word(col, cb.phys(i)));
-            }
-        }
-        h.iter_mut().for_each(|hi| *hi = fmix(*hi));
-        h
+        hash_rows(self.seed, self.key_cols.iter().map(|&k| cb.col(k)), cb.n_rows(), |i| cb.phys(i))
     }
 
     /// Ring index and live row of `id`.
@@ -342,50 +317,6 @@ impl Side {
     }
 }
 
-fn mix(h: u64, w: u64) -> u64 {
-    (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(27)
-}
-
-/// Final avalanche (murmur3's fmix64): the index takes the hash as is.
-fn fmix(mut h: u64) -> u64 {
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^ (h >> 33)
-}
-
-const IP_SALT: u64 = 0x1b87_3593_cc9e_2d51;
-const BOOL_SALT: u64 = 0x2d35_8dcc_aa6c_78a5;
-
-/// A key value as a word that is equal for any two values `=` (that is,
-/// [`Value::total_cmp`]) calls equal: a number by the bits of its `f64`
-/// widening — so a uint meets the float it equals, a NaN meets the same
-/// NaN and −0.0 misses +0.0 — other types salted apart.
-fn key_word(col: &Column, p: usize) -> u64 {
-    match col {
-        Column::UInt(v) => (v[p] as f64).to_bits(),
-        Column::Ip(v) => u64::from(v[p]) ^ IP_SALT,
-        col => match col.get(p) {
-            Value::UInt(u) => (u as f64).to_bits(),
-            Value::Float(f) => f.to_bits(),
-            Value::Ip(ip) => u64::from(ip) ^ IP_SALT,
-            Value::Bool(b) => u64::from(b) ^ BOOL_SALT,
-            Value::Str(s) => s.iter().fold(s.len() as u64, |h, &b| mix(h, u64::from(b))),
-        },
-    }
-}
-
-/// `a[i] = b[j]` exactly as the predicate's `=` decides it:
-/// [`Value::total_cmp`] equality, floats by bit pattern.
-fn key_eq(a: &Column, i: usize, b: &Column, j: usize) -> bool {
-    match (a, b) {
-        (Column::UInt(x), Column::UInt(y)) => x[i] == y[j],
-        (Column::Ip(x), Column::Ip(y)) => x[i] == y[j],
-        _ => a.get(i).total_cmp(&b.get(j)).is_eq(),
-    }
-}
-
 /// The join operator. Residual predicate and projections run over the
 /// concatenated tuple (left fields then right fields).
 pub struct JoinOp {
@@ -427,7 +358,7 @@ impl JoinOp {
         for f in fields {
             reads[f] = true;
         }
-        let seed = RandomState::new().hash_one(0u64);
+        let seed = keyhash::seed();
         JoinOp {
             left: Side::new(cfg.eq_keys.iter().map(|k| k.0).collect(), seed),
             right: Side::new(cfg.eq_keys.iter().map(|k| k.1).collect(), seed),
@@ -784,6 +715,7 @@ mod tests {
     use crate::params::ParamBindings;
     use crate::tuple::{StreamItem, Tuple};
     use crate::udf::{FileStore, UdfRegistry};
+    use crate::value::Value;
     use gs_gsql::ast::BinOp;
     use gs_gsql::plan::PExpr;
     use gs_gsql::types::DataType;

@@ -10,6 +10,7 @@ pub mod agg;
 pub mod build;
 pub mod defrag;
 pub mod join;
+mod keyhash;
 pub mod lfta;
 pub mod merge;
 pub mod prefilter;
@@ -45,8 +46,8 @@ pub trait Operator: Send {
     /// Semantically identical to materializing the rows and calling
     /// [`push_batch`](Operator::push_batch) — which is exactly what the
     /// default does. Columnar overrides return [`ColStep::Cols`] when
-    /// their output can stay columnar, [`ColStep::Rows`] when it is
-    /// row-shaped (aggregation emissions).
+    /// their output can stay columnar, [`ColStep::Rows`] when it cannot
+    /// (one input token translated to several output tokens).
     fn push_cols(&mut self, cols: ColumnBatch, punct: Option<Punct>) -> ColStep {
         let mut out = Vec::new();
         self.push_batch(0, cols.into_items(punct), &mut out);
@@ -79,9 +80,9 @@ pub trait Operator: Send {
     /// built operator can [`restore`](Operator::restore) it and continue
     /// as if the stream had never stopped. Called only at a quiescent
     /// point (between batches, all inputs drained up to a consistent
-    /// cut), so per-call transients (the hash-agg hot entry, scratch
-    /// buffers) never need encoding. Stateless operators keep the no-op
-    /// default.
+    /// cut), so per-call transients (an aggregate's closed groups awaiting
+    /// emission, scratch buffers) never need encoding. Stateless
+    /// operators keep the no-op default.
     fn snapshot(&self, w: &mut SnapWriter) {
         let _ = w;
     }

@@ -128,6 +128,12 @@ pub fn oracle_hftas(gs: &Gigascope, pkts: &[CapPacket]) -> BTreeMap<String, Vec<
     streams
 }
 
+/// [`oracle_hftas`]' interpreter for one plan over named input streams:
+/// an operator test's reference for inputs no packet trace produces.
+pub fn oracle_plan(plan: &Plan, streams: &BTreeMap<String, Vec<Tuple>>) -> Vec<Tuple> {
+    interpret(plan, streams)
+}
+
 /// A group key ordered by `Value::total_cmp`, so it can key a `BTreeMap`.
 #[derive(PartialEq, Eq)]
 struct GroupKey(Vec<Value>);

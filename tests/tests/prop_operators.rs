@@ -1,34 +1,37 @@
 //! Property tests on operator invariants: merge sortedness, LFTA/HFTA
-//! aggregation equivalence, LPM-vs-linear-scan agreement, and shedder
-//! conservation.
+//! aggregation equivalence, exact aggregation against the HFTA oracle,
+//! LPM-vs-linear-scan agreement, and shedder conservation.
 //!
 //! Runs on the in-repo deterministic harness ([`gs_tests::prop`]); the
 //! property assertions are unchanged from the original proptest suite.
 
 use gs_gsql::ast::AggFunc;
 use gs_runtime::batch::ColumnBatch;
-use gs_gsql::plan::PExpr;
+use gs_gsql::plan::{AggSpec, PExpr, Plan};
 use gs_gsql::types::DataType;
 use gs_netgen::prefixes::{generate_prefixes, reference_lpm, render_table};
 use gs_runtime::expr::Program;
-use gs_runtime::ops::agg::{AggCore, DirectMappedAggregator, GroupAggregator};
+use gs_runtime::batch::ColStep;
+use gs_runtime::ops::agg::{AggCore, AggregateOp, DirectMappedAggregator, GroupAggregator};
 use gs_runtime::ops::merge::MergeOp;
+use gs_runtime::ops::Operator;
+use gs_runtime::punct::Punct;
 use gs_runtime::qos::{DropPolicy, Shedder};
 use gs_runtime::tuple::{tuples_of, StreamItem, Tuple};
 use gs_runtime::udf::lpm::LpmTrie;
 use gs_runtime::udf::{FileStore, UdfRegistry};
 use gs_runtime::{ParamBindings, Value};
+use gs_tests::oracle_plan;
 use gs_tests::prop::{check, Gen, DEFAULT_CASES};
 use std::collections::BTreeMap;
 
 fn col_prog(i: usize) -> Program {
-    Program::compile(
-        &PExpr::Col { index: i, ty: DataType::UInt },
-        &ParamBindings::new(),
-        &UdfRegistry::with_builtins(),
-        &FileStore::new(),
-    )
-    .unwrap()
+    compile(&PExpr::Col { index: i, ty: DataType::UInt })
+}
+
+fn compile(pe: &PExpr) -> Program {
+    Program::compile(pe, &ParamBindings::new(), &UdfRegistry::with_builtins(), &FileStore::new())
+        .unwrap()
 }
 
 /// A one-column batch of `vals`.
@@ -157,6 +160,112 @@ fn split_aggregation_equals_exact() {
             as_map(direct),
             "LFTA partials + HFTA combine must equal exact aggregation"
         );
+    });
+}
+
+/// Rows `(ts, u, ip, s, f, x)` of one input stream: `ts` banded within
+/// `slack`, and keys from small typed domains — uints that collide in
+/// the key hash (2^53 and 2^53 + 1 widen to one `f64`), addresses,
+/// strings, and floats with NaN and both zeros.
+fn typed_rows(g: &mut Gen, slack: u64) -> Vec<Tuple> {
+    const UINTS: [u64; 4] = [0, 7, 1 << 53, (1 << 53) + 1];
+    const FLOATS: [f64; 4] = [f64::NAN, -0.0, 0.0, 1.5];
+    const STRS: [&str; 3] = ["", "a", "ab"];
+    let mut base = 0u64;
+    g.vec_with(0..300, |g| {
+        base += u64::from(g.u32(0..8) == 0);
+        let ts = base.saturating_sub(g.u64(0..slack + 1));
+        Tuple::new(vec![
+            Value::UInt(ts),
+            Value::UInt(*g.choice(&UINTS)),
+            Value::Ip(g.u32(0..3)),
+            Value::Str(bytes::Bytes::from_static(g.choice(&STRS).as_bytes())),
+            Value::Float(*g.choice(&FLOATS)),
+            Value::Float(*g.choice(&[0.5, 1.25, 3.0])),
+        ])
+    })
+}
+
+/// Exact aggregation of typed keys equals the oracle's `BTreeMap`
+/// grouping row for row — the slab's total flush order is the map's key
+/// order when the flush attribute leads the key — at every batch size,
+/// with punctuation mid-batch and a banded flush attribute.
+#[test]
+fn exact_aggregation_of_typed_keys_matches_oracle() {
+    check("exact_aggregation_of_typed_keys_matches_oracle", DEFAULT_CASES, |g| {
+        let slack = g.u64(0..3);
+        let rows = typed_rows(g, slack);
+        let tys = [DataType::UInt, DataType::UInt, DataType::Ip, DataType::Str, DataType::Float];
+        let col = |i: usize, ty| PExpr::Col { index: i, ty };
+        // `ts` and a random nonempty subset of the typed key columns.
+        let mut keys = vec![0];
+        while keys.len() == 1 {
+            keys.extend((1..5).filter(|_| g.bool()));
+        }
+        let group: Vec<(String, PExpr)> =
+            keys.iter().map(|&i| (format!("k{i}"), col(i, tys[i]))).collect();
+        let spec = |func, arg: Option<PExpr>, ty| AggSpec { name: String::new(), func, arg, ty };
+        let aggs = vec![
+            spec(AggFunc::Count, None, DataType::UInt),
+            spec(AggFunc::Sum, Some(col(1, DataType::UInt)), DataType::UInt),
+            spec(AggFunc::Sum, Some(col(5, DataType::Float)), DataType::Float),
+            spec(AggFunc::Min, Some(col(4, DataType::Float)), DataType::Float),
+            spec(AggFunc::Max, Some(col(3, DataType::Str)), DataType::Str),
+        ];
+        let plan = Plan::Aggregate {
+            group: group.clone(),
+            aggs: aggs.clone(),
+            flush_group_idx: Some(0),
+            input: Box::new(Plan::StreamScan { stream: "in".into(), schema: Vec::new() }),
+            schema: Vec::new(),
+        };
+        let want = oracle_plan(&plan, &BTreeMap::from([("in".to_string(), rows.clone())]));
+
+        // Punctuation between rows, each bounding every row after it.
+        let mut items = Vec::new();
+        for (i, row) in rows.iter().enumerate() {
+            if g.u32(0..16) == 0 {
+                let low = rows[i..].iter().map(|r| r.get(0).as_uint().unwrap()).min().unwrap();
+                items.push(StreamItem::Punct(Punct::new(0, Value::UInt(low))));
+            }
+            items.push(StreamItem::Tuple(row.clone()));
+        }
+        let canon = |rows: &[Tuple]| -> Vec<String> {
+            rows.iter().map(|t| format!("{:?}", t.values())).collect()
+        };
+        for batch in [1, 7, 256] {
+            let core = AggCore::new(
+                group.iter().map(|(_, e)| compile(e)).collect(),
+                aggs.iter().map(|a| (a.func, a.arg.as_ref().map(compile), a.ty)).collect(),
+                Some(0),
+                slack,
+            );
+            let mut op = AggregateOp::new(GroupAggregator::new(core), Some((0, 1)), Some(0));
+            let mut out = Vec::new();
+            let mut pending: Vec<Tuple> = Vec::new();
+            let mut push = |op: &mut AggregateOp, pending: &mut Vec<Tuple>, p: Option<Punct>| {
+                let cb = ColumnBatch::from_tuples(&std::mem::take(pending));
+                let ColStep::Cols(cb, p) = op.push_cols(cb, p) else {
+                    panic!("aggregation output is columnar");
+                };
+                out.extend(cb.into_items(p));
+            };
+            for item in &items {
+                match item {
+                    StreamItem::Tuple(t) => {
+                        pending.push(t.clone());
+                        if pending.len() == batch {
+                            push(&mut op, &mut pending, None);
+                        }
+                    }
+                    StreamItem::Punct(p) => push(&mut op, &mut pending, Some(p.clone())),
+                }
+            }
+            push(&mut op, &mut pending, None);
+            op.finish(&mut out);
+            let got = tuples_of(out);
+            assert_eq!(canon(&got), canon(&want), "batch {batch}, slack {slack}, keys {keys:?}");
+        }
     });
 }
 
