@@ -23,6 +23,11 @@ cargo build --release --offline
 echo "== offline test suite =="
 cargo test -q --offline
 
+# Intra-doc links name real items: a link to a deleted or private item
+# fails here instead of rotting silently.
+echo "== rustdoc, warnings as errors =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 # Every perf gate is a row of the table in crates/bench/src/bin/gate.rs:
 # interleaved A/B runs of the manager workload, non-zero exit past the
 # threshold (one attempt each — a gate that needs a retry is broken).

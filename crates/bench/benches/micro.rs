@@ -11,7 +11,7 @@ use gs_packet::capture::{CapPacket, LinkType};
 use gs_packet::PacketView;
 use gs_runtime::batch::ColumnBatch;
 use gs_runtime::expr::{EvalScratch, PacketFields, Program};
-use gs_runtime::ops::agg::{AggCore, AggregateOp, DirectMappedAggregator, GroupAggregator};
+use gs_runtime::ops::agg::{AggCore, AggregateOp, DirectMappedAggregator};
 use gs_runtime::ops::Operator;
 use gs_runtime::ops::defrag::Defragmenter;
 use gs_runtime::ops::join::{JoinConfig, JoinOp};
@@ -194,7 +194,7 @@ fn bench_aggregation(c: &mut Criterion) {
             Some(0),
             0,
         );
-        let mut op = AggregateOp::new(GroupAggregator::new(core), None, None);
+        let mut op = AggregateOp::new(core, None, None);
         b.iter(|| black_box(op.push_cols(batch.clone(), None)))
     });
     g.finish();

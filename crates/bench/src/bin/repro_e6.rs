@@ -10,7 +10,7 @@
 //! (Select Count(*) from B)
 //! ```
 //!
-//! and §4 argues that, contrary to [1]'s suggestion that such queries
+//! and §4 argues that, contrary to \[1\]'s suggestion that such queries
 //! need sampling and approximation, "an efficient stream database can
 //! execute complex queries over very high speed data streams". In GSQL
 //! the query is expressed with precise semantics: a window join on the

@@ -304,11 +304,11 @@ impl OutputEdge {
         shipped
     }
 
-    /// Absorb a batch that is still columnar at the top of a node's
-    /// chain: it goes out as is (zero-copy to the last plain consumer)
-    /// after any transposed row content flushes, keeping FIFO order.
+    /// Ship an HFTA node's output batch as is (zero-copy to the last
+    /// plain consumer). Only an LFTA's edge builds batches from rows, so
+    /// a node's builder is always empty and FIFO order holds.
     fn extend_cols(&mut self, cb: ColumnBatch, punct: Option<Punct>) {
-        self.flush(FlushCause::Size, None);
+        debug_assert!(self.batcher.col.is_empty(), "a node's edge holds no rows");
         self.deliver(cb, punct, FlushCause::Size);
     }
 
@@ -406,7 +406,6 @@ pub(crate) struct NodeRunner {
     /// Quarantined — by an upstream `Fault`, or by this node's own panic
     /// (then `node` is mid-panic state and is never touched again).
     failed: bool,
-    out: Vec<StreamItem>,
     board: Arc<HealthBoard>,
     stats_enabled: bool,
     end: End,
@@ -482,23 +481,14 @@ impl NodeRunner {
         while !self.failed && self.open_count > 0 {
             let Some(msg) = recv() else { return };
             match msg {
-                Msg::Cols(p, cb, punct) => {
-                    self.out.clear();
+                Msg::Cols(p, mut cb, punct) => {
                     if let Some(inj) = self.injector.as_mut() {
-                        // Fault injection hooks the row stream: rows
-                        // materialize here, inside the boundary, so an
-                        // injected panic exercises the real containment
-                        // path.
-                        let mut items = cb.into_items(punct);
-                        inj.on_batch(&mut items);
-                        self.node.push_batch(p, items, &mut self.out);
-                        self.edge.extend(self.out.drain(..));
-                    } else if let Some((cb, rider)) =
-                        self.node.push_cols(p, cb, punct, &mut self.out)
-                    {
+                        // Inside the boundary, so an injected panic
+                        // exercises the real containment path.
+                        inj.on_batch(&mut cb);
+                    }
+                    if let Some((cb, rider)) = self.node.push_cols(p, cb, punct, &mut Vec::new()) {
                         self.edge.extend_cols(cb, rider);
-                    } else {
-                        self.edge.extend(self.out.drain(..));
                     }
                     if self.stats_enabled {
                         // Per-message publish keeps registry snapshots at
@@ -508,9 +498,9 @@ impl NodeRunner {
                 }
                 Msg::Close(p) => {
                     if self.shut(p) && self.end == End::Flush {
-                        self.out.clear();
-                        self.node.finish_input(p, &mut self.out);
-                        self.edge.extend(self.out.drain(..));
+                        if let Some((cb, rider)) = self.node.finish_input(p) {
+                            self.edge.extend_cols(cb, rider);
+                        }
                     }
                 }
                 Msg::Fault(p, f) => {
@@ -535,9 +525,9 @@ impl NodeRunner {
                 }
                 End::Hold => {}
                 End::Flush => {
-                    self.out.clear();
-                    self.node.finish(&mut self.out);
-                    self.edge.extend(self.out.drain(..));
+                    for cb in self.node.finish() {
+                        self.edge.extend_cols(cb, None);
+                    }
                 }
             }
             // Flush the tail batch, close every consumer port and routed
@@ -772,7 +762,6 @@ pub(crate) fn wire(
                 open: vec![true; n_ports],
                 open_count: n_ports,
                 failed: false,
-                out: Vec::new(),
                 board: board.clone(),
                 stats_enabled: gs.stats_enabled,
                 end,

@@ -8,7 +8,7 @@
 //! on. The threaded deployment configuration lives in [`crate::manager`].
 //!
 //! The graph, its queues and edges, and the per-node step are shared
-//! with the threaded manager ([`crate::graph`], [`crate::dataflow`]); a
+//! with the threaded manager (`graph.rs`, `dataflow.rs`); a
 //! `run_capture` is the deterministic schedule of exactly the graph
 //! `run_threaded` runs. This module owns only the inline scheduler:
 //! after every packet or heartbeat round that shipped a batch it pumps

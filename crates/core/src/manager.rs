@@ -15,7 +15,7 @@
 //! deterministic single-threaded engine is [`crate::engine`].
 //!
 //! Everything a node does with a message — and the queues, batching
-//! edges and fault markers between nodes — is [`crate::dataflow`], shared
+//! edges and fault markers between nodes — is `dataflow.rs`, shared
 //! with the synchronous engine, which schedules the very same runners
 //! inline. This module owns what is particular to the deployment
 //! configuration: one thread per runner and per subscription collector

@@ -13,10 +13,10 @@
 //! Row↔column boundary rules (DESIGN §13): columns are produced at the
 //! capture-loop edge and stay columns through every HFTA operator — the
 //! merge and join roots and the single-input chain, aggregates included.
-//! Rows remain only where something needs them: subscriptions, the fault
-//! injector (which corrupts rows, then hands them back as a batch), and
-//! tests. A batch of rows and the same batch converted through columns
-//! are observably identical; at `batch_size == 1` a batch holds one row.
+//! Rows remain only where something needs them: an LFTA's output before
+//! its edge batches it, subscriptions, and tests. A batch of rows and the
+//! same batch converted through columns are observably identical; at
+//! `batch_size == 1` a batch holds one row.
 //!
 //! Punctuation: the transport's batcher flushes immediately on
 //! punctuation, so a shipped batch carries at most one token, always last.
@@ -300,6 +300,12 @@ impl ColumnBatch {
         }
     }
 
+    /// Keep only the first `n` columns, live rows unchanged — the fault
+    /// injector's corrupt transport.
+    pub fn truncate_cols(&mut self, n: usize) {
+        self.cols.truncate(n);
+    }
+
     /// Live row `row` as a row tuple.
     pub fn row_tuple(&self, row: usize) -> Tuple {
         let p = self.phys(row);
@@ -452,18 +458,6 @@ impl ColBuilder {
         let rows = std::mem::replace(&mut self.rows, 0);
         ColumnBatch { cols, rows, sel: None }
     }
-}
-
-/// The result of pushing a columnar batch through one operator: either a
-/// columnar batch (with its punctuation rider) that can continue on the
-/// columnar path, or materialized row items (the row-fallback default,
-/// and a select whose one token translates to several).
-#[derive(Debug)]
-pub enum ColStep {
-    /// Columnar output: live rows plus at most one trailing token.
-    Cols(ColumnBatch, Option<Punct>),
-    /// Row output, already in emission order.
-    Rows(Vec<StreamItem>),
 }
 
 #[cfg(test)]

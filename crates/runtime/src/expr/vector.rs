@@ -9,7 +9,7 @@
 //! combination without a loop (UDF calls, mixed `Val` columns, exotic
 //! type pairings) makes `eval_vec` return `None`, and the operator falls
 //! back to row-at-a-time evaluation through
-//! [`RowView`](crate::batch::RowView). Falling back is always correct —
+//! [`RowView`]. Falling back is always correct —
 //! the kernels are an optimization with the row evaluator as the
 //! semantic reference, and the equivalence property tests pin the two
 //! together.

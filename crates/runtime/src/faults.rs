@@ -11,8 +11,8 @@
 //!
 //! The injector deliberately reuses the *real* failure paths: an
 //! injected panic is an ordinary `panic!` raised inside the engine's
-//! containment boundary, an injected corrupt tuple is a genuinely
-//! malformed tuple handed to the operator, an injected poisoned lock is
+//! containment boundary, an injected corrupt batch is a genuinely
+//! column-truncated batch handed to the node, an injected poisoned lock is
 //! a mutex whose holder really panicked. Nothing is simulated at a
 //! layer the production code does not exercise.
 //!
@@ -22,8 +22,8 @@
 //! node name `faults`, so injection campaigns are observable through
 //! the ordinary `GS_STATS` self-monitoring stream.
 
+use crate::batch::ColumnBatch;
 use crate::stats::{Counter, StatSource};
-use crate::tuple::{StreamItem, Tuple};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -57,14 +57,14 @@ pub enum FaultKind {
         /// Per-batch processing delay, milliseconds.
         delay_ms: u64,
     },
-    /// Truncate every tuple of the `at_batch`-th batch to `keep_cols`
-    /// columns — the corrupt-transport scenario. Operators indexing the
-    /// missing columns panic, which the containment boundary turns into
-    /// a quarantined query instead of an abort.
+    /// Truncate the `at_batch`-th batch to its first `keep_cols`
+    /// columns — the corrupt-transport scenario. The node's input check
+    /// panics on the short batch, which the containment boundary turns
+    /// into a quarantined query instead of an abort.
     CorruptTuple {
         /// Which consumed batch is corrupted (1-based).
         at_batch: u64,
-        /// Columns to keep; `0` produces empty tuples.
+        /// Columns to keep; `0` keeps none.
         keep_cols: usize,
     },
 }
@@ -206,10 +206,10 @@ pub struct NodeInjector {
 
 impl NodeInjector {
     /// Account one consumed batch and run any fault due at it. May
-    /// mutate `items` (corruption), sleep (slow consumer), poison the
+    /// truncate `batch` (corruption), sleep (slow consumer), poison the
     /// plan's shared lock, or panic (the injected operator bug) —
     /// callers invoke this *inside* their containment boundary.
-    pub fn on_batch(&mut self, items: &mut [StreamItem]) {
+    pub fn on_batch(&mut self, batch: &mut ColumnBatch) {
         self.batches += 1;
         let n = self.batches;
         // Indexed loop: the panic arm must not hold a borrow of `self`
@@ -232,13 +232,7 @@ impl NodeInjector {
                 }
                 FaultKind::CorruptTuple { at_batch, keep_cols } if at_batch == n => {
                     self.stats.fault_injected.inc();
-                    for item in items.iter_mut() {
-                        if let StreamItem::Tuple(t) = item {
-                            let vals: Vec<_> =
-                                t.values().iter().take(keep_cols).cloned().collect();
-                            *item = StreamItem::Tuple(Tuple::new(vals));
-                        }
-                    }
+                    batch.truncate_cols(keep_cols);
                 }
                 _ => {}
             }
@@ -301,10 +295,10 @@ pub enum DiskFaultKind {
 }
 
 /// One injected disk fault: at which checkpoint boundary (1-based,
-/// counted by [`begin_boundary`](FaultyDisk)) and at which protocol
-/// step. Crash kinds match their boundary exactly; [`DiskFaultKind::Enospc`]
-/// matches every boundary from `at_boundary` on while it has failures
-/// left.
+/// counted by [`begin_boundary`](crate::durable::DiskIo::begin_boundary))
+/// and at which protocol step. Crash kinds match their boundary exactly;
+/// [`DiskFaultKind::Enospc`] matches every boundary from `at_boundary` on
+/// while it has failures left.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiskFaultSpec {
     /// 1-based checkpoint boundary the fault arms at.
@@ -398,13 +392,14 @@ fn poison(m: &Arc<Mutex<u64>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuple::Tuple;
     use crate::value::Value;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    fn batch(n: usize) -> Vec<StreamItem> {
-        (0..n)
-            .map(|i| StreamItem::Tuple(Tuple::new(vec![Value::UInt(i as u64), Value::UInt(7)])))
-            .collect()
+    fn batch(n: usize) -> ColumnBatch {
+        let rows: Vec<Tuple> =
+            (0..n).map(|i| Tuple::new(vec![Value::UInt(i as u64), Value::UInt(7)])).collect();
+        ColumnBatch::from_tuples(&rows)
     }
 
     #[test]
@@ -429,14 +424,12 @@ mod tests {
         let mut inj = plan.armed("q", &stats).unwrap();
         let mut b = batch(3);
         inj.on_batch(&mut b);
-        for item in &b {
-            assert_eq!(item.as_tuple().unwrap().arity(), 1, "one column survives");
-        }
+        assert_eq!((b.n_cols(), b.n_rows()), (1, 3), "one column survives on every row");
         assert_eq!(stats.fault_injected.get(), 1);
         // Later batches pass through untouched.
         let mut b2 = batch(2);
         inj.on_batch(&mut b2);
-        assert_eq!(b2[0].as_tuple().unwrap().arity(), 2);
+        assert_eq!(b2.n_cols(), 2);
     }
 
     #[test]

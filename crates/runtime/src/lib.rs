@@ -3,7 +3,7 @@
 //! Consumes logical plans from `gs-gsql` and executes them over packets
 //! and tuple streams:
 //!
-//! - [`value`] / [`tuple`]: the runtime data representation;
+//! - [`value`] / [`tuple`](mod@tuple): the runtime data representation;
 //! - [`punct`]: ordering-update tokens (punctuation) that unblock
 //!   multi-stream operators when one input runs dry (paper §3,
 //!   "Unblocking Operators");

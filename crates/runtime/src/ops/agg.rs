@@ -2,7 +2,7 @@
 //!
 //! Two engines share one core:
 //!
-//! - [`GroupAggregator`]: the exact aggregation HFTAs run, with
+//! - [`AggregateOp`]: the exact aggregation HFTAs run, with
 //!   ordered-attribute flushing — "When a tuple arrives for aggregation
 //!   whose ordered attribute is larger than that in any current group, we
 //!   can deduce that all of the current groups are closed ... All of the
@@ -22,7 +22,7 @@
 //! accumulators, generic over [`FieldSource`] so it aggregates raw
 //! packets through the interpretation library.
 
-use crate::batch::{ColStep, Column, ColumnBatch};
+use crate::batch::{Column, ColumnBatch};
 use crate::expr::vector::VecVal;
 use crate::expr::{EvalScratch, FieldSource, Program};
 use crate::ops::keyhash::{self, hash_rows, key_eq, HashIndex};
@@ -286,6 +286,13 @@ impl AggCore {
         vals.extend(accs.iter().map(|a| a.value()));
         out.push(StreamItem::Tuple(Tuple::new(vals)));
     }
+}
+
+/// Group identity: keys are equal exactly when [`Value::total_cmp`] says
+/// so — one NaN group per bit pattern, −0.0 and +0.0 two groups — as in
+/// the exact aggregate's slab.
+fn same_key(a: &[Value], b: &[Value]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.total_cmp(y).is_eq())
 }
 
 fn hash_key(key: &[Value]) -> u64 {
@@ -724,8 +731,9 @@ impl Slab {
     }
 }
 
-/// Exact aggregation with ordered flushing.
-pub struct GroupAggregator {
+/// Exact aggregation with ordered flushing — the HFTA's aggregate
+/// operator, with punctuation translation.
+pub struct AggregateOp {
     core: AggCore,
     slab: Slab,
     watermark: Option<u64>,
@@ -733,35 +741,44 @@ pub struct GroupAggregator {
     /// Slots closed by the current call, in emission order; freed once
     /// [`take_closed`](Self::take_closed) has emitted them.
     closed: Vec<u32>,
+    /// Translation of input punctuation to flush-attribute bounds:
+    /// `(input col, divisor)`.
+    punct_in: Option<(usize, u64)>,
+    /// Output column index of the flush attribute (for forwarded puncts).
+    punct_out: Option<usize>,
     /// Groups emitted so far.
     pub emitted: u64,
     /// Peak number of simultaneously open groups.
     pub peak_groups: usize,
+    tuples_in: u64,
+    batches: u64,
+    puncts: u64,
+    stats: Arc<OpCounters>,
 }
 
-impl GroupAggregator {
-    /// Build an exact aggregator.
-    pub fn new(core: AggCore) -> GroupAggregator {
-        GroupAggregator {
+impl AggregateOp {
+    /// Build an exact aggregate over `core`; `punct_in` and `punct_out`
+    /// translate punctuation (see the fields).
+    pub fn new(
+        core: AggCore,
+        punct_in: Option<(usize, u64)>,
+        punct_out: Option<usize>,
+    ) -> AggregateOp {
+        AggregateOp {
             slab: Slab::new(&core),
             core,
             watermark: None,
             scratch: EvalScratch::default(),
             closed: Vec::new(),
+            punct_in,
+            punct_out,
             emitted: 0,
             peak_groups: 0,
+            tuples_in: 0,
+            batches: 0,
+            puncts: 0,
+            stats: Arc::new(OpCounters::default()),
         }
-    }
-
-    /// Fold one input record.
-    pub fn update<S: FieldSource>(&mut self, src: &S, out: &mut Vec<StreamItem>) {
-        let scratch = &mut self.scratch;
-        let mut one = |p: &Program| VecVal::from_rows(vec![p.eval(src, scratch)]);
-        let keys = self.core.group_progs.iter().map(&mut one).collect();
-        let args: Vec<Option<VecVal>> =
-            self.core.aggs.iter().map(|(_, arg, _)| arg.as_ref().map(&mut one)).collect();
-        self.fold(keys, &args, 1);
-        out.extend(self.take_closed().into_items(None));
     }
 
     /// Fold every live row of `cols`. Group keys and aggregate arguments
@@ -885,24 +902,64 @@ impl GroupAggregator {
         batch
     }
 
-    /// Flush everything (end of stream).
-    pub fn finish(&mut self, out: &mut Vec<StreamItem>) {
+    /// Punctuation: future flush values are `>= bound`, so the groups
+    /// below it close, and the bound is forwarded on the output flush
+    /// column.
+    fn close_at(&mut self, p: &Punct) -> Option<Punct> {
+        let (col, div) = self.punct_in?;
+        let bound = p.bound(col)? / div.max(1);
+        self.close_below(bound);
+        Some(Punct::new(self.punct_out?, Value::UInt(bound)))
+    }
+}
+
+impl Operator for AggregateOp {
+    /// Fold a batch, then its punctuation rider. The groups both closed
+    /// leave as one batch, with the rider translated to the output as
+    /// its rider.
+    fn push_cols(
+        &mut self,
+        cols: ColumnBatch,
+        punct: Option<Punct>,
+    ) -> (ColumnBatch, Option<Punct>) {
+        self.batches += 1;
+        self.tuples_in += cols.n_rows() as u64;
+        self.fold_batch(&cols);
+        self.puncts += u64::from(punct.is_some());
+        let rider = punct.and_then(|p| self.close_at(&p));
+        (self.take_closed(), rider)
+    }
+
+    /// Every open group, in emission order.
+    fn finish(&mut self) -> ColumnBatch {
         let open = self.slab.open_sorted(self.core.flush_idx);
         self.slab.min_flush = NEVER;
         self.close(open);
-        out.extend(self.take_closed().into_items(None));
+        self.take_closed()
     }
 
-    /// Currently open groups.
-    pub fn open_groups(&self) -> usize {
-        self.slab.open
+    fn kind(&self) -> &'static str {
+        "aggregate"
     }
 
-    /// Serialize the open groups in emission order — so the bytes are a
-    /// function of the open-group set — then the watermark and the
-    /// emission counters. Only called at a quiescent point, with no
-    /// closed group waiting to be emitted.
-    pub fn snapshot_into(&self, w: &mut SnapWriter) {
+    fn stats_handle(&self) -> Option<Arc<OpCounters>> {
+        Some(self.stats.clone())
+    }
+
+    fn publish_stats(&self) {
+        self.stats.tuples_in.set(self.tuples_in);
+        self.stats.tuples_out.set(self.emitted);
+        self.stats.batches_in.set(self.batches);
+        self.stats.puncts_in.set(self.puncts);
+        self.stats.groups_evicted.set(self.emitted);
+        self.stats.peak_held.set(self.peak_groups as u64);
+    }
+
+    /// The open groups in emission order — so the bytes are a function
+    /// of the open-group set — then the watermark and the counters. Only
+    /// called at a quiescent point, with no closed group waiting to be
+    /// emitted.
+    fn snapshot(&self, w: &mut SnapWriter) {
         let open = self.slab.open_sorted(self.core.flush_idx);
         w.put_u32(open.len() as u32);
         for s in open {
@@ -916,10 +973,12 @@ impl GroupAggregator {
         w.put_opt_u64(self.watermark);
         w.put_u64(self.emitted);
         w.put_u64(self.peak_groups as u64);
+        w.put_u64(self.tuples_in);
+        w.put_u64(self.batches);
+        w.put_u64(self.puncts);
     }
 
-    /// Restore state written by [`snapshot_into`](Self::snapshot_into).
-    pub fn restore_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = r.get_count(4)?;
         self.slab = Slab::new(&self.core);
         self.closed.clear();
@@ -934,118 +993,7 @@ impl GroupAggregator {
         }
         self.watermark = r.get_opt_u64()?;
         self.emitted = r.get_u64()?;
-        self.peak_groups = r.get_u64()? as usize;
-        self.peak_groups = self.peak_groups.max(self.slab.open);
-        Ok(())
-    }
-}
-
-/// HFTA aggregation as an [`Operator`], with punctuation translation.
-pub struct AggregateOp {
-    inner: GroupAggregator,
-    /// Translation of input punctuation to flush-attribute bounds:
-    /// `(input col, divisor)`.
-    punct_in: Option<(usize, u64)>,
-    /// Output column index of the flush attribute (for forwarded puncts).
-    punct_out: Option<usize>,
-    tuples_in: u64,
-    batches: u64,
-    puncts: u64,
-    stats: Arc<OpCounters>,
-}
-
-impl AggregateOp {
-    /// Wrap an aggregator.
-    pub fn new(
-        inner: GroupAggregator,
-        punct_in: Option<(usize, u64)>,
-        punct_out: Option<usize>,
-    ) -> AggregateOp {
-        AggregateOp {
-            inner,
-            punct_in,
-            punct_out,
-            tuples_in: 0,
-            batches: 0,
-            puncts: 0,
-            stats: Arc::new(OpCounters::default()),
-        }
-    }
-
-    /// Shared-state access for diagnostics.
-    pub fn aggregator(&self) -> &GroupAggregator {
-        &self.inner
-    }
-
-    /// Fold a batch, then its punctuation rider. Returns the groups both
-    /// closed, as one batch, and the rider translated to the output.
-    fn step(&mut self, cols: ColumnBatch, punct: Option<Punct>) -> (ColumnBatch, Option<Punct>) {
-        self.batches += 1;
-        self.tuples_in += cols.n_rows() as u64;
-        self.inner.fold_batch(&cols);
-        let rider = punct.and_then(|p| self.close_at(&p));
-        (self.inner.take_closed(), rider)
-    }
-
-    /// Punctuation: future flush values are `>= bound`, so the groups
-    /// below it close, and the bound is forwarded on the output flush
-    /// column.
-    fn close_at(&mut self, p: &Punct) -> Option<Punct> {
-        self.puncts += 1;
-        let (_, div) = self.punct_in.filter(|&(col, _)| col == p.col)?;
-        let bound = p.low.as_uint()? / div.max(1);
-        self.inner.close_below(bound);
-        Some(Punct::new(self.punct_out?, Value::UInt(bound)))
-    }
-}
-
-impl Operator for AggregateOp {
-    /// Rows are cut into batches at each punctuation and take the
-    /// columnar path.
-    fn push_batch(&mut self, _port: usize, items: Vec<StreamItem>, out: &mut Vec<StreamItem>) {
-        for (cb, punct) in ColumnBatch::from_items(items) {
-            let (cb, punct) = self.step(cb, punct);
-            out.extend(cb.into_items(punct));
-        }
-    }
-
-    /// The closed groups leave as one columnar batch with the translated
-    /// punctuation as its rider.
-    fn push_cols(&mut self, cols: ColumnBatch, punct: Option<Punct>) -> ColStep {
-        let (cb, punct) = self.step(cols, punct);
-        ColStep::Cols(cb, punct)
-    }
-
-    fn finish(&mut self, out: &mut Vec<StreamItem>) {
-        self.inner.finish(out);
-    }
-
-    fn kind(&self) -> &'static str {
-        "aggregate"
-    }
-
-    fn stats_handle(&self) -> Option<Arc<OpCounters>> {
-        Some(self.stats.clone())
-    }
-
-    fn publish_stats(&self) {
-        self.stats.tuples_in.set(self.tuples_in);
-        self.stats.tuples_out.set(self.inner.emitted);
-        self.stats.batches_in.set(self.batches);
-        self.stats.puncts_in.set(self.puncts);
-        self.stats.groups_evicted.set(self.inner.emitted);
-        self.stats.peak_held.set(self.inner.peak_groups as u64);
-    }
-
-    fn snapshot(&self, w: &mut SnapWriter) {
-        self.inner.snapshot_into(w);
-        w.put_u64(self.tuples_in);
-        w.put_u64(self.batches);
-        w.put_u64(self.puncts);
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.inner.restore_from(r)?;
+        self.peak_groups = (r.get_u64()? as usize).max(self.slab.open);
         self.tuples_in = r.get_u64()?;
         self.batches = r.get_u64()?;
         self.puncts = r.get_u64()?;
@@ -1053,7 +1001,7 @@ impl Operator for AggregateOp {
     }
 
     fn held(&self) -> usize {
-        self.inner.open_groups()
+        self.slab.open
     }
 }
 
@@ -1117,7 +1065,7 @@ impl DirectMappedAggregator {
 
         let idx = (hash_key(&key) as usize) & self.mask;
         match &mut self.slots[idx] {
-            Some(slot) if slot.key == key => {
+            Some(slot) if same_key(&slot.key, &key) => {
                 self.core.update_accs(&mut slot.accs, src, &mut self.scratch);
             }
             occupied @ Some(_) => {
@@ -1281,18 +1229,26 @@ mod tests {
             .collect()
     }
 
+    /// Push `rows` as one batch with `punct` as its rider: the closed
+    /// groups, then the translated rider, as items.
+    fn push(op: &mut AggregateOp, rows: &[Tuple], punct: Option<Punct>) -> Vec<StreamItem> {
+        let (cb, p) = op.push_cols(ColumnBatch::from_tuples(rows), punct);
+        cb.into_items(p)
+    }
+
+    fn finish(op: &mut AggregateOp) -> Vec<StreamItem> {
+        op.finish().into_items(None)
+    }
+
     #[test]
     fn exact_ordered_flush() {
-        let mut agg = GroupAggregator::new(core());
-        let mut out = Vec::new();
-        agg.update(&tup(&[1, 10]), &mut out);
-        agg.update(&tup(&[1, 5]), &mut out);
+        let mut agg = AggregateOp::new(core(), None, None);
+        let mut out = push(&mut agg, &[tup(&[1, 10])], None);
+        out.extend(push(&mut agg, &[tup(&[1, 5])], None));
         assert!(out.is_empty(), "group 1 still open");
-        agg.update(&tup(&[2, 7]), &mut out);
+        out.extend(push(&mut agg, &[tup(&[2, 7])], None));
         assert_eq!(as_rows(&out), vec![vec![1, 2, 15]], "advance closes group 1");
-        out.clear();
-        agg.finish(&mut out);
-        assert_eq!(as_rows(&out), vec![vec![2, 1, 7]]);
+        assert_eq!(as_rows(&finish(&mut agg)), vec![vec![2, 1, 7]]);
         assert_eq!(agg.emitted, 2);
     }
 
@@ -1304,19 +1260,15 @@ mod tests {
             Some(0),
             2, // banded-increasing(2)
         );
-        let mut agg = GroupAggregator::new(core);
-        let mut out = Vec::new();
-        agg.update(&tup(&[10, 0]), &mut out);
-        agg.update(&tup(&[11, 0]), &mut out);
+        let mut agg = AggregateOp::new(core, None, None);
+        let out = push(&mut agg, &[tup(&[10, 0]), tup(&[11, 0])], None);
         assert!(out.is_empty(), "10 >= 11-2: still open");
-        agg.update(&tup(&[13, 0]), &mut out);
         // Bound 11: closes group 10 only.
+        let out = push(&mut agg, &[tup(&[13, 0])], None);
         assert_eq!(as_rows(&out), vec![vec![10, 1]]);
         // A laggard within the band is still accepted.
-        agg.update(&tup(&[11, 0]), &mut out);
-        out.clear();
-        agg.finish(&mut out);
-        assert_eq!(as_rows(&out), vec![vec![11, 2], vec![13, 1]]);
+        assert!(push(&mut agg, &[tup(&[11, 0])], None).is_empty());
+        assert_eq!(as_rows(&finish(&mut agg)), vec![vec![11, 2], vec![13, 1]]);
     }
 
     #[test]
@@ -1328,50 +1280,29 @@ mod tests {
             Some(0),
             0,
         );
-        let mut agg = GroupAggregator::new(core);
-        let mut out = Vec::new();
-        agg.update(&tup(&[1, 9]), &mut out);
-        agg.update(&tup(&[1, 3]), &mut out);
-        agg.update(&tup(&[1, 9]), &mut out);
-        agg.update(&tup(&[2, 0]), &mut out);
-        let rows = as_rows(&out);
-        assert_eq!(rows.len(), 2);
-        // Both closed rows carry bucket 1; sorted deterministically.
-        assert!(rows.iter().all(|r| r[0] == 1));
-        assert_eq!(rows.iter().map(|r| r[2]).sum::<u64>(), 3);
+        let mut agg = AggregateOp::new(core, None, None);
+        let rows = [[1, 9], [1, 3], [1, 9], [2, 0]].map(|r| tup(&r));
+        let rows = as_rows(&push(&mut agg, &rows, None));
+        // Both closed rows carry bucket 1, in key order.
+        assert_eq!(rows, vec![vec![1, 3, 1], vec![1, 9, 2]]);
     }
 
     #[test]
     fn punct_closes_without_tuples() {
-        let mut op = AggregateOp::new(GroupAggregator::new(core()), Some((0, 1)), Some(0));
-        let mut out = Vec::new();
-        op.push_batch(0, vec![StreamItem::Tuple(tup(&[5, 1]))], &mut out);
-        assert!(out.is_empty());
-        op.push_batch(0, vec![StreamItem::Punct(Punct::new(0, Value::UInt(6)))], &mut out);
-        let rows = as_rows(&out);
-        assert_eq!(rows, vec![vec![5, 1, 1]]);
+        let mut op = AggregateOp::new(core(), Some((0, 1)), Some(0));
+        assert!(push(&mut op, &[tup(&[5, 1])], None).is_empty());
+        let out = push(&mut op, &[], Some(Punct::new(0, Value::UInt(6))));
+        assert_eq!(as_rows(&out), vec![vec![5, 1, 1]]);
         // And the punct is forwarded on the output flush column.
-        assert!(out.iter().any(
-            |i| matches!(i, StreamItem::Punct(p) if p.col == 0 && p.low == Value::UInt(6))
-        ));
-    }
-
-    /// The closed groups and the translated rider of a columnar push.
-    fn cols_out(step: ColStep) -> Vec<StreamItem> {
-        let ColStep::Cols(cb, punct) = step else {
-            panic!("aggregation output is columnar");
-        };
-        cb.into_items(punct)
+        assert!(out.iter().any(|i| matches!(i, StreamItem::Punct(p) if p.bound(0) == Some(6))));
     }
 
     #[test]
-    fn push_cols_matches_push_batch() {
-        use crate::batch::ColumnBatch;
+    fn batch_split_is_invariant() {
         // Runs of equal keys, key changes, flush advances, and a trailing
-        // punctuation: one row batch, the same rows split in two, and a
-        // columnar batch with the punctuation as its rider must all
-        // aggregate identically.
-        let mk = || AggregateOp::new(GroupAggregator::new(core()), Some((0, 1)), Some(0));
+        // punctuation: the rows as one batch, split in two at every
+        // point, and one row per batch must all aggregate identically.
+        let mk = || AggregateOp::new(core(), Some((0, 1)), Some(0));
         let tuples: Vec<Tuple> = [
             (1u64, 5u64),
             (1, 3),
@@ -1385,87 +1316,47 @@ mod tests {
         .map(|&(a, b)| tup(&[a, b]))
         .collect();
         let punct = Punct::new(0, Value::UInt(4));
-        let items: Vec<StreamItem> = tuples
-            .iter()
-            .cloned()
-            .map(StreamItem::Tuple)
-            .chain([StreamItem::Punct(punct.clone())])
-            .collect();
-
-        let mut row_op = mk();
-        let mut row_out = Vec::new();
-        row_op.push_batch(0, items.clone(), &mut row_out);
-        row_op.finish(&mut row_out);
-
-        let mut split_op = mk();
-        let mut split_out = Vec::new();
-        let mut head = items;
-        let tail = head.split_off(4);
-        split_op.push_batch(0, head, &mut split_out);
-        split_op.push_batch(0, tail, &mut split_out);
-        split_op.finish(&mut split_out);
-
-        let mut col_op = mk();
-        let cb = ColumnBatch::from_tuples(&tuples);
-        let mut col_out = cols_out(col_op.push_cols(cb, Some(punct)));
-        col_op.finish(&mut col_out);
-
-        for (what, op, out) in [("split", &split_op, &split_out), ("columnar", &col_op, &col_out)] {
-            assert_eq!(as_rows(&row_out), as_rows(out), "{what}");
-            assert_eq!(row_op.aggregator().emitted, op.aggregator().emitted, "{what}");
-            assert_eq!(row_op.aggregator().open_groups(), op.aggregator().open_groups(), "{what}");
+        let run = |cuts: &[usize]| {
+            let mut op = mk();
+            let mut out = Vec::new();
+            let mut from = 0;
+            for &to in cuts.iter().chain([&tuples.len()]) {
+                let rider = (to == tuples.len()).then(|| punct.clone());
+                out.extend(push(&mut op, &tuples[from..to], rider));
+                from = to;
+            }
+            out.extend(finish(&mut op));
+            (out, op.emitted, op.held())
+        };
+        let whole = run(&[]);
+        assert_eq!(as_rows(&whole.0).len(), 4, "groups 1, 2, 1 (late) and 3");
+        for cut in 1..tuples.len() {
+            assert_eq!(run(&[cut]), whole, "split at {cut}");
         }
+        let singles: Vec<usize> = (1..tuples.len()).collect();
+        assert_eq!(run(&singles), whole, "one row per batch");
     }
 
     #[test]
     fn punct_mid_batch_closes_the_run_before_it() {
-        use crate::batch::ColumnBatch;
         // A punctuation token lands right after a run of one key: the
         // flush must see the whole run, and the key's next rows must
         // open a fresh group rather than resurrect the closed one.
-        let mk = || AggregateOp::new(GroupAggregator::new(core()), Some((0, 1)), Some(0));
-
-        let head: Vec<StreamItem> = [(5u64, 1u64), (5, 2), (5, 4)]
-            .iter()
-            .map(|&(a, b)| StreamItem::Tuple(tup(&[a, b])))
-            .collect();
-        let punct = Punct::new(0, Value::UInt(6));
-        let tail: Vec<StreamItem> =
-            [(5u64, 100u64), (5, 200)].iter().map(|&(a, b)| StreamItem::Tuple(tup(&[a, b]))).collect();
-
-        // Row items: one batch interleaving punct between the runs.
-        let mut op = mk();
-        let mut out = Vec::new();
-        let items: Vec<StreamItem> = head
-            .iter()
-            .cloned()
-            .chain([StreamItem::Punct(punct.clone())])
-            .chain(tail.iter().cloned())
-            .collect();
-        op.push_batch(0, items, &mut out);
-        // The punct must have closed group 5 with all three head rows.
+        let mut op = AggregateOp::new(core(), Some((0, 1)), Some(0));
+        let head = [(5u64, 1u64), (5, 2), (5, 4)].map(|(a, b)| tup(&[a, b]));
+        let tail = [(5u64, 100u64), (5, 200)].map(|(a, b)| tup(&[a, b]));
+        let out = push(&mut op, &head, Some(Punct::new(0, Value::UInt(6))));
         assert_eq!(as_rows(&out), vec![vec![5, 3, 7]], "flush sees the whole run");
-        assert_eq!(op.aggregator().open_groups(), 1, "resumed key 5 is a fresh group");
-        out.clear();
-        op.finish(&mut out);
-        assert_eq!(as_rows(&out), vec![vec![5, 2, 300]]);
-
-        // Columnar: punct rides after the head batch, tail follows.
-        let mut op = mk();
-        let head_t: Vec<Tuple> = [(5u64, 1u64), (5, 2), (5, 4)].iter().map(|&(a, b)| tup(&[a, b])).collect();
-        let tail_t: Vec<Tuple> =
-            [(5u64, 100u64), (5, 200)].iter().map(|&(a, b)| tup(&[a, b])).collect();
-        let mut out = cols_out(op.push_cols(ColumnBatch::from_tuples(&head_t), Some(punct)));
-        assert_eq!(as_rows(&out), vec![vec![5, 3, 7]], "columnar flush sees the whole run");
-        out.extend(cols_out(op.push_cols(ColumnBatch::from_tuples(&tail_t), None)));
-        assert_eq!(op.aggregator().open_groups(), 1);
-        op.finish(&mut out);
-        assert_eq!(as_rows(&out)[1..], [vec![5, 2, 300]]);
+        assert!(push(&mut op, &tail, None).is_empty());
+        assert_eq!(op.held(), 1, "resumed key 5 is a fresh group");
+        assert_eq!(as_rows(&finish(&mut op)), vec![vec![5, 2, 300]]);
     }
 
     /// A group key is equal to another exactly when `Value::total_cmp`
     /// says so: every NaN of one bit pattern is one group, whether its
-    /// rows come as a run or interleaved, while −0.0 and +0.0 stay two.
+    /// rows come as a run or interleaved, while −0.0 and +0.0 stay two —
+    /// in the exact aggregate and in a one-slot direct-mapped table,
+    /// where every key shares the slot.
     #[test]
     fn nan_keys_are_one_group_and_signed_zeros_two() {
         let fprog = |i| {
@@ -1477,38 +1368,44 @@ mod tests {
             )
             .unwrap()
         };
-        let core = AggCore::new(
-            vec![fprog(0)],
-            vec![(AggFunc::Count, None, DataType::UInt)],
-            None,
-            0,
-        );
-        let mut op = AggregateOp::new(GroupAggregator::new(core), None, None);
-        let row = |k: f64| StreamItem::Tuple(Tuple::new(vec![Value::Float(k)]));
+        let core = || {
+            AggCore::new(vec![fprog(0)], vec![(AggFunc::Count, None, DataType::UInt)], None, 0)
+        };
+        let row = |k: f64| Tuple::new(vec![Value::Float(k)]);
+        let groups = |out: &[StreamItem]| -> Vec<(u64, u64)> {
+            out.iter()
+                .filter_map(|i| i.as_tuple())
+                .map(|t| (t.get(0).as_float().unwrap().to_bits(), t.get(1).as_uint().unwrap()))
+                .collect()
+        };
         let nan = f64::NAN;
-        let items = vec![
-            row(nan),
-            row(nan),
-            row(nan),
-            row(nan), // a run of four
-            row(-0.0),
-            row(nan),
-            row(0.0),
-            row(nan), // two more, interleaved
-        ];
-        let mut out = Vec::new();
-        op.push_batch(0, items, &mut out);
-        op.finish(&mut out);
-        let groups: Vec<(u64, u64)> = out
-            .iter()
-            .filter_map(|i| i.as_tuple())
-            .map(|t| (t.get(0).as_float().unwrap().to_bits(), t.get(1).as_uint().unwrap()))
-            .collect();
+        let (neg, pos) = ((-0.0f64).to_bits(), 0.0f64.to_bits());
+
+        let mut op = AggregateOp::new(core(), None, None);
+        let rows = [nan, nan, nan, nan, -0.0, nan, 0.0, nan].map(row);
+        let mut out = push(&mut op, &rows, None);
+        out.extend(finish(&mut op));
         assert_eq!(
-            groups,
-            vec![((-0.0f64).to_bits(), 1), (0.0f64.to_bits(), 1), (nan.to_bits(), 6)],
+            groups(&out),
+            vec![(neg, 1), (pos, 1), (nan.to_bits(), 6)],
             "in total_cmp order: -0.0, +0.0, NaN"
         );
+
+        let mut dm = DirectMappedAggregator::new(core(), 1);
+        let mut out = Vec::new();
+        for k in [nan, nan, nan] {
+            dm.update(&row(k), &mut out);
+        }
+        assert!(out.is_empty(), "NaN rows fold into the resident NaN group");
+        assert_eq!(dm.stats.evictions, 0);
+        dm.finish(&mut out);
+        assert_eq!(groups(&out), vec![(nan.to_bits(), 3)], "one partial");
+        out.clear();
+        for k in [-0.0, 0.0] {
+            dm.update(&row(k), &mut out);
+        }
+        dm.finish(&mut out);
+        assert_eq!(groups(&out), vec![(neg, 1), (pos, 1)], "the two zeros are two partials");
     }
 
     /// `UInt(2^53)` and `UInt(2^53 + 1)` widen to the same `f64`, so
@@ -1530,17 +1427,17 @@ mod tests {
             Some(0),
             1,
         );
-        let mut op = AggregateOp::new(GroupAggregator::new(core), None, None);
+        let mut op = AggregateOp::new(core, None, None);
         let mut out = Vec::new();
         for (k, v) in [(b, 10), (a, 1), (b, 100), (a, 1000)] {
-            op.push_batch(0, vec![StreamItem::Tuple(tup(&[k, v]))], &mut out);
+            out.extend(push(&mut op, &[tup(&[k, v])], None));
         }
-        assert_eq!(op.aggregator().open_groups(), 2);
+        assert_eq!(op.held(), 2);
         // The watermark reaches b + 1: only a closes.
-        op.push_batch(0, vec![StreamItem::Tuple(tup(&[b + 1, 0]))], &mut out);
+        out.extend(push(&mut op, &[tup(&[b + 1, 0])], None));
         assert_eq!(as_rows(&out), vec![vec![a, 2, 1001]]);
-        op.push_batch(0, vec![StreamItem::Tuple(tup(&[b, 5]))], &mut out);
-        op.finish(&mut out);
+        out.extend(push(&mut op, &[tup(&[b, 5])], None));
+        out.extend(finish(&mut op));
         assert_eq!(as_rows(&out), vec![vec![a, 2, 1001], vec![b, 3, 115], vec![b + 1, 1, 0]]);
     }
 
@@ -1552,14 +1449,11 @@ mod tests {
             None,
             0,
         );
-        let mut agg = GroupAggregator::new(core);
-        let mut out = Vec::new();
+        let mut agg = AggregateOp::new(core, None, None);
         for v in [3u64, 1, 3, 2, 1] {
-            agg.update(&tup(&[v, 0]), &mut out);
+            assert!(push(&mut agg, &[tup(&[v, 0])], None).is_empty());
         }
-        assert!(out.is_empty());
-        agg.finish(&mut out);
-        assert_eq!(out.len(), 3);
+        assert_eq!(finish(&mut agg).len(), 3);
     }
 
     #[test]
@@ -1573,13 +1467,9 @@ mod tests {
             Some(0),
             0,
         );
-        let mut agg = GroupAggregator::new(core);
-        let mut out = Vec::new();
-        agg.update(&tup(&[1, 5]), &mut out);
-        agg.update(&tup(&[1, 2]), &mut out);
-        agg.update(&tup(&[1, 9]), &mut out);
-        agg.finish(&mut out);
-        assert_eq!(as_rows(&out), vec![vec![1, 2, 9]]);
+        let mut agg = AggregateOp::new(core, None, None);
+        assert!(push(&mut agg, &[tup(&[1, 5]), tup(&[1, 2]), tup(&[1, 9])], None).is_empty());
+        assert_eq!(as_rows(&finish(&mut agg)), vec![vec![1, 2, 9]]);
     }
 
     #[test]
@@ -1626,27 +1516,23 @@ mod tests {
             0,
         );
         let mut dm = DirectMappedAggregator::new(mk_core(), 2);
-        let mut exact = GroupAggregator::new(mk_core());
-        let mut combine = GroupAggregator::new(combine_core);
+        let mut exact = AggregateOp::new(mk_core(), None, None);
+        let mut combine = AggregateOp::new(combine_core, None, None);
 
         // A skewed input with bucket advances.
-        let data: Vec<[u64; 2]> = (0..500)
-            .map(|i| [i / 100, if i % 7 == 0 { 1 } else { i % 3 }])
+        let data: Vec<Tuple> = (0..500)
+            .map(|i| tup(&[i / 100, if i % 7 == 0 { 1 } else { i % 3 }]))
             .collect();
         let mut partials = Vec::new();
-        let mut direct = Vec::new();
         for d in &data {
-            dm.update(&tup(d), &mut partials);
-            exact.update(&tup(d), &mut direct);
+            dm.update(d, &mut partials);
         }
         dm.finish(&mut partials);
-        exact.finish(&mut direct);
+        let mut direct = push(&mut exact, &data, None);
+        direct.extend(finish(&mut exact));
 
-        let mut combined = Vec::new();
-        for p in crate::tuple::tuples_of(partials) {
-            combine.update(&p, &mut combined);
-        }
-        combine.finish(&mut combined);
+        let mut combined = push(&mut combine, &crate::tuple::tuples_of(partials), None);
+        combined.extend(finish(&mut combine));
 
         let norm = |rows: Vec<Vec<u64>>| {
             let mut r = rows;
@@ -1669,21 +1555,16 @@ mod tests {
         // Cut a stream mid-window, snapshot, restore into a freshly built
         // operator, feed the tail: concatenated output must equal the
         // uninterrupted run tuple for tuple, and the counters carry over.
-        let mk = || AggregateOp::new(GroupAggregator::new(core()), Some((0, 1)), Some(0));
-        let items: Vec<StreamItem> = [(1u64, 5u64), (1, 3), (2, 10), (2, 1), (3, 7), (3, 2)]
-            .iter()
-            .map(|&(a, b)| StreamItem::Tuple(tup(&[a, b])))
-            .collect();
-        let (head, tail) = items.split_at(3); // cut mid-window of bucket 2
+        let mk = || AggregateOp::new(core(), Some((0, 1)), Some(0));
+        let rows = [[1, 5], [1, 3], [2, 10], [2, 1], [3, 7], [3, 2]].map(|r| tup(&r));
+        let (head, tail) = rows.split_at(3); // cut mid-window of bucket 2
 
         let mut cont = mk();
-        let mut cont_out = Vec::new();
-        cont.push_batch(0, items.clone(), &mut cont_out);
-        cont.finish(&mut cont_out);
+        let mut cont_out = push(&mut cont, &rows, None);
+        cont_out.extend(finish(&mut cont));
 
         let mut first = mk();
-        let mut split_out = Vec::new();
-        first.push_batch(0, head.to_vec(), &mut split_out);
+        let mut split_out = push(&mut first, head, None);
         let mut w = SnapWriter::new();
         Operator::snapshot(&first, &mut w);
         let sealed = w.seal();
@@ -1692,21 +1573,20 @@ mod tests {
         let mut r = SnapReader::open(&sealed).expect("open");
         Operator::restore(&mut second, &mut r).expect("restore");
         r.finish().expect("payload fully consumed");
-        second.push_batch(0, tail.to_vec(), &mut split_out);
-        second.finish(&mut split_out);
+        split_out.extend(push(&mut second, tail, None));
+        split_out.extend(finish(&mut second));
 
         assert_eq!(as_rows(&cont_out), as_rows(&split_out));
-        assert_eq!(second.aggregator().emitted, cont.aggregator().emitted);
-        assert_eq!(second.aggregator().peak_groups, cont.aggregator().peak_groups);
+        assert_eq!(second.emitted, cont.emitted);
+        assert_eq!(second.peak_groups, cont.peak_groups);
     }
 
     #[test]
     fn snapshot_shape_mismatch_is_rejected() {
         // A snapshot taken from a 2-agg operator must not restore into a
         // 1-agg operator: the shape check fires a Protocol error.
-        let mut donor = AggregateOp::new(GroupAggregator::new(core()), None, None);
-        let mut out = Vec::new();
-        donor.push_batch(0, vec![StreamItem::Tuple(tup(&[1, 5]))], &mut out);
+        let mut donor = AggregateOp::new(core(), None, None);
+        push(&mut donor, &[tup(&[1, 5])], None);
         let mut w = SnapWriter::new();
         Operator::snapshot(&donor, &mut w);
         let sealed = w.seal();
@@ -1717,7 +1597,7 @@ mod tests {
             Some(0),
             0,
         );
-        let mut slim = AggregateOp::new(GroupAggregator::new(slim_core), None, None);
+        let mut slim = AggregateOp::new(slim_core, None, None);
         let mut r = SnapReader::open(&sealed).expect("open");
         assert!(matches!(
             Operator::restore(&mut slim, &mut r),

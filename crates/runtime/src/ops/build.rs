@@ -6,16 +6,16 @@
 //! bound, handles pre-processed, and BPF prefilters recompiled against
 //! the bound parameter values.
 
-use crate::batch::{ColStep, ColumnBatch};
+use crate::batch::ColumnBatch;
 use crate::expr::Program;
-use crate::ops::agg::{AggCore, AggregateOp, DirectMappedAggregator, GroupAggregator};
-use crate::punct::Punct;
+use crate::ops::agg::{AggCore, AggregateOp, DirectMappedAggregator};
 use crate::ops::join::{EmitMode, JoinConfig, JoinOp};
 use crate::ops::lfta::{Lfta, LftaKind, SharedSplit};
 use crate::ops::merge::MergeOp;
 use crate::ops::select::{FilterOp, SelectProject};
-use crate::ops::{cascade_batch, cascade_finish, Operator};
+use crate::ops::Operator;
 use crate::params::ParamBindings;
+use crate::punct::Punct;
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 use crate::stats::StatsRegistry;
 use crate::tuple::StreamItem;
@@ -285,129 +285,92 @@ pub struct HftaNode {
     root: Option<Root>,
     /// Single-input chain above the root (or the whole pipeline).
     chain: Vec<Box<dyn Operator>>,
-    /// Column count of each input's schema. A root checks it, so a
-    /// truncated batch fails in this node rather than in a consumer.
+    /// Column count of each input's schema, checked on every batch, so
+    /// a truncated batch fails in this node rather than in a consumer.
     arity: Vec<usize>,
 }
 
 impl HftaNode {
-    /// Feed row items into input `port` — the fault injector's and the
-    /// tests' entry point. A node with a root cuts them into batches at
-    /// each punctuation and takes its columnar path; a chain alone runs
-    /// row-at-a-time.
-    pub fn push_batch(&mut self, port: usize, items: Vec<StreamItem>, out: &mut Vec<StreamItem>) {
-        if self.root.is_none() {
-            debug_assert_eq!(port, 0);
-            cascade_batch(&mut self.chain, items, out);
-            return;
-        }
-        for (cb, punct) in ColumnBatch::from_items(items) {
-            if let Some((cb, punct)) = self.push_cols(port, cb, punct, out) {
-                out.extend(cb.into_items(punct));
-            }
-        }
-    }
-
     /// Feed a columnar batch (with its at-most-one trailing punctuation
-    /// rider) into input `port`. The root, then each chain operator, runs
-    /// its columnar path; as soon as one returns row-shaped output the
-    /// remaining stages run row-at-a-time into `out`. Returns
-    /// `Some((cols, punct))` when the batch survives the whole node
-    /// columnar — the caller ships it downstream without materializing
-    /// rows.
+    /// rider) into input `port`: through the root, when there is one,
+    /// then each chain operator in turn. Returns the node's output batch
+    /// and rider, or `None` when the push produced neither. Every stage
+    /// is columnar, so `_out` is never written; the parameter stays for
+    /// callers that still pass one.
     ///
     /// # Panics
-    /// Panics if a batch for a root has the wrong number of columns.
+    /// Panics if the batch has the wrong number of columns for its input.
     pub fn push_cols(
         &mut self,
         port: usize,
         cols: ColumnBatch,
         punct: Option<Punct>,
-        out: &mut Vec<StreamItem>,
+        _out: &mut Vec<StreamItem>,
     ) -> Option<(ColumnBatch, Option<Punct>)> {
-        let Some(root) = &mut self.root else {
-            debug_assert_eq!(port, 0);
-            return self.run_chain(cols, punct, out);
-        };
         assert!(
             cols.is_empty() || cols.n_cols() == self.arity[port],
             "input {port} batch has {} columns, its schema {}",
             cols.n_cols(),
             self.arity[port]
         );
-        let (cb, punct) = root.push(port, cols, punct);
-        if cb.is_empty() && punct.is_none() {
-            return None;
-        }
-        self.run_chain(cb, punct, out)
+        let (cols, punct) = match &mut self.root {
+            Some(root) => root.push(port, cols, punct),
+            None => (cols, punct),
+        };
+        self.run_chain(0, cols, punct)
     }
 
-    /// The chain over one batch: columnar while each stage stays so.
+    /// Chain stages `from..` over one batch, stopping as soon as nothing
+    /// is left for the stages above (an aggregate that closed no group).
     fn run_chain(
         &mut self,
-        mut cur: ColumnBatch,
-        mut rider: Option<Punct>,
-        out: &mut Vec<StreamItem>,
+        from: usize,
+        mut cols: ColumnBatch,
+        mut punct: Option<Punct>,
     ) -> Option<(ColumnBatch, Option<Punct>)> {
-        for i in 0..self.chain.len() {
-            match self.chain[i].push_cols(cur, rider) {
-                // Nothing left for the stages above (an aggregate that
-                // closed no group).
-                ColStep::Cols(cb, None) if cb.is_empty() => return None,
-                ColStep::Cols(cb, p) => {
-                    cur = cb;
-                    rider = p;
-                }
-                ColStep::Rows(items) => {
-                    if i + 1 < self.chain.len() {
-                        if !items.is_empty() {
-                            cascade_batch(&mut self.chain[i + 1..], items, out);
-                        }
-                    } else {
-                        out.extend(items);
-                    }
-                    return None;
-                }
+        for op in &mut self.chain[from..] {
+            if cols.is_empty() && punct.is_none() {
+                return None;
             }
+            (cols, punct) = op.push_cols(cols, punct);
         }
-        Some((cur, rider))
-    }
-
-    /// Root output released outside a push (an input or the stream
-    /// ended) goes through the chain into `out`.
-    fn chain_rows(&mut self, cb: ColumnBatch, punct: Option<Punct>, out: &mut Vec<StreamItem>) {
-        if cb.is_empty() && punct.is_none() {
-            return;
-        }
-        if let Some((cb, punct)) = self.run_chain(cb, punct, out) {
-            out.extend(cb.into_items(punct));
-        }
+        (!cols.is_empty() || punct.is_some()).then_some((cols, punct))
     }
 
     /// One input stream ended: multi-input roots release the holds that
-    /// input maintained; single-input nodes ignore this (use [`finish`]).
+    /// input maintained, through the chain; single-input nodes ignore
+    /// this (use [`finish`]).
     ///
     /// [`finish`]: HftaNode::finish
-    pub fn finish_input(&mut self, port: usize, out: &mut Vec<StreamItem>) {
-        match &mut self.root {
-            Some(Root::Merge(m)) => {
-                let (cb, punct) = m.finish_input(port);
-                self.chain_rows(cb, punct, out);
+    pub fn finish_input(&mut self, port: usize) -> Option<(ColumnBatch, Option<Punct>)> {
+        let (cols, punct) = match &mut self.root {
+            Some(Root::Merge(m)) => m.finish_input(port),
+            Some(Root::Join(j)) => {
+                j.finish_input(port);
+                return None;
             }
-            Some(Root::Join(j)) => j.finish_input(port),
-            None => {}
-        }
+            None => return None,
+        };
+        self.run_chain(0, cols, punct)
     }
 
-    /// All inputs ended: flush everything.
-    pub fn finish(&mut self, out: &mut Vec<StreamItem>) {
+    /// All inputs ended: flush everything. Returns, in emission order,
+    /// what the root releases and each chain stage's flush, each fed
+    /// through the stages above it (which have not finished yet). No
+    /// token arises without one coming in, so the batches carry none.
+    pub fn finish(&mut self) -> Vec<ColumnBatch> {
         let released = match &mut self.root {
             Some(Root::Merge(m)) => m.finish(),
             Some(Root::Join(j)) => j.finish(),
             None => ColumnBatch::default(),
         };
-        self.chain_rows(released, None, out);
-        cascade_finish(&mut self.chain, out);
+        let mut out = Vec::new();
+        out.extend(self.run_chain(0, released, None).map(|(cb, _)| cb));
+        for i in 0..self.chain.len() {
+            let flushed = self.chain[i].finish();
+            out.extend(self.run_chain(i + 1, flushed, None).map(|(cb, _)| cb));
+        }
+        out
     }
 
     /// Diagnostics: buffered tuples and starvation flag of a merge root.
@@ -648,11 +611,7 @@ fn build_chain_op(n: &Plan, ctx: &BuildCtx<'_>) -> Result<Box<dyn Operator>, Run
         }
         Plan::Aggregate { group, aggs, flush_group_idx, schema, .. } => {
             let (core, punct_in) = build_agg_core(ctx, group, aggs, *flush_group_idx, schema)?;
-            Ok(Box::new(AggregateOp::new(
-                GroupAggregator::new(core),
-                punct_in,
-                *flush_group_idx,
-            )))
+            Ok(Box::new(AggregateOp::new(core, punct_in, *flush_group_idx)))
         }
         other => Err(RuntimeError::msg(format!("not a chain operator: {other:?}"))),
     }
@@ -661,7 +620,7 @@ fn build_chain_op(n: &Plan, ctx: &BuildCtx<'_>) -> Result<Box<dyn Operator>, Run
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::StreamItem;
+    use crate::tuple::Tuple;
     use crate::value::Value;
     use gs_gsql::analyze::analyze;
     use gs_gsql::catalog::InterfaceDef;
@@ -723,15 +682,19 @@ mod tests {
             vals[idx("time")] = Value::UInt(ts);
             vals[idx("id")] = Value::UInt(id);
             vals[idx("len")] = Value::UInt(len);
-            StreamItem::Tuple(crate::tuple::Tuple::new(vals))
+            Tuple::new(vals)
         };
-        let mut out = Vec::new();
-        node.push_batch(0, vec![tup(1, 7, 3, 100)], &mut out);
-        node.push_batch(1, vec![tup(1, 7, 3, 50)], &mut out); // matches: same keys, 100 > 50
-        node.push_batch(1, vec![tup(1, 7, 4, 50)], &mut out); // different id: no match
-        node.push_batch(1, vec![tup(1, 8, 3, 50)], &mut out); // different srcIP: no match
-        node.push_batch(1, vec![tup(1, 7, 3, 200)], &mut out); // residual fails: 100 > 200 is false
-        let tuples: usize = out.iter().filter(|i| i.as_tuple().is_some()).count();
+        let mut tuples = 0;
+        for (port, row) in [
+            (0, tup(1, 7, 3, 100)),
+            (1, tup(1, 7, 3, 50)),  // matches: same keys, 100 > 50
+            (1, tup(1, 7, 4, 50)),  // different id: no match
+            (1, tup(1, 8, 3, 50)),  // different srcIP: no match
+            (1, tup(1, 7, 3, 200)), // residual fails: 100 > 200 is false
+        ] {
+            let batch = ColumnBatch::from_tuples(&[row]);
+            tuples += rows(node.push_cols(port, batch, None, &mut Vec::new()));
+        }
         assert_eq!(tuples, 1, "hash keys + residual must both apply");
     }
 
@@ -802,5 +765,96 @@ mod tests {
             lfta.stats.prefiltered, 1,
             "the bound parameter must reach the recompiled BPF prefilter"
         );
+    }
+
+    /// Rows of a node step's output batch.
+    fn rows(step: Option<(ColumnBatch, Option<Punct>)>) -> usize {
+        step.map_or(0, |(cb, _)| cb.n_rows())
+    }
+
+    /// Doubles every uint of a 1-column batch; flushes a sentinel.
+    struct Doubler;
+    impl Operator for Doubler {
+        fn push_cols(
+            &mut self,
+            cols: ColumnBatch,
+            punct: Option<Punct>,
+        ) -> (ColumnBatch, Option<Punct>) {
+            let doubled = (0..cols.n_rows()).map(|r| cols.col(0).uint(cols.phys(r)).unwrap() * 2);
+            (uints(doubled), punct)
+        }
+        fn finish(&mut self) -> ColumnBatch {
+            uints([999])
+        }
+    }
+
+    fn uints(vals: impl IntoIterator<Item = u64>) -> ColumnBatch {
+        ColumnBatch::from_columns(vec![crate::batch::Column::UInt(vals.into_iter().collect())])
+    }
+
+    fn values(cb: &ColumnBatch) -> Vec<u64> {
+        (0..cb.n_rows()).map(|r| cb.value_at(0, r).as_uint().unwrap()).collect()
+    }
+
+    /// A root-less node over `chain`, reading one 1-column input.
+    fn chain_node(chain: Vec<Box<dyn Operator>>, arity: usize) -> HftaNode {
+        HftaNode { inputs: vec!["in".into()], root: None, chain, arity: vec![arity] }
+    }
+
+    #[test]
+    fn chain_applies_stages_in_order() {
+        let mut node = chain_node(vec![Box::new(Doubler), Box::new(Doubler)], 1);
+        let (cb, p) = node.push_cols(0, uints(0..5), None, &mut Vec::new()).unwrap();
+        assert_eq!(values(&cb), vec![0, 4, 8, 12, 16]);
+        assert_eq!(p, None);
+    }
+
+    #[test]
+    fn finish_feeds_each_flush_through_the_stages_above() {
+        let mut node = chain_node(vec![Box::new(Doubler), Box::new(Doubler)], 1);
+        // First stage's sentinel passes through the second (999*2), then
+        // the second stage's own sentinel.
+        let out: Vec<Vec<u64>> = node.finish().iter().map(values).collect();
+        assert_eq!(out, vec![vec![1998], vec![999]]);
+    }
+
+    /// A projection deriving `time` and `time / 60` from input column 0
+    /// punctuates both in one rider, and that rider closes an aggregate
+    /// keyed on the second — before the stream ends.
+    #[test]
+    fn one_rider_bounds_every_translated_column() {
+        let registry = UdfRegistry::with_builtins();
+        let files = crate::udf::FileStore::new();
+        let params = ParamBindings::new();
+        let prog = |pe: &PExpr| Program::compile(pe, &params, &registry, &files).unwrap();
+        let uint = gs_gsql::types::DataType::UInt;
+        let time = PExpr::Col { index: 0, ty: uint };
+        let minute = PExpr::Binary {
+            op: BinOp::Div,
+            left: Box::new(time.clone()),
+            right: Box::new(PExpr::Lit(Literal::UInt(60))),
+            ty: uint,
+        };
+        let select =
+            SelectProject::new(None, vec![prog(&time), prog(&minute)], vec![(0, 0, 1), (0, 1, 60)]);
+        // Group by minute (output column 1 of the select), count(*).
+        let core = AggCore::new(
+            vec![prog(&PExpr::Col { index: 1, ty: uint })],
+            vec![(gs_gsql::ast::AggFunc::Count, None, uint)],
+            Some(0),
+            0,
+        );
+        let agg = AggregateOp::new(core, Some((1, 1)), Some(0));
+        let mut node = chain_node(vec![Box::new(select), Box::new(agg)], 1);
+        let step = node.push_cols(0, uints([10, 70, 130]), None, &mut Vec::new());
+        // Minute 0 closed on the arrival of minute 1, minute 1 on 2.
+        assert_eq!(step.map(|(cb, _)| values(&cb)), Some(vec![0, 1]));
+        let rider = Some(Punct::new(0, Value::UInt(180)));
+        let (cb, p) = node
+            .push_cols(0, ColumnBatch::default(), rider, &mut Vec::new())
+            .expect("the rider closes minute 2");
+        assert_eq!(values(&cb), vec![2]);
+        assert_eq!(p.and_then(|p| p.bound(0)), Some(3), "bound forwarded on the minute column");
+        assert!(node.finish().is_empty(), "nothing was left open");
     }
 }

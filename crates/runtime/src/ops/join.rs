@@ -562,15 +562,16 @@ impl JoinOp {
     /// enabling GC of the opposite buffer even when the side is silent.
     fn absorb_punct(&mut self, port: usize, p: &Punct) {
         self.puncts += 1;
-        let Some(low) = p.low.as_uint() else { return };
-        if port == 0 && p.col == self.cfg.left_col {
-            // Future left values >= low: express as watermark with the
-            // slack pre-compensated.
-            let wm = low.saturating_add(self.cfg.left_slack);
-            self.left.watermark = Some(self.left.watermark.map_or(wm, |w| w.max(wm)));
-        } else if port == 1 && p.col == self.cfg.right_col {
-            let wm = low.saturating_add(self.cfg.right_slack);
-            self.right.watermark = Some(self.right.watermark.map_or(wm, |w| w.max(wm)));
+        // Future values >= low: express as watermark with the slack
+        // pre-compensated.
+        let (side, col, slack) = if port == 0 {
+            (&mut self.left, self.cfg.left_col, self.cfg.left_slack)
+        } else {
+            (&mut self.right, self.cfg.right_col, self.cfg.right_slack)
+        };
+        if let Some(low) = p.bound(col) {
+            let wm = low.saturating_add(slack);
+            side.watermark = Some(side.watermark.map_or(wm, |w| w.max(wm)));
         }
     }
 

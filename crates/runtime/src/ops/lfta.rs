@@ -587,7 +587,7 @@ mod tests {
         lfta.heartbeat(5, &mut out);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].as_tuple().unwrap().values(), &[Value::UInt(2), Value::UInt(1)]);
-        assert!(matches!(&out[1], StreamItem::Punct(p) if p.low == Value::UInt(5)));
+        assert!(matches!(&out[1], StreamItem::Punct(p) if p.bound(0) == Some(5)));
         assert!(lfta.dm_stats().unwrap().outputs >= 2);
     }
 
@@ -609,7 +609,7 @@ mod tests {
         );
         let mut out = Vec::new();
         lfta.heartbeat(180, &mut out);
-        assert!(matches!(&out[0], StreamItem::Punct(p) if p.col == 0 && p.low == Value::UInt(3)));
+        assert!(matches!(&out[0], StreamItem::Punct(p) if p.bound(0) == Some(3)));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! example.
 //!
 //! It runs on column batches end to end: every arriving batch is held as
-//! one sorted *run* ([`Runs`]), and a release is a k-way merge of the runs
+//! one sorted *run* (`Runs`), and a release is a k-way merge of the runs
 //! that gathers the released rows into one typed output batch.
 
 use crate::batch::{Column, ColumnBatch};
@@ -348,7 +348,7 @@ impl MergeOp {
         let mut dirty = self.absorb(port, cols);
         if let Some(p) = punct {
             self.puncts += 1;
-            if let Some(low) = p.low.as_uint().filter(|_| p.col == self.on_col) {
+            if let Some(low) = p.bound(self.on_col) {
                 let input = &mut self.inputs[port];
                 input.future_bound = Some(input.future_bound.map_or(low, |b| b.max(low)));
                 dirty = true;
@@ -559,7 +559,7 @@ mod tests {
         push(&mut m, 0, vec![tup(5)], &mut out);
         push(&mut m, 1, vec![tup(8)], &mut out);
         assert!(
-            out.iter().any(|i| matches!(i, StreamItem::Punct(p) if p.low == Value::UInt(5))),
+            out.iter().any(|i| matches!(i, StreamItem::Punct(p) if p.bound(0) == Some(5))),
             "downstream learns the merge's own bound"
         );
     }

@@ -7,14 +7,13 @@
 //! kernel. The window join's residual and projections run through the
 //! same two functions.
 
-use crate::batch::{ColStep, ColumnBatch};
+use crate::batch::ColumnBatch;
 use crate::expr::vector::VecVal;
 use crate::expr::{EvalScratch, Program};
 use crate::ops::Operator;
 use crate::punct::Punct;
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 use crate::stats::OpCounters;
-use crate::tuple::{StreamItem, Tuple};
 use crate::value::Value;
 use std::sync::Arc;
 
@@ -59,9 +58,11 @@ fn get_counters(r: &mut SnapReader<'_>) -> Result<[u64; 4], SnapError> {
 }
 
 /// Filter + project in one pass. Punctuation is translated through the
-/// projection when the punctuated column survives as an identity (or
-/// divided-bucket) projection; otherwise it is dropped, which is always
-/// safe (punctuation is an optimization, never required for correctness).
+/// projection: every output column that is an identity (or
+/// divided-bucket) projection of a bounded input column is bounded in
+/// the one output token; a token that bounds no output column is
+/// dropped, which is always safe (punctuation is an optimization, never
+/// required for correctness).
 pub struct SelectProject {
     filter: Option<Program>,
     projections: Vec<Program>,
@@ -97,61 +98,26 @@ impl SelectProject {
             stats: Arc::new(OpCounters::default()),
         }
     }
-}
 
-impl SelectProject {
-    fn push_tuple(&mut self, t: &Tuple, out: &mut Vec<StreamItem>) {
-        self.seen += 1;
-        if let Some(f) = &self.filter {
-            if !f.eval_bool(t, &mut self.scratch) {
-                return;
-            }
-        }
-        // Short-circuiting collect: a partial UDF / missing field
-        // discards the tuple.
-        let scratch = &mut self.scratch;
-        let projected: Option<Tuple> =
-            self.projections.iter().map(|p| p.eval(t, scratch)).collect();
-        if let Some(tuple) = projected {
-            self.kept += 1;
-            out.push(StreamItem::Tuple(tuple));
-        }
-    }
-
-    fn push_punct(&mut self, p: &Punct, out: &mut Vec<StreamItem>) {
-        self.puncts += 1;
-        let mut ps = Vec::new();
-        self.translate_punct(p, &mut ps);
-        out.extend(ps.into_iter().map(StreamItem::Punct));
-    }
-
-    fn translate_punct(&self, p: &Punct, out: &mut Vec<Punct>) {
-        for (in_col, out_col, div) in &self.punct_map {
-            if p.col == *in_col {
-                if let Some(v) = p.low.as_uint() {
-                    out.push(Punct::new(*out_col, Value::UInt(v / div.max(&1))));
-                }
-            }
-        }
+    /// The input token's bounds, translated onto the output columns.
+    fn translate_punct(&self, p: &Punct) -> Option<Punct> {
+        let bounds = self
+            .punct_map
+            .iter()
+            .filter_map(|&(in_col, out_col, div)| {
+                Some((out_col, Value::UInt(p.bound(in_col)? / div.max(1))))
+            })
+            .collect();
+        Punct::from_bounds(bounds)
     }
 }
 
 impl Operator for SelectProject {
-    fn push_batch(&mut self, _port: usize, items: Vec<StreamItem>, out: &mut Vec<StreamItem>) {
-        // One reservation for the common all-tuples-pass case; the match
-        // dispatch stays, but counter updates and projected-tuple pushes
-        // hit a pre-grown vector.
-        self.batches += 1;
-        out.reserve(items.len());
-        for item in items {
-            match item {
-                StreamItem::Tuple(t) => self.push_tuple(&t, out),
-                StreamItem::Punct(p) => self.push_punct(&p, out),
-            }
-        }
-    }
-
-    fn push_cols(&mut self, cols: ColumnBatch, punct: Option<Punct>) -> ColStep {
+    fn push_cols(
+        &mut self,
+        cols: ColumnBatch,
+        punct: Option<Punct>,
+    ) -> (ColumnBatch, Option<Punct>) {
         self.batches += 1;
         self.seen += cols.n_rows() as u64;
         let cb = match &self.filter {
@@ -160,23 +126,9 @@ impl Operator for SelectProject {
         };
         let out_cb = project(&self.projections, &cb, &mut self.scratch);
         self.kept += out_cb.n_rows() as u64;
-        let mut ps = Vec::new();
-        if let Some(p) = &punct {
-            self.puncts += 1;
-            self.translate_punct(p, &mut ps);
-        }
-        if ps.len() <= 1 {
-            ColStep::Cols(out_cb, ps.pop())
-        } else {
-            // One input token translating to several output tokens
-            // cannot ride a columnar batch — materialize.
-            let mut items = out_cb.into_items(None);
-            items.extend(ps.into_iter().map(StreamItem::Punct));
-            ColStep::Rows(items)
-        }
+        self.puncts += u64::from(punct.is_some());
+        (out_cb, punct.and_then(|p| self.translate_punct(&p)))
     }
-
-    fn finish(&mut self, _out: &mut Vec<StreamItem>) {}
 
     fn kind(&self) -> &'static str {
         "select"
@@ -233,38 +185,18 @@ impl FilterOp {
 }
 
 impl Operator for FilterOp {
-    fn push_batch(&mut self, _port: usize, items: Vec<StreamItem>, out: &mut Vec<StreamItem>) {
-        self.batches += 1;
-        out.reserve(items.len());
-        for item in items {
-            match item {
-                StreamItem::Tuple(t) => {
-                    self.seen += 1;
-                    if self.pred.eval_bool(&t, &mut self.scratch) {
-                        self.kept += 1;
-                        out.push(StreamItem::Tuple(t));
-                    }
-                }
-                p @ StreamItem::Punct(_) => {
-                    self.puncts += 1;
-                    out.push(p);
-                }
-            }
-        }
-    }
-
-    fn push_cols(&mut self, cols: ColumnBatch, punct: Option<Punct>) -> ColStep {
+    fn push_cols(
+        &mut self,
+        cols: ColumnBatch,
+        punct: Option<Punct>,
+    ) -> (ColumnBatch, Option<Punct>) {
         self.batches += 1;
         self.seen += cols.n_rows() as u64;
-        if punct.is_some() {
-            self.puncts += 1;
-        }
+        self.puncts += u64::from(punct.is_some());
         let cb = filter(&self.pred, cols, &mut self.scratch);
         self.kept += cb.n_rows() as u64;
-        ColStep::Cols(cb, punct)
+        (cb, punct)
     }
-
-    fn finish(&mut self, _out: &mut Vec<StreamItem>) {}
 
     fn kind(&self) -> &'static str {
         "filter"
@@ -295,6 +227,7 @@ impl Operator for FilterOp {
 mod tests {
     use super::*;
     use crate::params::ParamBindings;
+    use crate::tuple::Tuple;
     use crate::udf::{FileStore, UdfRegistry};
     use gs_gsql::ast::BinOp;
     use gs_gsql::plan::{Literal, PExpr};
@@ -318,23 +251,30 @@ mod tests {
             ty: DataType::Bool,
         });
         let mut op = SelectProject::new(Some(filter), vec![prog(&col(1))], vec![]);
-        let mut out = Vec::new();
-        let row = |a, b| StreamItem::Tuple(Tuple::new(vec![Value::UInt(a), Value::UInt(b)]));
-        op.push_batch(0, vec![row(11, 7), row(9, 8)], &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].as_tuple().unwrap().get(0), &Value::UInt(7));
+        let rows = [[11, 7], [9, 8]].map(|r| Tuple::new(r.map(Value::UInt).to_vec()));
+        let (out, punct) = op.push_cols(ColumnBatch::from_tuples(&rows), None);
+        assert_eq!(out.n_rows(), 1);
+        assert_eq!(out.value_at(0, 0), Value::UInt(7));
+        assert_eq!(punct, None);
         assert_eq!((op.seen, op.kept), (2, 1));
     }
 
     #[test]
     fn punct_translated_through_identity_and_bucket() {
         let mut op = SelectProject::new(None, vec![prog(&col(0))], vec![(0, 0, 60)]);
-        let mut out = Vec::new();
-        op.push_batch(0, vec![StreamItem::Punct(Punct::new(0, Value::UInt(120)))], &mut out);
-        assert_eq!(out, vec![StreamItem::Punct(Punct::new(0, Value::UInt(2)))]);
+        let rider = |op: &mut SelectProject, p| op.push_cols(ColumnBatch::default(), Some(p)).1;
+        let bucket = rider(&mut op, Punct::new(0, Value::UInt(120)));
+        assert_eq!(bucket, Some(Punct::new(0, Value::UInt(2))));
         // Punct on an untranslated column is dropped.
-        out.clear();
-        op.push_batch(0, vec![StreamItem::Punct(Punct::new(5, Value::UInt(9)))], &mut out);
-        assert!(out.is_empty());
+        assert_eq!(rider(&mut op, Punct::new(5, Value::UInt(9))), None);
+        // Two output columns punctuated from one input column — `time`
+        // and `time/60` — share one rider bounding both.
+        let mut op = SelectProject::new(
+            None,
+            vec![prog(&col(0)), prog(&col(0))],
+            vec![(0, 0, 1), (0, 1, 60)],
+        );
+        let both = rider(&mut op, Punct::new(0, Value::UInt(120))).expect("one rider");
+        assert_eq!((both.bound(0), both.bound(1)), (Some(120), Some(2)));
     }
 }

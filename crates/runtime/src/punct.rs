@@ -7,25 +7,41 @@
 //! injecting ordering update tokens into the query stream. These tokens
 //! contain lower bounds on the ordering attributes in the stream."
 //!
-//! A [`Punct`] promises that no later tuple on this stream will carry a
-//! value of column `col` below `low`. Sources emit them periodically or on
-//! demand (when a downstream merge/join reports that it might be blocked).
+//! A [`Punct`] promises, for each column it bounds, that no later tuple
+//! on this stream will carry a value of that column below the bound.
+//! Sources emit them periodically or on demand (when a downstream
+//! merge/join reports that it might be blocked). One token may bound
+//! several columns — a projection that derives `time` and `time/60`
+//! from one input column bounds both — so a batch carries at most one
+//! token whatever its operators translate.
 
 use crate::value::Value;
 
-/// An ordering-update token: a lower bound on an ordered attribute.
+/// An ordering-update token: lower bounds on one or more ordered
+/// attributes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Punct {
-    /// Index of the ordered column in the stream's schema.
-    pub col: usize,
-    /// Lower bound: every future tuple `t` satisfies `t[col] >= low`.
-    pub low: Value,
+    /// `(column, low)` pairs, one per bounded column: every future tuple
+    /// `t` satisfies `t[column] >= low`.
+    bounds: Vec<(usize, Value)>,
 }
 
 impl Punct {
-    /// Build a token.
+    /// A token bounding column `col` below by `low`.
     pub fn new(col: usize, low: Value) -> Punct {
-        Punct { col, low }
+        Punct { bounds: vec![(col, low)] }
+    }
+
+    /// A token carrying every bound of `bounds`; `None` when there is
+    /// none (a token that bounds nothing is no token).
+    pub fn from_bounds(bounds: Vec<(usize, Value)>) -> Option<Punct> {
+        (!bounds.is_empty()).then_some(Punct { bounds })
+    }
+
+    /// The bound on column `col` as an unsigned integer, if the token
+    /// carries one.
+    pub fn bound(&self, col: usize) -> Option<u64> {
+        self.bounds.iter().find(|(c, _)| *c == col).and_then(|(_, low)| low.as_uint())
     }
 }
 
@@ -53,8 +69,11 @@ mod tests {
     #[test]
     fn construction() {
         let p = Punct::new(2, Value::UInt(100));
-        assert_eq!(p.col, 2);
-        assert_eq!(p.low, Value::UInt(100));
+        assert_eq!(p.bound(2), Some(100));
+        assert_eq!(p.bound(0), None, "an unbounded column has no bound");
+        let both = Punct::from_bounds(vec![(0, Value::UInt(120)), (1, Value::UInt(2))]).unwrap();
+        assert_eq!((both.bound(0), both.bound(1)), (Some(120), Some(2)));
+        assert_eq!(Punct::from_bounds(Vec::new()), None);
     }
 
     #[test]

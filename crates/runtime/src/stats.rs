@@ -144,7 +144,7 @@ pub struct OpCounters {
     pub tuples_in: Counter,
     /// Data tuples emitted.
     pub tuples_out: Counter,
-    /// Batches received (one per `push_batch` call).
+    /// Batches received (one per `push_cols` call).
     pub batches_in: Counter,
     /// Punctuation tokens received.
     pub puncts_in: Counter,

@@ -146,7 +146,7 @@ mod tests {
         let t = StreamItem::Tuple(Tuple::new(vec![Value::UInt(1)]));
         assert!(!t.is_punct());
         assert!(t.as_tuple().is_some());
-        let p = StreamItem::Punct(crate::punct::Punct { col: 0, low: Value::UInt(5) });
+        let p = StreamItem::Punct(crate::punct::Punct::new(0, Value::UInt(5)));
         assert!(p.is_punct());
         assert!(p.as_tuple().is_none());
         assert_eq!(tuples_of(vec![t, p]).len(), 1);

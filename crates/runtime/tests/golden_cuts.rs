@@ -18,7 +18,7 @@ use gs_gsql::plan::{Literal, PExpr};
 use gs_gsql::types::DataType;
 use gs_runtime::batch::ColumnBatch;
 use gs_runtime::expr::Program;
-use gs_runtime::ops::agg::{AggCore, AggregateOp, GroupAggregator};
+use gs_runtime::ops::agg::{AggCore, AggregateOp};
 use gs_runtime::ops::join::{EmitMode, JoinConfig, JoinOp};
 use gs_runtime::ops::merge::MergeOp;
 use gs_runtime::ops::Operator;
@@ -227,7 +227,20 @@ fn agg() -> AggregateOp {
         Some(0),
         1,
     );
-    AggregateOp::new(GroupAggregator::new(core), Some((0, 1)), Some(0))
+    AggregateOp::new(core, Some((0, 1)), Some(0))
+}
+
+/// Feed row items to the aggregate, cut into batches at each
+/// punctuation, appending its output rows and riders to `out`.
+fn push_agg(a: &mut AggregateOp, items: Vec<StreamItem>, out: &mut Vec<StreamItem>) {
+    for (cb, tok) in ColumnBatch::from_items(items) {
+        let (cb, tok) = a.push_cols(cb, tok);
+        out.extend(cb.into_items(tok));
+    }
+}
+
+fn finish_agg(a: &mut AggregateOp, out: &mut Vec<StreamItem>) {
+    out.extend(a.finish().into_items(None));
 }
 
 /// The rows the writer was fed before its cut: bucket 0 closed, then
@@ -279,9 +292,9 @@ fn agg_row(ts: u64, key: u32, n: u64, min: &str, max: f64, sum: f64) -> StreamIt
 fn aggregate_cut_restores_and_continues() {
     let mut a = restored_agg(&unhex(AGG_CUT));
     let mut out = Vec::new();
-    a.push_batch(0, vec![t(3, 1, "h"), t(2, 3, "i"), p(3)], &mut out);
-    a.push_batch(0, vec![t(4, 2, "j")], &mut out);
-    a.finish(&mut out);
+    push_agg(&mut a, vec![t(3, 1, "h"), t(2, 3, "i"), p(3)], &mut out);
+    push_agg(&mut a, vec![t(4, 2, "j")], &mut out);
+    finish_agg(&mut a, &mut out);
     let want = vec![
         agg_row(1, 1, 2, "a", 0.5, 1.0),
         agg_row(1, 2, 1, "b", 0.5, 0.5),
@@ -293,7 +306,7 @@ fn aggregate_cut_restores_and_continues() {
         agg_row(4, 2, 1, "j", 2.0, 2.0),
     ];
     assert_eq!(out, want);
-    assert_eq!(a.aggregator().emitted, 8);
+    assert_eq!(a.emitted, 8);
 }
 
 /// A cut is a function of the open groups, not of how they were laid
@@ -304,18 +317,18 @@ fn aggregate_cut_restores_and_continues() {
 fn aggregate_cuts_are_a_function_of_the_open_groups() {
     let mut cont = agg();
     let mut cont_out = Vec::new();
-    cont.push_batch(0, agg_head(), &mut cont_out);
+    push_agg(&mut cont, agg_head(), &mut cont_out);
     let mut restored = restored_agg(&unhex(AGG_CUT));
     let mut restored_out = Vec::new();
     let tail = vec![t(3, 1, "h"), t(2, 3, "i"), t(3, 9, "k"), t(3, 4, "m")];
     cont_out.clear();
-    cont.push_batch(0, tail.clone(), &mut cont_out);
-    restored.push_batch(0, tail, &mut restored_out);
+    push_agg(&mut cont, tail.clone(), &mut cont_out);
+    push_agg(&mut restored, tail, &mut restored_out);
     assert_eq!(restored.held(), 6, "buckets 2 and 3 open");
     assert_eq!(seal(&cont), seal(&restored), "re-sealed cuts are byte-identical");
     for (a, out) in [(&mut cont, &mut cont_out), (&mut restored, &mut restored_out)] {
-        a.push_batch(0, vec![p(4), t(4, 2, "n")], out);
-        a.finish(out);
+        push_agg(a, vec![p(4), t(4, 2, "n")], out);
+        finish_agg(a, out);
     }
     assert_eq!(cont_out, restored_out);
 }

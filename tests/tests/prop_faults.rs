@@ -235,8 +235,9 @@ fn faults_compose_with_columnar_transport() {
 }
 
 /// The other injector kinds must also be contained: a poisoned shared
-/// lock and a corrupt (column-truncated) tuple both quarantine at most
-/// the targeted query and never hang the run.
+/// lock and a corrupt (column-truncated) batch both quarantine at most
+/// the targeted query and never hang the run — and the truncation does
+/// quarantine it, in its own input check.
 #[test]
 fn poison_and_corruption_are_contained() {
     check("fault_kinds", 4, |g| {
@@ -245,12 +246,29 @@ fn poison_and_corruption_are_contained() {
             gigascope::FaultKind::PoisonLock { at_batch: 1 },
             gigascope::FaultKind::CorruptTuple { at_batch: 1, keep_cols: 1 },
         ] {
-            let mut gs = system(1, 1, false);
-            gs.faults = Some(FaultPlan::new().with("agg", kind.clone()));
-            let out = run_threaded(&gs, pkts.iter().cloned(), &SUBS).unwrap();
+            let gs = || {
+                let mut gs = system(1, 1, false);
+                gs.faults = Some(FaultPlan::new().with("agg", kind.clone()));
+                gs
+            };
+            let out = run_threaded(&gs(), pkts.iter().cloned(), &SUBS).unwrap();
             assert_eq!(out.packets, pkts.len() as u64, "capture wedged under {kind:?}");
             assert!(!out.health.failed("sib"), "sibling infected by {kind:?}");
             assert!(out.counter("faults", "fault_injected").unwrap() >= 1);
+            if matches!(kind, gigascope::FaultKind::CorruptTuple { .. }) {
+                // The truncated batch fails the chain-only `agg`'s own
+                // input check: it alone is quarantined, for its own
+                // panic, on both schedulers.
+                let sync = gs().run_capture(pkts.iter().cloned(), &SUBS).unwrap();
+                let healths = [(&sync.stats.health, "sync"), (&out.health, "threaded")];
+                for (health, engine) in healths {
+                    let failures = health.failures();
+                    assert!(
+                        matches!(failures.as_slice(), [(q, FaultReason::Panic(_))] if *q == "agg"),
+                        "{engine}: expected `agg` alone to fail in itself, got {failures:?}"
+                    );
+                }
+            }
         }
     });
 }

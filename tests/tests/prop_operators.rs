@@ -11,8 +11,7 @@ use gs_gsql::plan::{AggSpec, PExpr, Plan};
 use gs_gsql::types::DataType;
 use gs_netgen::prefixes::{generate_prefixes, reference_lpm, render_table};
 use gs_runtime::expr::Program;
-use gs_runtime::batch::ColStep;
-use gs_runtime::ops::agg::{AggCore, AggregateOp, DirectMappedAggregator, GroupAggregator};
+use gs_runtime::ops::agg::{AggCore, AggregateOp, DirectMappedAggregator};
 use gs_runtime::ops::merge::MergeOp;
 use gs_runtime::ops::Operator;
 use gs_runtime::punct::Punct;
@@ -44,6 +43,15 @@ fn uints(vals: &[u64]) -> ColumnBatch {
 fn merge_push(m: &mut MergeOp, port: usize, vals: &[u64], out: &mut Vec<StreamItem>) {
     let (cb, p) = m.push_cols(port, uints(vals), None);
     out.extend(cb.into_items(p));
+}
+
+/// `rows` through `op` as one batch, then its end of stream: every
+/// group, as items.
+fn aggregate(op: &mut AggregateOp, rows: &[Tuple]) -> Vec<StreamItem> {
+    let (cb, p) = op.push_cols(ColumnBatch::from_tuples(rows), None);
+    let mut out = cb.into_items(p);
+    out.extend(op.finish().into_items(None));
+    out
 }
 
 /// Sorted input stream for the merge.
@@ -121,23 +129,19 @@ fn split_aggregation_equals_exact() {
         );
 
         let mut dm = DirectMappedAggregator::new(mk_core(), 1usize << table_bits);
-        let mut exact = GroupAggregator::new(mk_core());
-        let mut comb = GroupAggregator::new(combine);
+        let mut exact = AggregateOp::new(mk_core(), None, None);
+        let mut comb = AggregateOp::new(combine, None, None);
 
         let mut partials = Vec::new();
-        let mut direct = Vec::new();
+        let mut rows_in = Vec::new();
         for &(b, k, w) in &rows {
             let t = Tuple::new(vec![Value::UInt(b), Value::UInt(k), Value::UInt(w)]);
             dm.update(&t, &mut partials);
-            exact.update(&t, &mut direct);
+            rows_in.push(t);
         }
         dm.finish(&mut partials);
-        exact.finish(&mut direct);
-        let mut combined = Vec::new();
-        for p in tuples_of(partials) {
-            comb.update(&p, &mut combined);
-        }
-        comb.finish(&mut combined);
+        let direct = aggregate(&mut exact, &rows_in);
+        let combined = aggregate(&mut comb, &tuples_of(partials));
 
         let as_map = |items: Vec<StreamItem>| -> BTreeMap<(u64, u64), (u64, u64, u64, u64)> {
             tuples_of(items)
@@ -240,14 +244,12 @@ fn exact_aggregation_of_typed_keys_matches_oracle() {
                 Some(0),
                 slack,
             );
-            let mut op = AggregateOp::new(GroupAggregator::new(core), Some((0, 1)), Some(0));
+            let mut op = AggregateOp::new(core, Some((0, 1)), Some(0));
             let mut out = Vec::new();
             let mut pending: Vec<Tuple> = Vec::new();
             let mut push = |op: &mut AggregateOp, pending: &mut Vec<Tuple>, p: Option<Punct>| {
                 let cb = ColumnBatch::from_tuples(&std::mem::take(pending));
-                let ColStep::Cols(cb, p) = op.push_cols(cb, p) else {
-                    panic!("aggregation output is columnar");
-                };
+                let (cb, p) = op.push_cols(cb, p);
                 out.extend(cb.into_items(p));
             };
             for item in &items {
@@ -262,7 +264,7 @@ fn exact_aggregation_of_typed_keys_matches_oracle() {
                 }
             }
             push(&mut op, &mut pending, None);
-            op.finish(&mut out);
+            out.extend(op.finish().into_items(None));
             let got = tuples_of(out);
             assert_eq!(canon(&got), canon(&want), "batch {batch}, slack {slack}, keys {keys:?}");
         }
