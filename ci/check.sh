@@ -28,6 +28,11 @@ cargo test -q --offline
 echo "== rustdoc, warnings as errors =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
+# Every lint clippy warns about by default, on every target (tests,
+# benches and examples included), fails the build.
+echo "== clippy, warnings as errors =="
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
 # Every perf gate is a row of the table in crates/bench/src/bin/gate.rs:
 # interleaved A/B runs of the manager workload, non-zero exit past the
 # threshold (one attempt each — a gate that needs a retry is broken).

@@ -45,6 +45,7 @@ pub mod wire;
 
 use crate::health::{query_of, RunHealth};
 use crate::manager::{Stepper, SubscriptionTap, ThreadedOptions};
+use crate::transport::lock;
 use crate::{Error, Gigascope};
 use gs_netgen::{MixConfig, PacketMix};
 use gs_packet::capture::LinkType;
@@ -60,7 +61,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 use supervisor::Supervisor;
@@ -272,11 +273,6 @@ impl Default for DaemonConfig {
             disk_faults: None,
         }
     }
-}
-
-/// Poison-tolerant lock (the daemon outlives any panicking holder).
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// An operation a connection handler queued for the engine to apply at
@@ -745,6 +741,29 @@ fn upstream_closure(gs: &Gigascope, seeds: impl IntoIterator<Item = String>) -> 
     closure
 }
 
+/// The deployed queries outside `seeds` that read, directly or
+/// transitively, a stream of one of `seeds`: the mirror of
+/// [`upstream_closure`].
+fn downstream_closure(gs: &Gigascope, seeds: &HashSet<String>) -> Vec<String> {
+    if seeds.is_empty() {
+        return Vec::new();
+    }
+    names(gs, |q| {
+        !seeds.contains(q) && upstream_closure(gs, [q.clone()]).iter().any(|u| seeds.contains(u))
+    })
+}
+
+/// Sleep `ms` milliseconds in steps of at most 10 ms, waking early on
+/// shutdown.
+fn pause(shared: &Shared, ms: u64) {
+    let mut slept = 0;
+    while slept < ms && !shared.shutdown.load(Ordering::SeqCst) {
+        let step = (ms - slept).min(10);
+        thread::sleep(Duration::from_millis(step));
+        slept += step;
+    }
+}
+
 /// The cut rule's hold-back at a cut that seals `sealing`: an upstream's
 /// cut is never past a consumer's, so every query with a cursor that
 /// does not seal, and its whole upstream closure, keeps its old bytes
@@ -935,13 +954,8 @@ fn engine_loop(
     // A recovered daemon pauses one epoch gap before its first
     // boundary, so subscribers racing the restart can reattach before
     // the resumed epoch's frames flow.
-    if recovery.recovered && epoch > 0 && epoch_gap_ms > 0 {
-        let mut slept = 0;
-        while slept < epoch_gap_ms && !shared.shutdown.load(Ordering::SeqCst) {
-            let step = (epoch_gap_ms - slept).min(10);
-            thread::sleep(Duration::from_millis(step));
-            slept += step;
-        }
+    if recovery.recovered && epoch > 0 {
+        pause(&shared, epoch_gap_ms);
     }
     while !shared.shutdown.load(Ordering::SeqCst) {
         // ---- Epoch boundary: apply ops, wake backoffs, clone fan-out -
@@ -958,7 +972,17 @@ fn engine_loop(
                     apply_op(op, &mut gs, &mut supervisor, &shared.stats)
                 })
                 .collect();
-            let excluded = supervisor.excluded(epoch);
+            // A query in backoff takes its consumers out with it: run on
+            // the empty input the backoff leaves them, they would emit and
+            // mark epochs the query's replay later fills. Excluded, they
+            // keep their cursors and replay with it, from one consistent
+            // cut, when the backoff ends. A Dead query's consumers run on
+            // — holding them would hold every upstream's cut forever.
+            let mut excluded = supervisor.excluded(epoch);
+            let dead = supervisor.dead();
+            let backoff: HashSet<String> =
+                excluded.iter().filter(|q| !dead.contains(q)).cloned().collect();
+            excluded.extend(downstream_closure(&gs, &backoff));
             ctl.snapshot.health = with_durable_note(supervisor.rows(), &durable_note);
             for (reply, result) in replies {
                 let _ = reply.send(result);
@@ -969,7 +993,7 @@ fn engine_loop(
             // ones (excluded until re-registered). Without this,
             // lifecycle churn would leak dead queries' carried state
             // forever.
-            for q in removed.iter().chain(supervisor.dead().iter()) {
+            for q in removed.iter().chain(&dead) {
                 stepper.forget(q);
                 Arc::make_mut(&mut carry).retain(|k, _| snapshot_owner(k) != q);
                 cursors.remove(q);
@@ -1115,12 +1139,7 @@ fn engine_loop(
             // sibling threads (the `--epoch-gap 0` busy-spin bug).
             thread::yield_now();
         } else {
-            let mut slept = 0;
-            while slept < gap && !shared.shutdown.load(Ordering::SeqCst) {
-                let step = (gap - slept).min(10);
-                thread::sleep(Duration::from_millis(step));
-                slept += step;
-            }
+            pause(&shared, gap);
         }
     }
 

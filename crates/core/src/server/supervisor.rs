@@ -14,7 +14,9 @@
 //!
 //! Collateral failures (`Upstream` faults whose origin is a *different*
 //! query) are not charged: the downstream query did nothing wrong, so
-//! it sits out no backoff and catches up from its cut the next epoch.
+//! it gets no backoff of its own and catches up from its cut the next
+//! epoch — unless its upstream is in backoff: the daemon excludes every
+//! query downstream of one in backoff, which then replays with it.
 //!
 //! Restart counts surface in GS_STATS under a `daemon:restart:<query>`
 //! node so the paper's "Gigascope monitors itself" loop covers the

@@ -23,8 +23,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Poison-tolerant lock: a mutex whose holder panicked (inside a
 /// containment boundary) stays usable instead of cascading the abort
-/// through every other thread that touches the queue.
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
+/// through every other thread that touches it — a queue, or the daemon's
+/// control state.
+pub(crate) fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

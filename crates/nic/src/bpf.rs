@@ -333,7 +333,9 @@ impl JeqFamily {
     /// `progs`, parallel to each family's [`tests`](JeqFamily::tests))
     /// and the left-over indices that must be interpreted individually.
     pub fn factor_all(progs: &[&BpfProgram]) -> (Vec<(JeqFamily, Vec<usize>)>, Vec<usize>) {
-        let mut groups: Vec<(&[Insn], Vec<(usize, TailTest)>)> = Vec::new();
+        // Each shared prefix with its members' indices and tail tests.
+        type Members = Vec<(usize, TailTest)>;
+        let mut groups: Vec<(&[Insn], Members)> = Vec::new();
         let mut loose = Vec::new();
         for (i, p) in progs.iter().enumerate() {
             match family_shape(p.insns()) {

@@ -244,7 +244,7 @@ impl DiskIo for RealDisk {
 pub fn atomic_write_file(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
     let path = path.as_ref();
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(&format!(".{}.tmp", std::process::id()));
+    tmp.push(format!(".{}.tmp", std::process::id()));
     let tmp = PathBuf::from(tmp);
     fs::write(&tmp, bytes)?;
     fsync_path(&tmp)?;
@@ -335,12 +335,13 @@ impl FaultyDisk {
                 continue;
             }
             match spec.kind {
-                DiskFaultKind::Enospc { .. } => {
-                    if st.boundary >= spec.at_boundary && st.enospc_left[i] > 0 {
-                        st.enospc_left[i] -= 1;
-                        return Some(DiskFaultKind::Enospc { times: 0 });
-                    }
+                DiskFaultKind::Enospc { .. }
+                    if st.boundary >= spec.at_boundary && st.enospc_left[i] > 0 =>
+                {
+                    st.enospc_left[i] -= 1;
+                    return Some(DiskFaultKind::Enospc { times: 0 });
                 }
+                DiskFaultKind::Enospc { .. } => {}
                 ref kind if st.boundary == spec.at_boundary => return Some(kind.clone()),
                 _ => {}
             }

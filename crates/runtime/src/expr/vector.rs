@@ -283,15 +283,11 @@ fn arith_vec(op: BinOp, a: &VecVal, b: &VecVal, n: usize) -> Option<VecVal> {
             Div | Mod => {
                 // Division by zero poisons the row, not the batch.
                 let mut valid = valid_buf(va, vb, n);
-                for i in 0..n {
-                    let y = nb.u(i);
-                    if y == 0 {
-                        valid[i] = false;
-                        out.push(0);
-                    } else {
-                        let x = na.u(i);
-                        out.push(if matches!(op, Div) { x / y } else { x % y });
-                    }
+                for (i, ok) in valid.iter_mut().enumerate() {
+                    let (x, y) = (na.u(i), nb.u(i));
+                    let q = if matches!(op, Div) { x.checked_div(y) } else { x.checked_rem(y) };
+                    *ok &= q.is_some();
+                    out.push(q.unwrap_or(0));
                 }
                 return Some(VecVal::Col(Column::UInt(out), Some(valid)));
             }

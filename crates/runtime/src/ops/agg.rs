@@ -1,6 +1,6 @@
 //! Group-by / aggregation.
 //!
-//! Two engines share one core:
+//! Two tables share one core and one group store:
 //!
 //! - [`AggregateOp`]: the exact aggregation HFTAs run, with
 //!   ordered-attribute flushing — "When a tuple arrives for aggregation
@@ -13,14 +13,16 @@
 //!   locality, aggregation even with a small hash table is effective in
 //!   early data reduction" (paper §3).
 //!
-//! The exact aggregator keeps its open groups in a slab of typed columns:
-//! a group is a slot, found through a seeded hash of the typed key
-//! columns; its key is a row of one column per group expression and its
+//! The store keeps the open groups in typed columns: a group is a slot,
+//! its key a row of one column per group expression and its
 //! accumulators a row of one column per aggregate. A close scans the
-//! slab's flush-value column and emits the closed groups as one
-//! [`ColumnBatch`]. The direct-mapped table keeps boxed keys and [`Acc`]
-//! accumulators, generic over [`FieldSource`] so it aggregates raw
-//! packets through the interpretation library.
+//! store's flush-value column and emits the closed groups in one total
+//! order. The two tables differ only in how a key finds its slot: the
+//! exact aggregate through a seeded hash index with collision chains,
+//! the direct-mapped table by its key hash masked to the table size,
+//! evicting the resident group on a mismatch. The direct-mapped table is
+//! generic over [`FieldSource`], so it aggregates raw packets through
+//! the interpretation library.
 
 use crate::batch::{Column, ColumnBatch};
 use crate::expr::vector::VecVal;
@@ -36,182 +38,8 @@ use bytes::Bytes;
 use gs_gsql::ast::AggFunc;
 use gs_gsql::types::DataType;
 use std::cmp::Ordering;
-use std::collections::hash_map::{DefaultHasher, Entry};
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
-
-/// One aggregate accumulator.
-#[derive(Debug, Clone)]
-pub enum Acc {
-    /// Tuple count.
-    Count(u64),
-    /// Integer sum (wrapping).
-    SumU(u64),
-    /// Float sum.
-    SumF(f64),
-    /// Running minimum.
-    Min(Option<Value>),
-    /// Running maximum.
-    Max(Option<Value>),
-}
-
-impl Acc {
-    /// Fresh accumulator for a spec.
-    pub fn new(func: AggFunc, ty: DataType) -> Acc {
-        match func {
-            AggFunc::Count => Acc::Count(0),
-            AggFunc::Sum => {
-                if ty == DataType::Float {
-                    Acc::SumF(0.0)
-                } else {
-                    Acc::SumU(0)
-                }
-            }
-            AggFunc::Min => Acc::Min(None),
-            AggFunc::Max => Acc::Max(None),
-            // `avg` is split into sum+count by the planner; an unsplit avg
-            // (pure-HFTA aggregation) accumulates as a float sum and the
-            // surrounding plan divides.
-            AggFunc::Avg => Acc::SumF(0.0),
-        }
-    }
-
-    /// Fold one argument value (`None` only for `count(*)`).
-    pub fn update(&mut self, v: Option<&Value>) {
-        match self {
-            Acc::Count(c) => *c += 1,
-            Acc::SumU(s) => {
-                if let Some(v) = v.and_then(|v| v.as_uint()) {
-                    *s = s.wrapping_add(v);
-                }
-            }
-            Acc::SumF(s) => {
-                if let Some(v) = v.and_then(|v| v.as_float()) {
-                    *s += v;
-                }
-            }
-            Acc::Min(m) => {
-                if let Some(v) = v {
-                    let better =
-                        m.as_ref().is_none_or(|cur| v.total_cmp(cur).is_lt());
-                    if better {
-                        *m = Some(v.clone());
-                    }
-                }
-            }
-            Acc::Max(m) => {
-                if let Some(v) = v {
-                    let better =
-                        m.as_ref().is_none_or(|cur| v.total_cmp(cur).is_gt());
-                    if better {
-                        *m = Some(v.clone());
-                    }
-                }
-            }
-        }
-    }
-
-    /// The accumulated value.
-    pub fn value(&self) -> Value {
-        match self {
-            Acc::Count(c) => Value::UInt(*c),
-            Acc::SumU(s) => Value::UInt(*s),
-            Acc::SumF(s) => Value::Float(*s),
-            // Empty min/max can only be emitted if every contributing
-            // tuple's argument failed to evaluate; emit zero.
-            Acc::Min(m) | Acc::Max(m) => m.clone().unwrap_or(Value::UInt(0)),
-        }
-    }
-
-    /// Serialize this accumulator (variant tag + payload).
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        match self {
-            Acc::Count(c) => {
-                w.put_u8(0);
-                w.put_u64(*c);
-            }
-            Acc::SumU(s) => {
-                w.put_u8(1);
-                w.put_u64(*s);
-            }
-            Acc::SumF(s) => {
-                w.put_u8(2);
-                w.put_f64(*s);
-            }
-            Acc::Min(m) | Acc::Max(m) => {
-                w.put_u8(if matches!(self, Acc::Min(_)) { 3 } else { 4 });
-                match m {
-                    Some(v) => {
-                        w.put_u8(1);
-                        w.put_value(v);
-                    }
-                    None => w.put_u8(0),
-                }
-            }
-        }
-    }
-
-    /// Decode one accumulator.
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Acc, SnapError> {
-        let opt_value = |r: &mut SnapReader<'_>| -> Result<Option<Value>, SnapError> {
-            match r.get_u8()? {
-                0 => Ok(None),
-                1 => Ok(Some(r.get_value()?)),
-                b => Err(proto(format!("bad option byte {b}"))),
-            }
-        };
-        match r.get_u8()? {
-            0 => Ok(Acc::Count(r.get_u64()?)),
-            1 => Ok(Acc::SumU(r.get_u64()?)),
-            2 => Ok(Acc::SumF(r.get_f64()?)),
-            3 => Ok(Acc::Min(opt_value(r)?)),
-            4 => Ok(Acc::Max(opt_value(r)?)),
-            t => Err(proto(format!("bad accumulator tag {t}"))),
-        }
-    }
-}
-
-/// Serialize one `(group key, accumulators)` pair.
-fn snap_group(
-    w: &mut SnapWriter,
-    key: impl ExactSizeIterator<Item = Value>,
-    accs: impl ExactSizeIterator<Item = Acc>,
-) {
-    w.put_u32(key.len() as u32);
-    for v in key {
-        w.put_value(&v);
-    }
-    w.put_u32(accs.len() as u32);
-    for a in accs {
-        a.snapshot(w);
-    }
-}
-
-/// Decode one `(group key, accumulators)` pair, validating the shape
-/// against the restoring operator's core (a mismatched snapshot must be
-/// rejected, not folded into a differently-shaped table).
-fn read_group(
-    r: &mut SnapReader<'_>,
-    core: &AggCore,
-) -> Result<(Box<[Value]>, Vec<Acc>), SnapError> {
-    let key = r.get_values()?.into_boxed_slice();
-    if key.len() != core.group_progs.len() {
-        return Err(proto(format!(
-            "group key arity {} != {}",
-            key.len(),
-            core.group_progs.len()
-        )));
-    }
-    let n = r.get_count(2)?;
-    if n != core.aggs.len() {
-        return Err(proto(format!("accumulator count {n} != {}", core.aggs.len())));
-    }
-    let mut accs = Vec::with_capacity(n);
-    for _ in 0..n {
-        accs.push(Acc::restore(r)?);
-    }
-    Ok((key, accs))
-}
 
 /// Shared configuration: compiled group and aggregate expressions.
 pub struct AggCore {
@@ -234,101 +62,25 @@ impl AggCore {
         AggCore { group_progs, aggs, flush_idx, slack }
     }
 
-    fn eval_key<S: FieldSource>(
-        &self,
-        src: &S,
-        scratch: &mut EvalScratch,
-    ) -> Option<Box<[Value]>> {
-        let mut key = Vec::with_capacity(self.group_progs.len());
-        for p in &self.group_progs {
-            key.push(p.eval(src, scratch)?);
+    /// The flush value of the key in row `r` of `keys`.
+    fn flush_value(&self, keys: &[Column], r: usize) -> Option<u64> {
+        keys.get(self.flush_idx?)?.uint(r)
+    }
+
+    /// Decode a group's key, checking its arity against this core's, as
+    /// one single-row column per group expression.
+    fn read_key(&self, r: &mut SnapReader<'_>) -> Result<Vec<Column>, SnapError> {
+        let key = r.get_values()?;
+        if key.len() != self.group_progs.len() {
+            return Err(proto(format!(
+                "group key arity {} != {}",
+                key.len(),
+                self.group_progs.len()
+            )));
         }
-        Some(key.into_boxed_slice())
-    }
-
-    fn fresh_accs(&self) -> Vec<Acc> {
-        self.aggs.iter().map(|(f, _, ty)| Acc::new(*f, *ty)).collect()
-    }
-
-    fn update_accs<S: FieldSource>(
-        &self,
-        accs: &mut [Acc],
-        src: &S,
-        scratch: &mut EvalScratch,
-    ) {
-        for (acc, (_, arg, _)) in accs.iter_mut().zip(&self.aggs) {
-            match arg {
-                None => acc.update(None),
-                Some(p) => {
-                    // A failed argument does not contribute; the tuple
-                    // still counts for other aggregates.
-                    let v = p.eval(src, scratch);
-                    if matches!(acc, Acc::Count(_)) {
-                        if v.is_some() {
-                            acc.update(None);
-                        }
-                    } else {
-                        acc.update(v.as_ref());
-                    }
-                }
-            }
-        }
-    }
-
-    fn flush_value(&self, key: &[Value]) -> Option<u64> {
-        let i = self.flush_idx?;
-        key.get(i).and_then(|v| v.as_uint())
-    }
-
-    fn emit(key: &[Value], accs: &[Acc], out: &mut Vec<StreamItem>) {
-        let mut vals = Vec::with_capacity(key.len() + accs.len());
-        vals.extend_from_slice(key);
-        vals.extend(accs.iter().map(|a| a.value()));
-        out.push(StreamItem::Tuple(Tuple::new(vals)));
+        Ok(key.iter().map(|v| Column::broadcast(v, 1)).collect())
     }
 }
-
-/// Group identity: keys are equal exactly when [`Value::total_cmp`] says
-/// so — one NaN group per bit pattern, −0.0 and +0.0 two groups — as in
-/// the exact aggregate's slab.
-fn same_key(a: &[Value], b: &[Value]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.total_cmp(y).is_eq())
-}
-
-fn hash_key(key: &[Value]) -> u64 {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
-}
-
-/// Sort closed groups so the flush attribute is nondecreasing in the
-/// output (the imputed ordering property of the aggregate's output),
-/// breaking flush-value ties by the full group key. The tie-break makes
-/// the emission order a *total* deterministic function of the group set
-/// rather than of table layout — so a run restored from a checkpoint
-/// emits byte-for-byte what the uninterrupted run emits, and two runs
-/// over the same trace always agree. [`Slab::order`] is the same order
-/// over the slab's typed columns.
-fn sort_closed(closed: &mut [(Box<[Value]>, Vec<Acc>)], flush_idx: Option<usize>) {
-    let key_cmp = |a: &[Value], b: &[Value]| {
-        a.iter()
-            .zip(b.iter())
-            .map(|(x, y)| x.total_cmp(y))
-            .find(|o| o.is_ne())
-            .unwrap_or(Ordering::Equal)
-    };
-    closed.sort_by(|(a, _), (b, _)| {
-        let primary = match flush_idx {
-            Some(i) => a[i].total_cmp(&b[i]),
-            None => Ordering::Equal,
-        };
-        primary.then_with(|| key_cmp(a, b))
-    });
-}
-
-// ---------------------------------------------------------------------
-// Exact aggregation (HFTA).
-// ---------------------------------------------------------------------
 
 /// End of a collision chain.
 const NIL: u32 = u32::MAX;
@@ -384,7 +136,7 @@ fn order_word(c: &Column, s: usize) -> u64 {
 }
 
 /// One aggregate's accumulators, one slot per group. Folding a run of
-/// rows into a slot is exactly [`Acc::update`] per row in order.
+/// rows into a slot equals folding them one at a time, in order.
 enum AccCol {
     /// `count`.
     Count(Vec<u64>),
@@ -399,22 +151,23 @@ enum AccCol {
 
 impl AccCol {
     fn new(func: AggFunc, ty: DataType) -> AccCol {
-        let ext = |max| {
-            let vals = match ty {
-                DataType::Bool => Column::Bool(Vec::new()),
-                DataType::UInt => Column::UInt(Vec::new()),
-                DataType::Float => Column::Float(Vec::new()),
-                DataType::Ip => Column::Ip(Vec::new()),
-                DataType::Str => Column::Str(Vec::new()),
-            };
-            AccCol::Ext { max, vals, seen: Vec::new() }
-        };
-        match Acc::new(func, ty) {
-            Acc::Count(_) => AccCol::Count(Vec::new()),
-            Acc::SumU(_) => AccCol::SumU(Vec::new()),
-            Acc::SumF(_) => AccCol::SumF(Vec::new()),
-            Acc::Min(_) => ext(false),
-            Acc::Max(_) => ext(true),
+        match func {
+            AggFunc::Count => AccCol::Count(Vec::new()),
+            AggFunc::Sum if ty != DataType::Float => AccCol::SumU(Vec::new()),
+            // `avg` is split into sum+count by the planner; an unsplit avg
+            // (pure-HFTA aggregation) accumulates as a float sum and the
+            // surrounding plan divides.
+            AggFunc::Sum | AggFunc::Avg => AccCol::SumF(Vec::new()),
+            AggFunc::Min | AggFunc::Max => {
+                let vals = match ty {
+                    DataType::Bool => Column::Bool(Vec::new()),
+                    DataType::UInt => Column::UInt(Vec::new()),
+                    DataType::Float => Column::Float(Vec::new()),
+                    DataType::Ip => Column::Ip(Vec::new()),
+                    DataType::Str => Column::Str(Vec::new()),
+                };
+                AccCol::Ext { max: func == AggFunc::Max, vals, seen: Vec::new() }
+            }
         }
     }
 
@@ -452,6 +205,10 @@ impl AccCol {
     /// arithmetic distributes mod 2^64); float sums fold sequentially,
     /// because float addition is not associative and the result must be
     /// the row-at-a-time one bit for bit.
+    // Inlined into both tables' fold loops, because the exact
+    // aggregate's per-run fold is its hot path and the direct-mapped
+    // table's call site would otherwise keep it out of line.
+    #[inline]
     fn fold(&mut self, s: usize, argv: Option<&VecVal>, i: usize, j: usize) {
         let Some(argv) = argv else {
             if let AccCol::Count(c) = self {
@@ -517,42 +274,66 @@ impl AccCol {
         }
     }
 
-    /// Slot `s` as an [`Acc`]: what a snapshot writes.
-    fn acc(&self, s: usize) -> Acc {
+    /// The accumulated value of slot `s`.
+    fn value(&self, s: usize) -> Value {
         match self {
-            AccCol::Count(v) => Acc::Count(v[s]),
-            AccCol::SumU(v) => Acc::SumU(v[s]),
-            AccCol::SumF(v) => Acc::SumF(v[s]),
-            AccCol::Ext { max, vals, seen } => {
-                let m = seen[s].then(|| vals.get(s));
-                if *max {
-                    Acc::Max(m)
+            AccCol::Count(v) | AccCol::SumU(v) => Value::UInt(v[s]),
+            AccCol::SumF(v) => Value::Float(v[s]),
+            // Empty min/max can only be emitted if every contributing
+            // tuple's argument failed to evaluate; emit zero.
+            AccCol::Ext { vals, seen, .. } => {
+                if seen[s] {
+                    vals.get(s)
                 } else {
-                    Acc::Min(m)
+                    Value::UInt(0)
                 }
             }
         }
     }
 
-    /// Set the freshly reset slot `s` from a restored accumulator, which
-    /// must be of this aggregate's kind.
-    fn restore(&mut self, s: usize, acc: Acc) -> Result<(), SnapError> {
-        match (self, acc) {
-            (AccCol::Count(v), Acc::Count(x)) | (AccCol::SumU(v), Acc::SumU(x)) => v[s] = x,
-            (AccCol::SumF(v), Acc::SumF(x)) => v[s] = x,
-            (AccCol::Ext { max: false, vals, seen }, Acc::Min(m))
-            | (AccCol::Ext { max: true, vals, seen }, Acc::Max(m)) => {
-                if let Some(x) = m {
-                    vals.set(s, x);
-                    seen[s] = true;
+    /// Serialize slot `s`: a kind tag, then its payload.
+    fn put(&self, s: usize, w: &mut SnapWriter) {
+        match self {
+            AccCol::Count(v) | AccCol::SumU(v) => {
+                w.put_u8(if matches!(self, AccCol::Count(_)) { 0 } else { 1 });
+                w.put_u64(v[s]);
+            }
+            AccCol::SumF(v) => {
+                w.put_u8(2);
+                w.put_f64(v[s]);
+            }
+            AccCol::Ext { max, vals, seen } => {
+                w.put_u8(3 + u8::from(*max));
+                w.put_u8(u8::from(seen[s]));
+                if seen[s] {
+                    w.put_value(&vals.get(s));
                 }
             }
-            (_, acc) => return Err(proto(format!("accumulator {acc:?} is not its aggregate's"))),
+        }
+    }
+
+    /// Decode what [`put`](AccCol::put) wrote into the freshly reset slot
+    /// `s`; the tag must be this aggregate's kind.
+    fn get(&mut self, s: usize, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        match (self, r.get_u8()?) {
+            (AccCol::Count(v), 0) | (AccCol::SumU(v), 1) => v[s] = r.get_u64()?,
+            (AccCol::SumF(v), 2) => v[s] = r.get_f64()?,
+            (AccCol::Ext { max, vals, seen }, t) if t == 3 + u8::from(*max) => {
+                match r.get_u8()? {
+                    0 => {}
+                    1 => {
+                        vals.set(s, r.get_value()?);
+                        seen[s] = true;
+                    }
+                    b => return Err(proto(format!("bad option byte {b}"))),
+                }
+            }
+            (_, t) => return Err(proto(format!("accumulator tag {t} is not its aggregate's"))),
         }
         Ok(())
     }
 
-    /// [`Acc::value`] of each of `slots`, in order, as one column.
+    /// The value of each of `slots`, in order, as one column.
     fn column(&self, slots: &[u32]) -> Column {
         let pick = |v: &[u64]| slots.iter().map(|&s| v[s as usize]).collect();
         match self {
@@ -562,7 +343,7 @@ impl AccCol {
                 vals.gather_rows(slots)
             }
             ext => {
-                let vals = slots.iter().map(|&s| Some(ext.acc(s as usize).value())).collect();
+                let vals = slots.iter().map(|&s| Some(ext.value(s as usize))).collect();
                 VecVal::from_rows(vals).into_column(None, slots.len())
             }
         }
@@ -578,122 +359,92 @@ fn fold_ext(max: bool, vals: &mut Column, seen: &mut [bool], s: usize, x: Value)
     }
 }
 
-/// The open groups of an exact aggregation. A group is a slot: its key
-/// is row `s` of one typed column per group expression, its
-/// accumulators slot `s` of one [`AccCol`] per aggregate, and a closed
-/// group's slot goes to the next new group. The index maps a seeded hash
-/// of the typed key to the newest slot with that hash; slots whose keys
-/// share all 64 bits chain through `next`, and [`key_eq`] — equality by
-/// [`Value::total_cmp`] — tells them apart.
-struct Slab {
-    seed: u64,
+/// The groups of either table. A group is a slot: its key is row `s` of
+/// one typed column per group expression, its accumulators slot `s` of
+/// one [`AccCol`] per aggregate. Keys are equal exactly when [`key_eq`]
+/// — equality by [`Value::total_cmp`] — says so: one NaN group per bit
+/// pattern, −0.0 and +0.0 two groups. Which slot a key goes to is the
+/// caller's: the store only opens, folds, closes and emits slots.
+struct Store {
     keys: Vec<Column>,
     accs: Vec<AccCol>,
-    hash: Vec<u64>,
-    next: Vec<u32>,
     /// Flush value per slot: [`NEVER`] for a free slot or a group
     /// without one.
     flush: Vec<u64>,
     live: Vec<bool>,
-    free: Vec<u32>,
-    index: HashIndex<u32>,
     /// Groups open.
     open: usize,
     /// No open group has a smaller flush value.
     min_flush: u64,
 }
 
-impl Slab {
-    fn new(core: &AggCore) -> Slab {
-        Slab {
-            seed: keyhash::seed(),
+impl Store {
+    fn new(core: &AggCore) -> Store {
+        Store {
             keys: Vec::new(),
             accs: core.aggs.iter().map(|(f, _, ty)| AccCol::new(*f, *ty)).collect(),
-            hash: Vec::new(),
-            next: Vec::new(),
             flush: Vec::new(),
             live: Vec::new(),
-            free: Vec::new(),
-            index: HashIndex::default(),
             open: 0,
             min_flush: NEVER,
         }
     }
 
-    /// The open group whose key is row `r` of `keys`, hashing to `h`.
-    fn find(&self, h: u64, keys: &[Column], r: usize) -> Option<usize> {
-        let mut s = *self.index.get(&h)? as usize;
-        loop {
-            if self.keys.iter().zip(keys).all(|(mine, k)| key_eq(mine, s, k, r)) {
-                return Some(s);
-            }
-            s = match self.next[s] {
-                NIL => return None,
-                next => next as usize,
-            };
-        }
+    /// Whether slot `s`'s key is row `r` of `keys`.
+    fn holds(&self, s: usize, keys: &[Column], r: usize) -> bool {
+        self.keys.iter().zip(keys).all(|(mine, k)| key_eq(mine, s, k, r))
     }
 
-    /// Open a group keyed by row `r` of `keys`, with empty accumulators,
-    /// in a freed slot or else a new one past the end.
-    fn insert(&mut self, h: u64, keys: &[Column], r: usize, flush: Option<u64>) -> usize {
-        let s = match self.free.pop() {
-            Some(s) => s as usize,
-            None => {
-                self.hash.push(0);
-                self.next.push(NIL);
-                self.flush.push(NEVER);
-                self.live.push(false);
-                self.hash.len() - 1
-            }
-        };
+    /// Open a group keyed by row `r` of `keys` in the free slot `s`, with
+    /// empty accumulators.
+    fn put(&mut self, s: usize, keys: &[Column], r: usize, flush: Option<u64>) {
         if self.keys.is_empty() {
             // The key columns take the types of the first key's.
             self.keys = keys.iter().map(|k| k.gather_rows(&[])).collect();
         }
+        // A slot past the end grows the store to it: the slots skipped on
+        // the way are free, with this key as a placeholder.
+        while self.live.len() < s {
+            let t = self.live.len();
+            self.put(t, keys, r, None);
+            self.close(t);
+        }
+        if s == self.live.len() {
+            self.flush.push(NEVER);
+            self.live.push(false);
+        }
         for (mine, k) in self.keys.iter_mut().zip(keys) {
             mine.set_from(s, k, r);
         }
-        self.hash[s] = h;
-        self.next[s] = self.index.insert(h, s as u32).unwrap_or(NIL);
+        for a in &mut self.accs {
+            a.reset(s);
+        }
         self.flush[s] = flush.unwrap_or(NEVER);
         self.live[s] = true;
         self.open += 1;
         self.min_flush = self.min_flush.min(self.flush[s]);
-        for a in &mut self.accs {
-            a.reset(s);
-        }
-        s
     }
 
-    /// Close the group in slot `s`: no lookup finds it again. The slot is
-    /// freed once its row has been emitted.
-    fn unlink(&mut self, s: usize) {
-        let Entry::Occupied(mut head) = self.index.entry(self.hash[s]) else {
-            unreachable!("an open group is indexed");
-        };
-        let after = self.next[s];
-        if *head.get() as usize == s {
-            if after == NIL {
-                head.remove();
-            } else {
-                head.insert(after);
-            }
-        } else {
-            let mut p = *head.get() as usize;
-            while self.next[p] as usize != s {
-                p = self.next[p] as usize;
-            }
-            self.next[p] = after;
+    /// Fold rows `i..j` of the evaluated arguments into slot `s`.
+    fn fold(&mut self, s: usize, args: &[Option<VecVal>], i: usize, j: usize) {
+        for (acc, argv) in self.accs.iter_mut().zip(args) {
+            acc.fold(s, argv.as_ref(), i, j);
         }
+    }
+
+    /// Close the group in slot `s`. Its key and accumulators stay
+    /// readable until the slot is opened again.
+    fn close(&mut self, s: usize) {
         self.live[s] = false;
         self.flush[s] = NEVER;
         self.open -= 1;
     }
 
     /// Slot `a` against slot `b` in emission order: flush value first,
-    /// then the full key, by [`Value::total_cmp`] (the order
-    /// [`sort_closed`] gives boxed keys).
+    /// then the full key, by [`Value::total_cmp`]. The order is a total
+    /// function of the group set, not of the slots, so a run restored
+    /// from a checkpoint emits byte for byte what the uninterrupted run
+    /// emits.
     fn order(&self, flush_idx: Option<usize>, a: usize, b: usize) -> Ordering {
         let by = |c: &Column| col_cmp(c, a, b);
         flush_idx.map_or(Ordering::Equal, |f| by(&self.keys[f])).then_with(|| {
@@ -703,7 +454,7 @@ impl Slab {
 
     /// Put `slots` in emission order: by a two-word prefix of the order
     /// — the flush column's word, then the first other key column's —
-    /// and by [`order`](Slab::order) only where the prefixes tie.
+    /// and by [`order`](Store::order) only where the prefixes tie.
     fn sort(&self, slots: &mut [u32], flush_idx: Option<usize>) {
         let word = |c: Option<&Column>, s| c.map_or(0, |c| order_word(c, s));
         let first = flush_idx.and_then(|f| self.keys.get(f));
@@ -729,13 +480,154 @@ impl Slab {
         self.sort(&mut slots, flush_idx);
         slots
     }
+
+    /// The open groups whose flush value is below `bound`, in emission
+    /// order: one scan of the flush-value column, skipped when no open
+    /// group is below.
+    fn below(&mut self, bound: u64, flush_idx: Option<usize>) -> Vec<u32> {
+        if self.min_flush >= bound {
+            return Vec::new();
+        }
+        let mut closed = Vec::new();
+        let mut min = NEVER;
+        for (s, &f) in self.flush.iter().enumerate() {
+            if f < bound {
+                closed.push(s as u32);
+            } else {
+                min = min.min(f);
+            }
+        }
+        self.min_flush = min;
+        self.sort(&mut closed, flush_idx);
+        closed
+    }
+
+    /// Slot `s` as an output row: its key, then one value per aggregate.
+    fn row(&self, s: usize) -> Tuple {
+        let key = self.keys.iter().map(|k| k.get(s));
+        Tuple::new(key.chain(self.accs.iter().map(|a| a.value(s))).collect())
+    }
+
+    /// `slots` as one output batch: key columns, then one column per
+    /// aggregate.
+    fn batch(&self, slots: &[u32]) -> ColumnBatch {
+        let keys = self.keys.iter().map(|k| k.gather_rows(slots));
+        let accs = self.accs.iter().map(|a| a.column(slots));
+        ColumnBatch::from_columns(keys.chain(accs).collect())
+    }
+
+    /// Serialize the group in slot `s`: its key values, then its
+    /// accumulators.
+    fn snap(&self, s: usize, w: &mut SnapWriter) {
+        w.put_u32(self.keys.len() as u32);
+        for k in &self.keys {
+            w.put_value(&k.get(s));
+        }
+        w.put_u32(self.accs.len() as u32);
+        for a in &self.accs {
+            a.put(s, w);
+        }
+    }
+
+    /// Decode a group's accumulators into the freshly opened slot `s`,
+    /// checking their number against this store's (a mismatched snapshot
+    /// must be rejected, not folded into a differently-shaped table).
+    fn read_accs(&mut self, s: usize, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.get_count(2)?;
+        if n != self.accs.len() {
+            return Err(proto(format!("accumulator count {n} != {}", self.accs.len())));
+        }
+        self.accs.iter_mut().try_for_each(|a| a.get(s, r))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Exact aggregation (HFTA).
+// ---------------------------------------------------------------------
+
+/// The exact aggregate's way to a key's slot. `heads` maps a seeded
+/// hash of the typed key to the newest slot with that hash; slots whose
+/// keys share all 64 bits chain through `next`, and the store's key
+/// compare tells them apart. A closed group's slot goes to the next new
+/// group.
+struct Index {
+    seed: u64,
+    heads: HashIndex<u32>,
+    hash: Vec<u64>,
+    next: Vec<u32>,
+    free: Vec<u32>,
+}
+
+impl Index {
+    fn new() -> Index {
+        Index {
+            seed: keyhash::seed(),
+            heads: HashIndex::default(),
+            hash: Vec::new(),
+            next: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// The open group whose key is row `r` of `keys`, hashing to `h`.
+    fn find(&self, store: &Store, h: u64, keys: &[Column], r: usize) -> Option<usize> {
+        let mut s = *self.heads.get(&h)? as usize;
+        loop {
+            if store.holds(s, keys, r) {
+                return Some(s);
+            }
+            s = match self.next[s] {
+                NIL => return None,
+                next => next as usize,
+            };
+        }
+    }
+
+    /// A slot for a new group hashing to `h`: a freed one, or else the
+    /// next past the end.
+    fn insert(&mut self, h: u64) -> usize {
+        let s = match self.free.pop() {
+            Some(s) => s as usize,
+            None => {
+                self.hash.push(0);
+                self.next.push(NIL);
+                self.hash.len() - 1
+            }
+        };
+        self.hash[s] = h;
+        self.next[s] = self.heads.insert(h, s as u32).unwrap_or(NIL);
+        s
+    }
+
+    /// Unlink slot `s`'s group: no lookup finds it again. The slot is
+    /// freed once its row has been emitted.
+    fn unlink(&mut self, s: usize) {
+        let Entry::Occupied(mut head) = self.heads.entry(self.hash[s]) else {
+            unreachable!("an open group is indexed");
+        };
+        let after = self.next[s];
+        if *head.get() as usize == s {
+            if after == NIL {
+                head.remove();
+            } else {
+                head.insert(after);
+            }
+        } else {
+            let mut p = *head.get() as usize;
+            while self.next[p] as usize != s {
+                p = self.next[p] as usize;
+            }
+            self.next[p] = after;
+        }
+    }
 }
 
 /// Exact aggregation with ordered flushing — the HFTA's aggregate
 /// operator, with punctuation translation.
 pub struct AggregateOp {
     core: AggCore,
-    slab: Slab,
+    store: Store,
+    index: Index,
     watermark: Option<u64>,
     scratch: EvalScratch,
     /// Slots closed by the current call, in emission order; freed once
@@ -765,7 +657,8 @@ impl AggregateOp {
         punct_out: Option<usize>,
     ) -> AggregateOp {
         AggregateOp {
-            slab: Slab::new(&core),
+            store: Store::new(&core),
+            index: Index::new(),
             core,
             watermark: None,
             scratch: EvalScratch::default(),
@@ -822,7 +715,7 @@ impl AggregateOp {
             })
             .collect();
         let ok = |r: usize| valid.as_ref().is_none_or(|v| v[r]);
-        let hash = hash_rows(self.slab.seed, &keys, n, |r| r);
+        let hash = hash_rows(self.index.seed, &keys, n, |r| r);
         let mut i = 0;
         while i < n {
             if !ok(i) {
@@ -839,42 +732,30 @@ impl AggregateOp {
             }
             // Every row of the run shares the flush value, so one check
             // covers the run.
-            let flush = self.core.flush_idx.and_then(|f| keys[f].uint(i));
+            let flush = self.core.flush_value(&keys, i);
             if let Some(v) = flush {
                 if self.watermark.is_none_or(|w| v > w) {
                     self.watermark = Some(v);
                     self.close_below(v.saturating_sub(self.core.slack));
                 }
             }
-            let s = match self.slab.find(hash[i], &keys, i) {
+            let s = match self.index.find(&self.store, hash[i], &keys, i) {
                 Some(s) => s,
-                None => self.slab.insert(hash[i], &keys, i, flush),
+                None => {
+                    let s = self.index.insert(hash[i]);
+                    self.store.put(s, &keys, i, flush);
+                    s
+                }
             };
-            for (acc, argv) in self.slab.accs.iter_mut().zip(args) {
-                acc.fold(s, argv.as_ref(), i, j);
-            }
-            self.peak_groups = self.peak_groups.max(self.slab.open);
+            self.store.fold(s, args, i, j);
+            self.peak_groups = self.peak_groups.max(self.store.open);
             i = j;
         }
     }
 
-    /// Close every group whose flush value is below `bound`: one scan of
-    /// the flush-value column, skipped when no open group is below.
+    /// Close every group whose flush value is below `bound`.
     fn close_below(&mut self, bound: u64) {
-        if self.core.flush_idx.is_none() || self.slab.min_flush >= bound {
-            return;
-        }
-        let mut closed = Vec::new();
-        let mut min = NEVER;
-        for (s, &f) in self.slab.flush.iter().enumerate() {
-            if f < bound {
-                closed.push(s as u32);
-            } else {
-                min = min.min(f);
-            }
-        }
-        self.slab.min_flush = min;
-        self.slab.sort(&mut closed, self.core.flush_idx);
+        let closed = self.store.below(bound, self.core.flush_idx);
         self.close(closed);
     }
 
@@ -882,23 +763,22 @@ impl AggregateOp {
     /// emission.
     fn close(&mut self, slots: Vec<u32>) {
         for &s in &slots {
-            self.slab.unlink(s as usize);
+            self.index.unlink(s as usize);
+            self.store.close(s as usize);
         }
         self.emitted += slots.len() as u64;
         self.closed.extend(slots);
     }
 
-    /// The groups closed since the last call as one batch — key columns,
-    /// then one column per aggregate — and their slots freed.
+    /// The groups closed since the last call as one batch, and their
+    /// slots freed.
     fn take_closed(&mut self) -> ColumnBatch {
         if self.closed.is_empty() {
             return ColumnBatch::default();
         }
         let slots = std::mem::take(&mut self.closed);
-        let keys = self.slab.keys.iter().map(|k| k.gather_rows(&slots));
-        let accs = self.slab.accs.iter().map(|a| a.column(&slots));
-        let batch = ColumnBatch::from_columns(keys.chain(accs).collect());
-        self.slab.free.extend(slots);
+        let batch = self.store.batch(&slots);
+        self.index.free.extend(slots);
         batch
     }
 
@@ -932,8 +812,7 @@ impl Operator for AggregateOp {
 
     /// Every open group, in emission order.
     fn finish(&mut self) -> ColumnBatch {
-        let open = self.slab.open_sorted(self.core.flush_idx);
-        self.slab.min_flush = NEVER;
+        let open = self.store.open_sorted(self.core.flush_idx);
         self.close(open);
         self.take_closed()
     }
@@ -960,15 +839,10 @@ impl Operator for AggregateOp {
     /// called at a quiescent point, with no closed group waiting to be
     /// emitted.
     fn snapshot(&self, w: &mut SnapWriter) {
-        let open = self.slab.open_sorted(self.core.flush_idx);
+        let open = self.store.open_sorted(self.core.flush_idx);
         w.put_u32(open.len() as u32);
         for s in open {
-            let s = s as usize;
-            snap_group(
-                w,
-                self.slab.keys.iter().map(|c| c.get(s)),
-                self.slab.accs.iter().map(|a| a.acc(s)),
-            );
+            self.store.snap(s as usize, w);
         }
         w.put_opt_u64(self.watermark);
         w.put_u64(self.emitted);
@@ -980,20 +854,18 @@ impl Operator for AggregateOp {
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = r.get_count(4)?;
-        self.slab = Slab::new(&self.core);
+        self.store = Store::new(&self.core);
+        self.index = Index::new();
         self.closed.clear();
         for _ in 0..n {
-            let (key, accs) = read_group(r, &self.core)?;
-            let keys: Vec<Column> = key.iter().map(|v| Column::broadcast(v, 1)).collect();
-            let h = hash_rows(self.slab.seed, &keys, 1, |i| i)[0];
-            let s = self.slab.insert(h, &keys, 0, self.core.flush_value(&key));
-            for (col, acc) in self.slab.accs.iter_mut().zip(accs) {
-                col.restore(s, acc)?;
-            }
+            let keys = self.core.read_key(r)?;
+            let s = self.index.insert(hash_rows(self.index.seed, &keys, 1, |i| i)[0]);
+            self.store.put(s, &keys, 0, self.core.flush_value(&keys, 0));
+            self.store.read_accs(s, r)?;
         }
         self.watermark = r.get_opt_u64()?;
         self.emitted = r.get_u64()?;
-        self.peak_groups = (r.get_u64()? as usize).max(self.slab.open);
+        self.peak_groups = (r.get_u64()? as usize).max(self.store.open);
         self.tuples_in = r.get_u64()?;
         self.batches = r.get_u64()?;
         self.puncts = r.get_u64()?;
@@ -1001,13 +873,20 @@ impl Operator for AggregateOp {
     }
 
     fn held(&self) -> usize {
-        self.slab.open
+        self.store.open
     }
 }
 
 // ---------------------------------------------------------------------
 // Direct-mapped aggregation (LFTA).
 // ---------------------------------------------------------------------
+
+/// The direct-mapped table's hash seed. It is fixed, not
+/// [`keyhash::seed`]: a direct-mapped collision costs one eviction —
+/// data reduction, never a chain walk — so a hash traffic can collide
+/// costs no CPU, and a fixed seed keeps runs, restores and experiment
+/// E3 reproducible.
+const DM_SEED: u64 = 0x243f_6a88_85a3_08d3;
 
 /// Statistics of a direct-mapped table (experiment E3 reads these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1020,16 +899,16 @@ pub struct DmStats {
     pub evictions: u64,
 }
 
-struct Slot {
-    key: Box<[Value]>,
-    accs: Vec<Acc>,
-}
-
-/// The LFTA's fixed-size direct-mapped eviction hash.
+/// The LFTA's fixed-size direct-mapped eviction hash: a key's slot is
+/// its hash masked to the table size, and a key that finds another
+/// group there evicts it.
 pub struct DirectMappedAggregator {
     core: AggCore,
-    slots: Vec<Option<Slot>>,
+    store: Store,
     mask: usize,
+    /// The current record's key, one single-row column per group
+    /// expression.
+    key: Vec<Column>,
     watermark: Option<u64>,
     scratch: EvalScratch,
     /// Table statistics.
@@ -1041,9 +920,10 @@ impl DirectMappedAggregator {
     pub fn new(core: AggCore, size: usize) -> DirectMappedAggregator {
         let size = size.max(1).next_power_of_two();
         DirectMappedAggregator {
+            store: Store::new(&core),
             core,
-            slots: (0..size).map(|_| None).collect(),
             mask: size - 1,
+            key: Vec::new(),
             watermark: None,
             scratch: EvalScratch::default(),
             stats: DmStats::default(),
@@ -1052,100 +932,89 @@ impl DirectMappedAggregator {
 
     /// Fold one input record, possibly emitting partials.
     pub fn update<S: FieldSource>(&mut self, src: &S, out: &mut Vec<StreamItem>) {
-        let Some(key) = self.core.eval_key(src, &mut self.scratch) else { return };
+        for (k, p) in self.core.group_progs.iter().enumerate() {
+            let Some(v) = p.eval(src, &mut self.scratch) else { return };
+            match self.key.get_mut(k) {
+                Some(c) => c.set(0, v),
+                None => self.key.push(Column::broadcast(&v, 1)),
+            }
+        }
         self.stats.inputs += 1;
 
         // Ordered-attribute advance closes every current group (§2.1).
-        if let Some(v) = self.core.flush_value(&key) {
+        let flush = self.core.flush_value(&self.key, 0);
+        if let Some(v) = flush {
             if self.watermark.is_none_or(|w| v > w) {
                 self.watermark = Some(v);
                 self.flush_below(v.saturating_sub(self.core.slack), out);
             }
         }
 
-        let idx = (hash_key(&key) as usize) & self.mask;
-        match &mut self.slots[idx] {
-            Some(slot) if same_key(&slot.key, &key) => {
-                self.core.update_accs(&mut slot.accs, src, &mut self.scratch);
-            }
-            occupied @ Some(_) => {
+        let s = hash_rows(DM_SEED, &self.key, 1, |i| i)[0] as usize & self.mask;
+        let resident = self.store.live.get(s) == Some(&true);
+        if !resident || !self.store.holds(s, &self.key, 0) {
+            if resident {
                 // Collision: eject the resident group as a partial.
-                let old = occupied.take().expect("checked occupied");
                 self.stats.evictions += 1;
-                self.stats.outputs += 1;
-                AggCore::emit(&old.key, &old.accs, out);
-                let mut accs = self.core.fresh_accs();
-                self.core.update_accs(&mut accs, src, &mut self.scratch);
-                *occupied = Some(Slot { key, accs });
+                self.emit(&[s as u32], out);
             }
-            empty @ None => {
-                let mut accs = self.core.fresh_accs();
-                self.core.update_accs(&mut accs, src, &mut self.scratch);
-                *empty = Some(Slot { key, accs });
+            self.store.put(s, &self.key, 0, flush);
+        }
+        for (acc, (_, arg, _)) in self.store.accs.iter_mut().zip(&self.core.aggs) {
+            match arg {
+                None => acc.fold(s, None, 0, 1),
+                // A failed argument does not contribute; the record
+                // still counts for other aggregates.
+                Some(p) => {
+                    if let Some(v) = p.eval(src, &mut self.scratch) {
+                        acc.fold(s, Some(&VecVal::Scalar(v)), 0, 1);
+                    }
+                }
             }
+        }
+    }
+
+    /// Emit and close `slots`, given in emission order.
+    fn emit(&mut self, slots: &[u32], out: &mut Vec<StreamItem>) {
+        self.stats.outputs += slots.len() as u64;
+        for &s in slots {
+            out.push(StreamItem::Tuple(self.store.row(s as usize)));
+            self.store.close(s as usize);
         }
     }
 
     /// Close groups whose flush value is below `bound` (heartbeats call
     /// this to flush without packet arrivals).
     pub fn flush_below(&mut self, bound: u64, out: &mut Vec<StreamItem>) {
-        if self.core.flush_idx.is_none() {
-            return;
-        }
-        let mut closed: Vec<(Box<[Value]>, Vec<Acc>)> = Vec::new();
-        for s in &mut self.slots {
-            let close = s
-                .as_ref()
-                .and_then(|slot| self.core.flush_value(&slot.key))
-                .is_some_and(|gv| gv < bound);
-            if close {
-                let slot = s.take().expect("checked some");
-                closed.push((slot.key, slot.accs));
-            }
-        }
-        sort_closed(&mut closed, self.core.flush_idx);
-        for (key, accs) in closed {
-            self.stats.outputs += 1;
-            AggCore::emit(&key, &accs, out);
-        }
+        let closed = self.store.below(bound, self.core.flush_idx);
+        self.emit(&closed, out);
     }
 
     /// Flush everything (end of stream).
     pub fn finish(&mut self, out: &mut Vec<StreamItem>) {
-        let mut closed: Vec<(Box<[Value]>, Vec<Acc>)> = Vec::new();
-        for s in &mut self.slots {
-            if let Some(slot) = s.take() {
-                closed.push((slot.key, slot.accs));
-            }
-        }
-        sort_closed(&mut closed, self.core.flush_idx);
-        for (key, accs) in closed {
-            self.stats.outputs += 1;
-            AggCore::emit(&key, &accs, out);
-        }
+        let open = self.store.open_sorted(self.core.flush_idx);
+        self.emit(&open, out);
     }
 
     /// Occupied slot count.
     pub fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.store.open
     }
 
     /// Table size in slots.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.mask + 1
     }
 
     /// Serialize the occupied slots (with their indices — the table must
     /// restore bit-identically even if the hash function ever changes),
     /// the watermark, and the table statistics.
     pub fn snapshot_into(&self, w: &mut SnapWriter) {
-        w.put_u32(self.slots.len() as u32);
+        w.put_u32(self.capacity() as u32);
         w.put_u32(self.occupancy() as u32);
-        for (i, s) in self.slots.iter().enumerate() {
-            if let Some(slot) = s {
-                w.put_u32(i as u32);
-                snap_group(w, slot.key.iter().cloned(), slot.accs.iter().cloned());
-            }
+        for s in (0..self.store.live.len()).filter(|&s| self.store.live[s]) {
+            w.put_u32(s as u32);
+            self.store.snap(s, w);
         }
         w.put_opt_u64(self.watermark);
         w.put_u64(self.stats.inputs);
@@ -1156,29 +1025,25 @@ impl DirectMappedAggregator {
     /// Restore state written by [`snapshot_into`](Self::snapshot_into).
     pub fn restore_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let cap = r.get_u32()? as usize;
-        if cap != self.slots.len() {
-            return Err(proto(format!(
-                "direct-mapped capacity {cap} != {}",
-                self.slots.len()
-            )));
+        if cap != self.capacity() {
+            return Err(proto(format!("direct-mapped capacity {cap} != {}", self.capacity())));
         }
         let n = r.get_count(4)?;
         if n > cap {
             return Err(proto(format!("occupancy {n} exceeds capacity {cap}")));
         }
-        for s in &mut self.slots {
-            *s = None;
-        }
+        self.store = Store::new(&self.core);
         for _ in 0..n {
-            let idx = r.get_u32()? as usize;
-            if idx >= self.slots.len() {
-                return Err(proto(format!("slot index {idx} out of range")));
+            let s = r.get_u32()? as usize;
+            if s >= cap {
+                return Err(proto(format!("slot index {s} out of range")));
             }
-            let (key, accs) = read_group(r, &self.core)?;
-            if self.slots[idx].is_some() {
-                return Err(proto(format!("duplicate slot index {idx}")));
+            let keys = self.core.read_key(r)?;
+            if self.store.live.get(s) == Some(&true) {
+                return Err(proto(format!("duplicate slot index {s}")));
             }
-            self.slots[idx] = Some(Slot { key, accs });
+            self.store.put(s, &keys, 0, self.core.flush_value(&keys, 0));
+            self.store.read_accs(s, r)?;
         }
         self.watermark = r.get_opt_u64()?;
         self.stats.inputs = r.get_u64()?;
@@ -1187,6 +1052,7 @@ impl DirectMappedAggregator {
         Ok(())
     }
 }
+
 
 #[cfg(test)]
 mod tests {

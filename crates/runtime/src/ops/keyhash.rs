@@ -1,11 +1,13 @@
 //! The typed key hash shared by the window join's bucket index and the
-//! aggregate's group index.
+//! aggregates' group tables.
 //!
-//! A key is one or more typed columns. Its hash is a per-operator,
-//! randomly seeded 64-bit mix of one word per key column, finished with
-//! an avalanche; an index keyed by that hash takes it as is
-//! ([`PassThrough`]) and resolves collisions by comparing the keys
-//! ([`key_eq`]). Equality is [`Value::total_cmp`]'s — the predicate `=`
+//! A key is one or more typed columns. Its hash is a seeded 64-bit mix
+//! of one word per key column, finished with an avalanche — randomly
+//! seeded per operator for the join and the exact aggregate, whose
+//! collisions cost chain walks; fixed for the LFTA's direct-mapped
+//! table, whose collisions cost only evictions. An index keyed by that
+//! hash takes it as is ([`PassThrough`]) and resolves collisions by
+//! comparing the keys ([`key_eq`]). Equality is [`Value::total_cmp`]'s — the predicate `=`
 //! of a join, the group identity of an aggregate — so two values that
 //! compare equal always hash alike.
 
@@ -59,17 +61,22 @@ const BOOL_SALT: u64 = 0x2d35_8dcc_aa6c_78a5;
 /// [`Value::total_cmp`]) calls equal: a number by the bits of its `f64`
 /// widening — so a uint meets the float it equals, a NaN meets the same
 /// NaN and −0.0 misses +0.0 — other types salted apart.
+pub(crate) fn value_word(v: &Value) -> u64 {
+    match v {
+        Value::UInt(u) => (*u as f64).to_bits(),
+        Value::Float(f) => f.to_bits(),
+        Value::Ip(ip) => u64::from(*ip) ^ IP_SALT,
+        Value::Bool(b) => u64::from(*b) ^ BOOL_SALT,
+        Value::Str(s) => s.iter().fold(s.len() as u64, |h, &b| mix(h, u64::from(b))),
+    }
+}
+
+/// [`value_word`] of row `p` of `col`, unboxed for integer columns.
 pub(crate) fn key_word(col: &Column, p: usize) -> u64 {
     match col {
         Column::UInt(v) => (v[p] as f64).to_bits(),
         Column::Ip(v) => u64::from(v[p]) ^ IP_SALT,
-        col => match col.get(p) {
-            Value::UInt(u) => (u as f64).to_bits(),
-            Value::Float(f) => f.to_bits(),
-            Value::Ip(ip) => u64::from(ip) ^ IP_SALT,
-            Value::Bool(b) => u64::from(b) ^ BOOL_SALT,
-            Value::Str(s) => s.iter().fold(s.len() as u64, |h, &b| mix(h, u64::from(b))),
-        },
+        col => value_word(&col.get(p)),
     }
 }
 

@@ -1077,7 +1077,7 @@ mod tests {
         for s in &shared_slots {
             sp.add_lfta(&s.0, 0);
         }
-        let mut private = vec![mk_lfta("a", 80), mk_lfta("b", 80), mk_lfta("c", 25)];
+        let mut private = [mk_lfta("a", 80), mk_lfta("b", 80), mk_lfta("c", 25)];
         let pkts: Vec<CapPacket> =
             (0..30).map(|i| pkt(i, if i % 3 == 0 { 80 } else { 25 + (i % 2) as u16 * 55 })).collect();
         let mut shared_out = vec![Vec::new(); 3];

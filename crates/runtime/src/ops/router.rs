@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn distinct_keys_spread_across_partitions() {
         let mut r = KeyRouter::new(vec![col_prog(0)], 4);
-        let mut hit = vec![false; 4];
+        let mut hit = [false; 4];
         for i in 0..64u64 {
             hit[r.route(&t(&[i]))] = true;
         }

@@ -1,5 +1,5 @@
 //! Snapshot compatibility of the merge and window-join roots and of the
-//! aggregate.
+//! two aggregation tables.
 //!
 //! The three root cuts below were sealed by the row-at-a-time operators
 //! that preceded the columnar ones, mid-window, with rows buffered on
@@ -12,13 +12,21 @@
 //! changed. A banded join's cut re-sealed by the new code is the golden
 //! cut, byte for byte; an aggregate's cut is a function of its open
 //! groups, so a restored and a continuous run re-seal the same bytes.
+//!
+//! The direct-mapped cut was sealed by the LFTA table that kept boxed
+//! keys hashed by SipHash, mid-stream, with three of its four slots
+//! occupied across two flush buckets. Where a key lands depends on the
+//! table's hash, so its test does not expect the writer's rows: it
+//! expects the cut to restore each group at its recorded slot and
+//! re-seal byte for byte, and the partials on both sides of the cut to
+//! re-aggregate, exactly, to the aggregate of the whole input.
 
 use gs_gsql::ast::{AggFunc, BinOp};
 use gs_gsql::plan::{Literal, PExpr};
 use gs_gsql::types::DataType;
 use gs_runtime::batch::ColumnBatch;
 use gs_runtime::expr::Program;
-use gs_runtime::ops::agg::{AggCore, AggregateOp};
+use gs_runtime::ops::agg::{AggCore, AggregateOp, DirectMappedAggregator};
 use gs_runtime::ops::join::{EmitMode, JoinConfig, JoinOp};
 use gs_runtime::ops::merge::MergeOp;
 use gs_runtime::ops::Operator;
@@ -35,6 +43,8 @@ const JOIN_BANDED_CUT: &str = "4753534e02000000030000000000000001000000010300000
 const JOIN_SORTED_CUT: &str = "4753534e0200000003000000000000000100000001030000000100000004010000000000000001030000000104000000026c31023fe0000000000000000000000000000200000001030000000200000004010000000000000002030000000204000000026c32023ff0000000000000000000000000000300000001030000000100000004010000000000000003030000000104000000026c33023ff800000000000000000000000000000100000000000000030000000000000000000000000300000000000000020000000103000000010000000401000000000000000203000000010400000003723261023ff0000000000000000000000000000100000001030000000200000004010000000000000001030000000204000000027231023fe0000000000000000000000000000300000001030000000200000004010000000000000003030000000204000000027233023ff80000000000000000000000000000010000000000000003000000000000000000000000030000000000000002000000000000000200000005010000000000000002030000000204000000026c3204000000027231023fe00000000000000000000000000003000000000000000300000005010000000000000003030000000104000000026c330400000003723261023ff00000000000000000000000000002000000000000000400000005010000000000000002030000000204000000026c3204000000027233023ff80000000000000000000000000004000000000000000600000000000000030000000000000004000000000000000600000000000000040000000000000000ddd634c66689ac77";
 
 const AGG_CUT: &str = "4753534e02000000050000000201000000000000000103000000020000000600000000000000000101000000000000000103010400000001620401023fe0000000000000023fe000000000000003000000000201000000000000000203000000010000000600000000000000000101000000000000000203010400000001630401023ff0000000000000023ff000000000000003000000000201000000000000000103000000010000000600000000000000000201000000000000000203010400000001610401023fe0000000000000023ff000000000000003000000000201000000000000000203000000030000000600000000000000000101000000000000000203010400000001670401023ff0000000000000023ff000000000000003000000000201000000000000000203000000020000000600000000000000000201000000000000000403010400000001650401023ff00000000000000240000000000000000300010000000000000002000000000000000100000000000000050000000000000008000000000000000100000000000000008ed9f9c565e78c47";
+
+const DM_CUT: &str = "4753534e020000000400000003000000000000000201000000000000000203000000020000000600000000000000000201000000000000000403010400000001650401023ff00000000000000240000000000000000300000000020000000201000000000000000103000000020000000600000000000000000101000000000000000103010400000001780401023fe0000000000000023fe00000000000000300000000030000000201000000000000000203000000010000000600000000000000000201000000000000000403010400000001630401023ff00000000000000240000000000000000300010000000000000002000000000000000a000000000000000500000000000000048be9f4cb00c4a22f";
 
 fn unhex(s: &str) -> Vec<u8> {
     (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
@@ -203,18 +213,18 @@ fn sorted_join_cut_restores_and_releases_in_order() {
     assert_eq!(j.produced, 7);
 }
 
-/// The aggregate the cut was taken from: group by `(ts, key)`, flushing
-/// on `ts` with slack 1, with `count(*)`, an integer sum, a string `min`,
-/// a float `max`, a float sum, and a `min` whose argument (`ts / 0`)
-/// never evaluates.
-fn agg() -> AggregateOp {
+/// The core both aggregate cuts were taken from: group by `(ts, key)`,
+/// flushing on `ts` with slack 1, with `count(*)`, an integer sum, a
+/// string `min`, a float `max`, a float sum, and a `min` whose argument
+/// (`ts / 0`) never evaluates.
+fn agg_core() -> AggCore {
     let never = prog(&PExpr::Binary {
         op: BinOp::Div,
         left: Box::new(col(0, DataType::UInt)),
         right: Box::new(PExpr::Lit(Literal::UInt(0))),
         ty: DataType::UInt,
     });
-    let core = AggCore::new(
+    AggCore::new(
         vec![prog(&col(0, DataType::UInt)), prog(&col(1, DataType::Ip))],
         vec![
             (AggFunc::Count, None, DataType::UInt),
@@ -226,8 +236,12 @@ fn agg() -> AggregateOp {
         ],
         Some(0),
         1,
-    );
-    AggregateOp::new(core, Some((0, 1)), Some(0))
+    )
+}
+
+/// The exact aggregate of the `AGG_CUT`.
+fn agg() -> AggregateOp {
+    AggregateOp::new(agg_core(), Some((0, 1)), Some(0))
 }
 
 /// Feed row items to the aggregate, cut into batches at each
@@ -331,4 +345,80 @@ fn aggregate_cuts_are_a_function_of_the_open_groups() {
         finish_agg(a, out);
     }
     assert_eq!(cont_out, restored_out);
+}
+
+
+/// The rows the direct-mapped writer was fed before its cut: the exact
+/// aggregate's head, whose collisions in four slots evict four partials,
+/// then one more row in each open bucket.
+fn dm_head() -> Vec<StreamItem> {
+    let mut head = agg_head();
+    head.extend([t(1, 2, "x"), t(2, 1, "y")]);
+    head
+}
+
+/// Fold row items into a direct-mapped table, appending its partials.
+fn feed_dm(dm: &mut DirectMappedAggregator, items: &[StreamItem], out: &mut Vec<StreamItem>) {
+    for it in items {
+        if let StreamItem::Tuple(t) = it {
+            dm.update(t, out);
+        }
+    }
+}
+
+/// A direct-mapped cut restores each group at its recorded slot, and
+/// the partials on both sides of it — the head's, as the writer emitted
+/// them, and the restored table's over the tail — re-aggregate to the
+/// exact aggregate of the whole input, however the table's hash places
+/// the tail's keys.
+#[test]
+fn direct_mapped_cut_restores_and_its_partials_sum_to_the_exact_aggregate() {
+    let cut = unhex(DM_CUT);
+    let mut dm = DirectMappedAggregator::new(agg_core(), 4);
+    let mut r = SnapReader::open(&cut).expect("golden cut opens");
+    dm.restore_from(&mut r).expect("golden cut restores");
+    r.finish().expect("golden cut fully consumed");
+    assert_eq!(dm.occupancy(), 3, "groups (1, 2), (2, 1) and (2, 2) open");
+    let mut w = SnapWriter::new();
+    dm.snapshot_into(&mut w);
+    assert_eq!(w.seal(), cut, "a restored cut re-seals to the same bytes");
+
+    let mut partials = vec![
+        agg_row(1, 1, 1, "a", 0.5, 0.5),
+        agg_row(0, 1, 1, "z", 0.0, 0.0),
+        agg_row(1, 2, 1, "b", 0.5, 0.5),
+        agg_row(1, 1, 1, "d", 0.5, 0.5),
+        agg_row(2, 3, 1, "g", 1.0, 1.0),
+    ];
+    let tail = vec![t(2, 2, "k"), t(3, 1, "h"), t(2, 3, "i"), t(2, 1, "m"), t(4, 2, "j")];
+    feed_dm(&mut dm, &tail, &mut partials);
+    dm.finish(&mut partials);
+    assert_eq!(dm.stats.inputs, 15);
+
+    // The HFTA's super-aggregate: partial counts and sums add, extremes
+    // of extremes.
+    let sum = |i, ty| (AggFunc::Sum, Some(prog(&col(i, ty))), ty);
+    let combine = AggCore::new(
+        vec![prog(&col(0, DataType::UInt)), prog(&col(1, DataType::Ip))],
+        vec![
+            sum(2, DataType::UInt),
+            sum(3, DataType::UInt),
+            (AggFunc::Min, Some(prog(&col(4, DataType::Str))), DataType::Str),
+            (AggFunc::Max, Some(prog(&col(5, DataType::Float))), DataType::Float),
+            sum(6, DataType::Float),
+            (AggFunc::Min, Some(prog(&col(7, DataType::UInt))), DataType::UInt),
+        ],
+        None,
+        0,
+    );
+    let mut combine = AggregateOp::new(combine, None, None);
+    let mut combined = Vec::new();
+    push_agg(&mut combine, partials, &mut combined);
+    finish_agg(&mut combine, &mut combined);
+
+    let mut exact = agg();
+    let mut want = Vec::new();
+    push_agg(&mut exact, dm_head().into_iter().chain(tail).collect(), &mut want);
+    finish_agg(&mut exact, &mut want);
+    assert_eq!(combined, want);
 }

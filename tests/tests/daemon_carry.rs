@@ -258,12 +258,10 @@ fn fault_behind_a_stateful_upstream_replays_the_chain_from_one_cut() {
 
 /// The mirror case: the stateful upstream faults. `perport` panics
 /// mid-window (no window closes before its backoff ends), taking `busy`
-/// down as collateral. The next epoch `busy` replays with `perport` — in
-/// backoff, but a member of its upstream closure — from their common
-/// cut; the epoch after, `perport` replays and comes out level, but its
-/// live consumer `busy` has the older cut, so the cut rule keeps
-/// `perport`'s old cut and the live epoch restores it from the level
-/// bytes the replay handed over. Both streams equal the continuous run.
+/// down as collateral. `busy` sits out `perport`'s backoff with it; the
+/// epoch after, both replay from their common cut and come out level,
+/// and the live epoch restores both from the level bytes the replay
+/// handed over. Both streams equal the continuous run.
 #[test]
 fn fault_in_a_stateful_upstream_replays_it_behind_its_live_consumer() {
     let (source, _) = carry_source(LEAD_IN, 0xCA224);
@@ -294,7 +292,48 @@ fn fault_in_a_stateful_upstream_replays_it_behind_its_live_consumer() {
         assert!(!frames.rows(stream).is_empty(), "no `{stream}` rows");
         assert_session_total(CHAIN_PROGRAM, &source, stream, &frames);
     }
-    // `busy` from its sealed bytes the epoch after the fault, `perport`
-    // from its level bytes the epoch after its backoff.
+    // Both from their level bytes, the epoch after the backoff.
     assert_eq!(daemon.registry().value("daemon", "nodes_restored"), Some(2));
+}
+
+/// A consumer sits out its upstream's backoff. `perport` panics in the
+/// last epoch of its first 1-second window, and its one-epoch backoff
+/// covers the epoch in which that window closes. `busy`, which reads
+/// `perport`'s stream, must not run on the empty input the backoff
+/// leaves it: it keeps its cursor, and when the backoff ends it replays
+/// with `perport` from one consistent cut, so it receives the window
+/// rows `perport` emits in the replay of the closing epoch.
+#[test]
+fn consumer_of_a_query_in_backoff_replays_with_it() {
+    let (source, _) = carry_source(LEAD_IN, 0xCA225);
+    let last_epoch = (LEAD_IN + 12 - 1) as u64;
+    // Real chunk 10 opens second 1, so epoch LEAD_IN + 10 closes the
+    // first window; the fault one epoch earlier backs `perport` off
+    // through it.
+    let fault = LEAD_IN as u64 + 9;
+    let mut config = carry_config(source.clone());
+    config.initial_program = Some(CHAIN_PROGRAM.to_string());
+    config.faults = Some(FaultPlan::new().panic_at("perport", 1));
+    config.fault_epochs = fault..fault + 1;
+    config.restart_budget = 3;
+    config.backoff_base = 1;
+    let mut daemon = server::start(config).expect("daemon start");
+    let mut client = connect(daemon.addr());
+    client.subscribe("perport").expect("subscribe perport");
+    client.subscribe("busy").expect("subscribe busy");
+
+    let mut frames = Frames::default();
+    frames.read(&mut client, &["perport", "busy"], Some(last_epoch));
+    let health = client.health().expect("health");
+    let row = |q: &str| health.iter().find(|r| r.query == q).map(|r| (r.state, r.restarts));
+    assert_eq!(row("perport"), Some((LifeState::Running, 1)));
+    assert_eq!(row("busy"), Some((LifeState::Running, 0)), "collateral: nothing charged");
+    client.shutdown().expect("shutdown");
+    frames.read(&mut client, &[], None);
+    daemon.shutdown();
+
+    for stream in ["perport", "busy"] {
+        assert!(!frames.rows(stream).is_empty(), "no `{stream}` rows");
+        assert_session_total(CHAIN_PROGRAM, &source, stream, &frames);
+    }
 }

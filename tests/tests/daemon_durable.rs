@@ -19,7 +19,7 @@ use gs_tests::daemon::{
 };
 use gigascope::Tuple;
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -45,11 +45,11 @@ fn scratch_dir(tag: &str) -> PathBuf {
     d
 }
 
-fn durable_config(source: PacketSource, state_dir: &PathBuf) -> DaemonConfig {
+fn durable_config(source: PacketSource, state_dir: &Path) -> DaemonConfig {
     DaemonConfig {
         source,
         epoch_gap_ms: 30,
-        state_dir: Some(state_dir.clone()),
+        state_dir: Some(state_dir.to_path_buf()),
         initial_program: Some(PROGRAM.to_string()),
         ..DaemonConfig::default()
     }

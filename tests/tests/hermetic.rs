@@ -93,7 +93,7 @@ fn smallrng_derived_draws_are_stable() {
     assert_eq!(rng.gen_range(0u16..1000), 951);
     assert_eq!(rng.gen_range(8u8..=24), 10);
     let f = rng.gen::<f64>();
-    assert!((f - 0.983_894_168_177_488_76).abs() < 1e-15, "f64 stream drifted: {f}");
+    assert!((f - 0.983_894_168_177_488_8).abs() < 1e-15, "f64 stream drifted: {f}");
     assert!(!rng.gen_bool(0.5));
     let mut buf = [0u8; 5];
     rng.fill(&mut buf[..]);

@@ -42,7 +42,7 @@ fn arb_pattern(g: &mut Gen) -> String {
 }
 
 fn arb_hay(g: &mut Gen) -> Vec<u8> {
-    g.vec_with(0..12, |g| *g.choice(&[b'a', b'b', b'c', b'x']))
+    g.vec_with(0..12, |g| *g.choice(b"abcx"))
 }
 
 #[test]
