@@ -316,6 +316,11 @@ echo "== offline build of benchmark/ (its own workspace) =="
 cargo build --release --offline --quiet \
     --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
 
+echo "== benchmark/ unit tests =="
+# The workspace test suite above does not reach benchmark/'s own tests
+# (manifest, span, trace and util parsing).
+cargo test --offline -q --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
+
 echo "== benchmark oracle (quick mode): every workload's session == run_capture =="
 # Every benchmark session is checked against the synchronous engine over
 # the same trace, and the driver exits non-zero on a wrong session, a

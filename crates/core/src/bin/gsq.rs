@@ -324,7 +324,7 @@ fn main() {
     if args.explain {
         print!("{}", gs.explain_all());
         // The cross-query shared prefilter plan: deduplicated atom table
-        // plus each LFTA's required-atom bitmask assignment.
+        // plus each LFTA's required atoms.
         match gs.explain_prefilter() {
             Ok(Some(plan)) => print!("\n{plan}"),
             Ok(None) => {}

@@ -562,12 +562,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The consumer end of one subscription: materializes rows into the
-/// stream's bucket and shows each arrival to the live tap.
+/// The consumer end of one subscription: materializes rows and hands
+/// each arrival to the live tap, or, untapped, keeps them in the
+/// stream's bucket.
 pub(crate) struct Collector {
     /// The subscribed stream.
     pub name: String,
-    /// Everything collected so far, in stream order.
+    /// Everything collected so far, in stream order; stays empty when a
+    /// tap consumes the rows.
     pub bucket: Vec<Tuple>,
     tap: Option<SubscriptionTap>,
     board: Arc<HealthBoard>,
@@ -579,10 +581,14 @@ impl Collector {
     pub fn drain(&mut self, mut recv: impl FnMut() -> Option<Msg>) {
         while !self.done {
             let Some(msg) = recv() else { return };
-            let start = self.bucket.len();
             match msg {
                 Msg::Cols(_, cb, _) => {
-                    self.bucket.extend((0..cb.n_rows()).map(|r| cb.row_tuple(r)));
+                    let rows = (0..cb.n_rows()).map(|r| cb.row_tuple(r));
+                    match &self.tap {
+                        None => self.bucket.extend(rows),
+                        Some(tap) if cb.n_rows() > 0 => tap(&rows.collect::<Vec<_>>()),
+                        Some(_) => {}
+                    }
                 }
                 Msg::Close(_) => self.done = true,
                 Msg::Fault(_, f) => {
@@ -590,11 +596,6 @@ impl Collector {
                     // collected so far and report the root.
                     self.board.record(&self.name, FaultReason::Upstream(f.node));
                     self.done = true;
-                }
-            }
-            if self.bucket.len() > start {
-                if let Some(tap) = &self.tap {
-                    tap(&self.bucket[start..]);
                 }
             }
         }

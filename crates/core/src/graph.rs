@@ -477,7 +477,7 @@ fn shared_pass(lftas: &mut [(Lfta, u16)]) -> SharedPrefilter {
     shared
 }
 
-/// Render the shared-prefilter plan (atom table + per-LFTA bitmasks) of
+/// Render the shared-prefilter plan (atom table + per-LFTA required atoms) of
 /// a graph's LFTAs; `None` when there is no LFTA to plan for.
 pub(crate) fn describe_prefilter(mut lftas: Vec<(Lfta, u16)>, catalog: &Catalog) -> Option<String> {
     if lftas.is_empty() {

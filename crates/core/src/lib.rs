@@ -304,7 +304,7 @@ impl Gigascope {
 
     /// Unregister a deployed query and its streams. Fails if any other
     /// deployed query subscribes to one of its streams (remove dependents
-    /// first). The shared prefilter's atom table and bitmasks are rebuilt
+    /// first). The shared prefilter's atom table and dispatch groups are rebuilt
     /// from the surviving query set at the start of the next run.
     pub fn remove_program(&mut self, query: &str) -> Result<(), Error> {
         let idx = self
@@ -386,7 +386,7 @@ impl Gigascope {
     }
 
     /// Render the shared cross-query prefilter plan: the deduplicated
-    /// atom table and each LFTA's required-atom bitmask assignment.
+    /// atom table and each LFTA's required atoms.
     /// `None` when no LFTAs are deployed.
     pub fn explain_prefilter(&self) -> Result<Option<String>, Error> {
         let lftas = graph::build(self, &[], &mut graph::LiveOps::default(), None, &[])?.lftas;

@@ -51,7 +51,9 @@ pub const CHANNEL_CAPACITY: usize = 8_192;
 /// Result of a threaded run.
 #[derive(Debug, Default)]
 pub struct ThreadedOutput {
-    /// Collected tuples per subscribed stream.
+    /// Collected tuples per subscribed stream. A stream with a
+    /// [`ThreadedOptions::taps`] observer is empty here: its tap
+    /// consumed the rows.
     pub streams: HashMap<String, Vec<Tuple>>,
     /// Packets consumed by the capture loop.
     pub packets: u64,
@@ -91,8 +93,8 @@ impl ThreadedOutput {
 /// A live subscription observer: called from the subscribed stream's
 /// collector thread with each drained batch of tuples, in stream order,
 /// while the run is still in flight. The `gsqd` daemon's frame fan-out
-/// rides on these; the tuples are also collected into
-/// [`ThreadedOutput::streams`] as usual.
+/// rides on these. The tap is the stream's only consumer: its rows are
+/// not also collected into [`ThreadedOutput::streams`].
 pub type SubscriptionTap = Arc<dyn Fn(&[Tuple]) + Send + Sync>;
 
 /// Knobs for [`run_threaded_opts`] beyond the defaults of
@@ -109,8 +111,9 @@ pub struct ThreadedOptions {
     /// Live observers per subscribed stream: `(stream name, tap)`. The
     /// stream must also appear in the run's subscription list; batches
     /// reach the tap from the stream's own collector drainer as they
-    /// arrive, so the concatenation of tap calls equals the collected
-    /// stream, in order.
+    /// arrive, so the concatenation of tap calls is the whole stream, in
+    /// order, and the stream's [`ThreadedOutput::streams`] entry stays
+    /// empty.
     pub taps: Vec<(String, SubscriptionTap)>,
     /// Deployed queries to leave out of this run entirely (no LFTAs, no
     /// HFTA node, no producer for their streams). The daemon's lifecycle
@@ -566,6 +569,27 @@ mod tests {
         let out = run_threaded(&gs, pkts, &["m"]).unwrap();
         // The self-merge sees every tuple on both ports.
         assert_eq!(out.stream("m").len(), 2 * n as usize);
+    }
+
+    /// A tapped stream's rows reach the tap, all of them and in order,
+    /// and nothing else keeps a copy: its collected stream stays empty.
+    #[test]
+    fn tapped_stream_is_consumed_by_its_tap() {
+        let mut gs = Gigascope::new();
+        gs.add_interface("eth0", 0, LinkType::Ethernet);
+        gs.add_program("DEFINE { query_name a; } Select time From eth0.tcp").unwrap();
+        gs.batch_size = 7;
+        let n = 100u64;
+        let pkts = (0..n).map(|s| pkt(s, 80, b"x"));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = seen.clone();
+        let tap: SubscriptionTap = Arc::new(move |rows: &[Tuple]| {
+            sink.lock().unwrap().extend(rows.iter().map(|t| t.get(0).as_uint().unwrap()));
+        });
+        let opts = ThreadedOptions { taps: vec![("a".to_string(), tap)], ..Default::default() };
+        let out = run_threaded_opts(&gs, pkts, &["a"], opts).unwrap();
+        assert_eq!(*seen.lock().unwrap(), (0..n).collect::<Vec<_>>());
+        assert!(out.stream("a").is_empty(), "the tap consumed the rows");
     }
 
     /// The final registry snapshot accounts every layer: LFTA counters,

@@ -6,7 +6,9 @@ use crate::ast::{AggFunc, BinOp, Expr, Query, QueryBody, SelectBody, SelectItem,
 use crate::catalog::Catalog;
 use crate::error::GsqlError;
 use crate::ordering::OrderProp;
-use crate::plan::{AggSpec, ColumnInfo, JoinWindow, Literal, PExpr, Plan, Schema};
+use crate::plan::{
+    and_fold, impute_order, AggSpec, ColumnInfo, JoinWindow, Literal, PExpr, Plan, Schema,
+};
 use crate::types::DataType;
 use std::collections::HashMap;
 
@@ -293,34 +295,6 @@ impl<'a> Context<'a> {
         }
     }
 
-    /// Imputed ordering property of a resolved expression over `schema`
-    /// (paper §2.1: projection passes ordering through; order-preserving
-    /// arithmetic keeps it; `ts/k` buckets stay nondecreasing).
-    fn impute_order(&self, e: &PExpr, schema: &Schema) -> OrderProp {
-        match e {
-            PExpr::Col { index, .. } => {
-                schema.get(*index).map(|c| c.order.clone()).unwrap_or(OrderProp::None)
-            }
-            PExpr::Binary { op, left, right, .. } => {
-                let (inner, k) = match (&**left, &**right) {
-                    (x, PExpr::Lit(Literal::UInt(k))) => (x, *k),
-                    (PExpr::Lit(Literal::UInt(k)), x) if matches!(op, BinOp::Add | BinOp::Mul) => {
-                        (x, *k)
-                    }
-                    _ => return OrderProp::None,
-                };
-                let base = self.impute_order(inner, schema);
-                match op {
-                    BinOp::Div if k > 0 => base.after_div(k),
-                    BinOp::Add | BinOp::Sub => base.after_monotone_map(1),
-                    BinOp::Mul if k > 0 => base.after_monotone_map(k),
-                    _ => OrderProp::None,
-                }
-            }
-            _ => OrderProp::None,
-        }
-    }
-
     // ---- SELECT --------------------------------------------------------
 
     fn analyze_select(&mut self, body: &SelectBody) -> Result<Plan, GsqlError> {
@@ -367,7 +341,7 @@ impl<'a> Context<'a> {
                 schema.push(ColumnInfo {
                     name: name.clone(),
                     ty: pe.ty(),
-                    order: self.impute_order(&pe, &input_schema),
+                    order: impute_order(&pe, &input_schema),
                 });
                 cols.push((name, pe));
             }
@@ -421,7 +395,7 @@ impl<'a> Context<'a> {
         let mut agg_schema = Schema::new();
         let mut flush_group_idx = None;
         for (i, (name, pe)) in group.iter().enumerate() {
-            let order = self.impute_order(pe, &input_schema);
+            let order = impute_order(pe, &input_schema);
             if flush_group_idx.is_none() && order.is_progressing() {
                 flush_group_idx = Some(i);
             }
@@ -457,7 +431,7 @@ impl<'a> Context<'a> {
             schema.push(ColumnInfo {
                 name: name.clone(),
                 ty: pe.ty(),
-                order: self.impute_order(pe, &agg_schema),
+                order: impute_order(pe, &agg_schema),
             });
         }
         Ok(Plan::Project { cols: out_cols, input: Box::new(plan), schema })
@@ -650,7 +624,7 @@ impl<'a> Context<'a> {
             left: Box::new(left),
             right: Box::new(right),
             window,
-            residual: PExprAnd::fold(residual),
+            residual: and_fold(residual),
             cols,
             schema,
         })
@@ -734,20 +708,6 @@ impl<'a> Context<'a> {
         let mut schema = first;
         schema[on_col].order = order;
         Ok(Plan::Merge { inputs, on_col, schema })
-    }
-}
-
-/// Helper: AND-fold resolved predicates.
-struct PExprAnd;
-impl PExprAnd {
-    fn fold(mut v: Vec<PExpr>) -> Option<PExpr> {
-        let first = if v.is_empty() { return None } else { v.remove(0) };
-        Some(v.into_iter().fold(first, |acc, e| PExpr::Binary {
-            op: BinOp::And,
-            left: Box::new(acc),
-            right: Box::new(e),
-            ty: DataType::Bool,
-        }))
     }
 }
 

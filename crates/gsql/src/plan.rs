@@ -197,6 +197,61 @@ impl PExpr {
             },
         }
     }
+
+    /// Top-level AND conjuncts, owned.
+    pub fn conjuncts_owned(&self) -> Vec<PExpr> {
+        let mut out = Vec::new();
+        fn go(e: &PExpr, out: &mut Vec<PExpr>) {
+            match e {
+                PExpr::Binary { op: BinOp::And, left, right, .. } => {
+                    go(left, out);
+                    go(right, out);
+                }
+                other => out.push(other.clone()),
+            }
+        }
+        go(self, &mut out);
+        out
+    }
+}
+
+/// AND-fold predicates left to right; `None` for an empty list.
+pub fn and_fold(v: Vec<PExpr>) -> Option<PExpr> {
+    v.into_iter().reduce(|acc, e| PExpr::Binary {
+        op: BinOp::And,
+        left: Box::new(acc),
+        right: Box::new(e),
+        ty: DataType::Bool,
+    })
+}
+
+/// Imputed ordering property of a resolved expression over `schema`
+/// (paper §2.1: projection passes ordering through; order-preserving
+/// arithmetic with a constant — `x + k`, `k + x`, `x - k`, `x * k`,
+/// `k * x` — keeps it; `x / k` buckets stay nondecreasing).
+pub fn impute_order(e: &PExpr, schema: &Schema) -> OrderProp {
+    match e {
+        PExpr::Col { index, .. } => {
+            schema.get(*index).map(|c| c.order.clone()).unwrap_or(OrderProp::None)
+        }
+        PExpr::Binary { op, left, right, .. } => {
+            let (inner, k) = match (&**left, &**right) {
+                (x, PExpr::Lit(Literal::UInt(k))) => (x, *k),
+                (PExpr::Lit(Literal::UInt(k)), x) if matches!(op, BinOp::Add | BinOp::Mul) => {
+                    (x, *k)
+                }
+                _ => return OrderProp::None,
+            };
+            let base = impute_order(inner, schema);
+            match op {
+                BinOp::Div if k > 0 => base.after_div(k),
+                BinOp::Add | BinOp::Sub => base.after_monotone_map(1),
+                BinOp::Mul if k > 0 => base.after_monotone_map(k),
+                _ => OrderProp::None,
+            }
+        }
+        _ => OrderProp::None,
+    }
 }
 
 /// One aggregate computation within an Aggregate node.

@@ -32,7 +32,7 @@ use crate::ast::{AggFunc, BinOp};
 use crate::catalog::{Catalog, UdfCost};
 use crate::error::GsqlError;
 use crate::ordering::OrderProp;
-use crate::plan::{AggSpec, ColumnInfo, PExpr, Plan, Schema};
+use crate::plan::{and_fold, impute_order, AggSpec, ColumnInfo, PExpr, Plan, Schema};
 use crate::pushdown::compile_prefilter;
 use crate::types::DataType;
 use gs_nic::bpf::BpfProgram;
@@ -429,7 +429,7 @@ impl<'a> Splitter<'a> {
             lfta_schema.push(ColumnInfo {
                 name: name.clone(),
                 ty: e.ty(),
-                order: impute_expr_order(e, &input_schema),
+                order: impute_order(e, &input_schema),
             });
         }
         for p in &partials {
@@ -715,34 +715,6 @@ impl<'p> Shape<'p> {
     }
 }
 
-impl PExpr {
-    /// Top-level AND conjuncts, owned.
-    pub fn conjuncts_owned(&self) -> Vec<PExpr> {
-        let mut out = Vec::new();
-        fn go(e: &PExpr, out: &mut Vec<PExpr>) {
-            match e {
-                PExpr::Binary { op: BinOp::And, left, right, .. } => {
-                    go(left, out);
-                    go(right, out);
-                }
-                other => out.push(other.clone()),
-            }
-        }
-        go(self, &mut out);
-        out
-    }
-}
-
-fn and_fold(mut v: Vec<PExpr>) -> Option<PExpr> {
-    let first = if v.is_empty() { return None } else { v.remove(0) };
-    Some(v.into_iter().fold(first, |acc, e| PExpr::Binary {
-        op: BinOp::And,
-        left: Box::new(acc),
-        right: Box::new(e),
-        ty: DataType::Bool,
-    }))
-}
-
 fn remap_all(exprs: &[PExpr], map: &HashMap<usize, usize>) -> Vec<PExpr> {
     exprs.iter().map(|e| e.remap_columns(map)).collect()
 }
@@ -767,32 +739,10 @@ fn build_select(
         .map(|(n, e)| ColumnInfo {
             name: n.clone(),
             ty: e.ty(),
-            order: impute_expr_order(e, scan_schema),
+            order: impute_order(e, scan_schema),
         })
         .collect();
     Plan::Project { cols: cols.to_vec(), input: Box::new(plan), schema }
-}
-
-/// Minimal ordering imputation shared with the analyzer's rules.
-fn impute_expr_order(e: &PExpr, schema: &Schema) -> OrderProp {
-    match e {
-        PExpr::Col { index, .. } => {
-            schema.get(*index).map(|c| c.order.clone()).unwrap_or(OrderProp::None)
-        }
-        PExpr::Binary { op, left, right, .. } => {
-            if let (inner, PExpr::Lit(crate::plan::Literal::UInt(k))) = (&**left, &**right) {
-                let base = impute_expr_order(inner, schema);
-                return match op {
-                    BinOp::Div if *k > 0 => base.after_div(*k),
-                    BinOp::Add | BinOp::Sub => base.after_monotone_map(1),
-                    BinOp::Mul if *k > 0 => base.after_monotone_map(*k),
-                    _ => OrderProp::None,
-                };
-            }
-            OrderProp::None
-        }
-        _ => OrderProp::None,
-    }
 }
 
 /// Re-apply the original plan's post-aggregation HAVING filter and final
@@ -849,6 +799,19 @@ mod tests {
         assert!(!d.lftas[0].pre_aggregated);
         assert!(d.lftas[0].prefilter.is_some(), "port filter pushes down to BPF");
         assert_eq!(d.lftas[0].snaplen, Some(HEADER_SNAPLEN), "no payload read -> snap");
+    }
+
+    /// The LFTA and the registered schema impute a projected column's
+    /// order with the analyzer's rule, literal-first `k + x` and `k * x`
+    /// included.
+    #[test]
+    fn literal_first_arithmetic_keeps_time_order() {
+        for expr in ["60*time", "time*60", "1+time", "time+1"] {
+            let d = deploy(&format!("Select {expr} as tb, len From eth0.ip"));
+            let increasing = |s: &Schema| matches!(s[0].order, OrderProp::Increasing { .. });
+            assert!(increasing(d.lftas[0].plan.schema()), "{expr}: LFTA schema");
+            assert!(increasing(&d.schema), "{expr}: registered schema");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::RuntimeError;
 use gs_gsql::ast::BinOp;
 use gs_gsql::catalog::Catalog;
 use gs_gsql::ordering::OrderProp;
-use gs_gsql::plan::{Literal, PExpr, Plan, Schema};
+use gs_gsql::plan::{and_fold, Literal, PExpr, Plan, Schema};
 use gs_gsql::split::LftaSpec;
 use std::sync::Arc;
 
@@ -67,16 +67,6 @@ fn col_and_divisor(pe: &PExpr) -> Option<(usize, u64)> {
 
 fn order_slack(schema: &Schema, col: usize) -> u64 {
     schema.get(col).and_then(|c| c.order.slack()).unwrap_or(0)
-}
-
-fn and_fold_pexpr(mut v: Vec<PExpr>) -> Option<PExpr> {
-    let first = if v.is_empty() { return None } else { v.remove(0) };
-    Some(v.into_iter().fold(first, |acc, e| PExpr::Binary {
-        op: BinOp::And,
-        left: Box::new(acc),
-        right: Box::new(e),
-        ty: gs_gsql::types::DataType::Bool,
-    }))
 }
 
 /// Build the aggregation core shared by LFTA and HFTA aggregation.
@@ -175,16 +165,16 @@ pub fn build_lfta(spec: &LftaSpec, ctx: &BuildCtx<'_>) -> Result<Lfta, RuntimeEr
             let udfs = UdfRegistry::with_builtins();
             let files = FileStore::new();
             for atom in split.atoms {
-                // Sharing requires the atom to compile in isolation; on
+                // Sharing requires the atom to compile in isolation, and
+                // the shared pass runs the program compiled here; on
                 // failure keep the conjunct in the residual (the original
                 // expression, with parameters, which `ctx.prog` can bind).
-                if Program::compile(&atom.expr, &ParamBindings::new(), &udfs, &files).is_ok() {
-                    atoms.push(atom);
-                } else {
-                    residual_exprs.push(atom.expr);
+                match Program::compile(&atom.expr, &ParamBindings::new(), &udfs, &files) {
+                    Ok(p) => atoms.push((atom, Arc::new(p))),
+                    Err(_) => residual_exprs.push(atom.expr),
                 }
             }
-            let residual = match and_fold_pexpr(residual_exprs) {
+            let residual = match and_fold(residual_exprs) {
                 Some(e) => Some(ctx.prog(&e)?),
                 None => None,
             };
@@ -553,7 +543,7 @@ pub fn build_hfta(plan: &Plan, ctx: &BuildCtx<'_>) -> Result<HftaNode, RuntimeEr
                 emit: EmitMode::Banded,
                 sort_out_col: 0,
             };
-            let res = match and_fold_pexpr(remaining) {
+            let res = match and_fold(remaining) {
                 Some(r) => Some(ctx.prog(&r)?),
                 None => None,
             };

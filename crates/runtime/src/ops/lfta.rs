@@ -94,8 +94,10 @@ impl StatSource for LftaCounters {
 /// queries) and the private residual (evaluated by this LFTA after
 /// dispatch).
 pub struct SharedSplit {
-    /// Shareable atomic conjuncts, keyed for cross-query deduplication.
-    pub atoms: Vec<Atom>,
+    /// Shareable atomic conjuncts, keyed for cross-query deduplication,
+    /// each with the program it compiled to when the LFTA was built (the
+    /// shared pass keeps the first LFTA's program per key).
+    pub atoms: Vec<(Atom, Arc<Program>)>,
     /// AND-fold of the non-shareable conjuncts; `None` when every
     /// conjunct atomized.
     pub residual: Option<Program>,
@@ -234,26 +236,6 @@ impl Lfta {
             return false;
         }
         true
-    }
-
-    /// Shared-dispatch entry: the central pass ran this LFTA's BPF
-    /// program and it rejected the packet.
-    #[inline]
-    pub fn note_prefiltered(&mut self) {
-        self.stats.prefiltered += 1;
-    }
-
-    /// Shared-dispatch entry: the central protocol match rejected the
-    /// packet.
-    #[inline]
-    pub fn note_not_protocol(&mut self) {
-        self.stats.not_protocol += 1;
-    }
-
-    /// Shared-dispatch entry: a required shared atom was false.
-    #[inline]
-    pub fn note_filtered(&mut self) {
-        self.stats.filtered += 1;
     }
 
     /// Run the private stages after admission and prefiltering: snap,
@@ -484,6 +466,14 @@ mod tests {
             right: Box::new(PExpr::Lit(Literal::UInt(80))),
             ty: DataType::Bool,
         })
+    }
+
+    /// A built LFTA can move to another thread: its shared atom programs
+    /// sit behind an `Arc`, so they (and every UDF) must be `Sync`.
+    #[test]
+    fn lfta_is_send() {
+        fn send<T: Send>() {}
+        send::<Lfta>();
     }
 
     #[test]

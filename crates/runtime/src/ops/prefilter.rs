@@ -1,5 +1,5 @@
 //! The cross-query shared prefilter: evaluate each packet once, dispatch
-//! to N LFTAs by bitmask.
+//! to N LFTAs by signature group.
 //!
 //! The paper's §3 prefilter is per-LFTA: every registered query re-parses
 //! the packet and re-evaluates its own BPF program and predicate, so
@@ -11,11 +11,15 @@
 //!    programs share the verdict);
 //! 3. each *distinct* protocol match runs once;
 //! 4. each *distinct* predicate atom (see `gs_gsql::pushdown::extract_atoms`)
-//!    evaluates once, setting a bit in a per-packet matched mask;
-//! 5. LFTA `k` runs its tail only if its precomputed required-atom mask is
-//!    a subset of the matched mask — its own prefilter, parse and shared
-//!    conjuncts are skipped because the pass hands it the parsed view and
-//!    the verdicts.
+//!    evaluates at most once, lazily — on the first group that survives
+//!    to its predicate stage and needs it — and its verdict is memoized
+//!    for the rest of the packet;
+//! 5. LFTAs with the same decision sequence form one dispatch group; a
+//!    group whose BPF, protocol and required atoms all pass runs each
+//!    member's tail — its own prefilter, parse and shared conjuncts are
+//!    skipped because the pass hands it the parsed view and the verdicts.
+//!    A sampled LFTA is a group of its own that admits each packet
+//!    through its own sampling hash first.
 //!
 //! Per-LFTA counters are replayed exactly: the pass charges `prefiltered`,
 //! `not_protocol` and `filtered` from the memoized verdicts in the same
@@ -26,10 +30,8 @@
 
 use crate::expr::{EvalScratch, FieldSource, PacketFields, Program};
 use crate::ops::lfta::Lfta;
-use crate::params::ParamBindings;
 use crate::stats::{Counter, StatSource, StatsRegistry};
 use crate::tuple::StreamItem;
-use crate::udf::{FileStore, UdfRegistry};
 use crate::value::Value;
 use gs_gsql::ast::BinOp;
 use gs_gsql::plan::{Literal, PExpr};
@@ -75,21 +77,6 @@ impl PrefilterCache {
     }
 }
 
-/// Host-side slot holding an LFTA. Each engine's per-LFTA bookkeeping
-/// struct implements this so [`SharedPrefilter::dispatch`] can drive the
-/// executors without owning them.
-pub trait LftaSlot {
-    /// The LFTA in this slot.
-    fn lfta_mut(&mut self) -> &mut Lfta;
-}
-
-/// The threaded manager keeps `(lfta, interface id)` pairs.
-impl LftaSlot for (Lfta, u16) {
-    fn lfta_mut(&mut self) -> &mut Lfta {
-        &mut self.0
-    }
-}
-
 /// Aggregate counters of the shared pass, registered as `prefilter:shared`.
 #[derive(Debug, Default)]
 pub struct SharedCounters {
@@ -99,7 +86,7 @@ pub struct SharedCounters {
     pub parses: Counter,
     /// Total atom evaluations across all atoms.
     pub atom_evals: Counter,
-    /// LFTA tails dispatched (required mask satisfied).
+    /// LFTA tails dispatched (required atoms all true).
     pub dispatch_hits: Counter,
     /// Packets an LFTA handled privately because the shared full-packet
     /// parse could not stand in for its snapped parse.
@@ -146,7 +133,7 @@ impl StatSource for AtomCounters {
 /// Per-LFTA dispatch counters, registered as `prefilter:lfta:<stream>`.
 #[derive(Debug, Default)]
 pub struct DispatchCounters {
-    /// Packets whose required-atom mask was satisfied (tail dispatched).
+    /// Packets whose required atoms all held (tail dispatched).
     pub hits: Counter,
 }
 
@@ -166,7 +153,8 @@ struct SharedAtom {
     /// only consults an atom after its group's protocol check passed, so
     /// no per-atom protocol gate is needed.
     proto: &'static ProtocolDef,
-    prog: Program,
+    /// Compiled once, when the first LFTA carrying the atom was built.
+    prog: Arc<Program>,
     /// Constant-compare fast path (`col cmp uint-literal`): the field is
     /// read once per packet into a shared slot and each atom is one
     /// integer compare, instead of one interpreted program run each.
@@ -186,8 +174,8 @@ struct FastCmp {
 }
 
 /// Per-packet memo of one atom's verdict: atoms evaluate lazily, on the
-/// first group or entry that actually needs them (most packets fail the
-/// BPF stage of most groups, so most atoms are never consulted).
+/// first group that actually needs them (most packets fail the BPF stage
+/// of most groups, so most atoms are never consulted).
 #[derive(Clone, Copy, PartialEq)]
 enum AtomState {
     Unset,
@@ -235,62 +223,56 @@ fn fast_cmp_shape(expr: &PExpr) -> Option<(usize, BinOp, u64)> {
     Some((index, *op, k))
 }
 
+/// Index of the first element of `v` that `same` accepts, pushing
+/// `new()` when there is none.
+fn intern<T>(v: &mut Vec<T>, same: impl Fn(&T) -> bool, new: impl FnOnce() -> T) -> usize {
+    v.iter().position(same).unwrap_or_else(|| {
+        v.push(new());
+        v.len() - 1
+    })
+}
+
+/// An LFTA's decision sequence before its tail: interface, BPF program
+/// (index into the distinct-program table), snap length, protocol (index
+/// into the distinct-protocol table) and required atoms (sorted indices
+/// into the atom table). Unsampled LFTAs with equal signatures see equal
+/// verdicts on every packet.
+#[derive(Clone, PartialEq)]
+struct Signature {
+    iface: u16,
+    prog: Option<usize>,
+    snaplen: Option<usize>,
+    proto: usize,
+    atom_ids: Vec<usize>,
+}
+
 /// Per-LFTA dispatch entry, parallel to the engine's LFTA vector.
 struct Entry {
     /// LFTA stream name (stats registration and explain output).
     name: String,
-    /// Interface the LFTA listens on.
-    iface: u16,
-    /// Index of its BPF program in the distinct-program table.
-    prog: Option<usize>,
-    /// Index of its protocol in the distinct-protocol table.
-    proto: usize,
-    snaplen: Option<usize>,
-    /// Required-atom bitmask (`u64` words over the atom table).
-    required: Vec<u64>,
-    /// Atom indices (for explain output; `required` is derived from it).
-    atom_ids: Vec<usize>,
-    /// The LFTA runs fully privately after admission+prefilter (no usable
-    /// predicate split) — always correct, never faster.
-    private: bool,
-    /// Analyst-requested sampling is on: admission must run the LFTA's
-    /// own per-packet hash instead of the batched counter below.
+    sig: Signature,
+    /// Analyst-requested sampling is on: admission runs the LFTA's own
+    /// per-packet hash, so the entry never shares a group.
     sampled: bool,
-    // Pending per-LFTA counter deltas, accumulated contiguously here (one
-    // cache-friendly row per entry instead of a scattered write into each
-    // `Lfta` struct per packet) and folded into `Lfta::stats` by
-    // `flush_stats` before any counter is read.
-    packets_in: u64,
-    prefiltered: u64,
-    not_protocol: u64,
-    filtered: u64,
     hits: u64,
     shared: Arc<DispatchCounters>,
 }
 
-/// Entries whose decision sequence is bitwise identical — same interface,
-/// BPF program, snap length, protocol and required-atom mask — share one
-/// group: the hot loop decides once per group and only walks the member
-/// list on a hit (or snap fallback). With Q queries over D distinct
-/// predicates the per-packet dispatch loop is O(D), not O(Q).
+/// Entries whose decision sequence is identical share one group: the hot
+/// loop decides once per group and only walks the member list on a hit
+/// (or snap fallback). With Q queries over D distinct predicates the
+/// per-packet dispatch loop is O(D), not O(Q). A sampled entry is a
+/// singleton group.
 struct DispatchGroup {
-    iface: u16,
-    prog: Option<usize>,
-    proto: usize,
-    snaplen: Option<usize>,
-    /// Required-atom mask, trailing zero words trimmed (entries
-    /// registered at different times pad differently); the grouping key.
-    required: Vec<u64>,
-    /// The same requirement as sorted atom indices — what dispatch walks,
-    /// so only the atoms a surviving group needs ever evaluate.
-    required_ids: Vec<usize>,
+    sig: Signature,
+    sampled: bool,
     /// Entry indices sharing this signature.
     members: Vec<usize>,
 }
 
-/// The per-group decision row the hot loop reads — 12 packed bytes so
-/// dozens of groups fit in a few cache lines (the full [`DispatchGroup`]
-/// spans several lines and is only touched by surviving packets).
+/// The per-group decision row the hot loop reads — 16 bytes, so dozens
+/// of groups fit in a few cache lines (the full [`DispatchGroup`] spans
+/// several lines and is only touched by surviving packets).
 #[derive(Clone, Copy)]
 struct GroupHot {
     /// Index into the registered-interface table.
@@ -301,16 +283,23 @@ struct GroupHot {
     prog: u32,
     /// Snap length; `u32::MAX` = none.
     snaplen: u32,
+    /// For a sampled group, the slot of its one LFTA, which admits each
+    /// packet through its sampling hash before the BPF verdict;
+    /// `u32::MAX` = unsampled.
+    sampled_slot: u32,
 }
 
 /// Batched counter deltas, parallel to the group table; each delta
 /// applies to EVERY member on flush (identical signatures see identical
-/// verdicts). A BPF-rejected packet writes nothing here: `packets_in`
-/// is the per-interface packet count, and `prefiltered` is derived as
-/// `iface packets - bpf_passed`, so the common all-reject packet costs
-/// one read and one branch per group.
+/// verdicts). A BPF-rejected packet writes nothing here: an unsampled
+/// group's admitted count is the per-interface packet count, and
+/// `prefiltered` is derived as `admitted - bpf_passed`, so the common
+/// all-reject packet costs one read and one branch per group.
 #[derive(Clone, Copy, Default)]
 struct GroupDelta {
+    /// Packets a sampled group admitted (its LFTA counted the offers and
+    /// the sampled-out ones itself).
+    admitted: u64,
     /// Packets that passed the group's BPF stage (or had no program).
     bpf_passed: u64,
     not_protocol: u64,
@@ -328,7 +317,8 @@ pub struct SharedPrefilter {
     /// Interfaces any entry listens on (skip everything else early).
     ifaces: Vec<u16>,
     /// Packets dispatched per interface since the last flush — the
-    /// shared `packets_in` delta for every group on that interface.
+    /// shared `packets_in` delta for every unsampled group on that
+    /// interface.
     iface_packets: Vec<u64>,
     /// Same-shape distinct programs factored behind one probe each
     /// (member indices into `progs`); recomputed on registration.
@@ -337,22 +327,18 @@ pub struct SharedPrefilter {
     loose_progs: Vec<usize>,
     /// Distinct `(proto_idx, column)` pairs read by fast-path atoms.
     field_slots: Vec<(usize, usize)>,
-    /// Same-signature entries dispatched as one decision; recomputed on
-    /// registration.
+    /// Dispatch groups over every entry; recomputed on registration.
     groups: Vec<DispatchGroup>,
     /// Packed per-group decision rows (parallel to `groups`).
     group_hot: Vec<GroupHot>,
     /// Batched per-group counter deltas (parallel to `groups`).
     group_deltas: Vec<GroupDelta>,
-    /// Entries dispatched individually (private, sampled — anything whose
-    /// per-packet decision is not purely signature-determined).
-    loose_entries: Vec<usize>,
     /// Registrations since the last family/group rebuild; the derived
     /// tables recompute lazily on the next dispatch (or describe), so a
     /// hundred `add_lfta` calls cost one rebuild, not a hundred.
     dirty: bool,
     // Per-packet scratch: distinct-program/protocol verdicts, memoized
-    // field-slot values, and the matched-atom bitmask.
+    // field-slot values and atom verdicts.
     prog_verdicts: Vec<bool>,
     proto_verdicts: Vec<bool>,
     field_vals: Vec<SlotVal>,
@@ -392,7 +378,6 @@ impl SharedPrefilter {
             groups: Vec::new(),
             group_hot: Vec::new(),
             group_deltas: Vec::new(),
-            loose_entries: Vec::new(),
             dirty: false,
             prog_verdicts: Vec::new(),
             proto_verdicts: Vec::new(),
@@ -409,107 +394,48 @@ impl SharedPrefilter {
     }
 
     /// Register one LFTA. Call in the exact order of the engine's LFTA
-    /// vector — dispatch addresses slots by index.
+    /// vector — dispatch addresses slots by index. Compiles nothing: the
+    /// atoms arrive compiled in the LFTA's [`SharedSplit`].
+    ///
+    /// [`SharedSplit`]: crate::ops::lfta::SharedSplit
     pub fn add_lfta(&mut self, lfta: &Lfta, iface: u16) {
-        let prog = lfta.prefilter_program().map(|p| {
-            match self.progs.iter().position(|e| Arc::ptr_eq(e, p) || **e == **p) {
-                Some(i) => i,
-                None => {
-                    self.progs.push(p.clone());
-                    self.progs.len() - 1
-                }
-            }
-        });
+        let prog = lfta
+            .prefilter_program()
+            .map(|p| intern(&mut self.progs, |e| Arc::ptr_eq(e, p) || **e == **p, || p.clone()));
         let proto_def = lfta.protocol_def();
-        let proto = match self.protos.iter().position(|e| std::ptr::eq(*e, proto_def)) {
-            Some(i) => i,
-            None => {
-                self.protos.push(proto_def);
-                self.protos.len() - 1
-            }
-        };
+        let proto = intern(&mut self.protos, |e| std::ptr::eq(*e, proto_def), || proto_def);
         let mut atom_ids = Vec::new();
-        let mut private = false;
-        if let Some(split) = lfta.shared_split() {
-            for atom in &split.atoms {
-                let id = match self.atoms.iter().position(|a| a.key == atom.key) {
-                    Some(i) => i,
-                    None => {
-                        // Atoms are UDF-free closed expressions; compile
-                        // with empty bindings. A failure (should not
-                        // happen) demotes the whole entry to private
-                        // execution rather than dropping the conjunct.
-                        let compiled = Program::compile(
-                            &atom.expr,
-                            &ParamBindings::new(),
-                            &UdfRegistry::with_builtins(),
-                            &FileStore::new(),
-                        );
-                        match compiled {
-                            Ok(p) => {
-                                let fast = fast_cmp_shape(&atom.expr).map(|(col, op, k)| {
-                                    let pair = (proto, col);
-                                    let slot = match self
-                                        .field_slots
-                                        .iter()
-                                        .position(|&s| s == pair)
-                                    {
-                                        Some(i) => i,
-                                        None => {
-                                            self.field_slots.push(pair);
-                                            self.field_slots.len() - 1
-                                        }
-                                    };
-                                    FastCmp { slot, op, k }
-                                });
-                                self.atoms.push(SharedAtom {
-                                    key: atom.key.clone(),
-                                    expr: atom.expr.clone(),
-                                    proto: proto_def,
-                                    prog: p,
-                                    fast,
-                                    evals: 0,
-                                    hits: 0,
-                                    shared: Arc::new(AtomCounters::default()),
-                                });
-                                self.atoms.len() - 1
-                            }
-                            Err(_) => {
-                                private = true;
-                                break;
-                            }
-                        }
-                    }
-                };
-                atom_ids.push(id);
-            }
+        for (atom, prog) in lfta.shared_split().map_or(&[][..], |s| &s.atoms) {
+            let field_slots = &mut self.field_slots;
+            atom_ids.push(intern(
+                &mut self.atoms,
+                |a| a.key == atom.key,
+                || SharedAtom {
+                    key: atom.key.clone(),
+                    expr: atom.expr.clone(),
+                    proto: proto_def,
+                    prog: prog.clone(),
+                    fast: fast_cmp_shape(&atom.expr).map(|(col, op, k)| FastCmp {
+                        slot: intern(field_slots, |&s| s == (proto, col), || (proto, col)),
+                        op,
+                        k,
+                    }),
+                    evals: 0,
+                    hits: 0,
+                    shared: Arc::new(AtomCounters::default()),
+                },
+            ));
         }
-        if private {
-            atom_ids.clear();
-        }
-        let words = self.atoms.len().div_ceil(64).max(1);
-        let mut required = vec![0u64; words];
-        for &id in &atom_ids {
-            required[id / 64] |= 1u64 << (id % 64);
-        }
+        atom_ids.sort_unstable();
+        atom_ids.dedup();
         if !self.ifaces.contains(&iface) {
             self.ifaces.push(iface);
             self.iface_packets.push(0);
         }
         self.entries.push(Entry {
             name: lfta.name.clone(),
-            iface,
-            prog,
-            proto,
-            snaplen: lfta.snaplen(),
-            required,
-            atom_ids,
-            private,
+            sig: Signature { iface, prog, snaplen: lfta.snaplen(), proto, atom_ids },
             sampled: lfta.sampling_enabled(),
-            packets_in: 0,
-            prefiltered: 0,
-            not_protocol: 0,
-            filtered: 0,
             hits: 0,
             shared: Arc::new(DispatchCounters::default()),
         });
@@ -531,38 +457,19 @@ impl SharedPrefilter {
     /// Recompute the signature groups over the current entry set.
     fn rebuild_groups(&mut self) {
         self.groups.clear();
-        self.loose_entries.clear();
         for (i, e) in self.entries.iter().enumerate() {
-            if e.private || e.sampled {
-                self.loose_entries.push(i);
-                continue;
-            }
-            let mut required = e.required.clone();
-            while required.last() == Some(&0) {
-                required.pop();
-            }
-            match self.groups.iter_mut().find(|g| {
-                g.iface == e.iface
-                    && g.prog == e.prog
-                    && g.proto == e.proto
-                    && g.snaplen == e.snaplen
-                    && g.required == required
-            }) {
+            let shared = if e.sampled {
+                None
+            } else {
+                self.groups.iter_mut().find(|g| !g.sampled && g.sig == e.sig)
+            };
+            match shared {
                 Some(g) => g.members.push(i),
-                None => {
-                    let mut required_ids = e.atom_ids.clone();
-                    required_ids.sort_unstable();
-                    required_ids.dedup();
-                    self.groups.push(DispatchGroup {
-                        iface: e.iface,
-                        prog: e.prog,
-                        proto: e.proto,
-                        snaplen: e.snaplen,
-                        required,
-                        required_ids,
-                        members: vec![i],
-                    })
-                }
+                None => self.groups.push(DispatchGroup {
+                    sig: e.sig.clone(),
+                    sampled: e.sampled,
+                    members: vec![i],
+                }),
             }
         }
         self.group_hot = self
@@ -570,12 +477,20 @@ impl SharedPrefilter {
             .iter()
             .map(|g| GroupHot {
                 iface_idx: {
-                    let k = self.ifaces.iter().position(|&f| f == g.iface);
+                    let k = self.ifaces.iter().position(|&f| f == g.sig.iface);
                     u16::try_from(k.expect("group iface is registered")).unwrap()
                 },
-                proto: u16::try_from(g.proto).expect("distinct protocols fit u16"),
-                prog: g.prog.map_or(u32::MAX, |p| p as u32),
-                snaplen: g.snaplen.map_or(u32::MAX, |s| u32::try_from(s).unwrap_or(u32::MAX - 1)),
+                proto: u16::try_from(g.sig.proto).expect("distinct protocols fit u16"),
+                prog: g.sig.prog.map_or(u32::MAX, |p| p as u32),
+                snaplen: g
+                    .sig
+                    .snaplen
+                    .map_or(u32::MAX, |s| u32::try_from(s).unwrap_or(u32::MAX - 1)),
+                sampled_slot: if g.sampled {
+                    u32::try_from(g.members[0]).expect("slot indices fit u32")
+                } else {
+                    u32::MAX
+                },
             })
             .collect();
         // Registration happens before any dispatch, so resetting the
@@ -600,12 +515,17 @@ impl SharedPrefilter {
 
     /// Process one packet: run each distinct BPF program, protocol match
     /// and atom once, then dispatch every listening LFTA off the memoized
-    /// verdicts. `slots` must be the LFTA vector this pass was built from
-    /// (same order); `outs[i]` receives slot `i`'s output items.
-    pub fn dispatch<S: LftaSlot>(
+    /// verdicts. `slots` must be the `(lfta, interface)` vector this pass
+    /// was built from (same order); `outs[i]` receives slot `i`'s output
+    /// items.
+    // `#[inline]` lets the caller's crate instantiate the pass: compiled
+    // only inside this crate, the per-packet loop measured ~10 % slower
+    // over 100 LFTAs.
+    #[inline]
+    pub fn dispatch(
         &mut self,
         cap: &CapPacket,
-        slots: &mut [S],
+        slots: &mut [(Lfta, u16)],
         outs: &mut [Vec<StreamItem>],
     ) {
         debug_assert_eq!(slots.len(), self.entries.len());
@@ -647,11 +567,11 @@ impl SharedPrefilter {
         self.atom_state.clear();
         self.atom_state.resize(self.atoms.len(), AtomState::Unset);
 
-        // Dispatch: replay each LFTA's decision sequence off the verdicts.
-        // Same-signature entries decide once per group; counter deltas
-        // accumulate in the group (or loose entry) rows and are folded
-        // back by `flush_stats`. Atoms evaluate lazily — only when a
-        // group survives to its predicate stage.
+        // Dispatch: replay each group's decision sequence off the
+        // verdicts, once for all its members; counter deltas accumulate
+        // in the group rows and are folded back by `flush_stats`. Atoms
+        // evaluate lazily — only when a group survives to its predicate
+        // stage.
         let SharedPrefilter {
             entries,
             atoms,
@@ -660,7 +580,6 @@ impl SharedPrefilter {
             groups,
             group_hot,
             group_deltas,
-            loose_entries,
             prog_verdicts,
             proto_verdicts,
             field_vals,
@@ -720,9 +639,17 @@ impl SharedPrefilter {
             if usize::from(h.iface_idx) != iface_idx {
                 continue;
             }
+            if h.sampled_slot != u32::MAX {
+                // The group's one LFTA counts the offer and decides
+                // admission itself, exactly as `push_packet` does first.
+                if !slots[h.sampled_slot as usize].0.admit(cap) {
+                    continue;
+                }
+                group_deltas[gi].admitted += 1;
+            }
             // The common all-reject packet costs one verdict load and a
             // branch per group: admission and the prefiltered count are
-            // reconstructed from `iface_packets` and `bpf_passed` at
+            // reconstructed from the admitted and `bpf_passed` counts at
             // flush time.
             if h.prog != u32::MAX && !prog_verdicts[h.prog as usize] {
                 continue;
@@ -740,7 +667,7 @@ impl SharedPrefilter {
                     *snap_fallbacks += members.len() as u64;
                     for &i in members {
                         hit_slots.push(i);
-                        slots[i].lfta_mut().push_accepted(cap, &mut outs[i]);
+                        slots[i].0.push_accepted(cap, &mut outs[i]);
                     }
                     continue;
                 }
@@ -749,7 +676,7 @@ impl SharedPrefilter {
                 d.not_protocol += 1;
                 continue;
             }
-            if !groups[gi].required_ids.iter().all(|&j| atom_true(j)) {
+            if !groups[gi].sig.atom_ids.iter().all(|&j| atom_true(j)) {
                 d.filtered += 1;
                 continue;
             }
@@ -757,55 +684,8 @@ impl SharedPrefilter {
                 entries[i].hits += 1;
                 *dispatch_hits += 1;
                 hit_slots.push(i);
-                slots[i].lfta_mut().push_matched(&view, &mut outs[i]);
+                slots[i].0.push_matched(&view, &mut outs[i]);
             }
-        }
-        // Private and sampled entries replay individually (their decision
-        // depends on per-packet state the signature cannot capture).
-        for &i in loose_entries.iter() {
-            let e = &mut entries[i];
-            if e.iface != cap.iface {
-                continue;
-            }
-            let lfta = slots[i].lfta_mut();
-            if e.sampled {
-                if !lfta.admit(cap) {
-                    continue;
-                }
-            } else {
-                e.packets_in += 1;
-            }
-            if let Some(pj) = e.prog {
-                if !prog_verdicts[pj] {
-                    e.prefiltered += 1;
-                    continue;
-                }
-            }
-            if e.private {
-                hit_slots.push(i);
-                lfta.push_accepted(cap, &mut outs[i]);
-                continue;
-            }
-            if let Some(s) = e.snaplen {
-                if cap.data.len() > s && !headers_within(&view, s) {
-                    *snap_fallbacks += 1;
-                    hit_slots.push(i);
-                    lfta.push_accepted(cap, &mut outs[i]);
-                    continue;
-                }
-            }
-            if !proto_verdicts[e.proto] {
-                e.not_protocol += 1;
-                continue;
-            }
-            if !e.atom_ids.iter().all(|&j| atom_true(j)) {
-                e.filtered += 1;
-                continue;
-            }
-            e.hits += 1;
-            *dispatch_hits += 1;
-            hit_slots.push(i);
-            lfta.push_matched(&view, &mut outs[i]);
         }
     }
 
@@ -816,25 +696,32 @@ impl SharedPrefilter {
         &self.hit_slots
     }
 
-    /// Fold the contiguously-accumulated per-entry counter deltas into
-    /// each LFTA's `stats` block. Must run before those counters are
-    /// observed (stats publication, heartbeats, the end-of-run gather);
-    /// `slots` must be the LFTA vector dispatch runs over.
-    pub fn flush_stats<S: LftaSlot>(&mut self, slots: &mut [S]) {
+    /// Fold the batched per-group counter deltas into each member LFTA's
+    /// `stats` block. Must run before those counters are observed (stats
+    /// publication, heartbeats, the end-of-run gather); `slots` must be
+    /// the LFTA vector dispatch runs over.
+    pub fn flush_stats(&mut self, slots: &mut [(Lfta, u16)]) {
         for ((g, h), d) in
             self.groups.iter().zip(self.group_hot.iter()).zip(self.group_deltas.iter_mut())
         {
-            let p = self.iface_packets[usize::from(h.iface_idx)];
-            if p == 0 && d.not_protocol == 0 && d.filtered == 0 {
+            // An unsampled group was offered, and admitted, every packet
+            // on its interface; a sampled group's LFTA counted its own
+            // offers in `admit`.
+            let (offered, admitted) = if g.sampled {
+                (0, d.admitted)
+            } else {
+                let p = self.iface_packets[usize::from(h.iface_idx)];
+                (p, p)
+            };
+            if admitted == 0 {
                 continue;
             }
             // Identical signatures saw identical verdicts: the group
-            // delta applies to every member. Admission and prefilter
-            // counts are reconstructed from the interface packet count.
-            let prefiltered = if g.prog.is_some() { p - d.bpf_passed } else { 0 };
+            // delta applies to every member.
+            let prefiltered = if g.sig.prog.is_some() { admitted - d.bpf_passed } else { 0 };
             for &i in &g.members {
-                let stats = &mut slots[i].lfta_mut().stats;
-                stats.packets_in += p;
+                let stats = &mut slots[i].0.stats;
+                stats.packets_in += offered;
                 stats.prefiltered += prefiltered;
                 stats.not_protocol += d.not_protocol;
                 stats.filtered += d.filtered;
@@ -843,21 +730,6 @@ impl SharedPrefilter {
         }
         for v in self.iface_packets.iter_mut() {
             *v = 0;
-        }
-        for (e, slot) in self.entries.iter_mut().zip(slots.iter_mut()) {
-            if e.packets_in == 0 && e.prefiltered == 0 && e.not_protocol == 0 && e.filtered == 0
-            {
-                continue;
-            }
-            let stats = &mut slot.lfta_mut().stats;
-            stats.packets_in += e.packets_in;
-            stats.prefiltered += e.prefiltered;
-            stats.not_protocol += e.not_protocol;
-            stats.filtered += e.filtered;
-            e.packets_in = 0;
-            e.prefiltered = 0;
-            e.not_protocol = 0;
-            e.filtered = 0;
         }
     }
 
@@ -896,7 +768,7 @@ impl SharedPrefilter {
     }
 
     /// Render the shared plan: the deduplicated atom table and each
-    /// LFTA's bitmask assignment. `label` renders an atom expression
+    /// LFTA's required atoms. `label` renders an atom expression
     /// (callers with catalog access pretty-print against the protocol
     /// schema; `|e, _| format!("{e:?}")` works without one).
     pub fn describe(&mut self, label: &dyn Fn(&PExpr, &'static ProtocolDef) -> String) -> String {
@@ -923,36 +795,31 @@ impl SharedPrefilter {
             );
         }
         if !self.groups.is_empty() {
-            let grouped: usize = self.groups.iter().map(|g| g.members.len()).sum();
             let _ = writeln!(
                 s,
-                "  dispatch groups: {} signatures over {} LFTAs ({} dispatched loose)",
+                "  dispatch groups: {} signatures over {} LFTAs",
                 self.groups.len(),
-                grouped,
-                self.loose_entries.len()
+                self.entries.len()
             );
         }
         for (j, a) in self.atoms.iter().enumerate() {
             let _ = writeln!(s, "  atom[{j}] ({}): {}", a.proto.name, label(&a.expr, a.proto));
         }
         for e in &self.entries {
-            let bits = if e.atom_ids.is_empty() {
+            let bits = if e.sig.atom_ids.is_empty() {
                 "-".to_string()
             } else {
-                let mut ids: Vec<usize> = e.atom_ids.clone();
-                ids.sort_unstable();
-                let strs: Vec<String> = ids.iter().map(|i| i.to_string()).collect();
+                let strs: Vec<String> = e.sig.atom_ids.iter().map(|i| i.to_string()).collect();
                 format!("{{{}}}", strs.join(","))
             };
-            let mode = if e.private { " (private)" } else { "" };
-            let bpf = match e.prog {
+            let bpf = match e.sig.prog {
                 Some(p) => format!("bpf#{p}"),
                 None => "no-bpf".to_string(),
             };
             let _ = writeln!(
                 s,
-                "  lfta {} iface {} {} proto {} atoms {}{}",
-                e.name, e.iface, bpf, self.protos[e.proto].name, bits, mode
+                "  lfta {} iface {} {} proto {} atoms {}",
+                e.name, e.sig.iface, bpf, self.protos[e.sig.proto].name, bits
             );
         }
         s
@@ -992,18 +859,27 @@ fn headers_within(view: &PacketView, snaplen: usize) -> bool {
 mod tests {
     use super::*;
     use crate::ops::lfta::{LftaKind, SharedSplit};
+    use crate::params::ParamBindings;
+    use crate::udf::{FileStore, UdfRegistry};
     use gs_gsql::ast::BinOp;
     use gs_gsql::plan::Literal;
-    use gs_gsql::pushdown::extract_atoms;
+    use gs_gsql::pushdown::{extract_atoms, Atom};
     use gs_gsql::types::DataType;
     use gs_nic::bpf::tcp_dst_port_filter;
     use gs_packet::builder::FrameBuilder;
 
-    struct Slot(Lfta);
-    impl LftaSlot for Slot {
-        fn lfta_mut(&mut self) -> &mut Lfta {
-            &mut self.0
-        }
+    /// An `(lfta, interface)` slot on interface 0.
+    fn slot(l: Lfta) -> (Lfta, u16) {
+        (l, 0)
+    }
+
+    /// The split `build_lfta` installs: every atom shared, compiled once.
+    fn split_of(atoms: Vec<Atom>) -> SharedSplit {
+        let atoms = atoms.into_iter().map(|a| {
+            let p = Arc::new(prog(&a.expr));
+            (a, p)
+        });
+        SharedSplit { atoms: atoms.collect(), residual: None }
     }
 
     fn tcp() -> &'static ProtocolDef {
@@ -1049,7 +925,7 @@ mod tests {
             LftaKind::Project(vec![prog(&field("destPort"))]),
             None,
         );
-        l.set_shared_split(SharedSplit { atoms: split.atoms, residual: None });
+        l.set_shared_split(split_of(split.atoms));
         l
     }
 
@@ -1057,9 +933,9 @@ mod tests {
     fn atoms_and_programs_dedupe_across_lftas() {
         let mut sp = SharedPrefilter::new();
         let slots = vec![
-            Slot(mk_lfta("a", 80)),
-            Slot(mk_lfta("b", 80)),
-            Slot(mk_lfta("c", 25)),
+            slot(mk_lfta("a", 80)),
+            slot(mk_lfta("b", 80)),
+            slot(mk_lfta("c", 25)),
         ];
         for s in &slots {
             sp.add_lfta(&s.0, 0);
@@ -1069,19 +945,32 @@ mod tests {
         assert_eq!(sp.n_progs(), 2, "the two port-80 BPF programs collapse");
     }
 
+    /// `d` is `a` sampled: same interface, BPF program, protocol, snap
+    /// length and atoms, but its own admission hash.
+    fn mk_sampled(name: &str, port: u64) -> Lfta {
+        let mut l = mk_lfta(name, port);
+        l.set_sample(0.5);
+        l
+    }
+
     #[test]
     fn dispatch_matches_private_push_packet() {
         let mut sp = SharedPrefilter::new();
-        let mut shared_slots =
-            vec![Slot(mk_lfta("a", 80)), Slot(mk_lfta("b", 80)), Slot(mk_lfta("c", 25))];
+        let mut shared_slots = vec![
+            slot(mk_lfta("a", 80)),
+            slot(mk_lfta("b", 80)),
+            slot(mk_lfta("c", 25)),
+            slot(mk_sampled("d", 80)),
+        ];
         for s in &shared_slots {
             sp.add_lfta(&s.0, 0);
         }
-        let mut private = [mk_lfta("a", 80), mk_lfta("b", 80), mk_lfta("c", 25)];
+        let mut private =
+            [mk_lfta("a", 80), mk_lfta("b", 80), mk_lfta("c", 25), mk_sampled("d", 80)];
         let pkts: Vec<CapPacket> =
             (0..30).map(|i| pkt(i, if i % 3 == 0 { 80 } else { 25 + (i % 2) as u16 * 55 })).collect();
-        let mut shared_out = vec![Vec::new(); 3];
-        let mut private_out: Vec<Vec<StreamItem>> = vec![Vec::new(); 3];
+        let mut shared_out = vec![Vec::new(); 4];
+        let mut private_out: Vec<Vec<StreamItem>> = vec![Vec::new(); 4];
         for p in &pkts {
             sp.dispatch(p, &mut shared_slots, &mut shared_out);
             for (l, o) in private.iter_mut().zip(private_out.iter_mut()) {
@@ -1089,11 +978,15 @@ mod tests {
             }
         }
         sp.flush_stats(&mut shared_slots);
-        for i in 0..3 {
+        for i in 0..4 {
             assert_eq!(shared_out[i].len(), private_out[i].len(), "lfta {i} outputs");
             assert_eq!(shared_slots[i].0.stats, private[i].stats, "lfta {i} counters");
         }
         assert!(sp.dispatch_hits > 0);
+        let d = &private[3].stats;
+        assert!(d.sampled_out > 0 && d.tuples_out > 0, "sampling both drops and keeps: {d:?}");
+        let plan = sp.describe(&|e, _| format!("{e:?}"));
+        assert!(plan.contains("dispatch groups: 3 signatures over 4 LFTAs"), "{plan}");
     }
 
     fn port_cmp(op: BinOp, port: u64) -> PExpr {
@@ -1116,7 +1009,7 @@ mod tests {
             LftaKind::Project(vec![prog(&field("destPort"))]),
             None,
         );
-        l.set_shared_split(SharedSplit { atoms: split.atoms, residual: None });
+        l.set_shared_split(split_of(split.atoms));
         l
     }
 
@@ -1126,10 +1019,10 @@ mod tests {
     fn fast_path_matches_program_eval_for_all_comparisons() {
         let ops = [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
         let mut sp = SharedPrefilter::new();
-        let mut slots: Vec<Slot> = ops
+        let mut slots: Vec<(Lfta, u16)> = ops
             .iter()
             .enumerate()
-            .map(|(i, &op)| Slot(mk_lfta_pred(&format!("q{i}"), port_cmp(op, 80))))
+            .map(|(i, &op)| slot(mk_lfta_pred(&format!("q{i}"), port_cmp(op, 80))))
             .collect();
         for s in &slots {
             sp.add_lfta(&s.0, 0);
@@ -1172,11 +1065,11 @@ mod tests {
             LftaKind::Project(vec![prog(&field("time"))]),
             None,
         );
-        l2.set_shared_split(SharedSplit { atoms: Vec::new(), residual: None });
+        l2.set_shared_split(split_of(Vec::new()));
         let _ = &mut l;
         let mut sp = SharedPrefilter::new();
         sp.add_lfta(&l2, 0);
-        let mut slots = vec![Slot(l2)];
+        let mut slots = vec![slot(l2)];
         let mut priv_l = Lfta::new(
             "s".into(),
             tcp(),
@@ -1202,7 +1095,7 @@ mod tests {
     #[test]
     fn describe_lists_atoms_and_masks() {
         let mut sp = SharedPrefilter::new();
-        let slots = vec![Slot(mk_lfta("a", 80)), Slot(mk_lfta("c", 25))];
+        let slots = vec![slot(mk_lfta("a", 80)), slot(mk_lfta("c", 25))];
         for s in &slots {
             sp.add_lfta(&s.0, 0);
         }

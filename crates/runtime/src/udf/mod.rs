@@ -22,7 +22,9 @@ use std::sync::Arc;
 ///
 /// Returning `None` from a *partial* function discards the tuple being
 /// processed — "the same as if there is no result from a join".
-pub trait ScalarUdf: Send {
+/// Instances are `Sync` because a compiled [`Program`](crate::expr::Program)
+/// may be shared (`Arc`) between LFTAs.
+pub trait ScalarUdf: Send + Sync {
     /// Evaluate over the call's runtime arguments (handle positions
     /// receive their bound values again, but instances typically ignore
     /// them).
