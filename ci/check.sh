@@ -304,6 +304,7 @@ for key in "manager/threaded_par1" "manager/threaded_par4" \
            "prefilter/registration_scaling_q1" \
            "prefilter/registration_scaling_q10" \
            "prefilter/registration_scaling_q100" \
+           "prefilter/dispatch_port80" \
            "multiway/merge_push" "multiway/hash_join_push"; do
     grep -q "$key" target/bench.json || fail "$key missing from bench.json"
 done

@@ -12,6 +12,7 @@ use gs_packet::PacketView;
 use gs_runtime::batch::ColumnBatch;
 use gs_runtime::expr::{EvalScratch, PacketFields, Program};
 use gs_runtime::ops::agg::{AggCore, AggregateOp, DirectMappedAggregator};
+use gs_runtime::ops::prefilter::SharedPrefilter;
 use gs_runtime::ops::Operator;
 use gs_runtime::ops::defrag::Defragmenter;
 use gs_runtime::ops::join::{JoinConfig, JoinOp};
@@ -447,7 +448,8 @@ fn bench_manager(c: &mut Criterion) {
 /// §14): N per-port selection queries drawn from a 20-port pool, so the
 /// shared pass dedupes them to at most 20 distinct atoms/BPF programs
 /// and dispatch cost tracks distinct *signatures*, not registrations.
-/// The q1/q10/q100 series is the scaling curve.
+/// The q1/q10/q100 series is the scaling curve; `dispatch_port80` times
+/// the per-packet pass alone.
 fn bench_prefilter(c: &mut Criterion) {
     use gigascope::Gigascope;
     use gs_netgen::mix::{MixConfig, PacketMix};
@@ -479,6 +481,31 @@ fn bench_prefilter(c: &mut Criterion) {
             b.iter(|| gs.run_capture(pkts.iter().cloned(), &[]).unwrap())
         });
     }
+    // `SharedPrefilter::dispatch` alone, on the end-to-end `filter`
+    // shape: one `destPort = 80` LFTA over a mix in which about 2 % of
+    // packets are port-80 traffic, so nearly every packet is rejected by
+    // its BPF program.
+    let mix = MixConfig {
+        seed: 7,
+        duration_ms: 500,
+        http_rate_mbps: 0.6,
+        background_rate_mbps: 29.4,
+        ..MixConfig::default()
+    };
+    let pkts: Vec<CapPacket> = PacketMix::new(mix).collect();
+    let mut slots = [(gs_bench::build_port80_lfta(), 0u16)];
+    let mut pass = SharedPrefilter::new();
+    pass.add_lfta(&slots[0].0, 0);
+    let mut outs = [Vec::new()];
+    g.throughput(Throughput::Elements(pkts.len() as u64));
+    g.bench_function("dispatch_port80", |b| {
+        b.iter(|| {
+            for p in &pkts {
+                pass.dispatch(black_box(p), &mut slots, &mut outs);
+                outs[0].clear();
+            }
+        })
+    });
     g.finish();
 }
 

@@ -328,12 +328,13 @@ impl CaptureFront {
         self.lftas.into_iter().map(|(lfta, _)| lfta)
     }
 
-    /// One packet through the shared pass: one parse, each distinct BPF
-    /// program, protocol match and predicate atom evaluated once, LFTAs
-    /// dispatched off the memoized verdicts. Only the slots whose tail
-    /// ran can hold output, so only those feed their edges. Returns
-    /// whether a batch left an edge (most packets are rejected, or
-    /// absorbed into a filling batch).
+    /// One packet through the shared pass: each distinct BPF program run
+    /// once on the raw bytes, then — only if some LFTA survives that —
+    /// one parse, each distinct protocol match and predicate atom
+    /// evaluated at most once, LFTAs dispatched off the memoized
+    /// verdicts. Only the slots whose tail ran can hold output, so only
+    /// those feed their edges. Returns whether a batch left an edge (most
+    /// packets are rejected, or absorbed into a filling batch).
     pub fn dispatch(&mut self, pkt: &CapPacket) -> bool {
         self.packets += 1;
         self.clock = u64::from(pkt.time_sec());

@@ -40,6 +40,7 @@ use gs_packet::CapPacket;
 use gs_runtime::punct::HeartbeatMode;
 use gs_runtime::stats::StatRow;
 use gs_runtime::tuple::Tuple;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
@@ -226,11 +227,11 @@ impl Stepper {
         self.live.held()
     }
 
-    /// Run all deployed queries over `packets`, one thread per HFTA, on
-    /// the operators held from the previous step where there are any. In
-    /// capture mode the healthy queries' operators are sealed and held
-    /// again afterwards; a flushing step (capture off) finishes them, and
-    /// holds nothing.
+    /// Run all deployed queries over `packets` (owned or borrowed), one
+    /// thread per HFTA, on the operators held from the previous step
+    /// where there are any. In capture mode the healthy queries'
+    /// operators are sealed and held again afterwards; a flushing step
+    /// (capture off) finishes them, and holds nothing.
     pub fn step<I>(
         &mut self,
         gs: &Gigascope,
@@ -239,7 +240,8 @@ impl Stepper {
         opts: ThreadedOptions,
     ) -> Result<ThreadedOutput, Error>
     where
-        I: Iterator<Item = CapPacket>,
+        I: Iterator,
+        I::Item: Borrow<CapPacket>,
     {
         let end = if opts.capture { End::Seal } else { End::Flush };
         self.run(gs, packets, subscriptions, opts, end)
@@ -257,7 +259,8 @@ impl Stepper {
         opts: ThreadedOptions,
     ) -> Result<ThreadedOutput, Error>
     where
-        I: Iterator<Item = CapPacket>,
+        I: Iterator,
+        I::Item: Borrow<CapPacket>,
     {
         self.run(gs, packets, subscriptions, opts, End::Hold)
     }
@@ -271,7 +274,8 @@ impl Stepper {
         end: End,
     ) -> Result<ThreadedOutput, Error>
     where
-        I: Iterator<Item = CapPacket>,
+        I: Iterator,
+        I::Item: Borrow<CapPacket>,
     {
         check_heartbeat(gs.heartbeat)?;
         // Taken, not borrowed: whatever the build does not adopt — and
@@ -348,7 +352,7 @@ impl Stepper {
         // ship as one queue message per `batch_size` rows (scattered through
         // any partitioning routers installed on the LFTA's stream).
         for pkt in packets {
-            front.dispatch(&pkt);
+            front.dispatch(pkt.borrow());
             if front.periodic_due() {
                 front.heartbeat();
             }
@@ -742,7 +746,7 @@ mod tests {
         let cut = Arc::new(first.snapshots);
         let again = |stepper: &mut Stepper| {
             let opts = ThreadedOptions { restore: Some(cut.clone()), ..capture() };
-            stepper.step(&gs, std::iter::empty(), &[], opts).unwrap().nodes_restored
+            stepper.step(&gs, std::iter::empty::<CapPacket>(), &[], opts).unwrap().nodes_restored
         };
         assert_eq!(again(&mut stepper), 0);
         stepper.forget("perport");

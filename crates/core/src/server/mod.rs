@@ -56,6 +56,7 @@ use gs_runtime::durable::{
 use gs_runtime::faults::{DiskFaultPlan, FaultPlan};
 use gs_runtime::punct::HeartbeatMode;
 use gs_runtime::stats::{Counter, StatRow, StatSource, StatsRegistry};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
@@ -96,8 +97,9 @@ pub enum PacketSource {
 
 impl PacketSource {
     /// The packets of epoch `epoch`, regenerable by anyone holding the
-    /// same source description.
-    pub fn epoch_packets(&self, epoch: u64) -> Vec<CapPacket> {
+    /// same source description. A chunked source lends its chunk; the
+    /// generated sources hand out owned packets.
+    pub fn epoch_packets(&self, epoch: u64) -> Cow<'_, [CapPacket]> {
         match self {
             PacketSource::Synthetic { mbps, epoch_ms, seed } => PacketMix::new(MixConfig {
                 seed: seed.wrapping_add(epoch),
@@ -110,7 +112,8 @@ impl PacketSource {
                 p.ts_ns += epoch * epoch_ms * 1_000_000;
                 p
             })
-            .collect(),
+            .collect::<Vec<_>>()
+            .into(),
             PacketSource::Replay(packets) => {
                 const SEC_NS: u64 = 1_000_000_000;
                 // Over the timestamps, not the trace order: a capture
@@ -120,10 +123,14 @@ impl PacketSource {
                     .fold((u64::MAX, 0), |(lo, hi), p| (lo.min(p.ts_ns), hi.max(p.ts_ns)));
                 let span = hi.saturating_sub(lo);
                 let shift = epoch * span.div_ceil(SEC_NS).max(1) * SEC_NS;
-                packets.iter().map(|p| CapPacket { ts_ns: p.ts_ns + shift, ..p.clone() }).collect()
+                packets
+                    .iter()
+                    .map(|p| CapPacket { ts_ns: p.ts_ns + shift, ..p.clone() })
+                    .collect::<Vec<_>>()
+                    .into()
             }
             PacketSource::Chunked(chunks) => {
-                chunks.get(epoch as usize).cloned().unwrap_or_default()
+                chunks.get(epoch as usize).map_or(&[][..], Vec::as_slice).into()
             }
         }
     }
@@ -857,7 +864,10 @@ fn catch_up(
             restore: Some(carry.clone()),
             ..ThreadedOptions::default()
         };
-        let (packets, subs) = ((e..to).flat_map(|k| source.epoch_packets(k)), streams_of(&fanout));
+        // A replay spans many epochs: generate them one at a time, as
+        // the step consumes them, rather than hold the whole span.
+        let packets = (e..to).flat_map(|k| source.epoch_packets(k).into_owned());
+        let subs = streams_of(&fanout);
         let stepped = if to == epoch {
             replay.step(gs, packets, &subs, opts)
         } else {
@@ -1051,7 +1061,7 @@ fn engine_loop(
                 restore: (!restore.is_empty()).then_some(restore),
                 ..ThreadedOptions::default()
             };
-            let (packets, subs) = (packets.into_iter(), streams_of(&fanout));
+            let (packets, subs) = (packets.iter(), streams_of(&fanout));
             let stepped = if cut {
                 stepper.step(&gs, packets, &subs, opts)
             } else {
@@ -1181,7 +1191,9 @@ fn engine_loop(
                 ..ThreadedOptions::default()
             };
             gs.faults = None;
-            if let Ok(out) = stepper.step(&gs, std::iter::empty(), &streams_of(&fanout), opts) {
+            if let Ok(out) =
+                stepper.step(&gs, std::iter::empty::<CapPacket>(), &streams_of(&fanout), opts)
+            {
                 shared.stats.nodes_restored.add(out.nodes_restored);
                 // The flush emitted every held tail: record the clean
                 // shutdown (which retires all segments and markers)
@@ -1281,5 +1293,16 @@ mod tests {
                 assert!(this == source.epoch_packets(k), "{name}: epoch {k} is not regenerable");
             }
         }
+    }
+
+    /// A chunked source lends each epoch its chunk; nothing is cloned.
+    #[test]
+    fn chunked_epochs_are_borrowed() {
+        let source = PacketSource::chunked_synthetic(20.0, 20, 2, 3);
+        for k in 0..3 {
+            assert!(matches!(source.epoch_packets(k), Cow::Borrowed(_)), "epoch {k}");
+        }
+        let PacketSource::Chunked(chunks) = &source else { unreachable!() };
+        assert!(std::ptr::eq(&*source.epoch_packets(1), chunks[1].as_slice()));
     }
 }

@@ -125,9 +125,8 @@ impl PacketView {
     }
 
     fn parse_transport(&mut self, proto: u8, l4: usize) {
-        let data = self.cap.data.clone();
-        let Some(bytes) = data.get(l4..) else { return };
-        self.transport = match proto {
+        let Some(bytes) = self.cap.data.get(l4..) else { return };
+        let transport = match proto {
             PROTO_TCP => match TcpHeader::decode(bytes) {
                 Ok(th) => Transport::Tcp(th, l4 + usize::from(th.header_len)),
                 Err(_) => Transport::Other,
@@ -142,6 +141,7 @@ impl PacketView {
             },
             _ => Transport::Other,
         };
+        self.transport = transport;
     }
 
     /// The IPv4 header, if this is an IPv4 packet.

@@ -4,12 +4,17 @@
 //! The paper's §3 prefilter is per-LFTA: every registered query re-parses
 //! the packet and re-evaluates its own BPF program and predicate, so
 //! per-packet cost grows linearly with query count. This module factors
-//! the distinct work across all registered LFTAs into one shared pass:
+//! the distinct work across all registered LFTAs into one shared pass,
+//! cheapest test first:
 //!
-//! 1. one `PacketView` parse per packet (instead of one per LFTA);
-//! 2. each *distinct* compiled BPF program runs once (queries with equal
-//!    programs share the verdict);
-//! 3. each *distinct* protocol match runs once;
+//! 1. each *distinct* compiled BPF program runs once, on the raw capture
+//!    bytes and before anything else (queries with equal programs share
+//!    the verdict; same-shape programs share one probe);
+//! 2. at most one `PacketView` parse per packet (instead of one per
+//!    LFTA), and only when some dispatch group on the packet's interface
+//!    survives admission and its BPF stage (a group without a program
+//!    always does) — a packet every program rejects is never parsed;
+//! 3. each *distinct* protocol match runs once, on that parse;
 //! 4. each *distinct* predicate atom (see `gs_gsql::pushdown::extract_atoms`)
 //!    evaluates at most once, lazily — on the first group that survives
 //!    to its predicate stage and needs it — and its verdict is memoized
@@ -82,7 +87,9 @@ impl PrefilterCache {
 pub struct SharedCounters {
     /// Packets offered to the shared pass.
     pub packets: Counter,
-    /// Shared `PacketView` parses performed.
+    /// Shared `PacketView` parses performed: at most one per packet, and
+    /// only for a packet that some group on its interface let through
+    /// admission and BPF — the rest are rejected on their raw bytes.
     pub parses: Counter,
     /// Total atom evaluations across all atoms.
     pub atom_evals: Counter,
@@ -513,11 +520,12 @@ impl SharedPrefilter {
         self.atoms.len()
     }
 
-    /// Process one packet: run each distinct BPF program, protocol match
-    /// and atom once, then dispatch every listening LFTA off the memoized
-    /// verdicts. `slots` must be the `(lfta, interface)` vector this pass
-    /// was built from (same order); `outs[i]` receives slot `i`'s output
-    /// items.
+    /// Process one packet: run each distinct BPF program once on the raw
+    /// bytes, parse only if some listening group survives its admission
+    /// and BPF stage, then take each protocol match and atom at most once
+    /// and dispatch every surviving LFTA off the memoized verdicts.
+    /// `slots` must be the `(lfta, interface)` vector this pass was built
+    /// from (same order); `outs[i]` receives slot `i`'s output items.
     // `#[inline]` lets the caller's crate instantiate the pass: compiled
     // only inside this crate, the per-packet loop measured ~10 % slower
     // over 100 LFTAs.
@@ -539,13 +547,12 @@ impl SharedPrefilter {
             return;
         };
         self.iface_packets[iface_idx] += 1;
-        self.parses += 1;
-        let view = PacketView::parse(cap.clone());
 
-        // Shared evaluation: every distinct program/protocol/atom once.
-        // Same-shape programs (the pushdown-generated `field cmp const`
-        // family) share one probe run of their common prefix; only the
-        // final comparison is replayed per member, host-side.
+        // Shared BPF stage, on the raw bytes and before any parse: every
+        // distinct program once. Same-shape programs (the
+        // pushdown-generated `field cmp const` family) share one probe run
+        // of their common prefix; only the final comparison is replayed
+        // per member, host-side.
         self.prog_verdicts.clear();
         self.prog_verdicts.resize(self.progs.len(), false);
         for (fam, members) in &self.families {
@@ -558,10 +565,6 @@ impl SharedPrefilter {
         for &pi in &self.loose_progs {
             self.prog_verdicts[pi] = self.progs[pi].accepts(&cap.data);
         }
-        self.proto_verdicts.clear();
-        for p in &self.protos {
-            self.proto_verdicts.push((p.matches)(&view));
-        }
         self.field_vals.clear();
         self.field_vals.resize(self.field_slots.len(), SlotVal::Unset);
         self.atom_state.clear();
@@ -569,9 +572,11 @@ impl SharedPrefilter {
 
         // Dispatch: replay each group's decision sequence off the
         // verdicts, once for all its members; counter deltas accumulate
-        // in the group rows and are folded back by `flush_stats`. Atoms
-        // evaluate lazily — only when a group survives to its predicate
-        // stage.
+        // in the group rows and are folded back by `flush_stats`. The
+        // packet is parsed, and its protocol verdicts taken, at the first
+        // group that survives admission and BPF — most packets survive
+        // none and are never parsed. Atoms evaluate lazily, only when a
+        // group survives to its predicate stage.
         let SharedPrefilter {
             entries,
             atoms,
@@ -586,11 +591,12 @@ impl SharedPrefilter {
             atom_state,
             hit_slots,
             scratch,
+            parses,
             dispatch_hits,
             snap_fallbacks,
             ..
         } = self;
-        let mut atom_true = |j: usize| -> bool {
+        let mut atom_true = |j: usize, view: &PacketView| -> bool {
             match atom_state[j] {
                 AtomState::True => true,
                 AtomState::False => false,
@@ -603,7 +609,7 @@ impl SharedPrefilter {
                         Some(fc) => {
                             if let SlotVal::Unset = field_vals[fc.slot] {
                                 let (pi, col) = field_slots[fc.slot];
-                                let fields = PacketFields::new(&view, protos[pi].fields);
+                                let fields = PacketFields::new(view, protos[pi].fields);
                                 field_vals[fc.slot] = match fields.field(col) {
                                     None => SlotVal::Missing,
                                     Some(Value::UInt(u)) => SlotVal::UInt(u),
@@ -616,13 +622,13 @@ impl SharedPrefilter {
                                 // a missing field — identical verdict.
                                 SlotVal::Missing => false,
                                 _ => {
-                                    let fields = PacketFields::new(&view, a.proto.fields);
+                                    let fields = PacketFields::new(view, a.proto.fields);
                                     a.prog.eval_bool(&fields, scratch)
                                 }
                             }
                         }
                         None => {
-                            let fields = PacketFields::new(&view, a.proto.fields);
+                            let fields = PacketFields::new(view, a.proto.fields);
                             a.prog.eval_bool(&fields, scratch)
                         }
                     };
@@ -635,6 +641,7 @@ impl SharedPrefilter {
                 }
             }
         };
+        let mut parsed: Option<PacketView> = None;
         for (gi, h) in group_hot.iter().enumerate() {
             if usize::from(h.iface_idx) != iface_idx {
                 continue;
@@ -656,13 +663,20 @@ impl SharedPrefilter {
             }
             let d = &mut group_deltas[gi];
             d.bpf_passed += 1;
+            let view = parsed.get_or_insert_with(|| {
+                *parses += 1;
+                let view = PacketView::parse(cap.clone());
+                proto_verdicts.clear();
+                proto_verdicts.extend(protos.iter().map(|p| (p.matches)(&view)));
+                view
+            });
             if h.snaplen != u32::MAX {
                 // The shared full-packet parse stands in for a snapped
                 // parse only when every parsed header lies within the
                 // snap length; otherwise each member replays its private
                 // path exactly (snap, re-parse, full predicate).
                 let s = h.snaplen as usize;
-                if cap.data.len() > s && !headers_within(&view, s) {
+                if cap.data.len() > s && !headers_within(view, s) {
                     let members = &groups[gi].members;
                     *snap_fallbacks += members.len() as u64;
                     for &i in members {
@@ -676,7 +690,7 @@ impl SharedPrefilter {
                 d.not_protocol += 1;
                 continue;
             }
-            if !groups[gi].sig.atom_ids.iter().all(|&j| atom_true(j)) {
+            if !groups[gi].sig.atom_ids.iter().all(|&j| atom_true(j, view)) {
                 d.filtered += 1;
                 continue;
             }
@@ -684,7 +698,7 @@ impl SharedPrefilter {
                 entries[i].hits += 1;
                 *dispatch_hits += 1;
                 hit_slots.push(i);
-                slots[i].0.push_matched(&view, &mut outs[i]);
+                slots[i].0.push_matched(view, &mut outs[i]);
             }
         }
     }
@@ -858,7 +872,7 @@ fn headers_within(view: &PacketView, snaplen: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::lfta::{LftaKind, SharedSplit};
+    use crate::ops::lfta::{LftaKind, LftaStats, SharedSplit};
     use crate::params::ParamBindings;
     use crate::udf::{FileStore, UdfRegistry};
     use gs_gsql::ast::BinOp;
@@ -1105,6 +1119,117 @@ mod tests {
         assert!(d.contains("lfta a"), "{d}");
         assert!(d.contains("{0}"), "{d}");
         assert!(d.contains("{1}"), "{d}");
+    }
+
+    /// Dispatch `p` over `slots` and against each slot's private twin;
+    /// returns how many parses the shared pass spent on it.
+    fn parses_for(
+        sp: &mut SharedPrefilter,
+        slots: &mut [(Lfta, u16)],
+        private: &mut [Lfta],
+        p: &CapPacket,
+    ) -> u64 {
+        let before = sp.parses;
+        let mut outs = vec![Vec::new(); slots.len()];
+        sp.dispatch(p, slots, &mut outs);
+        for (l, o) in private.iter_mut().zip(outs.iter()) {
+            let mut private_out = Vec::new();
+            l.push_packet(p, &mut private_out);
+            assert_eq!(o.len(), private_out.len(), "{} outputs", l.name);
+        }
+        sp.parses - before
+    }
+
+    fn registered(lftas: Vec<Lfta>) -> (SharedPrefilter, Vec<(Lfta, u16)>) {
+        let mut sp = SharedPrefilter::new();
+        for l in &lftas {
+            sp.add_lfta(l, 0);
+        }
+        (sp, lftas.into_iter().map(slot).collect())
+    }
+
+    /// BPF runs on the raw bytes before the parse: a packet that every
+    /// group's program rejects is counted and never parsed, and its
+    /// counters are the private path's. A packet that passes is parsed
+    /// once, however many groups it reaches.
+    #[test]
+    fn bpf_rejected_packets_are_never_parsed() {
+        let mk = || vec![mk_lfta("a", 80), mk_lfta("b", 80), mk_lfta("c", 25)];
+        let ((mut sp, mut slots), mut private) = (registered(mk()), mk());
+        for i in 0..10 {
+            assert_eq!(parses_for(&mut sp, &mut slots, &mut private, &pkt(i, 443)), 0);
+        }
+        assert_eq!((sp.packets, sp.parses), (10, 0));
+        sp.flush_stats(&mut slots);
+        for (s, l) in slots.iter().zip(&private) {
+            assert_eq!(s.0.stats, l.stats, "{} counters", l.name);
+            assert_eq!((s.0.stats.packets_in, s.0.stats.prefiltered), (10, 10));
+        }
+        assert_eq!(parses_for(&mut sp, &mut slots, &mut private, &pkt(10, 80)), 1);
+        assert_eq!(sp.dispatch_hits, 2, "one parse served both port-80 LFTAs");
+    }
+
+    /// A group without a BPF program always survives to the parse, so
+    /// it parses every packet on its interface.
+    #[test]
+    fn group_without_program_parses_every_packet() {
+        let mk = || vec![mk_lfta("a", 80), mk_lfta_pred("n", port_eq(80))];
+        let ((mut sp, mut slots), mut private) = (registered(mk()), mk());
+        for i in 0..6 {
+            let p = pkt(i, [80, 443][i as usize % 2]);
+            assert_eq!(parses_for(&mut sp, &mut slots, &mut private, &p), 1, "packet {i}");
+        }
+        sp.flush_stats(&mut slots);
+        for (s, l) in slots.iter().zip(&private) {
+            assert_eq!(s.0.stats, l.stats, "{} counters", l.name);
+        }
+    }
+
+    /// A sampled group parses a packet only when its admission hash
+    /// takes the packet and its BPF program passes it; one that rejects
+    /// at admission parses nothing.
+    #[test]
+    fn sampled_group_parses_only_what_it_admits() {
+        let shut = || {
+            let mut l = mk_sampled("z", 80);
+            l.set_sample(0.0);
+            l
+        };
+        let ((mut sp, mut slots), mut private) = (registered(vec![shut()]), vec![shut()]);
+        for i in 0..10 {
+            assert_eq!(parses_for(&mut sp, &mut slots, &mut private, &pkt(i, 80)), 0);
+        }
+        sp.flush_stats(&mut slots);
+        assert_eq!(slots[0].0.stats, private[0].stats);
+        assert_eq!(slots[0].0.stats.sampled_out, 10);
+
+        let mk = || vec![mk_sampled("d", 80)];
+        let ((mut sp, mut slots), mut private) = (registered(mk()), mk());
+        let mut admitted = 0;
+        for i in 0..40 {
+            let p = pkt(i, [80, 443][i as usize % 2]);
+            let sampled_out = private[0].stats.sampled_out;
+            let parses = parses_for(&mut sp, &mut slots, &mut private, &p);
+            let admits = private[0].stats.sampled_out == sampled_out;
+            assert_eq!(parses, u64::from(admits && i % 2 == 0), "packet {i}");
+            admitted += u64::from(admits);
+        }
+        assert!(admitted > 0 && admitted < 40, "sampling both admits and drops: {admitted}");
+        sp.flush_stats(&mut slots);
+        assert_eq!(slots[0].0.stats, private[0].stats);
+    }
+
+    /// A packet on an interface no LFTA listens on is counted by the
+    /// pass and neither parsed nor offered to any LFTA.
+    #[test]
+    fn unlistened_interface_parses_nothing() {
+        let (mut sp, mut slots) = registered(vec![mk_lfta_pred("n", port_eq(80))]);
+        let mut p = pkt(0, 80);
+        p.iface = 1;
+        assert_eq!(parses_for(&mut sp, &mut slots, &mut [], &p), 0);
+        assert_eq!((sp.packets, sp.parses), (1, 0));
+        sp.flush_stats(&mut slots);
+        assert_eq!(slots[0].0.stats, LftaStats::default());
     }
 
     #[test]

@@ -144,7 +144,8 @@ impl Frames {
 pub fn assert_session_total(program: &str, source: &PacketSource, stream: &str, frames: &Frames) {
     let m = frames.marks.get(stream).unwrap_or_else(|| panic!("no `{stream}` markers at all"));
     let (first, flush) = (m[0], m[m.len() - 1]);
-    let packets: Vec<CapPacket> = (first..flush).flat_map(|e| source.epoch_packets(e)).collect();
+    let packets: Vec<CapPacket> =
+        (first..flush).flat_map(|e| source.epoch_packets(e).into_owned()).collect();
     let reference = continuous_reference(&packets, &[stream], program);
     assert_eq!(
         norm(frames.rows(stream)),
@@ -228,8 +229,13 @@ pub fn write_cut_per_boundary_state_dir(
             restore: (!carry.is_empty()).then(|| Arc::new(carry.clone())),
             ..ThreadedOptions::default()
         };
-        let out = run_threaded_opts(&gs, source.epoch_packets(e).into_iter(), subscriptions, opts)
-            .expect("epoch run");
+        let out = run_threaded_opts(
+            &gs,
+            source.epoch_packets(e).into_owned().into_iter(),
+            subscriptions,
+            opts,
+        )
+        .expect("epoch run");
         carry = out.snapshots;
         let cursors: HashMap<String, u64> = queries.iter().map(|q| (q.clone(), e + 1)).collect();
         store.checkpoint(e + 1, &carry, &cursors, &queries).expect("checkpoint");

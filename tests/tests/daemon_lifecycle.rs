@@ -86,7 +86,8 @@ fn register_unregister_churn_returns_to_baseline() {
         let first = frames.marks["churn_agg"][0];
         frames.read(&mut client, &["churn_agg"], Some(first + ROUND_EPOCHS - 1));
         client.unsubscribe("churn_agg").expect("unsubscribe");
-        let packets = (first..first + ROUND_EPOCHS).flat_map(|e| source.epoch_packets(e));
+        let packets =
+            (first..first + ROUND_EPOCHS).flat_map(|e| source.epoch_packets(e).into_owned());
         let opts = ThreadedOptions { capture: true, ..ThreadedOptions::default() };
         let reference = run_threaded_opts(&reference_system(PROGRAM), packets, &["churn_agg"], opts)
             .expect("reference run");

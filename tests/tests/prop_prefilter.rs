@@ -241,3 +241,63 @@ fn remove_program_rebuilds_shared_pass() {
     assert_eq!(out.stream("keep").len(), 5);
     gs.add_program("DEFINE { query_name drop_me; } Select time From eth0.udp").unwrap();
 }
+
+/// Only BPF-filtered templates, over a trace of mostly rejected packets:
+/// non-IPv4 frames, truncated frames and frames on a second interface no
+/// query listens on. BPF runs on the raw bytes before the shared parse,
+/// so most packets return before it; every LFTA must still end with its
+/// private output and counters, and the pass parses at most once per
+/// packet.
+#[test]
+fn bpf_before_parse_matches_private_lftas_on_rejected_traffic() {
+    check("prefilter_bpf_first", 32, |g| {
+        let mut program = String::new();
+        for i in 0..g.usize(1..5) {
+            let body = match g.usize(0..3) {
+                0 => format!(
+                    "Select time, destPort From eth0.tcp Where destPort = {}",
+                    *g.choice(&[80u16, 443, 25])
+                ),
+                1 => "Select time, len From eth0.udp Where destPort = 53".to_string(),
+                _ => format!(
+                    "Select time, count(*) From eth0.tcp Where destPort = {} Group By time",
+                    *g.choice(&[80u16, 443])
+                ),
+            };
+            program.push_str(&format!("DEFINE {{ query_name q{i}; }} {body};\n"));
+        }
+        let mut pkts = trace(g);
+        for p in &mut pkts {
+            match g.usize(0..5) {
+                0 => {
+                    let mut f = p.data.to_vec();
+                    f[12..14].copy_from_slice(*g.choice(&[&[0x08u8, 0x06], &[0x86, 0xdd]]));
+                    *p = CapPacket::full(p.ts_ns, 0, LinkType::Ethernet, f.into());
+                }
+                1 => {
+                    let cut = p.data.slice(..g.usize(0..p.data.len()));
+                    *p = CapPacket::full(p.ts_ns, 0, LinkType::Ethernet, cut);
+                }
+                2 => p.iface = 1,
+                _ => {}
+            }
+        }
+        let gs = system(&program, 1, 256);
+        let plan = gs.explain_prefilter().unwrap().unwrap();
+        assert!(!plan.contains("no-bpf"), "every LFTA carries a BPF program\n{plan}");
+        let streams = lfta_streams(&gs);
+        let subs: Vec<&str> = streams.iter().map(String::as_str).collect();
+
+        let oracle = oracle_lftas(&gs, &pkts);
+        let out = gs.run_capture(pkts.iter().cloned(), &subs).unwrap();
+
+        for (name, (tuples, stats)) in &oracle {
+            assert_eq!(norm(out.stream(name)), norm(tuples), "stream `{name}` diverged\n{program}");
+            assert_eq!(out.stats.lfta[name], *stats, "`{name}` counters diverged\n{program}");
+        }
+        let shared = |c| out.stats.counter("prefilter:shared", c).expect("prefilter:shared row");
+        assert_eq!(shared("packets"), pkts.len() as u64);
+        assert!(shared("parses") <= shared("packets"), "{program}");
+        assert!(out.stats.health.all_ok());
+    });
+}
