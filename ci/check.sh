@@ -178,6 +178,12 @@ echo "== crash_restart_gate: kill -9 mid-window, resume from --state-dir =="
 # the held window tail at shutdown. The window that spans the crash is
 # what makes the diff of both incarnations' output meaningful.
 rm -rf target/ci_state
+# log_only <dir>: a state dir holds its log and nothing else — every cut
+# is a record in it, and no compaction temp survives a clean exit.
+log_only() {
+    extra=$(find "$1" -mindepth 1 ! -name emit.log)
+    [ -z "$extra" ] || fail "state dir $1 holds more than emit.log: $extra"
+}
 boot_durable_gsqd() {
     boot_gsqd "$1" --chunked 70x200x6 --lead-in 10 --seed 11 \
         --state-dir target/ci_state --epoch-gap 50 --program target/ci_carry.gsql
@@ -192,6 +198,7 @@ grep -q 'recovered' target/gsqd_crash2.err ||
     { kill -9 "$GSQD_PID" 2>/dev/null; fail "restarted gsqd did not report a recovery"; }
 gsq_session target/gsqd_crash2.out --subscribe agg --epochs 1 --shutdown --drain
 expect_clean_exit crash2
+log_only target/ci_state
 # The window tail held across the crash must actually arrive in the
 # second incarnation's flush — without it the equivalence below would
 # be vacuously about the pre-crash rows only.
@@ -247,6 +254,7 @@ grep -q 'recovered' target/gsqd_lag2.err ||
 gsq_session target/gsqd_lag2.out --subscribe agg,src --epochs 1 --stats \
     --shutdown --drain 2> target/gsqd_lag2.stats
 expect_clean_exit lag2
+log_only target/ci_state_lag
 replayed=$(stat_of target/gsqd_lag2.stats daemon replayed_epochs)
 [ -n "$replayed" ] && [ "$replayed" -gt 0 ] ||
     fail "lagging gate: the restart replayed no epochs (replayed_epochs=$replayed)"

@@ -29,13 +29,13 @@
 //!                            one-shot `gsq` runner's synchronous engine
 //!   --port-file <path>       write the bound address to a file, atomically
 //!                            (CI uses this with --listen …:0)
-//!   --state-dir <dir>        durable checkpoint directory: every cut is
-//!                            persisted crash-consistently and every
-//!                            epoch's markers are logged, and a restarted
+//!   --state-dir <dir>        durable checkpoint directory: every epoch
+//!                            boundary appends its markers, and every
+//!                            cut, to an fsynced log, and a restarted
 //!                            daemon pointed at the same directory resumes
 //!                            mid-window instead of starting empty
-//!   --retain <n>             checkpoints kept by the state dir's GC
-//!                            (default 3, at least 2)
+//!   --retain <n>             cuts the log keeps when it is compacted
+//!                            (default 3, at least 1)
 //! ```
 //!
 //! The daemon serves the `gsqd` wire protocol until a client sends
@@ -59,7 +59,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("            [--fault-panic node@batch] [--fault-epochs lo..hi]");
     eprintln!("            [--restart-budget n] [--backoff n] [--parallelism n]");
     eprintln!("            [--heartbeat off|N] [--port-file path]");
-    eprintln!("            [--state-dir dir] [--retain n (default 3, at least 2)]");
+    eprintln!("            [--state-dir dir] [--retain n (default 3, at least 1)]");
     exit(2);
 }
 

@@ -180,7 +180,7 @@ pub struct DaemonStats {
     /// for the whole of a fault-free session that started fresh.
     pub nodes_restored: Counter,
     /// Boundaries that sealed a cut (with a state directory,
-    /// each one a published segment); `epochs - cuts` boundaries
+    /// each one a CUT record in the log); `epochs - cuts` boundaries
     /// committed only their markers.
     pub cuts: Counter,
     /// Epochs a catch-up replay re-ran emitting nothing, to rebuild state
@@ -241,17 +241,17 @@ pub struct DaemonConfig {
     /// Per-connection outbound queue capacity, in frames; overflow
     /// sheds that connection's newest data frames.
     pub conn_queue_frames: usize,
-    /// Durable checkpoint directory. When set, every cut is persisted
-    /// crash-consistently and every epoch's markers are committed to
-    /// an fsynced log, and a restarted daemon pointed at the same
-    /// directory rebuilds its windows from the newest cut plus a silent
-    /// replay of the epochs the markers confirm past it — resuming
-    /// mid-window, exactly once, instead of from empty state.
+    /// Durable checkpoint directory. When set, every epoch boundary is
+    /// committed as one fsynced record of an append-only log — a cut
+    /// with its markers, or the markers alone — and a restarted daemon
+    /// pointed at the same directory rebuilds its windows from the
+    /// newest cut plus a silent replay of the epochs the markers confirm
+    /// past it — resuming mid-window, exactly once, instead of from
+    /// empty state.
     pub state_dir: Option<PathBuf>,
-    /// Checkpoints the durable store's GC retains (older segments are
-    /// pruned at checkpoint boundaries). Clamped to at least 2: a crash
-    /// between a cut's publish and its markers falls back to the one
-    /// before.
+    /// Cuts the durable log keeps when it is compacted; recovery falls
+    /// back to an older one if the newest fails to decode. Clamped to at
+    /// least 1, the cut recovery resumes from.
     pub retain_checkpoints: usize,
     /// Disk-fault campaign applied to the durable store's IO (tests and
     /// demos; `None` in production).
@@ -678,19 +678,18 @@ fn with_durable_note(mut rows: Vec<wire::HealthRow>, note: &DurableNote) -> Vec<
     rows
 }
 
-/// A cut's segment contents: the carry map and every query's cursor.
+/// A cut's contents: the carry map and every query's cursor.
 type CutToPublish<'a> = (&'a HashMap<String, Vec<u8>>, &'a HashMap<String, Cursor>);
 
 /// Persist one epoch boundary before the caller sends its marker
-/// frames: at a cut (`cut` = the carry map and every query's cursor),
-/// publish the segment crash-consistently first; then, at every
-/// boundary, commit the emitted `(stream, epoch)` markers to the
-/// durable log. A marker needs no segment at its own epoch — recovery
-/// rebuilds the state from an older cut by a silent replay — so a
-/// failed publish still commits the markers. A write that still fails
-/// after the store's bounded retries is dead-lettered: noted for
-/// HEALTH, counted in `durable:write_failed`, and the daemon keeps
-/// running on its in-memory cut.
+/// frames: commit the emitted `(stream, epoch)` markers to the durable
+/// log — at a cut (`cut` = the carry map and every query's cursor) in
+/// the same record as the cut. A marker needs no cut at its own epoch —
+/// recovery rebuilds the state from an older cut by a silent replay —
+/// so a cut that cannot be written still commits its markers alone. A
+/// write that still fails after the store's bounded retries is
+/// dead-lettered: noted for HEALTH, counted in `durable:write_failed`,
+/// and the daemon keeps running on its in-memory cut.
 fn durable_commit(
     durable: &mut Option<DurableStore>,
     cut: Option<CutToPublish<'_>>,
@@ -705,7 +704,7 @@ fn durable_commit(
         store.checkpoint(epoch + 1, carry, &cursors, streams)
     });
     let logged = store.log_markers(epoch, streams).inspect_err(|_| {
-        // Count it with the failed segment writes, so the counter
+        // Count it with the failed cut writes, so the counter
         // reflects every dead-lettered durable write.
         store.stats().write_failed.inc();
     });
@@ -890,7 +889,7 @@ fn catch_up(
                     c.next = to;
                 }
             }
-            // No segment: the durable cut keeps lagging until the next
+            // No cut: the durable cut keeps lagging until the next
             // cut, and recovery replays past it.
             durable_commit(durable, None, e, &marked, durable_note);
             send_markers(&fanout, e, |s| out.health.failed(s));
@@ -1196,7 +1195,7 @@ fn engine_loop(
             {
                 shared.stats.nodes_restored.add(out.nodes_restored);
                 // The flush emitted every held tail: record the clean
-                // shutdown (which retires all segments and markers)
+                // shutdown (which retires every cut and marker before it)
                 // before the final marker frames go out.
                 if let Some(store) = durable.as_mut() {
                     if let Err(e) = store.log_shutdown(epoch + 1) {

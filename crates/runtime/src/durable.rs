@@ -1,53 +1,44 @@
 //! The durable checkpoint store: crash-consistent persistence of the
-//! daemon's cuts of carried state, plus the recovery manager that rebuilds
-//! them after a process death.
+//! daemon's cuts of carried state and of its emission markers, plus the
+//! recovery manager that rebuilds them after a process death.
 //!
 //! # On-disk layout
 //!
-//! A state directory holds:
+//! A state directory holds one file, the append-only log `emit.log`: a
+//! sequence of `u32 BE length` + sealed ([`snapshot::seal`]) records.
+//! Each record is individually checksummed, so a torn tail is detected
+//! and truncated (advisory, never fatal). Three kinds:
 //!
-//! - **Segment files** `seg-<seq>.gsck`: one sealed
-//!   ([`snapshot::seal`]) envelope per checkpoint containing the epoch
-//!   to resume at, every query's replay cursor, and the full carry map
-//!   (node key → that node's own sealed snapshot). `<seq>` is a
-//!   zero-padded hex sequence number — monotone, so lexicographic file
-//!   order is write order. Segments are immutable once named: they are
-//!   written to `<name>.tmp`, fsynced, renamed into place, and the
-//!   directory is fsynced — the classic crash-consistent publish.
-//! - **The emission log** `emit.log`: an append-only sequence of
-//!   `u32 BE length` + sealed records. A *markers* record commits "the
-//!   output of epoch `e` for streams `s…` has been handed to
-//!   subscribers"; a *shutdown* record commits a clean flush. Each
-//!   record is individually checksummed, so a torn tail is detected and
-//!   truncated (advisory, never fatal).
+//! - **CUT**: one cut of the carried state — the epoch to resume at, the
+//!   streams that completed its boundary (their markers, for epoch
+//!   `next_epoch - 1`), every query's replay cursor, and the full carry
+//!   map (node key → that node's own sealed snapshot).
+//! - **MARKERS**: a boundary that is not a cut — "the output of epoch
+//!   `e` for streams `s…` has been handed to subscribers".
+//! - **SHUTDOWN**: a clean flush; it retires every record before it.
 //!
-//! Both are envelopes of the current [`snapshot::VERSION`]. A directory
-//! written under another version is refused whole by the version byte —
-//! segments skipped and removed, the log truncated at its first record,
-//! each with a note — so recovery reports a fresh start rather than an
-//! error, and never reads a cut it cannot verify.
+//! Every record is an envelope of the current [`snapshot::VERSION`]. A
+//! log written under another version reads as torn from its first record
+//! and is truncated there with a note, so recovery reports a fresh start
+//! rather than an error, and never reads a cut it cannot verify. Segment
+//! files (`seg-*`) left by the earlier file-per-cut layout are removed
+//! unread, with one note.
 //!
 //! # Cadence, recovery and the exactly-once argument
 //!
-//! Not every epoch boundary is a *cut*. The [`Cadence`] rule seals and
-//! publishes a segment only once the traffic since the last one
-//! outweighs the state it would write; every boundary in between
-//! commits just its markers record. So the two files answer different
-//! questions, and may disagree by up to one cut interval: a segment's
-//! cursors say where each query's *bytes* are, the marker log says what
-//! was *emitted*.
+//! Not every epoch boundary is a *cut*. The [`Cadence`] rule seals a cut
+//! only once the traffic since the last one outweighs the state it would
+//! write. Either way a boundary is one record — a CUT at a cut, a MARKERS
+//! record anywhere else — written with one append and one fsync, and the
+//! marker frames go to subscribers only after that fsync. The record is
+//! the boundary's commit point, so a cut and its markers commit together
+//! or not at all. A cut's cursors say where each query's *bytes* are, the
+//! markers say what was *emitted*; between cuts the markers run ahead by
+//! up to one cut interval.
 //!
-//! The write order at a cut is: (1) segment published
-//! crash-consistently, (2) markers appended + fsynced, (3) marker
-//! frames sent to subscribers; any other boundary does (2) and (3). A
-//! crash between (1) and (2) leaves a segment whose boundary was never
-//! confirmed to anyone, so each segment also records the streams that
-//! completed its boundary (`pending`), and recovery refuses any segment
-//! whose pending cursors run past the durable markers, falling back to
-//! the previous cut (retention keeps at least two for exactly this
-//! reason). Recovery scans the log (truncating any torn tail) and
-//! restores the newest decodable, marker-consistent segment; each query
-//! then resumes as [`Recovery::resume`] says: its state is rebuilt by
+//! Recovery scans the log once (truncating any torn tail) and restores
+//! the newest CUT after the last SHUTDOWN that decodes; each query then
+//! resumes as [`Recovery::resume`] says: its state is rebuilt by
 //! replaying `[cursor, next unmarked epoch)` from the restored bytes
 //! with its output discarded — those epochs were confirmed already —
 //! and emission resumes at the next unmarked epoch. Output is a
@@ -56,22 +47,27 @@
 //! emitted twice and nothing is skipped. The next unmarked epoch only
 //! needs each stream's *newest* marker, which is why falling back to an
 //! older cut costs replay time, never correctness. The one unprovable
-//! interleaving — the log record reached the platter but the fsync
+//! interleaving — the record reached the platter but the fsync
 //! acknowledgment didn't reach the process — loses only that epoch's
 //! *marker frame* on the already-dead connection; the injected crash
 //! matrix models the conservative outcome (torn record → replay).
 //!
+//! A failed append (ENOSPC, say) can land part of a record; the store
+//! cuts it off before it appends anything else, so a later record never
+//! sits behind garbage that recovery would truncate it with.
+//!
 //! # GC
 //!
-//! Retention keeps the last `retain` segments; older ones are pruned at
-//! checkpoint boundaries, and the log is compacted (rewritten via the
-//! same temp + rename publish) once it outgrows a threshold, dropping
-//! markers below the newest segment's replay floor — every stream's
-//! newest marker sits at or above it, so every retained cut still
-//! resumes exactly. Between two cuts the log grows by one markers record
-//! per boundary, so it stays under [`LOG_COMPACT_BYTES`] plus one cut
-//! interval of records — and the cadence bounds an idle interval by the
-//! state held at its cut.
+//! Compaction rewrites the log (atomic replace) to the newest `retain`
+//! CUT records plus every marker at or above their lowest cursor − 1:
+//! recovery reads only each stream's newest marker, and every stream
+//! those cuts cover has it at or above that floor, so each kept cut —
+//! the newest, or an older one should the newest fail to decode — still
+//! resumes exactly. It runs after a cut, once the log exceeds
+//! `max(`[`LOG_COMPACT_BYTES`]`, 2 × the bytes it keeps)`, so it never
+//! rewrites more than was appended since the last compaction. Between
+//! cuts the log grows by one markers record per boundary, and the
+//! cadence bounds an idle interval by the state held at its cut.
 //!
 //! All IO goes through the injectable [`DiskIo`] layer so the fault
 //! plans in [`faults`](crate::faults) can interrupt any step of the
@@ -81,7 +77,7 @@
 use crate::faults::{
     crash_error, enospc_error, is_crash_error, DiskFaultKind, DiskFaultPlan, DiskOp,
 };
-use crate::snapshot::{self, SnapReader, SnapWriter};
+use crate::snapshot::{self, SnapError, SnapReader, SnapWriter};
 use crate::stats::{Counter, StatSource};
 use std::collections::HashMap;
 use std::fs;
@@ -89,23 +85,17 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Segment file prefix.
-pub const SEG_PREFIX: &str = "seg-";
-/// Segment file suffix.
-pub const SEG_SUFFIX: &str = ".gsck";
 /// Emission log file name.
 pub const LOG_FILE: &str = "emit.log";
-/// Largest segment file recovery will read (a corrupt length field must
-/// not balloon into an allocation).
-pub const MAX_SEGMENT_BYTES: u64 = 1 << 30;
-/// Largest single carry entry inside a segment; checked against the
+/// Largest single carry entry inside a cut; checked against the
 /// declared length *before* any allocation.
 pub const MAX_ENTRY_BYTES: usize = 256 << 20;
-/// Log size that triggers compaction at the next checkpoint boundary.
+/// The log size below which compaction never runs.
 pub const LOG_COMPACT_BYTES: u64 = 1 << 20;
 
 const REC_MARKERS: u8 = 1;
 const REC_SHUTDOWN: u8 = 2;
+const REC_CUT: u8 = 3;
 
 /// Everything a durable-store operation can fail with.
 #[derive(Debug)]
@@ -142,23 +132,18 @@ impl StoreError {
 }
 
 /// The injectable IO layer every durable-store write routes through.
-/// Steps of the crash-consistent protocol carry their [`DiskOp`] tag so
-/// a fault plan can target an exact interleaving point; maintenance
-/// operations (recovery reads, GC, log truncation) are untagged but
-/// still honor a latched crash.
+/// The commit protocol is [`append`](DiskIo::append) then
+/// [`fsync_file`](DiskIo::fsync_file) — the [`DiskOp::LogAppend`] and
+/// [`DiskOp::LogFsync`] a fault plan targets; maintenance operations
+/// (recovery reads, compaction, truncation) are untagged but still honor
+/// a latched crash.
 pub trait DiskIo: Send + Sync {
     /// Create the state directory (and parents).
     fn create_dir_all(&self, p: &Path) -> io::Result<()>;
-    /// Write `bytes` as the full contents of `p` (protocol step).
-    fn write(&self, op: DiskOp, p: &Path, bytes: &[u8]) -> io::Result<()>;
-    /// Fsync the file at `p` (protocol step).
-    fn fsync_file(&self, op: DiskOp, p: &Path) -> io::Result<()>;
-    /// Rename `from` to `to` (protocol step).
-    fn rename(&self, op: DiskOp, from: &Path, to: &Path) -> io::Result<()>;
-    /// Fsync the directory at `p` (protocol step).
-    fn fsync_dir(&self, op: DiskOp, p: &Path) -> io::Result<()>;
-    /// Append `bytes` to `p`, creating it if absent (protocol step).
-    fn append(&self, op: DiskOp, p: &Path, bytes: &[u8]) -> io::Result<()>;
+    /// Append `bytes` to `p` (protocol step `LogAppend`).
+    fn append(&self, p: &Path, bytes: &[u8]) -> io::Result<()>;
+    /// Fsync the file at `p` (protocol step `LogFsync`).
+    fn fsync_file(&self, p: &Path) -> io::Result<()>;
     /// Read the full contents of `p`.
     fn read(&self, p: &Path) -> io::Result<Vec<u8>>;
     /// File names (not paths) in directory `p`.
@@ -167,11 +152,10 @@ pub trait DiskIo: Send + Sync {
     fn remove(&self, p: &Path) -> io::Result<()>;
     /// Truncate `p` to `len` bytes.
     fn truncate(&self, p: &Path, len: u64) -> io::Result<()>;
-    /// Atomically replace `p`'s contents (temp + fsync + rename +
-    /// dir fsync), for log compaction.
+    /// Atomically replace `p`'s contents ([`atomic_write_file`]), for
+    /// creating the log and compacting it.
     fn replace(&self, p: &Path, bytes: &[u8]) -> io::Result<()>;
-    /// Mark the start of one checkpoint boundary (fault plans count
-    /// these).
+    /// Mark the start of one epoch boundary (fault plans count these).
     fn begin_boundary(&self) {}
 }
 
@@ -187,27 +171,11 @@ impl DiskIo for RealDisk {
     fn create_dir_all(&self, p: &Path) -> io::Result<()> {
         fs::create_dir_all(p)
     }
-    fn write(&self, _op: DiskOp, p: &Path, bytes: &[u8]) -> io::Result<()> {
-        fs::write(p, bytes)
+    fn append(&self, p: &Path, bytes: &[u8]) -> io::Result<()> {
+        fs::OpenOptions::new().append(true).open(p)?.write_all(bytes)
     }
-    fn fsync_file(&self, _op: DiskOp, p: &Path) -> io::Result<()> {
+    fn fsync_file(&self, p: &Path) -> io::Result<()> {
         fsync_path(p)
-    }
-    fn rename(&self, _op: DiskOp, from: &Path, to: &Path) -> io::Result<()> {
-        fs::rename(from, to)
-    }
-    fn fsync_dir(&self, _op: DiskOp, p: &Path) -> io::Result<()> {
-        // Directory fsync is how a rename becomes durable on POSIX; on
-        // platforms where opening a directory fails, the rename is the
-        // best available publish and the error is not fatal.
-        match fsync_path(p) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::PermissionDenied => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-    fn append(&self, _op: DiskOp, p: &Path, bytes: &[u8]) -> io::Result<()> {
-        fs::OpenOptions::new().create(true).append(true).open(p)?.write_all(bytes)
     }
     fn read(&self, p: &Path) -> io::Result<Vec<u8>> {
         fs::read(p)
@@ -226,21 +194,15 @@ impl DiskIo for RealDisk {
         fs::OpenOptions::new().write(true).open(p)?.set_len(len)
     }
     fn replace(&self, p: &Path, bytes: &[u8]) -> io::Result<()> {
-        let tmp = p.with_extension("rewrite.tmp");
-        fs::write(&tmp, bytes)?;
-        fsync_path(&tmp)?;
-        fs::rename(&tmp, p)?;
-        if let Some(dir) = p.parent() {
-            let _ = fsync_path(dir);
-        }
-        Ok(())
+        atomic_write_file(p, bytes)
     }
 }
 
 /// Write `bytes` to `path` atomically: temp file in the same directory,
 /// fsync, rename over the target, fsync the directory. A concurrent
 /// reader sees either the old contents or the new — never a prefix.
-/// (The `gsqd --port-file` satellite; also the log-compaction publish.)
+/// (The `gsqd --port-file` publish; also how the store creates and
+/// compacts its log.)
 pub fn atomic_write_file(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
     let path = path.as_ref();
     let mut tmp = path.as_os_str().to_owned();
@@ -249,6 +211,9 @@ pub fn atomic_write_file(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()>
     fs::write(&tmp, bytes)?;
     fsync_path(&tmp)?;
     fs::rename(&tmp, path)?;
+    // Directory fsync is how a rename becomes durable on POSIX; where a
+    // directory cannot be opened, the rename is the best available
+    // publish.
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             let _ = fsync_path(dir);
@@ -262,30 +227,24 @@ pub fn atomic_write_file(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()>
 // ---------------------------------------------------------------------
 
 struct FaultyState {
-    /// 1-based checkpoint boundary counter.
+    /// 1-based epoch boundary counter.
     boundary: u64,
     /// Latched once a crash fault fires; every later op fails.
     crashed: bool,
     /// Remaining failures per Enospc spec (parallel to plan.specs).
     enospc_left: Vec<u32>,
-    /// Last protocol-step write: `(path, bytes written)` — the rollback
-    /// target for `CrashBefore(TempFsync)`.
-    last_write: Option<(PathBuf, u64)>,
-    /// Last protocol-step rename — the rollback target for
-    /// `CrashBefore(DirFsync)`.
-    last_rename: Option<(PathBuf, PathBuf)>,
-    /// Last protocol-step append: `(path, length before, appended)` —
+    /// Last append not yet fsynced: `(path, length before, appended)` —
     /// the rollback target for `CrashBefore(LogFsync)`.
     last_append: Option<(PathBuf, u64, u64)>,
 }
 
 /// A [`DiskIo`] that executes a [`DiskFaultPlan`] over the real
 /// filesystem. A *crash* fault latches the disk dead (every later call
-/// fails with [`crash_error`]) and mutates the directory into a state
-/// some real machine crash could have left: un-fsynced writes are torn
-/// to half their bytes, un-fsynced renames are reverted, un-fsynced log
-/// appends are cut mid-record. Recovery then runs over the directory
-/// with a fresh [`RealDisk`], exactly as a restarted process would.
+/// fails with [`crash_error`]) and leaves the directory in a state some
+/// real machine crash could have left: an un-fsynced append is cut
+/// mid-record. An ENOSPC lands half the record before it fails, as a
+/// really full disk can. Recovery then runs over the directory with a
+/// fresh [`RealDisk`], exactly as a restarted process would.
 pub struct FaultyDisk {
     plan: DiskFaultPlan,
     real: RealDisk,
@@ -310,8 +269,6 @@ impl FaultyDisk {
                 boundary: 0,
                 crashed: false,
                 enospc_left,
-                last_write: None,
-                last_rename: None,
                 last_append: None,
             }),
         }
@@ -326,10 +283,15 @@ impl FaultyDisk {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The fault due at `(boundary, op)`, if any: crash kinds match
-    /// their boundary exactly, ENOSPC matches from its boundary on
-    /// while it has failures left.
-    fn due(&self, st: &mut FaultyState, op: DiskOp) -> Option<DiskFaultKind> {
+    /// The fault due at `op` of the current boundary, after failing fast
+    /// once crashed and executing a crash-before (rollback + latch):
+    /// crash kinds match their boundary exactly, ENOSPC matches from its
+    /// boundary on while it has failures left.
+    fn gate(&self, st: &mut FaultyState, op: DiskOp) -> io::Result<Option<DiskFaultKind>> {
+        if st.crashed {
+            return Err(crash_error());
+        }
+        let mut due = None;
         for (i, spec) in self.plan.specs.iter().enumerate() {
             if spec.op != op {
                 continue;
@@ -339,204 +301,111 @@ impl FaultyDisk {
                     if st.boundary >= spec.at_boundary && st.enospc_left[i] > 0 =>
                 {
                     st.enospc_left[i] -= 1;
-                    return Some(DiskFaultKind::Enospc { times: 0 });
+                    due = Some(DiskFaultKind::Enospc { times: 0 });
+                    break;
                 }
                 DiskFaultKind::Enospc { .. } => {}
-                ref kind if st.boundary == spec.at_boundary => return Some(kind.clone()),
+                ref kind if st.boundary == spec.at_boundary => {
+                    due = Some(kind.clone());
+                    break;
+                }
                 _ => {}
             }
         }
-        None
-    }
-
-    /// Roll back the un-fsynced effects a crash at `op` would lose.
-    fn lose_unsynced(&self, st: &mut FaultyState, op: DiskOp) {
-        match op {
-            DiskOp::TempFsync => {
-                if let Some((path, len)) = st.last_write.take() {
-                    let _ = self.real.truncate(&path, len / 2);
-                }
+        if let Some(DiskFaultKind::CrashBefore(_)) = due {
+            // The fsync never ran: the append it would have made durable
+            // is lost mid-record.
+            if let Some((path, old_len, appended)) = st.last_append.take() {
+                let _ = self.real.truncate(&path, old_len + appended / 2);
             }
-            DiskOp::DirFsync => {
-                if let Some((from, to)) = st.last_rename.take() {
-                    let _ = fs::rename(&to, &from);
-                }
-            }
-            DiskOp::LogFsync => {
-                if let Some((path, old_len, appended)) = st.last_append.take() {
-                    let _ = self.real.truncate(&path, old_len + appended / 2);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Shared fault gate: fail fast once crashed, surface ENOSPC, execute
-/// a crash-before (rollback + latch). `CrashAfter`/`ShortWrite` pass
-/// through to the caller's arm, which must run the real operation
-/// first.
-macro_rules! faulty_gate {
-    ($self:ident, $st:ident, $op:expr) => {{
-        if $st.crashed {
+            st.crashed = true;
             return Err(crash_error());
         }
-        match $self.due(&mut $st, $op) {
-            Some(DiskFaultKind::Enospc { .. }) => return Err(enospc_error()),
-            Some(DiskFaultKind::CrashBefore(_)) => {
-                $self.lose_unsynced(&mut $st, $op);
-                $st.crashed = true;
-                return Err(crash_error());
-            }
-            other => other,
+        Ok(due)
+    }
+
+    fn check_alive(&self) -> io::Result<()> {
+        if self.lock().crashed {
+            return Err(crash_error());
         }
-    }};
+        Ok(())
+    }
 }
 
 impl DiskIo for FaultyDisk {
     fn create_dir_all(&self, p: &Path) -> io::Result<()> {
-        if self.lock().crashed {
-            return Err(crash_error());
-        }
+        self.check_alive()?;
         self.real.create_dir_all(p)
     }
 
-    fn write(&self, op: DiskOp, p: &Path, bytes: &[u8]) -> io::Result<()> {
+    fn append(&self, p: &Path, bytes: &[u8]) -> io::Result<()> {
         let mut st = self.lock();
-        let due = { faulty_gate!(self, st, op) };
-        match due {
-            Some(DiskFaultKind::ShortWrite { keep }) => {
-                let _ = self.real.write(op, p, &bytes[..keep.min(bytes.len())]);
-                st.crashed = true;
-                Err(crash_error())
-            }
-            Some(DiskFaultKind::CrashAfter(_)) => {
-                self.real.write(op, p, bytes)?;
-                st.crashed = true;
-                Err(crash_error())
-            }
-            _ => {
-                self.real.write(op, p, bytes)?;
-                st.last_write = Some((p.to_path_buf(), bytes.len() as u64));
-                Ok(())
-            }
-        }
-    }
-
-    fn fsync_file(&self, op: DiskOp, p: &Path) -> io::Result<()> {
-        let mut st = self.lock();
-        let due = { faulty_gate!(self, st, op) };
-        match due {
-            Some(DiskFaultKind::CrashAfter(_)) => {
-                self.real.fsync_file(op, p)?;
-                st.crashed = true;
-                Err(crash_error())
-            }
-            _ => {
-                self.real.fsync_file(op, p)?;
-                // The sync made the pending write/append durable.
-                match op {
-                    DiskOp::TempFsync => st.last_write = None,
-                    DiskOp::LogFsync => st.last_append = None,
-                    _ => {}
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn rename(&self, op: DiskOp, from: &Path, to: &Path) -> io::Result<()> {
-        let mut st = self.lock();
-        let due = { faulty_gate!(self, st, op) };
-        match due {
-            Some(DiskFaultKind::CrashAfter(_)) => {
-                self.real.rename(op, from, to)?;
-                st.crashed = true;
-                Err(crash_error())
-            }
-            _ => {
-                self.real.rename(op, from, to)?;
-                st.last_rename = Some((from.to_path_buf(), to.to_path_buf()));
-                Ok(())
-            }
-        }
-    }
-
-    fn fsync_dir(&self, op: DiskOp, p: &Path) -> io::Result<()> {
-        let mut st = self.lock();
-        let due = { faulty_gate!(self, st, op) };
-        match due {
-            Some(DiskFaultKind::CrashAfter(_)) => {
-                self.real.fsync_dir(op, p)?;
-                st.crashed = true;
-                Err(crash_error())
-            }
-            _ => {
-                self.real.fsync_dir(op, p)?;
-                st.last_rename = None;
-                Ok(())
-            }
-        }
-    }
-
-    fn append(&self, op: DiskOp, p: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut st = self.lock();
-        let due = { faulty_gate!(self, st, op) };
+        let due = self.gate(&mut st, DiskOp::LogAppend)?;
         let old_len = fs::metadata(p).map(|m| m.len()).unwrap_or(0);
         match due {
             Some(DiskFaultKind::ShortWrite { keep }) => {
-                let _ = self.real.append(op, p, &bytes[..keep.min(bytes.len())]);
+                let _ = self.real.append(p, &bytes[..keep.min(bytes.len())]);
                 st.crashed = true;
                 Err(crash_error())
             }
+            Some(DiskFaultKind::Enospc { .. }) => {
+                let _ = self.real.append(p, &bytes[..bytes.len() / 2]);
+                Err(enospc_error())
+            }
             Some(DiskFaultKind::CrashAfter(_)) => {
-                self.real.append(op, p, bytes)?;
+                self.real.append(p, bytes)?;
                 st.crashed = true;
                 Err(crash_error())
             }
             _ => {
-                self.real.append(op, p, bytes)?;
+                self.real.append(p, bytes)?;
                 st.last_append = Some((p.to_path_buf(), old_len, bytes.len() as u64));
                 Ok(())
             }
         }
     }
 
-    fn read(&self, p: &Path) -> io::Result<Vec<u8>> {
-        if self.lock().crashed {
-            return Err(crash_error());
+    fn fsync_file(&self, p: &Path) -> io::Result<()> {
+        let mut st = self.lock();
+        match self.gate(&mut st, DiskOp::LogFsync)? {
+            Some(DiskFaultKind::Enospc { .. }) => Err(enospc_error()),
+            Some(DiskFaultKind::CrashAfter(_)) => {
+                self.real.fsync_file(p)?;
+                st.crashed = true;
+                Err(crash_error())
+            }
+            _ => {
+                self.real.fsync_file(p)?;
+                st.last_append = None;
+                Ok(())
+            }
         }
+    }
+
+    fn read(&self, p: &Path) -> io::Result<Vec<u8>> {
+        self.check_alive()?;
         self.real.read(p)
     }
     fn list(&self, p: &Path) -> io::Result<Vec<String>> {
-        if self.lock().crashed {
-            return Err(crash_error());
-        }
+        self.check_alive()?;
         self.real.list(p)
     }
     fn remove(&self, p: &Path) -> io::Result<()> {
-        if self.lock().crashed {
-            return Err(crash_error());
-        }
+        self.check_alive()?;
         self.real.remove(p)
     }
     fn truncate(&self, p: &Path, len: u64) -> io::Result<()> {
-        if self.lock().crashed {
-            return Err(crash_error());
-        }
+        self.check_alive()?;
         self.real.truncate(p, len)
     }
     fn replace(&self, p: &Path, bytes: &[u8]) -> io::Result<()> {
-        if self.lock().crashed {
-            return Err(crash_error());
-        }
+        self.check_alive()?;
         self.real.replace(p, bytes)
     }
     fn begin_boundary(&self) {
         self.lock().boundary += 1;
     }
 }
-
 // ---------------------------------------------------------------------
 // Stats
 // ---------------------------------------------------------------------
@@ -544,16 +413,17 @@ impl DiskIo for FaultyDisk {
 /// Durable-store accounting, registered as GS_STATS node `durable`.
 #[derive(Debug, Default)]
 pub struct DurableStats {
-    /// Segments published crash-consistently.
-    pub segments_written: Counter,
-    /// Bytes that went through an fsync (segments + log records).
+    /// CUT records committed.
+    pub cuts_written: Counter,
+    /// Bytes that went through an fsync (log records).
     pub bytes_fsynced: Counter,
     /// Startups that rebuilt state from a non-empty directory.
     pub recoveries: Counter,
-    /// Torn/partial tails truncated or unreadable segments skipped
-    /// during recovery.
+    /// Torn/partial tails truncated or undecodable cuts skipped during
+    /// recovery.
     pub torn_truncated: Counter,
-    /// Segments pruned and log records dropped by retention/GC.
+    /// Log records dropped by compaction (a dropped cut whose markers
+    /// survive as a MARKERS record counts too).
     pub gc_pruned: Counter,
     /// Checkpoint writes dead-lettered after retries (e.g. ENOSPC).
     pub write_failed: Counter,
@@ -562,7 +432,7 @@ pub struct DurableStats {
 impl StatSource for DurableStats {
     fn counters(&self) -> Vec<(&'static str, u64)> {
         vec![
-            ("segments_written", self.segments_written.get()),
+            ("cuts_written", self.cuts_written.get()),
             ("bytes_fsynced", self.bytes_fsynced.get()),
             ("recoveries", self.recoveries.get()),
             ("torn_truncated", self.torn_truncated.get()),
@@ -648,8 +518,8 @@ pub struct Recovery {
     pub clean_shutdown: bool,
     /// True when anything durable was found at all.
     pub recovered: bool,
-    /// Advisory notes (torn tails truncated, segments skipped,
-    /// regressions) — the `RunHealth::notes` style report.
+    /// Advisory notes (torn tails truncated, cuts skipped, old-layout
+    /// files removed, regressions) — the `RunHealth::notes` style report.
     pub notes: Vec<String>,
 }
 
@@ -674,13 +544,18 @@ impl Recovery {
     }
 }
 
+
+/// One live record of the log, as compaction sees it.
 #[derive(Debug, Clone)]
-struct SegMeta {
-    seq: u64,
-    /// The segment's replay floor: no stream it covers has its newest
-    /// marker below `floor - 1`, so markers under that are compactable
-    /// once this is the newest segment.
-    floor: u64,
+struct Entry {
+    /// Where its framed bytes sit in the log.
+    at: u64,
+    len: u64,
+    /// The epoch its markers commit, and their streams.
+    epoch: u64,
+    streams: Vec<String>,
+    /// A CUT's replay floor (its lowest cursor); `None` for MARKERS.
+    floor: Option<u64>,
 }
 
 /// The durable checkpoint store. One instance owns a state directory;
@@ -695,62 +570,59 @@ pub struct DurableStore {
     stats: Arc<DurableStats>,
     /// Bounded retries for transient checkpoint failures (ENOSPC).
     write_retries: u32,
-    next_seq: u64,
-    segments: Vec<SegMeta>,
+    /// Bytes of whole committed records in the log.
     log_len: u64,
-    /// In-memory copy of live marker records, for compaction.
-    records: Vec<(u64, Vec<String>)>,
-    /// A checkpoint opened the current boundary; its markers record
-    /// closes it rather than opening another.
-    mid_boundary: bool,
+    /// A failed append may have left part of a record past `log_len`;
+    /// it is cut off before the next append.
+    torn: bool,
+    /// The live records (after the last SHUTDOWN), in log order.
+    records: Vec<Entry>,
+    /// `Some(committed)` between a checkpoint and its boundary's
+    /// markers call: whether the CUT record already committed them.
+    mid_boundary: Option<bool>,
 }
 
-fn seg_name(seq: u64) -> String {
-    format!("{SEG_PREFIX}{seq:016x}{SEG_SUFFIX}")
-}
-
-fn parse_seg_name(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix(SEG_PREFIX)?.strip_suffix(SEG_SUFFIX)?;
-    u64::from_str_radix(hex, 16).ok()
-}
-
-/// Decoded segment payload.
+/// A decoded CUT record.
 #[derive(Debug)]
-struct Segment {
-    seq: u64,
+struct Cut {
     next_epoch: u64,
     cursors: HashMap<String, u64>,
-    /// Streams that completed the boundary this segment was written at.
-    /// Their marker records (`(s, cursors[s] - 1)`) are appended right
-    /// after the segment publishes; recovery uses this list to tell a
-    /// fully-committed boundary from one that crashed between the two
-    /// durable steps.
-    pending: Vec<String>,
     carry: HashMap<String, Vec<u8>>,
 }
 
-fn encode_segment(
-    seq: u64,
+fn put_streams(w: &mut SnapWriter, streams: &[String]) {
+    let mut sorted: Vec<&String> = streams.iter().collect();
+    sorted.sort();
+    w.put_u32(sorted.len() as u32);
+    for s in sorted {
+        w.put_str(s);
+    }
+}
+
+fn encode_markers(epoch: u64, streams: &[String]) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.put_u8(REC_MARKERS);
+    w.put_u64(epoch);
+    put_streams(&mut w, streams);
+    w.seal()
+}
+
+fn encode_cut(
     next_epoch: u64,
-    carry: &HashMap<String, Vec<u8>>,
+    streams: &[String],
     cursors: &HashMap<String, u64>,
-    pending: &[String],
+    carry: &HashMap<String, Vec<u8>>,
 ) -> Vec<u8> {
     let mut w = SnapWriter::new();
-    w.put_u64(seq);
+    w.put_u8(REC_CUT);
     w.put_u64(next_epoch);
+    put_streams(&mut w, streams);
     let mut cur: Vec<(&String, &u64)> = cursors.iter().collect();
     cur.sort();
     w.put_u32(cur.len() as u32);
     for (q, e) in cur {
         w.put_str(q);
         w.put_u64(*e);
-    }
-    let mut pend: Vec<&String> = pending.iter().collect();
-    pend.sort();
-    w.put_u32(pend.len() as u32);
-    for s in pend {
-        w.put_str(s);
     }
     let mut entries: Vec<(&String, &Vec<u8>)> = carry.iter().collect();
     entries.sort();
@@ -762,58 +634,10 @@ fn encode_segment(
     w.seal()
 }
 
-fn decode_segment(sealed: &[u8]) -> Result<Segment, snapshot::SnapError> {
-    let mut r = SnapReader::open(sealed)?;
-    let seq = r.get_u64()?;
-    let next_epoch = r.get_u64()?;
-    let n = r.get_count(9)?; // str len prefix (4) + at least 1 byte name... u64 follows
-    let mut cursors = HashMap::with_capacity(n);
-    for _ in 0..n {
-        let q = r.get_str()?;
-        cursors.insert(q, r.get_u64()?);
-    }
-    let n = r.get_count(4)?;
-    let mut pending = Vec::with_capacity(n);
-    for _ in 0..n {
-        pending.push(r.get_str()?);
-    }
-    let n = r.get_count(8)?;
-    let mut carry = HashMap::with_capacity(n);
-    for _ in 0..n {
-        let k = r.get_str()?;
-        // Entry size cap: a corrupt length that slipped past the
-        // checksum (or a future oversized cut) is refused before any
-        // allocation, not after.
-        let declared = r.peek_u32().ok_or(snapshot::SnapError::Truncated)? as usize;
-        if declared > MAX_ENTRY_BYTES {
-            return Err(snapshot::proto(format!(
-                "carry entry `{k}` declares {declared} bytes (cap {MAX_ENTRY_BYTES})"
-            )));
-        }
-        carry.insert(k, r.get_bytes()?);
-    }
-    r.finish()?;
-    Ok(Segment { seq, next_epoch, cursors, pending, carry })
-}
-
-fn encode_markers(epoch: u64, streams: &[String]) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.put_u8(REC_MARKERS);
-    w.put_u64(epoch);
-    let mut sorted: Vec<&String> = streams.iter().collect();
-    sorted.sort();
-    w.put_u32(sorted.len() as u32);
-    for s in sorted {
-        w.put_str(s);
-    }
-    w.seal()
-}
-
-fn encode_shutdown(next_epoch: u64, barrier_seq: u64) -> Vec<u8> {
+fn encode_shutdown(next_epoch: u64) -> Vec<u8> {
     let mut w = SnapWriter::new();
     w.put_u8(REC_SHUTDOWN);
     w.put_u64(next_epoch);
-    w.put_u64(barrier_seq);
     w.seal()
 }
 
@@ -824,11 +648,72 @@ fn frame_record(sealed: Vec<u8>) -> Vec<u8> {
     rec
 }
 
+/// The record framed at `at`: its verified payload and where the next
+/// record starts.
+fn frame_at(bytes: &[u8], at: usize) -> Result<(&[u8], usize), SnapError> {
+    let len = bytes.get(at..at + 4).ok_or(SnapError::Truncated)?;
+    let end = at + 4 + u32::from_be_bytes(len.try_into().expect("a 4-byte slice")) as usize;
+    let sealed = bytes.get(at + 4..end).ok_or(SnapError::Truncated)?;
+    Ok((snapshot::open(sealed)?, end))
+}
+
+/// A record's kind, its epoch word (a CUT's is its `next_epoch`) and,
+/// for MARKERS and CUT, the marker streams; a CUT's cursors and carry
+/// follow in `r`.
+fn read_head(r: &mut SnapReader<'_>) -> Result<(u8, u64, Vec<String>), SnapError> {
+    let kind = r.get_u8()?;
+    let epoch = r.get_u64()?;
+    let streams = match kind {
+        REC_SHUTDOWN => Vec::new(),
+        REC_MARKERS | REC_CUT => {
+            let n = r.get_count(4)?;
+            (0..n).map(|_| r.get_str()).collect::<Result<_, _>>()?
+        }
+        k => return Err(snapshot::proto(format!("unknown record kind {k}"))),
+    };
+    Ok((kind, epoch, streams))
+}
+
+fn read_cursors(r: &mut SnapReader<'_>) -> Result<HashMap<String, u64>, SnapError> {
+    let n = r.get_count(12)?; // str len prefix (4) + u64
+    (0..n).map(|_| Ok((r.get_str()?, r.get_u64()?))).collect()
+}
+
+/// A whole CUT record's payload.
+fn decode_cut(payload: &[u8]) -> Result<Cut, SnapError> {
+    let mut r = SnapReader::new(payload);
+    let (kind, next_epoch, _) = read_head(&mut r)?;
+    if kind != REC_CUT {
+        return Err(snapshot::proto(format!("record kind {kind} is not a cut")));
+    }
+    let cursors = read_cursors(&mut r)?;
+    let n = r.get_count(8)?;
+    let mut carry = HashMap::with_capacity(n);
+    for _ in 0..n {
+        let k = r.get_str()?;
+        // Entry size cap: a corrupt length that slipped past the
+        // checksum (or a future oversized cut) is refused before any
+        // allocation, not after.
+        let declared = r.peek_u32().ok_or(SnapError::Truncated)? as usize;
+        if declared > MAX_ENTRY_BYTES {
+            return Err(snapshot::proto(format!(
+                "carry entry `{k}` declares {declared} bytes (cap {MAX_ENTRY_BYTES})"
+            )));
+        }
+        carry.insert(k, r.get_bytes()?);
+    }
+    r.finish()?;
+    Ok(Cut { next_epoch, cursors, carry })
+}
+
+/// The name prefix of the cut files an earlier layout wrote beside the
+/// log; recovery removes them unread.
+const OLD_SEGMENT_PREFIX: &str = "seg-";
+
 impl DurableStore {
     /// Open (or create) the store at `dir` and run recovery: scan the
-    /// directory, truncate any torn log tail, restore the newest
-    /// decodable segment consistent with the durable markers, and
-    /// report what the engine should resume with.
+    /// log, truncate any torn tail, restore the newest decodable cut,
+    /// and report what the engine should resume with.
     pub fn open(
         dir: impl Into<PathBuf>,
         io: Arc<dyn DiskIo>,
@@ -840,24 +725,17 @@ impl DurableStore {
         let mut store = DurableStore {
             dir,
             io,
-            // At least two cuts: when a crash lands between a segment
-            // publish and its marker commit, recovery falls back to the
-            // previous cut — which must still be on disk.
-            retain: retain.max(2),
+            // Compaction must leave the cut recovery resumes from.
+            retain: retain.max(1),
             stats,
             write_retries: 2,
-            next_seq: 0,
-            segments: Vec::new(),
             log_len: 0,
+            torn: false,
             records: Vec::new(),
-            mid_boundary: false,
+            mid_boundary: None,
         };
         let recovery = store.recover()?;
         Ok((store, recovery))
-    }
-
-    fn seg_path(&self, seq: u64) -> PathBuf {
-        self.dir.join(seg_name(seq))
     }
 
     fn log_path(&self) -> PathBuf {
@@ -866,211 +744,127 @@ impl DurableStore {
 
     fn recover(&mut self) -> Result<Recovery, StoreError> {
         let mut rec = Recovery::default();
-        let names = self.io.list(&self.dir)?;
-        let mut seg_seqs: Vec<u64> = Vec::new();
         let mut saw_log = false;
-        for name in &names {
-            if let Some(seq) = parse_seg_name(name) {
-                seg_seqs.push(seq);
-            } else if name == LOG_FILE {
+        let mut old_segments = 0usize;
+        for name in self.io.list(&self.dir)? {
+            if name == LOG_FILE {
                 saw_log = true;
             } else if name.ends_with(".tmp") {
-                // Uncommitted temp from an interrupted publish: garbage
-                // by construction (never renamed), silently removable.
-                let _ = self.io.remove(&self.dir.join(name));
+                // Uncommitted temp from an interrupted compaction:
+                // garbage by construction (never renamed).
+                let _ = self.io.remove(&self.dir.join(&name));
+            } else if name.starts_with(OLD_SEGMENT_PREFIX) {
+                let _ = self.io.remove(&self.dir.join(&name));
+                old_segments += 1;
             }
         }
-        seg_seqs.sort_unstable();
-        self.next_seq = seg_seqs.last().map_or(0, |s| s + 1);
-        rec.recovered = saw_log || !seg_seqs.is_empty();
+        if old_segments > 0 {
+            rec.notes.push(format!(
+                "removed {old_segments} segment file(s) of the old file-per-cut layout \
+                 unread; cuts now live in {LOG_FILE}"
+            ));
+        }
+        let bytes = if saw_log {
+            self.io.read(&self.log_path())?
+        } else {
+            // Create the log whole, directory entry included, so the
+            // first boundary's append is the only write it needs.
+            self.io.replace(&self.log_path(), &[])?;
+            Vec::new()
+        };
+        rec.recovered = !bytes.is_empty() || old_segments > 0;
 
-        // --- Replay the emission log, truncating any torn tail. ------
-        let mut barrier_seq: Option<u64> = None;
+        // --- Scan the log, truncating any torn tail. ------------------
         let mut shutdown_next: Option<u64> = None;
-        if saw_log {
-            let bytes = self.io.read(&self.log_path())?;
-            let mut at = 0usize;
-            loop {
-                if at == bytes.len() {
+        let mut cuts: Vec<(usize, &[u8])> = Vec::new();
+        let mut at = 0usize;
+        while at < bytes.len() {
+            let (payload, end) = match frame_at(&bytes, at) {
+                Ok(framed) => framed,
+                Err(e) => {
+                    // Torn tail — or a log written under another
+                    // snapshot format version, which reads as torn from
+                    // its first record: truncate at the last whole
+                    // record this build can verify.
+                    let what = match e {
+                        SnapError::Version(v) => format!(
+                            "record of snapshot format v{v} (this build reads v{}); log",
+                            snapshot::VERSION
+                        ),
+                        _ => "torn tail".to_string(),
+                    };
+                    let what = format!("{what} truncated at byte {at} (of {})", bytes.len());
+                    self.truncate_at(at, &mut rec, what)?;
                     break;
                 }
-                let parsed = (|| -> Result<Vec<u8>, snapshot::SnapError> {
-                    let torn = snapshot::SnapError::Truncated;
-                    let len = bytes.get(at..at + 4).ok_or(torn.clone())?;
-                    let len = u32::from_be_bytes(len.try_into().expect("a 4-byte slice")) as usize;
-                    let sealed = bytes.get(at + 4..at + 4 + len).ok_or(torn)?;
-                    snapshot::open(sealed)?;
-                    Ok(sealed.to_vec())
-                })();
-                let sealed = match parsed {
-                    Ok(sealed) => sealed,
-                    Err(e) => {
-                        // Torn tail — or a log written under another
-                        // snapshot format version, which reads as torn
-                        // from its first record: truncate at the last
-                        // whole record this build can verify.
-                        self.io.truncate(&self.log_path(), at as u64)?;
-                        self.stats.torn_truncated.inc();
-                        let what = match e {
-                            snapshot::SnapError::Version(v) => format!(
-                                "record of snapshot format v{v} (this build reads v{}); log",
-                                snapshot::VERSION
-                            ),
-                            _ => "torn tail".to_string(),
-                        };
-                        rec.notes.push(format!(
-                            "emission log: {what} truncated at byte {at} (of {})",
-                            bytes.len()
-                        ));
-                        break;
+            };
+            let mut r = SnapReader::new(payload);
+            let head = read_head(&mut r).and_then(|(kind, epoch, streams)| {
+                let floor = match kind {
+                    REC_CUT => Some(read_cursors(&mut r)?.into_values().min().unwrap_or(epoch)),
+                    _ => {
+                        r.finish()?;
+                        None
                     }
                 };
-                let ok = (|| -> Option<()> {
-                    let mut r = SnapReader::open(&sealed).ok()?;
-                    match r.get_u8().ok()? {
-                        REC_MARKERS => {
-                            let epoch = r.get_u64().ok()?;
-                            let n = r.get_count(4).ok()?;
-                            let mut streams = Vec::with_capacity(n);
-                            for _ in 0..n {
-                                streams.push(r.get_str().ok()?);
-                            }
-                            r.finish().ok()?;
-                            for s in &streams {
-                                rec.markers.push((s.clone(), epoch));
-                            }
-                            self.records.push((epoch, streams));
-                        }
-                        REC_SHUTDOWN => {
-                            let next = r.get_u64().ok()?;
-                            let barrier = r.get_u64().ok()?;
-                            r.finish().ok()?;
-                            shutdown_next = Some(next);
-                            barrier_seq = Some(barrier);
-                            // Earlier markers belong to the finished
-                            // incarnation; coverage starts over.
-                            rec.markers.clear();
-                            self.records.clear();
-                        }
-                        _ => return None,
-                    }
-                    Some(())
-                })();
-                if ok.is_none() {
-                    self.io.truncate(&self.log_path(), at as u64)?;
-                    self.stats.torn_truncated.inc();
-                    rec.notes.push(format!(
-                        "emission log: malformed record truncated at byte {at}"
-                    ));
+                Ok((kind, epoch, streams, floor))
+            });
+            let Ok((kind, epoch, streams, floor)) = head else {
+                self.truncate_at(at, &mut rec, format!("malformed record truncated at byte {at}"))?;
+                break;
+            };
+            if kind == REC_SHUTDOWN {
+                // Everything before belongs to the finished incarnation.
+                shutdown_next = Some(epoch);
+                self.records.clear();
+                rec.markers.clear();
+                cuts.clear();
+            } else {
+                let epoch = if kind == REC_CUT {
+                    cuts.push((at, payload));
+                    epoch.saturating_sub(1)
+                } else {
+                    epoch
+                };
+                rec.markers.extend(streams.iter().map(|s| (s.clone(), epoch)));
+                self.records.push(Entry {
+                    at: at as u64,
+                    len: (end - at) as u64,
+                    epoch,
+                    streams,
+                    floor,
+                });
+            }
+            at = end;
+        }
+        self.log_len = at.min(bytes.len()) as u64;
+
+        // --- Restore the newest cut that decodes. ---------------------
+        let mut restored: Option<Cut> = None;
+        for &(at, payload) in cuts.iter().rev() {
+            match decode_cut(payload) {
+                Ok(cut) => {
+                    restored = Some(cut);
                     break;
                 }
-                at += 4 + sealed.len();
-            }
-            self.log_len = std::cmp::min(at as u64, bytes.len() as u64);
-        }
-
-        // --- Prune segments retired by a clean shutdown. -------------
-        if let Some(barrier) = barrier_seq {
-            for &seq in seg_seqs.iter().filter(|&&s| s <= barrier) {
-                let _ = self.io.remove(&self.seg_path(seq));
-                self.stats.gc_pruned.inc();
-            }
-            seg_seqs.retain(|&s| s > barrier);
-        }
-
-        // --- Restore the newest decodable, marker-covered segment. ----
-        //
-        // A boundary commits in two durable steps: the segment (cursor
-        // e+1) first, then the markers for epoch e. A crash between the
-        // two leaves a segment whose `pending` streams run AHEAD of the
-        // durable markers — resuming from it would skip an epoch no
-        // client ever confirmed (the marker frame is only sent after
-        // both steps). Such a segment is not corrupt, just premature:
-        // skip it and fall back to the previous cut, which re-runs the
-        // unconfirmed epoch. Retention keeping >= 2 cuts guarantees the
-        // fallback exists.
-        let mut next_unmarked: HashMap<&str, u64> = HashMap::new();
-        for (s, e) in &rec.markers {
-            let slot = next_unmarked.entry(s.as_str()).or_insert(0);
-            *slot = (*slot).max(e + 1);
-        }
-        let mut restored: Option<Segment> = None;
-        for &seq in seg_seqs.iter().rev() {
-            let path = self.seg_path(seq);
-            let result = self.io.read(&path).map_err(StoreError::Io).and_then(|bytes| {
-                if bytes.len() as u64 > MAX_SEGMENT_BYTES {
-                    return Err(StoreError::Corrupt(format!(
-                        "segment {seq:#x} is {} bytes (cap {MAX_SEGMENT_BYTES})",
-                        bytes.len()
-                    )));
-                }
-                decode_segment(&bytes)
-                    .map_err(|e| StoreError::Corrupt(e.to_string()))
-                    .and_then(|seg| {
-                        if seg.seq != seq {
-                            Err(StoreError::Corrupt(format!(
-                                "segment file {seq:#x} claims seq {:#x}",
-                                seg.seq
-                            )))
-                        } else {
-                            Ok(seg)
-                        }
-                    })
-            });
-            match result {
-                Ok(seg) => {
-                    self.segments.insert(0, SegMeta { seq, floor: 0 });
-                    if restored.is_some() {
-                        continue;
-                    }
-                    let ahead = seg.pending.iter().any(|s| {
-                        let c = seg.cursors.get(s).copied().unwrap_or(seg.next_epoch);
-                        c > next_unmarked.get(s.as_str()).copied().unwrap_or(0)
-                    });
-                    if ahead {
-                        rec.notes.push(format!(
-                            "segment {} runs ahead of the durable emission \
-                             markers; falling back to the previous cut",
-                            seg_name(seq)
-                        ));
-                        continue;
-                    }
-                    restored = Some(seg);
-                }
-                Err(StoreError::Io(e)) if is_crash_error(&e) => {
-                    return Err(StoreError::Io(e));
-                }
                 Err(e) => {
-                    // Torn/corrupt segment: skip it, fall back to the
-                    // next older cut, and drop the damaged file.
                     self.stats.torn_truncated.inc();
                     rec.notes.push(format!(
-                        "segment {}: {e}; falling back to an older cut",
-                        seg_name(seq)
+                        "cut at byte {at}: {e}; falling back to an older cut"
                     ));
-                    let _ = self.io.remove(&path);
                 }
-            }
-        }
-        // Fix floors now the restored segment is known: a segment's
-        // floor is its own lowest cursor; without decode we keep 0
-        // (maximally conservative for compaction).
-        if let Some(seg) = &restored {
-            if let Some(meta) = self.segments.iter_mut().find(|m| m.seq == seg.seq) {
-                meta.floor =
-                    seg.cursors.values().copied().min().unwrap_or(seg.next_epoch);
             }
         }
 
         match restored {
-            Some(seg) => {
+            Some(cut) => {
                 // Markers past the cut are the emission the cut lags:
                 // `resume` replays them silently, so none is a
                 // regression, and the engine resumes past all of them.
-                let marked = next_unmarked.values().copied().max().unwrap_or(0);
-                rec.next_epoch = seg.next_epoch.max(marked);
-                rec.cursors = seg.cursors;
-                rec.carry = seg.carry;
+                let marked = rec.markers.iter().map(|(_, e)| e + 1).max().unwrap_or(0);
+                rec.next_epoch = cut.next_epoch.max(marked);
+                rec.cursors = cut.cursors;
+                rec.carry = cut.carry;
             }
             None => {
                 if let Some(next) = shutdown_next {
@@ -1078,7 +872,7 @@ impl DurableStore {
                     rec.clean_shutdown = true;
                 } else if !rec.markers.is_empty() {
                     rec.notes.push(format!(
-                        "recovery regressed behind {} durable marker(s): no segment decodes; \
+                        "recovery regressed behind {} durable marker(s): no cut decodes; \
                          restarting from empty state (duplicate emission possible)",
                         rec.markers.len()
                     ));
@@ -1092,15 +886,42 @@ impl DurableStore {
         Ok(rec)
     }
 
-    /// Publish one cut crash-consistently: the full carry map and every
-    /// query's cut cursor, resumable at `next_epoch`. `pending` names
-    /// the streams that completed this boundary — the caller commits
-    /// their markers (via [`DurableStore::log_markers`]) right after
-    /// this returns, and recovery refuses to resume from a cut whose
-    /// pending markers never landed. Retries transient failures a
-    /// bounded number of times; a final failure is counted in
-    /// `write_failed` and returned for the caller to dead-letter (the
-    /// engine keeps running on its in-memory cut).
+    /// Cut the log at byte `at` during recovery, with a note.
+    fn truncate_at(&self, at: usize, rec: &mut Recovery, what: String) -> Result<(), StoreError> {
+        self.io.truncate(&self.log_path(), at as u64)?;
+        self.stats.torn_truncated.inc();
+        rec.notes.push(format!("emission log: {what}"));
+        Ok(())
+    }
+
+    /// Append one framed record and fsync the log: the commit point.
+    /// Returns the offset it landed at.
+    fn append(&mut self, rec: &[u8]) -> io::Result<u64> {
+        let log = self.log_path();
+        if self.torn {
+            // Whatever a failed append left must go first, or recovery
+            // would truncate this record with it.
+            self.io.truncate(&log, self.log_len)?;
+            self.torn = false;
+        }
+        self.torn = true;
+        self.io.append(&log, rec)?;
+        self.io.fsync_file(&log)?;
+        self.torn = false;
+        let at = self.log_len;
+        self.log_len += rec.len() as u64;
+        self.stats.bytes_fsynced.add(rec.len() as u64);
+        Ok(at)
+    }
+
+    /// Commit one cut: the full carry map and every query's cut cursor,
+    /// resumable at `next_epoch`, together with this boundary's markers —
+    /// `(s, next_epoch - 1)` for each `s` in `pending` — as one CUT
+    /// record. Retries transient failures a bounded number of times; a
+    /// final failure is counted in `write_failed` and returned for the
+    /// caller to dead-letter (the engine keeps running on its in-memory
+    /// cut), and the boundary's [`log_markers`](DurableStore::log_markers)
+    /// then commits the markers alone.
     pub fn checkpoint(
         &mut self,
         next_epoch: u64,
@@ -1109,108 +930,134 @@ impl DurableStore {
         pending: &[String],
     ) -> Result<(), StoreError> {
         self.io.begin_boundary();
-        self.mid_boundary = true;
-        let seq = self.next_seq;
-        let sealed = encode_segment(seq, next_epoch, carry, cursors, pending);
-        let tmp = self.dir.join(format!("{}.tmp", seg_name(seq)));
-        let path = self.seg_path(seq);
+        self.mid_boundary = Some(false);
+        let rec = frame_record(encode_cut(next_epoch, pending, cursors, carry));
         let mut attempt = 0;
-        loop {
-            let result = (|| -> io::Result<()> {
-                self.io.write(DiskOp::TempWrite, &tmp, &sealed)?;
-                self.io.fsync_file(DiskOp::TempFsync, &tmp)?;
-                self.io.rename(DiskOp::Rename, &tmp, &path)?;
-                self.io.fsync_dir(DiskOp::DirFsync, &self.dir)
-            })();
-            match result {
-                Ok(()) => break,
-                Err(e) if !is_crash_error(&e) && attempt < self.write_retries => {
-                    attempt += 1;
-                }
+        let at = loop {
+            match self.append(&rec) {
+                Ok(at) => break at,
+                Err(e) if !is_crash_error(&e) && attempt < self.write_retries => attempt += 1,
                 Err(e) => {
                     self.stats.write_failed.inc();
                     return Err(StoreError::Io(e));
                 }
             }
-        }
-        self.next_seq = seq + 1;
-        // A pending stream's newest marker is still the one before this
-        // boundary's (appended next): its floor is one lower.
-        let floor = cursors
-            .iter()
-            .map(|(q, &c)| c.saturating_sub(u64::from(pending.contains(q))))
-            .min()
-            .unwrap_or(next_epoch);
-        self.segments.push(SegMeta { seq, floor });
-        self.stats.segments_written.inc();
-        self.stats.bytes_fsynced.add(sealed.len() as u64);
-        self.gc();
+        };
+        self.mid_boundary = Some(true);
+        self.records.push(Entry {
+            at,
+            len: rec.len() as u64,
+            epoch: next_epoch.saturating_sub(1),
+            streams: pending.to_vec(),
+            floor: Some(cursors.values().copied().min().unwrap_or(next_epoch)),
+        });
+        self.stats.cuts_written.inc();
+        self.compact();
         Ok(())
     }
 
     /// Commit epoch `epoch`'s emission for `streams`: append one
     /// markers record and fsync the log. The caller sends the marker
     /// frames only after this returns — the commit point of the
-    /// exactly-once protocol. Right after a
-    /// [`checkpoint`](DurableStore::checkpoint) this completes the cut's
-    /// boundary; otherwise it is a boundary of its own.
+    /// exactly-once protocol. Right after a successful
+    /// [`checkpoint`](DurableStore::checkpoint) it does nothing: the CUT
+    /// record committed them.
     pub fn log_markers(&mut self, epoch: u64, streams: &[String]) -> Result<(), StoreError> {
-        let completes_cut = std::mem::take(&mut self.mid_boundary);
-        if streams.is_empty() {
+        let opened = self.mid_boundary.take();
+        if opened == Some(true) || streams.is_empty() {
             return Ok(());
         }
-        if !completes_cut {
+        if opened.is_none() {
             self.io.begin_boundary();
         }
-        let rec = frame_record(encode_markers(epoch, streams));
-        self.io.append(DiskOp::LogAppend, &self.log_path(), &rec)?;
-        self.io.fsync_file(DiskOp::LogFsync, &self.log_path())?;
-        self.log_len += rec.len() as u64;
-        self.stats.bytes_fsynced.add(rec.len() as u64);
-        self.records.push((epoch, streams.to_vec()));
+        let at = self.append(&frame_record(encode_markers(epoch, streams)))?;
+        self.records.push(Entry {
+            at,
+            len: self.log_len - at,
+            epoch,
+            streams: streams.to_vec(),
+            floor: None,
+        });
         Ok(())
     }
 
     /// Commit a clean shutdown: the flush emitted every held tail, so a
     /// later restart starts from empty state at `next_epoch` and every
-    /// current segment is retired.
+    /// record before this one is retired.
     pub fn log_shutdown(&mut self, next_epoch: u64) -> Result<(), StoreError> {
-        let barrier = self.next_seq.saturating_sub(1);
-        let rec = frame_record(encode_shutdown(next_epoch, barrier));
-        self.io.append(DiskOp::LogAppend, &self.log_path(), &rec)?;
-        self.io.fsync_file(DiskOp::LogFsync, &self.log_path())?;
-        self.log_len += rec.len() as u64;
-        self.stats.bytes_fsynced.add(rec.len() as u64);
+        self.append(&frame_record(encode_shutdown(next_epoch)))?;
+        self.records.clear();
         Ok(())
     }
 
-    /// Retention + log compaction, run after every successful
-    /// checkpoint. Best-effort: a GC failure never fails the boundary.
-    fn gc(&mut self) {
-        while self.segments.len() > self.retain {
-            let m = self.segments.remove(0);
-            if self.io.remove(&self.seg_path(m.seq)).is_ok() {
-                self.stats.gc_pruned.inc();
-            }
+    /// Rewrite the log to what recovery can still use — the newest
+    /// `retain` cuts, and every marker at or above their floor − 1 (a
+    /// dropped cut's as a MARKERS record) — once it has outgrown
+    /// `max(LOG_COMPACT_BYTES, 2 × that)`. Best-effort: a failure leaves
+    /// the log as it was and never fails the boundary.
+    fn compact(&mut self) {
+        if self.log_len <= LOG_COMPACT_BYTES {
+            return;
         }
-        if self.log_len > LOG_COMPACT_BYTES {
-            // Recovery consults only each stream's newest marker (for the
-            // "ahead of the markers" check and the resume point), and
-            // every stream the newest segment covers has its newest
-            // marker at or above that segment's floor − 1 — so older
-            // cuts, if recovery has to fall back to them, resume from
-            // those same markers.
-            let floor = self.segments.last().map_or(0, |m| m.floor).saturating_sub(1);
-            let before = self.records.len();
-            self.records.retain(|(e, _)| *e >= floor);
-            let mut bytes = Vec::new();
-            for (epoch, streams) in &self.records {
-                bytes.extend_from_slice(&frame_record(encode_markers(*epoch, streams)));
-            }
-            if self.io.replace(&self.log_path(), &bytes).is_ok() {
-                self.stats.gc_pruned.add((before - self.records.len()) as u64);
-                self.log_len = bytes.len() as u64;
-            }
+        let cuts: Vec<usize> =
+            (0..self.records.len()).filter(|&i| self.records[i].floor.is_some()).collect();
+        let Some(&first_kept) = cuts.get(cuts.len().saturating_sub(self.retain)) else {
+            return;
+        };
+        let floor = self.records[first_kept..]
+            .iter()
+            .filter_map(|e| e.floor)
+            .min()
+            .unwrap_or(0)
+            .saturating_sub(1);
+        // What survives, in log order: kept cuts and live MARKERS records
+        // as they are (`None`), a dropped cut's live markers re-encoded.
+        let plan: Vec<(usize, Option<Vec<u8>>)> = self
+            .records
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| match e.floor {
+                Some(_) if i >= first_kept => Some((i, None)),
+                None if e.epoch >= floor => Some((i, None)),
+                Some(_) if e.epoch >= floor && !e.streams.is_empty() => {
+                    Some((i, Some(frame_record(encode_markers(e.epoch, &e.streams)))))
+                }
+                _ => None,
+            })
+            .collect();
+        let keep: u64 = plan
+            .iter()
+            .map(|(i, fresh)| fresh.as_ref().map_or(self.records[*i].len, |f| f.len() as u64))
+            .sum();
+        if self.log_len <= LOG_COMPACT_BYTES.max(2 * keep) {
+            return;
+        }
+        let Ok(old) = self.io.read(&self.log_path()) else { return };
+        let copied = plan.iter().filter(|(_, fresh)| fresh.is_none()).count();
+        let mut bytes = Vec::with_capacity(keep as usize);
+        let mut records = Vec::with_capacity(plan.len());
+        for (i, fresh) in &plan {
+            let e = &self.records[*i];
+            let (rec, floor) = match fresh {
+                Some(f) => (f.as_slice(), None),
+                None => match old.get(e.at as usize..(e.at + e.len) as usize) {
+                    Some(b) => (b, e.floor),
+                    None => return,
+                },
+            };
+            records.push(Entry {
+                at: bytes.len() as u64,
+                len: rec.len() as u64,
+                epoch: e.epoch,
+                streams: e.streams.clone(),
+                floor,
+            });
+            bytes.extend_from_slice(rec);
+        }
+        if self.io.replace(&self.log_path(), &bytes).is_ok() {
+            self.stats.gc_pruned.add((self.records.len() - copied) as u64);
+            self.log_len = bytes.len() as u64;
+            self.records = records;
         }
     }
 
@@ -1220,9 +1067,9 @@ impl DurableStore {
         self.stats.clone()
     }
 
-    /// Live segment count (tests).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
+    /// CUT records in the live log (tests).
+    pub fn cut_count(&self) -> usize {
+        self.records.iter().filter(|e| e.floor.is_some()).count()
     }
 
     /// Current emission-log length in bytes (tests).
@@ -1269,6 +1116,12 @@ mod tests {
             .collect()
     }
 
+    /// A carry map of one opaque entry of `bytes` bytes: a cut large
+    /// enough that a few of them outgrow [`LOG_COMPACT_BYTES`].
+    fn big_carry(tag: u8, bytes: usize) -> HashMap<String, Vec<u8>> {
+        HashMap::from([("hfta:big".to_string(), vec![tag; bytes])])
+    }
+
     #[test]
     fn checkpoint_then_recover_round_trips_state() {
         let dir = scratch_dir("roundtrip");
@@ -1298,28 +1151,62 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Compaction leaves the newest `retain` cuts in the log, and
+    /// recovery restores the newest.
     #[test]
-    fn retention_keeps_last_k_segments() {
+    fn compaction_keeps_the_last_retain_cuts() {
         let dir = scratch_dir("gc");
         let stats = Arc::new(DurableStats::default());
         let (mut store, _) =
             DurableStore::open(&dir, Arc::new(RealDisk), 2, stats.clone()).expect("open");
-        let carry = sample_carry(1);
         for e in 0..5u64 {
+            let carry = big_carry(e as u8, 300_000);
             store.checkpoint(e + 1, &carry, &HashMap::new(), &[]).expect("checkpoint");
         }
-        assert_eq!(store.segment_count(), 2);
+        assert_eq!(store.cut_count(), 2);
         assert_eq!(stats.gc_pruned.get(), 3);
-        let live: Vec<String> = RealDisk
-            .list(&dir)
-            .unwrap()
-            .into_iter()
-            .filter(|n| n.ends_with(SEG_SUFFIX))
-            .collect();
-        assert_eq!(live.len(), 2, "only the retained segments remain on disk");
+        assert_eq!(
+            RealDisk.list(&dir).unwrap(),
+            vec![LOG_FILE.to_string()],
+            "the log is the directory's only file"
+        );
+        assert_eq!(fs::metadata(dir.join(LOG_FILE)).unwrap().len(), store.log_len());
         // Recovery restores the newest.
         let (_s, rec) = open_real(&dir);
         assert_eq!(rec.next_epoch, 5);
+        assert_eq!(rec.carry, big_carry(4, 300_000));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A stream whose cut is held back below an epoch it completed needs
+    /// that marker to resume without re-emitting it: compaction keeps it
+    /// when the cut that carried it is dropped.
+    #[test]
+    fn compaction_keeps_a_dropped_cuts_markers_above_the_floor() {
+        let dir = scratch_dir("gc_markers");
+        let (q, lag) = ("q".to_string(), "lag".to_string());
+        let carry = big_carry(1, 300_000);
+        {
+            let (mut store, _) = DurableStore::open(
+                &dir,
+                Arc::new(RealDisk),
+                2,
+                Arc::new(DurableStats::default()),
+            )
+            .expect("open");
+            for next in 1..=5u64 {
+                let cursors = HashMap::from([(q.clone(), next), (lag.clone(), 1)]);
+                // `lag` completes epochs 0 and 1, but its cut stays at 1.
+                let pending =
+                    if next <= 2 { vec![q.clone(), lag.clone()] } else { vec![q.clone()] };
+                store.checkpoint(next, &carry, &cursors, &pending).expect("checkpoint");
+            }
+            assert_eq!(store.cut_count(), 2, "the log was compacted");
+        }
+        let (_s, rec) = open_real(&dir);
+        assert_eq!(rec.resume(&lag), Cursor { cut: 1, next: 2 }, "epoch 1 is not re-emitted");
+        assert_eq!(rec.resume(&q), Cursor { cut: 5, next: 5 });
+        assert_eq!(rec.carry, carry);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1328,7 +1215,7 @@ mod tests {
         let dir = scratch_dir("torntail");
         {
             let (mut store, _) = open_real(&dir);
-            store.checkpoint(3, &sample_carry(1), &HashMap::new(), &[]).unwrap();
+            store.checkpoint(3, &sample_carry(1), &HashMap::new(), &["q0".to_string()]).unwrap();
             store.log_markers(2, &["q0".to_string()]).unwrap();
         }
         // Tear the tail: append garbage that looks like a record start.
@@ -1348,27 +1235,33 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_newest_segment_falls_back_to_older_cut() {
+    fn corrupt_newest_cut_falls_back_to_older_cut() {
         let dir = scratch_dir("fallback");
         let old_carry = sample_carry(2);
-        {
+        let newest_at = {
             let (mut store, _) = open_real(&dir);
             store.checkpoint(4, &old_carry, &HashMap::new(), &[]).unwrap();
+            let at = store.log_len();
             store.checkpoint(5, &sample_carry(3), &HashMap::new(), &[]).unwrap();
-        }
-        // Flip a byte mid-payload of the newest segment.
-        let newest = dir.join(seg_name(1));
-        let mut bytes = fs::read(&newest).unwrap();
-        let mid = bytes.len() / 2;
+            at as usize
+        };
+        // Flip a byte mid-payload of the newest CUT record.
+        let log = dir.join(LOG_FILE);
+        let mut bytes = fs::read(&log).unwrap();
+        let mid = (newest_at + bytes.len()) / 2;
         bytes[mid] ^= 0xff;
-        fs::write(&newest, &bytes).unwrap();
+        fs::write(&log, &bytes).unwrap();
         let stats = Arc::new(DurableStats::default());
         let (_s, rec) =
             DurableStore::open(&dir, Arc::new(RealDisk), 3, stats.clone()).expect("open");
         assert_eq!(rec.next_epoch, 4, "recovery fell back to the older boundary");
         assert_eq!(rec.carry, old_carry);
         assert_eq!(stats.torn_truncated.get(), 1);
-        assert!(rec.notes.iter().any(|n| n.contains("falling back")));
+        assert!(
+            rec.notes.iter().any(|n| n.contains(&format!("truncated at byte {newest_at}"))),
+            "{:?}",
+            rec.notes
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1415,36 +1308,106 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Compaction runs inside a cut's checkpoint, before that boundary's
-    /// markers are appended. A crash between the two must still find the
-    /// markers the previous cut resumes from: the fallback restores it
-    /// and replays up to the last committed epoch, re-emitting nothing.
+    /// A failed append can land part of its record. The store cuts that
+    /// off before its next append, so the markers that follow a failed
+    /// cut are never stranded behind garbage recovery would truncate.
     #[test]
-    fn compaction_keeps_what_a_cut_that_never_committed_falls_back_on() {
-        let dir = scratch_dir("compact_fallback");
-        let streams: Vec<String> = (0..64).map(|i| format!("stream-{i:04}")).collect();
-        let cursors =
-            |next: u64| -> HashMap<String, u64> { streams.iter().map(|s| (s.clone(), next)).collect() };
-        let carry = sample_carry(1);
-        let e = {
-            let (mut store, _) = open_real(&dir);
-            store.checkpoint(1, &carry, &cursors(1), &streams).unwrap();
-            store.log_markers(0, &streams).unwrap();
-            let mut e = 1;
-            while store.log_len() <= LOG_COMPACT_BYTES {
-                store.log_markers(e, &streams).unwrap();
-                e += 1;
-            }
-            store.checkpoint(e + 1, &carry, &cursors(e + 1), &streams).unwrap();
-            assert!(store.log_len() < LOG_COMPACT_BYTES, "the cut compacted the log");
-            e // the process dies before `log_markers(e)`
-        };
-        let (_s, rec) = open_real(&dir);
-        assert!(rec.notes.iter().any(|n| n.contains("ahead")), "{:?}", rec.notes);
-        for s in &streams {
-            assert_eq!(rec.resume(s), Cursor { cut: 1, next: e }, "stream {s}");
+    fn a_cut_that_fails_mid_record_never_strands_the_markers_after_it() {
+        let dir = scratch_dir("enospc_tail");
+        let q = vec!["q0".to_string()];
+        let cursors = |c: u64| HashMap::from([("q0".to_string(), c)]);
+        let stats = Arc::new(DurableStats::default());
+        // Boundary 2's CUT fails on its first try and both retries, each
+        // landing half the record.
+        let plan = DiskFaultPlan::new().enospc(2, DiskOp::LogAppend, 3);
+        {
+            let (mut store, _) =
+                DurableStore::open(&dir, Arc::new(FaultyDisk::new(plan)), 3, stats.clone())
+                    .expect("open");
+            store.checkpoint(1, &sample_carry(1), &cursors(1), &q).expect("first cut");
+            store.log_markers(0, &q).expect("no-op");
+            store.checkpoint(2, &sample_carry(2), &cursors(2), &q).expect_err("the cut fails");
+            store.log_markers(1, &q).expect("its markers still commit");
+            store.log_markers(2, &q).expect("and so does the next boundary");
         }
-        assert_eq!(rec.next_epoch, e);
+        assert_eq!(stats.write_failed.get(), 1);
+        let (_s, rec) = open_real(&dir);
+        assert!(rec.notes.is_empty(), "no partial record is left behind: {:?}", rec.notes);
+        let every: Vec<(String, u64)> = (0..3).map(|e| ("q0".to_string(), e)).collect();
+        assert_eq!(rec.markers, every, "every marker, exactly once");
+        assert_eq!(rec.resume("q0"), Cursor { cut: 1, next: 3 });
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A [`RealDisk`] that records which of its methods ran.
+    #[derive(Default)]
+    struct Counting(Mutex<Vec<&'static str>>);
+
+    impl Counting {
+        fn note(&self, op: &'static str) {
+            self.0.lock().unwrap().push(op);
+        }
+        fn take(&self) -> Vec<&'static str> {
+            std::mem::take(&mut *self.0.lock().unwrap())
+        }
+    }
+
+    impl DiskIo for Counting {
+        fn create_dir_all(&self, p: &Path) -> io::Result<()> {
+            self.note("create_dir_all");
+            RealDisk.create_dir_all(p)
+        }
+        fn append(&self, p: &Path, bytes: &[u8]) -> io::Result<()> {
+            self.note("append");
+            RealDisk.append(p, bytes)
+        }
+        fn fsync_file(&self, p: &Path) -> io::Result<()> {
+            self.note("fsync_file");
+            RealDisk.fsync_file(p)
+        }
+        fn read(&self, p: &Path) -> io::Result<Vec<u8>> {
+            self.note("read");
+            RealDisk.read(p)
+        }
+        fn list(&self, p: &Path) -> io::Result<Vec<String>> {
+            self.note("list");
+            RealDisk.list(p)
+        }
+        fn remove(&self, p: &Path) -> io::Result<()> {
+            self.note("remove");
+            RealDisk.remove(p)
+        }
+        fn truncate(&self, p: &Path, len: u64) -> io::Result<()> {
+            self.note("truncate");
+            RealDisk.truncate(p, len)
+        }
+        fn replace(&self, p: &Path, bytes: &[u8]) -> io::Result<()> {
+            self.note("replace");
+            RealDisk.replace(p, bytes)
+        }
+    }
+
+    /// The commit protocol: a cut boundary (`checkpoint`, then its
+    /// `log_markers`) and a boundary between cuts each make exactly one
+    /// append and one fsync, and no other IO.
+    #[test]
+    fn a_boundary_is_one_append_and_one_fsync() {
+        let dir = scratch_dir("protocol");
+        let io = Arc::new(Counting::default());
+        let (mut store, _) =
+            DurableStore::open(&dir, io.clone(), 3, Arc::new(DurableStats::default()))
+                .expect("open");
+        assert_eq!(
+            io.take(),
+            ["create_dir_all", "list", "replace"],
+            "a fresh directory gets its log created whole"
+        );
+        let q = vec!["q0".to_string()];
+        store.checkpoint(1, &sample_carry(2), &HashMap::from([("q0".to_string(), 1)]), &q).unwrap();
+        store.log_markers(0, &q).unwrap();
+        assert_eq!(io.take(), ["append", "fsync_file"], "a cut boundary");
+        store.log_markers(1, &q).unwrap();
+        assert_eq!(io.take(), ["append", "fsync_file"], "a boundary between cuts");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1466,19 +1429,19 @@ mod tests {
 
     #[test]
     fn oversized_carry_entry_is_rejected_before_allocation() {
-        // Hand-forge a segment whose entry declares more bytes than the
-        // cap; decode must refuse on the declared length, not allocate.
+        // Hand-forge a CUT whose entry declares more bytes than the cap;
+        // decode must refuse on the declared length, not allocate.
         let mut w = SnapWriter::new();
-        w.put_u64(0); // seq
+        w.put_u8(REC_CUT);
         w.put_u64(1); // next_epoch
+        w.put_u32(0); // marker streams
         w.put_u32(0); // cursors
-        w.put_u32(0); // pending
         w.put_u32(1); // entries
         w.put_str("hfta:q");
         w.put_u32((MAX_ENTRY_BYTES + 1) as u32); // declared entry length
         w.put_u8(0); // one actual byte
-        let sealed = w.seal();
-        let err = decode_segment(&sealed).expect_err("oversized entry must be rejected");
+        let payload = w.into_payload();
+        let err = decode_cut(&payload).expect_err("oversized entry must be rejected");
         assert!(err.to_string().contains("cap"), "error names the cap: {err}");
     }
 

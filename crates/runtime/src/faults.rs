@@ -244,64 +244,53 @@ impl NodeInjector {
 // Disk faults: the durable checkpoint store's injection surface.
 // ---------------------------------------------------------------------
 
-/// One step of the durable store's crash-consistent write protocol.
-/// Checkpointing a cut is `TempWrite → TempFsync → Rename → DirFsync`;
-/// committing an epoch's emission markers is `LogAppend → LogFsync`.
-/// Faults target a `(boundary, step)` coordinate, so a plan names the
-/// exact interleaving point a process death interrupts.
+/// One step of the durable store's commit protocol: every epoch
+/// boundary appends one record to the log (`LogAppend`) and fsyncs it
+/// (`LogFsync`). Faults target a `(boundary, step)` coordinate, so a plan
+/// names the exact interleaving point a process death interrupts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiskOp {
-    /// Write the full sealed segment to its temporary name.
-    TempWrite,
-    /// Fsync the temporary segment file.
-    TempFsync,
-    /// Atomically rename the temporary file to its final segment name.
-    Rename,
-    /// Fsync the state directory (makes the rename durable).
-    DirFsync,
-    /// Append one record to the emission log.
+    /// Append one record to the log.
     LogAppend,
-    /// Fsync the emission log.
+    /// Fsync the log.
     LogFsync,
 }
 
 /// How a targeted disk operation misbehaves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DiskFaultKind {
-    /// The process dies *before* the step runs. Un-fsynced effects of
-    /// earlier steps are rolled back the way a machine crash would lose
-    /// them: `CrashBefore(TempFsync)` tears the just-written temp file
-    /// to half its bytes, `CrashBefore(DirFsync)` reverts the
-    /// not-yet-durable rename, `CrashBefore(LogFsync)` tears the
-    /// just-appended record mid-byte.
+    /// The process dies *before* the step runs. An un-fsynced append is
+    /// lost the way a machine crash would lose it: `CrashBefore(LogFsync)`
+    /// tears the just-appended record mid-byte.
     CrashBefore(DiskOp),
     /// The step completes, then the process dies — the "lucky" crash
     /// where the unsynced data happened to reach the platter.
     CrashAfter(DiskOp),
-    /// A short write: only `keep` bytes of the payload land, then the
-    /// process dies. Meaningful for [`DiskOp::TempWrite`] and
-    /// [`DiskOp::LogAppend`].
+    /// A short write: only `keep` bytes of the record land, then the
+    /// process dies. Meaningful for [`DiskOp::LogAppend`].
     ShortWrite {
         /// Payload bytes that make it to disk before the crash.
         keep: usize,
     },
     /// The step fails with `ENOSPC` — no crash, the process keeps
-    /// running (the dead-letter path). Fires on every matching step
-    /// from the spec's boundary on, up to `times` failures total.
+    /// running (the dead-letter path); on [`DiskOp::LogAppend`], half the
+    /// record lands first, as on a really full disk. Fires on every
+    /// matching step from the spec's boundary on, up to `times` failures
+    /// total.
     Enospc {
         /// How many times the error fires before the disk "recovers".
         times: u32,
     },
 }
 
-/// One injected disk fault: at which checkpoint boundary (1-based,
+/// One injected disk fault: at which epoch boundary (1-based,
 /// counted by [`begin_boundary`](crate::durable::DiskIo::begin_boundary))
 /// and at which protocol step. Crash kinds match their boundary exactly;
 /// [`DiskFaultKind::Enospc`] matches every boundary from `at_boundary` on
 /// while it has failures left.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiskFaultSpec {
-    /// 1-based checkpoint boundary the fault arms at.
+    /// 1-based epoch boundary the fault arms at.
     pub at_boundary: u64,
     /// Protocol step the fault targets.
     pub op: DiskOp,
@@ -330,17 +319,17 @@ impl DiskFaultPlan {
         self
     }
 
-    /// Crash the process just before `op` at checkpoint `n`.
+    /// Crash the process just before `op` at boundary `n`.
     pub fn crash_before(self, n: u64, op: DiskOp) -> DiskFaultPlan {
         self.with(n, op, DiskFaultKind::CrashBefore(op))
     }
 
-    /// Crash the process just after `op` at checkpoint `n`.
+    /// Crash the process just after `op` at boundary `n`.
     pub fn crash_after(self, n: u64, op: DiskOp) -> DiskFaultPlan {
         self.with(n, op, DiskFaultKind::CrashAfter(op))
     }
 
-    /// Fail `op` with ENOSPC `times` times starting at checkpoint `n`.
+    /// Fail `op` with ENOSPC `times` times starting at boundary `n`.
     pub fn enospc(self, n: u64, op: DiskOp, times: u32) -> DiskFaultPlan {
         self.with(n, op, DiskFaultKind::Enospc { times })
     }

@@ -205,9 +205,9 @@ pub fn lagging_source(lead_in: usize) -> (PacketSource, Vec<CapPacket>) {
 /// Leave `dir` as a daemon that sealed and published a cut at *every*
 /// epoch boundary left it — every build before the cut cadence did —
 /// after running `program` over epochs `0..epochs` of `source`: each
-/// epoch one-shot from the previous cut, each boundary's segment (every
-/// query's cursor at `e + 1`, every query pending) published before its
-/// markers record, and no flush, as a `kill -9` after the last boundary
+/// epoch one-shot from the previous cut, each boundary one CUT record
+/// (every query's cursor at `e + 1`, every query's marker), and no
+/// flush, as a `kill -9` after the last boundary
 /// would leave it. Returns each subscription's rows over those epochs.
 pub fn write_cut_per_boundary_state_dir(
     dir: &std::path::Path,
@@ -266,28 +266,19 @@ pub fn seal_as_v1(sealed: &[u8]) -> Vec<u8> {
     v1
 }
 
-/// Rewrite a durable state directory in place as a format-v1 build would
-/// have left it: every segment file and every emission-log record
-/// re-sealed with [`seal_as_v1`]. Payload layouts did not change between
-/// the versions, so this is byte-for-byte what the old build wrote.
+/// Rewrite a durable state directory in place as if a format-v1 build
+/// had sealed it: every log record re-sealed with [`seal_as_v1`], its
+/// payload unchanged.
 pub fn downgrade_state_dir_to_v1(dir: &std::path::Path) {
-    use gs_runtime::durable::{LOG_FILE, SEG_SUFFIX};
-    for entry in std::fs::read_dir(dir).expect("state dir") {
-        let path = entry.expect("entry").path();
-        let name = path.file_name().expect("name").to_string_lossy().into_owned();
-        let bytes = std::fs::read(&path).expect("read state file");
-        if name.ends_with(SEG_SUFFIX) {
-            std::fs::write(&path, seal_as_v1(&bytes)).expect("rewrite segment");
-        } else if name == LOG_FILE {
-            let mut out = Vec::with_capacity(bytes.len());
-            let mut at = 0;
-            while at < bytes.len() {
-                let len = u32::from_be_bytes(bytes[at..at + 4].try_into().expect("len")) as usize;
-                out.extend_from_slice(&bytes[at..at + 4]);
-                out.extend_from_slice(&seal_as_v1(&bytes[at + 4..at + 4 + len]));
-                at += 4 + len;
-            }
-            std::fs::write(&path, out).expect("rewrite log");
-        }
+    let path = dir.join(gs_runtime::durable::LOG_FILE);
+    let bytes = std::fs::read(&path).expect("read the log");
+    let mut out = Vec::with_capacity(bytes.len());
+    let mut at = 0;
+    while at < bytes.len() {
+        let len = u32::from_be_bytes(bytes[at..at + 4].try_into().expect("len")) as usize;
+        out.extend_from_slice(&bytes[at..at + 4]);
+        out.extend_from_slice(&seal_as_v1(&bytes[at + 4..at + 4 + len]));
+        at += 4 + len;
     }
+    std::fs::write(&path, out).expect("rewrite log");
 }

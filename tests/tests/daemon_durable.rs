@@ -466,7 +466,7 @@ fn state_dir_written_by_a_v1_build_starts_fresh_with_a_recovery_note() {
     let (source, _) = carry_source(LEAD_IN, 0xD0D04);
     let last_real = (LEAD_IN + REAL_EPOCHS - 1) as u64;
 
-    // Incarnation 1 leaves a populated directory (segments with open
+    // Incarnation 1 leaves a populated directory (cuts with open
     // windows in them, durable markers), then dies without a flush.
     let mut daemon = server::start(durable_config(source, &state)).expect("daemon 1");
     let mut client = connect(daemon.addr());
@@ -510,7 +510,66 @@ fn state_dir_written_by_a_v1_build_starts_fresh_with_a_recovery_note() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
-/// A state disk that fails every segment write dead-letters: the stream
+/// A state directory in the earlier file-per-cut layout — a
+/// `seg-*.gsck` file beside a log of MARKERS records — is not read: the
+/// segment file is removed with a recovery note on HEALTH, the markers
+/// alone resume nothing, so the daemon starts from empty state at epoch
+/// 0, restores not one node, and its session is the continuous run of
+/// its own source.
+#[test]
+fn state_dir_in_the_old_segment_layout_starts_fresh_with_a_removal_note() {
+    use gs_runtime::durable::{DurableStats, DurableStore, RealDisk, LOG_FILE};
+    let state = scratch_dir("oldlayout");
+    {
+        let (mut store, _) = DurableStore::open(
+            &state,
+            std::sync::Arc::new(RealDisk),
+            3,
+            std::sync::Arc::new(DurableStats::default()),
+        )
+        .expect("open");
+        for e in 0..4 {
+            store.log_markers(e, &["agg".to_string()]).expect("markers");
+        }
+    }
+    let segment = state.join("seg-0000000000000000.gsck");
+    std::fs::write(&segment, b"a cut in the old layout").expect("stray segment");
+
+    let (source, _) = carry_source(LEAD_IN, 0xD0D06);
+    let last_real = (LEAD_IN + REAL_EPOCHS - 1) as u64;
+    let mut daemon = server::start(durable_config(source.clone(), &state))
+        .expect("an old-layout state dir must not fail start()");
+    let mut client = connect(daemon.addr());
+    client.subscribe("agg").expect("subscribe agg");
+    let health = client.health().expect("health");
+    let note = health
+        .iter()
+        .find(|r| r.query == "durable:store")
+        .expect("the removal must surface as a durable:store advisory");
+    assert!(
+        note.reason.contains("recovery") && note.reason.contains("segment file"),
+        "the advisory names the removed segment: {}",
+        note.reason
+    );
+    assert!(!segment.exists(), "the old segment file is gone");
+    let mut frames = Frames::default();
+    frames.read(&mut client, &["agg"], Some(last_real));
+    let first = frames.marks["agg"][0];
+    assert!(first < LEAD_IN as u64, "a fresh start at epoch 0, not a resume at {first}");
+    client.shutdown().expect("shutdown");
+    frames.read(&mut client, &[], None);
+    daemon.shutdown();
+    assert_eq!(daemon.registry().value("daemon", "nodes_restored"), Some(0));
+    let left: Vec<String> = std::fs::read_dir(&state)
+        .expect("state dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(left, [LOG_FILE], "the log is the directory's only file");
+    assert_session_total(PROGRAM, &source, "agg", &frames);
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// A state disk that fails every log append dead-letters: the stream
 /// keeps flowing, HEALTH grows a `durable:store` advisory row, and the
 /// failures are counted in the `durable` stats node.
 #[test]
@@ -519,7 +578,7 @@ fn failing_state_disk_dead_letters_into_health_not_an_outage() {
     let (source, _) = carry_source(LEAD_IN, 0xD0D02);
     let last_real = (LEAD_IN + REAL_EPOCHS - 1) as u64;
     let mut config = durable_config(source.clone(), &state);
-    config.disk_faults = Some(DiskFaultPlan::new().enospc(1, DiskOp::TempWrite, 9999));
+    config.disk_faults = Some(DiskFaultPlan::new().enospc(1, DiskOp::LogAppend, 9999));
     let mut daemon = server::start(config).expect("daemon start");
     let mut client = connect(daemon.addr());
     client.subscribe("agg").expect("subscribe agg");

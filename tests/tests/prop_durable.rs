@@ -4,8 +4,9 @@
 //! The driver below runs the daemon's boundary protocol at the library
 //! level through the production pieces of it: [`Cadence`] decides which
 //! boundaries are cuts (a cut seals the live operators and `checkpoint`s
-//! the segment; every other boundary only steps them on), `log_markers`
-//! commits every boundary (the durable commit point), and only then are
+//! them with the boundary's markers as one log record; every other
+//! boundary only steps them on and `log_markers` commits it), each
+//! boundary's record is the durable commit point, and only then are
 //! the epoch's rows counted as delivered — the same accounting as a
 //! marker-counting `gsq` client, whose `read_epoch` completes only on the
 //! end-of-epoch marker frame sent after the commit. A crash anywhere in
@@ -16,8 +17,8 @@
 //! recovered cut, then emitting from `next`.
 //!
 //! **Exactly-once**: for every injected crash point — before and after
-//! each protocol step a boundary performs (all six at a cut, the two log
-//! steps at any other boundary), plus short writes to both files — the
+//! each of the two protocol steps (append, fsync) a boundary performs,
+//! cut or not, plus a short append — the
 //! total confirmed output equals the uninterrupted run (exact rows and
 //! order at parallelism 1, multisets at 4), every `(stream, epoch)`
 //! marker is committed exactly once, the recovered carry map is
@@ -28,14 +29,15 @@
 //! *lagging* traces — few packets per chunk, many groups — whose cut
 //! trails the markers by two epochs or more.
 //!
-//! **Truncation**: for *every byte prefix* of the emission log, and
-//! every byte prefix of the newest segment, recovery is never fatal and
+//! **Truncation**: for *every byte prefix* of the log — cut records
+//! included — recovery is never fatal and
 //! resuming yields exactly the reference output (recovery falls back
 //! past any boundary it can no longer prove was confirmed, and re-runs
 //! it).
 //!
 //! **Idle log growth**: thousands of packet-free epochs after a large
-//! cut keep `emit.log` under `LOG_COMPACT_BYTES` plus one cut interval.
+//! cut keep `emit.log` under the compaction trigger plus one cut
+//! interval.
 //!
 //! **Dead-letter**: a checkpoint that keeps failing with ENOSPC never
 //! stops the session — output continues on the in-memory cut and the
@@ -68,17 +70,8 @@ const PROGRAM: &str = "DEFINE { query_name raw; } \
                        Select time, srcIP, count(*) From raw Group By time, srcIP";
 const SUBS: [&str; 4] = ["agg", "sib", "raw", "src"];
 
-const ALL_OPS: [DiskOp; 6] = [
-    DiskOp::TempWrite,
-    DiskOp::TempFsync,
-    DiskOp::Rename,
-    DiskOp::DirFsync,
-    DiskOp::LogAppend,
-    DiskOp::LogFsync,
-];
-
-/// The steps a boundary that is not a cut performs.
-const LOG_OPS: [DiskOp; 2] = [DiskOp::LogAppend, DiskOp::LogFsync];
+/// The steps every boundary performs, cut or not.
+const ALL_OPS: [DiskOp; 2] = [DiskOp::LogAppend, DiskOp::LogFsync];
 
 static DIR_ID: AtomicU64 = AtomicU64::new(0);
 
@@ -424,13 +417,12 @@ fn dry_run(chunks: &[Vec<CapPacket>], batch: usize, parallelism: usize) -> Histo
 }
 
 /// Crash plans for boundary `b` (1-based: the commit of epoch `b - 1`):
-/// before and after each step that boundary performs — all six at a
-/// cut, the two log steps at any other boundary — plus short writes.
+/// before and after each step that boundary performs, plus a short
+/// append.
 fn plans_at(b: u64, cut: bool) -> Vec<(String, DiskFaultPlan)> {
     let kind = if cut { "cut" } else { "non-cut" };
-    let ops: &[DiskOp] = if cut { &ALL_OPS } else { &LOG_OPS };
     let mut plans = Vec::new();
-    for &op in ops {
+    for op in ALL_OPS {
         plans.push((
             format!("crash_before({op:?})@{kind} {b}"),
             DiskFaultPlan::new().crash_before(b, op),
@@ -440,14 +432,10 @@ fn plans_at(b: u64, cut: bool) -> Vec<(String, DiskFaultPlan)> {
             DiskFaultPlan::new().crash_after(b, op),
         ));
     }
-    let short: &[DiskOp] =
-        if cut { &[DiskOp::TempWrite, DiskOp::LogAppend] } else { &[DiskOp::LogAppend] };
-    for &op in short {
-        plans.push((
-            format!("short_write({op:?})@{kind} {b}"),
-            DiskFaultPlan::new().with(b, op, DiskFaultKind::ShortWrite { keep: 3 }),
-        ));
-    }
+    plans.push((
+        format!("short_write(LogAppend)@{kind} {b}"),
+        DiskFaultPlan::new().with(b, DiskOp::LogAppend, DiskFaultKind::ShortWrite { keep: 3 }),
+    ));
     plans
 }
 
@@ -531,11 +519,10 @@ fn recovery_key(rec: &Recovery) -> u64 {
     h.finish()
 }
 
-/// Every byte prefix of the on-disk state recovers and resumes to the
-/// reference output. The log prefixes model torn appends (recovery
-/// falls back past boundaries it can no longer prove were confirmed);
-/// the segment prefixes model a torn publish (checksum fails, recovery
-/// falls back to the older cut).
+/// Every byte prefix of the log recovers and resumes to the reference
+/// output. The prefixes model torn appends (recovery falls back past
+/// boundaries it can no longer prove were confirmed — a torn CUT record
+/// to the older cut).
 fn every_prefix_resumes(pkts: &[CapPacket], chunks: &[Vec<CapPacket>]) {
     let (batch, parallelism) = (256usize, 1usize);
     let want = reference(pkts, batch, parallelism);
@@ -602,29 +589,11 @@ fn every_prefix_resumes(pkts: &[CapPacket], chunks: &[Vec<CapPacket>]) {
         let _ = std::fs::remove_dir_all(&damaged);
     };
 
-    // Every byte prefix of the emission log.
     let log = std::fs::read(dir.join("emit.log")).unwrap();
     for cut in 0..log.len() {
         let d = copy_dir("prefix_log");
         std::fs::write(d.join("emit.log"), &log[..cut]).unwrap();
         resume_and_check(d, &format!("log truncated to {cut}/{}", log.len()));
-    }
-
-    // Every byte prefix of the newest segment file.
-    let mut segs: Vec<String> = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| {
-            let n = e.unwrap().file_name().into_string().unwrap();
-            n.ends_with(".gsck").then_some(n)
-        })
-        .collect();
-    segs.sort();
-    let newest = segs.last().expect("segments exist").clone();
-    let seg = std::fs::read(dir.join(&newest)).unwrap();
-    for cut in 0..seg.len() {
-        let d = copy_dir("prefix_seg");
-        std::fs::write(d.join(&newest), &seg[..cut]).unwrap();
-        resume_and_check(d, &format!("segment {newest} truncated to {cut}/{}", seg.len()));
     }
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -648,9 +617,9 @@ fn every_truncation_prefix_over_a_lagging_cut_recovers_and_resumes() {
 }
 
 /// An idle daemon after a large cut: thousands of packet-free epochs,
-/// each committing only its markers, with a cut every `held` of them —
-/// the log never outgrows the compaction threshold by more than one
-/// cut interval of records.
+/// each committing only its markers, with a cut every `held` of them.
+/// Cuts are log records too, so the log never outgrows the compaction
+/// trigger by more than one cut interval of records.
 #[test]
 fn idle_epochs_after_a_large_cut_keep_the_log_bounded() {
     check("durable_idle_log", 1, |g| {
@@ -674,16 +643,26 @@ fn idle_epochs_after_a_large_cut_keep_the_log_bounded() {
         };
         store.checkpoint(1, &out.snapshots, &cursors(1), &streams).expect("checkpoint");
         store.log_markers(0, &streams).expect("markers");
-        let record = store.log_len();
+        let cut = store.log_len();
         let mut cadence = Cadence::default();
         cadence.sealed(held);
+        assert!(!cadence.boundary(0), "the boundary after a large cut is not a cut");
+        store.log_markers(1, &streams).expect("markers");
+        let marker = store.log_len() - cut;
 
         // A packet-free epoch changes no operator, so the cut it seals
         // is the same bytes: only the cadence and the store are driven.
-        let idle = LOG_COMPACT_BYTES / record * 5 / 4 + held;
-        let bound = LOG_COMPACT_BYTES + (held + 1) * record;
+        // Compaction keeps the newest 3 cuts and the markers records
+        // after the oldest of them, and runs after a cut once the log
+        // exceeds max(LOG_COMPACT_BYTES, 2 × that); a cut interval adds
+        // `held - 1` markers records and one cut.
+        let interval = (held - 1) * marker + cut;
+        let kept = 3 * cut + 2 * (held - 1) * marker;
+        let trigger = LOG_COMPACT_BYTES.max(2 * kept);
+        let bound = trigger + interval;
+        let idle = (trigger / interval + 2) * held;
         let (mut cuts, mut compactions) = (0u64, 0u64);
-        for e in 1..=idle {
+        for e in 2..=idle {
             let before = store.log_len();
             if cadence.boundary(0) {
                 cadence.sealed(held);
@@ -696,10 +675,9 @@ fn idle_epochs_after_a_large_cut_keep_the_log_bounded() {
             compactions += u64::from(store.log_len() < before);
             assert!(
                 store.log_len() <= bound,
-                "epoch {e}: emit.log is {} bytes, over {LOG_COMPACT_BYTES} + one cut interval \
-                 ({} records of {record} bytes)",
+                "epoch {e}: emit.log is {} bytes, over the compaction trigger {trigger} + one \
+                 cut interval ({held} records, {interval} bytes)",
                 store.log_len(),
-                held + 1
             );
         }
         assert!(cuts >= idle / (held + 1), "an idle daemon still cuts once per `held` epochs");
@@ -715,7 +693,7 @@ fn idle_epochs_after_a_large_cut_keep_the_log_bounded() {
     });
 }
 
-/// ENOSPC on every checkpoint write from boundary 2 on: the store
+/// ENOSPC on every log append from boundary 2 on: the store
 /// dead-letters each failure (counted in `write_failed`), the session
 /// keeps emitting on its in-memory cut, and total output is unchanged.
 #[test]
@@ -730,7 +708,7 @@ fn enospc_dead_letters_and_keeps_running() {
         let dir = scratch_dir("enospc");
         let streams: Vec<String> = SUBS.iter().map(|s| s.to_string()).collect();
         let stats = Arc::new(DurableStats::default());
-        let plan = DiskFaultPlan::new().enospc(2, DiskOp::TempWrite, 99);
+        let plan = DiskFaultPlan::new().enospc(2, DiskOp::LogAppend, 99);
         let (mut store, _) =
             DurableStore::open(&dir, Arc::new(FaultyDisk::new(plan)), 3, stats.clone())
                 .expect("open");
@@ -780,7 +758,7 @@ fn enospc_dead_letters_and_keeps_running() {
             "every exhausted retry loop is counted: {}",
             stats.write_failed.get()
         );
-        assert_eq!(store.segment_count(), 1, "only the pre-fault checkpoint landed");
+        assert_eq!(store.cut_count(), 1, "only the pre-fault checkpoint landed");
         let _ = std::fs::remove_dir_all(&dir);
     });
 }
