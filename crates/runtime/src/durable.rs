@@ -7,7 +7,8 @@
 //! A state directory holds one file, the append-only log `emit.log`: a
 //! sequence of `u32 BE length` + sealed ([`snapshot::seal`]) records.
 //! Each record is individually checksummed, so a torn tail is detected
-//! and truncated (advisory, never fatal). Three kinds:
+//! and truncated, and a damaged record inside the log skipped (advisory,
+//! never fatal). Three kinds:
 //!
 //! - **CUT**: one cut of the carried state — the epoch to resume at, the
 //!   streams that completed its boundary (their markers, for epoch
@@ -37,11 +38,17 @@
 //! up to one cut interval.
 //!
 //! Recovery scans the log once (truncating any torn tail) and restores
-//! the newest CUT after the last SHUTDOWN that decodes; each query then
-//! resumes as [`Recovery::resume`] says: its state is rebuilt by
-//! replaying `[cursor, next unmarked epoch)` from the restored bytes
-//! with its output discarded — those epochs were confirmed already —
-//! and emission resumes at the next unmarked epoch. Output is a
+//! the newest CUT after the last SHUTDOWN that decodes. A record is
+//! skipped rather than truncated when it is whole and the record after
+//! it verifies, so damage inside the log costs that record alone. When
+//! no cut is restored, recovery appends a SHUTDOWN at the epoch it
+//! starts from: the records before it resume nothing, and left live
+//! they would count against the fresh start's own cuts after its next
+//! crash. Otherwise each query resumes as [`Recovery::resume`] says:
+//! its state is rebuilt by replaying `[cursor, next unmarked epoch)`
+//! from the restored bytes with its output discarded — those epochs
+//! were confirmed already — and emission resumes at the next unmarked
+//! epoch. Output is a
 //! function of the input, never of where the cuts fell, so the silent
 //! replay rebuilds exactly the state the dead process held; nothing is
 //! emitted twice and nothing is skipped. The next unmarked epoch only
@@ -213,13 +220,11 @@ pub fn atomic_write_file(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()>
     fs::rename(&tmp, path)?;
     // Directory fsync is how a rename becomes durable on POSIX; where a
     // directory cannot be opened, the rename is the best available
-    // publish.
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = fsync_path(dir);
-        }
+    // publish. Any other failure is the caller's to see.
+    match path.parent().filter(|dir| !dir.as_os_str().is_empty()).map(fsync_path) {
+        Some(Err(e)) if e.kind() != io::ErrorKind::PermissionDenied => Err(e),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -419,8 +424,8 @@ pub struct DurableStats {
     pub bytes_fsynced: Counter,
     /// Startups that rebuilt state from a non-empty directory.
     pub recoveries: Counter,
-    /// Torn/partial tails truncated or undecodable cuts skipped during
-    /// recovery.
+    /// Torn tails truncated, damaged records and undecodable cuts
+    /// skipped during recovery.
     pub torn_truncated: Counter,
     /// Log records dropped by compaction (a dropped cut whose markers
     /// survive as a MARKERS record counts too).
@@ -578,7 +583,8 @@ pub struct DurableStore {
     /// The live records (after the last SHUTDOWN), in log order.
     records: Vec<Entry>,
     /// `Some(committed)` between a checkpoint and its boundary's
-    /// markers call: whether the CUT record already committed them.
+    /// markers call: whether its CUT record (the last of `records`)
+    /// committed.
     mid_boundary: Option<bool>,
 }
 
@@ -648,13 +654,18 @@ fn frame_record(sealed: Vec<u8>) -> Vec<u8> {
     rec
 }
 
+/// Where the record framed at `at` ends, if its bytes are all there.
+fn frame_end(bytes: &[u8], at: usize) -> Option<usize> {
+    let len = bytes.get(at..at + 4)?;
+    let end = at + 4 + u32::from_be_bytes(len.try_into().expect("a 4-byte slice")) as usize;
+    (end <= bytes.len()).then_some(end)
+}
+
 /// The record framed at `at`: its verified payload and where the next
 /// record starts.
 fn frame_at(bytes: &[u8], at: usize) -> Result<(&[u8], usize), SnapError> {
-    let len = bytes.get(at..at + 4).ok_or(SnapError::Truncated)?;
-    let end = at + 4 + u32::from_be_bytes(len.try_into().expect("a 4-byte slice")) as usize;
-    let sealed = bytes.get(at + 4..end).ok_or(SnapError::Truncated)?;
-    Ok((snapshot::open(sealed)?, end))
+    let end = frame_end(bytes, at).ok_or(SnapError::Truncated)?;
+    Ok((snapshot::open(&bytes[at + 4..end])?, end))
 }
 
 /// A record's kind, its epoch word (a CUT's is its `next_epoch`) and,
@@ -779,27 +790,9 @@ impl DurableStore {
         let mut cuts: Vec<(usize, &[u8])> = Vec::new();
         let mut at = 0usize;
         while at < bytes.len() {
-            let (payload, end) = match frame_at(&bytes, at) {
-                Ok(framed) => framed,
-                Err(e) => {
-                    // Torn tail — or a log written under another
-                    // snapshot format version, which reads as torn from
-                    // its first record: truncate at the last whole
-                    // record this build can verify.
-                    let what = match e {
-                        SnapError::Version(v) => format!(
-                            "record of snapshot format v{v} (this build reads v{}); log",
-                            snapshot::VERSION
-                        ),
-                        _ => "torn tail".to_string(),
-                    };
-                    let what = format!("{what} truncated at byte {at} (of {})", bytes.len());
-                    self.truncate_at(at, &mut rec, what)?;
-                    break;
-                }
-            };
-            let mut r = SnapReader::new(payload);
-            let head = read_head(&mut r).and_then(|(kind, epoch, streams)| {
+            let parsed = frame_at(&bytes, at).and_then(|(payload, end)| {
+                let mut r = SnapReader::new(payload);
+                let (kind, epoch, streams) = read_head(&mut r)?;
                 let floor = match kind {
                     REC_CUT => Some(read_cursors(&mut r)?.into_values().min().unwrap_or(epoch)),
                     _ => {
@@ -807,11 +800,38 @@ impl DurableStore {
                         None
                     }
                 };
-                Ok((kind, epoch, streams, floor))
+                Ok((payload, end, kind, epoch, streams, floor))
             });
-            let Ok((kind, epoch, streams, floor)) = head else {
-                self.truncate_at(at, &mut rec, format!("malformed record truncated at byte {at}"))?;
-                break;
+            let (payload, end, kind, epoch, streams, floor) = match parsed {
+                Ok(record) => record,
+                Err(e) => {
+                    // A whole record followed by one that verifies is
+                    // damage inside the log, not its tail: skip it alone,
+                    // so no committed record after it is lost.
+                    if let Some(end) = frame_end(&bytes, at)
+                        .filter(|&end| end < bytes.len() && frame_at(&bytes, end).is_ok())
+                    {
+                        self.stats.torn_truncated.inc();
+                        rec.notes.push(format!("emission log: record at byte {at} skipped: {e}"));
+                        at = end;
+                        continue;
+                    }
+                    // A torn tail — or a log written under another
+                    // snapshot format version, which reads as torn from
+                    // its first record: truncate at the last whole record
+                    // this build can verify.
+                    let what = match e {
+                        SnapError::Version(v) => format!(
+                            "record of snapshot format v{v} (this build reads v{}); log",
+                            snapshot::VERSION
+                        ),
+                        SnapError::Protocol(m) => format!("malformed record ({m})"),
+                        _ => "torn tail".to_string(),
+                    };
+                    let what = format!("{what} truncated at byte {at} (of {})", bytes.len());
+                    self.truncate_at(at, &mut rec, what)?;
+                    break;
+                }
             };
             if kind == REC_SHUTDOWN {
                 // Everything before belongs to the finished incarnation.
@@ -867,15 +887,23 @@ impl DurableStore {
                 rec.carry = cut.carry;
             }
             None => {
-                if let Some(next) = shutdown_next {
-                    rec.next_epoch = next;
-                    rec.clean_shutdown = true;
-                } else if !rec.markers.is_empty() {
+                rec.next_epoch = shutdown_next.unwrap_or(0);
+                rec.clean_shutdown = shutdown_next.is_some();
+                if !rec.markers.is_empty() {
                     rec.notes.push(format!(
                         "recovery regressed behind {} durable marker(s): no cut decodes; \
                          restarting from empty state (duplicate emission possible)",
                         rec.markers.len()
                     ));
+                }
+                if !self.records.is_empty() {
+                    // Nothing here resumes anything. Retire it as a
+                    // clean shutdown would, or a later recovery would
+                    // count these markers past the fresh start's own
+                    // cuts and skip the epochs in between.
+                    self.append(&frame_record(encode_shutdown(rec.next_epoch)))?;
+                    self.records.clear();
+                    rec.markers.clear();
                 }
             }
         }
@@ -960,24 +988,25 @@ impl DurableStore {
     /// markers record and fsync the log. The caller sends the marker
     /// frames only after this returns — the commit point of the
     /// exactly-once protocol. Right after a successful
-    /// [`checkpoint`](DurableStore::checkpoint) it does nothing: the CUT
-    /// record committed them.
+    /// [`checkpoint`](DurableStore::checkpoint) it commits only what the
+    /// CUT record did not — nothing, when called with that cut's epoch
+    /// and pending streams.
     pub fn log_markers(&mut self, epoch: u64, streams: &[String]) -> Result<(), StoreError> {
         let opened = self.mid_boundary.take();
-        if opened == Some(true) || streams.is_empty() {
+        let streams: Vec<String> = match (opened, self.records.last()) {
+            (Some(true), Some(cut)) if cut.epoch == epoch => {
+                streams.iter().filter(|s| !cut.streams.contains(s)).cloned().collect()
+            }
+            _ => streams.to_vec(),
+        };
+        if streams.is_empty() {
             return Ok(());
         }
         if opened.is_none() {
             self.io.begin_boundary();
         }
-        let at = self.append(&frame_record(encode_markers(epoch, streams)))?;
-        self.records.push(Entry {
-            at,
-            len: self.log_len - at,
-            epoch,
-            streams: streams.to_vec(),
-            floor: None,
-        });
+        let at = self.append(&frame_record(encode_markers(epoch, &streams)))?;
+        self.records.push(Entry { at, len: self.log_len - at, epoch, streams, floor: None });
         Ok(())
     }
 
@@ -1265,12 +1294,127 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A damaged record inside the log — whole, and followed by records
+    /// that verify — is skipped alone: the markers committed after it
+    /// survive, and only the cut itself falls back to the one before.
+    #[test]
+    fn corrupt_cut_inside_the_log_is_skipped_and_the_markers_after_it_survive() {
+        let dir = scratch_dir("midcut");
+        let q = vec!["q0".to_string()];
+        let old_carry = sample_carry(2);
+        let (bad_at, whole) = {
+            let (mut store, _) = open_real(&dir);
+            store.checkpoint(4, &old_carry, &HashMap::from([("q0".to_string(), 4)]), &q).unwrap();
+            let at = store.log_len();
+            let cursors = HashMap::from([("q0".to_string(), 5)]);
+            store.checkpoint(5, &sample_carry(3), &cursors, &q).unwrap();
+            for e in 5..8 {
+                store.log_markers(e, &q).unwrap();
+            }
+            (at as usize, store.log_len())
+        };
+        let log = dir.join(LOG_FILE);
+        let mut bytes = fs::read(&log).unwrap();
+        bytes[bad_at + 40] ^= 0xff;
+        fs::write(&log, &bytes).unwrap();
+        let stats = Arc::new(DurableStats::default());
+        let (_s, rec) =
+            DurableStore::open(&dir, Arc::new(RealDisk), 3, stats.clone()).expect("open");
+        assert_eq!(rec.carry, old_carry, "the older cut is restored");
+        let after: Vec<(String, u64)> = (5..8).map(|e| ("q0".to_string(), e)).collect();
+        assert_eq!(rec.markers[1..], after[..], "every marker after the bad cut survives");
+        assert_eq!(rec.resume("q0"), Cursor { cut: 4, next: 8 });
+        assert_eq!(rec.next_epoch, 8);
+        assert_eq!(stats.torn_truncated.get(), 1);
+        assert!(
+            rec.notes.iter().any(|n| n.contains(&format!("record at byte {bad_at} skipped"))),
+            "{:?}",
+            rec.notes
+        );
+        assert_eq!(fs::metadata(&log).unwrap().len(), whole, "nothing was truncated");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A CUT that verifies but does not decode (a carry entry over the
+    /// cap) is passed over with a note for the cut before it.
+    #[test]
+    fn undecodable_cut_falls_back_to_the_one_before() {
+        let dir = scratch_dir("capcut");
+        let old_carry = sample_carry(2);
+        {
+            let (mut store, _) = open_real(&dir);
+            store.checkpoint(4, &old_carry, &HashMap::new(), &[]).unwrap();
+        }
+        let mut w = SnapWriter::new();
+        w.put_u8(REC_CUT);
+        w.put_u64(5); // next_epoch
+        w.put_u32(0); // marker streams
+        w.put_u32(0); // cursors
+        w.put_u32(1); // entries
+        w.put_str("hfta:q");
+        w.put_u32((MAX_ENTRY_BYTES + 1) as u32);
+        RealDisk.append(&dir.join(LOG_FILE), &frame_record(w.seal())).unwrap();
+        let stats = Arc::new(DurableStats::default());
+        let (_s, rec) =
+            DurableStore::open(&dir, Arc::new(RealDisk), 3, stats.clone()).expect("open");
+        assert_eq!(rec.carry, old_carry);
+        assert_eq!(rec.next_epoch, 4);
+        assert_eq!(stats.torn_truncated.get(), 1);
+        assert!(rec.notes.iter().any(|n| n.contains("falling back")), "{:?}", rec.notes);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A recovery that can resume nothing retires what it found, so the
+    /// fresh start's own crash later resumes from its own cuts — not
+    /// past the stale markers of the records before it.
+    #[test]
+    fn a_fresh_start_over_stale_markers_retires_them() {
+        let dir = scratch_dir("retire");
+        let q = vec!["q0".to_string()];
+        {
+            let (mut store, _) = open_real(&dir);
+            for e in 0..10 {
+                store.log_markers(e, &q).unwrap();
+            }
+        }
+        {
+            let (mut store, rec) = open_real(&dir);
+            assert_eq!(rec.next_epoch, 0);
+            assert!(rec.notes.iter().any(|n| n.contains("regressed behind 10")), "{:?}", rec.notes);
+            let cursors = HashMap::from([("q0".to_string(), 1)]);
+            store.checkpoint(1, &sample_carry(1), &cursors, &q).unwrap();
+            store.log_markers(0, &q).unwrap();
+            store.log_markers(1, &q).unwrap();
+            store.log_markers(2, &q).unwrap();
+        }
+        let (_s, rec) = open_real(&dir);
+        assert!(rec.notes.is_empty(), "{:?}", rec.notes);
+        assert_eq!(rec.resume("q0"), Cursor { cut: 1, next: 3 });
+        assert_eq!(rec.next_epoch, 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `log_markers` after a committed cut appends exactly the streams
+    /// the CUT record did not carry.
+    #[test]
+    fn markers_a_cut_did_not_carry_are_still_committed() {
+        let dir = scratch_dir("extra");
+        {
+            let (mut store, _) = open_real(&dir);
+            store.checkpoint(3, &sample_carry(1), &HashMap::new(), &["a".to_string()]).unwrap();
+            store.log_markers(2, &["a".to_string(), "b".to_string()]).unwrap();
+        }
+        let (_s, rec) = open_real(&dir);
+        assert_eq!(rec.markers, vec![("a".to_string(), 2), ("b".to_string(), 2)]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn clean_shutdown_restarts_fresh_with_epoch_numbering() {
         let dir = scratch_dir("clean");
         {
             let (mut store, _) = open_real(&dir);
-            store.checkpoint(9, &sample_carry(2), &HashMap::new(), &[]).unwrap();
+            store.checkpoint(9, &sample_carry(2), &HashMap::new(), &["q0".to_string()]).unwrap();
             store.log_markers(8, &["q0".to_string()]).unwrap();
             store.log_shutdown(10).unwrap();
         }

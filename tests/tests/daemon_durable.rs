@@ -185,12 +185,34 @@ fn shutdown_before_reregister_keeps_the_recovered_windows() {
 #[test]
 fn killed_between_cuts_resumes_by_silent_replay() {
     let state = scratch_dir("lagging");
+    kill_between_cuts_and_resume(&state);
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// An old-layout directory whose markers reach past every epoch the
+/// fresh start runs: recovery retires them, so when the fresh start is
+/// killed between cuts, its restart resumes from its own cut and
+/// markers — the stale ones do not push the resume past epochs it never
+/// emitted — and the two incarnations are one continuous run.
+#[test]
+fn killed_after_a_fresh_start_over_an_old_layout_resumes_exactly() {
+    let state = scratch_dir("oldlayout_kill");
+    let segment = old_layout_state_dir(&state, &["agg", "sib"], 100);
+    kill_between_cuts_and_resume(&state);
+    assert!(!segment.exists(), "the old segment file is gone");
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// Run [`LAGGING_PROGRAM`] on `state`, kill it several epochs past its
+/// last cut, restart it there, and check the two incarnations' output
+/// against one continuous run.
+fn kill_between_cuts_and_resume(state: &Path) {
     let (source, all) = lagging_source(LEAD_IN);
     let (source2, _) = lagging_source(LEAD_IN);
     let config = |source| DaemonConfig {
         epoch_gap_ms: 50,
         initial_program: Some(LAGGING_PROGRAM.to_string()),
-        ..durable_config(source, &state)
+        ..durable_config(source, state)
     };
     let streams = ["agg", "sib"];
     let mut frames = Frames::default();
@@ -259,7 +281,27 @@ fn killed_between_cuts_resumes_by_silent_replay() {
             "stream `{s}`: kill between cuts + resume diverges from the continuous run"
         );
     }
-    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// Leave `state` as the earlier file-per-cut layout would: a log of
+/// MARKERS records for `streams` at epochs `0..epochs`, and a segment
+/// file beside it. Returns the segment's path.
+fn old_layout_state_dir(state: &Path, streams: &[&str], epochs: u64) -> PathBuf {
+    use gs_runtime::durable::{DurableStats, DurableStore, RealDisk};
+    let (mut store, _) = DurableStore::open(
+        state,
+        std::sync::Arc::new(RealDisk),
+        3,
+        std::sync::Arc::new(DurableStats::default()),
+    )
+    .expect("open");
+    let streams: Vec<String> = streams.iter().map(|s| s.to_string()).collect();
+    for e in 0..epochs {
+        store.log_markers(e, &streams).expect("markers");
+    }
+    let segment = state.join("seg-0000000000000000.gsck");
+    std::fs::write(&segment, b"a cut in the old layout").expect("stray segment");
+    segment
 }
 
 /// Kill while a query sits in backoff behind a *stateful* upstream:
@@ -518,22 +560,9 @@ fn state_dir_written_by_a_v1_build_starts_fresh_with_a_recovery_note() {
 /// its own source.
 #[test]
 fn state_dir_in_the_old_segment_layout_starts_fresh_with_a_removal_note() {
-    use gs_runtime::durable::{DurableStats, DurableStore, RealDisk, LOG_FILE};
+    use gs_runtime::durable::LOG_FILE;
     let state = scratch_dir("oldlayout");
-    {
-        let (mut store, _) = DurableStore::open(
-            &state,
-            std::sync::Arc::new(RealDisk),
-            3,
-            std::sync::Arc::new(DurableStats::default()),
-        )
-        .expect("open");
-        for e in 0..4 {
-            store.log_markers(e, &["agg".to_string()]).expect("markers");
-        }
-    }
-    let segment = state.join("seg-0000000000000000.gsck");
-    std::fs::write(&segment, b"a cut in the old layout").expect("stray segment");
+    let segment = old_layout_state_dir(&state, &["agg"], 4);
 
     let (source, _) = carry_source(LEAD_IN, 0xD0D06);
     let last_real = (LEAD_IN + REAL_EPOCHS - 1) as u64;
